@@ -14,13 +14,13 @@ Covers four checks:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
+from .metrics import _read_rows, _write_rows
 from .objectives import eval_grad
 from .optim import sam_gradient
 
@@ -204,7 +204,7 @@ def convergence_metric(records, gamma: float):
 
 
 # ---------------------------------------------------------------------------
-# norm trace extraction (the logged l2 series)
+# norm trace: the logged l2 series, a column projection of metrics.csv
 
 NORM_TRACE_FIELDS = [
     "iteration", "l2_sgd", "l2_psf", "l2_sgd_subset", "l2_psf_subset", "psf_stale",
@@ -233,41 +233,8 @@ def norm_trace(records) -> list[dict]:
 
 
 def write_norm_trace(path, rows) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(NORM_TRACE_FIELDS)
-        for row in rows:
-            out = []
-            for name in NORM_TRACE_FIELDS:
-                value = row[name]
-                if value is None:
-                    out.append("")
-                elif name == "iteration":
-                    out.append(str(int(value)))
-                elif name == "psf_stale":
-                    out.append("1" if value else "0")
-                else:
-                    out.append(repr(float(value)))
-            writer.writerow(out)
+    _write_rows(path, NORM_TRACE_FIELDS, rows)
 
 
 def read_norm_trace(path) -> list[dict]:
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != NORM_TRACE_FIELDS:
-            raise ConfigurationError(f"unexpected norm-trace header in {path}")
-        rows = []
-        for raw in reader:
-            row = {}
-            for name, cell in zip(NORM_TRACE_FIELDS, raw):
-                if cell == "":
-                    row[name] = None
-                elif name == "iteration":
-                    row[name] = int(cell)
-                elif name == "psf_stale":
-                    row[name] = cell == "1"
-                else:
-                    row[name] = float(cell)
-            rows.append(row)
-    return rows
+    return _read_rows(path, NORM_TRACE_FIELDS)

@@ -27,7 +27,7 @@ from .diagnostics import norm_trace, write_norm_trace
 from .errors import ConfigurationError, NumericError
 from .metrics import read_metrics_csv, write_metrics_csv
 from .objectives import (ObjectiveSpec, make_mlp_classifier, make_quadratic,
-                         make_rosenbrock, make_sharp_flat)
+                         make_rosenbrock, make_sharp_flat, param_segments)
 from .optim import OptimizerConfig, run_sam, run_sam_k, run_sgd, run_vsam
 from .params import ParamVector
 from .sampler import SamplerConfig
@@ -73,6 +73,12 @@ class ExperimentConfig:
             raise ConfigurationError("sam_k requires k >= 1")
         if self.w0 is not None and self.objective.kind == "mlp_classifier":
             raise ConfigurationError("w0 override applies to analytic objectives only")
+        if self.sampler is not None and self.sampler.subset_segments is not None:
+            known = [name for name, _, _ in param_segments(self.objective)]
+            unknown = [n for n in self.sampler.subset_segments if n not in known]
+            if unknown:
+                raise ConfigurationError(
+                    f"subset_segments {unknown} are not segments of the objective {known}")
 
 
 @dataclass
@@ -234,24 +240,33 @@ def resolve_output_dir(output_dir) -> Path:
 
 
 def _plan_iterations(config, dataset):
-    if config.iterations is not None:
+    """Iterations per seed; rejects a batch size the training split cannot fill."""
+    if dataset is None:
         return config.iterations
     train, _ = train_test_split(dataset)
+    if not 1 <= config.batch_size <= train.n:
+        raise ConfigurationError(
+            f"batch_size must be in [1, {train.n}] (the training split), got {config.batch_size}")
+    if config.iterations is not None:
+        return config.iterations
     return config.epochs * batches_per_epoch(train.n, config.batch_size)
 
 
 def run_experiment(config: ExperimentConfig) -> Path:
-    """Execute every seed of the experiment; returns the output directory."""
-    out = resolve_output_dir(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
+    """Execute every seed of the experiment; returns the output directory.
 
+    The dataset is generated and the plan checked before anything is written.
+    """
     dataset = None
     if config.dataset is not None:
         ds = config.dataset
         dataset = generate_dataset(ds["kind"], ds["n"], ds["noise"], ds["seed"])
     iterations = _plan_iterations(config, dataset)
+
+    out = resolve_output_dir(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "config.json", "w", encoding="utf-8") as fh:
+        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
 
     summaries = {}
     for seed in config.seeds:

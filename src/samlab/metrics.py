@@ -1,15 +1,18 @@
-"""Per-iteration metrics records and their CSV serialization.
+"""Per-iteration metrics records and the package's one CSV codec.
 
 The column order below is the stable on-disk schema; every metrics file
-starts with exactly this header. Floats are written with ``repr`` so reading
-a file back reproduces every value bit-exactly; empty cells mean "not
-measured this iteration" and load as ``None``.
+starts with exactly this header. Other CSV files (the norm trace) are column
+projections of it, written and read by the same codec. Floats are written
+with ``repr`` so reading a file back reproduces every value bit-exactly;
+empty cells mean "not measured this iteration" and load as ``None``.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
+
+from .errors import ConfigurationError
 
 FIELD_ORDER = [
     "iteration",
@@ -68,42 +71,42 @@ class MetricsRecord:
 assert set(FIELD_ORDER) == {f.name for f in fields(MetricsRecord)}
 
 
-def _format(name, value):
-    if value is None:
-        return ""
-    if name in _BOOL_FIELDS:
-        return "1" if value else "0"
-    if name in _INT_FIELDS:
-        return str(int(value))
-    return repr(float(value))
+# per column type: value -> cell (never given None) and cell -> value (never given "")
+_FORMAT = {"bool": lambda v: "1" if v else "0", "int": lambda v: str(int(v)),
+           "float": lambda v: repr(float(v))}
+_PARSE = {"bool": "1".__eq__, "int": int, "float": float}
 
 
-def _parse(name, cell):
-    if cell == "":
-        return None
-    if name in _BOOL_FIELDS:
-        return cell == "1"
-    if name in _INT_FIELDS:
-        return int(cell)
-    return float(cell)
+def _column_type(name):
+    return "bool" if name in _BOOL_FIELDS else "int" if name in _INT_FIELDS else "float"
+
+
+def _write_rows(path, header, rows) -> None:
+    """Write ``header``, then each row (a mapping holding every header column)."""
+    columns = [(name, _FORMAT[_column_type(name)]) for name in header]
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["" if row[name] is None else fmt(row[name])
+                             for name, fmt in columns])
+
+
+def _read_rows(path, header) -> list[dict]:
+    """Rows of a file written by ``_write_rows`` with this exact header."""
+    parsers = [_PARSE[_column_type(name)] for name in header]
+    with open(path, "r", newline="", encoding="ascii") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise ConfigurationError(f"unexpected CSV header in {path}")
+        return [{name: None if cell == "" else parse(cell)
+                 for name, parse, cell in zip(header, parsers, row)}
+                for row in reader]
 
 
 def write_metrics_csv(path, records) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FIELD_ORDER)
-        for rec in records:
-            writer.writerow([_format(name, getattr(rec, name)) for name in FIELD_ORDER])
+    _write_rows(path, FIELD_ORDER, (vars(rec) for rec in records))
 
 
 def read_metrics_csv(path) -> list[MetricsRecord]:
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != FIELD_ORDER:
-            raise ValueError(f"unexpected metrics header in {path}")
-        records = []
-        for row in reader:
-            kwargs = {name: _parse(name, cell) for name, cell in zip(FIELD_ORDER, row)}
-            records.append(MetricsRecord(**kwargs))
-    return records
+    return [MetricsRecord(**row) for row in _read_rows(path, FIELD_ORDER)]

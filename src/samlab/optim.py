@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +52,8 @@ class OptimizerConfig:
             raise ConfigurationError("momentum must be in [0, 1)")
         if self.lr_schedule not in LR_SCHEDULES:
             raise ConfigurationError(f"unknown lr_schedule {self.lr_schedule!r}")
+        if self.grad_eval_budget is not None and self.grad_eval_budget < 1:
+            raise ConfigurationError("grad_eval_budget must be at least 1")
 
 
 @dataclass
@@ -91,19 +93,6 @@ def perturbation(g: np.ndarray, rho: float) -> np.ndarray:
     return (rho / norm) * g
 
 
-def _make_triple(g_sgd, g_sam, pv: ParamVector, subset_names) -> GradientTriple:
-    psf = g_sam - g_sgd
-    return GradientTriple(
-        g_sgd=g_sgd,
-        g_sam=g_sam,
-        psf=psf,
-        l2_sgd=float(np.linalg.norm(g_sgd)),
-        l2_psf=float(np.linalg.norm(psf)),
-        l2_sgd_subset=subset_norm(g_sgd, pv, subset_names),
-        l2_psf_subset=subset_norm(psf, pv, subset_names),
-    )
-
-
 def _second_grad(spec, w, batch, rho, g_sgd):
     w_pert = w.with_values(w.values + perturbation(g_sgd, rho))
     _, g_sam = eval_grad(spec, w_pert, batch)
@@ -117,7 +106,16 @@ def sam_gradient(spec: ObjectiveSpec, w: ParamVector, batch: Batch | None,
         subset_names = default_subset(w)
     _, g_sgd = eval_grad(spec, w, batch)
     g_sam = _second_grad(spec, w, batch, rho, g_sgd)
-    return _make_triple(g_sgd, g_sam, w, subset_names)
+    psf = g_sam - g_sgd
+    return GradientTriple(
+        g_sgd=g_sgd,
+        g_sam=g_sam,
+        psf=psf,
+        l2_sgd=float(np.linalg.norm(g_sgd)),
+        l2_psf=float(np.linalg.norm(psf)),
+        l2_sgd_subset=subset_norm(g_sgd, w, subset_names),
+        l2_psf_subset=subset_norm(psf, w, subset_names),
+    )
 
 
 def _apply_step(values, direction, eta, momentum, m_state):
@@ -184,7 +182,7 @@ class RunResult:
 
 
 class _Run:
-    """Shared loop scaffolding: batch stream, eval cadence, record emission."""
+    """Loop state and scaffolding: batch stream, eval cadence, record emission."""
 
     def __init__(self, spec, dataset: Dataset | None, opt: OptimizerConfig,
                  iterations, seed, batch_size, w0, momentum0, start_iteration,
@@ -194,6 +192,7 @@ class _Run:
         self.spec = spec
         self.opt = opt
         self.iterations = iterations
+        self.seed = seed
         self.start_iteration = start_iteration
         self.schedule_total = schedule_total or (start_iteration + iterations)
         self.w = w0 if w0 is not None else init_params(spec, seed)
@@ -211,7 +210,6 @@ class _Run:
             self.train, self.test = train_test_split(dataset)
             self.batch_size = batch_size
             self.bpe = batches_per_epoch(self.train.n, batch_size)
-            self.batch_seed = seed
             self._epoch = -1
             self._batches = None
             self.test_batch = Batch(self.test.inputs, self.test.targets,
@@ -225,45 +223,40 @@ class _Run:
             return None, 0
         epoch = (t - 1) // self.bpe
         if epoch != self._epoch:
-            self._batches = make_batches(self.train, self.batch_size, self.batch_seed, epoch)
+            self._batches = make_batches(self.train, self.batch_size, self.seed, epoch)
             self._epoch = epoch
         return self._batches[(t - 1) % self.bpe], epoch
 
     def eta_at(self, t):
         return learning_rate(self.opt, t, self.schedule_total)
 
-    def grad(self, t, batch):
+    def guard(self, t, fn, *args):
+        """Call fn, attaching iteration context to a numeric failure."""
         try:
-            loss, g = eval_grad(self.spec, self.w, batch)
+            return fn(*args)
         except NumericError as err:
-            raise self._with_context(err, t) from err
+            out = err if err.iteration is not None else NumericError(str(err), iteration=t)
+            out.partial_records = self.records  # lets the harness flush a partial trace
+            if out is err:
+                raise
+            raise out from err
+
+    def grad(self, t, batch):
+        loss, g = self.guard(t, eval_grad, self.spec, self.w, batch)
         self.evals += 1
         return loss, g
 
-    def _with_context(self, err, t):
-        out = err if err.iteration is not None else NumericError(str(err), iteration=t)
-        out.partial_records = self.records  # lets the harness flush a partial trace
-        return out
-
     def second_grad(self, t, batch, g_sgd):
-        try:
-            g_sam = _second_grad(self.spec, self.w, batch, self.opt.rho, g_sgd)
-        except NumericError as err:
-            raise self._with_context(err, t) from err
+        g_sam = self.guard(t, _second_grad, self.spec, self.w, batch, self.opt.rho, g_sgd)
         self.evals += 1
         return g_sam
 
-    def guard(self, t, fn, *args, **kwargs):
-        """Attach iteration context to numeric failures from a step."""
-        try:
-            return fn(*args, **kwargs)
-        except NumericError as err:
-            wrapped = self._with_context(err, t)
-            if wrapped is err:
-                raise
-            raise wrapped from err
+    def budget_spent(self):
+        """True once one more gradient evaluation would exceed the budget."""
+        budget = self.opt.grad_eval_budget
+        return budget is not None and self.evals >= budget
 
-    def emit(self, t, epoch, loss, g_sgd, sampled, **extra):
+    def emit(self, t, epoch, loss, l2_sgd, l2_sgd_subset, sampled, **extra):
         is_epoch_end = self.train is not None and t % self.bpe == 0
         eval_loss_v = eval_acc = None
         if is_epoch_end and self.spec.kind == "mlp_classifier":
@@ -273,8 +266,8 @@ class _Run:
             iteration=t,
             epoch=epoch,
             train_loss=loss,
-            l2_sgd=float(np.linalg.norm(g_sgd)),
-            l2_sgd_subset=subset_norm(g_sgd, self.w, self.subset_names),
+            l2_sgd=l2_sgd,
+            l2_sgd_subset=l2_sgd_subset,
             sampled=sampled,
             cumulative_grad_evals=self.evals,
             wall_clock_seconds=time.perf_counter() - self.t0,
@@ -285,51 +278,90 @@ class _Run:
         if self.collect:
             self.history.append(self.w.values.copy())
 
-    def over_budget(self):
-        budget = self.opt.grad_eval_budget
-        return budget is not None and self.evals >= budget
 
-    def result(self, sampler_state=None):
-        return RunResult(self.records, self.w, self.m, self.history, sampler_state)
+def _train(run: _Run, samples_at, sampler_config: SamplerConfig | None = None) -> RunResult:
+    """The one training loop; the runners differ only in its sampling policy.
+
+    Every iteration evaluates the plain gradient. ``samples_at(i)`` says
+    whether iteration i (1-based within this call) also evaluates the
+    perturbed gradient and takes the full SAM step; other iterations take the
+    plain SGD step. With a sampler config the adaptive controller decides
+    instead, non-sampled iterations reuse the cached correction with gamma
+    decay, and the sampling rate is re-estimated at the end of every
+    N-iteration window after warmup.
+
+    An iteration whose second evaluation would exceed ``grad_eval_budget``
+    takes its one-evaluation step instead (reuse when a correction is cached,
+    plain SGD otherwise), and the run ends there.
+    """
+    opt, cfg = run.opt, sampler_config
+    state = cache = None
+    if cfg is not None:
+        state = init_sampler(cfg, run.seed)
+        cache = PSFCache()
+    for i in range(1, run.iterations + 1):
+        t = run.start_iteration + i
+        batch, epoch = run.batch_at(t)
+        eta = run.eta_at(t)
+        loss, g_sgd = run.grad(t, batch)
+        l2_sgd = float(np.linalg.norm(g_sgd))
+        l2_sgd_subset = subset_norm(g_sgd, run.w, run.subset_names)
+        row = {}
+        if cfg is None:
+            wants_sample = samples_at(i)
+        else:
+            wants_sample = should_sample(state, cfg, t)
+            row.update(p=state.p, s=state.s)
+        cut = wants_sample and run.budget_spent()
+        sampled = wants_sample and not cut
+        if sampled:
+            g_sam = run.second_grad(t, batch, g_sgd)
+            psf = g_sam - g_sgd
+            triple = GradientTriple(g_sgd, g_sam, psf, l2_sgd, float(np.linalg.norm(psf)),
+                                    l2_sgd_subset, subset_norm(psf, run.w, run.subset_names))
+            if cfg is not None:
+                record_sample(state, cfg, triple.l2_psf_subset, l2_sgd_subset)
+                row.update(v=state.last_v, r=state.last_r, v_fallback=state.last_v_fallback)
+            run.w, run.m = run.guard(t, step_sampling, run.w, triple, eta,
+                                     opt.momentum, run.m, cache, t)
+            row.update(l2_psf=triple.l2_psf, psf_stale=False,
+                       l2_psf_subset=triple.l2_psf_subset, dot_sgd_psf=float(g_sgd @ psf))
+        elif cache is not None and (cache.valid or not cut):
+            # an empty cache outside a budget cut is a broken contract: step_reuse raises
+            run.w, run.m = run.guard(t, step_reuse, run.w, g_sgd, cache, t, eta,
+                                     opt.gamma, opt.momentum, run.m)
+            # reuse rows log the undecayed cached correction
+            row.update(l2_psf=float(np.linalg.norm(cache.psf)), psf_stale=True,
+                       l2_psf_subset=subset_norm(cache.psf, run.w, run.subset_names),
+                       dot_sgd_psf=float(g_sgd @ cache.psf))
+        else:
+            run.w, run.m = run.guard(t, step_sgd, run.w, g_sgd, eta, opt.momentum, run.m)
+        if cfg is not None:
+            if t == cfg.i_start:
+                begin_windowing(state)
+            elif t > cfg.i_start and state.window_iter == cfg.n_window:
+                update_rate(state, cfg)
+            row.update(c_var=state.last_c_var, c_norm=state.last_c_norm)
+        run.emit(t, epoch, loss, l2_sgd, l2_sgd_subset, sampled, **row)
+        if run.budget_spent():
+            break
+    return RunResult(run.records, run.w, run.m, run.history, state)
 
 
 def run_sgd(spec, dataset, opt: OptimizerConfig, iterations: int, seed: int,
             batch_size=None, w0=None, momentum0=None, start_iteration=0,
             schedule_total=None, collect_params=False):
-    run = _Run(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
-               start_iteration, schedule_total, collect_params, None)
-    for i in range(1, iterations + 1):
-        t = start_iteration + i
-        batch, epoch = run.batch_at(t)
-        loss, g = run.grad(t, batch)
-        run.w, run.m = run.guard(t, step_sgd, run.w, g, run.eta_at(t),
-                                 opt.momentum, run.m)
-        run.emit(t, epoch, loss, g, sampled=False)
-        if run.over_budget():
-            break
-    return run.result()
+    return _train(_Run(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
+                       start_iteration, schedule_total, collect_params, None),
+                  lambda i: False)
 
 
 def run_sam(spec, dataset, opt: OptimizerConfig, iterations: int, seed: int,
             batch_size=None, w0=None, momentum0=None, start_iteration=0,
             schedule_total=None, collect_params=False, subset_names=None):
-    run = _Run(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
-               start_iteration, schedule_total, collect_params, subset_names)
-    for i in range(1, iterations + 1):
-        t = start_iteration + i
-        batch, epoch = run.batch_at(t)
-        loss, g_sgd = run.grad(t, batch)
-        g_sam = run.second_grad(t, batch, g_sgd)
-        triple = _make_triple(g_sgd, g_sam, run.w, run.subset_names)
-        run.w, run.m = run.guard(t, step_sampling, run.w, triple, run.eta_at(t),
-                                 opt.momentum, run.m)
-        run.emit(t, epoch, loss, g_sgd, sampled=True,
-                 l2_psf=triple.l2_psf, psf_stale=False,
-                 l2_psf_subset=triple.l2_psf_subset,
-                 dot_sgd_psf=float(g_sgd @ triple.psf))
-        if run.over_budget():
-            break
-    return run.result()
+    return _train(_Run(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
+                       start_iteration, schedule_total, collect_params, subset_names),
+                  lambda i: True)
 
 
 def run_sam_k(spec, dataset, opt: OptimizerConfig, k: int, iterations: int,
@@ -339,28 +371,9 @@ def run_sam_k(spec, dataset, opt: OptimizerConfig, k: int, iterations: int,
     """SAM every k-th iteration (1-based), plain SGD otherwise; k=1 is SAM."""
     if k < 1:
         raise ConfigurationError("k must be at least 1")
-    run = _Run(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
-               start_iteration, schedule_total, collect_params, subset_names)
-    for i in range(1, iterations + 1):
-        t = start_iteration + i
-        batch, epoch = run.batch_at(t)
-        loss, g_sgd = run.grad(t, batch)
-        if i % k == 0:
-            g_sam = run.second_grad(t, batch, g_sgd)
-            triple = _make_triple(g_sgd, g_sam, run.w, run.subset_names)
-            run.w, run.m = run.guard(t, step_sampling, run.w, triple, run.eta_at(t),
-                                     opt.momentum, run.m)
-            run.emit(t, epoch, loss, g_sgd, sampled=True,
-                     l2_psf=triple.l2_psf, psf_stale=False,
-                     l2_psf_subset=triple.l2_psf_subset,
-                     dot_sgd_psf=float(g_sgd @ triple.psf))
-        else:
-            run.w, run.m = run.guard(t, step_sgd, run.w, g_sgd, run.eta_at(t),
-                                     opt.momentum, run.m)
-            run.emit(t, epoch, loss, g_sgd, sampled=False)
-        if run.over_budget():
-            break
-    return run.result()
+    return _train(_Run(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
+                       start_iteration, schedule_total, collect_params, subset_names),
+                  lambda i: i % k == 0)
 
 
 def run_vsam(spec, dataset, opt: OptimizerConfig, sampler_config: SamplerConfig,
@@ -368,50 +381,13 @@ def run_vsam(spec, dataset, opt: OptimizerConfig, sampler_config: SamplerConfig,
              start_iteration=0, schedule_total=None, collect_params=False):
     """Adaptive-sampling SAM.
 
-    Every iteration evaluates the plain gradient. Warmup iterations and
-    sampled iterations additionally evaluate the perturbed gradient and take
-    the full SAM step; other iterations reuse the cached correction with
-    gamma decay. Once the warmup ends, the sampling rate is re-estimated at
-    the end of every N-iteration window.
+    Warmup iterations and sampled iterations take the full SAM step; other
+    iterations reuse the cached correction with gamma decay. Once the warmup
+    ends, the sampling rate is re-estimated at the end of every N-iteration
+    window.
     """
     if sampler_config.i_start < 1 and sampler_config.force != "always":
         raise ConfigurationError("need at least one warmup iteration to fill the cache")
-    run = _Run(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
-               start_iteration, schedule_total, collect_params,
-               sampler_config.subset_segments)
-    state = init_sampler(sampler_config, seed)
-    cache = PSFCache()
-    for i in range(1, iterations + 1):
-        t = start_iteration + i
-        batch, epoch = run.batch_at(t)
-        eta = run.eta_at(t)
-        loss, g_sgd = run.grad(t, batch)
-        fire = should_sample(state, sampler_config, t)
-        p_now, s_now = state.p, state.s
-        if fire:
-            g_sam = run.second_grad(t, batch, g_sgd)
-            triple = _make_triple(g_sgd, g_sam, run.w, run.subset_names)
-            record_sample(state, sampler_config, triple.l2_psf_subset,
-                          triple.l2_sgd_subset)
-            run.w, run.m = run.guard(t, step_sampling, run.w, triple, eta,
-                                     opt.momentum, run.m, cache, t)
-            row = dict(l2_psf=triple.l2_psf, psf_stale=False,
-                       l2_psf_subset=triple.l2_psf_subset,
-                       v=state.last_v, r=state.last_r,
-                       v_fallback=state.last_v_fallback,
-                       dot_sgd_psf=float(g_sgd @ triple.psf))
-        else:
-            run.w, run.m = run.guard(t, step_reuse, run.w, g_sgd, cache, t, eta,
-                                     opt.gamma, opt.momentum, run.m)
-            row = dict(l2_psf=float(np.linalg.norm(cache.psf)), psf_stale=True,
-                       l2_psf_subset=subset_norm(cache.psf, run.w, run.subset_names),
-                       dot_sgd_psf=float(g_sgd @ cache.psf))
-        if t == sampler_config.i_start:
-            begin_windowing(state)
-        elif t > sampler_config.i_start and state.window_iter == sampler_config.n_window:
-            update_rate(state, sampler_config)
-        run.emit(t, epoch, loss, g_sgd, sampled=fire, p=p_now, s=s_now,
-                 c_var=state.last_c_var, c_norm=state.last_c_norm, **row)
-        if run.over_budget():
-            break
-    return run.result(sampler_state=state)
+    return _train(_Run(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
+                       start_iteration, schedule_total, collect_params,
+                       sampler_config.subset_segments), None, sampler_config)

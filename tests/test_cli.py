@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from samlab.cli import main
 from samlab.data import load_dataset
 
@@ -88,6 +90,19 @@ def test_invalid_config_is_reported(tmp_path, capsys):
     path = _write_config(tmp_path, config)
     assert main(["run", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [
+    {"sampler_config": {"n_window": 8, "m_slices": 2, "s1": 4, "i_start": 8,
+                        "subset_segments": ["W0"]}},
+    {"batch_size": 39},  # the 48-example dataset leaves 38 for training
+])
+def test_run_rejects_unrunnable_config_before_writing(tmp_path, capsys, change):
+    config = dict(_small_config(tmp_path), **change)
+    path = _write_config(tmp_path, config)
+    assert main(["run", str(path)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_selfcheck_command(capsys):

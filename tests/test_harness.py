@@ -44,6 +44,18 @@ def test_metrics_round_trip_exact(tmp_path):
     assert header == ",".join(FIELD_ORDER)
 
 
+def test_metrics_wrong_header_is_configuration_error(tmp_path):
+    seed_dir = tmp_path / "seed_0"
+    seed_dir.mkdir()
+    path = seed_dir / "metrics.csv"
+    path.write_text(",".join(reversed(FIELD_ORDER)) + "\n", encoding="ascii")
+    with pytest.raises(ConfigurationError, match="metrics.csv"):
+        read_metrics_csv(path)
+    ok, lines = verify_run(seed_dir)
+    assert not ok
+    assert lines[0].startswith("[FAIL] metrics schema header")
+
+
 # ---------------------------------------------------------------------------
 # ais and ratios
 

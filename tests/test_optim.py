@@ -5,6 +5,8 @@ import pytest
 
 from samlab.data import generate_dataset
 from samlab.errors import ConfigurationError, ContractViolationError
+from samlab.harness import config_from_dict, run_experiment, verify_run
+from samlab.metrics import FIELD_ORDER, WALL_CLOCK_FIELDS, read_metrics_csv
 from samlab.objectives import init_params, make_mlp_classifier, make_quadratic
 from samlab.optim import (GradientTriple, OptimizerConfig, PSFCache, learning_rate,
                           perturbation, reuse_coefficient, run_sam, run_sam_k,
@@ -199,6 +201,8 @@ def test_optimizer_config_validation():
         OptimizerConfig(momentum=1.0)
     with pytest.raises(ConfigurationError):
         OptimizerConfig(lr_schedule="linear")
+    with pytest.raises(ConfigurationError):
+        OptimizerConfig(grad_eval_budget=0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +240,29 @@ def test_grad_eval_budget_stops_run():
     assert len(result.records) == 25
 
 
+@pytest.mark.parametrize("budget", [1, 5, 51])
+@pytest.mark.parametrize("optimizer", ["sgd", "sam", "sam_k", "vsam"])
+def test_grad_eval_budget_is_exact(tmp_path, optimizer, budget):
+    # an odd budget is crossed by a second evaluation; that iteration steps once
+    payload = {
+        "objective": {"kind": "mlp_classifier", "layer_sizes": [2, 6, 2]},
+        "dataset": {"kind": "moons", "n": 64, "noise": 0.15, "seed": 3},
+        "optimizer": optimizer,
+        "optimizer_config": {"eta0": 0.05, "rho": 0.05, "grad_eval_budget": budget},
+        "sampler_config": {"n_window": 10, "m_slices": 2, "s1": 5, "i_start": 10},
+        "k": 3,
+        "iterations": 100,
+        "batch_size": 16,
+        "seeds": [0],
+        "output_dir": str(tmp_path / "run"),
+    }
+    out = run_experiment(config_from_dict(payload))
+    records = read_metrics_csv(out / "seed_0" / "metrics.csv")
+    assert records[-1].cumulative_grad_evals == budget
+    ok, lines = verify_run(out / "seed_0")
+    assert ok, lines
+
+
 def test_vsam_cost_accounting():
     spec, ds = _mlp_setup()
     opt = OptimizerConfig(eta0=0.05, rho=0.05, gamma=0.9)
@@ -256,6 +283,35 @@ def test_vsam_always_fire_bit_identical_to_sam_with_momentum():
     b = run_sam(spec, ds, opt, 60, seed=2, batch_size=16, collect_params=True)
     for x, y in zip(a.params_history, b.params_history):
         assert np.array_equal(x, y)
+
+
+SAMPLER_COLUMNS = {"p", "s", "v", "r", "c_var", "c_norm", "v_fallback"}
+
+
+def _columns(result, skip):
+    names = [n for n in FIELD_ORDER if n not in WALL_CLOCK_FIELDS | skip]
+    return [[getattr(r, n) for n in names] for r in result.records]
+
+
+@pytest.mark.parametrize("policy", ["vsam_always_is_sam", "sam_k_large_is_sgd",
+                                    "sam_k1_is_sam"])
+def test_degenerate_policies_give_identical_records(policy):
+    spec, ds = _mlp_setup()
+    opt = OptimizerConfig(eta0=0.05, rho=0.05, momentum=0.5)
+    kw = dict(seed=4, batch_size=16)
+    skip = set()
+    if policy == "vsam_always_is_sam":
+        scfg = SamplerConfig(n_window=10, m_slices=2, s1=5, i_start=10, p_max=1.0,
+                             force="always")
+        a, b = run_vsam(spec, ds, opt, scfg, 40, **kw), run_sam(spec, ds, opt, 40, **kw)
+        skip = SAMPLER_COLUMNS
+    elif policy == "sam_k_large_is_sgd":
+        a, b = run_sam_k(spec, ds, opt, 41, 40, **kw), run_sgd(spec, ds, opt, 40, **kw)
+    else:
+        a, b = run_sam_k(spec, ds, opt, 1, 40, **kw), run_sam(spec, ds, opt, 40, **kw)
+    assert _columns(a, skip) == _columns(b, skip)
+    assert np.array_equal(a.w_final.values, b.w_final.values)
+    assert np.array_equal(a.momentum_final, b.momentum_final)
 
 
 def test_vsam_reuse_rows_flag_stale_correction():
