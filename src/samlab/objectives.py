@@ -219,7 +219,7 @@ def _evaluate(spec, w, batch, with_grad):
 
     if not math.isfinite(loss):
         raise NumericError(f"non-finite loss from {spec.kind} objective")
-    if with_grad and not np.all(np.isfinite(grad)):
+    if with_grad and not np.isfinite(grad).all():
         raise NumericError(f"non-finite gradient from {spec.kind} objective")
     return float(loss), grad
 
@@ -442,6 +442,6 @@ def fd_gradient(spec: ObjectiveSpec, w: ParamVector, batch: Batch | None, h: flo
         bumped[i] = base[i] - h
         down = eval_loss(spec, w.with_values(bumped), batch)
         grad[i] = (up - down) / (2.0 * h)
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NumericError("non-finite value while probing the loss")
     return grad

@@ -22,7 +22,7 @@ from .data import Batch, Dataset, batches_per_epoch, make_batches, train_test_sp
 from .errors import ConfigurationError, ContractViolationError, NumericError
 from .metrics import MetricsRecord
 from .objectives import ObjectiveSpec, eval_grad, eval_loss, init_params, mlp_accuracy
-from .params import ParamVector, default_subset, subset_norm
+from .params import ParamVector, default_subset, l2_norm, subset_index, subset_norm
 from .sampler import (SamplerConfig, SamplerState, begin_windowing, init_sampler,
                       record_sample, should_sample, update_rate)
 
@@ -72,6 +72,8 @@ class PSFCache:
     psf: np.ndarray | None = None
     sampled_at: int = -1
     valid: bool = False
+    l2_psf: float | None = None         # norms of psf, stored when it is sampled
+    l2_psf_subset: float | None = None
 
 
 def learning_rate(opt: OptimizerConfig, t: int, total: int) -> float:
@@ -87,7 +89,7 @@ def perturbation(g: np.ndarray, rho: float) -> np.ndarray:
     """rho * g / ||g||; the zero vector when the gradient is degenerate."""
     if rho <= 0.0:
         raise ConfigurationError("rho must be positive")
-    norm = float(np.linalg.norm(g))
+    norm = l2_norm(g)
     if norm < DEGENERATE_GRAD_NORM:
         return np.zeros_like(g)
     return (rho / norm) * g
@@ -111,8 +113,8 @@ def sam_gradient(spec: ObjectiveSpec, w: ParamVector, batch: Batch | None,
         g_sgd=g_sgd,
         g_sam=g_sam,
         psf=psf,
-        l2_sgd=float(np.linalg.norm(g_sgd)),
-        l2_psf=float(np.linalg.norm(psf)),
+        l2_sgd=l2_norm(g_sgd),
+        l2_psf=l2_norm(psf),
         l2_sgd_subset=subset_norm(g_sgd, w, subset_names),
         l2_psf_subset=subset_norm(psf, w, subset_names),
     )
@@ -142,6 +144,8 @@ def step_sampling(w: ParamVector, triple: GradientTriple, eta, momentum=0.0,
         cache.psf = triple.psf
         cache.sampled_at = iteration
         cache.valid = True
+        cache.l2_psf = triple.l2_psf
+        cache.l2_psf_subset = triple.l2_psf_subset
     return w.with_values(values), m_new
 
 
@@ -197,7 +201,11 @@ class _Run:
         self.schedule_total = schedule_total or (start_iteration + iterations)
         self.w = w0 if w0 is not None else init_params(spec, seed)
         self.m = momentum0 if momentum0 is not None else np.zeros(self.w.size)
-        self.subset_names = subset_names or default_subset(self.w)
+        if subset_names is None:
+            subset_names = default_subset(self.w)
+        elif not subset_names:
+            raise ConfigurationError("subset_segments must name at least one segment")
+        self.subset_idx = subset_index(self.w, subset_names)
         self.collect = collect_params
         self.history = [] if collect_params else None
         self.records = []
@@ -294,7 +302,7 @@ def _train(run: _Run, samples_at, sampler_config: SamplerConfig | None = None) -
     takes its one-evaluation step instead (reuse when a correction is cached,
     plain SGD otherwise), and the run ends there.
     """
-    opt, cfg = run.opt, sampler_config
+    opt, cfg, subset_idx = run.opt, sampler_config, run.subset_idx
     state = cache = None
     if cfg is not None:
         state = init_sampler(cfg, run.seed)
@@ -304,8 +312,8 @@ def _train(run: _Run, samples_at, sampler_config: SamplerConfig | None = None) -
         batch, epoch = run.batch_at(t)
         eta = run.eta_at(t)
         loss, g_sgd = run.grad(t, batch)
-        l2_sgd = float(np.linalg.norm(g_sgd))
-        l2_sgd_subset = subset_norm(g_sgd, run.w, run.subset_names)
+        l2_sgd = l2_norm(g_sgd)
+        l2_sgd_subset = l2_norm(g_sgd[subset_idx])
         row = {}
         if cfg is None:
             wants_sample = samples_at(i)
@@ -317,8 +325,8 @@ def _train(run: _Run, samples_at, sampler_config: SamplerConfig | None = None) -
         if sampled:
             g_sam = run.second_grad(t, batch, g_sgd)
             psf = g_sam - g_sgd
-            triple = GradientTriple(g_sgd, g_sam, psf, l2_sgd, float(np.linalg.norm(psf)),
-                                    l2_sgd_subset, subset_norm(psf, run.w, run.subset_names))
+            triple = GradientTriple(g_sgd, g_sam, psf, l2_sgd, l2_norm(psf),
+                                    l2_sgd_subset, l2_norm(psf[subset_idx]))
             if cfg is not None:
                 record_sample(state, cfg, triple.l2_psf_subset, l2_sgd_subset)
                 row.update(v=state.last_v, r=state.last_r, v_fallback=state.last_v_fallback)
@@ -331,8 +339,8 @@ def _train(run: _Run, samples_at, sampler_config: SamplerConfig | None = None) -
             run.w, run.m = run.guard(t, step_reuse, run.w, g_sgd, cache, t, eta,
                                      opt.gamma, opt.momentum, run.m)
             # reuse rows log the undecayed cached correction
-            row.update(l2_psf=float(np.linalg.norm(cache.psf)), psf_stale=True,
-                       l2_psf_subset=subset_norm(cache.psf, run.w, run.subset_names),
+            row.update(l2_psf=cache.l2_psf, psf_stale=True,
+                       l2_psf_subset=cache.l2_psf_subset,
                        dot_sgd_psf=float(g_sgd @ cache.psf))
         else:
             run.w, run.m = run.guard(t, step_sgd, run.w, g_sgd, eta, opt.momentum, run.m)

@@ -11,16 +11,24 @@ All statistics here are computed with plain Python floats and strict
 left-to-right summation. That makes the incremental state bit-identical to a
 from-scratch replay of the recorded history, which the test suite checks
 exactly rather than within a tolerance.
+
+The state keeps a sorted mirror of the norm buffer, updated by a bisect
+eviction and a bisect insertion on every sample, so the sliced variance never
+re-sorts the buffer. The mirror is always equal to ``sorted(buffer)``: a
+new value goes after its equals, and the evicted value (the oldest) is the
+leftmost of its equals. The variance then sums the very same list in the
+very same order as a fresh sort would, so the result is bit-identical.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 
 
 @dataclass
@@ -48,6 +56,8 @@ class SamplerConfig:
             raise ConfigurationError("i_start must be nonnegative")
         if self.force not in (None, "always", "never"):
             raise ConfigurationError("force must be None, 'always', or 'never'")
+        if self.subset_segments is not None and not self.subset_segments:
+            raise ConfigurationError("subset_segments must name at least one segment")
 
     @property
     def sample_cap(self) -> int:
@@ -58,6 +68,7 @@ class SamplerConfig:
 @dataclass
 class SamplerState:
     gnorm_buffer: list[float] = field(default_factory=list)  # sampled correction norms
+    sorted_buffer: list[float] = field(default_factory=list)  # gnorm_buffer, ascending
     v_history: list[float] = field(default_factory=list)     # sliced variances
     r_history: list[float] = field(default_factory=list)     # norm ratios
     s: float = 0.0
@@ -101,31 +112,32 @@ def sliced_variance(values, m_slices: int) -> float:
     Sorting first makes the statistic robust to isolated extreme norms: an
     outlier inflates only its own slice. With fewer values than slices the
     population variance of everything is returned instead.
+
+    ``record_sample`` computes the same statistic from the state's sorted
+    mirror instead of sorting here. Both paths hand the same ascending list
+    to ``_sorted_sliced_variance``, so their results agree bit for bit.
     """
     if len(values) == 0:
         raise ConfigurationError("sliced_variance needs at least one value")
     if m_slices < 1:
         raise ConfigurationError("need at least one slice")
-    ordered = sorted(float(v) for v in values)
-    if len(ordered) < m_slices:
+    return _sorted_sliced_variance(sorted(float(v) for v in values), m_slices)
+
+
+def _sorted_sliced_variance(ordered, m_slices):
+    """Sliced variance of an ascending, nonempty list of floats."""
+    n = len(ordered)
+    if n < m_slices:
         return population_variance(ordered)
-    bounds = _slice_bounds(len(ordered), m_slices)
+    # contiguous as-even-as-possible slices; the first n % m get the extra
+    base, extra = divmod(n, m_slices)
     total = 0.0
-    for lo, hi in bounds:
-        total += population_variance(ordered[lo:hi])
-    return total / m_slices
-
-
-def _slice_bounds(n, m):
-    """Contiguous as-even-as-possible slices; the first n % m get the extra."""
-    base, extra = divmod(n, m)
-    bounds = []
     lo = 0
-    for j in range(m):
+    for j in range(m_slices):
         hi = lo + base + (1 if j < extra else 0)
-        bounds.append((lo, hi))
+        total += population_variance(ordered[lo:hi])
         lo = hi
-    return bounds
+    return total / m_slices
 
 
 def change_rate_series(history, eps: float) -> float:
@@ -156,15 +168,23 @@ def norm_ratio(l2_psf: float, l2_sgd: float, eps: float) -> float:
 def record_sample(state: SamplerState, config: SamplerConfig,
                   l2_psf_subset: float, l2_sgd_subset: float) -> None:
     """Fold one sampled iteration's norms into the rolling statistics."""
-    _push(state.gnorm_buffer, float(l2_psf_subset), config.n_window)
-    v = sliced_variance(state.gnorm_buffer, config.m_slices)
+    value = float(l2_psf_subset)
+    if value != value:
+        # NaN has no place in the sorted mirror
+        raise NumericError("sampled correction norm is NaN")
+    buffer, ordered = state.gnorm_buffer, state.sorted_buffer
+    buffer.append(value)
+    if len(buffer) > config.n_window:
+        del ordered[bisect_left(ordered, buffer.pop(0))]
+    insort(ordered, value)
+    v = _sorted_sliced_variance(ordered, config.m_slices)
     _push(state.v_history, v, config.n_window)
-    r = norm_ratio(float(l2_psf_subset), float(l2_sgd_subset), config.eps)
+    r = norm_ratio(value, float(l2_sgd_subset), config.eps)
     _push(state.r_history, r, config.n_window)
     state.window_samples += 1
     state.last_v = v
     state.last_r = r
-    state.last_v_fallback = len(state.gnorm_buffer) < config.m_slices
+    state.last_v_fallback = len(buffer) < config.m_slices
 
 
 def _push(buffer, value, capacity):

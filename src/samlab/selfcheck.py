@@ -100,6 +100,7 @@ def _sampler_replay():
             k += 1
     return (replay.s == state.s and replay.p == state.p
             and replay.gnorm_buffer == state.gnorm_buffer
+            and replay.sorted_buffer == state.sorted_buffer
             and replay.v_history == state.v_history
             and replay.r_history == state.r_history)
 

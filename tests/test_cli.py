@@ -96,6 +96,8 @@ def test_invalid_config_is_reported(tmp_path, capsys):
     {"sampler_config": {"n_window": 8, "m_slices": 2, "s1": 4, "i_start": 8,
                         "subset_segments": ["W0"]}},
     {"batch_size": 39},  # the 48-example dataset leaves 38 for training
+    {"sampler_config": {"n_window": 8, "m_slices": 2, "s1": 4, "i_start": 8,
+                        "subset_segments": []}},
 ])
 def test_run_rejects_unrunnable_config_before_writing(tmp_path, capsys, change):
     config = dict(_small_config(tmp_path), **change)

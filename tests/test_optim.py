@@ -232,6 +232,13 @@ def test_run_sam_k_counts():
     assert result.records[-1].cumulative_grad_evals == 120
 
 
+def test_runners_reject_an_empty_subset():
+    # an empty list names no segment; it is not a request for the default subset
+    spec, ds = _mlp_setup()
+    with pytest.raises(ConfigurationError):
+        run_sam(spec, ds, OptimizerConfig(), 5, seed=0, batch_size=16, subset_names=[])
+
+
 def test_grad_eval_budget_stops_run():
     spec, ds = _mlp_setup()
     opt = OptimizerConfig(eta0=0.05, rho=0.05, grad_eval_budget=50)
@@ -325,6 +332,27 @@ def test_vsam_reuse_rows_flag_stale_correction():
     for rec in stale:
         assert rec.psf_stale is True
         assert rec.l2_psf == last_fresh.l2_psf  # carries the last-sampled value
+
+
+def test_vsam_reuse_rows_log_norms_of_latest_sample():
+    # adaptive sampling interleaves sampled and reuse rows; each reuse row
+    # logs the norms stored with the cached correction
+    spec, ds = _mlp_setup()
+    opt = OptimizerConfig(eta0=0.05, rho=0.05, gamma=0.9)
+    scfg = SamplerConfig(n_window=10, m_slices=2, s1=4, i_start=10,
+                         subset_segments=["layer1.W", "layer0.W"])
+    result = run_vsam(spec, ds, opt, scfg, 120, seed=6, batch_size=16)
+    latest = None
+    stale = 0
+    for rec in result.records:
+        if rec.sampled:
+            assert rec.psf_stale is False
+            latest = rec
+        else:
+            assert rec.psf_stale is True
+            assert (rec.l2_psf, rec.l2_psf_subset) == (latest.l2_psf, latest.l2_psf_subset)
+            stale += 1
+    assert stale and any(r.sampled for r in result.records[10:]), "expected both kinds of row"
 
 
 def test_vsam_requires_warmup_unless_forced():

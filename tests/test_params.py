@@ -1,8 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from samlab.errors import ConfigurationError, NumericError
-from samlab.params import ParamVector, default_subset, subset_norm
+from samlab.params import ParamVector, default_subset, l2_norm, subset_index, subset_norm
 
 
 def test_default_segment_covers_everything():
@@ -65,3 +69,50 @@ def test_with_values_shares_layout():
     assert other.segments == pv.segments
     assert np.all(other.values == 1.0)
     assert np.all(pv.values == 0.0)
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@settings(deadline=None)  # timing on a shared host is not what these check
+@given(arrays(np.float64, st.integers(0, 300),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_l2_norm_matches_numpy_bit_for_bit(x):
+    with np.errstate(over="ignore"):  # both overflow to inf on huge elements
+        assert _bits(l2_norm(x)) == _bits(float(np.linalg.norm(x)))
+
+
+_LAYOUT = [("layer0.W", 0, 6), ("layer0.b", 6, 3), ("layer1.W", 9, 6), ("layer1.b", 15, 2)]
+
+
+def _mask_norm(values, names):
+    # oracle: a boolean mask over the named segments, normed by numpy
+    mask = np.zeros(values.size, dtype=bool)
+    for name, start, length in _LAYOUT:
+        if name in names:
+            mask[start:start + length] = True
+    return float(np.linalg.norm(values[mask]))
+
+
+@settings(deadline=None)  # timing on a shared host is not what these check
+@given(values=arrays(np.float64, 17, elements=st.floats(-1e6, 1e6)),
+       names=st.lists(st.sampled_from([name for name, _, _ in _LAYOUT]), min_size=1,
+                      max_size=6))
+def test_subset_index_is_order_and_duplicate_free(values, names):
+    pv = ParamVector(np.zeros(17), list(_LAYOUT))
+    index = subset_index(pv, names)
+    assert list(index) == sorted(set(index))
+    expected = _bits(_mask_norm(values, names))
+    assert _bits(l2_norm(values[index])) == expected
+    assert _bits(subset_norm(values, pv, names)) == expected
+
+
+def test_subset_index_out_of_order_and_duplicated_names():
+    pv = ParamVector(np.zeros(17), list(_LAYOUT))
+    values = np.random.default_rng(4).standard_normal(17)
+    in_order = subset_index(pv, ["layer0.W", "layer1.W"])
+    for names in (["layer1.W", "layer0.W"], ["layer1.W", "layer0.W", "layer1.W"]):
+        assert np.array_equal(subset_index(pv, names), in_order)
+        assert l2_norm(values[subset_index(pv, names)]) == subset_norm(values, pv, names)
+    assert l2_norm(values[in_order]) == _mask_norm(values, ["layer0.W", "layer1.W"])

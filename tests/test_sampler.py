@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from samlab.errors import ConfigurationError
+from samlab.errors import ConfigurationError, NumericError
 from samlab.sampler import (SamplerConfig, SamplerState, begin_windowing,
                             change_rate_series, init_sampler, norm_ratio,
                             record_sample, should_sample, sliced_variance,
@@ -248,6 +249,8 @@ def test_config_validation():
         SamplerConfig(n_window=10, m_slices=2, s1=0.5)
     with pytest.raises(ConfigurationError):
         SamplerConfig(n_window=10, m_slices=2, force="sometimes")
+    with pytest.raises(ConfigurationError):
+        SamplerConfig(n_window=10, m_slices=2, subset_segments=[])
 
 
 def test_defaults_match_documented_values():
@@ -291,3 +294,31 @@ def test_incremental_equals_replay_small():
         assert state.window_samples == expected["window_samples"]
         assert state.last_c_var == expected["last_c_var"]
         assert state.last_c_norm == expected["last_c_norm"]
+
+
+# ---------------------------------------------------------------------------
+# the sorted mirror of the norm buffer
+
+_NORMS = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 3.0]),
+                   st.floats(min_value=0.0, max_value=1e6))
+
+
+@settings(deadline=None)  # timing on a shared host is not what these check
+@given(shape=st.sampled_from([(4, 2), (6, 3), (10, 2), (10, 5), (12, 4)]),
+       values=st.lists(_NORMS, min_size=1, max_size=40))
+def test_sorted_mirror_tracks_buffer(shape, values):
+    # lists longer than the window evict many times, duplicates included
+    n, m = shape
+    cfg = SamplerConfig(n_window=n, m_slices=m, s1=1, i_start=n)
+    state = init_sampler(cfg, 0)
+    for value in values:
+        record_sample(state, cfg, value, 1.0)
+        assert state.sorted_buffer == sorted(state.gnorm_buffer)
+        assert state.last_v == sliced_variance(state.gnorm_buffer, m)
+
+
+def test_record_sample_rejects_nan_norm():
+    cfg = _cfg()
+    state = init_sampler(cfg, 0)
+    with pytest.raises(NumericError):
+        record_sample(state, cfg, float("nan"), 1.0)
