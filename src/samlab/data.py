@@ -174,11 +174,11 @@ def make_batches(ds: Dataset, batch_size: int, seed: int, epoch: int) -> list[Ba
     if batch_size < 1 or batch_size > ds.n:
         raise ConfigurationError(f"batch_size must be in [1, {ds.n}], got {batch_size}")
     perm = np.random.default_rng([seed, epoch]).permutation(ds.n)
-    batches = []
-    for start in range(0, ds.n, batch_size):
-        idx = perm[start : start + batch_size]
-        batches.append(Batch(ds.inputs[idx], ds.targets[idx], idx))
-    return batches
+    # gather once per epoch; each batch is a row slice of the gathered arrays
+    inputs, targets = ds.inputs[perm], ds.targets[perm]
+    return [Batch(inputs[start : start + batch_size], targets[start : start + batch_size],
+                  perm[start : start + batch_size])
+            for start in range(0, ds.n, batch_size)]
 
 
 def batches_per_epoch(n: int, batch_size: int) -> int:

@@ -237,4 +237,4 @@ def write_norm_trace(path, rows) -> None:
 
 
 def read_norm_trace(path) -> list[dict]:
-    return _read_rows(path, NORM_TRACE_FIELDS)
+    return [dict(zip(NORM_TRACE_FIELDS, values)) for values in _read_rows(path, NORM_TRACE_FIELDS)]

@@ -25,7 +25,7 @@ import numpy as np
 from .data import batches_per_epoch, generate_dataset, train_test_split
 from .diagnostics import norm_trace, write_norm_trace
 from .errors import ConfigurationError, NumericError
-from .metrics import read_metrics_csv, write_metrics_csv
+from .metrics import MalformedRowError, read_metrics_csv, write_metrics_csv
 from .objectives import (ObjectiveSpec, make_mlp_classifier, make_quadratic,
                          make_rosenbrock, make_sharp_flat, param_segments)
 from .optim import OptimizerConfig, run_sam, run_sam_k, run_sgd, run_vsam
@@ -388,6 +388,10 @@ def verify_run(run_dir) -> tuple[bool, list[str]]:
     try:
         records = read_metrics_csv(run_dir / "metrics.csv")
         check("metrics schema header", True)
+    except MalformedRowError as err:
+        check("metrics schema header", True)
+        check("metrics rows", False, str(err))
+        return ok, lines
     except Exception as err:  # noqa: BLE001 - report any read failure as a check
         check("metrics schema header", False, str(err))
         return ok, lines
@@ -434,8 +438,12 @@ def verify_run(run_dir) -> tuple[bool, list[str]]:
     trace_path = run_dir / "norm_trace.csv"
     if trace_path.exists():
         from .diagnostics import read_norm_trace
-        stored_rows = read_norm_trace(trace_path)
-        check("norm trace matches metrics", stored_rows == norm_trace(records))
+        try:
+            stored_rows = read_norm_trace(trace_path)
+        except Exception as err:  # noqa: BLE001 - report any read failure as a check
+            check("norm trace readable", False, str(err))
+        else:
+            check("norm trace matches metrics", stored_rows == norm_trace(records))
     else:
         check("norm trace present", False)
 

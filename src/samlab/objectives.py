@@ -4,10 +4,19 @@ Every objective exposes the same contract: ``eval_loss`` and ``eval_grad``
 are pure functions of (spec, parameter vector, batch) and always include the
 ``weight_decay * ||w||^2`` regularization term in both the loss and the
 gradient. Analytic landscapes ignore the batch (pass ``None``).
+
+The MLP's order of floating-point operations is part of the run-directory
+contract: every loss, norm and weight a run writes descends from it, and runs
+must stay bit-reproducible across versions of this module. The kernel may be
+made cheaper (fewer numpy calls, in-place updates, unused products dropped)
+only while it performs the same operations, in the same order, on the same
+operands. A property test pins ``eval_grad``, ``eval_loss`` and
+``mlp_predict`` byte for byte to an earlier kernel kept in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -47,8 +56,7 @@ class ObjectiveSpec:
             return self.dim
         if self.kind == "sharp_flat":
             return 2
-        sizes = self.layer_sizes
-        return sum(sizes[i] * sizes[i + 1] + sizes[i + 1] for i in range(len(sizes) - 1))
+        return _mlp_layout(tuple(self.layer_sizes))[-1][-1]
 
     @property
     def input_dim(self) -> int | None:
@@ -163,18 +171,21 @@ def init_params(spec: ObjectiveSpec, seed: int) -> ParamVector:
     return ParamVector(np.concatenate(chunks), param_segments(spec))
 
 
-def _unpack_mlp(spec: ObjectiveSpec, values: np.ndarray):
-    layers = []
+@functools.cache
+def _mlp_layout(layer_sizes):
+    """Per layer: (fan_in, fan_out, weight start, weight stop = bias start, bias stop)."""
+    layout = []
     offset = 0
-    sizes = spec.layer_sizes
-    for layer in range(len(sizes) - 1):
-        fan_in, fan_out = sizes[layer], sizes[layer + 1]
-        w = values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
-        offset += fan_in * fan_out
-        b = values[offset : offset + fan_out]
-        offset += fan_out
-        layers.append((w, b))
-    return layers
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+        w_stop = offset + fan_in * fan_out
+        layout.append((fan_in, fan_out, offset, w_stop, w_stop + fan_out))
+        offset = w_stop + fan_out
+    return tuple(layout)
+
+
+def _unpack_mlp(spec: ObjectiveSpec, values: np.ndarray):
+    return [(values[lo:mid].reshape(fan_in, fan_out), values[mid:hi])
+            for fan_in, fan_out, lo, mid, hi in _mlp_layout(tuple(spec.layer_sizes))]
 
 
 # ---------------------------------------------------------------------------
@@ -358,19 +369,24 @@ def _check_batch(spec, batch):
             f"batch has {batch.inputs.shape[1]} features, mlp expects {spec.input_dim}"
         )
     n_classes = spec.layer_sizes[-1]
-    targets = batch.targets.astype(np.int64)
-    if targets.min() < 0 or targets.max() >= n_classes:
+    targets = batch.targets.astype(np.int64, copy=False)
+    if np.minimum.reduce(targets) < 0 or np.maximum.reduce(targets) >= n_classes:
         raise ConfigurationError("batch targets out of range for the mlp output layer")
     return targets
 
 
 def _mlp_forward(spec, values, inputs):
     layers = _unpack_mlp(spec, values)
-    act = np.tanh if spec.activation == "tanh" else lambda z: np.maximum(z, 0.0)
+    tanh = spec.activation == "tanh"
     a = inputs
     activations = [a]
     for w, bias in layers[:-1]:
-        a = act(a @ w + bias)
+        a = a @ w
+        a += bias
+        if tanh:
+            np.tanh(a, out=a)
+        else:
+            np.maximum(a, 0.0, out=a)
         activations.append(a)
     w, bias = layers[-1]
     logits = a @ w + bias
@@ -380,39 +396,35 @@ def _mlp_forward(spec, values, inputs):
 def _mlp(spec, values, batch, with_grad):
     targets = _check_batch(spec, batch)
     n = batch.size
+    rows = np.arange(n)
     layers, activations, logits = _mlp_forward(spec, values, batch.inputs)
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    sum_exp = exp.sum(axis=1)
-    log_probs = shifted - np.log(sum_exp)[:, None]
-    loss = float(-log_probs[np.arange(n), targets].mean())
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    # only the target column of the log-softmax enters the loss
+    picked = shifted[rows, targets]
+    exp = np.exp(shifted, out=shifted)
+    sum_exp = np.add.reduce(exp, axis=1)
+    picked -= np.log(sum_exp)
+    loss = -(float(np.add.reduce(picked)) / n)
     if not with_grad:
         return loss, None
 
-    probs = exp / sum_exp[:, None]
-    d_logits = probs
-    d_logits[np.arange(n), targets] -= 1.0
-    d_logits /= n
+    d_z = exp  # turned into d loss / d logits in place
+    d_z /= sum_exp[:, None]
+    d_z[rows, targets] -= 1.0
+    d_z /= n
 
-    grads = [None] * len(layers)
-    d_a = d_logits
+    tanh = spec.activation == "tanh"
+    chunks = []
     for layer in range(len(layers) - 1, -1, -1):
-        w, _ = layers[layer]
-        a_prev = activations[layer]
-        if layer == len(layers) - 1:
-            d_z = d_a
-        else:
-            a_here = activations[layer + 1]
-            if spec.activation == "tanh":
-                d_z = d_a * (1.0 - a_here * a_here)
-            else:
-                d_z = d_a * (a_here > 0.0)
-        grads[layer] = (a_prev.T @ d_z, d_z.sum(axis=0))
-        d_a = d_z @ w.T
-
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-    return loss, flat
+        chunks.append(np.add.reduce(d_z, axis=0))
+        chunks.append((activations[layer].T @ d_z).ravel())
+        if layer == 0:
+            break
+        a_here = activations[layer]
+        d_z = d_z @ layers[layer][0].T
+        d_z *= (1.0 - a_here * a_here) if tanh else (a_here > 0.0)
+    return loss, np.concatenate(chunks[::-1])
 
 
 def mlp_predict(spec: ObjectiveSpec, w: ParamVector, inputs: np.ndarray) -> np.ndarray:

@@ -1,15 +1,20 @@
 """Independent oracles used by the tests.
 
-Everything here is deliberately written with plain Python loops and the
-textbook formulas, so the implementations under test are checked against a
-separate code path rather than against themselves.
+The scalar and replay oracles are deliberately written with plain Python
+loops and the textbook formulas, so the implementations under test are
+checked against a separate code path rather than against themselves. The
+last sections keep earlier versions of optimised code (the MLP kernel,
+per-batch gathering, the ``csv.writer`` codec) as references that the
+current code must match byte for byte.
 """
 
+import csv
 import math
 
 import numpy as np
 
 from samlab.data import Batch
+from samlab.errors import ConfigurationError
 
 
 def scalar_mlp_loss(layer_sizes, activation, weight_decay, values, inputs, targets):
@@ -144,3 +149,143 @@ def replay_sampler(events, n_window, m_slices, alpha, s1, p_max, eps):
         "last_c_var": last_c_var,
         "last_c_norm": last_c_norm,
     }
+
+
+# ---------------------------------------------------------------------------
+# the MLP kernel as it stood before its numpy calls were trimmed, verbatim:
+# the order of operations it fixes is part of the run-directory contract
+
+def _unpack_mlp(spec, values: np.ndarray):
+    layers = []
+    offset = 0
+    sizes = spec.layer_sizes
+    for layer in range(len(sizes) - 1):
+        fan_in, fan_out = sizes[layer], sizes[layer + 1]
+        w = values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        offset += fan_in * fan_out
+        b = values[offset : offset + fan_out]
+        offset += fan_out
+        layers.append((w, b))
+    return layers
+
+
+def _check_batch(spec, batch):
+    if batch is None:
+        raise ConfigurationError("mlp_classifier objective requires a batch")
+    if batch.inputs.shape[1] != spec.input_dim:
+        raise ConfigurationError(
+            f"batch has {batch.inputs.shape[1]} features, mlp expects {spec.input_dim}"
+        )
+    n_classes = spec.layer_sizes[-1]
+    targets = batch.targets.astype(np.int64)
+    if targets.min() < 0 or targets.max() >= n_classes:
+        raise ConfigurationError("batch targets out of range for the mlp output layer")
+    return targets
+
+
+def _mlp_forward(spec, values, inputs):
+    layers = _unpack_mlp(spec, values)
+    act = np.tanh if spec.activation == "tanh" else lambda z: np.maximum(z, 0.0)
+    a = inputs
+    activations = [a]
+    for w, bias in layers[:-1]:
+        a = act(a @ w + bias)
+        activations.append(a)
+    w, bias = layers[-1]
+    logits = a @ w + bias
+    return layers, activations, logits
+
+
+def _mlp(spec, values, batch, with_grad):
+    targets = _check_batch(spec, batch)
+    n = batch.size
+    layers, activations, logits = _mlp_forward(spec, values, batch.inputs)
+
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    sum_exp = exp.sum(axis=1)
+    log_probs = shifted - np.log(sum_exp)[:, None]
+    loss = float(-log_probs[np.arange(n), targets].mean())
+    if not with_grad:
+        return loss, None
+
+    probs = exp / sum_exp[:, None]
+    d_logits = probs
+    d_logits[np.arange(n), targets] -= 1.0
+    d_logits /= n
+
+    grads = [None] * len(layers)
+    d_a = d_logits
+    for layer in range(len(layers) - 1, -1, -1):
+        w, _ = layers[layer]
+        a_prev = activations[layer]
+        if layer == len(layers) - 1:
+            d_z = d_a
+        else:
+            a_here = activations[layer + 1]
+            if spec.activation == "tanh":
+                d_z = d_a * (1.0 - a_here * a_here)
+            else:
+                d_z = d_a * (a_here > 0.0)
+        grads[layer] = (a_prev.T @ d_z, d_z.sum(axis=0))
+        d_a = d_z @ w.T
+
+    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+    return loss, flat
+
+
+def oracle_mlp_eval(spec, values, batch, with_grad):
+    """(loss, gradient or None) of the MLP objective, weight decay included."""
+    with np.errstate(all="ignore"):
+        loss, grad = _mlp(spec, values, batch, with_grad)
+        wd = spec.weight_decay
+        if wd != 0.0:
+            loss = loss + wd * float(values @ values)
+            if with_grad:
+                grad = grad + (2.0 * wd) * values
+    return float(loss), grad
+
+
+def oracle_mlp_predict(spec, values, inputs):
+    _, _, logits = _mlp_forward(spec, values, np.asarray(inputs, dtype=np.float64))
+    return np.argmax(logits, axis=1)
+
+
+# ---------------------------------------------------------------------------
+# batching and the CSV codec as they stood before they were vectorised
+
+def oracle_make_batches(ds, batch_size, seed, epoch):
+    """One fancy-index gather per batch."""
+    perm = np.random.default_rng([seed, epoch]).permutation(ds.n)
+    batches = []
+    for start in range(0, ds.n, batch_size):
+        idx = perm[start : start + batch_size]
+        batches.append(Batch(ds.inputs[idx], ds.targets[idx], idx))
+    return batches
+
+
+_ORACLE_FORMAT = {"bool": lambda v: "1" if v else "0", "int": lambda v: str(int(v)),
+                  "float": lambda v: repr(float(v))}
+_ORACLE_PARSE = {"bool": "1".__eq__, "int": int, "float": float}
+
+
+def oracle_write_rows(path, header, rows, column_type):
+    """``csv.writer``, one row at a time; ``column_type(name)`` gives bool/int/float."""
+    columns = [(name, _ORACLE_FORMAT[column_type(name)]) for name in header]
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["" if row[name] is None else fmt(row[name])
+                             for name, fmt in columns])
+
+
+def oracle_read_rows(path, header, column_type):
+    """``csv.reader``, one dict per row."""
+    parsers = [_ORACLE_PARSE[column_type(name)] for name in header]
+    with open(path, "r", newline="", encoding="ascii") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == header
+        return [{name: None if cell == "" else parse(cell)
+                 for name, parse, cell in zip(header, parsers, row)}
+                for row in reader]

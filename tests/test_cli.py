@@ -78,6 +78,19 @@ def test_verify_fails_on_tampered_run(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "out" / "seed_0")]) == 1
 
 
+def test_verify_reports_unreadable_norm_trace(tmp_path, capsys):
+    path = _write_config(tmp_path, _small_config(tmp_path))
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    trace = tmp_path / "out" / "seed_0" / "norm_trace.csv"
+    trace.write_bytes(b"iteration,bogus\r\n" + trace.read_bytes().partition(b"\r\n")[2])
+    assert main(["verify", str(tmp_path / "out" / "seed_0")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "[PASS] metrics schema header"
+    assert out[-1].startswith("[FAIL] norm trace readable: unexpected CSV header")
+    assert all(line.startswith("[PASS]") for line in out[:-1])
+
+
 def test_check_bounds_command(capsys):
     assert main(["check-bounds", "--cases", "50", "--max-dim", "5"]) == 0
     out = capsys.readouterr().out

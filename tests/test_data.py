@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from samlab.data import (Batch, batches_per_epoch, dataset_checksum,
                          deserialize_dataset, generate_dataset, load_dataset,
                          make_batches, save_dataset, serialize_dataset,
                          train_test_split)
 from samlab.errors import ConfigurationError
+
+from helpers import oracle_make_batches
 
 # regression value captured from the first verified run of the generator
 MOONS_200_N01_S7_SHA256 = "c78099c421a196d4ba6fd544c689b676a5b6c878fa84733e3bdf2f42869db963"
@@ -96,6 +99,22 @@ def test_epoch_is_a_partition():
     batches = make_batches(ds, 6, seed=0, epoch=5)
     seen = np.concatenate([b.indices for b in batches])
     assert sorted(seen.tolist()) == list(range(23))
+
+
+@settings(deadline=None)  # timing on a shared host is not what this checks
+@given(kind=st.sampled_from(["blobs", "moons", "xor"]), n=st.integers(2, 300),
+       data=st.data(), seed=st.integers(0, 2**32 - 1), epoch=st.integers(0, 1000))
+def test_make_batches_matches_per_batch_gather(kind, n, data, seed, epoch):
+    """One gather per epoch gives the batches one gather per batch gave, byte for byte."""
+    ds = generate_dataset(kind, n, 0.2, seed=seed % 1000)
+    batch_size = data.draw(st.integers(1, n), label="batch_size")
+    got = make_batches(ds, batch_size, seed, epoch)
+    want = oracle_make_batches(ds, batch_size, seed, epoch)
+    assert len(got) == len(want) == batches_per_epoch(n, batch_size)
+    for a, b in zip(got, want):
+        for x, y in ((a.inputs, b.inputs), (a.targets, b.targets), (a.indices, b.indices)):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
 
 
 def test_batch_size_bounds():

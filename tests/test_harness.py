@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from samlab.diagnostics import NORM_TRACE_FIELDS
 from samlab.errors import ConfigurationError
 from samlab.harness import (ExperimentConfig, RunSummary, compare_report,
                             compute_ais, config_from_dict, config_to_dict,
@@ -54,6 +55,62 @@ def test_metrics_wrong_header_is_configuration_error(tmp_path):
     ok, lines = verify_run(seed_dir)
     assert not ok
     assert lines[0].startswith("[FAIL] metrics schema header")
+
+
+def _tamper_line(path, line, edit):
+    """Apply ``edit`` to the cells of 1-based ``line`` of a CSV file."""
+    lines = path.read_bytes().decode("ascii").split("\r\n")
+    lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+    path.write_bytes("\r\n".join(lines).encode("ascii"))
+
+
+def _bad_l2_sgd(header):
+    def edit(cells):
+        cells[header.index("l2_sgd")] = "nope"
+        return cells
+    return edit
+
+
+# (line, header -> cell edit) for each way a file can be malformed
+MALFORMED = {
+    "extra cell": (3, lambda header: lambda cells: cells + ["1"]),
+    "short row": (3, lambda header: lambda cells: cells[:-1]),
+    "bad cell": (3, _bad_l2_sgd),
+    "header": (1, lambda header: lambda cells: cells[::-1]),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_verify_reports_malformed_metrics(tmp_path, case):
+    out = run_experiment(config_from_dict(_base_config(tmp_path, seeds=[0])))
+    seed_dir = out / "seed_0"
+    line, edit = MALFORMED[case]
+    _tamper_line(seed_dir / "metrics.csv", line, edit(FIELD_ORDER))
+    ok, lines = verify_run(seed_dir)
+    assert not ok
+    if case == "header":
+        assert len(lines) == 1 and lines[0].startswith("[FAIL] metrics schema header")
+    else:
+        assert lines[0] == "[PASS] metrics schema header"
+        assert lines[1].startswith("[FAIL] metrics rows: ")
+        assert f"metrics.csv, line {line}: " in lines[1] and len(lines) == 2
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_verify_reports_malformed_norm_trace(tmp_path, case):
+    out = run_experiment(config_from_dict(_base_config(tmp_path, seeds=[0])))
+    seed_dir = out / "seed_0"
+    _, clean = verify_run(seed_dir)
+    line, edit = MALFORMED[case]
+    _tamper_line(seed_dir / "norm_trace.csv", line, edit(NORM_TRACE_FIELDS))
+    ok, lines = verify_run(seed_dir)
+    assert not ok
+    # every earlier check still reported; the trace check becomes one failure line
+    assert lines[:-1] == clean[:-1]
+    assert lines[-1].startswith("[FAIL] norm trace readable: ")
+    assert "norm_trace.csv" in lines[-1]
+    if case != "header":
+        assert f"line {line}: " in lines[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,166 @@
+"""The metrics CSV codec: bytes equal to csv.writer's, exact round-trips, and
+malformed files rejected with the file and line named."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from samlab.diagnostics import NORM_TRACE_FIELDS, read_norm_trace, write_norm_trace
+from samlab.errors import ConfigurationError
+from samlab.metrics import (FIELD_ORDER, MalformedRowError, MetricsRecord, _column_type,
+                            read_metrics_csv, write_metrics_csv)
+
+from helpers import oracle_read_rows, oracle_write_rows
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, float("inf"), float("-inf"),
+                0.1, 1.0 / 3.0, 2.0**53 + 1.0]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=True))
+
+
+def _cell(kind):
+    value = {"bool": st.booleans(), "int": st.integers(-2**70, 2**70), "float": _FLOATS}[kind]
+    if kind == "float":  # numpy scalars are written like the Python floats they hold
+        value = st.one_of(value, value.map(np.float64))
+    return st.one_of(st.none(), value)
+
+
+_RECORDS = st.lists(st.fixed_dictionaries({name: _cell(_column_type(name))
+                                           for name in FIELD_ORDER}), max_size=40)
+
+
+def _normalise(row):
+    """The value a cell reads back as: the Python type of its column."""
+    cast = {"bool": bool, "int": int, "float": float}
+    return {k: None if v is None else cast[_column_type(k)](v) for k, v in row.items()}
+
+
+def _key(rows):
+    # repr tells -0.0 from 0.0, which == does not
+    return [repr(sorted(row.items())) for row in rows]
+
+
+@settings(deadline=None)  # timing on a shared host is not what this checks
+@given(rows=_RECORDS)
+def test_metrics_codec_matches_csv_writer_and_round_trips(tmp_path_factory, rows):
+    tmp = tmp_path_factory.mktemp("codec")
+    records = [MetricsRecord(**row) for row in rows]
+    write_metrics_csv(tmp / "new.csv", records)
+    oracle_write_rows(tmp / "old.csv", FIELD_ORDER, rows, _column_type)
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+    back = [vars(rec) for rec in read_metrics_csv(tmp / "new.csv")]
+    assert _key(back) == _key([_normalise(row) for row in rows])
+    assert _key(back) == _key(oracle_read_rows(tmp / "old.csv", FIELD_ORDER, _column_type))
+
+
+def _trace_rows(count):
+    """Deterministic norm-trace rows with every column type and empty cells."""
+    rng = np.random.default_rng(count)
+    rows = []
+    for i in range(count):
+        stale = None if i % 3 == 0 else bool(i % 2)
+        rows.append({"iteration": i + 1, "l2_sgd": float(rng.standard_normal()),
+                     "l2_psf": None if stale is None else float(rng.exponential()),
+                     "l2_sgd_subset": float(rng.standard_normal()) * 1e-300,
+                     "l2_psf_subset": None if i % 5 == 0 else -0.0,
+                     "psf_stale": stale})
+    return rows
+
+
+def _records(count):
+    records = []
+    for row in _trace_rows(count):
+        i = row["iteration"]
+        records.append(MetricsRecord(
+            iteration=i, epoch=i // 25, train_loss=row["l2_sgd"] ** 2, l2_sgd=row["l2_sgd"],
+            sampled=i % 2 == 0, cumulative_grad_evals=2 * i, wall_clock_seconds=i * 1e-3,
+            eval_loss=None if i % 25 else 0.5, l2_psf=row["l2_psf"],
+            psf_stale=row["psf_stale"], p=0.3 if i > 10 else None, v_fallback=i % 7 == 0))
+    return records
+
+
+BLOCK_EDGES = [0, 1, 255, 256, 257, 513]
+
+
+@pytest.mark.parametrize("count", BLOCK_EDGES)
+def test_metrics_file_block_edges(tmp_path, count):
+    records = _records(count)
+    write_metrics_csv(tmp_path / "new.csv", records)
+    oracle_write_rows(tmp_path / "old.csv", FIELD_ORDER, [vars(r) for r in records],
+                      _column_type)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert _key([vars(r) for r in read_metrics_csv(tmp_path / "new.csv")]) == _key(
+        [vars(r) for r in records])
+
+
+@pytest.mark.parametrize("count", BLOCK_EDGES)
+def test_norm_trace_file_block_edges(tmp_path, count):
+    rows = _trace_rows(count)
+    write_norm_trace(tmp_path / "new.csv", rows)
+    oracle_write_rows(tmp_path / "old.csv", NORM_TRACE_FIELDS, rows, _column_type)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert _key(read_norm_trace(tmp_path / "new.csv")) == _key(rows)
+
+
+# ---------------------------------------------------------------------------
+# malformed files: (file writer, reader, rows, header)
+
+FILES = {
+    "metrics": (write_metrics_csv, read_metrics_csv, lambda n: _records(n), FIELD_ORDER),
+    "norm_trace": (write_norm_trace, read_norm_trace, lambda n: _trace_rows(n),
+                   NORM_TRACE_FIELDS),
+}
+
+
+def _tamper(path, line, edit):
+    """Apply ``edit`` to the cells of 1-based ``line`` of a CSV file."""
+    lines = path.read_bytes().decode("ascii").split("\r\n")
+    lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+    path.write_bytes("\r\n".join(lines).encode("ascii", errors="surrogateescape"))
+
+
+def _set_column(header, name, value):
+    def edit(cells):
+        cells[header.index(name)] = value
+        return cells
+    return edit
+
+
+TAMPERS = {
+    "extra cell": (lambda header: lambda cells: cells + ["0"], "expected"),
+    "short row": (lambda header: lambda cells: cells[:-1], "expected"),
+    "bad float": (lambda header: _set_column(header, "l2_sgd", "1.0x"), "cannot parse l2_sgd"),
+    "bad int": (lambda header: _set_column(header, "iteration", "2.5"),
+                "cannot parse iteration"),
+    "bad bool": (lambda header: _set_column(header, "psf_stale", "yes"),
+                 "cannot parse psf_stale"),
+    "non-ascii byte": (lambda header: _set_column(header, "l2_sgd", "1.5\udcc3"),
+                       "byte 0xc3 is not ASCII"),
+}
+
+
+@pytest.mark.parametrize("file", FILES)
+@pytest.mark.parametrize("tamper", TAMPERS)
+@pytest.mark.parametrize("line", [2, 300])  # in the first block, and in a later one
+def test_malformed_row_names_file_and_line(tmp_path, file, tamper, line):
+    write, read, make_rows, header = FILES[file]
+    path = tmp_path / f"{file}.csv"
+    write(path, make_rows(400))
+    edit, message = TAMPERS[tamper]
+    _tamper(path, line, edit(header))
+    with pytest.raises(MalformedRowError, match=f"line {line}: {message}") as err:
+        read(path)
+    assert isinstance(err.value, ConfigurationError)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("file", FILES)
+@pytest.mark.parametrize("bad_name", ["xiteration", "iteration\udcc3"])
+def test_wrong_header_is_configuration_error(tmp_path, file, bad_name):
+    write, read, make_rows, _ = FILES[file]
+    path = tmp_path / f"{file}.csv"
+    write(path, make_rows(3))
+    _tamper(path, 1, lambda cells: [bad_name] + cells[1:])
+    with pytest.raises(ConfigurationError, match="unexpected CSV header") as err:
+        read(path)
+    assert not isinstance(err.value, MalformedRowError)

@@ -1,16 +1,21 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from samlab.data import generate_dataset
+from samlab.data import Dataset, generate_dataset, make_batches
 from samlab.errors import ConfigurationError
 from samlab.objectives import (classify_basin, eval_grad, eval_loss, fd_gradient,
                                init_params, make_mlp_classifier, make_quadratic,
                                make_rosenbrock, make_sharp_flat, mlp_accuracy,
+                               mlp_predict,
                                param_segments, sharp_flat_centers,
                                sharp_flat_designed_losses, sharp_flat_ridge)
 from samlab.params import ParamVector
 
-from helpers import scalar_mlp_loss, whole_dataset_batch
+from helpers import (oracle_mlp_eval, oracle_mlp_predict, scalar_mlp_loss,
+                     whole_dataset_batch)
 
 # value computed by the scalar forward-pass oracle at the seed-0 init,
 # (2, 8, 2) tanh network on the 64-example blobs batch below
@@ -141,6 +146,41 @@ def test_purity_identical_calls_identical_results():
     l2, g2 = eval_grad(spec, w, batch)
     assert l1 == l2
     assert np.array_equal(g1, g2)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(deadline=None, max_examples=60)  # timing on a shared host is not what this checks
+@given(hidden=st.lists(st.integers(1, 12), max_size=2), input_dim=st.integers(1, 3),
+       n_classes=st.integers(2, 3), activation=st.sampled_from(["tanh", "relu"]),
+       weight_decay=st.sampled_from([0.0, 1e-4, 0.3]), n=st.integers(1, 40),
+       data=st.data(), seed=st.integers(0, 2**32 - 1),
+       target_dtype=st.sampled_from([np.int64, np.int32]))
+def test_mlp_kernel_matches_parent_oracle_bit_for_bit(hidden, input_dim, n_classes, activation,
+                                                      weight_decay, n, data, seed,
+                                                      target_dtype):
+    """eval_grad, eval_loss and mlp_predict equal the pre-trim kernel (tests/helpers.py)
+    byte for byte: the order of floating-point operations is part of the contract."""
+    sizes = (input_dim, *hidden, n_classes)
+    spec = make_mlp_classifier(sizes, activation=activation, weight_decay=weight_decay)
+    rng = np.random.default_rng(seed)
+    # perturbed weights, so relu units are both active and dead
+    w = init_params(spec, seed)
+    w = w.with_values(w.values + 0.5 * rng.standard_normal(w.size))
+    ds = Dataset("blobs", seed, 0.0, 2.0 * rng.standard_normal((n, input_dim)),
+                 rng.integers(0, n_classes, size=n).astype(target_dtype))
+    batch_size = data.draw(st.integers(1, n), label="batch_size")
+    for batch in make_batches(ds, batch_size, seed, 0):  # the last batch may be short
+        loss, grad = eval_grad(spec, w, batch)
+        ref_loss, ref_grad = oracle_mlp_eval(spec, w.values, batch, with_grad=True)
+        assert _bits(loss) == _bits(ref_loss)
+        assert grad.dtype == ref_grad.dtype and grad.tobytes() == ref_grad.tobytes()
+        assert _bits(eval_loss(spec, w, batch)) == _bits(
+            oracle_mlp_eval(spec, w.values, batch, with_grad=False)[0])
+    assert np.array_equal(mlp_predict(spec, w, ds.inputs),
+                          oracle_mlp_predict(spec, w.values, ds.inputs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,225 @@
+"""One SHA-256 per gate case over every non-wall-clock byte a samlab run produces.
+
+A speedup must leave run output unchanged except for wall-clock data. This
+script builds a fixed set of runs with the samlab package found under
+``--src`` and writes one digest per case, so that two source trees compare
+with one ``diff``::
+
+    git archive <base> | tar -x -C /tmp/base
+    python tools/run_digests.py --src /tmp/base/src --out base.json
+    python tools/run_digests.py --src src --out change.json
+    diff base.json change.json
+
+The cases:
+
+- the four optimizers on a moons MLP through ``run_experiment`` (2 seeds,
+  with a short last batch), each followed by ``verify_run`` on every seed;
+- vSAM with momentum 0.9, and vSAM with
+  ``subset_segments=["layer1.W", "layer0.W"]``;
+- each optimizer with ``grad_eval_budget`` 50 and 51;
+- a diverging quadratic SAM run that writes ``error.json``;
+- Rosenbrock vSAM;
+- 20 sharp/flat seeds x 4 optimizers in memory with ``collect_params=True``:
+  records, final weights and momentum, every parameter snapshot and the
+  sampler state.
+
+A run directory's digest covers every file in it: CSV files without their
+wall-clock columns, JSON files without wall-clock keys and the output path.
+``--case NAME`` (repeatable) builds only the named cases.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+# wall-clock-class fields, outside the bit-identity contract
+WALL_FIELDS = {"wall_clock_seconds", "ais"}
+METHODS = ("sgd", "sam", "sam_k", "vsam")
+
+MOONS = {
+    "objective": {"kind": "mlp_classifier", "layer_sizes": [2, 16, 2],
+                  "activation": "tanh", "weight_decay": 1e-4},
+    "dataset": {"kind": "moons", "n": 600, "noise": 0.15, "seed": 3},
+    "optimizer_config": {"eta0": 0.5, "rho": 0.05, "gamma": 0.9, "lr_schedule": "cosine"},
+    "epochs": 8,
+    "batch_size": 50,  # 480 training rows: the last batch of an epoch has 30
+    "seeds": [0, 1],
+}
+SAMPLER = {"n_window": 20, "m_slices": 4, "alpha": 0.13, "s1": 5, "i_start": 20}
+
+
+def _payload(optimizer, **changes):
+    payload = json.loads(json.dumps(MOONS))
+    payload["optimizer"] = optimizer
+    if optimizer == "sam_k":
+        payload["k"] = 2
+    if optimizer == "vsam":
+        payload["sampler_config"] = dict(SAMPLER)
+    for key, value in changes.items():
+        if isinstance(value, dict):
+            payload.setdefault(key, {}).update(value)
+        else:
+            payload[key] = value
+    return payload
+
+
+def config_cases():
+    """Case name -> config payload (without ``output_dir``), for ``run_experiment``."""
+    cases = {f"moons_{m}": _payload(m) for m in METHODS}
+    cases["vsam_momentum_0.9"] = _payload("vsam", optimizer_config={"momentum": 0.9})
+    cases["vsam_subset_layer1W_layer0W"] = _payload(
+        "vsam", sampler_config={"subset_segments": ["layer1.W", "layer0.W"]})
+    for m in METHODS:
+        for budget in (50, 51):
+            cases[f"budget_{m}_{budget}"] = _payload(
+                m, optimizer_config={"grad_eval_budget": budget}, seeds=[0])
+    cases["diverging_quadratic_sam"] = {
+        "objective": {"kind": "quadratic", "a": [[50.0, 0.0], [0.0, 1.0]]},
+        "optimizer": "sam", "optimizer_config": {"eta0": 1.0, "lr_schedule": "constant"},
+        "iterations": 400, "seeds": [0], "w0": [1.0, 1.0]}
+    cases["rosenbrock_vsam"] = {
+        "objective": {"kind": "rosenbrock", "dim": 3},
+        "optimizer": "vsam", "optimizer_config": {"eta0": 1e-3, "lr_schedule": "constant"},
+        "sampler_config": dict(SAMPLER), "iterations": 600, "seeds": [0, 1]}
+    return cases
+
+
+def sha(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else str(part).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def _strip(payload):
+    if isinstance(payload, dict):
+        return {k: _strip(v) for k, v in payload.items()
+                if k not in WALL_FIELDS and k != "output_dir"}
+    if isinstance(payload, list):
+        return [_strip(v) for v in payload]
+    return payload
+
+
+def file_digest(path: Path) -> str:
+    if path.suffix == ".json":
+        with open(path, encoding="utf-8") as fh:
+            return sha(json.dumps(_strip(json.load(fh)), sort_keys=True))
+    if path.suffix == ".csv":
+        with open(path, newline="", encoding="ascii") as fh:
+            rows = list(csv.reader(fh))
+        keep = [j for j, name in enumerate(rows[0]) if name not in WALL_FIELDS]
+        return sha(*[",".join(row[j] for j in keep) for row in rows])
+    return sha(path.read_bytes())
+
+
+def run_dir_digest(harness, run_dir: Path) -> str:
+    """Every file of the run directory, then ``verify_run`` on each seed."""
+    parts = []
+    for path in sorted(p for p in run_dir.rglob("*") if p.is_file()):
+        parts += [path.relative_to(run_dir).as_posix(), file_digest(path)]
+    for seed_dir in sorted(run_dir.glob("seed_*")):
+        if (seed_dir / "error.json").exists():
+            continue
+        ok, lines = harness.verify_run(seed_dir)
+        parts += [seed_dir.name, ok, *lines]
+    return sha(*parts)
+
+
+def sharp_flat_digests():
+    """Case name -> digest of in-memory sharp/flat runs, 20 seeds x 4 optimizers."""
+    import numpy as np
+    from samlab import objectives, optim, sampler
+    from samlab.params import ParamVector
+
+    cal = objectives.SHARP_FLAT_CALIBRATION
+    spec = objectives.make_sharp_flat(cal["width_sharp"], cal["width_flat"],
+                                      cal["depth_gap"], cal["separation"])
+    opt = optim.OptimizerConfig(eta0=cal["eta0"], rho=cal["rho"], gamma=0.9,
+                                lr_schedule=cal["lr_schedule"])
+    scfg = sampler.SamplerConfig(n_window=50, m_slices=5, alpha=0.13, s1=25, i_start=250)
+    x_sharp = -cal["separation"] / 2.0
+    half = cal["init_halfwidth"]
+    rng = np.random.default_rng(2024)
+    digests = {}
+    for seed in range(20):
+        start = np.array([x_sharp + rng.uniform(-half, half), rng.uniform(-half, half)])
+        for method in METHODS:
+            w0 = ParamVector(start.copy())
+            common = dict(w0=w0, collect_params=True)
+            if method == "sgd":
+                result = optim.run_sgd(spec, None, opt, cal["iterations"], seed, **common)
+            elif method == "sam":
+                result = optim.run_sam(spec, None, opt, cal["iterations"], seed, **common)
+            elif method == "sam_k":
+                result = optim.run_sam_k(spec, None, opt, 2, cal["iterations"], seed, **common)
+            else:
+                result = optim.run_vsam(spec, None, opt, scfg, cal["iterations"], seed,
+                                        **common)
+            records = [{k: v for k, v in vars(r).items() if k not in WALL_FIELDS}
+                       for r in result.records]
+            state = result.sampler_state
+            state_part = None
+            if state is not None:
+                state_part = {k: v for k, v in vars(state).items() if k != "rng_stream"}
+                state_part["rng"] = state.rng_stream.bit_generator.state
+            digests[f"sharp_flat_{seed}_{method}"] = sha(
+                repr(records), result.w_final.values.tobytes(),
+                result.momentum_final.tobytes(),
+                *[snapshot.tobytes() for snapshot in result.params_history or []],
+                repr(state_part))
+    return digests
+
+
+def import_samlab(src: Path):
+    sys.path.insert(0, str(src))
+    import samlab
+    from samlab import harness
+
+    if not Path(samlab.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"samlab was imported from {samlab.__file__}, not from {src}")
+    return harness
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=Path("src"),
+                        help="directory holding the samlab package (default: src)")
+    parser.add_argument("--out", type=Path, required=True,
+                        help="JSON file to write the digests to")
+    parser.add_argument("--case", action="append", default=[],
+                        help="build only this case (repeatable)")
+    args = parser.parse_args(argv)
+
+    configs = config_cases()
+    sharp_flat_names = [f"sharp_flat_{s}_{m}" for s in range(20) for m in METHODS]
+    names = list(configs) + sharp_flat_names
+    unknown = sorted(set(args.case) - set(names))
+    if unknown:
+        parser.error(f"unknown cases: {unknown}")
+    wanted = set(args.case or names)
+
+    harness = import_samlab(args.src.resolve())
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, payload in configs.items():
+            if name in wanted:
+                payload = dict(payload, output_dir=str(Path(tmp) / name))
+                run_dir = harness.run_experiment(harness.config_from_dict(payload))
+                digests[name] = run_dir_digest(harness, Path(run_dir))
+    if wanted & set(sharp_flat_names):
+        digests.update({name: digest for name, digest in sharp_flat_digests().items()
+                        if name in wanted})
+    args.out.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"{len(digests)} digests written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
