@@ -2,9 +2,8 @@
 
 from .data import (Batch, Dataset, dataset_checksum, generate_dataset, load_dataset,
                    make_batches, save_dataset, train_test_split)
-from .diagnostics import (BoundCheckResult, EigenDecomposition, bound_sweep,
-                          check_psf_bound, convergence_metric, decomposition_residual,
-                          norm_trace, symmetric_eigen)
+from .diagnostics import (BoundCheckResult, bound_sweep, check_psf_bound,
+                          convergence_metric, decomposition_residual, norm_trace)
 from .errors import (ConfigurationError, ContractViolationError, NumericError,
                      SamlabError)
 from .harness import (ExperimentConfig, RunSummary, compare_report, compute_ais,

@@ -1,9 +1,7 @@
 """Numerical verification of the optimizer's structural claims.
 
-Covers four checks:
+Covers three checks:
 
-* a self-contained Jacobi eigendecomposition used as the oracle for the
-  curvature bound below,
 * the bound ||correction|| <= rho * sum_i eigenvalue_i * |cos(angle_i)|
   relating the sharpness correction to the Hessian spectrum (holds when the
   Hessian is positive definite),
@@ -14,30 +12,17 @@ Covers four checks:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError
 from .metrics import _read_rows, _write_rows
 from .objectives import eval_grad
 from .optim import sam_gradient
 
-MAX_EIGEN_DIM = 64
-OFFDIAG_TOL = 1e-12
 BOUND_SLACK_TOL = 1e-12
 HVP_FD_STEP = 1e-4
-
-
-@dataclass
-class EigenDecomposition:
-    eigenvalues: np.ndarray   # descending
-    eigenvectors: np.ndarray  # orthonormal columns, aligned with eigenvalues
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return u @ np.diag(self.eigenvalues) @ u.T
 
 
 @dataclass
@@ -49,90 +34,37 @@ class BoundCheckResult:
     cos_angles: np.ndarray  # logged only; no claim is made about their trend
 
 
-def symmetric_eigen(a, max_sweeps: int = 100) -> EigenDecomposition:
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Sweeps rotate away each off-diagonal entry in turn until all of them are
-    below 1e-12 in magnitude. Rotations use the smaller-angle root of the
-    annihilation equation, which keeps the iteration stable and the
-    accumulated eigenvector matrix orthonormal to machine precision.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ConfigurationError("matrix must be square")
-    n = a.shape[0]
-    if n > MAX_EIGEN_DIM:
-        raise ConfigurationError(f"matrix dimension {n} exceeds the {MAX_EIGEN_DIM} limit")
-    if np.abs(a - a.T).max(initial=0.0) > 1e-12:
-        raise ConfigurationError("matrix must be symmetric")
-
-    work = a.copy()
-    vecs = np.eye(n)
-    for _ in range(max_sweeps):
-        off = _max_offdiag(work)
-        if off < OFFDIAG_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (work[q, q] - work[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                _rotate(work, vecs, p, q, c, s)
-    else:
-        raise NumericError("Jacobi sweeps did not converge within the budget")
-
-    order = np.argsort(work.diagonal())[::-1]
-    return EigenDecomposition(
-        eigenvalues=work.diagonal()[order].copy(),
-        eigenvectors=vecs[:, order].copy(),
-    )
-
-
-def _max_offdiag(a):
-    if a.shape[0] == 1:
-        return 0.0
-    mask = ~np.eye(a.shape[0], dtype=bool)
-    return float(np.abs(a[mask]).max())
-
-
-def _rotate(a, v, p, q, c, s):
-    row_p, row_q = a[p, :].copy(), a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    col_p, col_q = a[:, p].copy(), a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    a[p, q] = a[q, p] = 0.0
-    vp, vq = v[:, p].copy(), v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq
-
-
 def check_psf_bound(a, g, rho: float) -> BoundCheckResult:
     """Check the curvature bound on the correction norm for Hessian ``a``.
 
     For a quadratic loss with positive definite Hessian A the correction norm
     is exactly rho * ||A g|| / ||g||; projecting g onto the eigenbasis bounds
     it by rho * sum_i eigenvalue_i * |cos(angle between eigenvector_i and g)|.
+    ``cos_angles`` follows the eigenvalues in descending order.
     """
     a = np.asarray(a, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
-    decomp = symmetric_eigen(a)
-    if decomp.eigenvalues.min() <= 0.0:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ConfigurationError("matrix must be square")
+    if g.shape != (a.shape[0],):
+        raise ConfigurationError(
+            f"gradient must be a vector of length {a.shape[0]}, got shape {g.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(g).all()):
+        raise ConfigurationError("bound check requires a finite matrix and gradient")
+    if np.abs(a - a.T).max(initial=0.0) > 1e-12:
+        raise ConfigurationError("matrix must be symmetric")
+    if not (rho > 0.0 and np.isfinite(rho)):
+        raise ConfigurationError(f"rho must be positive and finite, got {rho}")
+    eigenvalues, eigenvectors = np.linalg.eigh(a)
+    eigenvalues, eigenvectors = eigenvalues[::-1], eigenvectors[:, ::-1]
+    if eigenvalues.size == 0 or eigenvalues.min() <= 0.0:
         raise ConfigurationError("bound check requires a positive definite matrix")
     g_norm = float(np.linalg.norm(g))
     if g_norm == 0.0:
         raise ConfigurationError("bound check requires a nonzero gradient")
     lhs = rho * float(np.linalg.norm(a @ g)) / g_norm
-    cosines = (decomp.eigenvectors.T @ g) / g_norm
-    rhs = rho * float(np.sum(decomp.eigenvalues * np.abs(cosines)))
+    cosines = (eigenvectors.T @ g) / g_norm
+    rhs = rho * float(np.sum(eigenvalues * np.abs(cosines)))
     return BoundCheckResult(
         lhs=lhs,
         rhs=rhs,
@@ -150,11 +82,20 @@ def random_pd_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def bound_sweep(cases: int, dims, seed: int, rho: float = 0.1):
-    """Run the bound check on random PD matrices; returns the results list."""
+    """Run the bound check on random PD matrices; returns the results list.
+
+    Each case draws its dimension uniformly from ``dims`` = (low, high),
+    both inclusive; ``check_psf_bound`` rejects a ``rho`` that is not positive.
+    """
+    low, high = dims
+    if cases < 1:
+        raise ConfigurationError(f"cases must be at least 1, got {cases}")
+    if not 1 <= low <= high:
+        raise ConfigurationError(f"dimensions must satisfy 1 <= min <= max, got {low}, {high}")
     rng = np.random.default_rng(seed)
     results = []
     for _ in range(cases):
-        dim = int(rng.integers(dims[0], dims[1] + 1))
+        dim = int(rng.integers(low, high + 1))
         a = random_pd_matrix(rng, dim)
         a = 0.5 * (a + a.T)  # kill the last bits of asymmetry from the products
         g = rng.standard_normal(dim)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -166,9 +166,8 @@ def _objective_to_dict(spec: ObjectiveSpec) -> dict:
             "activation": spec.activation, "weight_decay": spec.weight_decay}
 
 
-_OPT_KEYS = {"eta0", "rho", "gamma", "momentum", "lr_schedule", "grad_eval_budget"}
-_SAMPLER_KEYS = {"n_window", "m_slices", "alpha", "s1", "i_start", "p_max",
-                 "subset_segments", "eps", "force"}
+_OPT_KEYS = {f.name for f in fields(OptimizerConfig)}
+_SAMPLER_KEYS = {f.name for f in fields(SamplerConfig)}
 _TOP_KEYS = {"objective", "dataset", "optimizer", "optimizer_config", "sampler_config",
              "iterations", "epochs", "batch_size", "seeds", "output_dir", "k", "w0"}
 _DATASET_KEYS = {"kind", "n", "noise", "seed"}
@@ -281,7 +280,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
                 json.dump({"error": str(err), "iteration": err.iteration}, fh, indent=2)
             continue
         write_metrics_csv(seed_dir / "metrics.csv", result.records)
-        write_norm_trace(seed_dir / "norm_trace.csv", norm_trace(result.records))
+        write_norm_trace(seed_dir / "norm_trace.csv", map(vars, result.records))
         summary = summarize(result.records, dataset, config.batch_size)
         with open(seed_dir / "summary.json", "w", encoding="utf-8") as fh:
             json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)

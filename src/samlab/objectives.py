@@ -140,14 +140,8 @@ def param_segments(spec: ObjectiveSpec):
     if spec.kind != "mlp_classifier":
         return [("w", 0, spec.param_count)]
     segments = []
-    offset = 0
-    sizes = spec.layer_sizes
-    for layer in range(len(sizes) - 1):
-        n_w = sizes[layer] * sizes[layer + 1]
-        segments.append((f"layer{layer}.W", offset, n_w))
-        offset += n_w
-        segments.append((f"layer{layer}.b", offset, sizes[layer + 1]))
-        offset += sizes[layer + 1]
+    for layer, (_, _, lo, mid, hi) in enumerate(_mlp_layout(tuple(spec.layer_sizes))):
+        segments += [(f"layer{layer}.W", lo, mid - lo), (f"layer{layer}.b", mid, hi - mid)]
     return segments
 
 
@@ -161,14 +155,10 @@ def init_params(spec: ObjectiveSpec, seed: int) -> ParamVector:
     rng = np.random.default_rng(seed)
     if spec.kind != "mlp_classifier":
         return ParamVector(rng.standard_normal(spec.param_count), param_segments(spec))
-    chunks = []
-    sizes = spec.layer_sizes
-    for layer in range(len(sizes) - 1):
-        fan_in, fan_out = sizes[layer], sizes[layer + 1]
-        w = rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)
-        chunks.append(w.ravel())
-        chunks.append(np.zeros(fan_out))
-    return ParamVector(np.concatenate(chunks), param_segments(spec))
+    values = np.zeros(spec.param_count)
+    for fan_in, fan_out, lo, mid, _ in _mlp_layout(tuple(spec.layer_sizes)):
+        values[lo:mid] = (rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)).ravel()
+    return ParamVector(values, param_segments(spec))
 
 
 @functools.cache

@@ -1,8 +1,9 @@
 """Independent oracles used by the tests.
 
 The scalar and replay oracles are deliberately written with plain Python
-loops and the textbook formulas, so the implementations under test are
-checked against a separate code path rather than against themselves. The
+loops and the textbook formulas, and the Jacobi eigensolver checks the
+library's LAPACK spectrum, so the implementations under test are checked
+against a separate code path rather than against themselves. The
 last sections keep earlier versions of optimised code (the MLP kernel,
 per-batch gathering, the ``csv.writer`` codec) as references that the
 current code must match byte for byte.
@@ -10,11 +11,12 @@ current code must match byte for byte.
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from samlab.data import Batch
-from samlab.errors import ConfigurationError
+from samlab.errors import ConfigurationError, NumericError
 
 
 def scalar_mlp_loss(layer_sizes, activation, weight_decay, values, inputs, targets):
@@ -149,6 +151,90 @@ def replay_sampler(events, n_window, m_slices, alpha, s1, p_max, eps):
         "last_c_var": last_c_var,
         "last_c_norm": last_c_norm,
     }
+
+
+# ---------------------------------------------------------------------------
+# cyclic Jacobi eigensolver: the independent spectrum oracle for the
+# curvature-bound tests (the library itself uses np.linalg.eigh)
+
+MAX_EIGEN_DIM = 64
+OFFDIAG_TOL = 1e-12
+
+
+@dataclass
+class EigenDecomposition:
+    eigenvalues: np.ndarray   # descending
+    eigenvectors: np.ndarray  # orthonormal columns, aligned with eigenvalues
+
+    def reconstruct(self) -> np.ndarray:
+        u = self.eigenvectors
+        return u @ np.diag(self.eigenvalues) @ u.T
+
+
+def symmetric_eigen(a, max_sweeps: int = 100) -> EigenDecomposition:
+    """Cyclic Jacobi diagonalization of a symmetric matrix.
+
+    Sweeps rotate away each off-diagonal entry in turn until all of them are
+    below 1e-12 in magnitude. Rotations use the smaller-angle root of the
+    annihilation equation, which keeps the iteration stable and the
+    accumulated eigenvector matrix orthonormal to machine precision.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ConfigurationError("matrix must be square")
+    n = a.shape[0]
+    if n > MAX_EIGEN_DIM:
+        raise ConfigurationError(f"matrix dimension {n} exceeds the {MAX_EIGEN_DIM} limit")
+    if np.abs(a - a.T).max(initial=0.0) > 1e-12:
+        raise ConfigurationError("matrix must be symmetric")
+
+    work = a.copy()
+    vecs = np.eye(n)
+    for _ in range(max_sweeps):
+        off = _max_offdiag(work)
+        if off < OFFDIAG_TOL:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = work[p, q]
+                if apq == 0.0:
+                    continue
+                tau = (work[q, q] - work[p, p]) / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                _rotate(work, vecs, p, q, c, s)
+    else:
+        raise NumericError("Jacobi sweeps did not converge within the budget")
+
+    order = np.argsort(work.diagonal())[::-1]
+    return EigenDecomposition(
+        eigenvalues=work.diagonal()[order].copy(),
+        eigenvectors=vecs[:, order].copy(),
+    )
+
+
+def _max_offdiag(a):
+    if a.shape[0] == 1:
+        return 0.0
+    mask = ~np.eye(a.shape[0], dtype=bool)
+    return float(np.abs(a[mask]).max())
+
+
+def _rotate(a, v, p, q, c, s):
+    row_p, row_q = a[p, :].copy(), a[q, :].copy()
+    a[p, :] = c * row_p - s * row_q
+    a[q, :] = s * row_p + c * row_q
+    col_p, col_q = a[:, p].copy(), a[:, q].copy()
+    a[:, p] = c * col_p - s * col_q
+    a[:, q] = s * col_p + c * col_q
+    a[p, q] = a[q, p] = 0.0
+    vp, vq = v[:, p].copy(), v[:, q].copy()
+    v[:, p] = c * vp - s * vq
+    v[:, q] = s * vp + c * vq
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from samlab.data import generate_dataset
 from samlab.diagnostics import (bound_sweep, check_psf_bound, norm_trace,
-                                random_pd_matrix, read_norm_trace, symmetric_eigen)
+                                random_pd_matrix, read_norm_trace)
 from samlab.harness import (config_from_dict, grad_eval_ratio, run_experiment,
                             RunSummary, verify_run)
 from samlab.metrics import FIELD_ORDER, read_metrics_csv
@@ -24,7 +24,7 @@ from samlab.params import ParamVector
 from samlab.sampler import (SamplerConfig, begin_windowing, init_sampler,
                             record_sample, should_sample, update_rate)
 
-from helpers import replay_sampler, whole_dataset_batch
+from helpers import replay_sampler, symmetric_eigen, whole_dataset_batch
 
 
 def _report(criterion, text):

@@ -97,6 +97,26 @@ def test_check_bounds_command(capsys):
     assert "bound holds" in out
 
 
+def test_check_bounds_has_no_dimension_cap(capsys):
+    assert main(["check-bounds", "--cases", "4", "--min-dim", "65", "--max-dim", "100"]) == 0
+    assert "bound holds" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    ["--cases", "0"],
+    ["--min-dim", "5", "--max-dim", "2"],
+    ["--min-dim", "0", "--max-dim", "0"],
+    ["--rho", "-0.1"],
+    ["--rho", "0"],
+    ["--rho", "nan"],
+])
+def test_check_bounds_rejects_bad_input(capsys, args):
+    assert main(["check-bounds", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "VIOLATION" not in captured.out and "bound holds" not in captured.out
+
+
 def test_invalid_config_is_reported(tmp_path, capsys):
     config = _small_config(tmp_path)
     config["unknown_key"] = True

@@ -4,18 +4,18 @@ import pytest
 from samlab.data import generate_dataset
 from samlab.diagnostics import (bound_sweep, check_psf_bound, convergence_metric,
                                 decomposition_residual, norm_trace, random_pd_matrix,
-                                read_norm_trace, symmetric_eigen, write_norm_trace)
+                                read_norm_trace, write_norm_trace)
 from samlab.errors import ConfigurationError
 from samlab.metrics import MetricsRecord
 from samlab.objectives import init_params, make_mlp_classifier, make_quadratic
 from samlab.optim import OptimizerConfig, run_sam
 from samlab.params import ParamVector
 
-from helpers import whole_dataset_batch
+from helpers import symmetric_eigen, whole_dataset_batch
 
 
 # ---------------------------------------------------------------------------
-# eigendecomposition
+# eigendecomposition (the Jacobi oracle in helpers.py)
 
 def test_eigen_diagonal_input():
     decomp = symmetric_eigen(np.diag([2.0, 5.0]))
@@ -79,6 +79,7 @@ def test_bound_aligned_gradient_is_tight():
     assert res.rhs == pytest.approx(0.2, abs=1e-15)
     assert res.satisfied
     assert abs(res.slack) <= 1e-12
+    assert np.allclose(np.abs(res.cos_angles), [0.0, 1.0], atol=1e-15)  # descending eigenvalues
 
 
 def test_bound_identity_matrix():
@@ -98,9 +99,49 @@ def test_bound_requires_pd_and_nonzero_gradient():
         check_psf_bound(np.eye(2), np.zeros(2), 0.1)
 
 
+@pytest.mark.parametrize("a, g, rho, message", [
+    (np.zeros((2, 3)), np.ones(2), 0.1, "matrix must be square"),
+    (np.ones(4), np.ones(2), 0.1, "matrix must be square"),
+    (np.array([[1.0, .5], [0.0, 1.0]]), np.ones(2), 0.1, "matrix must be symmetric"),
+    (np.eye(2), np.ones(3), 0.1, "gradient must be a vector of length 2"),
+    (np.eye(2), np.ones((2, 1)), 0.1, "gradient must be a vector of length 2"),
+    (np.eye(2), np.array([1.0, np.nan]), 0.1, "finite"),
+    (np.diag([1.0, np.inf]), np.ones(2), 0.1, "finite"),
+    (np.eye(2), np.ones(2), 0.0, "rho must be positive"),
+    (np.eye(2), np.ones(2), -0.1, "rho must be positive"),
+    (np.eye(2), np.ones(2), float("nan"), "rho must be positive"),
+    (np.eye(2), np.ones(2), float("inf"), "rho must be positive"),
+    (np.zeros((0, 0)), np.zeros(0), 0.1, "positive definite"),
+])
+def test_bound_rejects_malformed_input(a, g, rho, message):
+    with pytest.raises(ConfigurationError, match=message):
+        check_psf_bound(a, g, rho)
+
+
+@pytest.mark.parametrize("cases, dims", [(0, (2, 6)), (5, (5, 2)), (5, (0, 0)), (5, (0, 3))])
+def test_bound_sweep_rejects_bad_plan(cases, dims):
+    with pytest.raises(ConfigurationError):
+        bound_sweep(cases, dims, seed=0)
+
+
 def test_bound_random_sweep_small():
     results = bound_sweep(100, (2, 6), seed=5)
     assert all(r.satisfied for r in results)
+
+
+@pytest.mark.parametrize("dim", [65, 100])
+def test_bound_above_the_oracle_cap(dim):
+    rng = np.random.default_rng(dim)
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    eigs = np.linspace(0.1, 5.0, dim)
+    a = basis @ np.diag(eigs) @ basis.T
+    a = 0.5 * (a + a.T)
+    for idx in (0, dim // 2, dim - 1):
+        res = check_psf_bound(a, basis[:, idx] * 1.7, 0.1)
+        assert abs(res.lhs - res.rhs) <= 1e-10
+        assert res.lhs == pytest.approx(0.1 * eigs[idx], rel=1e-12)
+    for _ in range(10):
+        assert check_psf_bound(a, rng.standard_normal(dim), 0.1).satisfied
 
 
 def test_bound_eigenvector_aligned_equality():
@@ -113,6 +154,8 @@ def test_bound_eigenvector_aligned_equality():
         g = decomp.eigenvectors[:, idx] * float(rng.random() + 0.5)
         res = check_psf_bound(a, g, 0.2)
         assert abs(res.lhs - res.rhs) <= 1e-10
+        oracle_cosines = decomp.eigenvectors.T @ g / np.linalg.norm(g)
+        assert np.allclose(np.abs(res.cos_angles), np.abs(oracle_cosines), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from samlab.data import DATASET_KINDS
 from samlab.diagnostics import NORM_TRACE_FIELDS
 from samlab.errors import ConfigurationError
-from samlab.harness import (ExperimentConfig, RunSummary, compare_report,
+from samlab.harness import (OPTIMIZERS, ExperimentConfig, RunSummary, compare_report,
                             compute_ais, config_from_dict, config_to_dict,
                             grad_eval_ratio, run_experiment, summarize, verify_run,
                             write_report_csv, REPORT_FIELDS)
 from samlab.metrics import FIELD_ORDER, MetricsRecord, read_metrics_csv, write_metrics_csv
+from samlab.objectives import ACTIVATIONS, OBJECTIVE_KINDS, param_segments
+from samlab.optim import LR_SCHEDULES
 
 
 def _base_config(tmp_path, **overrides):
@@ -151,6 +155,110 @@ def test_config_round_trip(tmp_path):
     config = config_from_dict(payload)
     back = config_from_dict(config_to_dict(config))
     assert config_to_dict(back) == config_to_dict(config)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=1e-6, max_value=1e6)
+_nonneg = st.floats(min_value=0.0, max_value=1e3)
+
+
+def _optional(draw, payload, key, strategy):
+    if draw(st.booleans()):
+        payload[key] = draw(strategy)
+
+
+@st.composite
+def _objective_payloads(draw, kind):
+    payload = {"kind": kind}
+    if kind == "quadratic":
+        dim = draw(st.integers(1, 4))
+        upper = {(i, j): draw(_finite) for i in range(dim) for j in range(i, dim)}
+        payload["a"] = [[upper[min(i, j), max(i, j)] for j in range(dim)] for i in range(dim)]
+        _optional(draw, payload, "b", st.lists(_finite, min_size=dim, max_size=dim))
+    elif kind == "rosenbrock":
+        _optional(draw, payload, "dim", st.integers(2, 6))
+    elif kind == "sharp_flat":
+        sharp = draw(_positive)
+        payload.update(width_sharp=sharp, width_flat=sharp * 2.0 + draw(_positive),
+                       depth_gap=draw(_nonneg), separation=draw(_positive))
+    else:
+        payload["layer_sizes"] = draw(st.lists(st.integers(1, 8), min_size=2, max_size=4))
+        _optional(draw, payload, "activation", st.sampled_from(ACTIVATIONS))
+    if kind != "sharp_flat":
+        _optional(draw, payload, "weight_decay", _nonneg)
+    return payload
+
+
+@st.composite
+def _sampler_payloads(draw, segment_names):
+    m_slices = draw(st.integers(2, 6))
+    n_window = m_slices * draw(st.integers(1, 20))
+    p_max = draw(st.floats(min_value=1.0 / n_window, max_value=1.0))
+    payload = {"n_window": n_window, "m_slices": m_slices, "p_max": p_max,
+               "s1": draw(st.floats(min_value=1.0, max_value=p_max * n_window))}
+    _optional(draw, payload, "alpha", _finite)
+    _optional(draw, payload, "i_start", st.integers(0, 10_000))
+    _optional(draw, payload, "eps", _positive)
+    _optional(draw, payload, "force", st.sampled_from([None, "always", "never"]))
+    _optional(draw, payload, "subset_segments", st.one_of(
+        st.none(), st.lists(st.sampled_from(segment_names), min_size=1, max_size=4)))
+    return payload
+
+
+@st.composite
+def _config_payloads(draw, kind, optimizer):
+    objective = draw(_objective_payloads(kind))
+    opt = {}
+    _optional(draw, opt, "eta0", _positive)
+    _optional(draw, opt, "rho", _positive)
+    _optional(draw, opt, "gamma", st.floats(min_value=1e-6, max_value=1.0))
+    _optional(draw, opt, "momentum", st.floats(min_value=0.0, max_value=0.999))
+    _optional(draw, opt, "lr_schedule", st.sampled_from(LR_SCHEDULES))
+    _optional(draw, opt, "grad_eval_budget", st.one_of(st.none(), st.integers(1, 10**6)))
+    payload = {"objective": objective, "optimizer": optimizer, "optimizer_config": opt,
+               "output_dir": draw(st.text(min_size=1, max_size=12))}
+    if optimizer == "vsam" or draw(st.booleans()):
+        names = [name for name, _, _ in param_segments(config_from_dict(
+            {"objective": objective, "optimizer": "sgd", "iterations": 1,
+             "output_dir": "x"}).objective)]
+        payload["sampler_config"] = draw(_sampler_payloads(names))
+    if optimizer == "sam_k" or draw(st.booleans()):
+        payload["k"] = draw(st.integers(1, 50))
+    if draw(st.booleans()):
+        payload["dataset"] = {"kind": draw(st.sampled_from(DATASET_KINDS)),
+                              "n": draw(st.integers(2, 10_000)), "seed": draw(st.integers(0, 2**31))}
+        _optional(draw, payload["dataset"], "noise", _nonneg)
+        payload["batch_size"] = draw(st.integers(1, 512))
+    if "dataset" in payload and draw(st.booleans()):
+        payload["epochs"] = draw(st.integers(1, 100))
+    else:
+        payload["iterations"] = draw(st.integers(1, 10**6))
+    _optional(draw, payload, "seeds", st.lists(st.integers(0, 2**31), min_size=1, max_size=4))
+    if objective["kind"] != "mlp_classifier":
+        _optional(draw, payload, "w0", st.lists(_finite, min_size=1, max_size=4))
+    return payload
+
+
+def _assert_keeps_given_values(canonical, payload):
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            _assert_keeps_given_values(canonical[key], value)
+        else:
+            assert canonical[key] == value, key
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_config_dict_survives_json_round_trip(kind, optimizer, data):
+    payload = data.draw(_config_payloads(kind, optimizer))
+    canonical = config_to_dict(config_from_dict(payload))
+    _assert_keeps_given_values(canonical, payload)
+    text = json.dumps(canonical, sort_keys=True)
+    assert json.loads(text) == canonical
+    again = config_to_dict(config_from_dict(json.loads(text)))
+    assert json.dumps(again, sort_keys=True) == text
 
 
 def test_unknown_keys_rejected(tmp_path):

@@ -1,5 +1,7 @@
-"""The byte-identity tool stays runnable against the package it ships with."""
+"""The repository's tools stay runnable against the package they ship with."""
 
+import ast
+import importlib
 import json
 import re
 import subprocess
@@ -8,6 +10,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "run_digests.py"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _digests(tmp_path, name, case):
@@ -24,3 +27,26 @@ def test_run_digests_one_small_case_is_repeatable(tmp_path):
     # a second run differs only in wall-clock data, which the digest leaves out
     assert _digests(tmp_path, "b.json", "budget_vsam_51") == first
 
+
+
+def _tracer_list(name):
+    """A module-level literal of the benchmark tracer, read without importing it."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not found in {TRACER}")
+
+
+def test_benchmark_tracer_targets_exist():
+    # the traced benchmark wraps these names where samlab looks them up;
+    # a name that moves or disappears would break `perfbench/run.py --trace 1`
+    spans = _tracer_list("SPAN_TARGETS")
+    counts = _tracer_list("COUNT_TARGETS")
+    assert spans and counts
+    for module_name, attr, _ in spans:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), \
+            f"{module_name}.{attr}"
+    for module_name, cls_name, method, _ in counts:
+        cls = getattr(importlib.import_module(module_name), cls_name, None)
+        assert callable(getattr(cls, method, None)), f"{module_name}.{cls_name}.{method}"
