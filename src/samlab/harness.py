@@ -18,14 +18,16 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .data import batches_per_epoch, generate_dataset, train_test_split
-from .diagnostics import norm_trace, write_norm_trace
+# norm_trace is imported for perfbench/tracer.py, which wraps it here
+from .diagnostics import NORM_TRACE_FIELDS, norm_trace, write_norm_trace
 from .errors import ConfigurationError, NumericError
-from .metrics import MalformedRowError, read_metrics_csv, write_metrics_csv
+from .metrics import MalformedRowError, _read_rows, read_metrics_csv, write_metrics_csv
 from .objectives import (ObjectiveSpec, make_mlp_classifier, make_quadratic,
                          make_rosenbrock, make_sharp_flat, param_segments)
 from .optim import OptimizerConfig, run_sam, run_sam_k, run_sgd, run_vsam
@@ -33,6 +35,7 @@ from .params import ParamVector
 from .sampler import SamplerConfig
 
 OPTIMIZERS = ("sgd", "sam", "sam_k", "vsam")
+_NORM_TRACE_COLUMNS = attrgetter(*NORM_TRACE_FIELDS)
 OUTPUT_ROOT_ENV = "SAMLAB_OUTPUT_ROOT"
 
 
@@ -436,13 +439,14 @@ def verify_run(run_dir) -> tuple[bool, list[str]]:
 
     trace_path = run_dir / "norm_trace.csv"
     if trace_path.exists():
-        from .diagnostics import read_norm_trace
         try:
-            stored_rows = read_norm_trace(trace_path)
+            stored_rows = list(_read_rows(trace_path, NORM_TRACE_FIELDS))
         except Exception as err:  # noqa: BLE001 - report any read failure as a check
             check("norm trace readable", False, str(err))
         else:
-            check("norm trace matches metrics", stored_rows == norm_trace(records))
+            # tuples compare value by value, as the rows of norm_trace(records) would
+            check("norm trace matches metrics",
+                  stored_rows == list(map(_NORM_TRACE_COLUMNS, records)))
     else:
         check("norm trace present", False)
 

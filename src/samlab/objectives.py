@@ -181,42 +181,56 @@ def _unpack_mlp(spec: ObjectiveSpec, values: np.ndarray):
 # ---------------------------------------------------------------------------
 # loss / gradient evaluation
 
-def eval_loss(spec: ObjectiveSpec, w: ParamVector, batch: Batch | None = None) -> float:
+def eval_loss(spec: ObjectiveSpec, w: ParamVector | np.ndarray,
+              batch: Batch | None = None) -> float:
     loss, _ = _evaluate(spec, w, batch, with_grad=False)
     return loss
 
 
-def eval_grad(spec: ObjectiveSpec, w: ParamVector, batch: Batch | None = None):
-    """Returns (loss, gradient); the gradient includes the 2*wd*w term."""
+def eval_grad(spec: ObjectiveSpec, w: ParamVector | np.ndarray, batch: Batch | None = None):
+    """Returns (loss, gradient); the gradient includes the 2*wd*w term.
+
+    ``w`` is a ParamVector or a 1-D float64 array of finite weights. Overflow
+    raises NumericError; numpy warns of it first unless the caller turned its
+    floating-point warnings off, as the training loop does.
+    """
     return _evaluate(spec, w, batch, with_grad=True)
 
 
+def eval_heldout(spec: ObjectiveSpec, values: np.ndarray, batch: Batch):
+    """(loss, accuracy) of the MLP on ``batch`` from a single forward pass.
+
+    The bits of ``eval_loss`` and ``mlp_accuracy``, which run the pass once each.
+    """
+    loss, logits = _evaluate(spec, values, batch, with_grad=False)
+    return loss, float(np.mean(np.argmax(logits, axis=1) == batch.targets))
+
+
 def _evaluate(spec, w, batch, with_grad):
+    """(loss, gradient); without the gradient, (loss, MLP logits or None)."""
     if spec.kind not in OBJECTIVE_KINDS:
         raise ConfigurationError(f"unknown objective kind {spec.kind!r}")
-    if w.size != spec.param_count:
+    x = w.values if isinstance(w, ParamVector) else w
+    if x.size != spec.param_count:
         raise ConfigurationError(
-            f"parameter vector has {w.size} values, objective expects {spec.param_count}"
+            f"parameter vector has {x.size} values, objective expects {spec.param_count}"
         )
-    x = w.values
-    # overflow shows up as inf/nan and is reported via NumericError below
-    with np.errstate(all="ignore"):
-        if spec.kind == "quadratic":
-            ax = spec.a @ x
-            loss = 0.5 * float(x @ ax) - float(spec.b @ x)
-            grad = ax - spec.b if with_grad else None
-        elif spec.kind == "rosenbrock":
-            loss, grad = _rosenbrock(x, with_grad)
-        elif spec.kind == "sharp_flat":
-            loss, grad = _sharp_flat(spec, x, with_grad)
-        else:
-            loss, grad = _mlp(spec, x, batch, with_grad)
+    if spec.kind == "quadratic":
+        ax = spec.a @ x
+        loss = 0.5 * float(x @ ax) - float(spec.b @ x)
+        grad = ax - spec.b if with_grad else None
+    elif spec.kind == "rosenbrock":
+        loss, grad = _rosenbrock(x, with_grad)
+    elif spec.kind == "sharp_flat":
+        loss, grad = _sharp_flat(spec, x, with_grad)
+    else:
+        loss, grad = _mlp(spec, x, batch, with_grad)
 
-        wd = spec.weight_decay
-        if wd != 0.0:
-            loss = loss + wd * float(x @ x)
-            if with_grad:
-                grad = grad + (2.0 * wd) * x
+    wd = spec.weight_decay
+    if wd != 0.0:
+        loss = loss + wd * float(x @ x)
+        if with_grad:
+            grad = grad + (2.0 * wd) * x
 
     if not math.isfinite(loss):
         raise NumericError(f"non-finite loss from {spec.kind} objective")
@@ -397,7 +411,7 @@ def _mlp(spec, values, batch, with_grad):
     picked -= np.log(sum_exp)
     loss = -(float(np.add.reduce(picked)) / n)
     if not with_grad:
-        return loss, None
+        return loss, logits
 
     d_z = exp  # turned into d loss / d logits in place
     d_z /= sum_exp[:, None]

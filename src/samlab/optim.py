@@ -15,14 +15,18 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .data import Batch, Dataset, batches_per_epoch, make_batches, train_test_split
 from .errors import ConfigurationError, ContractViolationError, NumericError
 from .metrics import MetricsRecord
-from .objectives import ObjectiveSpec, eval_grad, eval_loss, init_params, mlp_accuracy
-from .params import ParamVector, default_subset, l2_norm, subset_index, subset_norm
+# eval_loss and mlp_accuracy are imported for perfbench/tracer.py, which wraps them here
+from .objectives import (ObjectiveSpec, eval_grad, eval_heldout, eval_loss, init_params,
+                         mlp_accuracy)
+from .params import (ParamVector, default_subset, l2_norm, require_finite, subset_index,
+                     subset_norm)
 from .sampler import (SamplerConfig, SamplerState, begin_windowing, init_sampler,
                       record_sample, should_sample, update_rate)
 
@@ -75,6 +79,10 @@ class PSFCache:
     l2_psf: float | None = None         # norms of psf, stored when it is sampled
     l2_psf_subset: float | None = None
 
+    def store(self, psf, iteration, l2_psf, l2_psf_subset):
+        self.psf, self.sampled_at, self.valid = psf, iteration, True
+        self.l2_psf, self.l2_psf_subset = l2_psf, l2_psf_subset
+
 
 def learning_rate(opt: OptimizerConfig, t: int, total: int) -> float:
     """Learning rate at 1-based iteration t of a run planned for `total`."""
@@ -95,10 +103,11 @@ def perturbation(g: np.ndarray, rho: float) -> np.ndarray:
     return (rho / norm) * g
 
 
-def _second_grad(spec, w, batch, rho, g_sgd):
-    w_pert = w.with_values(w.values + perturbation(g_sgd, rho))
-    _, g_sam = eval_grad(spec, w_pert, batch)
-    return g_sam
+def _perturbed(values, g_sgd, rho):
+    """The weights at which SAM's second gradient is taken, checked to be finite."""
+    w_pert = values + perturbation(g_sgd, rho)
+    require_finite(w_pert)
+    return w_pert
 
 
 def sam_gradient(spec: ObjectiveSpec, w: ParamVector, batch: Batch | None,
@@ -107,7 +116,7 @@ def sam_gradient(spec: ObjectiveSpec, w: ParamVector, batch: Batch | None,
     if subset_names is None:
         subset_names = default_subset(w)
     _, g_sgd = eval_grad(spec, w, batch)
-    g_sam = _second_grad(spec, w, batch, rho, g_sgd)
+    _, g_sam = eval_grad(spec, _perturbed(w.values, g_sgd, rho), batch)
     psf = g_sam - g_sgd
     return GradientTriple(
         g_sgd=g_sgd,
@@ -121,32 +130,33 @@ def sam_gradient(spec: ObjectiveSpec, w: ParamVector, batch: Batch | None,
 
 
 def _apply_step(values, direction, eta, momentum, m_state):
+    """(new weights, new momentum); NumericError when a new weight is not finite."""
     m_new = momentum * m_state + direction
-    return values - eta * m_new, m_new
+    values = values - eta * m_new
+    require_finite(values)
+    return values, m_new
+
+
+def _step(w: ParamVector, direction, eta, momentum, momentum_state):
+    """``_apply_step`` on a ParamVector; no momentum state means zeros."""
+    if momentum_state is None:
+        momentum_state = np.zeros_like(w.values)
+    values, m_new = _apply_step(w.values, direction, eta, momentum, momentum_state)
+    return w.with_values(values), m_new
 
 
 def step_sgd(w: ParamVector, g_sgd, eta, momentum=0.0, momentum_state=None):
     """Momentum SGD update; with momentum 0 this is w - eta * g."""
-    if momentum_state is None:
-        momentum_state = np.zeros_like(w.values)
-    values, m_new = _apply_step(w.values, g_sgd, eta, momentum, momentum_state)
-    return w.with_values(values), m_new
+    return _step(w, g_sgd, eta, momentum, momentum_state)
 
 
 def step_sampling(w: ParamVector, triple: GradientTriple, eta, momentum=0.0,
                   momentum_state=None, cache: PSFCache | None = None,
                   iteration: int | None = None):
     """Full SAM update from a sampled triple; caches the correction for reuse."""
-    if momentum_state is None:
-        momentum_state = np.zeros_like(w.values)
-    values, m_new = _apply_step(w.values, triple.g_sam, eta, momentum, momentum_state)
     if cache is not None:
-        cache.psf = triple.psf
-        cache.sampled_at = iteration
-        cache.valid = True
-        cache.l2_psf = triple.l2_psf
-        cache.l2_psf_subset = triple.l2_psf_subset
-    return w.with_values(values), m_new
+        cache.store(triple.psf, iteration, triple.l2_psf, triple.l2_psf_subset)
+    return _step(w, triple.g_sam, eta, momentum, momentum_state)
 
 
 def reuse_coefficient(gamma: float, staleness: int) -> float:
@@ -155,22 +165,20 @@ def reuse_coefficient(gamma: float, staleness: int) -> float:
     return coef if coef >= REUSE_UNDERFLOW else 0.0
 
 
-def step_reuse(w: ParamVector, g_sgd, cache: PSFCache, i: int, eta, gamma,
-               momentum=0.0, momentum_state=None):
-    """Single-gradient update reusing the cached correction, decayed by staleness."""
+def _reuse_direction(g_sgd, cache: PSFCache, i: int, gamma):
+    """g + gamma**staleness * cached correction, for a reuse step at iteration i."""
     if not cache.valid:
         raise ContractViolationError("reuse step before any correction was sampled")
     if i <= cache.sampled_at:
         raise ContractViolationError("reuse step must come after the cached sample")
-    if momentum_state is None:
-        momentum_state = np.zeros_like(w.values)
     coef = reuse_coefficient(gamma, i - cache.sampled_at)
-    if coef == 0.0:
-        direction = g_sgd
-    else:
-        direction = g_sgd + coef * cache.psf
-    values, m_new = _apply_step(w.values, direction, eta, momentum, momentum_state)
-    return w.with_values(values), m_new
+    return g_sgd if coef == 0.0 else g_sgd + coef * cache.psf
+
+
+def step_reuse(w: ParamVector, g_sgd, cache: PSFCache, i: int, eta, gamma,
+               momentum=0.0, momentum_state=None):
+    """Single-gradient update reusing the cached correction, decayed by staleness."""
+    return _step(w, _reuse_direction(g_sgd, cache, i, gamma), eta, momentum, momentum_state)
 
 
 # ---------------------------------------------------------------------------
@@ -185,109 +193,19 @@ class RunResult:
     sampler_state: SamplerState | None = None
 
 
-class _Run:
-    """Loop state and scaffolding: batch stream, eval cadence, record emission."""
-
-    def __init__(self, spec, dataset: Dataset | None, opt: OptimizerConfig,
-                 iterations, seed, batch_size, w0, momentum0, start_iteration,
-                 schedule_total, collect_params, subset_names):
-        if iterations < 1:
-            raise ConfigurationError("need at least one iteration")
-        self.spec = spec
-        self.opt = opt
-        self.iterations = iterations
-        self.seed = seed
-        self.start_iteration = start_iteration
-        self.schedule_total = schedule_total or (start_iteration + iterations)
-        self.w = w0 if w0 is not None else init_params(spec, seed)
-        self.m = momentum0 if momentum0 is not None else np.zeros(self.w.size)
-        if subset_names is None:
-            subset_names = default_subset(self.w)
-        elif not subset_names:
-            raise ConfigurationError("subset_segments must name at least one segment")
-        self.subset_idx = subset_index(self.w, subset_names)
-        self.collect = collect_params
-        self.history = [] if collect_params else None
-        self.records = []
-        self.evals = 0
-        self.t0 = time.perf_counter()
-
-        if dataset is not None:
-            if batch_size is None:
-                raise ConfigurationError("batch_size is required when a dataset is given")
-            self.train, self.test = train_test_split(dataset)
-            self.batch_size = batch_size
-            self.bpe = batches_per_epoch(self.train.n, batch_size)
-            self._epoch = -1
-            self._batches = None
-            self.test_batch = Batch(self.test.inputs, self.test.targets,
-                                    np.arange(self.test.n))
-        else:
-            self.train = self.test = None
-            self.bpe = 1
-
-    def batch_at(self, t):
-        if self.train is None:
-            return None, 0
-        epoch = (t - 1) // self.bpe
-        if epoch != self._epoch:
-            self._batches = make_batches(self.train, self.batch_size, self.seed, epoch)
-            self._epoch = epoch
-        return self._batches[(t - 1) % self.bpe], epoch
-
-    def eta_at(self, t):
-        return learning_rate(self.opt, t, self.schedule_total)
-
-    def guard(self, t, fn, *args):
-        """Call fn, attaching iteration context to a numeric failure."""
-        try:
-            return fn(*args)
-        except NumericError as err:
-            out = err if err.iteration is not None else NumericError(str(err), iteration=t)
-            out.partial_records = self.records  # lets the harness flush a partial trace
-            if out is err:
-                raise
-            raise out from err
-
-    def grad(self, t, batch):
-        loss, g = self.guard(t, eval_grad, self.spec, self.w, batch)
-        self.evals += 1
-        return loss, g
-
-    def second_grad(self, t, batch, g_sgd):
-        g_sam = self.guard(t, _second_grad, self.spec, self.w, batch, self.opt.rho, g_sgd)
-        self.evals += 1
-        return g_sam
-
-    def budget_spent(self):
-        """True once one more gradient evaluation would exceed the budget."""
-        budget = self.opt.grad_eval_budget
-        return budget is not None and self.evals >= budget
-
-    def emit(self, t, epoch, loss, l2_sgd, l2_sgd_subset, sampled, **extra):
-        is_epoch_end = self.train is not None and t % self.bpe == 0
-        eval_loss_v = eval_acc = None
-        if is_epoch_end and self.spec.kind == "mlp_classifier":
-            eval_loss_v = eval_loss(self.spec, self.w, self.test_batch)
-            eval_acc = mlp_accuracy(self.spec, self.w, self.test.inputs, self.test.targets)
-        self.records.append(MetricsRecord(
-            iteration=t,
-            epoch=epoch,
-            train_loss=loss,
-            l2_sgd=l2_sgd,
-            l2_sgd_subset=l2_sgd_subset,
-            sampled=sampled,
-            cumulative_grad_evals=self.evals,
-            wall_clock_seconds=time.perf_counter() - self.t0,
-            eval_loss=eval_loss_v,
-            eval_accuracy=eval_acc,
-            **extra,
-        ))
-        if self.collect:
-            self.history.append(self.w.values.copy())
+def _batch_stream(train: Dataset, batch_size, seed, bpe, first_t):
+    """(batch, epoch) of each iteration from ``first_t`` on, one epoch's batches at a time."""
+    t = first_t
+    while True:
+        epoch = (t - 1) // bpe
+        for batch in make_batches(train, batch_size, seed, epoch)[(t - 1) % bpe:]:
+            yield batch, epoch
+            t += 1
 
 
-def _train(run: _Run, samples_at, sampler_config: SamplerConfig | None = None) -> RunResult:
+def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed, batch_size,
+           w0, momentum0, start_iteration, schedule_total, collect_params, subset_names,
+           samples_at, cfg: SamplerConfig | None = None) -> RunResult:
     """The one training loop; the runners differ only in its sampling policy.
 
     Every iteration evaluates the plain gradient. ``samples_at(i)`` says
@@ -301,75 +219,120 @@ def _train(run: _Run, samples_at, sampler_config: SamplerConfig | None = None) -
     An iteration whose second evaluation would exceed ``grad_eval_budget``
     takes its one-evaluation step instead (reuse when a correction is cached,
     plain SGD otherwise), and the run ends there.
+
+    Inputs are checked once, up front. The loop carries the weights and the
+    momentum as bare float64 arrays and checks each gradient, perturbed point
+    and new weight vector for finiteness once, with numpy's floating-point
+    warnings off. A NumericError leaves with its iteration and the records so
+    far (``partial_records``), so that the harness can flush a partial trace.
     """
-    opt, cfg, subset_idx = run.opt, sampler_config, run.subset_idx
-    state = cache = None
+    if iterations < 1:
+        raise ConfigurationError("need at least one iteration")
+    t0 = time.perf_counter()
+    w0 = w0 if w0 is not None else init_params(spec, seed)
+    values, m = w0.values, (np.zeros(w0.size) if momentum0 is None else momentum0)
+    if np.shape(m) != (w0.size,):
+        raise ConfigurationError("momentum0 must hold one value per parameter")
+    if subset_names is None:
+        subset_names = default_subset(w0)
+    elif not subset_names:
+        raise ConfigurationError("subset_segments must name at least one segment")
+    subset_idx = subset_index(w0, subset_names)
+    # a subset covering the whole vector has the full norms, bit for bit
+    subset_idx = None if subset_idx.size == w0.size else subset_idx
+    bpe, test_batch, batches = 1, None, repeat((None, 0))
+    if dataset is not None:
+        if batch_size is None:
+            raise ConfigurationError("batch_size is required when a dataset is given")
+        train, test = train_test_split(dataset)
+        bpe = batches_per_epoch(train.n, batch_size)
+        batches = _batch_stream(train, batch_size, seed, bpe, start_iteration + 1)
+        if spec.kind == "mlp_classifier":
+            test_batch = Batch(test.inputs, test.targets, np.arange(test.n))
+    total = schedule_total or (start_iteration + iterations)
+    rho, gamma, momentum, budget = opt.rho, opt.gamma, opt.momentum, opt.grad_eval_budget
+    history = [] if collect_params else None
+    records = []
+    state = cache = p = s = c_var = c_norm = None
     if cfg is not None:
-        state = init_sampler(cfg, run.seed)
-        cache = PSFCache()
-    for i in range(1, run.iterations + 1):
-        t = run.start_iteration + i
-        batch, epoch = run.batch_at(t)
-        eta = run.eta_at(t)
-        loss, g_sgd = run.grad(t, batch)
-        l2_sgd = l2_norm(g_sgd)
-        l2_sgd_subset = l2_norm(g_sgd[subset_idx])
-        row = {}
-        if cfg is None:
-            wants_sample = samples_at(i)
-        else:
-            wants_sample = should_sample(state, cfg, t)
-            row.update(p=state.p, s=state.s)
-        cut = wants_sample and run.budget_spent()
-        sampled = wants_sample and not cut
-        if sampled:
-            g_sam = run.second_grad(t, batch, g_sgd)
-            psf = g_sam - g_sgd
-            triple = GradientTriple(g_sgd, g_sam, psf, l2_sgd, l2_norm(psf),
-                                    l2_sgd_subset, l2_norm(psf[subset_idx]))
-            if cfg is not None:
-                record_sample(state, cfg, triple.l2_psf_subset, l2_sgd_subset)
-                row.update(v=state.last_v, r=state.last_r, v_fallback=state.last_v_fallback)
-            run.w, run.m = run.guard(t, step_sampling, run.w, triple, eta,
-                                     opt.momentum, run.m, cache, t)
-            row.update(l2_psf=triple.l2_psf, psf_stale=False,
-                       l2_psf_subset=triple.l2_psf_subset, dot_sgd_psf=float(g_sgd @ psf))
-        elif cache is not None and (cache.valid or not cut):
-            # an empty cache outside a budget cut is a broken contract: step_reuse raises
-            run.w, run.m = run.guard(t, step_reuse, run.w, g_sgd, cache, t, eta,
-                                     opt.gamma, opt.momentum, run.m)
-            # reuse rows log the undecayed cached correction
-            row.update(l2_psf=cache.l2_psf, psf_stale=True,
-                       l2_psf_subset=cache.l2_psf_subset,
-                       dot_sgd_psf=float(g_sgd @ cache.psf))
-        else:
-            run.w, run.m = run.guard(t, step_sgd, run.w, g_sgd, eta, opt.momentum, run.m)
-        if cfg is not None:
-            if t == cfg.i_start:
-                begin_windowing(state)
-            elif t > cfg.i_start and state.window_iter == cfg.n_window:
-                update_rate(state, cfg)
-            row.update(c_var=state.last_c_var, c_norm=state.last_c_norm)
-        run.emit(t, epoch, loss, l2_sgd, l2_sgd_subset, sampled, **row)
-        if run.budget_spent():
-            break
-    return RunResult(run.records, run.w, run.m, run.history, state)
+        state, cache = init_sampler(cfg, seed), PSFCache()
+        i_start, n_window = cfg.i_start, cfg.n_window
+    evals, t = 0, start_iteration
+    with np.errstate(all="ignore"):
+        try:
+            for i, (batch, epoch) in zip(range(1, iterations + 1), batches):
+                t = start_iteration + i
+                eta = learning_rate(opt, t, total)
+                loss, g_sgd = eval_grad(spec, values, batch)
+                evals += 1
+                l2_sgd = l2_norm(g_sgd)
+                l2_sgd_subset = l2_sgd if subset_idx is None else l2_norm(g_sgd[subset_idx])
+                if cfg is None:
+                    wants_sample = samples_at(i)
+                else:
+                    wants_sample = should_sample(state, cfg, t)
+                    p, s = state.p, state.s
+                cut = wants_sample and budget is not None and evals >= budget
+                sampled = wants_sample and not cut
+                v = r = v_fallback = None
+                if sampled:
+                    _, g_sam = eval_grad(spec, _perturbed(values, g_sgd, rho), batch)
+                    evals += 1
+                    psf = g_sam - g_sgd
+                    l2_psf = l2_norm(psf)
+                    l2_psf_subset = l2_psf if subset_idx is None else l2_norm(psf[subset_idx])
+                    if cfg is not None:
+                        record_sample(state, cfg, l2_psf_subset, l2_sgd_subset)
+                        v, r, v_fallback = state.last_v, state.last_r, state.last_v_fallback
+                        cache.store(psf, t, l2_psf, l2_psf_subset)
+                    direction, psf_stale, dot_sgd_psf = g_sam, False, float(g_sgd @ psf)
+                elif cache is not None and (cache.valid or not cut):
+                    # an empty cache outside a budget cut is a broken contract: this raises
+                    direction = _reuse_direction(g_sgd, cache, t, gamma)
+                    # reuse rows log the undecayed cached correction
+                    l2_psf, psf_stale, l2_psf_subset = cache.l2_psf, True, cache.l2_psf_subset
+                    dot_sgd_psf = float(g_sgd @ cache.psf)
+                else:
+                    direction = g_sgd
+                    l2_psf = psf_stale = l2_psf_subset = dot_sgd_psf = None
+                values, m = _apply_step(values, direction, eta, momentum, m)
+                if cfg is not None:
+                    if t == i_start:
+                        begin_windowing(state)
+                    elif t > i_start and state.window_iter == n_window:
+                        update_rate(state, cfg)
+                    c_var, c_norm = state.last_c_var, state.last_c_norm
+                eval_loss_v = eval_acc = None
+                if test_batch is not None and t % bpe == 0:
+                    eval_loss_v, eval_acc = eval_heldout(spec, values, test_batch)
+                # positional, in MetricsRecord's field order
+                records.append(MetricsRecord(
+                    t, epoch, loss, l2_sgd, sampled, evals, time.perf_counter() - t0,
+                    eval_loss_v, eval_acc, l2_psf, psf_stale, l2_sgd_subset, l2_psf_subset,
+                    p, s, v, r, c_var, c_norm, v_fallback, dot_sgd_psf))
+                if history is not None:
+                    history.append(values.copy())
+                if budget is not None and evals >= budget:
+                    break
+        except NumericError as err:
+            located = NumericError(str(err), iteration=t)
+            located.partial_records = records
+            raise located from err
+    return RunResult(records, w0.with_values(values), m, history, state)
 
 
 def run_sgd(spec, dataset, opt: OptimizerConfig, iterations: int, seed: int,
             batch_size=None, w0=None, momentum0=None, start_iteration=0,
             schedule_total=None, collect_params=False):
-    return _train(_Run(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
-                       start_iteration, schedule_total, collect_params, None),
-                  lambda i: False)
+    return _train(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
+                  start_iteration, schedule_total, collect_params, None, lambda i: False)
 
 
 def run_sam(spec, dataset, opt: OptimizerConfig, iterations: int, seed: int,
             batch_size=None, w0=None, momentum0=None, start_iteration=0,
             schedule_total=None, collect_params=False, subset_names=None):
-    return _train(_Run(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
-                       start_iteration, schedule_total, collect_params, subset_names),
-                  lambda i: True)
+    return _train(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
+                  start_iteration, schedule_total, collect_params, subset_names, lambda i: True)
 
 
 def run_sam_k(spec, dataset, opt: OptimizerConfig, k: int, iterations: int,
@@ -379,8 +342,8 @@ def run_sam_k(spec, dataset, opt: OptimizerConfig, k: int, iterations: int,
     """SAM every k-th iteration (1-based), plain SGD otherwise; k=1 is SAM."""
     if k < 1:
         raise ConfigurationError("k must be at least 1")
-    return _train(_Run(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
-                       start_iteration, schedule_total, collect_params, subset_names),
+    return _train(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
+                  start_iteration, schedule_total, collect_params, subset_names,
                   lambda i: i % k == 0)
 
 
@@ -396,6 +359,6 @@ def run_vsam(spec, dataset, opt: OptimizerConfig, sampler_config: SamplerConfig,
     """
     if sampler_config.i_start < 1 and sampler_config.force != "always":
         raise ConfigurationError("need at least one warmup iteration to fill the cache")
-    return _train(_Run(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
-                       start_iteration, schedule_total, collect_params,
-                       sampler_config.subset_segments), None, sampler_config)
+    return _train(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
+                  start_iteration, schedule_total, collect_params,
+                  sampler_config.subset_segments, None, sampler_config)

@@ -30,8 +30,7 @@ class ParamVector:
         if not self.segments:
             self.segments = [("w", 0, self.values.size)]
         _check_segments(self.segments, self.values.size)
-        if not np.isfinite(self.values).all():
-            raise NumericError("parameter vector contains non-finite values")
+        require_finite(self.values)
 
     @property
     def size(self) -> int:
@@ -72,6 +71,12 @@ def l2_norm(x: np.ndarray) -> float:
     gives the same bits without the cost of its argument dispatch.
     """
     return math.sqrt(float(x.dot(x)))
+
+
+def require_finite(values: np.ndarray) -> None:
+    """Raise NumericError unless every weight is finite (also ``ParamVector``'s check)."""
+    if not np.isfinite(values).all():
+        raise NumericError("parameter vector contains non-finite values")
 
 
 def subset_index(pv: ParamVector, names) -> np.ndarray:

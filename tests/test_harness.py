@@ -117,6 +117,46 @@ def test_verify_reports_malformed_norm_trace(tmp_path, case):
         assert f"line {line}: " in lines[-1]
 
 
+def _set_cell(path, line, name, header, text):
+    def edit(cells):
+        cells[header.index(name)] = text
+        return cells
+    _tamper_line(path, line, edit)
+
+
+# norm-trace edits that still parse: (edit, does the parsed trace still match?)
+PARSEABLE = {
+    "other value": (lambda seed_dir: _set_cell(seed_dir / "norm_trace.csv", 3, "l2_sgd",
+                                               NORM_TRACE_FIELDS, "1.5"), False),
+    "same value, other text": (lambda seed_dir: _tamper_line(
+        seed_dir / "norm_trace.csv", 3,
+        lambda cells: cells[:1] + ["+" + cells[1]] + cells[2:]), True),
+    # nan never equals itself, so a parsed nan never matches, even against a nan
+    "nan in both files": (lambda seed_dir: [
+        _set_cell(seed_dir / name, 3, "l2_psf", header, "nan")
+        for name, header in (("metrics.csv", FIELD_ORDER),
+                             ("norm_trace.csv", NORM_TRACE_FIELDS))], False),
+}
+
+
+@pytest.mark.parametrize("case", PARSEABLE)
+def test_verify_norm_trace_verdict_is_the_parsed_comparison(tmp_path, case):
+    from samlab.diagnostics import norm_trace, read_norm_trace
+
+    out = run_experiment(config_from_dict(_base_config(tmp_path, seeds=[0])))
+    seed_dir = out / "seed_0"
+    _, clean = verify_run(seed_dir)
+    assert clean[-1] == "[PASS] norm trace matches metrics"
+    edit, matches = PARSEABLE[case]
+    edit(seed_dir)
+    parsed = read_norm_trace(seed_dir / "norm_trace.csv")
+    assert (parsed == norm_trace(read_metrics_csv(seed_dir / "metrics.csv"))) is matches
+    ok, lines = verify_run(seed_dir)
+    assert ok is matches
+    assert lines[:-1] == clean[:-1]
+    assert lines[-1] == f"[{'PASS' if matches else 'FAIL'}] norm trace matches metrics"
+
+
 # ---------------------------------------------------------------------------
 # ais and ratios
 

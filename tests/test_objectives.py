@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from samlab.data import Dataset, generate_dataset, make_batches
 from samlab.errors import ConfigurationError
-from samlab.objectives import (classify_basin, eval_grad, eval_loss, fd_gradient,
+from samlab.objectives import (classify_basin, eval_grad, eval_heldout, eval_loss, fd_gradient,
                                init_params, make_mlp_classifier, make_quadratic,
                                make_rosenbrock, make_sharp_flat, mlp_accuracy,
                                mlp_predict,
@@ -148,6 +148,19 @@ def test_purity_identical_calls_identical_results():
     assert np.array_equal(g1, g2)
 
 
+@pytest.mark.parametrize("spec", [make_quadratic(np.diag([1.0, 10.0]), weight_decay=0.1),
+                                  make_rosenbrock(3, weight_decay=0.01),
+                                  make_sharp_flat(0.08, 0.5, 0.3, 2.0)], ids=lambda s: s.kind)
+def test_eval_grad_takes_a_bare_array(spec):
+    w = ParamVector(np.random.default_rng(5).standard_normal(spec.param_count))
+    loss, grad = eval_grad(spec, w)
+    array_loss, array_grad = eval_grad(spec, w.values)
+    assert _bits(array_loss) == _bits(loss) and array_grad.tobytes() == grad.tobytes()
+    assert _bits(eval_loss(spec, w.values)) == _bits(loss)
+    with pytest.raises(ConfigurationError):
+        eval_grad(spec, np.zeros(spec.param_count + 1))
+
+
 def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
@@ -179,6 +192,12 @@ def test_mlp_kernel_matches_parent_oracle_bit_for_bit(hidden, input_dim, n_class
         assert grad.dtype == ref_grad.dtype and grad.tobytes() == ref_grad.tobytes()
         assert _bits(eval_loss(spec, w, batch)) == _bits(
             oracle_mlp_eval(spec, w.values, batch, with_grad=False)[0])
+        # the training loop passes the bare array, and evaluates held-out rows in one pass
+        array_loss, array_grad = eval_grad(spec, w.values, batch)
+        assert _bits(array_loss) == _bits(loss) and array_grad.tobytes() == grad.tobytes()
+        heldout_loss, heldout_acc = eval_heldout(spec, w.values, batch)
+        assert _bits(heldout_loss) == _bits(eval_loss(spec, w, batch))
+        assert _bits(heldout_acc) == _bits(mlp_accuracy(spec, w, batch.inputs, batch.targets))
     assert np.array_equal(mlp_predict(spec, w, ds.inputs),
                           oracle_mlp_predict(spec, w.values, ds.inputs))
 

@@ -17,7 +17,10 @@ The cases:
 - vSAM with momentum 0.9, and vSAM with
   ``subset_segments=["layer1.W", "layer0.W"]``;
 - each optimizer with ``grad_eval_budget`` 50 and 51;
-- a diverging quadratic SAM run that writes ``error.json``;
+- runs that fail with a NumericError and write ``error.json``: a diverging
+  quadratic under SAM (non-finite loss at iteration 92) and under vSAM (the
+  same, after reuse rows), and an SGD step that overflows the weights at
+  iteration 1;
 - Rosenbrock vSAM;
 - 20 sharp/flat seeds x 4 optimizers in memory with ``collect_params=True``:
   records, final weights and momentum, every parameter snapshot and the
@@ -83,6 +86,12 @@ def config_cases():
         "objective": {"kind": "quadratic", "a": [[50.0, 0.0], [0.0, 1.0]]},
         "optimizer": "sam", "optimizer_config": {"eta0": 1.0, "lr_schedule": "constant"},
         "iterations": 400, "seeds": [0], "w0": [1.0, 1.0]}
+    cases["diverging_quadratic_vsam"] = dict(
+        cases["diverging_quadratic_sam"], optimizer="vsam", sampler_config=dict(SAMPLER))
+    cases["overflowing_step_sgd"] = {
+        "objective": {"kind": "quadratic", "a": [[1.0, 0.0], [0.0, 1.0]]},
+        "optimizer": "sgd", "optimizer_config": {"eta0": 1e306},
+        "iterations": 10, "seeds": [0], "w0": [1e3, 1.0]}
     cases["rosenbrock_vsam"] = {
         "objective": {"kind": "rosenbrock", "dim": 3},
         "optimizer": "vsam", "optimizer_config": {"eta0": 1e-3, "lr_schedule": "constant"},
