@@ -27,8 +27,9 @@ from .objectives import (ObjectiveSpec, eval_grad, eval_heldout, eval_loss, init
                          mlp_accuracy)
 from .params import (ParamVector, default_subset, l2_norm, require_finite, subset_index,
                      subset_norm)
+# record_sample is imported for perfbench/tracer.py too; the loop calls note_sample and settle
 from .sampler import (SamplerConfig, SamplerState, begin_windowing, init_sampler,
-                      record_sample, should_sample, update_rate)
+                      note_sample, record_sample, settle, should_sample, update_rate)
 
 LR_SCHEDULES = ("constant", "cosine", "inverse_t")
 
@@ -165,12 +166,16 @@ def reuse_coefficient(gamma: float, staleness: int) -> float:
     return coef if coef >= REUSE_UNDERFLOW else 0.0
 
 
-def _reuse_direction(g_sgd, cache: PSFCache, i: int, gamma):
-    """g + gamma**staleness * cached correction, for a reuse step at iteration i."""
+def _check_reusable(cache: PSFCache, i: int):
+    """ContractViolationError unless iteration i may reuse the cached correction."""
     if not cache.valid:
         raise ContractViolationError("reuse step before any correction was sampled")
     if i <= cache.sampled_at:
         raise ContractViolationError("reuse step must come after the cached sample")
+
+
+def _reuse_direction(g_sgd, cache: PSFCache, i: int, gamma):
+    """g + gamma**staleness * cached correction, for a reuse step at iteration i."""
     coef = reuse_coefficient(gamma, i - cache.sampled_at)
     return g_sgd if coef == 0.0 else g_sgd + coef * cache.psf
 
@@ -178,6 +183,7 @@ def _reuse_direction(g_sgd, cache: PSFCache, i: int, gamma):
 def step_reuse(w: ParamVector, g_sgd, cache: PSFCache, i: int, eta, gamma,
                momentum=0.0, momentum_state=None):
     """Single-gradient update reusing the cached correction, decayed by staleness."""
+    _check_reusable(cache, i)
     return _step(w, _reuse_direction(g_sgd, cache, i, gamma), eta, momentum, momentum_state)
 
 
@@ -225,6 +231,10 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     and new weight vector for finiteness once, with numpy's floating-point
     warnings off. A NumericError leaves with its iteration and the records so
     far (``partial_records``), so that the harness can flush a partial trace.
+
+    vSAM rows get their sliced variance ``v`` late: the loop notes each
+    sample and settles the pending ones as a block before every rate update,
+    whenever N are pending, and when it stops, a NumericError included.
     """
     if iterations < 1:
         raise ConfigurationError("need at least one iteration")
@@ -257,6 +267,15 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     if cfg is not None:
         state, cache = init_sampler(cfg, seed), PSFCache()
         i_start, n_window = cfg.i_start, cfg.n_window
+    unsettled = []  # sampled rows whose sliced variance waits for the next settle
+    checked_at = None  # the sample whose cached correction passed the reuse contract
+
+    def settle_rows():
+        # a sample noted in an iteration whose row is not built yet settles last
+        for record, v in zip(unsettled, settle(state, cfg)):
+            record.v = v
+        unsettled.clear()
+
     evals, t = 0, start_iteration
     with np.errstate(all="ignore"):
         try:
@@ -282,16 +301,20 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                     l2_psf = l2_norm(psf)
                     l2_psf_subset = l2_psf if subset_idx is None else l2_norm(psf[subset_idx])
                     if cfg is not None:
-                        record_sample(state, cfg, l2_psf_subset, l2_sgd_subset)
-                        v, r, v_fallback = state.last_v, state.last_r, state.last_v_fallback
+                        note_sample(state, cfg, l2_psf_subset, l2_sgd_subset)
+                        r, v_fallback = state.last_r, state.last_v_fallback
                         cache.store(psf, t, l2_psf, l2_psf_subset)
-                    direction, psf_stale, dot_sgd_psf = g_sam, False, float(g_sgd @ psf)
+                    direction, psf_stale, dot_sgd_psf = g_sam, False, float(g_sgd.dot(psf))
                 elif cache is not None and (cache.valid or not cut):
-                    # an empty cache outside a budget cut is a broken contract: this raises
+                    if checked_at != cache.sampled_at:
+                        # an empty cache outside a budget cut is a broken contract: this
+                        # raises; a valid one stays valid until the next sample replaces it
+                        _check_reusable(cache, t)
+                        checked_at = cache.sampled_at
                     direction = _reuse_direction(g_sgd, cache, t, gamma)
                     # reuse rows log the undecayed cached correction
                     l2_psf, psf_stale, l2_psf_subset = cache.l2_psf, True, cache.l2_psf_subset
-                    dot_sgd_psf = float(g_sgd @ cache.psf)
+                    dot_sgd_psf = float(g_sgd.dot(cache.psf))
                 else:
                     direction = g_sgd
                     l2_psf = psf_stale = l2_psf_subset = dot_sgd_psf = None
@@ -300,21 +323,34 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                     if t == i_start:
                         begin_windowing(state)
                     elif t > i_start and state.window_iter == n_window:
+                        settle_rows()
+                        if sampled:
+                            v = state.last_v
                         update_rate(state, cfg)
                     c_var, c_norm = state.last_c_var, state.last_c_norm
                 eval_loss_v = eval_acc = None
                 if test_batch is not None and t % bpe == 0:
                     eval_loss_v, eval_acc = eval_heldout(spec, values, test_batch)
                 # positional, in MetricsRecord's field order
-                records.append(MetricsRecord(
+                record = MetricsRecord(
                     t, epoch, loss, l2_sgd, sampled, evals, time.perf_counter() - t0,
                     eval_loss_v, eval_acc, l2_psf, psf_stale, l2_sgd_subset, l2_psf_subset,
-                    p, s, v, r, c_var, c_norm, v_fallback, dot_sgd_psf))
+                    p, s, v, r, c_var, c_norm, v_fallback, dot_sgd_psf)
+                records.append(record)
+                # a sampled vSAM row, unless a rate update has just settled it
+                if r is not None and v is None:
+                    unsettled.append(record)
+                    if len(unsettled) == n_window:
+                        settle_rows()
                 if history is not None:
                     history.append(values.copy())
                 if budget is not None and evals >= budget:
                     break
+            if cfg is not None:
+                settle_rows()
         except NumericError as err:
+            if cfg is not None:
+                settle_rows()
             located = NumericError(str(err), iteration=t)
             located.partial_records = records
             raise located from err
@@ -359,6 +395,9 @@ def run_vsam(spec, dataset, opt: OptimizerConfig, sampler_config: SamplerConfig,
     """
     if sampler_config.i_start < 1 and sampler_config.force != "always":
         raise ConfigurationError("need at least one warmup iteration to fill the cache")
+    if start_iteration > 0:
+        # the sampler state and the cached correction are not carried across calls yet
+        raise ConfigurationError("a vSAM run cannot be resumed: start_iteration must be 0")
     return _train(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
                   start_iteration, schedule_total, collect_params,
                   sampler_config.subset_segments, None, sampler_config)

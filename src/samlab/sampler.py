@@ -7,17 +7,32 @@ sampled norms, and the ratio of correction norm to plain-gradient norm. The
 per-window sample budget s is scaled by the averaged relative change of both
 series, and the per-iteration Bernoulli probability is p = s / N.
 
-All statistics here are computed with plain Python floats and strict
-left-to-right summation. That makes the incremental state bit-identical to a
-from-scratch replay of the recorded history, which the test suite checks
-exactly rather than within a tolerance.
+All statistics here are computed with plain Python floats or numpy's
+elementwise operations, with strict left-to-right summation. That makes the
+incremental state bit-identical to a from-scratch replay of the recorded
+history, which the test suite checks exactly rather than within a tolerance.
 
-The state keeps a sorted mirror of the norm buffer, updated by a bisect
-eviction and a bisect insertion on every sample, so the sliced variance never
-re-sorts the buffer. The mirror is always equal to ``sorted(buffer)``: a
-new value goes after its equals, and the evicted value (the oldest) is the
-leftmost of its equals. The variance then sums the very same list in the
-very same order as a fresh sort would, so the result is bit-identical.
+A sample is folded in in two steps. ``note_sample`` runs once per sample and
+does the cheap part: the norm joins the buffer, the norm ratio joins its
+history and the window's sample count goes up. ``settle`` computes the
+sliced variance of every sample noted since the last settle and trims the
+buffers back to the window; only ``update_rate`` reads the histories, and
+the training loop settles before each rate update, whenever N samples are
+pending, and when it stops.
+``record_sample`` is the two in a row.
+
+``settle`` evaluates the windows that hold all N values as one block: the
+windows are sorted as rows of one array, split into their M slices, and
+each slice's sum and sum of squared deviations come from
+``np.add.accumulate``, which adds strictly left to right, exactly as the
+scalar loop of ``_sorted_sliced_variance`` does. Windows that are still
+filling, and blocks too small to pay for the array set-up, use the scalar
+loop itself. Between settles the norm buffer holds the pending values past
+the window too, and the sorted mirror of the buffer changes only at a
+settle (a bisect eviction and insertion per window on the scalar path, one
+sort after a block), so ``len(gnorm_buffer) - len(sorted_buffer)`` is the
+number of pending samples. A settled state holds the same fields and values
+as one that was settled after every sample.
 """
 
 from __future__ import annotations
@@ -27,6 +42,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError, NumericError
 
@@ -113,9 +129,8 @@ def sliced_variance(values, m_slices: int) -> float:
     outlier inflates only its own slice. With fewer values than slices the
     population variance of everything is returned instead.
 
-    ``record_sample`` computes the same statistic from the state's sorted
-    mirror instead of sorting here. Both paths hand the same ascending list
-    to ``_sorted_sliced_variance``, so their results agree bit for bit.
+    ``settle`` computes the same statistic for a whole block of windows at
+    once; its results agree with this function bit for bit.
     """
     if len(values) == 0:
         raise ConfigurationError("sliced_variance needs at least one value")
@@ -165,40 +180,102 @@ def norm_ratio(l2_psf: float, l2_sgd: float, eps: float) -> float:
     return l2_psf / max(l2_sgd, eps)
 
 
-def record_sample(state: SamplerState, config: SamplerConfig,
-                  l2_psf_subset: float, l2_sgd_subset: float) -> None:
-    """Fold one sampled iteration's norms into the rolling statistics."""
+def _block_sliced_variance(values, n_window, m_slices):
+    """Sliced variance of every n_window-long window of ``values``, as a list.
+
+    Each window is sorted as a row of one array. Accumulating along the
+    slice axis adds each slice's values strictly left to right, as the loops
+    of ``population_variance`` do, so every result equals the scalar path's
+    bit for bit. The scalar loops start from 0.0 where the accumulation
+    starts from the first value; the two differ only when every value so far
+    is -0.0, and then every squared deviation is +0.0 either way.
+    """
+    arr = np.fromiter(values, float, len(values))
+    rows = arr.size - n_window + 1
+    width = n_window // m_slices
+    ordered = np.sort(as_strided(arr, (rows, n_window), arr.strides * 2), axis=1)
+    # (slice position, window, slice): axis 0 runs along each slice
+    slices = np.ascontiguousarray(ordered.reshape(rows, m_slices, width).transpose(2, 0, 1))
+    mean = np.add.accumulate(slices, axis=0)[-1] / width
+    dev = slices - mean
+    per_slice = np.add.accumulate(dev * dev, axis=0)[-1] / width
+    return (np.add.accumulate(per_slice, axis=1)[:, -1] / m_slices).tolist()
+
+
+# fewer full windows than this are cheaper through the scalar loop than as a block
+_BLOCK_MIN_WINDOWS = 4
+
+
+def note_sample(state: SamplerState, config: SamplerConfig,
+                l2_psf_subset: float, l2_sgd_subset: float) -> None:
+    """Fold one sampled iteration's norms in; its sliced variance waits for ``settle``."""
     value = float(l2_psf_subset)
     if value != value:
         # NaN has no place in the sorted mirror
         raise NumericError("sampled correction norm is NaN")
-    buffer, ordered = state.gnorm_buffer, state.sorted_buffer
-    buffer.append(value)
-    if len(buffer) > config.n_window:
-        del ordered[bisect_left(ordered, buffer.pop(0))]
-    insort(ordered, value)
-    v = _sorted_sliced_variance(ordered, config.m_slices)
-    _push(state.v_history, v, config.n_window)
     r = norm_ratio(value, float(l2_sgd_subset), config.eps)
-    _push(state.r_history, r, config.n_window)
+    buffer = state.gnorm_buffer
+    buffer.append(value)
+    state.r_history.append(r)  # trimmed to the window at the next settle
     state.window_samples += 1
-    state.last_v = v
     state.last_r = r
+    # pending values can make the buffer longer than the window, but since M <= N
+    # it is shorter than M exactly when the window is
     state.last_v_fallback = len(buffer) < config.m_slices
 
 
-def _push(buffer, value, capacity):
-    buffer.append(value)
-    if len(buffer) > capacity:
-        del buffer[0]
+def settle(state: SamplerState, config: SamplerConfig) -> list[float]:
+    """Sliced variances of the samples noted since the last settle, oldest first.
+
+    Afterwards the norm buffer and the ratio history hold their last N values
+    again, the sorted mirror equals ``sorted(gnorm_buffer)``, the variances
+    are in ``v_history`` and the newest is ``last_v``.
+    """
+    buffer, n, m = state.gnorm_buffer, config.n_window, config.m_slices
+    end, first = len(buffer), len(state.sorted_buffer)
+    if first == end:
+        return []
+    # pending samples whose window holds all n values
+    full = end - max(first, n - 1)
+    blocked = full if full >= _BLOCK_MIN_WINDOWS else 0
+    ordered, vs = state.sorted_buffer, []
+    for j in range(first, end - blocked):
+        # the mirror follows the window: the oldest value out, the new one in after its equals
+        if j >= n:
+            del ordered[bisect_left(ordered, buffer[j - n])]
+        insort(ordered, buffer[j])
+        vs.append(_sorted_sliced_variance(ordered, m))
+    if blocked:
+        with np.errstate(all="ignore"):  # inf - inf is NaN here, silently, as in Python
+            vs += _block_sliced_variance(buffer[end - blocked - n + 1:], n, m)
+    del buffer[:-n]
+    if blocked:
+        state.sorted_buffer = sorted(buffer)
+    del state.r_history[:-n]
+    history = state.v_history
+    history += vs
+    del history[:-n]
+    state.last_v = vs[-1]
+    return vs
+
+
+def record_sample(state: SamplerState, config: SamplerConfig,
+                  l2_psf_subset: float, l2_sgd_subset: float) -> None:
+    """Fold one sampled iteration's norms into the rolling statistics."""
+    note_sample(state, config, l2_psf_subset, l2_sgd_subset)
+    settle(state, config)
 
 
 def update_rate(state: SamplerState, config: SamplerConfig) -> None:
     """End-of-window budget update: s *= 1 + alpha*(c_var + c_norm), clamped.
 
     The budget is kept inside [1, p_max * N] so the controller can neither
-    die out nor exceed the sampling-rate ceiling; p follows as s / N.
+    die out nor exceed the sampling-rate ceiling; p follows as s / N. Samples
+    noted since the last settle are settled first, since both change rates
+    read the settled histories.
     """
+    if len(state.gnorm_buffer) != len(state.sorted_buffer):
+        settle(state, config)
     c_var = change_rate_series(state.v_history, config.eps)
     c_norm = change_rate_series(state.r_history, config.eps)
     s = state.s * (1.0 + config.alpha * c_var + config.alpha * c_norm)

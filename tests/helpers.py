@@ -11,6 +11,7 @@ current code must match byte for byte.
 
 import csv
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +152,22 @@ def replay_sampler(events, n_window, m_slices, alpha, s1, p_max, eps):
         "last_c_var": last_c_var,
         "last_c_norm": last_c_norm,
     }
+
+
+def float_bits(x):
+    """The IEEE-754 bits of a float, so that equal NaNs compare equal and 0.0 != -0.0."""
+    return struct.pack("<d", x)
+
+
+def sampler_state_bits(state):
+    """Every field of a SamplerState but its generator, with floats as their bits."""
+    def bits(value):
+        if isinstance(value, float):
+            return float_bits(value)
+        if isinstance(value, list):
+            return [bits(v) for v in value]
+        return value
+    return {k: bits(v) for k, v in vars(state).items() if k != "rng_stream"}
 
 
 # ---------------------------------------------------------------------------

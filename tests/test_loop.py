@@ -4,8 +4,10 @@ The traced benchmark (``perfbench/run.py --trace 1``) wraps
 ``samlab.optim.eval_grad`` and ``samlab.optim.perturbation`` and fails a pass
 whose call counts are not iterations + sampling number and sampling number.
 These tests pin that, the loop's fixed number of ``ParamVector``
-constructions, that a run leaves its inputs alone, and the iteration and
-partial records a ``NumericError`` leaves the loop with.
+constructions, that a run leaves its inputs alone, the iteration and
+partial records a ``NumericError`` leaves the loop with, the sliced
+variances the loop settles in blocks, and the reuse contract it checks once
+per sampled correction.
 """
 
 import warnings
@@ -19,7 +21,9 @@ from samlab.errors import ConfigurationError, NumericError
 from samlab.objectives import (SHARP_FLAT_CALIBRATION, init_params, make_mlp_classifier,
                                make_quadratic, make_sharp_flat)
 from samlab.params import ParamVector
-from samlab.sampler import SamplerConfig
+from samlab.sampler import SamplerConfig, change_rate_series, init_sampler, record_sample
+
+from helpers import float_bits
 
 METHODS = ("sgd", "sam", "sam_k", "vsam")
 
@@ -176,3 +180,75 @@ def test_overflowing_step_fails_the_weight_check_without_a_warning():
     assert str(err) == "parameter vector contains non-finite values (iteration 1)"
     assert err.iteration == 1
     assert err.partial_records == []
+
+
+def _diverging_vsam():
+    # 24 reuse rows, then a non-finite loss at iteration 92, in the window that began at 81
+    spec = make_quadratic([[50.0, 0.0], [0.0, 1.0]])
+    opt = optim.OptimizerConfig(eta0=1.0, lr_schedule="constant")
+    with pytest.raises(NumericError) as info:
+        DIVERGING["diverging_quadratic_vsam"][0](spec, opt, ParamVector(np.array([1.0, 1.0])))
+    return info.value.partial_records, SamplerConfig(n_window=20, m_slices=4, alpha=0.13,
+                                                     s1=5, i_start=20)
+
+
+def _basin_vsam():
+    # the warmup is longer than the window, so samples are also settled N at a time
+    cal = SHARP_FLAT_CALIBRATION
+    spec, _, kwargs, _ = _sharp_flat()
+    opt = optim.OptimizerConfig(eta0=cal["eta0"], rho=cal["rho"], gamma=0.9,
+                                lr_schedule=cal["lr_schedule"])
+    cfg = SamplerConfig(n_window=50, m_slices=5, alpha=0.13, s1=25, i_start=250)
+    result = optim.run_vsam(spec, None, opt, cfg, cal["iterations"], 3, **kwargs)
+    return result.records, cfg, result.sampler_state
+
+
+def _budget_vsam():
+    # the budget ends the run in the middle of a window
+    result = _run("vsam", "moons", budget=41)
+    return result.records, SamplerConfig(n_window=10, m_slices=2, s1=4, i_start=10), \
+        result.sampler_state
+
+
+@pytest.mark.parametrize("run", [_diverging_vsam, _basin_vsam, _budget_vsam])
+def test_settled_variances_equal_a_per_sample_replay(run):
+    records, cfg, *final = run()
+    replay = init_sampler(cfg, 0)
+    updates = 0
+    for record in records:
+        if record.sampled:
+            record_sample(replay, cfg, record.l2_psf_subset, record.l2_sgd_subset)
+            assert float_bits(record.v) == float_bits(replay.last_v)
+            assert record.r == replay.last_r and record.v_fallback == replay.last_v_fallback
+        else:
+            assert record.v is None
+        if record.iteration > cfg.i_start and (record.iteration - cfg.i_start) % cfg.n_window == 0:
+            # the rate update at a window's end reads every variance up to its own row
+            assert record.c_var == change_rate_series(replay.v_history, cfg.eps)
+            updates += 1
+    assert updates > 0
+    if final:
+        state = final[0]
+        for name in ("gnorm_buffer", "sorted_buffer", "v_history", "r_history", "last_v",
+                     "last_r", "last_v_fallback"):
+            assert getattr(state, name) == getattr(replay, name), name
+
+
+def test_reuse_contract_is_checked_once_per_sampled_correction(monkeypatch):
+    checks = _counting(monkeypatch, "_check_reusable")
+    records = _run("vsam", "sharp_flat", iterations=400).records
+    corrections, last_sample = set(), None
+    for record in records:
+        if record.sampled:
+            last_sample = record.iteration
+        elif record.psf_stale:
+            corrections.add(last_sample)
+    reuse_rows = sum(1 for r in records if r.psf_stale)
+    assert 0 < len(checks) == len(corrections) < reuse_rows
+
+
+def test_resuming_vsam_fails_before_any_work(monkeypatch):
+    evals = _counting(monkeypatch, "eval_grad")
+    with pytest.raises(ConfigurationError, match="cannot be resumed"):
+        _run("vsam", "sharp_flat", start_iteration=20)
+    assert evals == []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from samlab.data import generate_dataset
 from samlab.errors import ConfigurationError, ContractViolationError
@@ -14,6 +16,8 @@ from samlab.optim import (GradientTriple, OptimizerConfig, PSFCache, learning_ra
                           step_sampling, step_sgd)
 from samlab.params import ParamVector
 from samlab.sampler import SamplerConfig
+
+from helpers import float_bits
 
 # one SAM step on the diag(1,10) quadratic from (1,1), eta=0.01, rho=0.1,
 # computed by an independent closed-form script: w - eta*A*(w + rho*A w/||A w||)
@@ -167,6 +171,15 @@ def test_step_reuse_contract_violations():
     cache = PSFCache(psf=np.array([1.0]), sampled_at=5, valid=True)
     with pytest.raises(ContractViolationError):
         step_reuse(_pv(0.0), np.array([1.0]), cache, 5, 0.1, 0.9)
+
+
+@settings(deadline=None)
+@given(st.integers(2, 200).flatmap(lambda n: st.tuples(
+    *[arrays(np.float64, n, elements=st.floats(-1e150, 1e150))] * 2)))
+def test_dot_gives_the_bits_of_matmul(pair):
+    # the loop logs dot_sgd_psf with ndarray.dot, which costs less than @ on short vectors
+    a, b = pair
+    assert float_bits(float(a.dot(b))) == float_bits(float(a @ b))
 
 
 def test_reuse_coefficient_monotone():

@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from samlab.errors import ConfigurationError, NumericError
 from samlab.sampler import (SamplerConfig, SamplerState, begin_windowing,
-                            change_rate_series, init_sampler, norm_ratio,
-                            record_sample, should_sample, sliced_variance,
+                            change_rate_series, init_sampler, norm_ratio, note_sample,
+                            record_sample, settle, should_sample, sliced_variance,
                             update_rate)
 
-from helpers import replay_sampler
+from helpers import float_bits, replay_sampler, sampler_state_bits
 
 
 def _cfg(**kwargs):
@@ -322,3 +324,51 @@ def test_record_sample_rejects_nan_norm():
     state = init_sampler(cfg, 0)
     with pytest.raises(NumericError):
         record_sample(state, cfg, float("nan"), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# noting samples and settling them as a block
+
+_NORM_LISTS = st.one_of(
+    st.lists(st.one_of(st.sampled_from([0.0, -0.0, math.inf, 1.0, 2.0, 1e-300, 1e300]),
+                       st.floats(min_value=1e-300, max_value=1e300)),
+             min_size=1, max_size=150),
+    # one magnitude with full mantissas, where the order of summation shows in the
+    # last bits (drawn floats tend to be round numbers)
+    st.lists(st.integers(1, 2**53).map(lambda k: k / 2**50), min_size=1, max_size=150),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(shape=st.sampled_from([(2, 2), (4, 2), (6, 2), (6, 3), (10, 2), (12, 3), (12, 4),
+                              (20, 2), (50, 5)]),
+       norms=_NORM_LISTS, settle_after=st.sets(st.integers(0, 149), max_size=20))
+def test_settled_blocks_equal_per_sample_evaluation(shape, norms, settle_after):
+    # settling after a random stretch of samples, blocks of every size included,
+    # gives the same bits as evaluating each sample's window on its own
+    n, m = shape
+    cfg = SamplerConfig(n_window=n, m_slices=m, s1=1, i_start=n)
+    lazy, eager = init_sampler(cfg, 0), init_sampler(cfg, 0)
+    got, expected = [], []
+    for k, value in enumerate(norms):
+        note_sample(lazy, cfg, value, 1.0)
+        record_sample(eager, cfg, value, 1.0)
+        expected.append(sliced_variance(norms[max(0, k + 1 - n):k + 1], m))
+        assert float_bits(eager.last_v) == float_bits(expected[-1])
+        if k in settle_after:
+            got += settle(lazy, cfg)
+    got += settle(lazy, cfg)
+    assert settle(lazy, cfg) == []
+    assert [float_bits(v) for v in got] == [float_bits(v) for v in expected]
+    assert sampler_state_bits(lazy) == sampler_state_bits(eager)
+
+
+def test_update_rate_settles_pending_samples_first():
+    cfg = _cfg()
+    lazy, eager = init_sampler(cfg, 0), init_sampler(cfg, 0)
+    for value in [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0, 5.0, 8.0, 9.0, 7.0]:
+        note_sample(lazy, cfg, value, 2.0 + value)
+        record_sample(eager, cfg, value, 2.0 + value)
+    update_rate(lazy, cfg)
+    update_rate(eager, cfg)
+    assert sampler_state_bits(lazy) == sampler_state_bits(eager)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "run_digests.py"
+COST_MODEL = ROOT / "tools" / "cost_model.py"
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 
@@ -27,6 +28,23 @@ def test_run_digests_one_small_case_is_repeatable(tmp_path):
     # a second run differs only in wall-clock data, which the digest leaves out
     assert _digests(tmp_path, "b.json", "budget_vsam_51") == first
 
+
+def test_cost_model_fits_both_tasks(tmp_path):
+    out = tmp_path / "fit.json"
+    done = subprocess.run([sys.executable, str(COST_MODEL), "--src", str(ROOT / "src"),
+                           "--repeats", "1", "--starts", "1", "--out", str(out)],
+                          check=True, capture_output=True, text=True, cwd=tmp_path,
+                          timeout=300)
+    fits = json.loads(out.read_text(encoding="utf-8"))
+    assert sorted(fits) == ["basin", "moons"]
+    for name, row in fits.items():
+        assert sorted(row) == ["E_us", "F_us", "S_us", "S_us_quartiles", "rounds",
+                               "vsam_over_sam_evals", "vsam_over_sam_wall"]
+        assert row["rounds"] == 1
+        assert row["E_us"] > 0 and row["vsam_over_sam_wall"] > 0
+        # evaluation counts are exact, so their ratio does not depend on the host
+        assert 0.5 < row["vsam_over_sam_evals"] < 1.0
+        assert re.search(rf"^{name} .* S +-?[0-9.]+ us/iter", done.stdout, re.M)
 
 
 def _tracer_list(name):
