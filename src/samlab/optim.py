@@ -166,16 +166,12 @@ def reuse_coefficient(gamma: float, staleness: int) -> float:
     return coef if coef >= REUSE_UNDERFLOW else 0.0
 
 
-def _check_reusable(cache: PSFCache, i: int):
-    """ContractViolationError unless iteration i may reuse the cached correction."""
+def _reuse_direction(g_sgd, cache: PSFCache, i: int, gamma):
+    """g + gamma**staleness * cached correction, for a reuse step at iteration i."""
     if not cache.valid:
         raise ContractViolationError("reuse step before any correction was sampled")
     if i <= cache.sampled_at:
         raise ContractViolationError("reuse step must come after the cached sample")
-
-
-def _reuse_direction(g_sgd, cache: PSFCache, i: int, gamma):
-    """g + gamma**staleness * cached correction, for a reuse step at iteration i."""
     coef = reuse_coefficient(gamma, i - cache.sampled_at)
     return g_sgd if coef == 0.0 else g_sgd + coef * cache.psf
 
@@ -183,7 +179,6 @@ def _reuse_direction(g_sgd, cache: PSFCache, i: int, gamma):
 def step_reuse(w: ParamVector, g_sgd, cache: PSFCache, i: int, eta, gamma,
                momentum=0.0, momentum_state=None):
     """Single-gradient update reusing the cached correction, decayed by staleness."""
-    _check_reusable(cache, i)
     return _step(w, _reuse_direction(g_sgd, cache, i, gamma), eta, momentum, momentum_state)
 
 
@@ -268,7 +263,6 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
         state, cache = init_sampler(cfg, seed), PSFCache()
         i_start, n_window = cfg.i_start, cfg.n_window
     unsettled = []  # sampled rows whose sliced variance waits for the next settle
-    checked_at = None  # the sample whose cached correction passed the reuse contract
 
     def settle_rows():
         # a sample noted in an iteration whose row is not built yet settles last
@@ -306,11 +300,7 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                         cache.store(psf, t, l2_psf, l2_psf_subset)
                     direction, psf_stale, dot_sgd_psf = g_sam, False, float(g_sgd.dot(psf))
                 elif cache is not None and (cache.valid or not cut):
-                    if checked_at != cache.sampled_at:
-                        # an empty cache outside a budget cut is a broken contract: this
-                        # raises; a valid one stays valid until the next sample replaces it
-                        _check_reusable(cache, t)
-                        checked_at = cache.sampled_at
+                    # an empty cache outside a budget cut is a broken contract: this raises
                     direction = _reuse_direction(g_sgd, cache, t, gamma)
                     # reuse rows log the undecayed cached correction
                     l2_psf, psf_stale, l2_psf_subset = cache.l2_psf, True, cache.l2_psf_subset

@@ -26,23 +26,22 @@ windows are sorted as rows of one array, split into their M slices, and
 each slice's sum and sum of squared deviations come from
 ``np.add.accumulate``, which adds strictly left to right, exactly as the
 scalar loop of ``_sorted_sliced_variance`` does. Windows that are still
-filling, and blocks too small to pay for the array set-up, use the scalar
-loop itself. Between settles the norm buffer holds the pending values past
-the window too, and the sorted mirror of the buffer changes only at a
-settle (a bisect eviction and insertion per window on the scalar path, one
-sort after a block), so ``len(gnorm_buffer) - len(sorted_buffer)`` is the
-number of pending samples. A settled state holds the same fields and values
+filling use the scalar loop itself. Between settles the norm buffer holds
+the pending values past the window too, and the sorted mirror of the buffer
+changes only at a settle (an insertion per filling window, one sort after a
+block), so ``len(gnorm_buffer) - len(sorted_buffer)`` is the number of
+pending samples. A settled state holds the same fields and values
 as one that was settled after every sample.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, NumericError
 
@@ -191,19 +190,14 @@ def _block_sliced_variance(values, n_window, m_slices):
     is -0.0, and then every squared deviation is +0.0 either way.
     """
     arr = np.fromiter(values, float, len(values))
-    rows = arr.size - n_window + 1
     width = n_window // m_slices
-    ordered = np.sort(as_strided(arr, (rows, n_window), arr.strides * 2), axis=1)
+    ordered = np.sort(sliding_window_view(arr, n_window), axis=1)
     # (slice position, window, slice): axis 0 runs along each slice
-    slices = np.ascontiguousarray(ordered.reshape(rows, m_slices, width).transpose(2, 0, 1))
+    slices = np.ascontiguousarray(ordered.reshape(-1, m_slices, width).transpose(2, 0, 1))
     mean = np.add.accumulate(slices, axis=0)[-1] / width
     dev = slices - mean
     per_slice = np.add.accumulate(dev * dev, axis=0)[-1] / width
     return (np.add.accumulate(per_slice, axis=1)[:, -1] / m_slices).tolist()
-
-
-# fewer full windows than this are cheaper through the scalar loop than as a block
-_BLOCK_MIN_WINDOWS = 4
 
 
 def note_sample(state: SamplerState, config: SamplerConfig,
@@ -236,20 +230,17 @@ def settle(state: SamplerState, config: SamplerConfig) -> list[float]:
     if first == end:
         return []
     # pending samples whose window holds all n values
-    full = end - max(first, n - 1)
-    blocked = full if full >= _BLOCK_MIN_WINDOWS else 0
+    full = max(end - max(first, n - 1), 0)
     ordered, vs = state.sorted_buffer, []
-    for j in range(first, end - blocked):
-        # the mirror follows the window: the oldest value out, the new one in after its equals
-        if j >= n:
-            del ordered[bisect_left(ordered, buffer[j - n])]
+    for j in range(first, end - full):
+        # a filling window: the mirror gains the new value after its equals
         insort(ordered, buffer[j])
         vs.append(_sorted_sliced_variance(ordered, m))
-    if blocked:
+    if full:
         with np.errstate(all="ignore"):  # inf - inf is NaN here, silently, as in Python
-            vs += _block_sliced_variance(buffer[end - blocked - n + 1:], n, m)
+            vs += _block_sliced_variance(buffer[end - full - n + 1:], n, m)
     del buffer[:-n]
-    if blocked:
+    if full:
         state.sorted_buffer = sorted(buffer)
     del state.r_history[:-n]
     history = state.v_history

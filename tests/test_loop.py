@@ -234,19 +234,6 @@ def test_settled_variances_equal_a_per_sample_replay(run):
             assert getattr(state, name) == getattr(replay, name), name
 
 
-def test_reuse_contract_is_checked_once_per_sampled_correction(monkeypatch):
-    checks = _counting(monkeypatch, "_check_reusable")
-    records = _run("vsam", "sharp_flat", iterations=400).records
-    corrections, last_sample = set(), None
-    for record in records:
-        if record.sampled:
-            last_sample = record.iteration
-        elif record.psf_stale:
-            corrections.add(last_sample)
-    reuse_rows = sum(1 for r in records if r.psf_stale)
-    assert 0 < len(checks) == len(corrections) < reuse_rows
-
-
 def test_resuming_vsam_fails_before_any_work(monkeypatch):
     evals = _counting(monkeypatch, "eval_grad")
     with pytest.raises(ConfigurationError, match="cannot be resumed"):

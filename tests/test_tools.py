@@ -32,7 +32,7 @@ def test_run_digests_one_small_case_is_repeatable(tmp_path):
 def test_cost_model_fits_both_tasks(tmp_path):
     out = tmp_path / "fit.json"
     done = subprocess.run([sys.executable, str(COST_MODEL), "--src", str(ROOT / "src"),
-                           "--repeats", "1", "--starts", "1", "--out", str(out)],
+                           "--repeats", "1", "--out", str(out)],
                           check=True, capture_output=True, text=True, cwd=tmp_path,
                           timeout=300)
     fits = json.loads(out.read_text(encoding="utf-8"))

@@ -42,14 +42,14 @@ from pathlib import Path
 from statistics import median, quantiles
 
 METHODS = ("sgd", "sam", "vsam")
-TASKS = ("basin", "moons")
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 BASIN_SAMPLER = dict(n_window=50, m_slices=5, alpha=0.13, s1=25, i_start=250)
 MOONS_SAMPLER = dict(n_window=50, m_slices=5, alpha=0.13, s1=15, i_start=100)
+BASIN_STARTS = 8  # starting points per basin round
 
 
-def basin_task(starts: int):
+def basin_task():
     """(method -> callable running every start once) for the sharp/flat start set."""
     import numpy as np
     from samlab import objectives, optim, sampler
@@ -64,7 +64,7 @@ def basin_task(starts: int):
     rng = np.random.default_rng(2024)
     half, x_sharp = cal["init_halfwidth"], -cal["separation"] / 2.0
     points = [np.array([x_sharp + rng.uniform(-half, half), rng.uniform(-half, half)])
-              for _ in range(starts)]
+              for _ in range(BASIN_STARTS)]
     iterations = cal["iterations"]
     runners = {
         "sgd": lambda w0, seed: optim.run_sgd(spec, None, opt, iterations, seed, w0=w0),
@@ -79,8 +79,8 @@ def basin_task(starts: int):
     return {method: (lambda method=method: runs(method)) for method in METHODS}
 
 
-def moons_task(starts: int):
-    """(method -> callable running the moons MLP once); ``starts`` is unused."""
+def moons_task():
+    """(method -> callable running the moons MLP once)."""
     from samlab import data, objectives, optim, sampler
 
     spec = objectives.make_mlp_classifier((2, 16, 2), activation="tanh", weight_decay=1e-4)
@@ -154,23 +154,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=Path("src"),
                         help="directory holding the samlab package (default: src)")
-    parser.add_argument("--task", choices=TASKS, action="append", default=[],
-                        help="fit only this task (repeatable; default: both)")
     parser.add_argument("--repeats", type=int, default=9,
                         help="timed rounds per task; medians are taken over them (default: 9)")
-    parser.add_argument("--starts", type=int, default=8,
-                        help="basin starting points per round (default: 8)")
     parser.add_argument("--out", type=Path, help="also write the fits to this JSON file")
     args = parser.parse_args(argv)
-    if args.repeats < 1 or args.starts < 1:
-        parser.error("--repeats and --starts must be at least 1")
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
 
     os.environ.update(BLAS_ENV)  # before numpy is first imported
     import_samlab(args.src.resolve())
-    builders = {"basin": basin_task, "moons": moons_task}
     fits = {}
-    for name in args.task or TASKS:
-        task = builders[name](args.starts)
+    for name, build in (("basin", basin_task), ("moons", moons_task)):
+        task = build()
         for method in METHODS:  # warm caches and lazy set-up before timing
             task[method]()
         fits[name] = row = summarize(measure(task, args.repeats))
