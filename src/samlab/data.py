@@ -7,6 +7,10 @@ Datasets serialize to a small self-describing text container:
     line 3: the column row ``x0,...,x{dim-1},y``
     then one CSV row per example; floats are written with ``repr`` so a
     round-trip reproduces every value bit-exactly.
+
+The reader accepts exactly that layout: the six header keys, the column
+row, and ``n`` rows of ``dim + 1`` parseable cells. Anything else raises a
+ConfigurationError naming the first bad line.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 MAGIC = "SHRPDS1"
+HEADER_KEYS = {"kind", "seed", "noise", "n", "dim", "classes"}
 
 DATASET_KINDS = ("blobs", "moons", "xor")
 
@@ -134,14 +139,36 @@ def deserialize_dataset(text: str) -> Dataset:
     lines = text.splitlines()
     if not lines or lines[0] != MAGIC:
         raise ConfigurationError(f"not a dataset file: missing {MAGIC!r} magic")
-    header = json.loads(lines[1])
+
+    def bad(lineno, what):
+        return ConfigurationError(f"dataset line {lineno}: {what}")
+
+    try:
+        header = json.loads(lines[1])
+    except (IndexError, ValueError) as err:
+        raise bad(2, f"unreadable header ({err})") from None
+    if not isinstance(header, dict) or set(header) != HEADER_KEYS:
+        raise bad(2, f"the header must hold exactly the keys {sorted(HEADER_KEYS)}")
     n, dim = header["n"], header["dim"]
+    # bool is an int subclass, so compare types exactly
+    if type(n) is not int or type(dim) is not int or n < 0 or dim < 0:
+        raise bad(2, "n and dim must be nonnegative integers")
+    columns = ",".join([f"x{j}" for j in range(dim)] + ["y"])
+    if lines[2:3] != [columns]:
+        raise bad(3, f"expected the column row {columns!r}")
+    if len(lines) != 3 + n:
+        raise bad(min(len(lines), 3 + n) + 1, f"expected {n} rows, found {len(lines) - 3}")
     inputs = np.empty((n, dim), dtype=np.float64)
     targets = np.empty(n, dtype=np.int64)
-    for i, line in enumerate(lines[3 : 3 + n]):
+    for i, line in enumerate(lines[3:]):
         parts = line.split(",")
-        inputs[i] = [float(p) for p in parts[:dim]]
-        targets[i] = int(parts[dim])
+        if len(parts) != dim + 1:
+            raise bad(i + 4, f"expected {dim + 1} cells, found {len(parts)}")
+        try:
+            inputs[i] = [float(p) for p in parts[:dim]]
+            targets[i] = int(parts[dim])
+        except (ValueError, OverflowError) as err:
+            raise bad(i + 4, str(err)) from None
     return Dataset(
         kind=header["kind"], seed=header["seed"], noise=header["noise"],
         inputs=inputs, targets=targets,

@@ -103,7 +103,11 @@ class RunSummary:
 
     @classmethod
     def from_dict(cls, payload):
-        return cls(**payload)
+        """The summary ``to_dict`` wrote; unknown or missing keys are errors."""
+        if not isinstance(payload, dict):
+            raise ConfigurationError("run summary must be a JSON object")
+        names = [f.name for f in fields(cls)]
+        return cls(**_take(payload, names, names, "run summary"))
 
 
 def compute_ais(d: float, e: float, t: float) -> float:
@@ -421,10 +425,14 @@ def verify_run(run_dir) -> tuple[bool, list[str]]:
           total == len(records) + sampling_number,
           f"{total} vs {len(records)} + {sampling_number}")
 
-    summary_path = run_dir / "summary.json"
-    if summary_path.exists():
-        with open(summary_path, "r", encoding="utf-8") as fh:
+    try:
+        with open(run_dir / "summary.json", "r", encoding="utf-8") as fh:
             stored = RunSummary.from_dict(json.load(fh))
+    except FileNotFoundError:
+        check("summary present", False)
+    except (OSError, ValueError, ConfigurationError) as err:
+        check("summary readable", False, str(err))
+    else:
         check("summary iterations", stored.iterations == len(records))
         check("summary sampling number", stored.sampling_number == sampling_number)
         check("summary grad evals", stored.grad_evals == total)
@@ -434,8 +442,6 @@ def verify_run(run_dir) -> tuple[bool, list[str]]:
                                      stored.wall_clock_seconds)
         check("summary AIS consistent with D*E/T",
               math.isclose(stored.ais, recomputed_ais, rel_tol=1e-12))
-    else:
-        check("summary present", False)
 
     trace_path = run_dir / "norm_trace.csv"
     if trace_path.exists():
@@ -490,7 +496,7 @@ def compare_report(run_dirs) -> tuple[str, list[dict]]:
             for seed in payload["seeds"]:
                 with open(run_dir / f"seed_{seed}" / "summary.json", encoding="utf-8") as fh:
                     summaries.append(RunSummary.from_dict(json.load(fh)))
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, ValueError, ConfigurationError) as err:
             warnings.append(f"WARNING: excluded incomplete run {run_dir}: {err}")
             continue
         accs = [s.final_eval_accuracy for s in summaries if s.final_eval_accuracy is not None]

@@ -266,9 +266,11 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
 
     def settle_rows():
         # a sample noted in an iteration whose row is not built yet settles last
-        for record, v in zip(unsettled, settle(state, cfg)):
+        vs = settle(state, cfg)
+        for record, v in zip(unsettled, vs):
             record.v = v
         unsettled.clear()
+        return vs
 
     evals, t = 0, start_iteration
     with np.errstate(all="ignore"):
@@ -295,8 +297,7 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                     l2_psf = l2_norm(psf)
                     l2_psf_subset = l2_psf if subset_idx is None else l2_norm(psf[subset_idx])
                     if cfg is not None:
-                        note_sample(state, cfg, l2_psf_subset, l2_sgd_subset)
-                        r, v_fallback = state.last_r, state.last_v_fallback
+                        r, v_fallback = note_sample(state, cfg, l2_psf_subset, l2_sgd_subset)
                         cache.store(psf, t, l2_psf, l2_psf_subset)
                     direction, psf_stale, dot_sgd_psf = g_sam, False, float(g_sgd.dot(psf))
                 elif cache is not None and (cache.valid or not cut):
@@ -313,11 +314,10 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                     if t == i_start:
                         begin_windowing(state)
                     elif t > i_start and state.window_iter == n_window:
-                        settle_rows()
+                        vs = settle_rows()
                         if sampled:
-                            v = state.last_v
-                        update_rate(state, cfg)
-                    c_var, c_norm = state.last_c_var, state.last_c_norm
+                            v = vs[-1]
+                        c_var, c_norm = update_rate(state, cfg)
                 eval_loss_v = eval_acc = None
                 if test_batch is not None and t % bpe == 0:
                     eval_loss_v, eval_acc = eval_heldout(spec, values, test_batch)

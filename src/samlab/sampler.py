@@ -19,25 +19,25 @@ sliced variance of every sample noted since the last settle and trims the
 buffers back to the window; only ``update_rate`` reads the histories, and
 the training loop settles before each rate update, whenever N samples are
 pending, and when it stops.
-``record_sample`` is the two in a row.
+``record_sample`` is the two in a row. Each call returns what its caller
+logs (ratios, variances, change rates); the state keeps only what later
+calls need.
 
 ``settle`` evaluates the windows that hold all N values as one block: the
 windows are sorted as rows of one array, split into their M slices, and
 each slice's sum and sum of squared deviations come from
 ``np.add.accumulate``, which adds strictly left to right, exactly as the
-scalar loop of ``_sorted_sliced_variance`` does. Windows that are still
-filling use the scalar loop itself. Between settles the norm buffer holds
-the pending values past the window too, and the sorted mirror of the buffer
-changes only at a settle (an insertion per filling window, one sort after a
-block), so ``len(gnorm_buffer) - len(sorted_buffer)`` is the number of
-pending samples. A settled state holds the same fields and values
-as one that was settled after every sample.
+scalar loop of ``sliced_variance`` does. Windows that are still filling
+use the scalar loop itself. Between settles the norm buffer holds the
+pending values past the window too, while the variance history grows only
+at a settle, so ``len(gnorm_buffer) - len(v_history)`` is the number of
+pending samples. A settled state holds the same fields and values as one
+that was settled after every sample.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +83,6 @@ class SamplerConfig:
 @dataclass
 class SamplerState:
     gnorm_buffer: list[float] = field(default_factory=list)  # sampled correction norms
-    sorted_buffer: list[float] = field(default_factory=list)  # gnorm_buffer, ascending
     v_history: list[float] = field(default_factory=list)     # sliced variances
     r_history: list[float] = field(default_factory=list)     # norm ratios
     s: float = 0.0
@@ -91,12 +90,6 @@ class SamplerState:
     window_iter: int = 0
     window_samples: int = 0
     rng_stream: np.random.Generator | None = None
-    # exposed for per-iteration logging
-    last_v: float | None = None
-    last_r: float | None = None
-    last_c_var: float | None = None
-    last_c_norm: float | None = None
-    last_v_fallback: bool = False
 
 
 def init_sampler(config: SamplerConfig, seed: int) -> SamplerState:
@@ -135,11 +128,7 @@ def sliced_variance(values, m_slices: int) -> float:
         raise ConfigurationError("sliced_variance needs at least one value")
     if m_slices < 1:
         raise ConfigurationError("need at least one slice")
-    return _sorted_sliced_variance(sorted(float(v) for v in values), m_slices)
-
-
-def _sorted_sliced_variance(ordered, m_slices):
-    """Sliced variance of an ascending, nonempty list of floats."""
+    ordered = sorted(map(float, values))
     n = len(ordered)
     if n < m_slices:
         return population_variance(ordered)
@@ -201,72 +190,70 @@ def _block_sliced_variance(values, n_window, m_slices):
 
 
 def note_sample(state: SamplerState, config: SamplerConfig,
-                l2_psf_subset: float, l2_sgd_subset: float) -> None:
-    """Fold one sampled iteration's norms in; its sliced variance waits for ``settle``."""
+                l2_psf_subset: float, l2_sgd_subset: float) -> tuple[float, bool]:
+    """Fold one sampled iteration's norms in; its sliced variance waits for ``settle``.
+
+    Returns the norm ratio and whether the sample's window holds fewer values
+    than slices (its variance is then the plain population variance).
+    """
     value = float(l2_psf_subset)
     if value != value:
-        # NaN has no place in the sorted mirror
+        # NaN has no place in a sorted window
         raise NumericError("sampled correction norm is NaN")
     r = norm_ratio(value, float(l2_sgd_subset), config.eps)
     buffer = state.gnorm_buffer
     buffer.append(value)
     state.r_history.append(r)  # trimmed to the window at the next settle
     state.window_samples += 1
-    state.last_r = r
     # pending values can make the buffer longer than the window, but since M <= N
     # it is shorter than M exactly when the window is
-    state.last_v_fallback = len(buffer) < config.m_slices
+    return r, len(buffer) < config.m_slices
 
 
 def settle(state: SamplerState, config: SamplerConfig) -> list[float]:
     """Sliced variances of the samples noted since the last settle, oldest first.
 
     Afterwards the norm buffer and the ratio history hold their last N values
-    again, the sorted mirror equals ``sorted(gnorm_buffer)``, the variances
-    are in ``v_history`` and the newest is ``last_v``.
+    again and the variances are in ``v_history``.
     """
     buffer, n, m = state.gnorm_buffer, config.n_window, config.m_slices
-    end, first = len(buffer), len(state.sorted_buffer)
-    if first == end:
+    end, first = len(buffer), len(state.v_history)
+    if first >= end:
         return []
     # pending samples whose window holds all n values
     full = max(end - max(first, n - 1), 0)
-    ordered, vs = state.sorted_buffer, []
-    for j in range(first, end - full):
-        # a filling window: the mirror gains the new value after its equals
-        insort(ordered, buffer[j])
-        vs.append(_sorted_sliced_variance(ordered, m))
+    # a filling window is the whole buffer so far: nothing has been evicted yet
+    vs = [sliced_variance(buffer[:j + 1], m) for j in range(first, end - full)]
     if full:
         with np.errstate(all="ignore"):  # inf - inf is NaN here, silently, as in Python
             vs += _block_sliced_variance(buffer[end - full - n + 1:], n, m)
     del buffer[:-n]
-    if full:
-        state.sorted_buffer = sorted(buffer)
     del state.r_history[:-n]
     history = state.v_history
     history += vs
     del history[:-n]
-    state.last_v = vs[-1]
     return vs
 
 
 def record_sample(state: SamplerState, config: SamplerConfig,
-                  l2_psf_subset: float, l2_sgd_subset: float) -> None:
-    """Fold one sampled iteration's norms into the rolling statistics."""
-    note_sample(state, config, l2_psf_subset, l2_sgd_subset)
-    settle(state, config)
+                  l2_psf_subset: float, l2_sgd_subset: float) -> tuple[float, float, bool]:
+    """Fold one sampled iteration's norms into the rolling statistics.
+
+    Returns the sample's sliced variance, norm ratio and fallback flag.
+    """
+    r, v_fallback = note_sample(state, config, l2_psf_subset, l2_sgd_subset)
+    return settle(state, config)[-1], r, v_fallback
 
 
-def update_rate(state: SamplerState, config: SamplerConfig) -> None:
+def update_rate(state: SamplerState, config: SamplerConfig) -> tuple[float, float]:
     """End-of-window budget update: s *= 1 + alpha*(c_var + c_norm), clamped.
 
     The budget is kept inside [1, p_max * N] so the controller can neither
     die out nor exceed the sampling-rate ceiling; p follows as s / N. Samples
     noted since the last settle are settled first, since both change rates
-    read the settled histories.
+    read the settled histories. Returns (c_var, c_norm).
     """
-    if len(state.gnorm_buffer) != len(state.sorted_buffer):
-        settle(state, config)
+    settle(state, config)
     c_var = change_rate_series(state.v_history, config.eps)
     c_norm = change_rate_series(state.r_history, config.eps)
     s = state.s * (1.0 + config.alpha * c_var + config.alpha * c_norm)
@@ -276,8 +263,7 @@ def update_rate(state: SamplerState, config: SamplerConfig) -> None:
     state.p = min(s / config.n_window, config.p_max)
     state.window_iter = 0
     state.window_samples = 0
-    state.last_c_var = c_var
-    state.last_c_norm = c_norm
+    return c_var, c_norm
 
 
 def should_sample(state: SamplerState, config: SamplerConfig, i: int) -> bool:

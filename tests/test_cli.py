@@ -91,6 +91,43 @@ def test_verify_reports_unreadable_norm_trace(tmp_path, capsys):
     assert all(line.startswith("[PASS]") for line in out[:-1])
 
 
+@pytest.mark.parametrize("damage", ["truncate", "extra_key", "missing_key"])
+def test_verify_reports_unreadable_summary(tmp_path, capsys, damage):
+    path = _write_config(tmp_path, _small_config(tmp_path))
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    summary = tmp_path / "out" / "seed_0" / "summary.json"
+    if damage == "truncate":
+        summary.write_text(summary.read_text()[:40])
+    else:
+        payload = json.loads(summary.read_text())
+        if damage == "extra_key":
+            payload["bogus"] = 1
+        else:
+            del payload["ais"]
+        summary.write_text(json.dumps(payload))
+    assert main(["verify", str(tmp_path / "out" / "seed_0")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    failed = [line for line in out if line.startswith("[FAIL]")]
+    assert len(failed) == 1 and failed[0].startswith("[FAIL] summary readable: ")
+    assert out[-1] == "[PASS] norm trace matches metrics"
+
+
+def test_report_excludes_run_with_unreadable_summary(tmp_path, capsys):
+    config = _small_config(tmp_path)
+    assert main(["run", str(_write_config(tmp_path, config))]) == 0
+    config_sam = dict(config, optimizer="sam", output_dir=str(tmp_path / "out_sam"))
+    del config_sam["sampler_config"]
+    assert main(["run", str(_write_config(tmp_path, config_sam))]) == 0
+    summary = tmp_path / "out" / "seed_1" / "summary.json"
+    summary.write_text(json.dumps(dict(json.loads(summary.read_text()), bogus=1)))
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "out"), str(tmp_path / "out_sam")]) == 0
+    out = capsys.readouterr().out
+    assert f"WARNING: excluded incomplete run {tmp_path / 'out'}: unknown keys" in out
+    assert "vsam" not in out and "sam" in out
+
+
 def test_check_bounds_command(capsys):
     assert main(["check-bounds", "--cases", "50", "--max-dim", "5"]) == 0
     out = capsys.readouterr().out

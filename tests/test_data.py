@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +72,52 @@ def test_serialization_round_trip_exact(tmp_path):
 def test_magic_string_checked():
     with pytest.raises(ConfigurationError):
         deserialize_dataset("NOTADATASET\n{}\nx0,x1,y\n")
+
+
+@settings(deadline=None, max_examples=60)
+@given(kind=st.sampled_from(["blobs", "moons", "xor"]), n=st.integers(2, 120),
+       noise=st.one_of(st.just(0.0), st.floats(0.0, 5.0)), seed=st.integers(0, 2**32 - 1))
+def test_generate_save_load_round_trip(tmp_path_factory, kind, n, noise, seed):
+    ds = generate_dataset(kind, n, noise, seed)
+    path = tmp_path_factory.mktemp("ds") / "ds.shrpds"
+    save_dataset(ds, path)
+    back = load_dataset(path)
+    assert (back.kind, back.seed, back.noise) == (kind, seed, noise)
+    assert back.inputs.tobytes() == ds.inputs.tobytes()
+    assert np.array_equal(back.targets, ds.targets)
+    assert serialize_dataset(back) == path.read_text(encoding="ascii")
+
+
+def _damaged(edit):
+    lines = serialize_dataset(generate_dataset("moons", 6, 0.1, seed=2)).splitlines()
+    edit(lines)
+    return "\n".join(lines) + "\n"
+
+
+def _edit_header(lines, edit):
+    header = json.loads(lines[1])
+    edit(header)
+    lines[1] = json.dumps(header)
+
+
+@pytest.mark.parametrize("edit, line, message", [
+    (lambda lines: lines.pop(), 9, "expected 6 rows, found 5"),
+    (lambda lines: lines.__setitem__(-1, lines[-1][:12]), 9, "expected 3 cells, found 1"),
+    (lambda lines: lines.append("0.5,0.5,1"), 10, "expected 6 rows, found 7"),
+    (lambda lines: _edit_header(lines, lambda h: h.pop("dim")), 2,
+     "the header must hold exactly the keys"),
+    (lambda lines: _edit_header(lines, lambda h: h.update(bogus=1)), 2,
+     "the header must hold exactly the keys"),
+    (lambda lines: lines.__setitem__(1, lines[1][:20]), 2, "unreadable header"),
+    (lambda lines: lines.__setitem__(2, "x0,x1,label"), 3, "expected the column row"),
+    (lambda lines: lines.__setitem__(5, lines[5].rsplit(",", 1)[0]), 6, "expected 3 cells"),
+    (lambda lines: lines.__setitem__(4, "0.5,zero,1"), 5, "could not convert string"),
+    (lambda lines: lines.__setitem__(4, "0.5,0.5,1.0"), 5, "invalid literal for int()"),
+], ids=["truncated_at_row_end", "truncated_in_row", "extra_row", "missing_header_key",
+        "unknown_header_key", "truncated_header", "wrong_columns", "short_row", "bad_float", "bad_target"])
+def test_malformed_dataset_names_the_line(edit, line, message):
+    with pytest.raises(ConfigurationError, match=f"^dataset line {line}: {re.escape(message)}"):
+        deserialize_dataset(_damaged(edit))
 
 
 def test_batch_shape_validation():
