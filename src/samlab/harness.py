@@ -103,11 +103,21 @@ class RunSummary:
 
     @classmethod
     def from_dict(cls, payload):
-        """The summary ``to_dict`` wrote; unknown or missing keys are errors."""
+        """The summary ``to_dict`` wrote; unknown or missing keys and non-numbers are errors."""
         if not isinstance(payload, dict):
             raise ConfigurationError("run summary must be a JSON object")
         names = [f.name for f in fields(cls)]
-        return cls(**_take(payload, names, names, "run summary"))
+        _take(payload, names, names, "run summary")
+        for f in fields(cls):
+            value = payload[f.name]
+            if value is None and f.default is None:
+                continue
+            integral = f.type == "int"
+            if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+                raise ConfigurationError(f"run summary {f.name} must be "
+                                         f"{'an integer' if integral else 'a number'}, "
+                                         f"not {value!r}")
+        return cls(**payload)
 
 
 def compute_ais(d: float, e: float, t: float) -> float:
@@ -438,10 +448,14 @@ def verify_run(run_dir) -> tuple[bool, list[str]]:
         check("summary grad evals", stored.grad_evals == total)
         check("summary final train loss",
               stored.final_train_loss == records[-1].train_loss)
-        recomputed_ais = compute_ais(stored.d_per_epoch, stored.epochs_completed,
-                                     stored.wall_clock_seconds)
-        check("summary AIS consistent with D*E/T",
-              math.isclose(stored.ais, recomputed_ais, rel_tol=1e-12))
+        try:
+            recomputed_ais = compute_ais(stored.d_per_epoch, stored.epochs_completed,
+                                         stored.wall_clock_seconds)
+        except ConfigurationError as err:
+            check("summary AIS consistent with D*E/T", False, str(err))
+        else:
+            check("summary AIS consistent with D*E/T",
+                  math.isclose(stored.ais, recomputed_ais, rel_tol=1e-12))
 
     trace_path = run_dir / "norm_trace.csv"
     if trace_path.exists():
@@ -469,17 +483,25 @@ REPORT_FIELDS = [
 ]
 
 
-def _method_label(config_payload):
-    name = config_payload["optimizer"]
-    if name == "sam_k":
-        return f"sam_{config_payload['k']}"
-    return name
+def _report_config(payload):
+    """(method label, seeds) of a run's ``config.json``; a missing key is a ConfigurationError."""
+    if not isinstance(payload, dict):
+        raise ConfigurationError("run config must be a JSON object")
+    required = ["optimizer", "seeds"] + (["k"] if payload.get("optimizer") == "sam_k" else [])
+    missing = [key for key in required if key not in payload]
+    if missing:
+        raise ConfigurationError(f"missing keys in run config: {missing}")
+    if not isinstance(payload["seeds"], list):
+        raise ConfigurationError("run config seeds must be a list")
+    name = payload["optimizer"]
+    return (f"sam_{payload['k']}" if name == "sam_k" else name), payload["seeds"]
 
 
 def compare_report(run_dirs) -> tuple[str, list[dict]]:
     """Cross-method table over completed runs: mean ± population std per seed.
 
-    Runs missing summaries are excluded and reported as warning rows. The
+    Runs whose config lacks the optimizer or the seeds, or whose summaries
+    are missing or unreadable, are excluded and reported as warning rows. The
     cost ratio column is each method's mean gradient evaluations over the
     'sam' run's mean (when a sam run is present).
     """
@@ -491,9 +513,9 @@ def compare_report(run_dirs) -> tuple[str, list[dict]]:
         run_dir = Path(run_dir)
         try:
             with open(run_dir / "config.json", "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+                method, seeds = _report_config(json.load(fh))
             summaries = []
-            for seed in payload["seeds"]:
+            for seed in seeds:
                 with open(run_dir / f"seed_{seed}" / "summary.json", encoding="utf-8") as fh:
                     summaries.append(RunSummary.from_dict(json.load(fh)))
         except (OSError, ValueError, ConfigurationError) as err:
@@ -505,7 +527,7 @@ def compare_report(run_dirs) -> tuple[str, list[dict]]:
         evals_mean, evals_std = _mean_std([s.grad_evals for s in summaries])
         ais_mean, ais_std = _mean_std([s.ais for s in summaries])
         rows.append({
-            "method": _method_label(payload),
+            "method": method,
             "n_seeds": len(summaries),
             "accuracy_mean": acc_mean, "accuracy_std": acc_std,
             "sampling_mean": samp_mean, "sampling_std": samp_std,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Batch
 from .errors import ConfigurationError, NumericError
-from .params import ParamVector
+from .params import ParamVector, all_finite
 
 OBJECTIVE_KINDS = ("quadratic", "rosenbrock", "sharp_flat", "mlp_classifier")
 ACTIVATIONS = ("tanh", "relu")
@@ -192,7 +192,10 @@ def eval_grad(spec: ObjectiveSpec, w: ParamVector | np.ndarray, batch: Batch | N
 
     ``w`` is a ParamVector or a 1-D float64 array of finite weights. Overflow
     raises NumericError; numpy warns of it first unless the caller turned its
-    floating-point warnings off, as the training loop does.
+    floating-point warnings off, as the training loop does. The gradient is
+    checked with ``params.all_finite``, one dot product with zeros: it adds
+    an "invalid value" warning only for a gradient that is not finite, just
+    before that NumericError, and never warns on a finite one.
     """
     return _evaluate(spec, w, batch, with_grad=True)
 
@@ -234,7 +237,7 @@ def _evaluate(spec, w, batch, with_grad):
 
     if not math.isfinite(loss):
         raise NumericError(f"non-finite loss from {spec.kind} objective")
-    if with_grad and not np.isfinite(grad).all():
+    if with_grad and not all_finite(grad):
         raise NumericError(f"non-finite gradient from {spec.kind} objective")
     return float(loss), grad
 

@@ -29,7 +29,8 @@ from .params import (ParamVector, default_subset, l2_norm, require_finite, subse
                      subset_norm)
 # record_sample is imported for perfbench/tracer.py too; the loop calls note_sample and settle
 from .sampler import (SamplerConfig, SamplerState, begin_windowing, init_sampler,
-                      note_sample, record_sample, settle, should_sample, update_rate)
+                      note_sample, record_sample, settle, should_sample, sync_draws,
+                      update_rate)
 
 LR_SCHEDULES = ("constant", "cosine", "inverse_t")
 
@@ -230,6 +231,8 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     vSAM rows get their sliced variance ``v`` late: the loop notes each
     sample and settles the pending ones as a block before every rate update,
     whenever N are pending, and when it stops, a NumericError included.
+    However the run ends, the sampler's generator is synced to where one
+    draw per Bernoulli decision leaves it (``sync_draws``).
     """
     if iterations < 1:
         raise ConfigurationError("need at least one iteration")
@@ -344,6 +347,9 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
             located = NumericError(str(err), iteration=t)
             located.partial_records = records
             raise located from err
+        finally:
+            if state is not None:
+                sync_draws(state)
     return RunResult(records, w0.with_values(values), m, history, state)
 
 

@@ -6,6 +6,7 @@ Segments let callers restrict norm computations to a tail of the model
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +31,9 @@ class ParamVector:
         if not self.segments:
             self.segments = [("w", 0, self.values.size)]
         _check_segments(self.segments, self.values.size)
-        require_finite(self.values)
+        # the elementwise test, not the screen: it never warns on a non-finite entry
+        if not np.isfinite(self.values).all():
+            raise NumericError("parameter vector contains non-finite values")
 
     @property
     def size(self) -> int:
@@ -73,9 +76,30 @@ def l2_norm(x: np.ndarray) -> float:
     return math.sqrt(float(x.dot(x)))
 
 
+@functools.lru_cache(maxsize=64)
+def _zeros(size: int) -> np.ndarray:
+    zeros = np.zeros(size)
+    zeros.flags.writeable = False
+    return zeros
+
+
+def all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of a one-dimensional float64 array is finite, from one dot product.
+
+    ``x.dot(zeros)`` sums the products ``x[i] * 0.0``. Each is ±0 when
+    ``x[i]`` is finite and NaN when it is ±inf or NaN (inf * 0 is NaN), and a
+    sum of ±0 terms is ±0, so nothing can overflow: the result compares
+    equal to 0.0 exactly when ``x`` is finite. It is the verdict of
+    ``np.isfinite(x).all()`` at a fraction of its cost on short vectors. On a
+    non-finite ``x`` numpy warns of an invalid value, unless its
+    floating-point warnings are off; on a finite one it never warns.
+    """
+    return x.dot(_zeros(x.size)) == 0.0
+
+
 def require_finite(values: np.ndarray) -> None:
-    """Raise NumericError unless every weight is finite (also ``ParamVector``'s check)."""
-    if not np.isfinite(values).all():
+    """Raise NumericError unless every weight is finite (the ``all_finite`` screen)."""
+    if not all_finite(values):
         raise NumericError("parameter vector contains non-finite values")
 
 

@@ -23,25 +23,35 @@ pending, and when it stops.
 logs (ratios, variances, change rates); the state keeps only what later
 calls need.
 
-``settle`` evaluates the windows that hold all N values as one block: the
-windows are sorted as rows of one array, split into their M slices, and
-each slice's sum and sum of squared deviations come from
-``np.add.accumulate``, which adds strictly left to right, exactly as the
-scalar loop of ``sliced_variance`` does. Windows that are still filling
-use the scalar loop itself. Between settles the norm buffer holds the
-pending values past the window too, while the variance history grows only
-at a settle, so ``len(gnorm_buffer) - len(v_history)`` is the number of
-pending samples. A settled state holds the same fields and values as one
-that was settled after every sample.
+``settle`` evaluates every window that holds at least M values as one
+block: the windows are sorted as rows of one array, split into their M
+slices, and each slice's sum and sum of squared deviations are reduced
+along an axis on which numpy adds one value at a time, strictly left to
+right, exactly as the scalar loop of ``sliced_variance`` does. Only a run's
+first M - 1 windows, which hold fewer values than slices, use the scalar
+loop itself. Between settles the norm buffer holds the pending values past
+the window too, while the variance history grows only at a settle, so
+``len(gnorm_buffer) - len(v_history)`` is the number of pending samples. A
+settled state holds the same fields and values as one that was settled
+after every sample.
+
+``should_sample`` takes its Bernoulli uniforms from a block of
+``DRAW_BLOCK`` drawn with one ``random(DRAW_BLOCK)`` call, which gives the
+same doubles as that many ``random()`` calls. The state keeps the block, a
+cursor into it and the generator's state from before the block;
+``sync_draws`` restores that state and advances the generator by the cursor
+(``random()`` uses one 64-bit output per double), which leaves it exactly
+where one ``random()`` per decision would have. The training loop syncs
+whenever a run returns or raises.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, NumericError
 
@@ -74,10 +84,13 @@ class SamplerConfig:
         if self.subset_segments is not None and not self.subset_segments:
             raise ConfigurationError("subset_segments must name at least one segment")
 
-    @property
+    @functools.cached_property
     def sample_cap(self) -> int:
         """Most samples allowed inside one window: floor(p_max * N)."""
         return math.floor(self.p_max * self.n_window)
+
+
+DRAW_BLOCK = 64  # Bernoulli uniforms drawn at a time
 
 
 @dataclass
@@ -90,6 +103,9 @@ class SamplerState:
     window_iter: int = 0
     window_samples: int = 0
     rng_stream: np.random.Generator | None = None
+    draws: list[float] = field(default_factory=list)  # block of Bernoulli uniforms
+    cursor: int = 0                 # uniforms of the block used so far
+    draws_from: dict | None = None  # rng_stream's state before the block was drawn
 
 
 def init_sampler(config: SamplerConfig, seed: int) -> SamplerState:
@@ -168,25 +184,80 @@ def norm_ratio(l2_psf: float, l2_sgd: float, eps: float) -> float:
     return l2_psf / max(l2_sgd, eps)
 
 
-def _block_sliced_variance(values, n_window, m_slices):
-    """Sliced variance of every n_window-long window of ``values``, as a list.
+@functools.lru_cache(maxsize=256)
+def _window_layout(first, size, n_window, m_slices):
+    """Read-only index arrays that lay the windows of samples first..size-1 out as slices.
 
-    Each window is sorted as a row of one array. Accumulating along the
-    slice axis adds each slice's values strictly left to right, as the loops
-    of ``population_variance`` do, so every result equals the scalar path's
-    bit for bit. The scalar loops start from 0.0 where the accumulation
-    starts from the first value; the two differ only when every value so far
-    is -0.0, and then every squared deviation is +0.0 either way.
+    Sample j's window is ``values[max(0, j + 1 - n_window):j + 1]``, which
+    must hold at least m_slices values. Returns (rows, gather, widths, pads):
+
+    - ``rows`` picks each window into a row of n_window entries. A window
+      still filling is shorter; its row's other entries pick index ``size``,
+      where the caller puts +inf, so that they sort last.
+    - ``gather`` picks the sorted rows, flattened, into a C-contiguous
+      (slice position, window, slice) array, the slices split as in
+      ``sliced_variance``: the first ``length % m_slices`` are one longer.
+    - ``widths`` holds each slice's width, as floats, (window, slice).
+    - ``pads`` marks the positions past a slice's width.
+
+    When every window is full, all slices are equally wide: ``gather`` and
+    ``pads`` are None and ``widths`` is that width.
     """
-    arr = np.fromiter(values, float, len(values))
-    width = n_window // m_slices
-    ordered = np.sort(sliding_window_view(arr, n_window), axis=1)
-    # (slice position, window, slice): axis 0 runs along each slice
-    slices = np.ascontiguousarray(ordered.reshape(-1, m_slices, width).transpose(2, 0, 1))
-    mean = np.add.accumulate(slices, axis=0)[-1] / width
-    dev = slices - mean
-    per_slice = np.add.accumulate(dev * dev, axis=0)[-1] / width
-    return (np.add.accumulate(per_slice, axis=1)[:, -1] / m_slices).tolist()
+    ends = np.arange(first, size) + 1
+    lengths = np.minimum(ends, n_window)[:, None]
+    offsets = np.arange(n_window)
+    rows = np.where(offsets < lengths, ends[:, None] - lengths + offsets, size)
+    rows.flags.writeable = False
+    if first + 1 >= n_window:
+        return rows, None, float(n_window // m_slices), None
+    base, extra = np.divmod(lengths, m_slices)
+    slice_no = np.arange(m_slices)
+    widths = base + (slice_no < extra)
+    starts = slice_no * base + np.minimum(slice_no, extra)
+    position = np.arange(widths.max())[:, None, None]
+    gather = (np.arange(ends.size)[:, None] * n_window
+              + np.minimum(starts + position, n_window - 1))
+    layout = (rows, gather, widths.astype(float), position >= widths)
+    for array in layout:
+        array.flags.writeable = False
+    return layout
+
+
+def _block_sliced_variance(values, first, n_window, m_slices):
+    """Sliced variance of the windows of samples first..len(values)-1, as a list.
+
+    Each window is sorted as a row of one array. The slices' sums add each
+    slice's values strictly left to right, as the loops of
+    ``population_variance`` do, so every result equals the scalar path's bit
+    for bit. Padding past a short slice counts as +0.0, which changes no
+    sum. The scalar loops start from 0.0 where these sums start from the
+    first value; the two differ only when every value so far is -0.0, and
+    then every squared deviation is +0.0 either way.
+    """
+    rows, gather, widths, pads = _window_layout(first, len(values), n_window, m_slices)
+    ordered = np.array(values + [math.inf])[rows]
+    ordered.sort(axis=1)
+    # (slice position, window, slice), C-contiguous. Reducing along axis 0, the
+    # slowest axis in memory, adds one value at a time to each sum: numpy sums
+    # pairwise only along the fastest axis.
+    if gather is None:
+        slices = np.ascontiguousarray(
+            ordered.reshape(-1, m_slices, int(widths)).transpose(2, 0, 1))
+    else:
+        slices = ordered.ravel()[gather]
+        np.copyto(slices, 0.0, where=pads)
+    mean = np.add.reduce(slices, axis=0)
+    mean /= widths
+    slices -= mean
+    if pads is not None:
+        np.copyto(slices, 0.0, where=pads)
+    np.multiply(slices, slices, out=slices)
+    per_slice = np.add.reduce(slices, axis=0)
+    per_slice /= widths
+    # the slices of a window lie along the fastest axis: accumulate keeps their order
+    variances = np.add.accumulate(per_slice, axis=1)[:, -1]
+    variances /= m_slices
+    return variances.tolist()
 
 
 def note_sample(state: SamplerState, config: SamplerConfig,
@@ -196,11 +267,14 @@ def note_sample(state: SamplerState, config: SamplerConfig,
     Returns the norm ratio and whether the sample's window holds fewer values
     than slices (its variance is then the plain population variance).
     """
-    value = float(l2_psf_subset)
+    value, sgd = float(l2_psf_subset), float(l2_sgd_subset)
     if value != value:
         # NaN has no place in a sorted window
         raise NumericError("sampled correction norm is NaN")
-    r = norm_ratio(value, float(l2_sgd_subset), config.eps)
+    # norm_ratio's checks and formula, inline: this runs on every sample
+    if value < 0.0 or sgd < 0.0:
+        raise ConfigurationError("norms must be nonnegative")
+    r = value / max(sgd, config.eps)
     buffer = state.gnorm_buffer
     buffer.append(value)
     state.r_history.append(r)  # trimmed to the window at the next settle
@@ -220,13 +294,13 @@ def settle(state: SamplerState, config: SamplerConfig) -> list[float]:
     end, first = len(buffer), len(state.v_history)
     if first >= end:
         return []
-    # pending samples whose window holds all n values
-    full = max(end - max(first, n - 1), 0)
-    # a filling window is the whole buffer so far: nothing has been evicted yet
-    vs = [sliced_variance(buffer[:j + 1], m) for j in range(first, end - full)]
-    if full:
+    # a run's first m - 1 windows hold fewer values than slices; a window still
+    # filling is the whole buffer so far, since nothing has been evicted yet
+    few = min(end, m - 1)
+    vs = [sliced_variance(buffer[:j + 1], m) for j in range(first, few)]
+    if max(first, few) < end:
         with np.errstate(all="ignore"):  # inf - inf is NaN here, silently, as in Python
-            vs += _block_sliced_variance(buffer[end - full - n + 1:], n, m)
+            vs += _block_sliced_variance(buffer, max(first, few), n, m)
     del buffer[:-n]
     del state.r_history[:-n]
     history = state.v_history
@@ -272,7 +346,8 @@ def should_sample(state: SamplerState, config: SamplerConfig, i: int) -> bool:
     Warmup iterations always sample and leave the window clock untouched;
     the clock starts once the adaptive phase begins. After warmup the window
     sample cap blocks further sampling without consuming randomness, and a
-    'force' override short-circuits the Bernoulli draw entirely.
+    'force' override short-circuits the Bernoulli draw entirely. The draw is
+    the next uniform of the state's block (see ``sync_draws``).
     """
     if i <= config.i_start:
         return True
@@ -283,7 +358,27 @@ def should_sample(state: SamplerState, config: SamplerConfig, i: int) -> bool:
         return False
     if state.window_samples >= config.sample_cap:
         return False
-    return float(state.rng_stream.random()) < state.p
+    k = state.cursor
+    if k == len(state.draws):
+        stream = state.rng_stream
+        state.draws_from = stream.bit_generator.state
+        state.draws = stream.random(DRAW_BLOCK).tolist()
+        k = 0
+    state.cursor = k + 1
+    return state.draws[k] < state.p
+
+
+def sync_draws(state: SamplerState) -> None:
+    """Leave rng_stream where one ``random()`` per Bernoulli draw would have, and drop the block.
+
+    The generator is put back to its state before the block, then advanced
+    by the uniforms used, one 64-bit output each.
+    """
+    if state.draws_from is not None:
+        bit_generator = state.rng_stream.bit_generator
+        bit_generator.state = state.draws_from
+        bit_generator.advance(state.cursor)
+        state.draws, state.cursor, state.draws_from = [], 0, None
 
 
 def begin_windowing(state: SamplerState) -> None:

@@ -154,6 +154,24 @@ def replay_sampler(events, n_window, m_slices, alpha, s1, p_max, eps):
     }
 
 
+def per_call_should_sample(state, config, i):
+    """The sampling decision with one ``random()`` per Bernoulli draw and no block.
+
+    The reference that ``should_sample``'s block draws must match, in the
+    decisions and in the generator's state.
+    """
+    if i <= config.i_start:
+        return True
+    state.window_iter += 1
+    if config.force == "always":
+        return True
+    if config.force == "never":
+        return False
+    if state.window_samples >= math.floor(config.p_max * config.n_window):
+        return False
+    return float(state.rng_stream.random()) < state.p
+
+
 def float_bits(x):
     """The IEEE-754 bits of a float, so that equal NaNs compare equal and 0.0 != -0.0."""
     return struct.pack("<d", x)

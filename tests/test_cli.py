@@ -128,6 +128,45 @@ def test_report_excludes_run_with_unreadable_summary(tmp_path, capsys):
     assert "vsam" not in out and "sam" in out
 
 
+@pytest.mark.parametrize("key, value, failure", [
+    ("wall_clock_seconds", 0, "[FAIL] summary AIS consistent with D*E/T: "
+                              "AIS inputs must all be positive"),
+    ("d_per_epoch", "36", "[FAIL] summary readable: "
+                          "run summary d_per_epoch must be an integer, not '36'"),
+    ("final_train_loss", True, "[FAIL] summary readable: "
+                               "run summary final_train_loss must be a number, not True"),
+])
+def test_verify_reports_bad_summary_values(tmp_path, capsys, key, value, failure):
+    path = _write_config(tmp_path, _small_config(tmp_path))
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    summary = tmp_path / "out" / "seed_0" / "summary.json"
+    summary.write_text(json.dumps(dict(json.loads(summary.read_text()), **{key: value})))
+    assert main(["verify", str(tmp_path / "out" / "seed_0")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("[FAIL]")] == [failure]
+    assert out[-1] == "[PASS] norm trace matches metrics"
+
+
+@pytest.mark.parametrize("key", ["seeds", "optimizer"])
+def test_report_excludes_run_with_incomplete_config(tmp_path, capsys, key):
+    config = _small_config(tmp_path)
+    assert main(["run", str(_write_config(tmp_path, config))]) == 0
+    config_sam = dict(config, optimizer="sam", output_dir=str(tmp_path / "out_sam"))
+    del config_sam["sampler_config"]
+    assert main(["run", str(_write_config(tmp_path, config_sam))]) == 0
+    run_config = tmp_path / "out" / "config.json"
+    payload = json.loads(run_config.read_text())
+    del payload[key]
+    run_config.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "out"), str(tmp_path / "out_sam")]) == 0
+    out = capsys.readouterr().out
+    assert (f"WARNING: excluded incomplete run {tmp_path / 'out'}: "
+            f"missing keys in run config: ['{key}']") in out
+    assert "vsam" not in out and "sam" in out
+
+
 def test_check_bounds_command(capsys):
     assert main(["check-bounds", "--cases", "50", "--max-dim", "5"]) == 0
     out = capsys.readouterr().out

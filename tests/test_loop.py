@@ -6,8 +6,8 @@ whose call counts are not iterations + sampling number and sampling number.
 These tests pin that, the loop's fixed number of ``ParamVector``
 constructions, that a run leaves its inputs alone, the iteration and
 partial records a ``NumericError`` leaves the loop with, the sliced
-variances the loop settles in blocks, and the reuse contract it checks once
-per sampled correction.
+variances the loop settles in blocks, the traced sampler calls, and the
+generator state the block draws leave behind.
 """
 
 import warnings
@@ -23,7 +23,7 @@ from samlab.objectives import (SHARP_FLAT_CALIBRATION, init_params, make_mlp_cla
 from samlab.params import ParamVector
 from samlab.sampler import SamplerConfig, change_rate_series, init_sampler, record_sample
 
-from helpers import float_bits
+from helpers import float_bits, per_call_should_sample
 
 METHODS = ("sgd", "sam", "sam_k", "vsam")
 
@@ -232,6 +232,41 @@ def test_settled_variances_equal_a_per_sample_replay(run):
         state = final[0]
         for name in ("gnorm_buffer", "v_history", "r_history"):
             assert getattr(state, name) == getattr(replay, name), name
+
+
+def test_traced_sampler_names_count_iterations_and_windows(monkeypatch):
+    # perfbench's per-layer sampler and evaluation metrics divide by these counts
+    counts = {name: _counting(monkeypatch, name)
+              for name in ("should_sample", "update_rate", "eval_grad", "perturbation")}
+    records, cfg, _ = _basin_vsam()
+    sampled = sum(1 for r in records if r.sampled)
+    assert len(counts["should_sample"]) == len(records) == 800
+    assert len(counts["update_rate"]) == (len(records) - cfg.i_start) // cfg.n_window == 11
+    assert len(counts["eval_grad"]) == len(records) + sampled
+    assert len(counts["perturbation"]) == sampled
+
+
+@pytest.mark.parametrize("run", [_diverging_vsam, _basin_vsam, _budget_vsam])
+def test_block_draws_leave_the_generator_where_per_call_draws_do(monkeypatch, run):
+    # a normal end, a NumericError and a budget stop
+    outcomes = []
+    for decide in (optim.should_sample, per_call_should_sample):
+        created = []
+
+        def init(cfg, seed):
+            state = init_sampler(cfg, seed)
+            created.append((state, state.rng_stream.bit_generator.state))
+            return state
+
+        monkeypatch.setattr(optim, "init_sampler", init)
+        monkeypatch.setattr(optim, "should_sample", decide)
+        records, *_ = run()
+        rows = [{k: v for k, v in vars(r).items() if k != "wall_clock_seconds"} for r in records]
+        (state, initial), = created
+        final = state.rng_stream.bit_generator.state
+        assert final != initial  # the run made Bernoulli draws
+        outcomes.append((repr(rows), final))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_resuming_vsam_fails_before_any_work(monkeypatch):

@@ -1,4 +1,6 @@
+import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from samlab.errors import ConfigurationError, NumericError
-from samlab.params import ParamVector, default_subset, l2_norm, subset_index, subset_norm
+from samlab.params import (ParamVector, all_finite, default_subset, l2_norm, require_finite,
+                           subset_index, subset_norm)
 
 
 def test_default_segment_covers_everything():
@@ -31,10 +34,13 @@ def test_duplicate_segment_names_rejected():
 
 
 def test_non_finite_values_rejected():
-    with pytest.raises(NumericError):
-        ParamVector(np.array([1.0, np.nan]))
-    with pytest.raises(NumericError):
-        ParamVector(np.array([np.inf, 0.0]))
+    with warnings.catch_warnings():
+        # the boundary check is elementwise: no floating-point warning on the way
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            ParamVector(np.array([1.0, np.nan]))
+        with pytest.raises(NumericError):
+            ParamVector(np.array([np.inf, 0.0]))
 
 
 def test_serialization_round_trip_preserves_segments_and_values():
@@ -116,3 +122,26 @@ def test_subset_index_out_of_order_and_duplicated_names():
         assert np.array_equal(subset_index(pv, names), in_order)
         assert l2_norm(values[subset_index(pv, names)]) == subset_norm(values, pv, names)
     assert l2_norm(values[in_order]) == _mask_norm(values, ["layer0.W", "layer1.W"])
+
+
+_FINITE = st.one_of(st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300),
+                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]))
+
+
+@settings(deadline=None)  # timing on a shared host is not what these check
+@given(values=st.lists(_FINITE, min_size=1, max_size=300),
+       bad=st.lists(st.tuples(st.integers(0, 299),
+                              st.sampled_from([math.inf, -math.inf, math.nan])), max_size=3))
+def test_finiteness_screen_matches_isfinite(values, bad):
+    x = np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a finite vector never warns
+        assert all_finite(x)
+        require_finite(x)
+    for where, value in bad:
+        x[where % x.size] = value
+    with np.errstate(invalid="ignore"):
+        assert all_finite(x) == np.isfinite(x).all() == (not bad)
+        if bad:
+            with pytest.raises(NumericError):
+                require_finite(x)

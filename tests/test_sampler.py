@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from samlab.errors import ConfigurationError, NumericError
 from samlab.sampler import (SamplerConfig, SamplerState, begin_windowing,
                             change_rate_series, init_sampler, norm_ratio, note_sample,
                             record_sample, settle, should_sample, sliced_variance,
-                            update_rate)
+                            sync_draws, update_rate)
 
-from helpers import float_bits, replay_sampler, sampler_state_bits
+from helpers import float_bits, per_call_should_sample, replay_sampler, sampler_state_bits
 
 
 def _cfg(**kwargs):
@@ -230,6 +230,43 @@ def test_decisions_deterministic_per_seed():
     assert seq_a != seq_c
 
 
+@settings(deadline=None, max_examples=200)
+@given(n_window=st.integers(1, 70).map(lambda k: 2 * k),
+       p_max=st.sampled_from([0.5, 0.8, 1.0]),
+       force=st.sampled_from([None, None, None, "always", "never"]),
+       i_start=st.integers(0, 30), seed=st.integers(0, 2**32 - 1),
+       rates=st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), min_size=1, max_size=8),
+       iterations=st.integers(1, 600), syncs=st.sets(st.integers(1, 600), max_size=6))
+def test_block_draws_match_per_call_draws(n_window, p_max, force, i_start, seed, rates,
+                                          iterations, syncs):
+    # the same decisions, and after every sync the same generator state, as one
+    # random() per Bernoulli draw; p = 1.0 runs into the window cap
+    cfg = SamplerConfig(n_window=n_window, m_slices=2, s1=1, i_start=i_start, p_max=p_max,
+                        force=force)
+    block, per_call = init_sampler(cfg, seed), init_sampler(cfg, seed)
+    states = (block, per_call)
+    windows = 0
+    for i in range(1, iterations + 1):
+        decision = should_sample(block, cfg, i)
+        assert per_call_should_sample(per_call, cfg, i) == decision
+        for state in states:
+            state.window_samples += decision  # the run loop does this via note_sample
+        if i == i_start:
+            for state in states:
+                begin_windowing(state)
+        elif i > i_start and block.window_iter == n_window:
+            windows += 1
+            for state in states:
+                state.window_iter = state.window_samples = 0
+                state.p = rates[windows % len(rates)]
+        if i in syncs:
+            sync_draws(block)
+            assert block.rng_stream.bit_generator.state == per_call.rng_stream.bit_generator.state
+    sync_draws(block)
+    assert (block.draws, block.cursor, block.draws_from) == ([], 0, None)
+    assert block.rng_stream.bit_generator.state == per_call.rng_stream.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
@@ -316,13 +353,21 @@ _NORM_LISTS = st.one_of(
 )
 
 
+_FULL_MANTISSAS = [(k * 2654435761 % 2**53 + 1) / 2**50 for k in range(150)]
+
+
 @settings(deadline=None, max_examples=300)
 @given(shape=st.sampled_from([(2, 2), (4, 2), (6, 2), (6, 3), (10, 2), (12, 3), (12, 4),
                               (20, 2), (50, 5)]),
        norms=_NORM_LISTS, settle_after=st.sets(st.integers(0, 149), max_size=20))
+# blocks of one full window each, after the first N samples
+@example(shape=(50, 5), norms=_FULL_MANTISSAS[:60], settle_after=set(range(49, 60)))
+# a block of 100 full windows, more than N
+@example(shape=(50, 5), norms=_FULL_MANTISSAS, settle_after={49})
 def test_settled_blocks_equal_per_sample_evaluation(shape, norms, settle_after):
-    # settling after a random stretch of samples, blocks of every size included,
-    # gives the same bits as evaluating each sample's window on its own
+    # settling after a random stretch of samples, blocks of every size from one
+    # window to more than N included, gives the same bits as evaluating each
+    # sample's window on its own
     n, m = shape
     cfg = SamplerConfig(n_window=n, m_slices=m, s1=1, i_start=n)
     lazy, eager = init_sampler(cfg, 0), init_sampler(cfg, 0)
