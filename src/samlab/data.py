@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,15 +32,25 @@ DATASET_KINDS = ("blobs", "moons", "xor")
 
 @dataclass
 class Batch:
-    """One mini-batch: inputs are rows, targets and indices align with them."""
+    """One mini-batch: inputs are rows, targets and indices align with them.
+
+    ``targets`` is read-only: a writable array is copied, then frozen.
+    """
 
     inputs: np.ndarray
     targets: np.ndarray
     indices: np.ndarray
+    # (targets, n_classes, flat index of each row's target logit), kept by
+    # samlab.objectives on a batch's first MLP evaluation
+    target_index: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.targets = np.asarray(self.targets)
+        targets = np.asarray(self.targets)
+        if targets.flags.writeable:
+            targets = targets.copy()
+            targets.flags.writeable = False
+        self.targets = targets
         self.indices = np.asarray(self.indices, dtype=np.int64)
         if self.inputs.ndim != 2:
             raise ConfigurationError("batch inputs must be a matrix")
@@ -203,6 +213,7 @@ def make_batches(ds: Dataset, batch_size: int, seed: int, epoch: int) -> list[Ba
     perm = np.random.default_rng([seed, epoch]).permutation(ds.n)
     # gather once per epoch; each batch is a row slice of the gathered arrays
     inputs, targets = ds.inputs[perm], ds.targets[perm]
+    targets.flags.writeable = False  # so each batch's slice needs no copy
     return [Batch(inputs[start : start + batch_size], targets[start : start + batch_size],
                   perm[start : start + batch_size])
             for start in range(0, ds.n, batch_size)]

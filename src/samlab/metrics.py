@@ -9,12 +9,13 @@ empty cells mean "not measured this iteration" and load as ``None``.
 The codec works a block of rows (``_BLOCK_ROWS``) at a time, one column at a
 time: each column of a block is formatted or parsed by one comprehension for
 its type, which keeps the per-cell cost down while holding only one block of
-raw text in memory. Its bytes are exactly what ``csv.writer`` (the default
-dialect) writes for the same rows: no cell can hold a comma, a quote or a
-line break, because a header name is an identifier and a cell is empty,
-``0``/``1``, an ``int`` or a float ``repr``; such rows need no quoting, so
-joining the cells with commas and ending each line with CRLF is all the
-writer does. Reading still tokenizes with ``csv.reader``. A wrong header
+raw text in memory. A float column formats a run of one object once (vSAM
+rows repeat their window's ``p``, ``s``, ``c_var`` and ``c_norm``). Its bytes
+are exactly what ``csv.writer`` (the default dialect) writes for the same
+rows: no cell can hold a comma, a quote or a line break, because a header
+name is an identifier and a cell is empty, ``0``/``1``, an ``int`` or a float
+``repr``; such rows need no quoting, so joining the cells with commas and
+ending each line with CRLF is all the writer does. Reading still tokenizes with ``csv.reader``. A wrong header
 raises ``ConfigurationError``; a row with the wrong number of cells, a cell
 that does not parse, or a byte outside ASCII raises ``MalformedRowError``
 naming the file and line.
@@ -103,7 +104,11 @@ def _column_type(name):
 
 def _format_column(kind, values):
     if kind == "float":
-        return ["" if v is None else repr(float(v)) for v in values]
+        # a run of one object is formatted once; by identity, never by
+        # equality, since 0.0 == -0.0 but their reprs differ
+        last, cell = None, ""
+        return [cell if v is last else (cell := "" if (last := v) is None else repr(float(v)))
+                for v in values]
     if kind == "int":
         return ["" if v is None else str(int(v)) for v in values]
     return ["" if v is None else "1" if v else "0" for v in values]

@@ -12,6 +12,17 @@ made cheaper (fewer numpy calls, in-place updates, unused products dropped)
 only while it performs the same operations, in the same order, on the same
 operands. A property test pins ``eval_grad``, ``eval_loss`` and
 ``mlp_predict`` byte for byte to an earlier kernel kept in ``tests/helpers.py``.
+
+What depends only on the batch is done once per ``Batch``: the targets'
+dtype and range checks and the flat index (row * classes + target) through
+which the loss picks each target logit and the gradient subtracts 1. The index
+is kept on the batch with its targets array and class count, and only for a
+read-only array (``Batch`` freezes its targets), so a later write to the
+targets cannot leave it stale and new targets are a new array that misses
+it. Every call still checks the batch is there, its input width, the
+objective kind and the parameter count, and the loss and gradient for
+finiteness. The gradient is written layer by layer into one preallocated
+vector, and weight decay is added to it in place.
 """
 
 from __future__ import annotations
@@ -233,7 +244,7 @@ def _evaluate(spec, w, batch, with_grad):
     if wd != 0.0:
         loss = loss + wd * float(x @ x)
         if with_grad:
-            grad = grad + (2.0 * wd) * x
+            grad += (2.0 * wd) * x
 
     if not math.isfinite(loss):
         raise NumericError(f"non-finite loss from {spec.kind} objective")
@@ -368,7 +379,13 @@ SHARP_FLAT_CALIBRATION = {
 # ---------------------------------------------------------------------------
 # MLP internals
 
-def _check_batch(spec, batch):
+def _target_index(spec, batch):
+    """Flat index (row * n_classes + target) of each row's target logit.
+
+    Checks the batch on every call and its targets once (see the module
+    docstring); targets assigned later as a writable array are checked and
+    indexed on every call.
+    """
     if batch is None:
         raise ConfigurationError("mlp_classifier objective requires a batch")
     if batch.inputs.shape[1] != spec.input_dim:
@@ -376,10 +393,19 @@ def _check_batch(spec, batch):
             f"batch has {batch.inputs.shape[1]} features, mlp expects {spec.input_dim}"
         )
     n_classes = spec.layer_sizes[-1]
-    targets = batch.targets.astype(np.int64, copy=False)
-    if np.minimum.reduce(targets) < 0 or np.maximum.reduce(targets) >= n_classes:
+    targets, kept = batch.targets, batch.target_index
+    if kept is not None and kept[0] is targets and kept[1] == n_classes:
+        return kept[2]
+    if targets.dtype.kind not in "iu":
+        raise ConfigurationError(f"batch targets must be integers, got dtype {targets.dtype}")
+    as_int = targets.astype(np.int64, copy=False)
+    # one unsigned maximum: a negative target reads as at least 2**63
+    if np.maximum.reduce(as_int.view(np.uint64)) >= n_classes:
         raise ConfigurationError("batch targets out of range for the mlp output layer")
-    return targets
+    index = np.arange(0, as_int.size * n_classes, n_classes) + as_int
+    if not targets.flags.writeable:
+        batch.target_index = (targets, n_classes, index)
+    return index
 
 
 def _mlp_forward(spec, values, inputs):
@@ -396,19 +422,23 @@ def _mlp_forward(spec, values, inputs):
             np.maximum(a, 0.0, out=a)
         activations.append(a)
     w, bias = layers[-1]
-    logits = a @ w + bias
+    logits = a @ w
+    logits += bias
     return layers, activations, logits
 
 
 def _mlp(spec, values, batch, with_grad):
-    targets = _check_batch(spec, batch)
+    index = _target_index(spec, batch)
     n = batch.size
-    rows = np.arange(n)
     layers, activations, logits = _mlp_forward(spec, values, batch.inputs)
 
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    # max is exact, so a column-by-column maximum equals np.maximum.reduce
+    row_max = logits[:, 0]
+    for j in range(1, logits.shape[1]):
+        row_max = np.maximum(row_max, logits[:, j])
+    shifted = logits - row_max[:, None]
     # only the target column of the log-softmax enters the loss
-    picked = shifted[rows, targets]
+    picked = shifted.take(index)
     exp = np.exp(shifted, out=shifted)
     sum_exp = np.add.reduce(exp, axis=1)
     picked -= np.log(sum_exp)
@@ -418,20 +448,23 @@ def _mlp(spec, values, batch, with_grad):
 
     d_z = exp  # turned into d loss / d logits in place
     d_z /= sum_exp[:, None]
-    d_z[rows, targets] -= 1.0
+    d_z.reshape(-1)[index] -= 1.0
     d_z /= n
 
+    # each layer's gradient is written straight into its slice of the vector
+    grad = np.empty(values.size)
+    layout = _mlp_layout(tuple(spec.layer_sizes))
     tanh = spec.activation == "tanh"
-    chunks = []
     for layer in range(len(layers) - 1, -1, -1):
-        chunks.append(np.add.reduce(d_z, axis=0))
-        chunks.append((activations[layer].T @ d_z).ravel())
+        fan_in, fan_out, lo, mid, hi = layout[layer]
+        np.add.reduce(d_z, axis=0, out=grad[mid:hi])
+        np.matmul(activations[layer].T, d_z, out=grad[lo:mid].reshape(fan_in, fan_out))
         if layer == 0:
             break
         a_here = activations[layer]
         d_z = d_z @ layers[layer][0].T
         d_z *= (1.0 - a_here * a_here) if tanh else (a_here > 0.0)
-    return loss, np.concatenate(chunks[::-1])
+    return loss, grad
 
 
 def mlp_predict(spec: ObjectiveSpec, w: ParamVector, inputs: np.ndarray) -> np.ndarray:

@@ -25,8 +25,34 @@ def _cell(kind):
     return st.one_of(st.none(), value)
 
 
-_RECORDS = st.lists(st.fixed_dictionaries({name: _cell(_column_type(name))
-                                           for name in FIELD_ORDER}), max_size=40)
+_INDEPENDENT = st.lists(st.fixed_dictionaries({name: _cell(_column_type(name))
+                                               for name in FIELD_ORDER}), max_size=40)
+
+
+@st.composite
+def _repeating(draw):
+    """Rows whose cells repeat a few objects per column, in runs that cross a block.
+
+    Every float column's pool holds distinct 0.0 and -0.0 objects, as Python
+    and numpy floats, next to drawn values and None: a writer that memoised
+    by equality instead of identity would write one zero's repr for the other.
+    """
+    pools = {}
+    for name in FIELD_ORDER:
+        kind = _column_type(name)
+        pool = draw(st.lists(_cell(kind), min_size=1, max_size=3))
+        if kind == "float":
+            pool += [0.0, -0.0, np.float64(0.0), np.float64(-0.0), None]
+        pools[name] = pool
+    runs = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(1, 30)), max_size=8))
+    rows = []
+    for pick, length in runs:
+        rows += [{name: pool[pick % len(pool)] for name, pool in pools.items()}
+                 for _ in range(length)]
+    return rows
+
+
+_RECORDS = st.one_of(_INDEPENDENT, _repeating())
 
 
 def _normalise(row):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from samlab.data import Dataset, generate_dataset, make_batches
+from samlab.data import Batch, Dataset, generate_dataset, make_batches
 from samlab.errors import ConfigurationError
 from samlab.objectives import (classify_basin, eval_grad, eval_heldout, eval_loss, fd_gradient,
                                init_params, make_mlp_classifier, make_quadratic,
@@ -186,10 +186,12 @@ def test_mlp_kernel_matches_parent_oracle_bit_for_bit(hidden, input_dim, n_class
                  rng.integers(0, n_classes, size=n).astype(target_dtype))
     batch_size = data.draw(st.integers(1, n), label="batch_size")
     for batch in make_batches(ds, batch_size, seed, 0):  # the last batch may be short
-        loss, grad = eval_grad(spec, w, batch)
         ref_loss, ref_grad = oracle_mlp_eval(spec, w.values, batch, with_grad=True)
-        assert _bits(loss) == _bits(ref_loss)
-        assert grad.dtype == ref_grad.dtype and grad.tobytes() == ref_grad.tobytes()
+        # the first call checks and indexes the targets, the second reuses that
+        for _ in range(2):
+            loss, grad = eval_grad(spec, w, batch)
+            assert _bits(loss) == _bits(ref_loss)
+            assert grad.dtype == ref_grad.dtype and grad.tobytes() == ref_grad.tobytes()
         assert _bits(eval_loss(spec, w, batch)) == _bits(
             oracle_mlp_eval(spec, w.values, batch, with_grad=False)[0])
         # the training loop passes the bare array, and evaluates held-out rows in one pass
@@ -200,6 +202,84 @@ def test_mlp_kernel_matches_parent_oracle_bit_for_bit(hidden, input_dim, n_class
         assert _bits(heldout_acc) == _bits(mlp_accuracy(spec, w, batch.inputs, batch.targets))
     assert np.array_equal(mlp_predict(spec, w, ds.inputs),
                           oracle_mlp_predict(spec, w.values, ds.inputs))
+
+
+def _assert_matches_oracle(spec, values, batch):
+    """eval_grad and eval_heldout on ``batch`` equal the oracle kernel, bit for bit."""
+    loss, grad = eval_grad(spec, values, batch)
+    ref_loss, ref_grad = oracle_mlp_eval(spec, values, batch, with_grad=True)
+    assert _bits(loss) == _bits(ref_loss) and grad.tobytes() == ref_grad.tobytes()
+    heldout_loss, heldout_acc = eval_heldout(spec, values, batch)
+    assert _bits(heldout_loss) == _bits(oracle_mlp_eval(spec, values, batch, False)[0])
+    assert _bits(heldout_acc) == _bits(float(np.mean(
+        oracle_mlp_predict(spec, values, batch.inputs) == batch.targets)))
+
+
+def test_batch_targets_are_read_only():
+    ds = generate_dataset("blobs", 16, 0.5, seed=1)
+    for batch in [whole_dataset_batch(ds), *make_batches(ds, 5, 0, 0)]:
+        with pytest.raises(ValueError):
+            batch.targets[0] = 1
+    assert ds.targets.flags.writeable  # the dataset's own array is left alone
+
+
+def test_reassigned_targets_get_no_stale_index():
+    spec = make_mlp_classifier((2, 5, 2), activation="tanh")
+    values = init_params(spec, 3).values
+    batch = _blobs_batch()
+    _assert_matches_oracle(spec, values, batch)
+    # a writable array is checked and indexed on every call, so writing to it is seen
+    flipped = 1 - batch.targets
+    batch.targets = flipped
+    _assert_matches_oracle(spec, values, batch)
+    flipped[:10] = 1 - flipped[:10]
+    _assert_matches_oracle(spec, values, batch)
+    # a read-only array gets its own index
+    frozen = np.zeros(batch.size, dtype=np.int32)
+    frozen.flags.writeable = False
+    batch.targets = frozen
+    _assert_matches_oracle(spec, values, batch)
+
+
+def test_index_is_kept_per_class_count():
+    """One batch under a 2-class and a 3-class net: the row stride differs."""
+    batch = _blobs_batch()
+    for sizes in [(2, 4, 2), (2, 4, 3), (2, 4, 2)]:
+        spec = make_mlp_classifier(sizes, activation="relu")
+        _assert_matches_oracle(spec, init_params(spec, 1).values, batch)
+
+
+def test_out_of_range_targets_raise_on_every_call():
+    spec = make_mlp_classifier((2, 4, 2))
+    values = init_params(spec, 0).values
+    ds = generate_dataset("blobs", 8, 0.1, seed=0)
+    for targets in [ds.targets + 1, ds.targets - 1]:
+        batch = whole_dataset_batch(Dataset("blobs", 0, 0.1, ds.inputs, targets))
+        for _ in range(3):
+            with pytest.raises(ConfigurationError, match="out of range"):
+                eval_grad(spec, values, batch)
+            with pytest.raises(ConfigurationError, match="out of range"):
+                eval_heldout(spec, values, batch)
+    # valid for three classes is out of range for two, even after a valid call
+    batch = whole_dataset_batch(Dataset("blobs", 0, 0.1, ds.inputs, ds.targets + 1))
+    three = make_mlp_classifier((2, 4, 3))
+    eval_grad(three, init_params(three, 0).values, batch)
+    with pytest.raises(ConfigurationError, match="out of range"):
+        eval_grad(spec, values, batch)
+
+
+@pytest.mark.parametrize("targets", [[0.0, 1.7, 1.2], [0, -0.5, 1], [0.0, 1.0, 1.0],
+                                     [True, False, True], [0.0, float("nan"), 1.0]],
+                         ids=["fractions", "negative_fraction", "whole_floats", "bool", "nan"])
+def test_non_integer_targets_raise(targets):
+    spec = make_mlp_classifier((2, 4, 2))
+    values = init_params(spec, 0).values
+    batch = Batch(np.zeros((3, 2)), np.array(targets), np.arange(3))
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            eval_grad(spec, values, batch)
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            eval_loss(spec, values, batch)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ The cases:
 
 - the four optimizers on a moons MLP through ``run_experiment`` (2 seeds,
   with a short last batch), each followed by ``verify_run`` on every seed;
-- vSAM with momentum 0.9, and vSAM with
-  ``subset_segments=["layer1.W", "layer0.W"]``;
+- vSAM with momentum 0.9, vSAM with
+  ``subset_segments=["layer1.W", "layer0.W"]``, and vSAM on a ReLU
+  ``[2, 8, 8, 2]`` MLP (a gradient over three layers, with dead units);
 - each optimizer with ``grad_eval_budget`` 50 and 51;
 - runs that fail with a NumericError and write ``error.json``: a diverging
   quadratic under SAM (non-finite loss at iteration 92) and under vSAM (the
@@ -78,6 +79,8 @@ def config_cases():
     cases["vsam_momentum_0.9"] = _payload("vsam", optimizer_config={"momentum": 0.9})
     cases["vsam_subset_layer1W_layer0W"] = _payload(
         "vsam", sampler_config={"subset_segments": ["layer1.W", "layer0.W"]})
+    cases["vsam_relu_2_8_8_2"] = _payload(
+        "vsam", objective={"layer_sizes": [2, 8, 8, 2], "activation": "relu"})
     for m in METHODS:
         for budget in (50, 51):
             cases[f"budget_{m}_{budget}"] = _payload(
