@@ -20,8 +20,7 @@ from .optim import (GradientTriple, OptimizerConfig, PSFCache, RunResult,
                     step_sampling, step_sgd)
 from .params import ParamVector, default_subset, subset_norm
 from .sampler import (SamplerConfig, SamplerState, change_rate_series, init_sampler,
-                      norm_ratio, record_sample, should_sample, sliced_variance,
-                      update_rate)
+                      record_sample, should_sample, sliced_variance, update_rate)
 
 __version__ = "0.1.0"
 

@@ -57,22 +57,22 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
-        if not self.seeds:
-            raise ConfigurationError("need at least one seed")
+        if not isinstance(self.seeds, list) or not self.seeds:
+            raise ConfigurationError(f"seeds must be a non-empty list, not {self.seeds!r}")
+        for seed in self.seeds:
+            _check_integer("each seed", seed, 0)
+        for name in ("iterations", "epochs", "batch_size", "k"):
+            if getattr(self, name) is not None:
+                _check_integer(name, getattr(self, name), 1)
         if (self.iterations is None) == (self.epochs is None):
             raise ConfigurationError("give exactly one of iterations or epochs")
-        if self.iterations is not None and self.iterations < 1:
-            raise ConfigurationError("iterations must be >= 1")
-        if self.epochs is not None:
-            if self.epochs < 1:
-                raise ConfigurationError("epochs must be >= 1")
-            if self.dataset is None:
-                raise ConfigurationError("epochs require a dataset")
+        if self.epochs is not None and self.dataset is None:
+            raise ConfigurationError("epochs require a dataset")
         if self.dataset is not None and self.batch_size is None:
             raise ConfigurationError("a dataset requires a batch_size")
         if self.optimizer == "vsam" and self.sampler is None:
             raise ConfigurationError("vsam requires a sampler config")
-        if self.optimizer == "sam_k" and (self.k is None or self.k < 1):
+        if self.optimizer == "sam_k" and self.k is None:
             raise ConfigurationError("sam_k requires k >= 1")
         if self.w0 is not None and self.objective.kind == "mlp_classifier":
             raise ConfigurationError("w0 override applies to analytic objectives only")
@@ -82,6 +82,11 @@ class ExperimentConfig:
             if unknown:
                 raise ConfigurationError(
                     f"subset_segments {unknown} are not segments of the objective {known}")
+
+
+def _check_integer(name, value, minimum):
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, not {value!r}")
 
 
 @dataclass
@@ -213,7 +218,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         iterations=payload.get("iterations"),
         epochs=payload.get("epochs"),
         batch_size=payload.get("batch_size"),
-        seeds=list(payload.get("seeds", [0, 1, 2])),  # three-seed fan-out default
+        seeds=payload.get("seeds", [0, 1, 2]),  # three-seed fan-out default
         output_dir=payload["output_dir"],
         k=payload.get("k"),
         w0=payload.get("w0"),
@@ -491,8 +496,8 @@ def _report_config(payload):
     missing = [key for key in required if key not in payload]
     if missing:
         raise ConfigurationError(f"missing keys in run config: {missing}")
-    if not isinstance(payload["seeds"], list):
-        raise ConfigurationError("run config seeds must be a list")
+    if not isinstance(payload["seeds"], list) or not payload["seeds"]:
+        raise ConfigurationError("run config seeds must be a non-empty list")
     name = payload["optimizer"]
     return (f"sam_{payload['k']}" if name == "sam_k" else name), payload["seeds"]
 

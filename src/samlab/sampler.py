@@ -23,17 +23,17 @@ pending, and when it stops.
 logs (ratios, variances, change rates); the state keeps only what later
 calls need.
 
-``settle`` evaluates every window that holds at least M values as one
-block: the windows are sorted as rows of one array, split into their M
-slices, and each slice's sum and sum of squared deviations are reduced
-along an axis on which numpy adds one value at a time, strictly left to
-right, exactly as the scalar loop of ``sliced_variance`` does. Only a run's
-first M - 1 windows, which hold fewer values than slices, use the scalar
-loop itself. Between settles the norm buffer holds the pending values past
-the window too, while the variance history grows only at a settle, so
-``len(gnorm_buffer) - len(v_history)`` is the number of pending samples. A
-settled state holds the same fields and values as one that was settled
-after every sample.
+``settle`` evaluates the windows of all pending samples as one block: the
+windows are sorted as rows of one array and split into their M slices, and
+each slice's sum and sum of squared deviations are reduced along an axis on
+which numpy adds one value at a time, strictly left to right. A window that
+holds fewer values than slices, as a run's first M - 1 do, is one slice, so
+its statistic is the population variance of its values. ``sliced_variance``
+is the same routine on one window. Between settles the norm buffer holds the
+pending values past the window too, while the variance history grows only at
+a settle, so ``len(gnorm_buffer) - len(v_history)`` is the number of pending
+samples. A settled state holds the same fields and values as one that was
+settled after every sample.
 
 ``should_sample`` takes its Bernoulli uniforms from a block of
 ``DRAW_BLOCK`` drawn with one ``random(DRAW_BLOCK)`` call, which gives the
@@ -116,47 +116,22 @@ def init_sampler(config: SamplerConfig, seed: int) -> SamplerState:
     )
 
 
-def population_variance(values) -> float:
-    """Sum of squared deviations over count, accumulated left to right."""
-    count = len(values)
-    total = 0.0
-    for v in values:
-        total += v
-    mean = total / count
-    acc = 0.0
-    for v in values:
-        d = v - mean
-        acc += d * d
-    return acc / count
-
-
 def sliced_variance(values, m_slices: int) -> float:
     """Mean of per-slice population variances of the ascending-sorted values.
 
     Sorting first makes the statistic robust to isolated extreme norms: an
     outlier inflates only its own slice. With fewer values than slices the
-    population variance of everything is returned instead.
-
-    ``settle`` computes the same statistic for a whole block of windows at
-    once; its results agree with this function bit for bit.
+    population variance of everything is returned instead. This is
+    ``settle``'s block routine on one window.
     """
     if len(values) == 0:
         raise ConfigurationError("sliced_variance needs at least one value")
-    if m_slices < 1:
-        raise ConfigurationError("need at least one slice")
-    ordered = sorted(map(float, values))
-    n = len(ordered)
-    if n < m_slices:
-        return population_variance(ordered)
-    # contiguous as-even-as-possible slices; the first n % m get the extra
-    base, extra = divmod(n, m_slices)
-    total = 0.0
-    lo = 0
-    for j in range(m_slices):
-        hi = lo + base + (1 if j < extra else 0)
-        total += population_variance(ordered[lo:hi])
-        lo = hi
-    return total / m_slices
+    # with one slice the block's one window is reduced along a contiguous axis,
+    # which numpy sums pairwise rather than left to right
+    if m_slices < 2:
+        raise ConfigurationError("need at least 2 variance slices")
+    values = list(map(float, values))
+    return _block_sliced_variance(values, len(values) - 1, len(values), m_slices)[0]
 
 
 def change_rate_series(history, eps: float) -> float:
@@ -177,47 +152,40 @@ def change_rate_series(history, eps: float) -> float:
     return total / (n - 1)
 
 
-def norm_ratio(l2_psf: float, l2_sgd: float, eps: float) -> float:
-    """Correction-to-gradient norm ratio with a guarded denominator."""
-    if l2_psf < 0.0 or l2_sgd < 0.0:
-        raise ConfigurationError("norms must be nonnegative")
-    return l2_psf / max(l2_sgd, eps)
-
-
 @functools.lru_cache(maxsize=256)
 def _window_layout(first, size, n_window, m_slices):
     """Read-only index arrays that lay the windows of samples first..size-1 out as slices.
 
-    Sample j's window is ``values[max(0, j + 1 - n_window):j + 1]``, which
-    must hold at least m_slices values. Returns (rows, gather, widths, pads):
+    Sample j's window is ``values[max(0, j + 1 - n_window):j + 1]``. Returns
+    (rows, gather, widths, pads, divisors):
 
     - ``rows`` picks each window into a row of n_window entries. A window
       still filling is shorter; its row's other entries pick index ``size``,
       where the caller puts +inf, so that they sort last.
     - ``gather`` picks the sorted rows, flattened, into a C-contiguous
-      (slice position, window, slice) array, the slices split as in
-      ``sliced_variance``: the first ``length % m_slices`` are one longer.
-    - ``widths`` holds each slice's width, as floats, (window, slice).
+      (slice position, window, slice) array. A window of at least m_slices
+      values is split into m_slices slices, the first ``length % m_slices``
+      one longer; a shorter window is one slice, and its other slices are
+      empty.
+    - ``widths`` holds each slice's width, as floats, (window, slice); an
+      empty slice counts as 1 wide.
     - ``pads`` marks the positions past a slice's width.
-
-    When every window is full, all slices are equally wide: ``gather`` and
-    ``pads`` are None and ``widths`` is that width.
+    - ``divisors`` holds each window's slice count, as floats.
     """
     ends = np.arange(first, size) + 1
     lengths = np.minimum(ends, n_window)[:, None]
     offsets = np.arange(n_window)
     rows = np.where(offsets < lengths, ends[:, None] - lengths + offsets, size)
-    rows.flags.writeable = False
-    if first + 1 >= n_window:
-        return rows, None, float(n_window // m_slices), None
-    base, extra = np.divmod(lengths, m_slices)
+    counts = np.where(lengths < m_slices, 1, m_slices)
+    base, extra = np.divmod(lengths, counts)
     slice_no = np.arange(m_slices)
-    widths = base + (slice_no < extra)
+    widths = np.where(slice_no < counts, base + (slice_no < extra), 0)
     starts = slice_no * base + np.minimum(slice_no, extra)
     position = np.arange(widths.max())[:, None, None]
     gather = (np.arange(ends.size)[:, None] * n_window
               + np.minimum(starts + position, n_window - 1))
-    layout = (rows, gather, widths.astype(float), position >= widths)
+    layout = (rows, gather, np.maximum(widths, 1).astype(float), position >= widths,
+              counts[:, 0].astype(float))
     for array in layout:
         array.flags.writeable = False
     return layout
@@ -227,36 +195,32 @@ def _block_sliced_variance(values, first, n_window, m_slices):
     """Sliced variance of the windows of samples first..len(values)-1, as a list.
 
     Each window is sorted as a row of one array. The slices' sums add each
-    slice's values strictly left to right, as the loops of
-    ``population_variance`` do, so every result equals the scalar path's bit
-    for bit. Padding past a short slice counts as +0.0, which changes no
-    sum. The scalar loops start from 0.0 where these sums start from the
-    first value; the two differ only when every value so far is -0.0, and
-    then every squared deviation is +0.0 either way.
+    slice's values strictly left to right, so every result equals a scalar
+    loop's bit for bit. Padding past a slice's width counts as +0.0, which
+    changes no sum. A scalar loop starts its sums from 0.0 where these start
+    from the first value; the two differ only when every value so far is
+    -0.0, and then every squared deviation is +0.0 either way.
     """
-    rows, gather, widths, pads = _window_layout(first, len(values), n_window, m_slices)
+    rows, gather, widths, pads, divisors = _window_layout(
+        first, len(values), n_window, m_slices)
     ordered = np.array(values + [math.inf])[rows]
     ordered.sort(axis=1)
     # (slice position, window, slice), C-contiguous. Reducing along axis 0, the
     # slowest axis in memory, adds one value at a time to each sum: numpy sums
     # pairwise only along the fastest axis.
-    if gather is None:
-        slices = np.ascontiguousarray(
-            ordered.reshape(-1, m_slices, int(widths)).transpose(2, 0, 1))
-    else:
-        slices = ordered.ravel()[gather]
+    slices = ordered.ravel()[gather]
+    with np.errstate(all="ignore"):  # inf - inf is NaN here, silently, as in Python
         np.copyto(slices, 0.0, where=pads)
-    mean = np.add.reduce(slices, axis=0)
-    mean /= widths
-    slices -= mean
-    if pads is not None:
+        mean = np.add.reduce(slices, axis=0)
+        mean /= widths
+        slices -= mean
         np.copyto(slices, 0.0, where=pads)
-    np.multiply(slices, slices, out=slices)
-    per_slice = np.add.reduce(slices, axis=0)
-    per_slice /= widths
-    # the slices of a window lie along the fastest axis: accumulate keeps their order
-    variances = np.add.accumulate(per_slice, axis=1)[:, -1]
-    variances /= m_slices
+        np.multiply(slices, slices, out=slices)
+        per_slice = np.add.reduce(slices, axis=0)
+        per_slice /= widths
+        # the slices of a window lie along the fastest axis: accumulate keeps their order
+        variances = np.add.accumulate(per_slice, axis=1)[:, -1]
+        variances /= divisors
     return variances.tolist()
 
 
@@ -271,7 +235,6 @@ def note_sample(state: SamplerState, config: SamplerConfig,
     if value != value:
         # NaN has no place in a sorted window
         raise NumericError("sampled correction norm is NaN")
-    # norm_ratio's checks and formula, inline: this runs on every sample
     if value < 0.0 or sgd < 0.0:
         raise ConfigurationError("norms must be nonnegative")
     r = value / max(sgd, config.eps)
@@ -290,17 +253,11 @@ def settle(state: SamplerState, config: SamplerConfig) -> list[float]:
     Afterwards the norm buffer and the ratio history hold their last N values
     again and the variances are in ``v_history``.
     """
-    buffer, n, m = state.gnorm_buffer, config.n_window, config.m_slices
-    end, first = len(buffer), len(state.v_history)
-    if first >= end:
+    buffer, n = state.gnorm_buffer, config.n_window
+    first = len(state.v_history)
+    if first >= len(buffer):
         return []
-    # a run's first m - 1 windows hold fewer values than slices; a window still
-    # filling is the whole buffer so far, since nothing has been evicted yet
-    few = min(end, m - 1)
-    vs = [sliced_variance(buffer[:j + 1], m) for j in range(first, few)]
-    if max(first, few) < end:
-        with np.errstate(all="ignore"):  # inf - inf is NaN here, silently, as in Python
-            vs += _block_sliced_variance(buffer, max(first, few), n, m)
+    vs = _block_sliced_variance(buffer, first, n, config.m_slices)
     del buffer[:-n]
     del state.r_history[:-n]
     history = state.v_history

@@ -22,7 +22,7 @@ from samlab.objectives import (SHARP_FLAT_CALIBRATION, classify_basin, eval_grad
 from samlab.optim import (OptimizerConfig, run_sam, run_sgd, run_vsam, sam_gradient)
 from samlab.params import ParamVector
 from samlab.sampler import (SamplerConfig, begin_windowing, init_sampler, note_sample,
-                            record_sample, should_sample, update_rate)
+                            settle, should_sample, update_rate)
 
 from helpers import replay_sampler, symmetric_eigen, whole_dataset_batch
 
@@ -229,11 +229,13 @@ def _random_trace(rng):
         if rng.random() < 0.75:
             psf = 0.0 if rng.random() < 0.15 else float(rng.random() * 10.0)
             sgd = 0.0 if rng.random() < 0.15 else float(rng.random() * 5.0)
-            record_sample(state, cfg, psf, sgd)
+            # folded in as the training loop does: update_rate settles
+            note_sample(state, cfg, psf, sgd)
             events.append(("record", psf, sgd))
         else:
             rates = update_rate(state, cfg)
             events.append(("update",))
+    settle(state, cfg)
     return cfg, state, events, rates
 
 

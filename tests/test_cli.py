@@ -148,8 +148,13 @@ def test_verify_reports_bad_summary_values(tmp_path, capsys, key, value, failure
     assert out[-1] == "[PASS] norm trace matches metrics"
 
 
-@pytest.mark.parametrize("key", ["seeds", "optimizer"])
-def test_report_excludes_run_with_incomplete_config(tmp_path, capsys, key):
+@pytest.mark.parametrize("key, value, reason", [
+    pytest.param("seeds", None, "missing keys in run config: ['seeds']", id="seeds"),
+    pytest.param("optimizer", None, "missing keys in run config: ['optimizer']",
+                 id="optimizer"),
+    pytest.param("seeds", [], "run config seeds must be a non-empty list", id="no_seeds"),
+])
+def test_report_excludes_run_with_incomplete_config(tmp_path, capsys, key, value, reason):
     config = _small_config(tmp_path)
     assert main(["run", str(_write_config(tmp_path, config))]) == 0
     config_sam = dict(config, optimizer="sam", output_dir=str(tmp_path / "out_sam"))
@@ -157,13 +162,15 @@ def test_report_excludes_run_with_incomplete_config(tmp_path, capsys, key):
     assert main(["run", str(_write_config(tmp_path, config_sam))]) == 0
     run_config = tmp_path / "out" / "config.json"
     payload = json.loads(run_config.read_text())
-    del payload[key]
+    if value is None:  # the key is missing
+        del payload[key]
+    else:
+        payload[key] = value
     run_config.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["report", str(tmp_path / "out"), str(tmp_path / "out_sam")]) == 0
     out = capsys.readouterr().out
-    assert (f"WARNING: excluded incomplete run {tmp_path / 'out'}: "
-            f"missing keys in run config: ['{key}']") in out
+    assert f"WARNING: excluded incomplete run {tmp_path / 'out'}: {reason}" in out
     assert "vsam" not in out and "sam" in out
 
 
@@ -207,9 +214,16 @@ def test_invalid_config_is_reported(tmp_path, capsys):
     {"batch_size": 39},  # the 48-example dataset leaves 38 for training
     {"sampler_config": {"n_window": 8, "m_slices": 2, "s1": 4, "i_start": 8,
                         "subset_segments": []}},
+    # integer fields of the wrong type or range; None drops the key
+    {"seeds": ["a"]}, {"seeds": [0.5]}, {"seeds": [True]}, {"seeds": [-1]}, {"seeds": 3},
+    {"iterations": 2.5}, {"iterations": "5"},
+    {"iterations": None, "epochs": 1.5}, {"batch_size": 12.0},
+    {"optimizer": "sam_k", "k": 1.5}, {"optimizer": "sam_k", "k": True},
 ])
 def test_run_rejects_unrunnable_config_before_writing(tmp_path, capsys, change):
-    config = dict(_small_config(tmp_path), **change)
+    # exit 2 is a SamlabError
+    config = {key: value for key, value in dict(_small_config(tmp_path), **change).items()
+              if value is not None}
     path = _write_config(tmp_path, config)
     assert main(["run", str(path)]) == 2
     assert "error" in capsys.readouterr().err

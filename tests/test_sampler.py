@@ -6,11 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from samlab.errors import ConfigurationError, NumericError
 from samlab.sampler import (SamplerConfig, SamplerState, begin_windowing,
-                            change_rate_series, init_sampler, norm_ratio, note_sample,
+                            change_rate_series, init_sampler, note_sample,
                             record_sample, settle, should_sample, sliced_variance,
                             sync_draws, update_rate)
 
-from helpers import float_bits, per_call_should_sample, replay_sampler, sampler_state_bits
+from helpers import (_oracle_sliced_variance, float_bits, per_call_should_sample,
+                     replay_sampler, sampler_state_bits)
 
 
 def _cfg(**kwargs):
@@ -30,9 +31,10 @@ def test_sliced_variance_all_equal_is_zero():
     assert sliced_variance([4.2] * 12, 3) == 0.0
 
 
-def test_sliced_variance_single_slice_is_population_variance():
-    values = [1.0, 2.0, 3.0, 4.0]
-    assert sliced_variance(values, 1) == 1.25
+def test_sliced_variance_rejects_a_single_slice():
+    # one slice would be summed pairwise, not left to right; SamplerConfig needs M >= 2
+    with pytest.raises(ConfigurationError):
+        sliced_variance([1.0, 2.0, 3.0, 4.0], 1)
 
 
 def test_sliced_variance_fallback_below_slice_count():
@@ -77,11 +79,13 @@ def test_change_rate_short_history_is_zero():
 
 
 def test_norm_ratio_examples():
-    assert norm_ratio(2.0, 4.0, 1e-12) == 0.5
-    assert norm_ratio(1.0, 0.0, 1e-12) == 1e12
-    assert norm_ratio(0.0, 5.0, 1e-12) == 0.0
+    # the ratio note_sample returns
+    cfg = _cfg()
+    assert note_sample(init_sampler(cfg, 0), cfg, 2.0, 4.0)[0] == 0.5
+    assert note_sample(init_sampler(cfg, 0), cfg, 1.0, 0.0)[0] == 1e12
+    assert note_sample(init_sampler(cfg, 0), cfg, 0.0, 5.0)[0] == 0.0
     with pytest.raises(ConfigurationError):
-        norm_ratio(-1.0, 1.0, 1e-12)
+        note_sample(init_sampler(cfg, 0), cfg, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +379,7 @@ def test_settled_blocks_equal_per_sample_evaluation(shape, norms, settle_after):
     for k, value in enumerate(norms):
         assert note_sample(lazy, cfg, value, 1.0) == (value, k + 1 < m)
         v, *_ = record_sample(eager, cfg, value, 1.0)
-        expected.append(sliced_variance(norms[max(0, k + 1 - n):k + 1], m))
+        expected.append(_oracle_sliced_variance(norms[max(0, k + 1 - n):k + 1], m))
         assert float_bits(v) == float_bits(expected[-1])
         assert len(eager.gnorm_buffer) == len(eager.v_history)
         if k in settle_after:
@@ -386,6 +390,37 @@ def test_settled_blocks_equal_per_sample_evaluation(shape, norms, settle_after):
     assert settle(lazy, cfg) == []
     assert [float_bits(v) for v in got] == [float_bits(v) for v in expected]
     assert sampler_state_bits(lazy) == sampler_state_bits(eager)
+
+
+_SPECIAL_NORMS = [0.0, -0.0, math.inf, 5e-324, 1e-310, 2.5]
+_ANY_NORM = st.one_of(st.sampled_from(_SPECIAL_NORMS),
+                      st.floats(min_value=0.0, max_value=1e300),
+                      st.integers(1, 2**53).map(lambda k: k / 2**50))
+
+
+@settings(deadline=None, max_examples=200)
+@given(m=st.integers(2, 8), slice_width=st.integers(1, 8), data=st.data())
+def test_block_routine_equals_scalar_oracle(m, slice_width, data):
+    # settle at random points, and sliced_variance on each window alone, give the
+    # bits of the scalar oracle: short windows (one slice), ragged windows still
+    # filling and full ones, with repeats, signed zeros, inf and subnormals
+    n = m * slice_width
+    pool = data.draw(st.lists(_ANY_NORM, min_size=1, max_size=6))
+    norms = data.draw(st.lists(st.one_of(st.sampled_from(pool), _ANY_NORM),
+                               min_size=1, max_size=3 * n))
+    settle_after = data.draw(st.sets(st.integers(0, len(norms) - 1), max_size=10))
+    cfg = SamplerConfig(n_window=n, m_slices=m, s1=1, i_start=n)
+    state = init_sampler(cfg, 0)
+    got = []
+    for k, value in enumerate(norms):
+        note_sample(state, cfg, value, 1.0)
+        if k in settle_after:
+            got += settle(state, cfg)
+    got += settle(state, cfg)
+    windows = [norms[max(0, k + 1 - n):k + 1] for k in range(len(norms))]
+    expected = [float_bits(_oracle_sliced_variance(window, m)) for window in windows]
+    assert [float_bits(v) for v in got] == expected
+    assert [float_bits(sliced_variance(window, m)) for window in windows] == expected
 
 
 def test_update_rate_settles_pending_samples_first():

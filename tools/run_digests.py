@@ -15,8 +15,9 @@ The cases:
 - the four optimizers on a moons MLP through ``run_experiment`` (2 seeds,
   with a short last batch), each followed by ``verify_run`` on every seed;
 - vSAM with momentum 0.9, vSAM with
-  ``subset_segments=["layer1.W", "layer0.W"]``, and vSAM on a ReLU
-  ``[2, 8, 8, 2]`` MLP (a gradient over three layers, with dead units);
+  ``subset_segments=["layer1.W", "layer0.W"]``, vSAM on a ReLU
+  ``[2, 8, 8, 2]`` MLP (a gradient over three layers, with dead units), and
+  vSAM with 10 slices of its 20-sample window (short and ragged windows);
 - each optimizer with ``grad_eval_budget`` 50 and 51;
 - runs that fail with a NumericError and write ``error.json``: a diverging
   quadratic under SAM (non-finite loss at iteration 92) and under vSAM (the
@@ -81,6 +82,9 @@ def config_cases():
         "vsam", sampler_config={"subset_segments": ["layer1.W", "layer0.W"]})
     cases["vsam_relu_2_8_8_2"] = _payload(
         "vsam", objective={"layer_sizes": [2, 8, 8, 2], "activation": "relu"})
+    # the first nine windows hold fewer values than slices, and windows of
+    # 10-19 values split into slices of unequal width
+    cases["vsam_slices_10"] = _payload("vsam", sampler_config={"m_slices": 10})
     for m in METHODS:
         for budget in (50, 51):
             cases[f"budget_{m}_{budget}"] = _payload(
