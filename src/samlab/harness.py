@@ -60,10 +60,10 @@ class ExperimentConfig:
         if not isinstance(self.seeds, list) or not self.seeds:
             raise ConfigurationError(f"seeds must be a non-empty list, not {self.seeds!r}")
         for seed in self.seeds:
-            _check_integer("each seed", seed, 0)
+            _check_number("each seed", seed, int, 0)
         for name in ("iterations", "epochs", "batch_size", "k"):
             if getattr(self, name) is not None:
-                _check_integer(name, getattr(self, name), 1)
+                _check_number(name, getattr(self, name), int, 1)
         if (self.iterations is None) == (self.epochs is None):
             raise ConfigurationError("give exactly one of iterations or epochs")
         if self.epochs is not None and self.dataset is None:
@@ -84,9 +84,29 @@ class ExperimentConfig:
                     f"subset_segments {unknown} are not segments of the objective {known}")
 
 
-def _check_integer(name, value, minimum):
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigurationError(f"{name} must be an integer >= {minimum}, not {value!r}")
+def _check_number(name, value, kind, minimum=None):
+    """The one rule for a number in a config.
+
+    An integer field (kind int) takes an int, a real field (kind float) a
+    finite int or float; bool counts as neither.
+    """
+    if (isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float))
+            or isinstance(value, float) and not math.isfinite(value)
+            or minimum is not None and value < minimum):
+        what = "an integer" if kind is int else "a finite number"
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ConfigurationError(f"{name} must be {what}{at_least}, not {value!r}")
+
+
+def _check_list(name, values, kind):
+    """A list of numbers of one kind (see ``_check_number``), or of values of type ``kind``."""
+    if not isinstance(values, list):
+        raise ConfigurationError(f"{name} must be a list, not {values!r}")
+    for value in values:
+        if kind in (int, float):
+            _check_number(name, value, kind)
+        elif not isinstance(value, kind):
+            raise ConfigurationError(f"{name} must hold {kind.__name__} values, not {value!r}")
 
 
 @dataclass
@@ -155,20 +175,29 @@ def _take(payload: dict, allowed, required, context: str) -> dict:
 def _objective_from_dict(payload: dict) -> ObjectiveSpec:
     kind = payload.get("kind")
     wd = payload.get("weight_decay", 0.0)
+    _check_number("objective weight_decay", wd, float)
     if kind == "quadratic":
         _take(payload, {"kind", "a", "b", "weight_decay"}, {"kind", "a"}, "objective")
+        _check_list("objective a", payload["a"], list)
+        for row in payload["a"]:
+            _check_list("objective a", row, float)
+        if payload.get("b") is not None:
+            _check_list("objective b", payload["b"], float)
         return make_quadratic(payload["a"], payload.get("b"), wd)
     if kind == "rosenbrock":
         _take(payload, {"kind", "dim", "weight_decay"}, {"kind"}, "objective")
+        _check_number("objective dim", payload.get("dim", 2), int)
         return make_rosenbrock(payload.get("dim", 2), wd)
     if kind == "sharp_flat":
-        _take(payload, {"kind", "width_sharp", "width_flat", "depth_gap", "separation"},
-              {"kind", "width_sharp", "width_flat", "depth_gap", "separation"}, "objective")
-        return make_sharp_flat(payload["width_sharp"], payload["width_flat"],
-                               payload["depth_gap"], payload["separation"])
+        names = ("width_sharp", "width_flat", "depth_gap", "separation")
+        _take(payload, {"kind", *names}, {"kind", *names}, "objective")
+        for name in names:
+            _check_number(f"objective {name}", payload[name], float)
+        return make_sharp_flat(*(payload[name] for name in names))
     if kind == "mlp_classifier":
         _take(payload, {"kind", "layer_sizes", "activation", "weight_decay"},
               {"kind", "layer_sizes"}, "objective")
+        _check_list("objective layer_sizes", payload["layer_sizes"], int)
         return make_mlp_classifier(payload["layer_sizes"],
                                    payload.get("activation", "tanh"), wd)
     raise ConfigurationError(f"unknown objective kind {kind!r}")
@@ -188,27 +217,47 @@ def _objective_to_dict(spec: ObjectiveSpec) -> dict:
             "activation": spec.activation, "weight_decay": spec.weight_decay}
 
 
-_OPT_KEYS = {f.name for f in fields(OptimizerConfig)}
-_SAMPLER_KEYS = {f.name for f in fields(SamplerConfig)}
 _TOP_KEYS = {"objective", "dataset", "optimizer", "optimizer_config", "sampler_config",
              "iterations", "epochs", "batch_size", "seeds", "output_dir", "k", "w0"}
 _DATASET_KEYS = {"kind", "n", "noise", "seed"}
+# OptimizerConfig and SamplerConfig field annotation -> the kind of number it
+# takes, or str for a list of strings; the other fields check their own values
+_FIELD_KINDS = {"int": int, "int | None": int, "float": float, "list[str] | None": str}
+
+
+def _settings(cls, payload, context):
+    """``cls`` built from ``payload``, its keys, numbers and lists checked first.
+
+    A field whose default is None also takes None.
+    """
+    _take(payload, {f.name for f in fields(cls)}, set(), context)
+    for f in fields(cls):
+        kind, value = _FIELD_KINDS.get(f.type), payload.get(f.name)
+        if kind is None or f.name not in payload or value is None and f.default is None:
+            continue
+        if kind is str:
+            _check_list(f"{context} {f.name}", value, str)
+        else:
+            _check_number(f"{context} {f.name}", value, kind)
+    return cls(**payload)
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
     _take(payload, _TOP_KEYS, {"objective", "optimizer", "output_dir"}, "config")
     objective = _objective_from_dict(dict(payload["objective"]))
-    opt = OptimizerConfig(**_take(dict(payload.get("optimizer_config", {})),
-                                  _OPT_KEYS, set(), "optimizer_config"))
+    opt = _settings(OptimizerConfig, dict(payload.get("optimizer_config", {})),
+                    "optimizer_config")
     sampler = None
     if "sampler_config" in payload:
-        sampler = SamplerConfig(**_take(dict(payload["sampler_config"]),
-                                        _SAMPLER_KEYS, set(), "sampler_config"))
+        sampler = _settings(SamplerConfig, dict(payload["sampler_config"]), "sampler_config")
     dataset = None
     if "dataset" in payload:
         dataset = dict(_take(dict(payload["dataset"]), _DATASET_KEYS,
                              {"kind", "n", "seed"}, "dataset"))
         dataset.setdefault("noise", 0.0)
+        _check_number("dataset n", dataset["n"], int)
+        _check_number("dataset noise", dataset["noise"], float)
+        _check_number("dataset seed", dataset["seed"], int, 0)
     return ExperimentConfig(
         objective=objective,
         optimizer=payload["optimizer"],
@@ -261,7 +310,24 @@ def resolve_output_dir(output_dir) -> Path:
 
 
 def _plan_iterations(config, dataset):
-    """Iterations per seed; rejects a batch size the training split cannot fill."""
+    """Iterations per seed; rejects a config whose runs could not all run.
+
+    That is a repeated seed, which would share a seed directory, a ``w0``
+    that is not one finite number per parameter, vSAM with nothing to fill
+    the correction cache before its first reuse step, and a batch size the
+    training split cannot fill.
+    """
+    if len(set(config.seeds)) < len(config.seeds):
+        raise ConfigurationError(f"seeds must not repeat, got {config.seeds}")
+    if config.w0 is not None:
+        _check_list("w0", config.w0, float)
+        if len(config.w0) != config.objective.param_count:
+            raise ConfigurationError(f"w0 must hold {config.objective.param_count} values, "
+                                     f"one per parameter, not {len(config.w0)}")
+    if config.optimizer == "vsam" and config.sampler.i_start < 1 \
+            and config.sampler.force != "always":
+        raise ConfigurationError("vsam needs i_start >= 1 or force 'always' "
+                                 "to fill the correction cache")
     if dataset is None:
         return config.iterations
     train, _ = train_test_split(dataset)

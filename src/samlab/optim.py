@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -75,14 +75,13 @@ class GradientTriple:
 
 @dataclass
 class PSFCache:
-    psf: np.ndarray | None = None
+    psf: np.ndarray | None = None       # None until a correction is sampled
     sampled_at: int = -1
-    valid: bool = False
     l2_psf: float | None = None         # norms of psf, stored when it is sampled
     l2_psf_subset: float | None = None
 
     def store(self, psf, iteration, l2_psf, l2_psf_subset):
-        self.psf, self.sampled_at, self.valid = psf, iteration, True
+        self.psf, self.sampled_at = psf, iteration
         self.l2_psf, self.l2_psf_subset = l2_psf, l2_psf_subset
 
 
@@ -169,7 +168,7 @@ def reuse_coefficient(gamma: float, staleness: int) -> float:
 
 def _reuse_direction(g_sgd, cache: PSFCache, i: int, gamma):
     """g + gamma**staleness * cached correction, for a reuse step at iteration i."""
-    if not cache.valid:
+    if cache.psf is None:
         raise ContractViolationError("reuse step before any correction was sampled")
     if i <= cache.sampled_at:
         raise ContractViolationError("reuse step must come after the cached sample")
@@ -210,13 +209,14 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
            samples_at, cfg: SamplerConfig | None = None) -> RunResult:
     """The one training loop; the runners differ only in its sampling policy.
 
-    Every iteration evaluates the plain gradient. ``samples_at(i)`` says
-    whether iteration i (1-based within this call) also evaluates the
-    perturbed gradient and takes the full SAM step; other iterations take the
-    plain SGD step. With a sampler config the adaptive controller decides
-    instead, non-sampled iterations reuse the cached correction with gamma
-    decay, and the sampling rate is re-estimated at the end of every
-    N-iteration window after warmup.
+    Every iteration evaluates the plain gradient. ``samples_at(t)`` says
+    whether iteration t also evaluates the perturbed gradient and takes the
+    full SAM step; other iterations take the plain SGD step. t is 1-based
+    over the whole run, so a call that starts at ``start_iteration`` samples
+    where the uninterrupted run would. With a sampler config the adaptive
+    controller decides instead, non-sampled iterations reuse the cached
+    correction with gamma decay, and the sampling rate is re-estimated at the
+    end of every N-iteration window after warmup.
 
     An iteration whose second evaluation would exceed ``grad_eval_budget``
     takes its one-evaluation step instead (reuse when a correction is cached,
@@ -228,11 +228,12 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     warnings off. A NumericError leaves with its iteration and the records so
     far (``partial_records``), so that the harness can flush a partial trace.
 
-    vSAM rows get their sliced variance ``v`` late: the loop notes each
-    sample and settles the pending ones as a block before every rate update,
-    whenever N are pending, and when it stops, a NumericError included.
-    However the run ends, the sampler's generator is synced to where one
-    draw per Bernoulli decision leaves it (``sync_draws``).
+    vSAM rows get their sliced variance ``v`` when the run stops: the loop
+    notes each sample and keeps what ``settle`` returns before every rate
+    update and whenever N samples are pending. However the run ends, a
+    NumericError included, it then settles the rest, syncs the sampler's
+    generator to where one draw per Bernoulli decision leaves it
+    (``sync_draws``), and hands the variances to the sampled rows in order.
     """
     if iterations < 1:
         raise ConfigurationError("need at least one iteration")
@@ -265,34 +266,24 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     if cfg is not None:
         state, cache = init_sampler(cfg, seed), PSFCache()
         i_start, n_window = cfg.i_start, cfg.n_window
-    unsettled = []  # sampled rows whose sliced variance waits for the next settle
-
-    def settle_rows():
-        # a sample noted in an iteration whose row is not built yet settles last
-        vs = settle(state, cfg)
-        for record, v in zip(unsettled, vs):
-            record.v = v
-        unsettled.clear()
-        return vs
-
+    settled = []  # the sliced variances settled so far, one per sample, oldest first
     evals, t = 0, start_iteration
     with np.errstate(all="ignore"):
         try:
-            for i, (batch, epoch) in zip(range(1, iterations + 1), batches):
-                t = start_iteration + i
+            for t, (batch, epoch) in enumerate(islice(batches, iterations), start_iteration + 1):
                 eta = learning_rate(opt, t, total)
                 loss, g_sgd = eval_grad(spec, values, batch)
                 evals += 1
                 l2_sgd = l2_norm(g_sgd)
                 l2_sgd_subset = l2_sgd if subset_idx is None else l2_norm(g_sgd[subset_idx])
                 if cfg is None:
-                    wants_sample = samples_at(i)
+                    wants_sample = samples_at(t)
                 else:
                     wants_sample = should_sample(state, cfg, t)
                     p, s = state.p, state.s
                 cut = wants_sample and budget is not None and evals >= budget
                 sampled = wants_sample and not cut
-                v = r = v_fallback = None
+                r = v_fallback = None
                 if sampled:
                     _, g_sam = eval_grad(spec, _perturbed(values, g_sgd, rho), batch)
                     evals += 1
@@ -302,8 +293,10 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                     if cfg is not None:
                         r, v_fallback = note_sample(state, cfg, l2_psf_subset, l2_sgd_subset)
                         cache.store(psf, t, l2_psf, l2_psf_subset)
+                        if len(state.gnorm_buffer) - len(state.v_history) == n_window:
+                            settled += settle(state, cfg)
                     direction, psf_stale, dot_sgd_psf = g_sam, False, float(g_sgd.dot(psf))
-                elif cache is not None and (cache.valid or not cut):
+                elif cache is not None and (cache.psf is not None or not cut):
                     # an empty cache outside a budget cut is a broken contract: this raises
                     direction = _reuse_direction(g_sgd, cache, t, gamma)
                     # reuse rows log the undecayed cached correction
@@ -317,39 +310,31 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                     if t == i_start:
                         begin_windowing(state)
                     elif t > i_start and state.window_iter == n_window:
-                        vs = settle_rows()
-                        if sampled:
-                            v = vs[-1]
+                        settled += settle(state, cfg)
                         c_var, c_norm = update_rate(state, cfg)
                 eval_loss_v = eval_acc = None
                 if test_batch is not None and t % bpe == 0:
                     eval_loss_v, eval_acc = eval_heldout(spec, values, test_batch)
-                # positional, in MetricsRecord's field order
-                record = MetricsRecord(
+                # positional, in MetricsRecord's field order; v is filled in when the run stops
+                records.append(MetricsRecord(
                     t, epoch, loss, l2_sgd, sampled, evals, time.perf_counter() - t0,
                     eval_loss_v, eval_acc, l2_psf, psf_stale, l2_sgd_subset, l2_psf_subset,
-                    p, s, v, r, c_var, c_norm, v_fallback, dot_sgd_psf)
-                records.append(record)
-                # a sampled vSAM row, unless a rate update has just settled it
-                if r is not None and v is None:
-                    unsettled.append(record)
-                    if len(unsettled) == n_window:
-                        settle_rows()
+                    p, s, None, r, c_var, c_norm, v_fallback, dot_sgd_psf))
                 if history is not None:
                     history.append(values.copy())
                 if budget is not None and evals >= budget:
                     break
-            if cfg is not None:
-                settle_rows()
         except NumericError as err:
-            if cfg is not None:
-                settle_rows()
             located = NumericError(str(err), iteration=t)
             located.partial_records = records
             raise located from err
         finally:
             if state is not None:
+                settled += settle(state, cfg)
                 sync_draws(state)
+                # a sample noted in an iteration that raised before its row was built comes last
+                for record, v in zip((row for row in records if row.r is not None), settled):
+                    record.v = v
     return RunResult(records, w0.with_values(values), m, history, state)
 
 
@@ -357,26 +342,26 @@ def run_sgd(spec, dataset, opt: OptimizerConfig, iterations: int, seed: int,
             batch_size=None, w0=None, momentum0=None, start_iteration=0,
             schedule_total=None, collect_params=False):
     return _train(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
-                  start_iteration, schedule_total, collect_params, None, lambda i: False)
+                  start_iteration, schedule_total, collect_params, None, lambda t: False)
 
 
 def run_sam(spec, dataset, opt: OptimizerConfig, iterations: int, seed: int,
             batch_size=None, w0=None, momentum0=None, start_iteration=0,
             schedule_total=None, collect_params=False, subset_names=None):
     return _train(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
-                  start_iteration, schedule_total, collect_params, subset_names, lambda i: True)
+                  start_iteration, schedule_total, collect_params, subset_names, lambda t: True)
 
 
 def run_sam_k(spec, dataset, opt: OptimizerConfig, k: int, iterations: int,
               seed: int, batch_size=None, w0=None, momentum0=None,
               start_iteration=0, schedule_total=None, collect_params=False,
               subset_names=None):
-    """SAM every k-th iteration (1-based), plain SGD otherwise; k=1 is SAM."""
+    """SAM where t % k == 0 (t 1-based over the whole run), plain SGD otherwise; k=1 is SAM."""
     if k < 1:
         raise ConfigurationError("k must be at least 1")
     return _train(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
                   start_iteration, schedule_total, collect_params, subset_names,
-                  lambda i: i % k == 0)
+                  lambda t: t % k == 0)
 
 
 def run_vsam(spec, dataset, opt: OptimizerConfig, sampler_config: SamplerConfig,

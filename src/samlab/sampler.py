@@ -16,12 +16,13 @@ A sample is folded in in two steps. ``note_sample`` runs once per sample and
 does the cheap part: the norm joins the buffer, the norm ratio joins its
 history and the window's sample count goes up. ``settle`` computes the
 sliced variance of every sample noted since the last settle and trims the
-buffers back to the window; only ``update_rate`` reads the histories, and
-the training loop settles before each rate update, whenever N samples are
-pending, and when it stops.
-``record_sample`` is the two in a row. Each call returns what its caller
-logs (ratios, variances, change rates); the state keeps only what later
-calls need.
+buffers back to the window; only ``update_rate`` reads the histories. The
+training loop settles before each rate update, whenever N samples are
+pending (which bounds the buffer), and once when it stops, however it stops;
+it keeps every variance ``settle`` returns and hands them to the sampled
+rows, in order, only then. ``record_sample`` is the two in a row. Each call
+returns what its caller logs (ratios, variances, change rates); the state
+keeps only what later calls need.
 
 ``settle`` evaluates the windows of all pending samples as one block: the
 windows are sorted as rows of one array and split into their M slices, and
@@ -298,7 +299,7 @@ def update_rate(state: SamplerState, config: SamplerConfig) -> tuple[float, floa
 
 
 def should_sample(state: SamplerState, config: SamplerConfig, i: int) -> bool:
-    """Sampling decision for iteration i (1-based).
+    """Sampling decision for iteration i, 1-based over the whole run.
 
     Warmup iterations always sample and leave the window clock untouched;
     the clock starts once the adaptive phase begins. After warmup the window

@@ -13,18 +13,33 @@ def _write_config(tmp_path, payload):
     return path
 
 
+SMALL_SECTIONS = {
+    "objective": {"kind": "mlp_classifier", "layer_sizes": [2, 5, 2]},
+    "dataset": {"kind": "blobs", "n": 48, "noise": 0.3, "seed": 1},
+    "optimizer_config": {"eta0": 0.1, "rho": 0.05, "gamma": 0.9},
+    "sampler_config": {"n_window": 8, "m_slices": 2, "s1": 4, "i_start": 8},
+}
+
+
 def _small_config(tmp_path):
     return {
-        "objective": {"kind": "mlp_classifier", "layer_sizes": [2, 5, 2]},
-        "dataset": {"kind": "blobs", "n": 48, "noise": 0.3, "seed": 1},
+        **json.loads(json.dumps(SMALL_SECTIONS)),
         "optimizer": "vsam",
-        "optimizer_config": {"eta0": 0.1, "rho": 0.05, "gamma": 0.9},
-        "sampler_config": {"n_window": 8, "m_slices": 2, "s1": 4, "i_start": 8},
         "iterations": 24,
         "batch_size": 12,
         "seeds": [0, 1],
         "output_dir": str(tmp_path / "out"),
     }
+
+
+def _section(name, **changes):
+    """A change to one section of the small config."""
+    return {name: dict(SMALL_SECTIONS[name], **changes)}
+
+
+# a quadratic objective in place of the MLP and its dataset
+_QUADRATIC = {"objective": {"kind": "quadratic", "a": [[1.0, 0.0], [0.0, 2.0]]},
+              "dataset": None, "batch_size": None}
 
 
 def test_gen_data_writes_loadable_file(tmp_path, capsys):
@@ -219,6 +234,28 @@ def test_invalid_config_is_reported(tmp_path, capsys):
     {"iterations": 2.5}, {"iterations": "5"},
     {"iterations": None, "epochs": 1.5}, {"batch_size": 12.0},
     {"optimizer": "sam_k", "k": 1.5}, {"optimizer": "sam_k", "k": True},
+    # runs that could not all run
+    pytest.param({"seeds": [0, 0]}, id="repeated_seeds"),
+    pytest.param(dict(_QUADRATIC, w0=[1.0]), id="w0_length"),
+    pytest.param(dict(_QUADRATIC, w0=["a", 1.0]), id="w0_not_numeric"),
+    pytest.param(_section("sampler_config", i_start=0), id="vsam_without_warmup"),
+    # numbers: an integer takes an int, a real a finite int or float, and bool is neither
+    *[pytest.param(_section(section, **{key: value}), id=f"{key}_{value}".replace(" ", ""))
+      for section, key, value in [
+          ("optimizer_config", "eta0", "0.1"), ("optimizer_config", "momentum", None),
+          ("optimizer_config", "rho", float("nan")),
+          ("optimizer_config", "eta0", float("inf")), ("optimizer_config", "gamma", True),
+          ("optimizer_config", "grad_eval_budget", 2.5),
+          ("sampler_config", "n_window", "10"), ("sampler_config", "n_window", 10.0),
+          ("sampler_config", "i_start", 2.5), ("sampler_config", "alpha", "x"),
+          ("sampler_config", "subset_segments", "w"),
+          ("dataset", "n", "100"), ("dataset", "seed", 1.5),
+          ("dataset", "noise", float("nan")),
+          ("objective", "layer_sizes", [2, 16.5, 2]), ("objective", "weight_decay", "x"),
+      ]],
+    pytest.param({**_QUADRATIC, "objective": {"kind": "rosenbrock", "dim": 2.5}},
+                 id="dim_2.5"),
+    pytest.param({**_QUADRATIC, "objective": {"kind": "quadratic", "a": "x"}}, id="a_x"),
 ])
 def test_run_rejects_unrunnable_config_before_writing(tmp_path, capsys, change):
     # exit 2 is a SamlabError

@@ -43,10 +43,11 @@ def _moons():
 TASKS = {"sharp_flat": _sharp_flat, "moons": _moons}
 
 
-def _run(method, task, iterations=None, budget=None, **extra):
+def _run(method, task, iterations=None, budget=None, momentum=0.0, **extra):
     spec, dataset, kwargs, default_iterations = TASKS[task]()
     opt = optim.OptimizerConfig(eta0=0.004 if task == "sharp_flat" else 0.05, rho=0.9,
-                                lr_schedule="constant", grad_eval_budget=budget)
+                                momentum=momentum, lr_schedule="constant",
+                                grad_eval_budget=budget)
     iterations = iterations or default_iterations
     kwargs.update(extra)
     if method == "sgd":
@@ -135,6 +136,29 @@ def test_a_run_leaves_its_inputs_unmutated(method):
     assert not np.array_equal(result.w_final.values, w_before)
 
 
+def _rows(records, evals_before=0):
+    return [dict(vars(r), wall_clock_seconds=None,
+                 cumulative_grad_evals=r.cumulative_grad_evals + evals_before)
+            for r in records]
+
+
+@pytest.mark.parametrize("task", TASKS)
+@pytest.mark.parametrize("method", ["sgd", "sam", "sam_k"])
+def test_a_split_run_equals_the_uninterrupted_run(method, task):
+    # sam_k samples every third iteration, so the second call starts off that beat
+    whole = _run(method, task, iterations=40, momentum=0.9)
+    first = _run(method, task, iterations=7, momentum=0.9, schedule_total=40)
+    rest = _run(method, task, iterations=33, momentum=0.9, w0=first.w_final,
+                momentum0=first.momentum_final, start_iteration=7, schedule_total=40)
+    # each call counts its own gradient evaluations
+    evals_before = first.records[-1].cumulative_grad_evals
+    split = _rows(first.records) + _rows(rest.records, evals_before)
+    assert repr(split) == repr(_rows(whole.records))
+    assert rest.w_final.values.tobytes() == whole.w_final.values.tobytes()
+    assert rest.momentum_final.tobytes() == whole.momentum_final.tobytes()
+    assert (sum(r.sampled for r in whole.records) > 0) is (method != "sgd")
+
+
 def test_momentum_state_must_match_the_weights():
     with pytest.raises(ConfigurationError, match="momentum0"):
         _run("sgd", "sharp_flat", momentum0=np.zeros(3))
@@ -210,7 +234,19 @@ def _budget_vsam():
         result.sampler_state
 
 
-@pytest.mark.parametrize("run", [_diverging_vsam, _basin_vsam, _budget_vsam])
+def _warmup_budget_vsam():
+    # samples settle N at a time inside a warmup that ends off a window boundary,
+    # and the budget ends the run in the middle of a later window
+    spec, dataset, kwargs, iterations = _moons()
+    opt = optim.OptimizerConfig(eta0=0.05, rho=0.9, lr_schedule="constant",
+                                grad_eval_budget=55)
+    cfg = SamplerConfig(n_window=10, m_slices=2, s1=4, i_start=15)
+    result = optim.run_vsam(spec, dataset, opt, cfg, iterations, 0, **kwargs)
+    return result.records, cfg, result.sampler_state
+
+
+@pytest.mark.parametrize("run", [_diverging_vsam, _basin_vsam, _budget_vsam,
+                                 _warmup_budget_vsam])
 def test_settled_variances_equal_a_per_sample_replay(run):
     records, cfg, *final = run()
     replay = init_sampler(cfg, 0)

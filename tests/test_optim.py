@@ -128,7 +128,7 @@ def test_step_sampling_direct():
     cache = PSFCache()
     w, _ = step_sampling(_pv(1.0, 1.0), triple, 0.5, cache=cache, iteration=7)
     assert np.array_equal(w.values, [0.0, 0.0])
-    assert cache.valid and cache.sampled_at == 7
+    assert cache.sampled_at == 7
     assert np.array_equal(cache.psf, triple.psf)
 
 
@@ -147,19 +147,19 @@ def test_one_sam_step_matches_closed_form_oracle():
 
 
 def test_step_reuse_decay():
-    cache = PSFCache(psf=np.array([0.0, 1.0]), sampled_at=5, valid=True)
+    cache = PSFCache(psf=np.array([0.0, 1.0]), sampled_at=5)
     w, _ = step_reuse(_pv(0.0, 0.0), np.array([1.0, 0.0]), cache, 7, 1.0, 0.7)
     assert np.allclose(w.values, [-1.0, -0.49], atol=1e-15)
 
 
 def test_step_reuse_no_decay_at_gamma_one():
-    cache = PSFCache(psf=np.array([0.5, 0.5]), sampled_at=1, valid=True)
+    cache = PSFCache(psf=np.array([0.5, 0.5]), sampled_at=1)
     w, _ = step_reuse(_pv(0.0, 0.0), np.array([1.0, 1.0]), cache, 2, 1.0, 1.0)
     assert np.array_equal(w.values, [-1.5, -1.5])
 
 
 def test_step_reuse_underflow_drops_correction():
-    cache = PSFCache(psf=np.array([100.0, 100.0]), sampled_at=0, valid=True)
+    cache = PSFCache(psf=np.array([100.0, 100.0]), sampled_at=0)
     w, _ = step_reuse(_pv(0.0, 0.0), np.array([1.0, 0.0]), cache, 1000, 0.1, 0.7)
     expected, _ = step_sgd(_pv(0.0, 0.0), np.array([1.0, 0.0]), 0.1)
     assert np.array_equal(w.values, expected.values)
@@ -168,7 +168,7 @@ def test_step_reuse_underflow_drops_correction():
 def test_step_reuse_contract_violations():
     with pytest.raises(ContractViolationError):
         step_reuse(_pv(0.0), np.array([1.0]), PSFCache(), 3, 0.1, 0.9)
-    cache = PSFCache(psf=np.array([1.0]), sampled_at=5, valid=True)
+    cache = PSFCache(psf=np.array([1.0]), sampled_at=5)
     with pytest.raises(ContractViolationError):
         step_reuse(_pv(0.0), np.array([1.0]), cache, 5, 0.1, 0.9)
 

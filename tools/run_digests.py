@@ -19,6 +19,9 @@ The cases:
   ``[2, 8, 8, 2]`` MLP (a gradient over three layers, with dead units), and
   vSAM with 10 slices of its 20-sample window (short and ragged windows);
 - each optimizer with ``grad_eval_budget`` 50 and 51;
+- vSAM with a 25-iteration warmup and ``grad_eval_budget`` 57: samples
+  settle inside a warmup that ends off a window boundary, and the budget
+  stops the run in the middle of a window;
 - runs that fail with a NumericError and write ``error.json``: a diverging
   quadratic under SAM (non-finite loss at iteration 92) and under vSAM (the
   same, after reuse rows), and an SGD step that overflows the weights at
@@ -89,6 +92,9 @@ def config_cases():
         for budget in (50, 51):
             cases[f"budget_{m}_{budget}"] = _payload(
                 m, optimizer_config={"grad_eval_budget": budget}, seeds=[0])
+    cases["vsam_warmup_25_budget_57"] = _payload(
+        "vsam", sampler_config={"i_start": 25}, optimizer_config={"grad_eval_budget": 57},
+        seeds=[0])
     cases["diverging_quadratic_sam"] = {
         "objective": {"kind": "quadratic", "a": [[50.0, 0.0], [0.0, 1.0]]},
         "optimizer": "sam", "optimizer_config": {"eta0": 1.0, "lr_schedule": "constant"},
