@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import batches_per_epoch, generate_dataset, train_test_split
-# norm_trace is imported for perfbench/tracer.py, which wraps it here
+# norm_trace and write_norm_trace are imported for perfbench/tracer.py, which wraps them here
 from .diagnostics import NORM_TRACE_FIELDS, norm_trace, write_norm_trace
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, check_list, check_number
 from .metrics import MalformedRowError, _read_rows, read_metrics_csv, write_metrics_csv
 from .objectives import (ObjectiveSpec, make_mlp_classifier, make_quadratic,
                          make_rosenbrock, make_sharp_flat, param_segments)
@@ -37,6 +37,8 @@ from .sampler import SamplerConfig
 OPTIMIZERS = ("sgd", "sam", "sam_k", "vsam")
 _NORM_TRACE_COLUMNS = attrgetter(*NORM_TRACE_FIELDS)
 OUTPUT_ROOT_ENV = "SAMLAB_OUTPUT_ROOT"
+# what a run writes into each seed directory
+SEED_FILES = ("metrics.csv", "norm_trace.csv", "summary.json", "error.json")
 
 
 @dataclass
@@ -60,10 +62,10 @@ class ExperimentConfig:
         if not isinstance(self.seeds, list) or not self.seeds:
             raise ConfigurationError(f"seeds must be a non-empty list, not {self.seeds!r}")
         for seed in self.seeds:
-            _check_number("each seed", seed, int, 0)
+            check_number("each seed", seed, int, 0)
         for name in ("iterations", "epochs", "batch_size", "k"):
             if getattr(self, name) is not None:
-                _check_number(name, getattr(self, name), int, 1)
+                check_number(name, getattr(self, name), int, 1)
         if (self.iterations is None) == (self.epochs is None):
             raise ConfigurationError("give exactly one of iterations or epochs")
         if self.epochs is not None and self.dataset is None:
@@ -82,31 +84,6 @@ class ExperimentConfig:
             if unknown:
                 raise ConfigurationError(
                     f"subset_segments {unknown} are not segments of the objective {known}")
-
-
-def _check_number(name, value, kind, minimum=None):
-    """The one rule for a number in a config.
-
-    An integer field (kind int) takes an int, a real field (kind float) a
-    finite int or float; bool counts as neither.
-    """
-    if (isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float))
-            or isinstance(value, float) and not math.isfinite(value)
-            or minimum is not None and value < minimum):
-        what = "an integer" if kind is int else "a finite number"
-        at_least = "" if minimum is None else f" >= {minimum}"
-        raise ConfigurationError(f"{name} must be {what}{at_least}, not {value!r}")
-
-
-def _check_list(name, values, kind):
-    """A list of numbers of one kind (see ``_check_number``), or of values of type ``kind``."""
-    if not isinstance(values, list):
-        raise ConfigurationError(f"{name} must be a list, not {values!r}")
-    for value in values:
-        if kind in (int, float):
-            _check_number(name, value, kind)
-        elif not isinstance(value, kind):
-            raise ConfigurationError(f"{name} must hold {kind.__name__} values, not {value!r}")
 
 
 @dataclass
@@ -175,29 +152,29 @@ def _take(payload: dict, allowed, required, context: str) -> dict:
 def _objective_from_dict(payload: dict) -> ObjectiveSpec:
     kind = payload.get("kind")
     wd = payload.get("weight_decay", 0.0)
-    _check_number("objective weight_decay", wd, float)
+    check_number("objective weight_decay", wd, float)
     if kind == "quadratic":
         _take(payload, {"kind", "a", "b", "weight_decay"}, {"kind", "a"}, "objective")
-        _check_list("objective a", payload["a"], list)
+        check_list("objective a", payload["a"], list)
         for row in payload["a"]:
-            _check_list("objective a", row, float)
+            check_list("objective a", row, float)
         if payload.get("b") is not None:
-            _check_list("objective b", payload["b"], float)
+            check_list("objective b", payload["b"], float)
         return make_quadratic(payload["a"], payload.get("b"), wd)
     if kind == "rosenbrock":
         _take(payload, {"kind", "dim", "weight_decay"}, {"kind"}, "objective")
-        _check_number("objective dim", payload.get("dim", 2), int)
+        check_number("objective dim", payload.get("dim", 2), int)
         return make_rosenbrock(payload.get("dim", 2), wd)
     if kind == "sharp_flat":
         names = ("width_sharp", "width_flat", "depth_gap", "separation")
         _take(payload, {"kind", *names}, {"kind", *names}, "objective")
         for name in names:
-            _check_number(f"objective {name}", payload[name], float)
+            check_number(f"objective {name}", payload[name], float)
         return make_sharp_flat(*(payload[name] for name in names))
     if kind == "mlp_classifier":
         _take(payload, {"kind", "layer_sizes", "activation", "weight_decay"},
               {"kind", "layer_sizes"}, "objective")
-        _check_list("objective layer_sizes", payload["layer_sizes"], int)
+        check_list("objective layer_sizes", payload["layer_sizes"], int)
         return make_mlp_classifier(payload["layer_sizes"],
                                    payload.get("activation", "tanh"), wd)
     raise ConfigurationError(f"unknown objective kind {kind!r}")
@@ -220,26 +197,18 @@ def _objective_to_dict(spec: ObjectiveSpec) -> dict:
 _TOP_KEYS = {"objective", "dataset", "optimizer", "optimizer_config", "sampler_config",
              "iterations", "epochs", "batch_size", "seeds", "output_dir", "k", "w0"}
 _DATASET_KEYS = {"kind", "n", "noise", "seed"}
-# OptimizerConfig and SamplerConfig field annotation -> the kind of number it
-# takes, or str for a list of strings; the other fields check their own values
-_FIELD_KINDS = {"int": int, "int | None": int, "float": float, "list[str] | None": str}
 
 
 def _settings(cls, payload, context):
-    """``cls`` built from ``payload``, its keys, numbers and lists checked first.
+    """``cls`` built from ``payload`` once its keys are checked; ``cls`` checks the values.
 
-    A field whose default is None also takes None.
+    An error names the section: "optimizer_config eta0 must be ...".
     """
     _take(payload, {f.name for f in fields(cls)}, set(), context)
-    for f in fields(cls):
-        kind, value = _FIELD_KINDS.get(f.type), payload.get(f.name)
-        if kind is None or f.name not in payload or value is None and f.default is None:
-            continue
-        if kind is str:
-            _check_list(f"{context} {f.name}", value, str)
-        else:
-            _check_number(f"{context} {f.name}", value, kind)
-    return cls(**payload)
+    try:
+        return cls(**payload)
+    except ConfigurationError as err:
+        raise ConfigurationError(f"{context} {err}") from None
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
@@ -255,9 +224,9 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         dataset = dict(_take(dict(payload["dataset"]), _DATASET_KEYS,
                              {"kind", "n", "seed"}, "dataset"))
         dataset.setdefault("noise", 0.0)
-        _check_number("dataset n", dataset["n"], int)
-        _check_number("dataset noise", dataset["noise"], float)
-        _check_number("dataset seed", dataset["seed"], int, 0)
+        check_number("dataset n", dataset["n"], int)
+        check_number("dataset noise", dataset["noise"], float)
+        check_number("dataset seed", dataset["seed"], int, 0)
     return ExperimentConfig(
         objective=objective,
         optimizer=payload["optimizer"],
@@ -320,7 +289,7 @@ def _plan_iterations(config, dataset):
     if len(set(config.seeds)) < len(config.seeds):
         raise ConfigurationError(f"seeds must not repeat, got {config.seeds}")
     if config.w0 is not None:
-        _check_list("w0", config.w0, float)
+        check_list("w0", config.w0, float)
         if len(config.w0) != config.objective.param_count:
             raise ConfigurationError(f"w0 must hold {config.objective.param_count} values, "
                                      f"one per parameter, not {len(config.w0)}")
@@ -343,6 +312,9 @@ def run_experiment(config: ExperimentConfig) -> Path:
     """Execute every seed of the experiment; returns the output directory.
 
     The dataset is generated and the plan checked before anything is written.
+    Each seed directory's ``SEED_FILES`` are removed before that seed runs,
+    so a run into an existing output directory leaves no file of an earlier
+    run beside its own.
     """
     dataset = None
     if config.dataset is not None:
@@ -359,6 +331,8 @@ def run_experiment(config: ExperimentConfig) -> Path:
     for seed in config.seeds:
         seed_dir = out / f"seed_{seed}"
         seed_dir.mkdir(exist_ok=True)
+        for name in SEED_FILES:
+            (seed_dir / name).unlink(missing_ok=True)
         try:
             result = _dispatch(config, dataset, iterations, seed)
         except NumericError as err:
@@ -367,8 +341,9 @@ def run_experiment(config: ExperimentConfig) -> Path:
             with open(seed_dir / "error.json", "w", encoding="utf-8") as fh:
                 json.dump({"error": str(err), "iteration": err.iteration}, fh, indent=2)
             continue
-        write_metrics_csv(seed_dir / "metrics.csv", result.records)
-        write_norm_trace(seed_dir / "norm_trace.csv", map(vars, result.records))
+        # the norm trace is a column projection of the metrics, written from the same cells
+        write_metrics_csv(seed_dir / "metrics.csv", result.records,
+                          [(seed_dir / "norm_trace.csv", NORM_TRACE_FIELDS)])
         summary = summarize(result.records, dataset, config.batch_size)
         with open(seed_dir / "summary.json", "w", encoding="utf-8") as fh:
             json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)

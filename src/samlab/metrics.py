@@ -10,21 +10,30 @@ The codec works a block of rows (``_BLOCK_ROWS``) at a time, one column at a
 time: each column of a block is formatted or parsed by one comprehension for
 its type, which keeps the per-cell cost down while holding only one block of
 raw text in memory. A float column formats a run of one object once (vSAM
-rows repeat their window's ``p``, ``s``, ``c_var`` and ``c_norm``). Its bytes
-are exactly what ``csv.writer`` (the default dialect) writes for the same
-rows: no cell can hold a comma, a quote or a line break, because a header
-name is an identifier and a cell is empty, ``0``/``1``, an ``int`` or a float
-``repr``; such rows need no quoting, so joining the cells with commas and
-ending each line with CRLF is all the writer does. Reading still tokenizes with ``csv.reader``. A wrong header
-raises ``ConfigurationError``; a row with the wrong number of cells, a cell
-that does not parse, or a byte outside ASCII raises ``MalformedRowError``
-naming the file and line.
+rows repeat their window's ``p``, ``s``, ``c_var`` and ``c_norm``).
+
+Formatting is one pass per block: a write may name column projections of
+its rows, and each projection's file is joined from the cells already
+formatted for the full file, so a run's ``metrics.csv`` and
+``norm_trace.csv`` come from one formatting of its records. A cell's text
+depends only on its column's type and value, so a projection's bytes are
+those of a separate write of the same rows.
+
+The bytes are exactly what ``csv.writer`` (the default dialect) writes for
+the same rows: no cell can hold a comma, a quote or a line break, because a
+header name is an identifier and a cell is empty, ``0``/``1``, an ``int`` or
+a float ``repr``; such rows need no quoting, so joining the cells with
+commas and ending each line with CRLF is all the writer does. Reading still
+tokenizes with ``csv.reader``. A wrong header raises ``ConfigurationError``;
+a row with the wrong number of cells, a cell that does not parse, or a byte
+outside ASCII raises ``MalformedRowError`` naming the file and line.
 """
 
 from __future__ import annotations
 
 import csv
 import re
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from itertools import islice
 
@@ -114,20 +123,28 @@ def _format_column(kind, values):
     return ["" if v is None else "1" if v else "0" for v in values]
 
 
-def _write_rows(path, header, rows) -> None:
+def _write_rows(path, header, rows, projections=()) -> None:
     """Write ``header``, then each row (a mapping holding every header column).
 
-    Bytes equal ``csv.writer``'s: no cell needs quoting (see the module
-    docstring), so a line is its cells joined by commas, ended by CRLF.
+    Each ``(path, names)`` of ``projections`` gets a file of the ``names``
+    columns of the same rows, joined from the same formatted cells. Bytes
+    equal ``csv.writer``'s: no cell needs quoting (see the module docstring),
+    so a line is its cells joined by commas, ended by CRLF.
     """
     kinds = [_column_type(name) for name in header]
     rows = iter(rows)
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with ExitStack() as stack:
+        outputs = []
+        for out, names in [(path, header), *projections]:
+            fh = stack.enter_context(open(out, "w", newline="", encoding="ascii"))
+            fh.write(",".join(names) + "\r\n")
+            outputs.append((fh, [header.index(name) for name in names]))
         while block := list(islice(rows, _BLOCK_ROWS)):
             columns = [_format_column(kind, [row[name] for row in block])
                        for name, kind in zip(header, kinds)]
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+            for fh, picks in outputs:
+                lines = zip(*[columns[j] for j in picks])
+                fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
 
 
 def _read_rows(path, header, names=None):
@@ -190,8 +207,9 @@ def _bad_cell(path, line, header, block) -> MalformedRowError:
 _RECORD_FIELDS = [f.name for f in fields(MetricsRecord)]
 
 
-def write_metrics_csv(path, records) -> None:
-    _write_rows(path, FIELD_ORDER, (vars(rec) for rec in records))
+def write_metrics_csv(path, records, projections=()) -> None:
+    """Write ``records`` to ``path``, and each ``(path, names)`` projection from the same cells."""
+    _write_rows(path, FIELD_ORDER, (vars(rec) for rec in records), projections)
 
 
 def read_metrics_csv(path) -> list[MetricsRecord]:

@@ -13,23 +13,27 @@ only while it performs the same operations, in the same order, on the same
 operands. A property test pins ``eval_grad``, ``eval_loss`` and
 ``mlp_predict`` byte for byte to an earlier kernel kept in ``tests/helpers.py``.
 
-What depends only on the batch is done once per ``Batch``: the targets'
-dtype and range checks and the flat index (row * classes + target) through
-which the loss picks each target logit and the gradient subtracts 1. The index
-is kept on the batch with its targets array and class count, and only for a
-read-only array (``Batch`` freezes its targets), so a later write to the
-targets cannot leave it stale and new targets are a new array that misses
-it. Every call still checks the batch is there, its input width, the
-objective kind and the parameter count, and the loss and gradient for
-finiteness. The gradient is written layer by layer into one preallocated
-vector, and weight decay is added to it in place.
+What depends only on the targets is done once: the dtype and range checks
+and the flat index (row * classes + target) through which the loss picks
+each target logit and the gradient subtracts 1. The training loop does it
+once per epoch: ``prime_epoch`` checks the epoch's gathered targets as one
+array and keeps each batch's slice of the index on the batch. Any other
+batch is checked and indexed on its first MLP evaluation. The index is kept
+with its targets array and class count, and only for a read-only array
+(``Batch`` freezes its targets), so a later write to the targets cannot
+leave it stale and new targets are a new array that misses it. Every call
+still checks the batch is there, its input width, the objective kind and
+the parameter count, and the loss and gradient for finiteness. A call looks
+the layer layout and the activation up once. The gradient is written layer
+by layer into one preallocated vector, and weight decay is added to it in
+place.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,11 +188,6 @@ def _mlp_layout(layer_sizes):
     return tuple(layout)
 
 
-def _unpack_mlp(spec: ObjectiveSpec, values: np.ndarray):
-    return [(values[lo:mid].reshape(fan_in, fan_out), values[mid:hi])
-            for fan_in, fan_out, lo, mid, hi in _mlp_layout(tuple(spec.layer_sizes))]
-
-
 # ---------------------------------------------------------------------------
 # loss / gradient evaluation
 
@@ -222,34 +221,42 @@ def eval_heldout(spec: ObjectiveSpec, values: np.ndarray, batch: Batch):
 
 def _evaluate(spec, w, batch, with_grad):
     """(loss, gradient); without the gradient, (loss, MLP logits or None)."""
-    if spec.kind not in OBJECTIVE_KINDS:
-        raise ConfigurationError(f"unknown objective kind {spec.kind!r}")
+    kind = spec.kind
+    if kind == "mlp_classifier":
+        # looked up once per call and handed to the kernel
+        layout = _mlp_layout(tuple(spec.layer_sizes))
+        expected = layout[-1][-1]
+    elif kind in OBJECTIVE_KINDS:
+        expected = spec.param_count
+    else:
+        raise ConfigurationError(f"unknown objective kind {kind!r}")
     x = w.values if isinstance(w, ParamVector) else w
-    if x.size != spec.param_count:
+    if x.size != expected:
         raise ConfigurationError(
-            f"parameter vector has {x.size} values, objective expects {spec.param_count}"
+            f"parameter vector has {x.size} values, objective expects {expected}"
         )
-    if spec.kind == "quadratic":
+    if kind == "quadratic":
         ax = spec.a @ x
         loss = 0.5 * float(x @ ax) - float(spec.b @ x)
         grad = ax - spec.b if with_grad else None
-    elif spec.kind == "rosenbrock":
+    elif kind == "rosenbrock":
         loss, grad = _rosenbrock(x, with_grad)
-    elif spec.kind == "sharp_flat":
+    elif kind == "sharp_flat":
         loss, grad = _sharp_flat(spec, x, with_grad)
     else:
-        loss, grad = _mlp(spec, x, batch, with_grad)
+        loss, grad = _mlp(spec, layout, x, batch, with_grad)
 
     wd = spec.weight_decay
     if wd != 0.0:
-        loss = loss + wd * float(x @ x)
+        # x.dot(x) gives the bits of x @ x on a 1-D float64 array, without matmul's dispatch
+        loss = loss + wd * float(x.dot(x))
         if with_grad:
             grad += (2.0 * wd) * x
 
     if not math.isfinite(loss):
-        raise NumericError(f"non-finite loss from {spec.kind} objective")
+        raise NumericError(f"non-finite loss from {kind} objective")
     if with_grad and not all_finite(grad):
-        raise NumericError(f"non-finite gradient from {spec.kind} objective")
+        raise NumericError(f"non-finite gradient from {kind} objective")
     return float(loss), grad
 
 
@@ -348,7 +355,8 @@ def sharp_flat_ridge(spec: ObjectiveSpec) -> float:
     if key not in _RIDGE_CACHE:
         m_s, m_f = sharp_flat_centers(spec)
         xs = np.linspace(m_s[0], m_f[0], 20001)
-        vals = [_sharp_flat(spec, np.array([vx, 0.0]), False)[0] for vx in xs]
+        # _sharp_flat reads the point as two floats, so a tuple does for an array
+        vals = [_sharp_flat(spec, (vx, 0.0), False)[0] for vx in xs.tolist()]
         _RIDGE_CACHE[key] = float(xs[int(np.argmax(vals))])
     return _RIDGE_CACHE[key]
 
@@ -379,6 +387,17 @@ SHARP_FLAT_CALIBRATION = {
 # ---------------------------------------------------------------------------
 # MLP internals
 
+def _checked_targets(targets, n_classes):
+    """``targets`` as int64, once they pass the dtype and range checks."""
+    if targets.dtype.kind not in "iu":
+        raise ConfigurationError(f"batch targets must be integers, got dtype {targets.dtype}")
+    as_int = targets.astype(np.int64, copy=False)
+    # one unsigned maximum: a negative target reads as at least 2**63
+    if np.maximum.reduce(as_int.view(np.uint64)) >= n_classes:
+        raise ConfigurationError("batch targets out of range for the mlp output layer")
+    return as_int
+
+
 def _target_index(spec, batch):
     """Flat index (row * n_classes + target) of each row's target logit.
 
@@ -396,21 +415,37 @@ def _target_index(spec, batch):
     targets, kept = batch.targets, batch.target_index
     if kept is not None and kept[0] is targets and kept[1] == n_classes:
         return kept[2]
-    if targets.dtype.kind not in "iu":
-        raise ConfigurationError(f"batch targets must be integers, got dtype {targets.dtype}")
-    as_int = targets.astype(np.int64, copy=False)
-    # one unsigned maximum: a negative target reads as at least 2**63
-    if np.maximum.reduce(as_int.view(np.uint64)) >= n_classes:
-        raise ConfigurationError("batch targets out of range for the mlp output layer")
+    as_int = _checked_targets(targets, n_classes)
     index = np.arange(0, as_int.size * n_classes, n_classes) + as_int
     if not targets.flags.writeable:
         batch.target_index = (targets, n_classes, index)
     return index
 
 
-def _mlp_forward(spec, values, inputs):
-    layers = _unpack_mlp(spec, values)
-    tanh = spec.activation == "tanh"
+def prime_epoch(spec: ObjectiveSpec, batches) -> None:
+    """Check one epoch's targets once and keep each batch's index on it.
+
+    ``batches`` are an epoch's, in order, as ``data.make_batches`` cuts them.
+    Their targets are checked as one array, with ``_target_index``'s checks
+    and messages; each batch with read-only targets then keeps the index
+    that ``_target_index`` would have kept for it, keyed the same way.
+    """
+    n_classes = spec.layer_sizes[-1]
+    as_int = _checked_targets(np.concatenate([batch.targets for batch in batches]), n_classes)
+    sizes = [batch.size for batch in batches]
+    stops = np.cumsum(sizes)
+    # each row's place in its own batch; a batch's index is then a slice view
+    rows = np.arange(as_int.size) - np.repeat(stops - sizes, sizes)
+    index = rows * n_classes + as_int
+    for batch, stop, size in zip(batches, stops.tolist(), sizes):
+        if not batch.targets.flags.writeable:
+            batch.target_index = (batch.targets, n_classes, index[stop - size:stop])
+
+
+def _mlp_forward(layout, tanh, values, inputs):
+    """(per layer (W, b) as views of ``values``, activations, logits)."""
+    layers = [(values[lo:mid].reshape(fan_in, fan_out), values[mid:hi])
+              for fan_in, fan_out, lo, mid, hi in layout]
     a = inputs
     activations = [a]
     for w, bias in layers[:-1]:
@@ -427,10 +462,11 @@ def _mlp_forward(spec, values, inputs):
     return layers, activations, logits
 
 
-def _mlp(spec, values, batch, with_grad):
+def _mlp(spec, layout, values, batch, with_grad):
     index = _target_index(spec, batch)
     n = batch.size
-    layers, activations, logits = _mlp_forward(spec, values, batch.inputs)
+    tanh = spec.activation == "tanh"
+    layers, activations, logits = _mlp_forward(layout, tanh, values, batch.inputs)
 
     # max is exact, so a column-by-column maximum equals np.maximum.reduce
     row_max = logits[:, 0]
@@ -440,7 +476,8 @@ def _mlp(spec, values, batch, with_grad):
     # only the target column of the log-softmax enters the loss
     picked = shifted.take(index)
     exp = np.exp(shifted, out=shifted)
-    sum_exp = np.add.reduce(exp, axis=1)
+    # over two columns np.add.reduce is this one add
+    sum_exp = exp[:, 0] + exp[:, 1] if exp.shape[1] == 2 else np.add.reduce(exp, axis=1)
     picked -= np.log(sum_exp)
     loss = -(float(np.add.reduce(picked)) / n)
     if not with_grad:
@@ -453,9 +490,7 @@ def _mlp(spec, values, batch, with_grad):
 
     # each layer's gradient is written straight into its slice of the vector
     grad = np.empty(values.size)
-    layout = _mlp_layout(tuple(spec.layer_sizes))
-    tanh = spec.activation == "tanh"
-    for layer in range(len(layers) - 1, -1, -1):
+    for layer in range(len(layout) - 1, -1, -1):
         fan_in, fan_out, lo, mid, hi = layout[layer]
         np.add.reduce(d_z, axis=0, out=grad[mid:hi])
         np.matmul(activations[layer].T, d_z, out=grad[lo:mid].reshape(fan_in, fan_out))
@@ -469,7 +504,8 @@ def _mlp(spec, values, batch, with_grad):
 
 def mlp_predict(spec: ObjectiveSpec, w: ParamVector, inputs: np.ndarray) -> np.ndarray:
     """Class predictions (argmax of the logits)."""
-    _, _, logits = _mlp_forward(spec, w.values, np.asarray(inputs, dtype=np.float64))
+    _, _, logits = _mlp_forward(_mlp_layout(tuple(spec.layer_sizes)), spec.activation == "tanh",
+                                w.values, np.asarray(inputs, dtype=np.float64))
     return np.argmax(logits, axis=1)
 
 

@@ -20,13 +20,13 @@ from itertools import islice, repeat
 import numpy as np
 
 from .data import Batch, Dataset, batches_per_epoch, make_batches, train_test_split
-from .errors import ConfigurationError, ContractViolationError, NumericError
+from .errors import ConfigurationError, ContractViolationError, NumericError, check_number
 from .metrics import MetricsRecord
 # eval_loss and mlp_accuracy are imported for perfbench/tracer.py, which wraps them here
 from .objectives import (ObjectiveSpec, eval_grad, eval_heldout, eval_loss, init_params,
-                         mlp_accuracy)
-from .params import (ParamVector, default_subset, l2_norm, require_finite, subset_index,
-                     subset_norm)
+                         mlp_accuracy, prime_epoch)
+from .params import (ParamVector, default_subset, l2_norm, require_finite, subset_norm,
+                     subset_selector)
 # record_sample is imported for perfbench/tracer.py too; the loop calls note_sample and settle
 from .sampler import (SamplerConfig, SamplerState, begin_windowing, init_sampler,
                       note_sample, record_sample, settle, should_sample, sync_draws,
@@ -48,6 +48,10 @@ class OptimizerConfig:
     grad_eval_budget: int | None = None
 
     def __post_init__(self):
+        for name in ("eta0", "rho", "gamma", "momentum"):
+            check_number(name, getattr(self, name), float)
+        if self.grad_eval_budget is not None:
+            check_number("grad_eval_budget", self.grad_eval_budget, int)
         if self.eta0 <= 0.0:
             raise ConfigurationError("eta0 must be positive")
         if self.rho <= 0.0:
@@ -194,12 +198,18 @@ class RunResult:
     sampler_state: SamplerState | None = None
 
 
-def _batch_stream(train: Dataset, batch_size, seed, bpe, first_t):
-    """(batch, epoch) of each iteration from ``first_t`` on, one epoch's batches at a time."""
+def _batch_stream(spec, train: Dataset, batch_size, seed, bpe, first_t):
+    """(batch, epoch) of each iteration from ``first_t`` on, one epoch's batches at a time.
+
+    An MLP's targets are checked and indexed once per epoch (``prime_epoch``).
+    """
     t = first_t
     while True:
         epoch = (t - 1) // bpe
-        for batch in make_batches(train, batch_size, seed, epoch)[(t - 1) % bpe:]:
+        batches = make_batches(train, batch_size, seed, epoch)
+        if spec.kind == "mlp_classifier":
+            prime_epoch(spec, batches)
+        for batch in batches[(t - 1) % bpe:]:
             yield batch, epoch
             t += 1
 
@@ -246,16 +256,14 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
         subset_names = default_subset(w0)
     elif not subset_names:
         raise ConfigurationError("subset_segments must name at least one segment")
-    subset_idx = subset_index(w0, subset_names)
-    # a subset covering the whole vector has the full norms, bit for bit
-    subset_idx = None if subset_idx.size == w0.size else subset_idx
+    subset = subset_selector(w0, subset_names)
     bpe, test_batch, batches = 1, None, repeat((None, 0))
     if dataset is not None:
         if batch_size is None:
             raise ConfigurationError("batch_size is required when a dataset is given")
         train, test = train_test_split(dataset)
         bpe = batches_per_epoch(train.n, batch_size)
-        batches = _batch_stream(train, batch_size, seed, bpe, start_iteration + 1)
+        batches = _batch_stream(spec, train, batch_size, seed, bpe, start_iteration + 1)
         if spec.kind == "mlp_classifier":
             test_batch = Batch(test.inputs, test.targets, np.arange(test.n))
     total = schedule_total or (start_iteration + iterations)
@@ -275,7 +283,7 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                 loss, g_sgd = eval_grad(spec, values, batch)
                 evals += 1
                 l2_sgd = l2_norm(g_sgd)
-                l2_sgd_subset = l2_sgd if subset_idx is None else l2_norm(g_sgd[subset_idx])
+                l2_sgd_subset = l2_sgd if subset is None else l2_norm(g_sgd[subset])
                 if cfg is None:
                     wants_sample = samples_at(t)
                 else:
@@ -289,7 +297,7 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                     evals += 1
                     psf = g_sam - g_sgd
                     l2_psf = l2_norm(psf)
-                    l2_psf_subset = l2_psf if subset_idx is None else l2_norm(psf[subset_idx])
+                    l2_psf_subset = l2_psf if subset is None else l2_norm(psf[subset])
                     if cfg is not None:
                         r, v_fallback = note_sample(state, cfg, l2_psf_subset, l2_sgd_subset)
                         cache.store(psf, t, l2_psf, l2_psf_subset)

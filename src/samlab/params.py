@@ -115,6 +115,22 @@ def subset_index(pv: ParamVector, names) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
+def subset_selector(pv: ParamVector, names):
+    """What picks the named segments of ``pv`` out of a vector of its layout.
+
+    None when they cover the whole vector, whose norm is then the subset
+    norm; a slice when their indices form one range (a view, not a copy);
+    ``subset_index`` otherwise. Each gives the bits of the norm over
+    ``subset_index``.
+    """
+    index = subset_index(pv, names)
+    if index.size == pv.size:
+        return None
+    if index.size and index[-1] - index[0] + 1 == index.size:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
 def subset_norm(values: np.ndarray, pv: ParamVector, names) -> float:
     """Euclidean norm of ``values`` restricted to the named segments of ``pv``."""
     return l2_norm(values[subset_index(pv, names)])

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, check_list, check_number
 
 
 @dataclass
@@ -70,6 +70,12 @@ class SamplerConfig:
     force: str | None = None    # None | "always" | "never" (post-warmup override)
 
     def __post_init__(self):
+        for name in ("n_window", "m_slices", "i_start"):
+            check_number(name, getattr(self, name), int)
+        for name in ("alpha", "s1", "p_max", "eps"):
+            check_number(name, getattr(self, name), float)
+        if self.subset_segments is not None:
+            check_list("subset_segments", self.subset_segments, str)
         if self.m_slices < 2:
             raise ConfigurationError("need at least 2 variance slices")
         if self.n_window % self.m_slices != 0:

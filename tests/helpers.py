@@ -5,8 +5,8 @@ loops and the textbook formulas, and the Jacobi eigensolver checks the
 library's LAPACK spectrum, so the implementations under test are checked
 against a separate code path rather than against themselves. The
 last sections keep earlier versions of optimised code (the MLP kernel,
-per-batch gathering, the ``csv.writer`` codec) as references that the
-current code must match byte for byte.
+per-batch gathering, the ``csv.writer`` codec, the sharp/flat ridge scan) as
+references that the current code must match byte for byte.
 """
 
 import csv
@@ -410,3 +410,16 @@ def oracle_read_rows(path, header, column_type):
         return [{name: None if cell == "" else parse(cell)
                  for name, parse, cell in zip(header, parsers, row)}
                 for row in reader]
+
+
+# ---------------------------------------------------------------------------
+# the sharp/flat ridge scan as it stood before it scanned floats
+
+def oracle_sharp_flat_ridge(spec):
+    """The ridge's x coordinate from one 2-element array per grid point, uncached."""
+    from samlab.objectives import _sharp_flat, sharp_flat_centers
+
+    m_s, m_f = sharp_flat_centers(spec)
+    xs = np.linspace(m_s[0], m_f[0], 20001)
+    vals = [_sharp_flat(spec, np.array([vx, 0.0]), False)[0] for vx in xs]
+    return float(xs[int(np.argmax(vals))])

@@ -14,7 +14,8 @@ from samlab.harness import (OPTIMIZERS, ExperimentConfig, RunSummary, compare_re
                             write_report_csv, REPORT_FIELDS)
 from samlab.metrics import FIELD_ORDER, MetricsRecord, read_metrics_csv, write_metrics_csv
 from samlab.objectives import ACTIVATIONS, OBJECTIVE_KINDS, param_segments
-from samlab.optim import LR_SCHEDULES
+from samlab.optim import LR_SCHEDULES, OptimizerConfig
+from samlab.sampler import SamplerConfig
 
 
 def _base_config(tmp_path, **overrides):
@@ -340,6 +341,31 @@ def test_config_validation_rules(tmp_path):
         config_from_dict(bad)  # w0 with an mlp objective
 
 
+@pytest.mark.parametrize("build", [
+    lambda: OptimizerConfig(eta0="0.1"),
+    lambda: OptimizerConfig(rho=float("nan")),
+    lambda: OptimizerConfig(gamma=True),
+    lambda: SamplerConfig(n_window=10.0, m_slices=5, s1=5),
+    lambda: SamplerConfig(i_start=2.5),
+], ids=["eta0_str", "rho_nan", "gamma_bool", "n_window_float", "i_start_float"])
+def test_configs_built_in_python_are_type_checked(build):
+    with pytest.raises(ConfigurationError, match="must be an integer|must be a finite number"):
+        build()
+
+
+def test_parsed_config_errors_name_their_section(tmp_path):
+    payload = _base_config(tmp_path)
+    payload["optimizer_config"]["eta0"] = "0.1"
+    with pytest.raises(ConfigurationError,
+                       match="^optimizer_config eta0 must be a finite number, not '0.1'$"):
+        config_from_dict(payload)
+    payload = _base_config(tmp_path)
+    payload["sampler_config"]["subset_segments"] = "w"
+    with pytest.raises(ConfigurationError,
+                       match="^sampler_config subset_segments must be a list, not 'w'$"):
+        config_from_dict(payload)
+
+
 # ---------------------------------------------------------------------------
 # run_experiment
 
@@ -402,6 +428,45 @@ def test_run_experiment_numeric_failure_leaves_marker(tmp_path):
     assert marker["iteration"] >= 1
     assert (seed_dir / "metrics.csv").exists()  # partial trace flushed
     assert not (seed_dir / "summary.json").exists()
+
+
+def _quadratic_sam(tmp_path, eta0):
+    """A 50-iteration SAM run; eta0 1e200 makes it fail with a NumericError."""
+    return config_from_dict({
+        "objective": {"kind": "quadratic", "a": [[1.0, 0.0], [0.0, 2.0]]},
+        "optimizer": "sam", "optimizer_config": {"eta0": eta0, "lr_schedule": "constant"},
+        "iterations": 50, "seeds": [0], "w0": [1.0, 1.0],
+        "output_dir": str(tmp_path / "run")})
+
+
+def test_failing_rerun_leaves_no_file_of_the_earlier_run(tmp_path):
+    seed_dir = run_experiment(_quadratic_sam(tmp_path, 0.1)) / "seed_0"
+    assert verify_run(seed_dir)[0]
+    run_experiment(_quadratic_sam(tmp_path, 1e200))
+    assert sorted(p.name for p in seed_dir.iterdir()) == ["error.json", "metrics.csv"]
+    # the report finds no summary to show under the new config
+    _, rows = compare_report([seed_dir.parent, seed_dir.parent])
+    assert rows == []
+
+
+def test_good_rerun_leaves_no_error_marker(tmp_path):
+    seed_dir = run_experiment(_quadratic_sam(tmp_path, 1e200)) / "seed_0"
+    assert (seed_dir / "error.json").exists()
+    run_experiment(_quadratic_sam(tmp_path, 0.1))
+    assert sorted(p.name for p in seed_dir.iterdir()) == [
+        "metrics.csv", "norm_trace.csv", "summary.json"]
+    ok, lines = verify_run(seed_dir)
+    assert ok, "\n".join(lines)
+
+
+def test_rejected_rerun_keeps_the_earlier_run(tmp_path):
+    seed_dir = run_experiment(_quadratic_sam(tmp_path, 0.1)) / "seed_0"
+    before = {p.name: p.read_bytes() for p in seed_dir.iterdir()}
+    bad = _quadratic_sam(tmp_path, 0.1)
+    bad.seeds = [0, 0]
+    with pytest.raises(ConfigurationError, match="must not repeat"):
+        run_experiment(bad)
+    assert {p.name: p.read_bytes() for p in seed_dir.iterdir()} == before
 
 
 def test_output_root_env_override(tmp_path, monkeypatch):

@@ -79,6 +79,23 @@ def test_metrics_codec_matches_csv_writer_and_round_trips(tmp_path_factory, rows
     assert _key(back) == _key(oracle_read_rows(tmp / "old.csv", FIELD_ORDER, _column_type))
 
 
+@settings(deadline=None)  # timing on a shared host is not what this checks
+@given(rows=_RECORDS)
+def test_one_formatting_pass_writes_both_files_as_two_writes(tmp_path_factory, rows):
+    """A metrics file and its norm-trace projection from one pass equal two separate writes.
+
+    The drawn rows hold runs of None, distinct 0.0 and -0.0 objects and float
+    objects repeated across blocks.
+    """
+    tmp = tmp_path_factory.mktemp("projection")
+    records = [MetricsRecord(**row) for row in rows]
+    write_metrics_csv(tmp / "metrics.csv", records, [(tmp / "norm_trace.csv", NORM_TRACE_FIELDS)])
+    write_metrics_csv(tmp / "metrics_alone.csv", records)
+    write_norm_trace(tmp / "norm_trace_alone.csv", rows)
+    assert (tmp / "metrics.csv").read_bytes() == (tmp / "metrics_alone.csv").read_bytes()
+    assert (tmp / "norm_trace.csv").read_bytes() == (tmp / "norm_trace_alone.csv").read_bytes()
+
+
 def _trace_rows(count):
     """Deterministic norm-trace rows with every column type and empty cells."""
     rng = np.random.default_rng(count)

@@ -6,16 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from samlab.data import Batch, Dataset, generate_dataset, make_batches
 from samlab.errors import ConfigurationError
-from samlab.objectives import (classify_basin, eval_grad, eval_heldout, eval_loss, fd_gradient,
-                               init_params, make_mlp_classifier, make_quadratic,
-                               make_rosenbrock, make_sharp_flat, mlp_accuracy,
+from samlab import objectives
+from samlab.objectives import (SHARP_FLAT_CALIBRATION, classify_basin, eval_grad, eval_heldout,
+                               eval_loss, fd_gradient, init_params, make_mlp_classifier,
+                               make_quadratic, make_rosenbrock, make_sharp_flat, mlp_accuracy,
                                mlp_predict,
-                               param_segments, sharp_flat_centers,
+                               param_segments, prime_epoch, sharp_flat_centers,
                                sharp_flat_designed_losses, sharp_flat_ridge)
+from samlab.optim import OptimizerConfig, run_sgd
 from samlab.params import ParamVector
 
-from helpers import (oracle_mlp_eval, oracle_mlp_predict, scalar_mlp_loss,
-                     whole_dataset_batch)
+from helpers import (oracle_mlp_eval, oracle_mlp_predict, oracle_sharp_flat_ridge,
+                     scalar_mlp_loss, whole_dataset_batch)
 
 # value computed by the scalar forward-pass oracle at the seed-0 init,
 # (2, 8, 2) tanh network on the 64-example blobs batch below
@@ -268,6 +270,64 @@ def test_out_of_range_targets_raise_on_every_call():
         eval_grad(spec, values, batch)
 
 
+def _epoch(n=110, batch_size=16):
+    """One epoch's batches of a moons set; 110 rows leave a short last batch of 14."""
+    return make_batches(generate_dataset("moons", n, 0.2, seed=2), batch_size, 0, 1)
+
+
+@pytest.mark.parametrize("sizes, activation", [((2, 16, 2), "tanh"), ((2, 8, 3), "relu"),
+                                               ((2, 8, 8, 2), "tanh")])
+def test_batches_primed_from_their_epoch_match_the_oracle(sizes, activation):
+    spec = make_mlp_classifier(sizes, activation=activation, weight_decay=1e-3)
+    values = init_params(spec, 5).values
+    batches = _epoch()
+    prime_epoch(spec, batches)
+    n_classes = sizes[-1]
+    for batch in batches:
+        kept_targets, kept_classes, index = batch.target_index
+        assert kept_targets is batch.targets and kept_classes == n_classes
+        # the index a first evaluation of an unprimed batch would have kept
+        fresh = Batch(batch.inputs, batch.targets, batch.indices)
+        eval_loss(spec, values, fresh)
+        assert index.dtype == fresh.target_index[2].dtype
+        assert index.tobytes() == fresh.target_index[2].tobytes()
+        _assert_matches_oracle(spec, values, batch)
+
+
+def test_targets_reassigned_after_priming_are_checked_again():
+    spec = make_mlp_classifier((2, 5, 2))
+    values = init_params(spec, 3).values
+    batches = _epoch()
+    prime_epoch(spec, batches)
+    batch = batches[0]
+    for _ in range(2):
+        batch.targets = batch.targets + 1  # writable, and holds a 2
+        with pytest.raises(ConfigurationError, match="out of range"):
+            eval_grad(spec, values, batch)
+        batch.targets = (batch.targets - 1)[::-1]
+        _assert_matches_oracle(spec, values, batch)
+    frozen = np.ones(batch.size, dtype=np.int32)
+    frozen.flags.writeable = False
+    batch.targets = frozen
+    _assert_matches_oracle(spec, values, batch)
+    # a primed batch under another class count is indexed afresh
+    three = make_mlp_classifier((2, 5, 3))
+    _assert_matches_oracle(three, init_params(three, 3).values, batches[1])
+
+
+def test_an_epoch_with_bad_targets_is_rejected():
+    spec = make_mlp_classifier((2, 4, 2))
+    ds = generate_dataset("moons", 40, 0.2, seed=2)
+    shifted = Dataset(ds.kind, ds.seed, ds.noise, ds.inputs, ds.targets + 1)
+    with pytest.raises(ConfigurationError, match="out of range"):
+        prime_epoch(spec, make_batches(shifted, 8, 0, 0))
+    as_float = Dataset(ds.kind, ds.seed, ds.noise, ds.inputs, ds.targets.astype(float))
+    with pytest.raises(ConfigurationError, match="must be integers"):
+        prime_epoch(spec, make_batches(as_float, 8, 0, 0))
+    with pytest.raises(ConfigurationError, match="out of range"):
+        run_sgd(spec, shifted, OptimizerConfig(), 3, 0, batch_size=8)
+
+
 @pytest.mark.parametrize("targets", [[0.0, 1.7, 1.2], [0, -0.5, 1], [0.0, 1.0, 1.0],
                                      [True, False, True], [0.0, float("nan"), 1.0]],
                          ids=["fractions", "negative_fraction", "whole_floats", "bool", "nan"])
@@ -372,6 +432,25 @@ def test_sharp_flat_ridge_separates_basins():
     assert xs < ridge < xf
     assert classify_basin(spec, _pv(xs, 0.0)) == "sharp"
     assert classify_basin(spec, _pv(xf, 0.0)) == "flat"
+
+
+def test_calibrated_ridge_is_pinned():
+    cal = SHARP_FLAT_CALIBRATION
+    spec = make_sharp_flat(cal["width_sharp"], cal["width_flat"], cal["depth_gap"],
+                           cal["separation"])
+    assert _bits(sharp_flat_ridge(spec)) == _bits(-0.2647999999999999)
+
+
+@pytest.mark.parametrize("geometry", [
+    tuple(SHARP_FLAT_CALIBRATION[k]
+          for k in ("width_sharp", "width_flat", "depth_gap", "separation")),
+    (0.1, 0.7, 0.1, 1.5),
+    (0.05, 0.3, 0.5, 3.0),
+], ids=["calibration", "wide", "deep"])
+def test_ridge_scan_over_floats_matches_the_array_scan(geometry):
+    spec = make_sharp_flat(*geometry)
+    objectives._RIDGE_CACHE.pop(geometry, None)
+    assert _bits(sharp_flat_ridge(spec)) == _bits(oracle_sharp_flat_ridge(spec))
 
 
 def test_sharp_flat_preconditions():

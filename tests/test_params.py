@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from samlab.errors import ConfigurationError, NumericError
+from samlab.objectives import make_mlp_classifier, param_segments
 from samlab.params import (ParamVector, all_finite, default_subset, l2_norm, require_finite,
-                           subset_index, subset_norm)
+                           subset_index, subset_norm, subset_selector)
 
 
 def test_default_segment_covers_everything():
@@ -122,6 +123,46 @@ def test_subset_index_out_of_order_and_duplicated_names():
         assert np.array_equal(subset_index(pv, names), in_order)
         assert l2_norm(values[subset_index(pv, names)]) == subset_norm(values, pv, names)
     assert l2_norm(values[in_order]) == _mask_norm(values, ["layer0.W", "layer1.W"])
+
+
+@pytest.mark.parametrize("sizes", [(2, 16, 2), (2, 8, 8, 2)])
+def test_slice_view_subset_norms_equal_fancy_index_norms(sizes):
+    """Every run of consecutive segments is selected by a slice, with the index's norm bits."""
+    segments = param_segments(make_mlp_classifier(sizes))
+    names = [name for name, _, _ in segments]
+    pv = ParamVector(np.zeros(sum(length for _, _, length in segments)), segments)
+    rng = np.random.default_rng(len(sizes))
+    for lo in range(len(names)):
+        for hi in range(lo + 1, len(names) + 1):
+            selector, index = subset_selector(pv, names[lo:hi]), subset_index(pv, names[lo:hi])
+            if hi - lo == len(names):
+                assert selector is None
+            else:
+                assert selector == slice(int(index[0]), int(index[-1]) + 1)
+            for scale in (1e-200, 1e-3, 1.0, 1e150):
+                values = rng.standard_normal(pv.size) * scale
+                picked = values if selector is None else values[selector]
+                assert _bits(l2_norm(picked)) == _bits(l2_norm(values[index]))
+    # segments that are not one range keep the index
+    apart = subset_selector(pv, [names[0], names[-1]])
+    assert np.array_equal(apart, subset_index(pv, [names[0], names[-1]]))
+
+
+@settings(deadline=None)  # timing on a shared host is not what these check
+@given(values=arrays(np.float64, st.integers(1, 200),
+                     elements=st.floats(-1e150, 1e150, allow_subnormal=True)),
+       data=st.data())
+def test_slice_view_norm_equals_fancy_index_norm_on_random_vectors(values, data):
+    start = data.draw(st.integers(0, values.size - 1))
+    stop = data.draw(st.integers(start + 1, values.size))
+    view, copy = values[start:stop], values[np.arange(start, stop)]
+    assert _bits(l2_norm(view)) == _bits(l2_norm(copy))
+
+
+def test_subset_of_an_empty_segment_selects_nothing():
+    pv = ParamVector(np.ones(3), [("a", 0, 3), ("empty", 3, 0)])
+    selector = subset_selector(pv, ["empty"])
+    assert l2_norm(np.ones(3)[selector]) == 0.0
 
 
 _FINITE = st.one_of(st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300),

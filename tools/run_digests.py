@@ -15,9 +15,12 @@ The cases:
 - the four optimizers on a moons MLP through ``run_experiment`` (2 seeds,
   with a short last batch), each followed by ``verify_run`` on every seed;
 - vSAM with momentum 0.9, vSAM with
-  ``subset_segments=["layer1.W", "layer0.W"]``, vSAM on a ReLU
-  ``[2, 8, 8, 2]`` MLP (a gradient over three layers, with dead units), and
-  vSAM with 10 slices of its 20-sample window (short and ragged windows);
+  ``subset_segments=["layer1.W", "layer0.W"]`` (indices that are not one
+  range), vSAM with ``subset_segments=["layer0.W", "layer0.b"]`` (one range
+  that is not the tail), vSAM on a ReLU ``[2, 8, 8, 2]`` MLP (a gradient over
+  three layers, with dead units), vSAM on a ``[2, 8, 3]`` MLP (a softmax over
+  three columns), and vSAM with 10 slices of its 20-sample window (short and
+  ragged windows);
 - each optimizer with ``grad_eval_budget`` 50 and 51;
 - vSAM with a 25-iteration warmup and ``grad_eval_budget`` 57: samples
   settle inside a warmup that ends off a window boundary, and the budget
@@ -83,8 +86,11 @@ def config_cases():
     cases["vsam_momentum_0.9"] = _payload("vsam", optimizer_config={"momentum": 0.9})
     cases["vsam_subset_layer1W_layer0W"] = _payload(
         "vsam", sampler_config={"subset_segments": ["layer1.W", "layer0.W"]})
+    cases["vsam_subset_layer0W_layer0b"] = _payload(
+        "vsam", sampler_config={"subset_segments": ["layer0.W", "layer0.b"]})
     cases["vsam_relu_2_8_8_2"] = _payload(
         "vsam", objective={"layer_sizes": [2, 8, 8, 2], "activation": "relu"})
+    cases["vsam_mlp_2_8_3"] = _payload("vsam", objective={"layer_sizes": [2, 8, 3]})
     # the first nine windows hold fewer values than slices, and windows of
     # 10-19 values split into slices of unequal width
     cases["vsam_slices_10"] = _payload("vsam", sampler_config={"m_slices": 10})
