@@ -40,8 +40,8 @@ class Batch:
     inputs: np.ndarray
     targets: np.ndarray
     indices: np.ndarray
-    # (targets, n_classes, flat index of each row's target logit), kept by
-    # samlab.objectives on a batch's first MLP evaluation
+    # (targets, n_classes, flat index of each row's target logit, one-hot
+    # target mask), kept by samlab.objectives on a batch's first MLP evaluation
     target_index: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -63,6 +63,18 @@ class Batch:
     @property
     def size(self) -> int:
         return self.inputs.shape[0]
+
+    def rows(self, start: int, stop: int) -> "Batch":
+        """Rows ``start:stop`` as a batch of views, without checking again what this one passed.
+
+        ``start:stop`` must select at least one row.
+        """
+        batch = object.__new__(Batch)
+        batch.inputs = self.inputs[start:stop]
+        batch.targets = self.targets[start:stop]
+        batch.indices = self.indices[start:stop]
+        batch.target_index = None
+        return batch
 
 
 @dataclass
@@ -211,12 +223,12 @@ def make_batches(ds: Dataset, batch_size: int, seed: int, epoch: int) -> list[Ba
     if batch_size < 1 or batch_size > ds.n:
         raise ConfigurationError(f"batch_size must be in [1, {ds.n}], got {batch_size}")
     perm = np.random.default_rng([seed, epoch]).permutation(ds.n)
-    # gather once per epoch; each batch is a row slice of the gathered arrays
-    inputs, targets = ds.inputs[perm], ds.targets[perm]
-    targets.flags.writeable = False  # so each batch's slice needs no copy
-    return [Batch(inputs[start : start + batch_size], targets[start : start + batch_size],
-                  perm[start : start + batch_size])
-            for start in range(0, ds.n, batch_size)]
+    # gather and check once per epoch; each batch is a row slice of the checked epoch
+    # take along rows copies what fancy indexing does, without its per-call setup
+    targets = ds.targets.take(perm)
+    targets.flags.writeable = False  # so the epoch's targets need no copy
+    whole = Batch(ds.inputs.take(perm, axis=0), targets, perm)
+    return [whole.rows(start, start + batch_size) for start in range(0, ds.n, batch_size)]
 
 
 def batches_per_epoch(n: int, batch_size: int) -> int:

@@ -41,6 +41,19 @@ OUTPUT_ROOT_ENV = "SAMLAB_OUTPUT_ROOT"
 SEED_FILES = ("metrics.csv", "norm_trace.csv", "summary.json", "error.json")
 
 
+def _write_json(path: Path, payload) -> None:
+    """Write ``payload`` as indented, key-sorted JSON to a new file at ``path``.
+
+    A file already there is removed first, as ``SEED_FILES`` are, so a rerun
+    writes a new file rather than truncating the old one in place: on ext4,
+    truncating and rewriting a file whose blocks are already on disk can
+    block for tens of milliseconds, where removing it and writing anew does not.
+    """
+    path.unlink(missing_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+
+
 @dataclass
 class ExperimentConfig:
     objective: ObjectiveSpec
@@ -314,7 +327,8 @@ def run_experiment(config: ExperimentConfig) -> Path:
     The dataset is generated and the plan checked before anything is written.
     Each seed directory's ``SEED_FILES`` are removed before that seed runs,
     so a run into an existing output directory leaves no file of an earlier
-    run beside its own.
+    run beside its own, and ``config.json`` and ``aggregate.json`` are removed
+    just before they are written (``_write_json``).
     """
     dataset = None
     if config.dataset is not None:
@@ -324,8 +338,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
     out = resolve_output_dir(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
+    _write_json(out / "config.json", config_to_dict(config))
 
     summaries = {}
     for seed in config.seeds:
@@ -338,15 +351,13 @@ def run_experiment(config: ExperimentConfig) -> Path:
         except NumericError as err:
             partial = getattr(err, "partial_records", [])
             write_metrics_csv(seed_dir / "metrics.csv", partial)
-            with open(seed_dir / "error.json", "w", encoding="utf-8") as fh:
-                json.dump({"error": str(err), "iteration": err.iteration}, fh, indent=2)
+            _write_json(seed_dir / "error.json", {"error": str(err), "iteration": err.iteration})
             continue
         # the norm trace is a column projection of the metrics, written from the same cells
         write_metrics_csv(seed_dir / "metrics.csv", result.records,
                           [(seed_dir / "norm_trace.csv", NORM_TRACE_FIELDS)])
         summary = summarize(result.records, dataset, config.batch_size)
-        with open(seed_dir / "summary.json", "w", encoding="utf-8") as fh:
-            json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
+        _write_json(seed_dir / "summary.json", summary.to_dict())
         summaries[seed] = summary
 
     _write_aggregate(out, summaries)
@@ -423,8 +434,7 @@ def _write_aggregate(out: Path, summaries: dict) -> None:
             mean, std = _mean_std(accs)
             payload["mean"]["final_eval_accuracy"] = mean
             payload["std"]["final_eval_accuracy"] = std
-    with open(out / "aggregate.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    _write_json(out / "aggregate.json", payload)
 
 
 # ---------------------------------------------------------------------------

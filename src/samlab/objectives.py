@@ -13,20 +13,32 @@ only while it performs the same operations, in the same order, on the same
 operands. A property test pins ``eval_grad``, ``eval_loss`` and
 ``mlp_predict`` byte for byte to an earlier kernel kept in ``tests/helpers.py``.
 
-What depends only on the targets is done once: the dtype and range checks
-and the flat index (row * classes + target) through which the loss picks
-each target logit and the gradient subtracts 1. The training loop does it
+What depends only on the targets is done once: the dtype and range checks,
+the flat index (row * classes + target) through which the loss picks each
+target logit, and a one-hot mask of the targets. The training loop does it
 once per epoch: ``prime_epoch`` checks the epoch's gathered targets as one
-array and keeps each batch's slice of the index on the batch. Any other
-batch is checked and indexed on its first MLP evaluation. The index is kept
-with its targets array and class count, and only for a read-only array
-(``Batch`` freezes its targets), so a later write to the targets cannot
-leave it stale and new targets are a new array that misses it. Every call
-still checks the batch is there, its input width, the objective kind and
-the parameter count, and the loss and gradient for finiteness. A call looks
-the layer layout and the activation up once. The gradient is written layer
-by layer into one preallocated vector, and weight decay is added to it in
-place.
+array and keeps each batch's slice of the index and the mask on the batch.
+Any other batch is checked and indexed on its first MLP evaluation. Both are
+kept with their targets array and class count, and only for a read-only
+array (``Batch`` freezes its targets), so a later write to the targets
+cannot leave them stale and new targets are a new array that misses them.
+Every call still checks the batch is there, its input width, the objective
+kind and the parameter count, and the loss and gradient for finiteness.
+
+The gradient subtracts 1 at each target logit as ``d_z -= onehot``. That
+gives the bits of subtracting 1 at the flat index: at a target it is the
+same subtraction, and elsewhere it subtracts 0.0, and x - 0.0 has the bits
+of x for every double, -0.0 and NaN included.
+
+One kernel, ``_mlp``, serves ``eval_grad``, ``eval_loss``, ``eval_heldout``
+and ``mlp_predict``. It writes every intermediate into a ``Workspace``:
+hidden activations, logits, softmax terms and backprop buffers, built once
+per (layer layout, row count), plus the per-layer weight views, built once
+per weight buffer, and the weight-decay term. The caller owns it: the
+training loop builds one per run and passes it to every evaluation, and a
+call without one gets a fresh one. The module keeps no scratch memory of
+its own. The returned loss, gradient and accuracy never alias a workspace:
+the gradient is a new array on every call.
 """
 
 from __future__ import annotations
@@ -192,12 +204,13 @@ def _mlp_layout(layer_sizes):
 # loss / gradient evaluation
 
 def eval_loss(spec: ObjectiveSpec, w: ParamVector | np.ndarray,
-              batch: Batch | None = None) -> float:
-    loss, _ = _evaluate(spec, w, batch, with_grad=False)
+              batch: Batch | None = None, workspace: Workspace | None = None) -> float:
+    loss, _ = _evaluate(spec, w, batch, False, workspace)
     return loss
 
 
-def eval_grad(spec: ObjectiveSpec, w: ParamVector | np.ndarray, batch: Batch | None = None):
+def eval_grad(spec: ObjectiveSpec, w: ParamVector | np.ndarray, batch: Batch | None = None,
+              workspace: Workspace | None = None):
     """Returns (loss, gradient); the gradient includes the 2*wd*w term.
 
     ``w`` is a ParamVector or a 1-D float64 array of finite weights. Overflow
@@ -206,21 +219,26 @@ def eval_grad(spec: ObjectiveSpec, w: ParamVector | np.ndarray, batch: Batch | N
     checked with ``params.all_finite``, one dot product with zeros: it adds
     an "invalid value" warning only for a gradient that is not finite, just
     before that NumericError, and never warns on a finite one.
+
+    ``workspace`` is the caller's (a training run passes its own); without
+    one the call uses a fresh one. The gradient is a new array either way.
     """
-    return _evaluate(spec, w, batch, with_grad=True)
+    return _evaluate(spec, w, batch, True, workspace)
 
 
-def eval_heldout(spec: ObjectiveSpec, values: np.ndarray, batch: Batch):
+def eval_heldout(spec: ObjectiveSpec, values: np.ndarray, batch: Batch,
+                 workspace: Workspace | None = None):
     """(loss, accuracy) of the MLP on ``batch`` from a single forward pass.
 
     The bits of ``eval_loss`` and ``mlp_accuracy``, which run the pass once each.
     """
-    loss, logits = _evaluate(spec, values, batch, with_grad=False)
+    loss, logits = _evaluate(spec, values, batch, False, workspace)
     return loss, float(np.mean(np.argmax(logits, axis=1) == batch.targets))
 
 
-def _evaluate(spec, w, batch, with_grad):
+def _evaluate(spec, w, batch, with_grad, workspace):
     """(loss, gradient); without the gradient, (loss, MLP logits or None)."""
+    ws = Workspace() if workspace is None else workspace
     kind = spec.kind
     if kind == "mlp_classifier":
         # looked up once per call and handed to the kernel
@@ -244,14 +262,16 @@ def _evaluate(spec, w, batch, with_grad):
     elif kind == "sharp_flat":
         loss, grad = _sharp_flat(spec, x, with_grad)
     else:
-        loss, grad = _mlp(spec, layout, x, batch, with_grad)
+        targets = _target_index(spec, batch)
+        loss, grad = _mlp(layout, spec.activation == "tanh", x, batch.inputs, targets, with_grad,
+                          ws)
 
     wd = spec.weight_decay
     if wd != 0.0:
         # x.dot(x) gives the bits of x @ x on a 1-D float64 array, without matmul's dispatch
         loss = loss + wd * float(x.dot(x))
         if with_grad:
-            grad += (2.0 * wd) * x
+            grad += np.multiply(2.0 * wd, x, out=ws.decay(x.size))
 
     if not math.isfinite(loss):
         raise NumericError(f"non-finite loss from {kind} objective")
@@ -399,11 +419,12 @@ def _checked_targets(targets, n_classes):
 
 
 def _target_index(spec, batch):
-    """Flat index (row * n_classes + target) of each row's target logit.
+    """(flat index of each row's target logit, one-hot target mask) of ``batch``.
 
-    Checks the batch on every call and its targets once (see the module
-    docstring); targets assigned later as a writable array are checked and
-    indexed on every call.
+    The index is row * n_classes + target; the mask is an (rows, n_classes)
+    float64 array of 0.0 with 1.0 at each target. Checks the batch on every
+    call and its targets once (see the module docstring); targets assigned
+    later as a writable array are checked and indexed on every call.
     """
     if batch is None:
         raise ConfigurationError("mlp_classifier objective requires a batch")
@@ -414,24 +435,33 @@ def _target_index(spec, batch):
     n_classes = spec.layer_sizes[-1]
     targets, kept = batch.targets, batch.target_index
     if kept is not None and kept[0] is targets and kept[1] == n_classes:
-        return kept[2]
-    as_int = _checked_targets(targets, n_classes)
-    index = np.arange(0, as_int.size * n_classes, n_classes) + as_int
+        return kept[2], kept[3]
+    index, onehot = _index_and_mask(_checked_targets(targets, n_classes), n_classes)
     if not targets.flags.writeable:
-        batch.target_index = (targets, n_classes, index)
-    return index
+        batch.target_index = (targets, n_classes, index, onehot)
+    return index, onehot
+
+
+def _index_and_mask(as_int, n_classes):
+    """Each row's flat target index and a read-only one-hot mask of the rows."""
+    index = np.arange(0, as_int.size * n_classes, n_classes) + as_int
+    onehot = np.zeros((as_int.size, n_classes))
+    onehot.reshape(-1)[index] = 1.0
+    onehot.flags.writeable = False
+    return index, onehot
 
 
 def prime_epoch(spec: ObjectiveSpec, batches) -> None:
-    """Check one epoch's targets once and keep each batch's index on it.
+    """Check one epoch's targets once and keep each batch's index and mask on it.
 
     ``batches`` are an epoch's, in order, as ``data.make_batches`` cuts them.
     Their targets are checked as one array, with ``_target_index``'s checks
-    and messages; each batch with read-only targets then keeps the index
-    that ``_target_index`` would have kept for it, keyed the same way.
+    and messages; each batch with read-only targets then keeps the index and
+    mask that ``_target_index`` would have kept for it, keyed the same way.
     """
     n_classes = spec.layer_sizes[-1]
     as_int = _checked_targets(np.concatenate([batch.targets for batch in batches]), n_classes)
+    _, onehot = _index_and_mask(as_int, n_classes)
     sizes = [batch.size for batch in batches]
     stops = np.cumsum(sizes)
     # each row's place in its own batch; a batch's index is then a slice view
@@ -439,53 +469,126 @@ def prime_epoch(spec: ObjectiveSpec, batches) -> None:
     index = rows * n_classes + as_int
     for batch, stop, size in zip(batches, stops.tolist(), sizes):
         if not batch.targets.flags.writeable:
-            batch.target_index = (batch.targets, n_classes, index[stop - size:stop])
+            batch.target_index = (batch.targets, n_classes, index[stop - size:stop],
+                                  onehot[stop - size:stop])
 
 
-def _mlp_forward(layout, tanh, values, inputs):
-    """(per layer (W, b) as views of ``values``, activations, logits)."""
-    layers = [(values[lo:mid].reshape(fan_in, fan_out), values[mid:hi])
-              for fan_in, fan_out, lo, mid, hi in layout]
+class _RowBuffers:
+    """Every intermediate of one MLP evaluation on ``rows`` rows of one layout."""
+
+    def __init__(self, layout, rows):
+        widths = [fan_out for _, fan_out, _, _, _ in layout[:-1]]
+        n_classes = layout[-1][1]
+        self.hidden = [np.empty((rows, width)) for width in widths]
+        self.logits = np.empty((rows, n_classes))
+        self.logit_cols = [self.logits[:, j] for j in range(n_classes)]
+        self.row_max = np.empty(rows)
+        self.row_max_col = self.row_max[:, None]
+        self.shifted = np.empty((rows, n_classes))
+        self.shifted_cols = [self.shifted[:, j] for j in range(n_classes)]
+        self.sum_exp = np.empty(rows)
+        self.sum_exp_col = self.sum_exp[:, None]
+        self.log_sum = np.empty(rows)
+        self.picked = np.empty(rows)
+        # backprop: d loss / d (pre-activation) of each hidden layer, and the
+        # activation's slope there (tanh: 1 - a * a; relu: a > 0 as 1.0 or 0.0)
+        self.d_z = [np.empty((rows, width)) for width in widths]
+        self.slope = [np.empty((rows, width)) for width in widths]
+
+
+class Workspace:
+    """Preallocated memory for the MLP kernel, passed in by its owner (a training run).
+
+    Row buffers are built once per (layout, rows), the per-layer weight views
+    once per weight buffer, and the weight-decay term once per parameter
+    count. Nothing returned to a caller lives here.
+    """
+
+    # weight buffers whose views are kept; a run evaluates at two (w and w + e)
+    KEPT_WEIGHTS = 4
+
+    def __init__(self):
+        self._rows = {}
+        self._weights = []  # (weight buffer, layout, its layers), most recent last
+        self._decay = {}
+
+    def rows(self, layout, rows) -> _RowBuffers:
+        buffers = self._rows.get((layout, rows))
+        if buffers is None:
+            buffers = self._rows[(layout, rows)] = _RowBuffers(layout, rows)
+        return buffers
+
+    def layers(self, layout, values):
+        """Per layer (W, b, W.T), views of ``values``."""
+        for kept, kept_layout, layers in self._weights:
+            if kept is values and kept_layout is layout:
+                return layers
+        layers = []
+        for fan_in, fan_out, lo, mid, hi in layout:
+            w = values[lo:mid].reshape(fan_in, fan_out)
+            layers.append((w, values[mid:hi], w.T))
+        # slices of a 1-D array reshape to views, so later writes to it show through them
+        self._weights = self._weights[1 - self.KEPT_WEIGHTS:] + [(values, layout, layers)]
+        return layers
+
+    def decay(self, size) -> np.ndarray:
+        buffer = self._decay.get(size)
+        if buffer is None:
+            buffer = self._decay[size] = np.empty(size)
+        return buffer
+
+
+def _mlp(layout, tanh, values, inputs, targets, with_grad, ws):
+    """The MLP kernel: logits when ``targets`` is None, else (loss, gradient or logits).
+
+    ``targets`` is ``_target_index``'s (index, one-hot mask) of the rows.
+    """
+    layers = ws.layers(layout, values)
+    n = inputs.shape[0]
+    r = ws.rows(layout, n)
     a = inputs
-    activations = [a]
-    for w, bias in layers[:-1]:
-        a = a @ w
-        a += bias
+    for (w, bias, _), hidden in zip(layers, r.hidden):
+        np.matmul(a, w, out=hidden)
+        hidden += bias
         if tanh:
-            np.tanh(a, out=a)
+            np.tanh(hidden, out=hidden)
         else:
-            np.maximum(a, 0.0, out=a)
-        activations.append(a)
-    w, bias = layers[-1]
-    logits = a @ w
+            np.maximum(hidden, 0.0, out=hidden)
+        a = hidden
+    w, bias, _ = layers[-1]
+    logits = np.matmul(a, w, out=r.logits)
     logits += bias
-    return layers, activations, logits
-
-
-def _mlp(spec, layout, values, batch, with_grad):
-    index = _target_index(spec, batch)
-    n = batch.size
-    tanh = spec.activation == "tanh"
-    layers, activations, logits = _mlp_forward(layout, tanh, values, batch.inputs)
+    if targets is None:
+        return logits
+    index, onehot = targets
 
     # max is exact, so a column-by-column maximum equals np.maximum.reduce
-    row_max = logits[:, 0]
-    for j in range(1, logits.shape[1]):
-        row_max = np.maximum(row_max, logits[:, j])
-    shifted = logits - row_max[:, None]
-    # only the target column of the log-softmax enters the loss
-    picked = shifted.take(index)
+    cols, row_max = r.logit_cols, r.row_max
+    if len(cols) == 1:
+        np.copyto(row_max, cols[0])
+    else:
+        np.maximum(cols[0], cols[1], out=row_max)
+    for col in cols[2:]:
+        np.maximum(row_max, col, out=row_max)
+    shifted = np.subtract(logits, r.row_max_col, out=r.shifted)
+    # only the target column of the log-softmax enters the loss; the index is
+    # in range (checked targets, one per row), so "clip" never moves it
+    picked = shifted.take(index, out=r.picked, mode="clip")
     exp = np.exp(shifted, out=shifted)
-    # over two columns np.add.reduce is this one add
-    sum_exp = exp[:, 0] + exp[:, 1] if exp.shape[1] == 2 else np.add.reduce(exp, axis=1)
-    picked -= np.log(sum_exp)
+    sum_exp = r.sum_exp
+    if len(cols) == 2:
+        # over two columns np.add.reduce is this one add
+        np.add(r.shifted_cols[0], r.shifted_cols[1], out=sum_exp)
+    else:
+        np.add.reduce(exp, axis=1, out=sum_exp)
+    picked -= np.log(sum_exp, out=r.log_sum)
     loss = -(float(np.add.reduce(picked)) / n)
     if not with_grad:
         return loss, logits
 
     d_z = exp  # turned into d loss / d logits in place
-    d_z /= sum_exp[:, None]
-    d_z.reshape(-1)[index] -= 1.0
+    d_z /= r.sum_exp_col
+    d_z -= onehot  # x - 0.0 keeps the bits of x: only the target logits change
     d_z /= n
 
     # each layer's gradient is written straight into its slice of the vector
@@ -493,19 +596,26 @@ def _mlp(spec, layout, values, batch, with_grad):
     for layer in range(len(layout) - 1, -1, -1):
         fan_in, fan_out, lo, mid, hi = layout[layer]
         np.add.reduce(d_z, axis=0, out=grad[mid:hi])
-        np.matmul(activations[layer].T, d_z, out=grad[lo:mid].reshape(fan_in, fan_out))
+        a = r.hidden[layer - 1] if layer else inputs
+        np.matmul(a.T, d_z, out=grad[lo:mid].reshape(fan_in, fan_out))
         if layer == 0:
             break
-        a_here = activations[layer]
-        d_z = d_z @ layers[layer][0].T
-        d_z *= (1.0 - a_here * a_here) if tanh else (a_here > 0.0)
+        below = np.matmul(d_z, layers[layer][2], out=r.d_z[layer - 1])
+        slope = r.slope[layer - 1]
+        if tanh:
+            np.subtract(1.0, np.multiply(a, a, out=slope), out=slope)
+        else:
+            # the bool a > 0 cast to float64, as multiplying by the bool array casts it
+            np.greater(a, 0.0, out=slope)
+        below *= slope
+        d_z = below
     return loss, grad
 
 
 def mlp_predict(spec: ObjectiveSpec, w: ParamVector, inputs: np.ndarray) -> np.ndarray:
     """Class predictions (argmax of the logits)."""
-    _, _, logits = _mlp_forward(_mlp_layout(tuple(spec.layer_sizes)), spec.activation == "tanh",
-                                w.values, np.asarray(inputs, dtype=np.float64))
+    logits = _mlp(_mlp_layout(tuple(spec.layer_sizes)), spec.activation == "tanh", w.values,
+                  np.asarray(inputs, dtype=np.float64), None, False, Workspace())
     return np.argmax(logits, axis=1)
 
 

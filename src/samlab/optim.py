@@ -23,8 +23,8 @@ from .data import Batch, Dataset, batches_per_epoch, make_batches, train_test_sp
 from .errors import ConfigurationError, ContractViolationError, NumericError, check_number
 from .metrics import MetricsRecord
 # eval_loss and mlp_accuracy are imported for perfbench/tracer.py, which wraps them here
-from .objectives import (ObjectiveSpec, eval_grad, eval_heldout, eval_loss, init_params,
-                         mlp_accuracy, prime_epoch)
+from .objectives import (ObjectiveSpec, Workspace, eval_grad, eval_heldout, eval_loss,
+                         init_params, mlp_accuracy, prime_epoch)
 from .params import (ParamVector, default_subset, l2_norm, require_finite, subset_norm,
                      subset_selector)
 # record_sample is imported for perfbench/tracer.py too; the loop calls note_sample and settle
@@ -98,19 +98,26 @@ def learning_rate(opt: OptimizerConfig, t: int, total: int) -> float:
     return 0.5 * opt.eta0 * (1.0 + math.cos(math.pi * (t - 1) / total))
 
 
-def perturbation(g: np.ndarray, rho: float) -> np.ndarray:
-    """rho * g / ||g||; the zero vector when the gradient is degenerate."""
+def perturbation(g: np.ndarray, rho: float, norm: float | None = None) -> np.ndarray:
+    """rho * g / ||g||; the zero vector when the gradient is degenerate.
+
+    ``norm`` is ``l2_norm(g)`` when the caller already has it.
+    """
     if rho <= 0.0:
         raise ConfigurationError("rho must be positive")
-    norm = l2_norm(g)
+    if norm is None:
+        norm = l2_norm(g)
     if norm < DEGENERATE_GRAD_NORM:
         return np.zeros_like(g)
     return (rho / norm) * g
 
 
-def _perturbed(values, g_sgd, rho):
-    """The weights at which SAM's second gradient is taken, checked to be finite."""
-    w_pert = values + perturbation(g_sgd, rho)
+def _perturbed(values, g_sgd, rho, norm=None, out=None):
+    """The weights at which SAM's second gradient is taken, checked to be finite.
+
+    ``norm`` is passed on to ``perturbation``; ``out`` receives the weights.
+    """
+    w_pert = np.add(values, perturbation(g_sgd, rho, norm), out=out)
     require_finite(w_pert)
     return w_pert
 
@@ -134,20 +141,25 @@ def sam_gradient(spec: ObjectiveSpec, w: ParamVector, batch: Batch | None,
     )
 
 
-def _apply_step(values, direction, eta, momentum, m_state):
-    """(new weights, new momentum); NumericError when a new weight is not finite."""
-    m_new = momentum * m_state + direction
-    values = values - eta * m_new
+def _apply_step(values, direction, eta, momentum, m):
+    """m = momentum * m + direction, then values -= eta * m, both in place.
+
+    NumericError when a new weight is not finite.
+    """
+    np.multiply(momentum, m, out=m)
+    m += direction
+    values -= eta * m
     require_finite(values)
-    return values, m_new
 
 
 def _step(w: ParamVector, direction, eta, momentum, momentum_state):
-    """``_apply_step`` on a ParamVector; no momentum state means zeros."""
-    if momentum_state is None:
-        momentum_state = np.zeros_like(w.values)
-    values, m_new = _apply_step(w.values, direction, eta, momentum, momentum_state)
-    return w.with_values(values), m_new
+    """``_apply_step`` on copies of a ParamVector's weights and the momentum (zeros if None)."""
+    values = w.values.copy()
+    m = np.zeros(values.size)
+    if momentum_state is not None:
+        m = np.array(momentum_state, dtype=np.float64)
+    _apply_step(values, direction, eta, momentum, m)
+    return w.with_values(values), m
 
 
 def step_sgd(w: ParamVector, g_sgd, eta, momentum=0.0, momentum_state=None):
@@ -232,10 +244,16 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     takes its one-evaluation step instead (reuse when a correction is cached,
     plain SGD otherwise), and the run ends there.
 
-    Inputs are checked once, up front. The loop carries the weights and the
-    momentum as bare float64 arrays and checks each gradient, perturbed point
-    and new weight vector for finiteness once, with numpy's floating-point
-    warnings off. A NumericError leaves with its iteration and the records so
+    Inputs are checked once, up front. The run owns three float64 buffers,
+    updated in place: the weights and the momentum, copies of ``w0`` and
+    ``momentum0`` made at entry (so neither is ever written to), and the
+    perturbed point w + e. A step is m = momentum * m + direction, then
+    weights -= eta * m. The run also owns the ``objectives.Workspace`` that
+    every gradient and held-out evaluation writes its intermediates into. The
+    loop checks each gradient, perturbed point and new weight vector for
+    finiteness once, with numpy's floating-point warnings off. The result's
+    ``w_final`` and ``momentum_final`` are the run's buffers, which no later
+    run touches. A NumericError leaves with its iteration and the records so
     far (``partial_records``), so that the harness can flush a partial trace.
 
     vSAM rows get their sliced variance ``v`` when the run stops: the loop
@@ -249,9 +267,13 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
         raise ConfigurationError("need at least one iteration")
     t0 = time.perf_counter()
     w0 = w0 if w0 is not None else init_params(spec, seed)
-    values, m = w0.values, (np.zeros(w0.size) if momentum0 is None else momentum0)
-    if np.shape(m) != (w0.size,):
+    if momentum0 is not None and np.shape(momentum0) != (w0.size,):
         raise ConfigurationError("momentum0 must hold one value per parameter")
+    # the run's own buffers, updated in place: w0 and momentum0 are left as they are
+    values = w0.values.copy()
+    m = np.zeros(w0.size) if momentum0 is None else np.array(momentum0, dtype=np.float64)
+    w_pert = np.empty(w0.size)
+    workspace = Workspace()
     if subset_names is None:
         subset_names = default_subset(w0)
     elif not subset_names:
@@ -280,7 +302,7 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
         try:
             for t, (batch, epoch) in enumerate(islice(batches, iterations), start_iteration + 1):
                 eta = learning_rate(opt, t, total)
-                loss, g_sgd = eval_grad(spec, values, batch)
+                loss, g_sgd = eval_grad(spec, values, batch, workspace)
                 evals += 1
                 l2_sgd = l2_norm(g_sgd)
                 l2_sgd_subset = l2_sgd if subset is None else l2_norm(g_sgd[subset])
@@ -293,7 +315,8 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                 sampled = wants_sample and not cut
                 r = v_fallback = None
                 if sampled:
-                    _, g_sam = eval_grad(spec, _perturbed(values, g_sgd, rho), batch)
+                    _perturbed(values, g_sgd, rho, l2_sgd, w_pert)
+                    _, g_sam = eval_grad(spec, w_pert, batch, workspace)
                     evals += 1
                     psf = g_sam - g_sgd
                     l2_psf = l2_norm(psf)
@@ -313,7 +336,7 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                 else:
                     direction = g_sgd
                     l2_psf = psf_stale = l2_psf_subset = dot_sgd_psf = None
-                values, m = _apply_step(values, direction, eta, momentum, m)
+                _apply_step(values, direction, eta, momentum, m)
                 if cfg is not None:
                     if t == i_start:
                         begin_windowing(state)
@@ -322,7 +345,7 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                         c_var, c_norm = update_rate(state, cfg)
                 eval_loss_v = eval_acc = None
                 if test_batch is not None and t % bpe == 0:
-                    eval_loss_v, eval_acc = eval_heldout(spec, values, test_batch)
+                    eval_loss_v, eval_acc = eval_heldout(spec, values, test_batch, workspace)
                 # positional, in MetricsRecord's field order; v is filled in when the run stops
                 records.append(MetricsRecord(
                     t, epoch, loss, l2_sgd, sampled, evals, time.perf_counter() - t0,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from samlab.data import (Batch, batches_per_epoch, dataset_checksum,
+from samlab.data import (Batch, Dataset, batches_per_epoch, dataset_checksum,
                          deserialize_dataset, generate_dataset, load_dataset,
                          make_batches, save_dataset, serialize_dataset,
                          train_test_split)
@@ -164,6 +164,40 @@ def test_make_batches_matches_per_batch_gather(kind, n, data, seed, epoch):
         for x, y in ((a.inputs, b.inputs), (a.targets, b.targets), (a.indices, b.indices)):
             assert x.dtype == y.dtype and x.shape == y.shape
             assert x.tobytes() == y.tobytes()
+
+
+def _assert_same_batches(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for x, y in ((a.inputs, b.inputs), (a.targets, b.targets), (a.indices, b.indices)):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+        assert not a.targets.flags.writeable and a.target_index is None
+
+
+@pytest.mark.parametrize("inputs_dtype", [np.int64, np.int32, np.float32])
+@pytest.mark.parametrize("targets_dtype", [np.int64, np.uint8])
+def test_batches_of_other_dtypes_equal_batch_constructed_ones(inputs_dtype, targets_dtype):
+    """The epoch is checked and converted once; each slice equals ``Batch(...)`` on its rows."""
+    ds = generate_dataset("blobs", 37, 3.0, seed=2)
+    other = Dataset(ds.kind, ds.seed, ds.noise, ds.inputs.astype(inputs_dtype),
+                    ds.targets.astype(targets_dtype))
+    got = make_batches(other, 8, seed=1, epoch=3)
+    assert [b.size for b in got] == [8, 8, 8, 8, 5]
+    assert all(b.inputs.dtype == np.float64 and b.indices.dtype == np.int64 for b in got)
+    _assert_same_batches(got, oracle_make_batches(other, 8, seed=1, epoch=3))
+
+
+def test_rows_of_a_batch_are_views_with_no_kept_index():
+    ds = generate_dataset("moons", 20, 0.1, seed=1)
+    whole = Batch(ds.inputs, ds.targets, np.arange(ds.n))
+    whole.target_index = ("kept",)
+    part = whole.rows(5, 12)
+    assert part.size == 7 and part.target_index is None
+    for x, y in ((part.inputs, whole.inputs), (part.targets, whole.targets),
+                 (part.indices, whole.indices)):
+        assert np.shares_memory(x, y) and np.array_equal(x, y[5:12])
+    _assert_same_batches([part], [Batch(ds.inputs[5:12], ds.targets[5:12], np.arange(5, 12))])
 
 
 def test_batch_size_bounds():

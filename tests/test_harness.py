@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -467,6 +469,31 @@ def test_rejected_rerun_keeps_the_earlier_run(tmp_path):
     with pytest.raises(ConfigurationError, match="must not repeat"):
         run_experiment(bad)
     assert {p.name: p.read_bytes() for p in seed_dir.iterdir()} == before
+
+
+def test_rerun_writes_config_and_aggregate_as_new_files(tmp_path):
+    """A rerun removes both run files before writing them; its bytes equal a new run's."""
+    out = run_experiment(_quadratic_sam(tmp_path, 0.1))
+    earlier = {}
+    for name in ("config.json", "aggregate.json"):
+        # a second name keeps the earlier file, so a rewrite in place would show through it
+        os.link(out / name, tmp_path / name)
+        earlier[name] = (out / name).read_bytes()
+    run_experiment(_quadratic_sam(tmp_path, 0.1))
+    rerun = {name: (out / name).read_text(encoding="utf-8") for name in earlier}
+    for name, old in earlier.items():
+        assert not os.path.samefile(tmp_path / name, out / name)
+        assert (tmp_path / name).read_bytes() == old
+    shutil.rmtree(out)
+    run_experiment(_quadratic_sam(tmp_path, 0.1))
+
+    def without_wall_clock(text):
+        return [line for line in text.splitlines()
+                if '"ais"' not in line and '"wall_clock_seconds"' not in line]
+
+    for name, text in rerun.items():
+        new = (out / name).read_text(encoding="utf-8")
+        assert without_wall_clock(text) == without_wall_clock(new)
 
 
 def test_output_root_env_override(tmp_path, monkeypatch):

@@ -136,6 +136,27 @@ def test_a_run_leaves_its_inputs_unmutated(method):
     assert not np.array_equal(result.w_final.values, w_before)
 
 
+@pytest.mark.parametrize("task", TASKS)
+@pytest.mark.parametrize("method", METHODS)
+def test_a_later_run_leaves_an_earlier_result_and_its_inputs_alone(method, task):
+    """Each run updates its own copies of w0 and momentum0 in place, and nothing else."""
+    spec, _, kwargs, _ = TASKS[task]()
+    w0 = kwargs.get("w0") or init_params(spec, 2)
+    momentum0 = np.random.default_rng(1).standard_normal(w0.size) * 1e-3
+    w_before, m_before = w0.values.tobytes(), momentum0.tobytes()
+    first = _run(method, task, iterations=30, momentum=0.5, w0=w0, momentum0=momentum0)
+    assert w0.values.tobytes() == w_before and momentum0.tobytes() == m_before
+    w_final, m_final = first.w_final.values.tobytes(), first.momentum_final.tobytes()
+    assert w_final != w_before and m_final != m_before
+    # a later run from the first one's results, and one from scratch
+    _run(method, task, iterations=30, momentum=0.5, w0=first.w_final,
+         momentum0=first.momentum_final)
+    _run(method, task, iterations=30, momentum=0.5)
+    assert first.w_final.values.tobytes() == w_final
+    assert first.momentum_final.tobytes() == m_final
+    assert w0.values.tobytes() == w_before and momentum0.tobytes() == m_before
+
+
 def _rows(records, evals_before=0):
     return [dict(vars(r), wall_clock_seconds=None,
                  cumulative_grad_evals=r.cumulative_grad_evals + evals_before)

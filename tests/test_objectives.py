@@ -187,6 +187,7 @@ def test_mlp_kernel_matches_parent_oracle_bit_for_bit(hidden, input_dim, n_class
     ds = Dataset("blobs", seed, 0.0, 2.0 * rng.standard_normal((n, input_dim)),
                  rng.integers(0, n_classes, size=n).astype(target_dtype))
     batch_size = data.draw(st.integers(1, n), label="batch_size")
+    shared = objectives.Workspace()
     for batch in make_batches(ds, batch_size, seed, 0):  # the last batch may be short
         ref_loss, ref_grad = oracle_mlp_eval(spec, w.values, batch, with_grad=True)
         # the first call checks and indexes the targets, the second reuses that
@@ -196,6 +197,10 @@ def test_mlp_kernel_matches_parent_oracle_bit_for_bit(hidden, input_dim, n_class
             assert grad.dtype == ref_grad.dtype and grad.tobytes() == ref_grad.tobytes()
         assert _bits(eval_loss(spec, w, batch)) == _bits(
             oracle_mlp_eval(spec, w.values, batch, with_grad=False)[0])
+        # one workspace for every batch of the epoch, the short last one included
+        shared_loss, shared_grad = eval_grad(spec, w.values, batch, shared)
+        assert _bits(shared_loss) == _bits(ref_loss)
+        assert shared_grad.tobytes() == ref_grad.tobytes()
         # the training loop passes the bare array, and evaluates held-out rows in one pass
         array_loss, array_grad = eval_grad(spec, w.values, batch)
         assert _bits(array_loss) == _bits(loss) and array_grad.tobytes() == grad.tobytes()
@@ -215,6 +220,74 @@ def _assert_matches_oracle(spec, values, batch):
     assert _bits(heldout_loss) == _bits(oracle_mlp_eval(spec, values, batch, False)[0])
     assert _bits(heldout_acc) == _bits(float(np.mean(
         oracle_mlp_predict(spec, values, batch.inputs) == batch.targets)))
+
+
+def _assert_grad_matches_oracle(spec, values, batch, workspace):
+    """eval_grad through ``workspace`` equals the oracle kernel; returns the gradient."""
+    loss, grad = eval_grad(spec, values, batch, workspace)
+    ref_loss, ref_grad = oracle_mlp_eval(spec, values, batch, with_grad=True)
+    assert _bits(loss) == _bits(ref_loss) and grad.tobytes() == ref_grad.tobytes()
+    return grad
+
+
+@pytest.mark.parametrize("sizes, activation", [((2, 16, 2), "tanh"), ((2, 8, 8, 3), "relu")])
+def test_one_workspace_serves_interleaved_weight_buffers(sizes, activation):
+    """Two weight arrays written in place between calls, as the loop's w and w + e are."""
+    spec = make_mlp_classifier(sizes, activation=activation, weight_decay=1e-3)
+    rng = np.random.default_rng(4)
+    a = init_params(spec, 1).values.copy()
+    b = a + 0.3 * rng.standard_normal(a.size)
+    workspace = objectives.Workspace()
+    batches = _epoch()  # the last of them is short
+    prime_epoch(spec, batches)
+    for batch in batches:
+        _assert_grad_matches_oracle(spec, a, batch, workspace)
+        _assert_grad_matches_oracle(spec, b, batch, workspace)
+        a -= 0.05 * rng.standard_normal(a.size)  # the kept views must see writes in place
+        np.add(a, 0.01, out=b)
+    # more weight buffers than the workspace keeps views of, and a strided one
+    many = [a + 0.01 * k for k in range(objectives.Workspace.KEPT_WEIGHTS + 2)]
+    strided = np.repeat(a, 2)[::2]
+    for _ in range(2):
+        for values in [*many, strided]:
+            _assert_grad_matches_oracle(spec, values, batches[0], workspace)
+        strided += 0.02
+
+
+def test_two_specs_and_row_counts_share_one_workspace():
+    """Layouts of equal parameter count, several row counts, one weight array, one workspace."""
+    specs = [make_mlp_classifier((2, 4, 3), activation="relu", weight_decay=1e-4),
+             make_mlp_classifier((2, 5, 2), activation="tanh")]
+    assert specs[0].param_count == specs[1].param_count
+    values = init_params(specs[1], 6).values.copy()
+    ds = generate_dataset("moons", 61, 0.2, seed=3)
+    batches = [whole_dataset_batch(ds), *make_batches(ds, 16, 0, 0)]  # 61, 16, 16, 16, 13 rows
+    workspace = objectives.Workspace()
+    for _ in range(2):
+        for spec in specs:
+            for batch in batches:
+                _assert_grad_matches_oracle(spec, values, batch, workspace)
+                loss, acc = eval_heldout(spec, values, batch, workspace)
+                assert _bits(loss) == _bits(oracle_mlp_eval(spec, values, batch, False)[0])
+                assert _bits(acc) == _bits(float(np.mean(
+                    oracle_mlp_predict(spec, values, batch.inputs) == batch.targets)))
+                assert _bits(eval_loss(spec, values, batch, workspace)) == _bits(loss)
+            assert np.array_equal(mlp_predict(spec, ParamVector(values), ds.inputs),
+                                  oracle_mlp_predict(spec, values, ds.inputs))
+        values *= 1.5
+
+
+def test_a_returned_gradient_is_not_workspace_memory():
+    spec = make_mlp_classifier((2, 8, 8, 2), weight_decay=1e-3)
+    values = init_params(spec, 2).values
+    batch = _epoch()[0]
+    workspace = objectives.Workspace()
+    first = _assert_grad_matches_oracle(spec, values, batch, workspace)
+    kept = first.tobytes()
+    second = _assert_grad_matches_oracle(spec, 2.0 * values, batch, workspace)
+    eval_heldout(spec, 3.0 * values, batch, workspace)
+    assert first.tobytes() == kept and second.tobytes() != kept
+    assert not np.shares_memory(first, second)
 
 
 def test_batch_targets_are_read_only():
@@ -284,13 +357,17 @@ def test_batches_primed_from_their_epoch_match_the_oracle(sizes, activation):
     prime_epoch(spec, batches)
     n_classes = sizes[-1]
     for batch in batches:
-        kept_targets, kept_classes, index = batch.target_index
+        kept_targets, kept_classes, index, onehot = batch.target_index
         assert kept_targets is batch.targets and kept_classes == n_classes
-        # the index a first evaluation of an unprimed batch would have kept
+        # the index and mask a first evaluation of an unprimed batch would have kept
         fresh = Batch(batch.inputs, batch.targets, batch.indices)
         eval_loss(spec, values, fresh)
         assert index.dtype == fresh.target_index[2].dtype
         assert index.tobytes() == fresh.target_index[2].tobytes()
+        assert onehot.dtype == fresh.target_index[3].dtype == np.float64
+        assert onehot.shape == (batch.size, n_classes)
+        assert onehot.tobytes() == fresh.target_index[3].tobytes()
+        assert not onehot.flags.writeable
         _assert_matches_oracle(spec, values, batch)
 
 

@@ -19,8 +19,9 @@ The cases:
   range), vSAM with ``subset_segments=["layer0.W", "layer0.b"]`` (one range
   that is not the tail), vSAM on a ReLU ``[2, 8, 8, 2]`` MLP (a gradient over
   three layers, with dead units), vSAM on a ``[2, 8, 3]`` MLP (a softmax over
-  three columns), and vSAM with 10 slices of its 20-sample window (short and
-  ragged windows);
+  three columns), vSAM with 10 slices of its 20-sample window (short and
+  ragged windows), and vSAM with ``batch_size`` 120, the held-out split's
+  row count (training and held-out batches of one size);
 - each optimizer with ``grad_eval_budget`` 50 and 51;
 - vSAM with a 25-iteration warmup and ``grad_eval_budget`` 57: samples
   settle inside a warmup that ends off a window boundary, and the budget
@@ -94,6 +95,9 @@ def config_cases():
     # the first nine windows hold fewer values than slices, and windows of
     # 10-19 values split into slices of unequal width
     cases["vsam_slices_10"] = _payload("vsam", sampler_config={"m_slices": 10})
+    # 120 rows per batch, as many as the held-out split: training and held-out
+    # evaluation share one workspace row count
+    cases["vsam_batch_120"] = _payload("vsam", batch_size=120)
     for m in METHODS:
         for budget in (50, 51):
             cases[f"budget_{m}_{budget}"] = _payload(
