@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .metrics import _read_rows, _write_rows
-from .objectives import eval_grad
+from .objectives import Workspace, eval_grad
 from .optim import sam_gradient
 
 BOUND_SLACK_TOL = 1e-12
@@ -111,7 +111,8 @@ def decomposition_residual(spec, w, batch, rho: float) -> float:
     shrinks like rho^2 on smooth non-quadratic objectives. At a degenerate
     gradient both sides vanish by contract and the residual is zero.
     """
-    _, g = eval_grad(spec, w, batch)
+    ws = Workspace()  # one plan for the three evaluations here
+    _, g = eval_grad(spec, w, batch, ws)
     g_norm = float(np.linalg.norm(g))
     if g_norm < 1e-12:
         return 0.0
@@ -120,8 +121,8 @@ def decomposition_residual(spec, w, batch, rho: float) -> float:
         hv = spec.a @ direction + (2.0 * spec.weight_decay) * direction
     else:
         h = HVP_FD_STEP
-        _, g_up = eval_grad(spec, w.with_values(w.values + h * direction), batch)
-        _, g_down = eval_grad(spec, w.with_values(w.values - h * direction), batch)
+        _, g_up = eval_grad(spec, w.with_values(w.values + h * direction), batch, ws)
+        _, g_down = eval_grad(spec, w.with_values(w.values - h * direction), batch, ws)
         hv = (g_up - g_down) / (2.0 * h)
     triple = sam_gradient(spec, w, batch, rho)
     return float(np.linalg.norm(triple.psf - rho * hv))

@@ -5,13 +5,20 @@ are pure functions of (spec, parameter vector, batch) and always include the
 ``weight_decay * ||w||^2`` regularization term in both the loss and the
 gradient. Analytic landscapes ignore the batch (pass ``None``).
 
-The MLP's order of floating-point operations is part of the run-directory
+Each kernel's order of floating-point operations is part of the run-directory
 contract: every loss, norm and weight a run writes descends from it, and runs
-must stay bit-reproducible across versions of this module. The kernel may be
-made cheaper (fewer numpy calls, in-place updates, unused products dropped)
-only while it performs the same operations, in the same order, on the same
-operands. A property test pins ``eval_grad``, ``eval_loss`` and
-``mlp_predict`` byte for byte to an earlier kernel kept in ``tests/helpers.py``.
+must stay bit-reproducible across versions of this module. A kernel may be
+made cheaper (fewer calls, in-place updates, unused products dropped) only
+while it performs the same operations, in the same order, on the same
+operands. Property tests pin the MLP and the sharp/flat landscape byte for
+byte to earlier kernels kept in ``tests/helpers.py``.
+
+What is fixed for a spec is worked out once, into the ``Plan`` that the
+``Workspace`` keeps for the spec it evaluated last: the kernel of its kind
+(also run by ``sharp_flat_ridge``) with the MLP layout and activation or the
+landscape's constants bound in, the parameter count, the weight-decay
+term's buffer and the finiteness screen's cached zero vector. A spec is
+frozen, its arrays included, so a kept plan cannot go stale.
 
 What depends only on the targets is done once: the dtype and range checks,
 the flat index (row * classes + target) through which the loss picks each
@@ -22,8 +29,9 @@ Any other batch is checked and indexed on its first MLP evaluation. Both are
 kept with their targets array and class count, and only for a read-only
 array (``Batch`` freezes its targets), so a later write to the targets
 cannot leave them stale and new targets are a new array that misses them.
-Every call still checks the batch is there, its input width, the objective
-kind and the parameter count, and the loss and gradient for finiteness.
+Every call still checks the parameter count, that the batch is there, its
+input width and that its inputs and targets agree on row count, and the loss
+and gradient for finiteness.
 
 The gradient subtracts 1 at each target logit as ``d_z -= onehot``. That
 gives the bits of subtracting 1 at the flat index: at a target it is the
@@ -34,9 +42,10 @@ One kernel, ``_mlp``, serves ``eval_grad``, ``eval_loss``, ``eval_heldout``
 and ``mlp_predict``. It writes every intermediate into a ``Workspace``:
 hidden activations, logits, softmax terms and backprop buffers, built once
 per (layer layout, row count), plus the per-layer weight views, built once
-per weight buffer, and the weight-decay term. The caller owns it: the
-training loop builds one per run and passes it to every evaluation, and a
-call without one gets a fresh one. The module keeps no scratch memory of
+per weight buffer, and the plan. The caller owns it: the
+training loop builds one per run and passes it to every evaluation,
+``fd_gradient`` keeps one across its probes, and a call without one gets a
+fresh one, plan included. The module keeps no scratch memory of
 its own. The returned loss, gradient and accuracy never alias a workspace:
 the gradient is a new array on every call.
 """
@@ -46,19 +55,22 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .data import Batch
 from .errors import ConfigurationError, NumericError
-from .params import ParamVector, all_finite
+from .params import ParamVector, _zeros, all_finite
 
 OBJECTIVE_KINDS = ("quadratic", "rosenbrock", "sharp_flat", "mlp_classifier")
 ACTIVATIONS = ("tanh", "relu")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObjectiveSpec:
+    """An objective's definition, frozen arrays included: a plan worked out from it stays valid."""
+
     kind: str
     weight_decay: float = 0.0
     # quadratic: L = 0.5 w'Aw - b'w
@@ -75,6 +87,15 @@ class ObjectiveSpec:
     layer_sizes: tuple[int, ...] | None = None
     activation: str | None = None
 
+    def __post_init__(self):
+        for name in ("a", "b"):
+            if getattr(self, name) is not None:
+                frozen = np.array(getattr(self, name), dtype=np.float64)
+                frozen.flags.writeable = False
+                object.__setattr__(self, name, frozen)
+        if self.layer_sizes is not None:
+            object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))
+
     @property
     def param_count(self) -> int:
         if self.kind == "quadratic":
@@ -83,7 +104,7 @@ class ObjectiveSpec:
             return self.dim
         if self.kind == "sharp_flat":
             return 2
-        return _mlp_layout(tuple(self.layer_sizes))[-1][-1]
+        return _mlp_layout(self.layer_sizes)[-1][-1]
 
     @property
     def input_dim(self) -> int | None:
@@ -167,7 +188,7 @@ def param_segments(spec: ObjectiveSpec):
     if spec.kind != "mlp_classifier":
         return [("w", 0, spec.param_count)]
     segments = []
-    for layer, (_, _, lo, mid, hi) in enumerate(_mlp_layout(tuple(spec.layer_sizes))):
+    for layer, (_, _, lo, mid, hi) in enumerate(_mlp_layout(spec.layer_sizes)):
         segments += [(f"layer{layer}.W", lo, mid - lo), (f"layer{layer}.b", mid, hi - mid)]
     return segments
 
@@ -183,7 +204,7 @@ def init_params(spec: ObjectiveSpec, seed: int) -> ParamVector:
     if spec.kind != "mlp_classifier":
         return ParamVector(rng.standard_normal(spec.param_count), param_segments(spec))
     values = np.zeros(spec.param_count)
-    for fan_in, fan_out, lo, mid, _ in _mlp_layout(tuple(spec.layer_sizes)):
+    for fan_in, fan_out, lo, mid, _ in _mlp_layout(spec.layer_sizes):
         values[lo:mid] = (rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)).ravel()
     return ParamVector(values, param_segments(spec))
 
@@ -236,51 +257,69 @@ def eval_heldout(spec: ObjectiveSpec, values: np.ndarray, batch: Batch,
     return loss, float(np.mean(np.argmax(logits, axis=1) == batch.targets))
 
 
+class Plan(NamedTuple):
+    """What every evaluation of one spec needs, worked out once and kept on the Workspace."""
+
+    spec: ObjectiveSpec
+    size: int  # parameter count
+    kernel: Callable  # (weights, batch, with_grad, workspace) -> (loss, gradient or logits)
+    weight_decay: float
+    decay: np.ndarray  # the 2 * wd * w term's buffer
+    zeros: np.ndarray  # the finiteness screen's, cached and read-only
+
+
+def _plan(spec):
+    kind = spec.kind
+    if kind == "quadratic":
+        a, b = spec.a, spec.b
+
+        def kernel(x, batch, with_grad, ws):
+            ax = a @ x
+            return 0.5 * float(x @ ax) - float(b @ x), (ax - b if with_grad else None)
+    elif kind == "rosenbrock":
+        kernel = _rosenbrock
+    elif kind == "sharp_flat":
+        kernel = _sharp_flat_kernel(spec)
+    elif kind == "mlp_classifier":
+        layout = _mlp_layout(spec.layer_sizes)
+        tanh, input_dim, n_classes = spec.activation == "tanh", spec.input_dim, layout[-1][1]
+
+        def kernel(x, batch, with_grad, ws):
+            targets = _target_index(batch, input_dim, n_classes)
+            return _mlp(layout, tanh, x, batch.inputs, targets, with_grad, ws)
+    else:
+        raise ConfigurationError(f"unknown objective kind {kind!r}")
+    size = spec.param_count
+    return Plan(spec, size, kernel, spec.weight_decay, np.empty(size), _zeros(size))
+
+
 def _evaluate(spec, w, batch, with_grad, workspace):
     """(loss, gradient); without the gradient, (loss, MLP logits or None)."""
     ws = Workspace() if workspace is None else workspace
-    kind = spec.kind
-    if kind == "mlp_classifier":
-        # looked up once per call and handed to the kernel
-        layout = _mlp_layout(tuple(spec.layer_sizes))
-        expected = layout[-1][-1]
-    elif kind in OBJECTIVE_KINDS:
-        expected = spec.param_count
-    else:
-        raise ConfigurationError(f"unknown objective kind {kind!r}")
+    plan = ws.plan
+    if plan is None or plan.spec is not spec:
+        plan = ws.plan = _plan(spec)
+    _, size, kernel, wd, decay, zeros = plan
     x = w.values if isinstance(w, ParamVector) else w
-    if x.size != expected:
+    if x.size != size:
         raise ConfigurationError(
-            f"parameter vector has {x.size} values, objective expects {expected}"
+            f"parameter vector has {x.size} values, objective expects {size}"
         )
-    if kind == "quadratic":
-        ax = spec.a @ x
-        loss = 0.5 * float(x @ ax) - float(spec.b @ x)
-        grad = ax - spec.b if with_grad else None
-    elif kind == "rosenbrock":
-        loss, grad = _rosenbrock(x, with_grad)
-    elif kind == "sharp_flat":
-        loss, grad = _sharp_flat(spec, x, with_grad)
-    else:
-        targets = _target_index(spec, batch)
-        loss, grad = _mlp(layout, spec.activation == "tanh", x, batch.inputs, targets, with_grad,
-                          ws)
-
-    wd = spec.weight_decay
+    loss, grad = kernel(x, batch, with_grad, ws)
     if wd != 0.0:
         # x.dot(x) gives the bits of x @ x on a 1-D float64 array, without matmul's dispatch
         loss = loss + wd * float(x.dot(x))
         if with_grad:
-            grad += np.multiply(2.0 * wd, x, out=ws.decay(x.size))
+            grad += np.multiply(2.0 * wd, x, out=decay)
 
     if not math.isfinite(loss):
-        raise NumericError(f"non-finite loss from {kind} objective")
-    if with_grad and not all_finite(grad):
-        raise NumericError(f"non-finite gradient from {kind} objective")
+        raise NumericError(f"non-finite loss from {spec.kind} objective")
+    if with_grad and not all_finite(grad, zeros):
+        raise NumericError(f"non-finite gradient from {spec.kind} objective")
     return float(loss), grad
 
 
-def _rosenbrock(x, with_grad):
+def _rosenbrock(x, batch, with_grad, ws):
     d = x.size
     a = x[1:] - x[:-1] ** 2
     b = 1.0 - x[:-1]
@@ -295,28 +334,6 @@ def _rosenbrock(x, with_grad):
 
 # ---------------------------------------------------------------------------
 # sharp/flat landscape internals
-
-def _smoothstep(t: float) -> float:
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1, monotone between."""
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.0:
-        return 1.0
-    a = math.exp(-1.0 / t)
-    b = math.exp(-1.0 / (1.0 - t))
-    return a / (a + b)
-
-
-def _smoothstep_deriv(t: float) -> float:
-    if t <= 0.0 or t >= 1.0:
-        return 0.0
-    a = math.exp(-1.0 / t)
-    b = math.exp(-1.0 / (1.0 - t))
-    if a == 0.0 or b == 0.0:
-        # exp underflow: the true derivatives here are below 1e-300 anyway
-        return 0.0
-    return a * b * (1.0 / t**2 + 1.0 / (1.0 - t) ** 2) / (a + b) ** 2
-
 
 def sharp_flat_centers(spec: ObjectiveSpec):
     """((x_sharp, 0), (x_flat, 0)) well-bottom locations."""
@@ -335,31 +352,47 @@ def sharp_flat_designed_losses(spec: ObjectiveSpec):
 Y_CURVATURE_RATIO = 0.25
 
 
-def _sharp_flat(spec, x, with_grad):
-    sep = spec.separation
+def _sharp_flat_kernel(spec):
+    """The landscape's kernel, its geometry's constants worked out once."""
+    sep, gap = spec.separation, spec.depth_gap
     m_s, m_f = -sep / 2.0, sep / 2.0
     h_s = 1.0 / spec.width_sharp**2
     h_f = 1.0 / spec.width_flat**2
-    px, py = float(x[0]), float(x[1])
-
-    u = (m_f - px) / sep  # 0 at the flat bottom, 1 at the sharp bottom
-    sig = _smoothstep(u)
-    h = h_f + (h_s - h_f) * sig
-    qa, qb = px - m_s, px - m_f
-    q = qa * qa * qb * qb
+    h_gap = h_s - h_f
     scale = 1.0 / (2.0 * sep * sep)
-    hy = Y_CURVATURE_RATIO * h
-    loss = q * h * scale - spec.depth_gap * sig + 0.5 * hy * py * py
-    if not with_grad:
-        return loss, None
+    du = -1.0 / sep
+    half_ratio = 0.5 * Y_CURVATURE_RATIO
 
-    dsig = _smoothstep_deriv(u) * (-1.0 / sep)
-    dh = (h_s - h_f) * dsig
-    dq = 2.0 * qa * qb * qb + 2.0 * qa * qa * qb
-    gx = (dq * h + q * dh) * scale - spec.depth_gap * dsig \
-        + 0.5 * Y_CURVATURE_RATIO * dh * py * py
-    gy = hy * py
-    return loss, np.array([gx, gy])
+    def kernel(x, batch, with_grad, ws):
+        px, py = x.tolist()
+        u = (m_f - px) / sep  # 0 at the flat bottom, 1 at the sharp bottom
+        # sig is a C-infinity step in u: 0 for u <= 0, 1 for u >= 1, monotone
+        # between; dsig, its derivative, comes from the same two exp calls
+        if u <= 0.0:
+            sig = dsig = 0.0
+        elif u >= 1.0:
+            sig, dsig = 1.0, 0.0
+        else:
+            a = math.exp(-1.0 / u)
+            b = math.exp(-1.0 / (1.0 - u))
+            sig, dsig = a / (a + b), 0.0
+            # where an exp underflows the true derivative is below 1e-300 anyway
+            if with_grad and a != 0.0 and b != 0.0:
+                dsig = a * b * (1.0 / u**2 + 1.0 / (1.0 - u) ** 2) / (a + b) ** 2
+        h = h_f + h_gap * sig
+        qa, qb = px - m_s, px - m_f
+        q = qa * qa * qb * qb
+        hy = Y_CURVATURE_RATIO * h
+        loss = q * h * scale - gap * sig + 0.5 * hy * py * py
+        if not with_grad:
+            return loss, None
+        dsig = dsig * du
+        dh = h_gap * dsig
+        dq = 2.0 * qa * qb * qb + 2.0 * qa * qa * qb
+        gx = (dq * h + q * dh) * scale - gap * dsig + half_ratio * dh * py * py
+        return loss, np.array([gx, hy * py])
+
+    return kernel
 
 
 _RIDGE_CACHE: dict[tuple, float] = {}
@@ -375,8 +408,10 @@ def sharp_flat_ridge(spec: ObjectiveSpec) -> float:
     if key not in _RIDGE_CACHE:
         m_s, m_f = sharp_flat_centers(spec)
         xs = np.linspace(m_s[0], m_f[0], 20001)
-        # _sharp_flat reads the point as two floats, so a tuple does for an array
-        vals = [_sharp_flat(spec, (vx, 0.0), False)[0] for vx in xs.tolist()]
+        kernel = _sharp_flat_kernel(spec)
+        # the kernel reads its point from an array: each grid point is a row (x, 0.0)
+        vals = [kernel(point, None, False, None)[0]
+                for point in np.column_stack((xs, np.zeros_like(xs)))]
         _RIDGE_CACHE[key] = float(xs[int(np.argmax(vals))])
     return _RIDGE_CACHE[key]
 
@@ -418,7 +453,7 @@ def _checked_targets(targets, n_classes):
     return as_int
 
 
-def _target_index(spec, batch):
+def _target_index(batch, input_dim, n_classes):
     """(flat index of each row's target logit, one-hot target mask) of ``batch``.
 
     The index is row * n_classes + target; the mask is an (rows, n_classes)
@@ -428,12 +463,14 @@ def _target_index(spec, batch):
     """
     if batch is None:
         raise ConfigurationError("mlp_classifier objective requires a batch")
-    if batch.inputs.shape[1] != spec.input_dim:
+    inputs, targets = batch.inputs, batch.targets
+    if inputs.shape[1] != input_dim:
         raise ConfigurationError(
-            f"batch has {batch.inputs.shape[1]} features, mlp expects {spec.input_dim}"
+            f"batch has {inputs.shape[1]} features, mlp expects {input_dim}"
         )
-    n_classes = spec.layer_sizes[-1]
-    targets, kept = batch.targets, batch.target_index
+    if inputs.shape[0] != targets.shape[0]:
+        raise ConfigurationError("batch inputs and targets disagree on row count")
+    kept = batch.target_index
     if kept is not None and kept[0] is targets and kept[1] == n_classes:
         return kept[2], kept[3]
     index, onehot = _index_and_mask(_checked_targets(targets, n_classes), n_classes)
@@ -497,11 +534,11 @@ class _RowBuffers:
 
 
 class Workspace:
-    """Preallocated memory for the MLP kernel, passed in by its owner (a training run).
+    """Preallocated memory and a plan for the kernels, passed in by its owner (a training run).
 
     Row buffers are built once per (layout, rows), the per-layer weight views
-    once per weight buffer, and the weight-decay term once per parameter
-    count. Nothing returned to a caller lives here.
+    once per weight buffer, and a plan for the spec it evaluated last.
+    Nothing returned to a caller lives here.
     """
 
     # weight buffers whose views are kept; a run evaluates at two (w and w + e)
@@ -510,7 +547,7 @@ class Workspace:
     def __init__(self):
         self._rows = {}
         self._weights = []  # (weight buffer, layout, its layers), most recent last
-        self._decay = {}
+        self.plan = None  # the Plan of the spec evaluated last
 
     def rows(self, layout, rows) -> _RowBuffers:
         buffers = self._rows.get((layout, rows))
@@ -531,11 +568,6 @@ class Workspace:
         self._weights = self._weights[1 - self.KEPT_WEIGHTS:] + [(values, layout, layers)]
         return layers
 
-    def decay(self, size) -> np.ndarray:
-        buffer = self._decay.get(size)
-        if buffer is None:
-            buffer = self._decay[size] = np.empty(size)
-        return buffer
 
 
 def _mlp(layout, tanh, values, inputs, targets, with_grad, ws):
@@ -614,7 +646,7 @@ def _mlp(layout, tanh, values, inputs, targets, with_grad, ws):
 
 def mlp_predict(spec: ObjectiveSpec, w: ParamVector, inputs: np.ndarray) -> np.ndarray:
     """Class predictions (argmax of the logits)."""
-    logits = _mlp(_mlp_layout(tuple(spec.layer_sizes)), spec.activation == "tanh", w.values,
+    logits = _mlp(_mlp_layout(spec.layer_sizes), spec.activation == "tanh", w.values,
                   np.asarray(inputs, dtype=np.float64), None, False, Workspace())
     return np.argmax(logits, axis=1)
 
@@ -633,12 +665,13 @@ def fd_gradient(spec: ObjectiveSpec, w: ParamVector, batch: Batch | None, h: flo
         raise ConfigurationError("finite-difference step h must be positive")
     base = w.values
     grad = np.empty(base.size)
+    ws = Workspace()  # one plan for every probe
     for i in range(base.size):
         bumped = base.copy()
         bumped[i] = base[i] + h
-        up = eval_loss(spec, w.with_values(bumped), batch)
+        up = eval_loss(spec, w.with_values(bumped), batch, ws)
         bumped[i] = base[i] - h
-        down = eval_loss(spec, w.with_values(bumped), batch)
+        down = eval_loss(spec, w.with_values(bumped), batch, ws)
         grad[i] = (up - down) / (2.0 * h)
     if not np.isfinite(grad).all():
         raise NumericError("non-finite value while probing the loss")

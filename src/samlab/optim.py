@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import count, islice, repeat
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .metrics import MetricsRecord
 # eval_loss and mlp_accuracy are imported for perfbench/tracer.py, which wraps them here
 from .objectives import (ObjectiveSpec, Workspace, eval_grad, eval_heldout, eval_loss,
                          init_params, mlp_accuracy, prime_epoch)
-from .params import (ParamVector, default_subset, l2_norm, require_finite, subset_norm,
+from .params import (ParamVector, _zeros, default_subset, l2_norm, require_finite, subset_norm,
                      subset_selector)
 # record_sample is imported for perfbench/tracer.py too; the loop calls note_sample and settle
 from .sampler import (SamplerConfig, SamplerState, begin_windowing, init_sampler,
@@ -89,13 +89,19 @@ class PSFCache:
         self.l2_psf, self.l2_psf_subset = l2_psf, l2_psf_subset
 
 
+def learning_rates(opt: OptimizerConfig, first: int, total: int):
+    """Learning rates at 1-based iterations first, first + 1, ... of a run planned for `total`."""
+    eta0 = opt.eta0
+    if opt.lr_schedule == "constant":
+        return repeat(eta0)
+    if opt.lr_schedule == "inverse_t":
+        return (eta0 / t for t in count(first))
+    return (0.5 * eta0 * (1.0 + math.cos(math.pi * (t - 1) / total)) for t in count(first))
+
+
 def learning_rate(opt: OptimizerConfig, t: int, total: int) -> float:
     """Learning rate at 1-based iteration t of a run planned for `total`."""
-    if opt.lr_schedule == "constant":
-        return opt.eta0
-    if opt.lr_schedule == "inverse_t":
-        return opt.eta0 / t
-    return 0.5 * opt.eta0 * (1.0 + math.cos(math.pi * (t - 1) / total))
+    return next(learning_rates(opt, t, total))
 
 
 def perturbation(g: np.ndarray, rho: float, norm: float | None = None) -> np.ndarray:
@@ -112,23 +118,16 @@ def perturbation(g: np.ndarray, rho: float, norm: float | None = None) -> np.nda
     return (rho / norm) * g
 
 
-def _perturbed(values, g_sgd, rho, norm=None, out=None):
-    """The weights at which SAM's second gradient is taken, checked to be finite.
-
-    ``norm`` is passed on to ``perturbation``; ``out`` receives the weights.
-    """
-    w_pert = np.add(values, perturbation(g_sgd, rho, norm), out=out)
-    require_finite(w_pert)
-    return w_pert
-
-
 def sam_gradient(spec: ObjectiveSpec, w: ParamVector, batch: Batch | None,
                  rho: float, subset_names=None) -> GradientTriple:
     """Both gradient evaluations of one SAM step (cost: exactly two)."""
     if subset_names is None:
         subset_names = default_subset(w)
-    _, g_sgd = eval_grad(spec, w, batch)
-    _, g_sam = eval_grad(spec, _perturbed(w.values, g_sgd, rho), batch)
+    ws = Workspace()  # one plan for both evaluations
+    _, g_sgd = eval_grad(spec, w, batch, ws)
+    w_pert = w.values + perturbation(g_sgd, rho)
+    require_finite(w_pert)
+    _, g_sam = eval_grad(spec, w_pert, batch, ws)
     psf = g_sam - g_sgd
     return GradientTriple(
         g_sgd=g_sgd,
@@ -141,15 +140,16 @@ def sam_gradient(spec: ObjectiveSpec, w: ParamVector, batch: Batch | None,
     )
 
 
-def _apply_step(values, direction, eta, momentum, m):
+def _apply_step(values, direction, eta, momentum, m, eta_m=None, zeros=None):
     """m = momentum * m + direction, then values -= eta * m, both in place.
 
-    NumericError when a new weight is not finite.
+    ``eta_m`` (for eta * m) and ``zeros`` (for the finiteness screen) are the
+    caller's buffers, if it keeps them. NumericError when a weight is not finite.
     """
     np.multiply(momentum, m, out=m)
     m += direction
-    values -= eta * m
-    require_finite(values)
+    values -= np.multiply(eta, m, out=eta_m)
+    require_finite(values, zeros)
 
 
 def _step(w: ParamVector, direction, eta, momentum, momentum_state):
@@ -182,14 +182,16 @@ def reuse_coefficient(gamma: float, staleness: int) -> float:
     return coef if coef >= REUSE_UNDERFLOW else 0.0
 
 
-def _reuse_direction(g_sgd, cache: PSFCache, i: int, gamma):
-    """g + gamma**staleness * cached correction, for a reuse step at iteration i."""
+def _reuse_direction(g_sgd, cache: PSFCache, i: int, gamma, out=None):
+    """g + gamma**staleness * cached correction at iteration i, into ``out`` if given."""
     if cache.psf is None:
         raise ContractViolationError("reuse step before any correction was sampled")
     if i <= cache.sampled_at:
         raise ContractViolationError("reuse step must come after the cached sample")
     coef = reuse_coefficient(gamma, i - cache.sampled_at)
-    return g_sgd if coef == 0.0 else g_sgd + coef * cache.psf
+    if coef == 0.0:
+        return g_sgd
+    return np.add(g_sgd, np.multiply(coef, cache.psf, out=out), out=out)
 
 
 def step_reuse(w: ParamVector, g_sgd, cache: PSFCache, i: int, eta, gamma,
@@ -244,12 +246,16 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     takes its one-evaluation step instead (reuse when a correction is cached,
     plain SGD otherwise), and the run ends there.
 
-    Inputs are checked once, up front. The run owns three float64 buffers,
-    updated in place: the weights and the momentum, copies of ``w0`` and
-    ``momentum0`` made at entry (so neither is ever written to), and the
-    perturbed point w + e. A step is m = momentum * m + direction, then
-    weights -= eta * m. The run also owns the ``objectives.Workspace`` that
-    every gradient and held-out evaluation writes its intermediates into. The
+    Inputs are checked once, up front, and what is fixed for the run is
+    worked out once: its learning rates (``learning_rates``), the momentum
+    as a 0-d array and the finiteness screen's cached zero vector. The run
+    owns its float64 buffers, updated in place: the weights and the
+    momentum, copies of ``w0`` and ``momentum0`` made at entry (so neither is
+    ever written to), the perturbed point w + e, eta * m and a reuse row's
+    decayed correction. A step is
+    m = momentum * m + direction, then weights -= eta * m. The run also owns
+    the ``objectives.Workspace`` that every gradient and held-out evaluation
+    writes its intermediates into and that keeps the objective's plan. The
     loop checks each gradient, perturbed point and new weight vector for
     finiteness once, with numpy's floating-point warnings off. The result's
     ``w_final`` and ``momentum_final`` are the run's buffers, which no later
@@ -272,7 +278,8 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     # the run's own buffers, updated in place: w0 and momentum0 are left as they are
     values = w0.values.copy()
     m = np.zeros(w0.size) if momentum0 is None else np.array(momentum0, dtype=np.float64)
-    w_pert = np.empty(w0.size)
+    w_pert, eta_m, decayed = np.zeros((3, w0.size))
+    zeros = _zeros(w0.size)
     workspace = Workspace()
     if subset_names is None:
         subset_names = default_subset(w0)
@@ -288,8 +295,11 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
         batches = _batch_stream(spec, train, batch_size, seed, bpe, start_iteration + 1)
         if spec.kind == "mlp_classifier":
             test_batch = Batch(test.inputs, test.targets, np.arange(test.n))
-    total = schedule_total or (start_iteration + iterations)
-    rho, gamma, momentum, budget = opt.rho, opt.gamma, opt.momentum, opt.grad_eval_budget
+    etas = learning_rates(opt, start_iteration + 1,
+                          schedule_total or (start_iteration + iterations))
+    rho, gamma, budget = opt.rho, opt.gamma, opt.grad_eval_budget
+    # numpy multiplies by a 0-d array faster than by a float, to the same bits
+    momentum = np.array(float(opt.momentum))
     history = [] if collect_params else None
     records = []
     state = cache = p = s = c_var = c_norm = None
@@ -300,8 +310,8 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     evals, t = 0, start_iteration
     with np.errstate(all="ignore"):
         try:
-            for t, (batch, epoch) in enumerate(islice(batches, iterations), start_iteration + 1):
-                eta = learning_rate(opt, t, total)
+            for (t, (batch, epoch)), eta in zip(
+                    enumerate(islice(batches, iterations), start_iteration + 1), etas):
                 loss, g_sgd = eval_grad(spec, values, batch, workspace)
                 evals += 1
                 l2_sgd = l2_norm(g_sgd)
@@ -315,7 +325,8 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                 sampled = wants_sample and not cut
                 r = v_fallback = None
                 if sampled:
-                    _perturbed(values, g_sgd, rho, l2_sgd, w_pert)
+                    np.add(values, perturbation(g_sgd, rho, l2_sgd), out=w_pert)
+                    require_finite(w_pert, zeros)
                     _, g_sam = eval_grad(spec, w_pert, batch, workspace)
                     evals += 1
                     psf = g_sam - g_sgd
@@ -329,14 +340,14 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                     direction, psf_stale, dot_sgd_psf = g_sam, False, float(g_sgd.dot(psf))
                 elif cache is not None and (cache.psf is not None or not cut):
                     # an empty cache outside a budget cut is a broken contract: this raises
-                    direction = _reuse_direction(g_sgd, cache, t, gamma)
+                    direction = _reuse_direction(g_sgd, cache, t, gamma, decayed)
                     # reuse rows log the undecayed cached correction
                     l2_psf, psf_stale, l2_psf_subset = cache.l2_psf, True, cache.l2_psf_subset
                     dot_sgd_psf = float(g_sgd.dot(cache.psf))
                 else:
                     direction = g_sgd
                     l2_psf = psf_stale = l2_psf_subset = dot_sgd_psf = None
-                _apply_step(values, direction, eta, momentum, m)
+                _apply_step(values, direction, eta, momentum, m, eta_m, zeros)
                 if cfg is not None:
                     if t == i_start:
                         begin_windowing(state)

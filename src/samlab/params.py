@@ -83,7 +83,7 @@ def _zeros(size: int) -> np.ndarray:
     return zeros
 
 
-def all_finite(x: np.ndarray) -> bool:
+def all_finite(x: np.ndarray, zeros: np.ndarray | None = None) -> bool:
     """Whether every entry of a one-dimensional float64 array is finite, from one dot product.
 
     ``x.dot(zeros)`` sums the products ``x[i] * 0.0``. Each is ±0 when
@@ -93,13 +93,14 @@ def all_finite(x: np.ndarray) -> bool:
     ``np.isfinite(x).all()`` at a fraction of its cost on short vectors. On a
     non-finite ``x`` numpy warns of an invalid value, unless its
     floating-point warnings are off; on a finite one it never warns.
+    ``zeros`` is the caller's zero vector of ``x``'s size, if it keeps one.
     """
-    return x.dot(_zeros(x.size)) == 0.0
+    return x.dot(_zeros(x.size) if zeros is None else zeros) == 0.0
 
 
-def require_finite(values: np.ndarray) -> None:
+def require_finite(values: np.ndarray, zeros: np.ndarray | None = None) -> None:
     """Raise NumericError unless every weight is finite (the ``all_finite`` screen)."""
-    if not all_finite(values):
+    if not all_finite(values, zeros):
         raise NumericError("parameter vector contains non-finite values")
 
 

@@ -5,8 +5,8 @@ loops and the textbook formulas, and the Jacobi eigensolver checks the
 library's LAPACK spectrum, so the implementations under test are checked
 against a separate code path rather than against themselves. The
 last sections keep earlier versions of optimised code (the MLP kernel,
-per-batch gathering, the ``csv.writer`` codec, the sharp/flat ridge scan) as
-references that the current code must match byte for byte.
+per-batch gathering, the ``csv.writer`` codec, the sharp/flat landscape and
+its ridge scan) as references that the current code must match byte for byte.
 """
 
 import csv
@@ -413,13 +413,63 @@ def oracle_read_rows(path, header, column_type):
 
 
 # ---------------------------------------------------------------------------
-# the sharp/flat ridge scan as it stood before it scanned floats
+# the sharp/flat landscape as it stood before its constants were worked out per run
+
+def _oracle_smoothstep(t):
+    if t <= 0.0:
+        return 0.0
+    if t >= 1.0:
+        return 1.0
+    a = math.exp(-1.0 / t)
+    b = math.exp(-1.0 / (1.0 - t))
+    return a / (a + b)
+
+
+def _oracle_smoothstep_deriv(t):
+    if t <= 0.0 or t >= 1.0:
+        return 0.0
+    a = math.exp(-1.0 / t)
+    b = math.exp(-1.0 / (1.0 - t))
+    if a == 0.0 or b == 0.0:
+        return 0.0
+    return a * b * (1.0 / t**2 + 1.0 / (1.0 - t) ** 2) / (a + b) ** 2
+
+
+def oracle_sharp_flat(spec, x, with_grad):
+    """(loss, gradient or None) of the landscape at ``x``, weight decay left out."""
+    from samlab.objectives import Y_CURVATURE_RATIO
+
+    sep = spec.separation
+    m_s, m_f = -sep / 2.0, sep / 2.0
+    h_s = 1.0 / spec.width_sharp**2
+    h_f = 1.0 / spec.width_flat**2
+    px, py = float(x[0]), float(x[1])
+
+    u = (m_f - px) / sep
+    sig = _oracle_smoothstep(u)
+    h = h_f + (h_s - h_f) * sig
+    qa, qb = px - m_s, px - m_f
+    q = qa * qa * qb * qb
+    scale = 1.0 / (2.0 * sep * sep)
+    hy = Y_CURVATURE_RATIO * h
+    loss = q * h * scale - spec.depth_gap * sig + 0.5 * hy * py * py
+    if not with_grad:
+        return loss, None
+
+    dsig = _oracle_smoothstep_deriv(u) * (-1.0 / sep)
+    dh = (h_s - h_f) * dsig
+    dq = 2.0 * qa * qb * qb + 2.0 * qa * qa * qb
+    gx = (dq * h + q * dh) * scale - spec.depth_gap * dsig \
+        + 0.5 * Y_CURVATURE_RATIO * dh * py * py
+    gy = hy * py
+    return loss, np.array([gx, gy])
+
 
 def oracle_sharp_flat_ridge(spec):
     """The ridge's x coordinate from one 2-element array per grid point, uncached."""
-    from samlab.objectives import _sharp_flat, sharp_flat_centers
+    from samlab.objectives import sharp_flat_centers
 
     m_s, m_f = sharp_flat_centers(spec)
     xs = np.linspace(m_s[0], m_f[0], 20001)
-    vals = [_sharp_flat(spec, np.array([vx, 0.0]), False)[0] for vx in xs]
+    vals = [oracle_sharp_flat(spec, np.array([vx, 0.0]), False)[0] for vx in xs]
     return float(xs[int(np.argmax(vals))])

@@ -1,13 +1,15 @@
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from samlab.data import Batch, Dataset, generate_dataset, make_batches
 from samlab.errors import ConfigurationError
 from samlab import objectives
-from samlab.objectives import (SHARP_FLAT_CALIBRATION, classify_basin, eval_grad, eval_heldout,
+from samlab.objectives import (SHARP_FLAT_CALIBRATION, ObjectiveSpec, Workspace, classify_basin,
+                               eval_grad, eval_heldout,
                                eval_loss, fd_gradient, init_params, make_mlp_classifier,
                                make_quadratic, make_rosenbrock, make_sharp_flat, mlp_accuracy,
                                mlp_predict,
@@ -16,8 +18,8 @@ from samlab.objectives import (SHARP_FLAT_CALIBRATION, classify_basin, eval_grad
 from samlab.optim import OptimizerConfig, run_sgd
 from samlab.params import ParamVector
 
-from helpers import (oracle_mlp_eval, oracle_mlp_predict, oracle_sharp_flat_ridge,
-                     scalar_mlp_loss, whole_dataset_batch)
+from helpers import (oracle_mlp_eval, oracle_mlp_predict, oracle_sharp_flat,
+                     oracle_sharp_flat_ridge, scalar_mlp_loss, whole_dataset_batch)
 
 # value computed by the scalar forward-pass oracle at the seed-0 init,
 # (2, 8, 2) tanh network on the 64-example blobs batch below
@@ -324,6 +326,21 @@ def test_index_is_kept_per_class_count():
         _assert_matches_oracle(spec, init_params(spec, 1).values, batch)
 
 
+@pytest.mark.parametrize("rows", [10, 40])
+def test_inputs_reassigned_to_another_row_count_raise(rows):
+    # the batch kept its targets' index on its first evaluation; inputs of
+    # another row count must not reach the kernel
+    spec = make_mlp_classifier((2, 5, 2))
+    values = init_params(spec, 0).values
+    ds = generate_dataset("blobs", 20, 0.5, seed=1)
+    batch = whole_dataset_batch(ds)
+    eval_grad(spec, values, batch)
+    batch.inputs = np.resize(ds.inputs, (rows, 2))
+    for evaluate in (eval_grad, eval_loss, eval_heldout):
+        with pytest.raises(ConfigurationError, match="row count"):
+            evaluate(spec, values, batch)
+
+
 def test_out_of_range_targets_raise_on_every_call():
     spec = make_mlp_classifier((2, 4, 2))
     values = init_params(spec, 0).values
@@ -528,6 +545,77 @@ def test_ridge_scan_over_floats_matches_the_array_scan(geometry):
     spec = make_sharp_flat(*geometry)
     objectives._RIDGE_CACHE.pop(geometry, None)
     assert _bits(sharp_flat_ridge(spec)) == _bits(oracle_sharp_flat_ridge(spec))
+
+
+# u = (flat bottom - x) / separation: the landscape blends its wells by a
+# smooth step in u, flat for u <= 0 and sharp for u >= 1, whose exp calls
+# underflow (through subnormals) within about 1/708 of either end
+_U = st.one_of(st.floats(-2.0, 0.0), st.floats(1.0, 3.0),
+               st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+               st.floats(1e-4, 2e-3), st.floats(1.0 - 2e-3, 1.0 - 1e-4))
+
+
+@settings(deadline=None, max_examples=300)  # timing on a shared host is not what this checks
+@given(width_sharp=st.floats(0.02, 0.5), flat_over_sharp=st.floats(1.01, 20.0),
+       depth_gap=st.floats(0.0, 1.0), separation=st.floats(0.25, 4.0), u=_U,
+       y=st.floats(-2.0, 2.0))
+@example(width_sharp=0.08, flat_over_sharp=6.25, depth_gap=0.3, separation=2.0, u=0.0, y=0.5)
+@example(width_sharp=0.08, flat_over_sharp=6.25, depth_gap=0.3, separation=2.0, u=1.0, y=0.5)
+@example(width_sharp=0.08, flat_over_sharp=6.25, depth_gap=0.3, separation=2.0, u=1.4e-3, y=0.0)
+def test_sharp_flat_matches_the_parent_oracle_bit_for_bit(width_sharp, flat_over_sharp,
+                                                          depth_gap, separation, u, y):
+    spec = make_sharp_flat(width_sharp, width_sharp * flat_over_sharp, depth_gap, separation)
+    x = np.array([separation / 2.0 - u * separation, y])
+    ref_loss, ref_grad = oracle_sharp_flat(spec, x, True)
+    workspace = Workspace()
+    for _ in range(2):  # the second call runs on the plan the first one kept
+        loss, grad = eval_grad(spec, x, None, workspace)
+        assert _bits(loss) == _bits(ref_loss) and grad.tobytes() == ref_grad.tobytes()
+        assert _bits(eval_loss(spec, x, None, workspace)) == _bits(ref_loss)
+    assert _bits(eval_loss(spec, x)) == _bits(oracle_sharp_flat(spec, x, False)[0])
+
+
+def test_alternating_specs_on_one_workspace_get_their_own_plans():
+    quadratic = make_quadratic([[3.0, 0.5], [0.5, 1.0]], [1.0, -1.0], weight_decay=0.05)
+    sharp_flat = make_sharp_flat(0.08, 0.5, 0.3, 2.0)
+    x = np.array([-0.9, 0.2])
+    a, b = quadratic.a, quadratic.b
+    quadratic_loss = 0.5 * float(x @ (a @ x)) - float(b @ x) + 0.05 * float(x.dot(x))
+    quadratic_grad = a @ x - b + 2.0 * 0.05 * x
+    workspace = Workspace()
+    for _ in range(3):
+        loss, grad = eval_grad(quadratic, x, None, workspace)
+        assert workspace.plan.spec is quadratic
+        assert _bits(loss) == _bits(quadratic_loss)
+        assert grad.tobytes() == quadratic_grad.tobytes()
+        loss, grad = eval_grad(sharp_flat, x, None, workspace)
+        assert workspace.plan.spec is sharp_flat
+        ref_loss, ref_grad = oracle_sharp_flat(sharp_flat, x, True)
+        assert _bits(loss) == _bits(ref_loss) and grad.tobytes() == ref_grad.tobytes()
+
+
+def test_a_spec_cannot_change_under_its_plan():
+    spec = make_sharp_flat(0.08, 0.5, 0.3, 2.0)
+    x = np.array([-0.9, 0.2])
+    workspace = Workspace()
+    first = eval_grad(spec, x, None, workspace)
+    for name, value in [("separation", 3.0), ("kind", "quadratic"), ("weight_decay", 0.1)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, value)
+    second = eval_grad(spec, x, None, workspace)
+    assert _bits(first[0]) == _bits(second[0]) and first[1].tobytes() == second[1].tobytes()
+    # the arrays are the spec's own read-only copies, and the layer sizes a tuple
+    a = np.array([[2.0, 0.0], [0.0, 1.0]])
+    quadratic = make_quadratic(a, [1.0, 1.0])
+    for array in (quadratic.a, quadratic.b):
+        with pytest.raises(ValueError):
+            array[0] = 7.0
+    a[0, 0] = 7.0
+    assert quadratic.a[0, 0] == 2.0 and a.flags.writeable
+    sizes = [2, 3, 2]
+    mlp = ObjectiveSpec(kind="mlp_classifier", layer_sizes=sizes, activation="tanh")
+    sizes.append(5)
+    assert mlp.layer_sizes == (2, 3, 2) and mlp.param_count == 17
 
 
 def test_sharp_flat_preconditions():

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from samlab.data import generate_dataset
 from samlab.errors import ConfigurationError, ContractViolationError
 from samlab.harness import config_from_dict, run_experiment, verify_run
 from samlab.metrics import FIELD_ORDER, WALL_CLOCK_FIELDS, read_metrics_csv
-from samlab.objectives import init_params, make_mlp_classifier, make_quadratic
-from samlab.optim import (GradientTriple, OptimizerConfig, PSFCache, learning_rate,
+from samlab.objectives import eval_grad, init_params, make_mlp_classifier, make_quadratic
+from samlab.optim import (LR_SCHEDULES, GradientTriple, OptimizerConfig, PSFCache,
+                          learning_rate, learning_rates,
                           perturbation, reuse_coefficient, run_sam, run_sam_k,
                           run_sgd, run_vsam, sam_gradient, step_reuse,
                           step_sampling, step_sgd)
@@ -201,6 +203,39 @@ def test_learning_rate_schedules():
     assert learning_rate(cos, 1, 100) == 0.2
     assert learning_rate(cos, 51, 100) == pytest.approx(0.1, rel=1e-12)
     assert learning_rate(cos, 100, 100) < 0.001
+
+
+def _parent_learning_rate(opt, t, total):
+    """The schedule as the loop computed it on every iteration before it kept one per run."""
+    if opt.lr_schedule == "constant":
+        return opt.eta0
+    if opt.lr_schedule == "inverse_t":
+        return opt.eta0 / t
+    return 0.5 * opt.eta0 * (1.0 + math.cos(math.pi * (t - 1) / total))
+
+
+@pytest.mark.parametrize("schedule", LR_SCHEDULES)
+def test_per_run_schedule_equals_learning_rate(schedule):
+    for eta0 in (0.3, 2, 1e-3):
+        opt = OptimizerConfig(eta0=eta0, lr_schedule=schedule)
+        for first, total in [(1, 100), (37, 100), (5, 7), (1, 1)]:
+            ts = range(first, first + 150)
+            rates = [float_bits(r) for r in islice(learning_rates(opt, first, total), 150)]
+            assert rates == [float_bits(learning_rate(opt, t, total)) for t in ts]
+            assert rates == [float_bits(_parent_learning_rate(opt, t, total)) for t in ts]
+
+
+@pytest.mark.parametrize("schedule", LR_SCHEDULES)
+def test_a_run_steps_by_learning_rate(schedule):
+    spec = make_quadratic(np.diag([1.0, 3.0]), [0.5, -0.5])
+    opt = OptimizerConfig(eta0=0.05, momentum=0.5, lr_schedule=schedule)
+    w0 = _pv(1.0, -2.0)
+    result = run_sgd(spec, None, opt, 30, 0, w0=w0, start_iteration=10, schedule_total=50)
+    w, m = w0, None
+    for t in range(11, 41):
+        w, m = step_sgd(w, eval_grad(spec, w)[1], learning_rate(opt, t, 50), 0.5, m)
+    assert result.w_final.values.tobytes() == w.values.tobytes()
+    assert result.momentum_final.tobytes() == m.tobytes()
 
 
 def test_optimizer_config_validation():

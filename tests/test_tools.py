@@ -2,11 +2,14 @@
 
 import ast
 import importlib
+import importlib.util
 import json
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "run_digests.py"
@@ -68,3 +71,52 @@ def test_benchmark_tracer_targets_exist():
     for module_name, cls_name, method, _ in counts:
         cls = getattr(importlib.import_module(module_name), cls_name, None)
         assert callable(getattr(cls, method, None)), f"{module_name}.{cls_name}.{method}"
+
+
+def _ab_bench():
+    loaded = importlib.util.spec_from_file_location("ab_bench", ROOT / "tools" / "ab_bench.py")
+    module = importlib.util.module_from_spec(loaded)
+    loaded.loader.exec_module(module)
+    return module
+
+
+def test_ab_bench_statistics_on_synthetic_pairs():
+    ab = _ab_bench()
+    assert ab.quartiles([5.0, 1.0, 3.0, 2.0, 4.0]) == (2.0, 3.0, 4.0)
+    assert ab.quartiles([7.0]) == (7.0, 7.0, 7.0)
+    base = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]
+    change = [b - 2.0 for b in base]
+    change[3] = 13.5  # the one pair the change loses
+    row = ab.compare(base, change, "lower", 0.25)
+    assert row["pairs"] == 10 and row["wins"] == 9
+    assert row["base_median"] == 12.0 and row["base_quartiles"] == [11.0, 13.0]
+    assert row["change_median"] == 10.0 and row["change_quartiles"] == [9.0, 11.75]
+    assert row["gap"] == 2.0 and row["base_iqr"] == 2.0 and row["gap_over_base_iqr"] == 1.0
+    assert row["change_rel"] == pytest.approx(-1.0 / 6.0)
+    # the gap must exceed the base's IQR, not merely equal it
+    assert not row["claim_holds"]
+    assert row["worse_by"] == pytest.approx(-1.0 / 6.0) and row["within_bound"]
+    row = ab.compare(base, [c - 0.5 for c in change], "lower", 0.25)
+    assert row["claim_holds"] and row["gap"] == 2.5
+    # for a metric where higher is better the same numbers are a loss
+    row = ab.compare(base, change, "higher", 0.1)
+    assert row["wins"] == 1 and row["gap"] == -2.0 and not row["claim_holds"]
+    assert row["worse_by"] == pytest.approx(1.0 / 6.0) and not row["within_bound"]
+    # equal numbers win nothing and have no IQR to compare against
+    row = ab.compare([0.875] * 4, [0.875] * 4, "lower", 0.1)
+    assert row["wins"] == 0 and row["gap"] == 0.0 and row["gap_over_base_iqr"] is None
+    assert row["within_bound"] and not row["claim_holds"]
+
+
+def test_ab_bench_alternates_sides_and_reads_a_run():
+    ab = _ab_bench()
+    assert [ab.pair_order(i) for i in range(3)] == [("base", "change"), ("change", "base"),
+                                                   ("base", "change")]
+    stdout = ('# basin_sweep seed=0 trace=0: 20 untraced / 0 traced passes\n'
+              '# context {"platform": {"cpu_features": "abc"}, "seed": 0}\n'
+              '{"correct": true, "attempted": 3, "failed": 0, '
+              '"metrics": {"wall_s": {"value": 0.3, "unit": "s"}}}\n')
+    result, context = ab.parse_run(stdout)
+    assert result["metrics"]["wall_s"]["value"] == 0.3 and result["correct"]
+    assert context["platform"] == {"cpu_features": "abc"}
+    assert ab.parse_run_spec("basin_sweep:1:3") == ("basin_sweep", 1, 3)

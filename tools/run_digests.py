@@ -31,6 +31,12 @@ The cases:
   same, after reuse rows), and an SGD step that overflows the weights at
   iteration 1;
 - Rosenbrock vSAM;
+- the ``inverse_t`` learning-rate schedule under vSAM; a quadratic with
+  ``weight_decay`` 0.05 under SAM; SAM and vSAM started at a quadratic's
+  minimum, where every gradient is zero and the perturbation is the zero
+  vector; vSAM with ``gamma`` 1.0 (reuse rows never decay); and vSAM with
+  ``gamma`` 0.02, whose powers fall below the 1e-12 cutoff at a staleness
+  of 8, inside the run's longer stretches between samples;
 - 20 sharp/flat seeds x 4 optimizers in memory with ``collect_params=True``:
   records, final weights and momentum, every parameter snapshot and the
   sampler state.
@@ -119,6 +125,22 @@ def config_cases():
         "objective": {"kind": "rosenbrock", "dim": 3},
         "optimizer": "vsam", "optimizer_config": {"eta0": 1e-3, "lr_schedule": "constant"},
         "sampler_config": dict(SAMPLER), "iterations": 600, "seeds": [0, 1]}
+    cases["vsam_inverse_t"] = _payload("vsam", optimizer_config={"lr_schedule": "inverse_t"})
+    cases["quadratic_weight_decay_sam"] = {
+        "objective": {"kind": "quadratic", "a": [[3.0, 0.5], [0.5, 1.0]], "b": [1.0, -1.0],
+                      "weight_decay": 0.05},
+        "optimizer": "sam", "optimizer_config": {"eta0": 0.1, "rho": 0.2, "lr_schedule": "cosine"},
+        "iterations": 300, "seeds": [0, 1]}
+    minimum = {"objective": {"kind": "quadratic", "a": [[2.0, 0.0], [0.0, 1.0]], "b": [2.0, 1.0]},
+               "optimizer_config": {"eta0": 0.1, "lr_schedule": "constant"},
+               "iterations": 120, "seeds": [0], "w0": [1.0, 1.0]}
+    cases["quadratic_at_minimum_sam"] = dict(minimum, optimizer="sam")
+    cases["quadratic_at_minimum_vsam"] = dict(minimum, optimizer="vsam",
+                                              sampler_config=dict(SAMPLER))
+    cases["vsam_gamma_1"] = _payload("vsam", optimizer_config={"gamma": 1.0})
+    cases["vsam_gamma_0.02"] = dict(cases["rosenbrock_vsam"],
+                                    optimizer_config={"eta0": 1e-3, "gamma": 0.02,
+                                                      "lr_schedule": "constant"})
     return cases
 
 
