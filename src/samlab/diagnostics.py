@@ -1,13 +1,12 @@
 """Numerical verification of the optimizer's structural claims.
 
-Covers three checks:
+Covers two checks:
 
 * the bound ||correction|| <= rho * sum_i eigenvalue_i * |cos(angle_i)|
   relating the sharpness correction to the Hessian spectrum (holds when the
   Hessian is positive definite),
 * the first-order identity correction ~ rho * H g / ||g||, exact on
-  quadratics and O(rho^2) elsewhere,
-* the logged convergence quantity ||g + gamma * correction||^2.
+  quadratics and O(rho^2) elsewhere.
 """
 
 from __future__ import annotations
@@ -19,7 +18,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .metrics import _read_rows, _write_rows
 from .objectives import Workspace, eval_grad
-from .optim import sam_gradient
+from .optim import perturbation
+from .params import require_finite
 
 BOUND_SLACK_TOL = 1e-12
 HVP_FD_STEP = 1e-4
@@ -109,9 +109,11 @@ def decomposition_residual(spec, w, batch, rho: float) -> float:
     H g/||g|| is analytic for quadratics and a central finite difference of
     the gradient along g/||g|| otherwise. Exact (to roundoff) on quadratics;
     shrinks like rho^2 on smooth non-quadratic objectives. At a degenerate
-    gradient both sides vanish by contract and the residual is zero.
+    gradient both sides vanish by contract and the residual is zero. The
+    correction is the one SAM step computes at w: the gradient at
+    w + perturbation(g, rho), minus g.
     """
-    ws = Workspace()  # one plan for the three evaluations here
+    ws = Workspace()  # one set of buffers for every evaluation here
     _, g = eval_grad(spec, w, batch, ws)
     g_norm = float(np.linalg.norm(g))
     if g_norm < 1e-12:
@@ -124,25 +126,10 @@ def decomposition_residual(spec, w, batch, rho: float) -> float:
         _, g_up = eval_grad(spec, w.with_values(w.values + h * direction), batch, ws)
         _, g_down = eval_grad(spec, w.with_values(w.values - h * direction), batch, ws)
         hv = (g_up - g_down) / (2.0 * h)
-    triple = sam_gradient(spec, w, batch, rho)
-    return float(np.linalg.norm(triple.psf - rho * hv))
-
-
-def convergence_metric(records, gamma: float):
-    """Per-iteration ||g + gamma * correction||^2 and its running mean.
-
-    Computed from the logged norms and inner product; missing correction
-    columns (plain SGD rows) count as a zero correction. Tiny negative
-    results from cancellation in the expansion are clamped to zero.
-    """
-    per_iter = np.empty(len(records))
-    for idx, rec in enumerate(records):
-        l2_psf = rec.l2_psf or 0.0
-        dot = rec.dot_sgd_psf or 0.0
-        sq = rec.l2_sgd**2 + 2.0 * gamma * dot + gamma**2 * l2_psf**2
-        per_iter[idx] = max(sq, 0.0)
-    running_mean = np.cumsum(per_iter) / np.arange(1, len(records) + 1)
-    return per_iter, running_mean
+    w_pert = w.values + perturbation(g, rho, g_norm)
+    require_finite(w_pert)
+    _, g_sam = eval_grad(spec, w_pert, batch, ws)
+    return float(np.linalg.norm((g_sam - g) - rho * hv))
 
 
 # ---------------------------------------------------------------------------

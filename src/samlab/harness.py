@@ -142,13 +142,6 @@ def compute_ais(d: float, e: float, t: float) -> float:
     return d * e / t
 
 
-def grad_eval_ratio(run_a: RunSummary, run_b: RunSummary) -> float:
-    """Hardware-independent cost ratio of two runs over equal iterations."""
-    if run_a.iterations != run_b.iterations:
-        raise ConfigurationError("gradient-evaluation ratio needs equal iteration counts")
-    return run_a.grad_evals / run_b.grad_evals
-
-
 # ---------------------------------------------------------------------------
 # config file parsing (strict: unknown keys are errors)
 

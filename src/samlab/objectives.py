@@ -14,11 +14,11 @@ operands. Property tests pin the MLP and the sharp/flat landscape byte for
 byte to earlier kernels kept in ``tests/helpers.py``.
 
 What is fixed for a spec is worked out once, into the ``Plan`` that the
-``Workspace`` keeps for the spec it evaluated last: the kernel of its kind
-(also run by ``sharp_flat_ridge``) with the MLP layout and activation or the
-landscape's constants bound in, the parameter count, the weight-decay
-term's buffer and the finiteness screen's cached zero vector. A spec is
-frozen, its arrays included, so a kept plan cannot go stale.
+spec keeps (``ObjectiveSpec.plan``): the kernel of its kind (also run by
+``sharp_flat_ridge``) with the MLP layout and activation or the landscape's
+constants bound in, the parameter count, the weight decay and the
+finiteness screen's cached zero vector. A spec is frozen, its arrays
+included, so its plan cannot go stale.
 
 What depends only on the targets is done once: the dtype and range checks,
 the flat index (row * classes + target) through which the loss picks each
@@ -42,12 +42,12 @@ One kernel, ``_mlp``, serves ``eval_grad``, ``eval_loss``, ``eval_heldout``
 and ``mlp_predict``. It writes every intermediate into a ``Workspace``:
 hidden activations, logits, softmax terms and backprop buffers, built once
 per (layer layout, row count), plus the per-layer weight views, built once
-per weight buffer, and the plan. The caller owns it: the
-training loop builds one per run and passes it to every evaluation,
-``fd_gradient`` keeps one across its probes, and a call without one gets a
-fresh one, plan included. The module keeps no scratch memory of
-its own. The returned loss, gradient and accuracy never alias a workspace:
-the gradient is a new array on every call.
+per weight buffer. The workspace also holds the weight-decay term's buffer,
+one per parameter count. The caller owns it: the training loop builds one
+per run and passes it to every evaluation, ``fd_gradient`` keeps one across
+its probes, and an MLP call without one gets a fresh one. The module keeps
+no scratch memory of its own. The returned loss, gradient and accuracy
+never alias a workspace: the gradient is a new array on every call.
 """
 
 from __future__ import annotations
@@ -109,6 +109,11 @@ class ObjectiveSpec:
     @property
     def input_dim(self) -> int | None:
         return self.layer_sizes[0] if self.kind == "mlp_classifier" else None
+
+    @functools.cached_property
+    def plan(self) -> Plan:
+        """What every evaluation of this spec needs, worked out on first use."""
+        return _plan(self)
 
 
 def make_quadratic(a, b=None, weight_decay: float = 0.0) -> ObjectiveSpec:
@@ -242,7 +247,7 @@ def eval_grad(spec: ObjectiveSpec, w: ParamVector | np.ndarray, batch: Batch | N
     before that NumericError, and never warns on a finite one.
 
     ``workspace`` is the caller's (a training run passes its own); without
-    one the call uses a fresh one. The gradient is a new array either way.
+    one an MLP call uses a fresh one. The gradient is a new array either way.
     """
     return _evaluate(spec, w, batch, True, workspace)
 
@@ -258,13 +263,11 @@ def eval_heldout(spec: ObjectiveSpec, values: np.ndarray, batch: Batch,
 
 
 class Plan(NamedTuple):
-    """What every evaluation of one spec needs, worked out once and kept on the Workspace."""
+    """What every evaluation of one spec needs, worked out once and kept on the spec."""
 
-    spec: ObjectiveSpec
     size: int  # parameter count
-    kernel: Callable  # (weights, batch, with_grad, workspace) -> (loss, gradient or logits)
+    kernel: Callable  # (weights, batch, with_grad, workspace or None) -> (loss, gradient or logits)
     weight_decay: float
-    decay: np.ndarray  # the 2 * wd * w term's buffer
     zeros: np.ndarray  # the finiteness screen's, cached and read-only
 
 
@@ -286,30 +289,28 @@ def _plan(spec):
 
         def kernel(x, batch, with_grad, ws):
             targets = _target_index(batch, input_dim, n_classes)
-            return _mlp(layout, tanh, x, batch.inputs, targets, with_grad, ws)
+            return _mlp(layout, tanh, x, batch.inputs, targets, with_grad,
+                        Workspace() if ws is None else ws)
     else:
         raise ConfigurationError(f"unknown objective kind {kind!r}")
     size = spec.param_count
-    return Plan(spec, size, kernel, spec.weight_decay, np.empty(size), _zeros(size))
+    return Plan(size, kernel, spec.weight_decay, _zeros(size))
 
 
 def _evaluate(spec, w, batch, with_grad, workspace):
     """(loss, gradient); without the gradient, (loss, MLP logits or None)."""
-    ws = Workspace() if workspace is None else workspace
-    plan = ws.plan
-    if plan is None or plan.spec is not spec:
-        plan = ws.plan = _plan(spec)
-    _, size, kernel, wd, decay, zeros = plan
+    size, kernel, wd, zeros = spec.plan
     x = w.values if isinstance(w, ParamVector) else w
     if x.size != size:
         raise ConfigurationError(
             f"parameter vector has {x.size} values, objective expects {size}"
         )
-    loss, grad = kernel(x, batch, with_grad, ws)
+    loss, grad = kernel(x, batch, with_grad, workspace)
     if wd != 0.0:
         # x.dot(x) gives the bits of x @ x on a 1-D float64 array, without matmul's dispatch
         loss = loss + wd * float(x.dot(x))
         if with_grad:
+            decay = None if workspace is None else workspace.decay(size)
             grad += np.multiply(2.0 * wd, x, out=decay)
 
     if not math.isfinite(loss):
@@ -339,11 +340,6 @@ def sharp_flat_centers(spec: ObjectiveSpec):
     """((x_sharp, 0), (x_flat, 0)) well-bottom locations."""
     half = spec.separation / 2.0
     return (-half, 0.0), (half, 0.0)
-
-
-def sharp_flat_designed_losses(spec: ObjectiveSpec):
-    """(loss at sharp bottom, loss at flat bottom) with weight_decay = 0."""
-    return -spec.depth_gap, 0.0
 
 
 # y-curvature as a fraction of the x-curvature at each well. Anisotropy keeps
@@ -408,7 +404,7 @@ def sharp_flat_ridge(spec: ObjectiveSpec) -> float:
     if key not in _RIDGE_CACHE:
         m_s, m_f = sharp_flat_centers(spec)
         xs = np.linspace(m_s[0], m_f[0], 20001)
-        kernel = _sharp_flat_kernel(spec)
+        kernel = spec.plan.kernel
         # the kernel reads its point from an array: each grid point is a row (x, 0.0)
         vals = [kernel(point, None, False, None)[0]
                 for point in np.column_stack((xs, np.zeros_like(xs)))]
@@ -534,11 +530,11 @@ class _RowBuffers:
 
 
 class Workspace:
-    """Preallocated memory and a plan for the kernels, passed in by its owner (a training run).
+    """Preallocated memory for the kernels, passed in by its owner (a training run).
 
     Row buffers are built once per (layout, rows), the per-layer weight views
-    once per weight buffer, and a plan for the spec it evaluated last.
-    Nothing returned to a caller lives here.
+    once per weight buffer and the weight-decay term's buffer once per
+    parameter count. Nothing returned to a caller lives here.
     """
 
     # weight buffers whose views are kept; a run evaluates at two (w and w + e)
@@ -547,13 +543,19 @@ class Workspace:
     def __init__(self):
         self._rows = {}
         self._weights = []  # (weight buffer, layout, its layers), most recent last
-        self.plan = None  # the Plan of the spec evaluated last
+        self._decay = {}  # parameter count -> the 2 * wd * w term's buffer
 
     def rows(self, layout, rows) -> _RowBuffers:
         buffers = self._rows.get((layout, rows))
         if buffers is None:
             buffers = self._rows[(layout, rows)] = _RowBuffers(layout, rows)
         return buffers
+
+    def decay(self, size) -> np.ndarray:
+        buffer = self._decay.get(size)
+        if buffer is None:
+            buffer = self._decay[size] = np.empty(size)
+        return buffer
 
     def layers(self, layout, values):
         """Per layer (W, b, W.T), views of ``values``."""
@@ -665,7 +667,7 @@ def fd_gradient(spec: ObjectiveSpec, w: ParamVector, batch: Batch | None, h: flo
         raise ConfigurationError("finite-difference step h must be positive")
     base = w.values
     grad = np.empty(base.size)
-    ws = Workspace()  # one plan for every probe
+    ws = Workspace()  # one set of buffers for every probe
     for i in range(base.size):
         bumped = base.copy()
         bumped[i] = base[i] + h

@@ -22,9 +22,9 @@ import numpy as np
 from .data import Batch, Dataset, batches_per_epoch, make_batches, train_test_split
 from .errors import ConfigurationError, ContractViolationError, NumericError, check_number
 from .metrics import MetricsRecord
-# eval_loss and mlp_accuracy are imported for perfbench/tracer.py, which wraps them here
-from .objectives import (ObjectiveSpec, Workspace, eval_grad, eval_heldout, eval_loss,
-                         init_params, mlp_accuracy, prime_epoch)
+# eval_loss, mlp_accuracy and subset_norm are imported for perfbench/tracer.py to wrap here
+from .objectives import (Workspace, eval_grad, eval_heldout, eval_loss, init_params,
+                         mlp_accuracy, prime_epoch)
 from .params import (ParamVector, _zeros, default_subset, l2_norm, require_finite, subset_norm,
                      subset_selector)
 # record_sample is imported for perfbench/tracer.py too; the loop calls note_sample and settle
@@ -38,7 +38,7 @@ DEGENERATE_GRAD_NORM = 1e-12
 REUSE_UNDERFLOW = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     eta0: float = 0.1
     rho: float = 0.05
@@ -64,17 +64,6 @@ class OptimizerConfig:
             raise ConfigurationError(f"unknown lr_schedule {self.lr_schedule!r}")
         if self.grad_eval_budget is not None and self.grad_eval_budget < 1:
             raise ConfigurationError("grad_eval_budget must be at least 1")
-
-
-@dataclass
-class GradientTriple:
-    g_sgd: np.ndarray
-    g_sam: np.ndarray
-    psf: np.ndarray
-    l2_sgd: float
-    l2_psf: float
-    l2_sgd_subset: float
-    l2_psf_subset: float
 
 
 @dataclass
@@ -118,28 +107,6 @@ def perturbation(g: np.ndarray, rho: float, norm: float | None = None) -> np.nda
     return (rho / norm) * g
 
 
-def sam_gradient(spec: ObjectiveSpec, w: ParamVector, batch: Batch | None,
-                 rho: float, subset_names=None) -> GradientTriple:
-    """Both gradient evaluations of one SAM step (cost: exactly two)."""
-    if subset_names is None:
-        subset_names = default_subset(w)
-    ws = Workspace()  # one plan for both evaluations
-    _, g_sgd = eval_grad(spec, w, batch, ws)
-    w_pert = w.values + perturbation(g_sgd, rho)
-    require_finite(w_pert)
-    _, g_sam = eval_grad(spec, w_pert, batch, ws)
-    psf = g_sam - g_sgd
-    return GradientTriple(
-        g_sgd=g_sgd,
-        g_sam=g_sam,
-        psf=psf,
-        l2_sgd=l2_norm(g_sgd),
-        l2_psf=l2_norm(psf),
-        l2_sgd_subset=subset_norm(g_sgd, w, subset_names),
-        l2_psf_subset=subset_norm(psf, w, subset_names),
-    )
-
-
 def _apply_step(values, direction, eta, momentum, m, eta_m=None, zeros=None):
     """m = momentum * m + direction, then values -= eta * m, both in place.
 
@@ -167,10 +134,11 @@ def step_sgd(w: ParamVector, g_sgd, eta, momentum=0.0, momentum_state=None):
     return _step(w, g_sgd, eta, momentum, momentum_state)
 
 
-def step_sampling(w: ParamVector, triple: GradientTriple, eta, momentum=0.0,
+def step_sampling(w: ParamVector, triple, eta, momentum=0.0,
                   momentum_state=None, cache: PSFCache | None = None,
                   iteration: int | None = None):
-    """Full SAM update from a sampled triple; caches the correction for reuse."""
+    """Full SAM update from one SAM step's ``triple`` (``g_sam``, ``psf``, ``l2_psf``,
+    ``l2_psf_subset``); caches the correction for reuse."""
     if cache is not None:
         cache.store(triple.psf, iteration, triple.l2_psf, triple.l2_psf_subset)
     return _step(w, triple.g_sam, eta, momentum, momentum_state)
@@ -250,17 +218,17 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     worked out once: its learning rates (``learning_rates``), the momentum
     as a 0-d array and the finiteness screen's cached zero vector. The run
     owns its float64 buffers, updated in place: the weights and the
-    momentum, copies of ``w0`` and ``momentum0`` made at entry (so neither is
-    ever written to), the perturbed point w + e, eta * m and a reuse row's
-    decayed correction. A step is
-    m = momentum * m + direction, then weights -= eta * m. The run also owns
-    the ``objectives.Workspace`` that every gradient and held-out evaluation
-    writes its intermediates into and that keeps the objective's plan. The
-    loop checks each gradient, perturbed point and new weight vector for
+    momentum, copies of ``w0`` and ``momentum0`` made at entry (so neither
+    is ever written to), the perturbed point w + e, eta * m and a reuse
+    row's decayed correction. A step is m = momentum * m + direction, then
+    weights -= eta * m. The run also owns the ``objectives.Workspace`` that
+    every gradient and held-out evaluation writes its intermediates into.
+    The loop checks each gradient, perturbed point and new weight vector for
     finiteness once, with numpy's floating-point warnings off. The result's
     ``w_final`` and ``momentum_final`` are the run's buffers, which no later
     run touches. A NumericError leaves with its iteration and the records so
-    far (``partial_records``), so that the harness can flush a partial trace.
+    far (``partial_records``), so that the harness can flush a partial
+    trace.
 
     vSAM rows get their sliced variance ``v`` when the run stops: the loop
     notes each sample and keeps what ``settle`` returns before every rate

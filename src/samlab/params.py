@@ -52,20 +52,6 @@ class ParamVector:
         """A new vector sharing this one's segment layout."""
         return ParamVector(values, list(self.segments))
 
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), list(self.segments))
-
-    def to_dict(self) -> dict:
-        return {
-            "values": [float(v) for v in self.values],
-            "segments": [[name, int(start), int(length)] for name, start, length in self.segments],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ParamVector":
-        segments = [(str(n), int(s), int(l)) for n, s, l in payload["segments"]]
-        return cls(np.asarray(payload["values"], dtype=np.float64), segments)
-
 
 def l2_norm(x: np.ndarray) -> float:
     """Euclidean norm of a contiguous one-dimensional float64 array.

@@ -57,7 +57,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericError, check_list, check_number
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplerConfig:
     n_window: int = 50          # window length N: buffer capacity and rate-update cadence
     m_slices: int = 5           # number of variance slices M

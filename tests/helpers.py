@@ -4,9 +4,15 @@ The scalar and replay oracles are deliberately written with plain Python
 loops and the textbook formulas, and the Jacobi eigensolver checks the
 library's LAPACK spectrum, so the implementations under test are checked
 against a separate code path rather than against themselves. The
-last sections keep earlier versions of optimised code (the MLP kernel,
+middle sections keep earlier versions of optimised code (the MLP kernel,
 per-batch gathering, the ``csv.writer`` codec, the sharp/flat landscape and
 its ridge scan) as references that the current code must match byte for byte.
+The last section holds what only tests use: ``sam_gradient`` (both
+evaluations of one SAM step, as a ``GradientTriple``), the reference route
+that the training loop's rows and ``decomposition_residual`` must match bit
+for bit; ``convergence_metric``, the logged ||g + gamma * correction||^2;
+``grad_eval_ratio`` of two run summaries; and
+``sharp_flat_designed_losses``.
 """
 
 import csv
@@ -18,6 +24,9 @@ import numpy as np
 
 from samlab.data import Batch
 from samlab.errors import ConfigurationError, NumericError
+from samlab.objectives import eval_grad
+from samlab.optim import perturbation
+from samlab.params import default_subset, l2_norm, require_finite, subset_norm
 
 
 def scalar_mlp_loss(layer_sizes, activation, weight_decay, values, inputs, targets):
@@ -473,3 +482,67 @@ def oracle_sharp_flat_ridge(spec):
     xs = np.linspace(m_s[0], m_f[0], 20001)
     vals = [oracle_sharp_flat(spec, np.array([vx, 0.0]), False)[0] for vx in xs]
     return float(xs[int(np.argmax(vals))])
+
+
+# ---------------------------------------------------------------------------
+# what only tests use: the reference SAM step, the convergence quantity,
+# the evaluation ratio of two runs and the landscape's designed losses
+
+@dataclass
+class GradientTriple:
+    g_sgd: np.ndarray
+    g_sam: np.ndarray
+    psf: np.ndarray
+    l2_sgd: float
+    l2_psf: float
+    l2_sgd_subset: float
+    l2_psf_subset: float
+
+
+def sam_gradient(spec, w, batch, rho, subset_names=None):
+    """Both gradient evaluations of one SAM step (cost: exactly two)."""
+    if subset_names is None:
+        subset_names = default_subset(w)
+    _, g_sgd = eval_grad(spec, w, batch)
+    w_pert = w.values + perturbation(g_sgd, rho)
+    require_finite(w_pert)
+    _, g_sam = eval_grad(spec, w_pert, batch)
+    psf = g_sam - g_sgd
+    return GradientTriple(
+        g_sgd=g_sgd,
+        g_sam=g_sam,
+        psf=psf,
+        l2_sgd=l2_norm(g_sgd),
+        l2_psf=l2_norm(psf),
+        l2_sgd_subset=subset_norm(g_sgd, w, subset_names),
+        l2_psf_subset=subset_norm(psf, w, subset_names),
+    )
+
+
+def convergence_metric(records, gamma):
+    """Per-iteration ||g + gamma * correction||^2 and its running mean.
+
+    Computed from the logged norms and inner product; missing correction
+    columns (plain SGD rows) count as a zero correction. Tiny negative
+    results from cancellation in the expansion are clamped to zero.
+    """
+    per_iter = np.empty(len(records))
+    for idx, rec in enumerate(records):
+        l2_psf = rec.l2_psf or 0.0
+        dot = rec.dot_sgd_psf or 0.0
+        sq = rec.l2_sgd**2 + 2.0 * gamma * dot + gamma**2 * l2_psf**2
+        per_iter[idx] = max(sq, 0.0)
+    running_mean = np.cumsum(per_iter) / np.arange(1, len(records) + 1)
+    return per_iter, running_mean
+
+
+def grad_eval_ratio(run_a, run_b):
+    """Hardware-independent cost ratio of two runs over equal iterations."""
+    if run_a.iterations != run_b.iterations:
+        raise ConfigurationError("gradient-evaluation ratio needs equal iteration counts")
+    return run_a.grad_evals / run_b.grad_evals
+
+
+def sharp_flat_designed_losses(spec):
+    """(loss at sharp bottom, loss at flat bottom) with weight_decay = 0."""
+    return -spec.depth_gap, 0.0

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
+from samlab import diagnostics, objectives
 from samlab.data import generate_dataset
-from samlab.diagnostics import (bound_sweep, check_psf_bound, convergence_metric,
-                                decomposition_residual, norm_trace, random_pd_matrix,
-                                read_norm_trace, write_norm_trace)
+from samlab.diagnostics import (bound_sweep, check_psf_bound, decomposition_residual,
+                                norm_trace, random_pd_matrix, read_norm_trace,
+                                write_norm_trace)
 from samlab.errors import ConfigurationError
 from samlab.metrics import MetricsRecord
-from samlab.objectives import init_params, make_mlp_classifier, make_quadratic
+from samlab.objectives import (eval_grad, init_params, make_mlp_classifier, make_quadratic,
+                               make_rosenbrock, make_sharp_flat)
 from samlab.optim import OptimizerConfig, run_sam
 from samlab.params import ParamVector
 
-from helpers import symmetric_eigen, whole_dataset_batch
+from helpers import (convergence_metric, float_bits, sam_gradient, symmetric_eigen,
+                     whole_dataset_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +177,53 @@ def test_residual_exact_on_quadratics():
 def test_residual_zero_at_critical_point():
     spec = make_quadratic(np.diag([2.0, 3.0]))
     assert decomposition_residual(spec, ParamVector(np.zeros(2)), None, 0.1) == 0.0
+
+
+def _residual_via_sam_gradient(spec, w, batch, rho):
+    """The residual with the correction from a separate SAM step, which evaluates g again."""
+    _, g = eval_grad(spec, w, batch)
+    g_norm = float(np.linalg.norm(g))
+    if g_norm < 1e-12:
+        return 0.0
+    direction = g / g_norm
+    if spec.kind == "quadratic":
+        hv = spec.a @ direction + (2.0 * spec.weight_decay) * direction
+    else:
+        h = diagnostics.HVP_FD_STEP
+        _, g_up = eval_grad(spec, w.with_values(w.values + h * direction), batch)
+        _, g_down = eval_grad(spec, w.with_values(w.values - h * direction), batch)
+        hv = (g_up - g_down) / (2.0 * h)
+    return float(np.linalg.norm(sam_gradient(spec, w, batch, rho).psf - rho * hv))
+
+
+def test_residual_matches_the_sam_gradient_route_with_one_evaluation_fewer(monkeypatch):
+    calls = []  # every eval_grad, wherever it is imported, runs objectives._evaluate
+    original = objectives._evaluate
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(objectives, "_evaluate", counted)
+    batch = whole_dataset_batch(generate_dataset("moons", 40, 0.2, seed=4))
+    cases = [
+        (make_quadratic([[3.0, 0.5], [0.5, 1.0]], [1.0, -1.0], weight_decay=0.01), None),
+        (make_rosenbrock(3), None),
+        (make_sharp_flat(0.08, 0.5, 0.3, 2.0), None),
+        (make_mlp_classifier((2, 5, 3), weight_decay=1e-3), batch),
+    ]
+    rng = np.random.default_rng(12)
+    for spec, b in cases:
+        for _ in range(25):
+            w = init_params(spec, int(rng.integers(1 << 30)))
+            for rho in (0.2, 0.05, 1e-3):
+                calls.clear()
+                residual = decomposition_residual(spec, w, b, rho)
+                made = len(calls)
+                calls.clear()
+                expected = _residual_via_sam_gradient(spec, w, b, rho)
+                assert float_bits(residual) == float_bits(expected)
+                assert made == len(calls) - 1 == (2 if spec.kind == "quadratic" else 4)
 
 
 def test_residual_scales_quadratically_on_mlp():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -12,12 +13,14 @@ from samlab.diagnostics import NORM_TRACE_FIELDS
 from samlab.errors import ConfigurationError
 from samlab.harness import (OPTIMIZERS, ExperimentConfig, RunSummary, compare_report,
                             compute_ais, config_from_dict, config_to_dict,
-                            grad_eval_ratio, run_experiment, summarize, verify_run,
+                            run_experiment, summarize, verify_run,
                             write_report_csv, REPORT_FIELDS)
 from samlab.metrics import FIELD_ORDER, MetricsRecord, read_metrics_csv, write_metrics_csv
 from samlab.objectives import ACTIVATIONS, OBJECTIVE_KINDS, param_segments
 from samlab.optim import LR_SCHEDULES, OptimizerConfig
 from samlab.sampler import SamplerConfig
+
+from helpers import grad_eval_ratio
 
 
 def _base_config(tmp_path, **overrides):
@@ -353,6 +356,17 @@ def test_config_validation_rules(tmp_path):
 def test_configs_built_in_python_are_type_checked(build):
     with pytest.raises(ConfigurationError, match="must be an integer|must be a finite number"):
         build()
+
+
+def test_configs_cannot_change_after_they_are_checked():
+    # an assignment would skip the checks above, and a sample cap already read would go stale
+    cfg = SamplerConfig(n_window=50, m_slices=5, s1=10, p_max=0.8)
+    assert cfg.sample_cap == 40
+    opt = OptimizerConfig()
+    for config, name, value in [(cfg, "p_max", 0.2), (cfg, "m_slices", 3), (opt, "rho", -1.0)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, value)
+    assert (cfg.p_max, cfg.m_slices, cfg.sample_cap, opt.rho) == (0.8, 5, 40, 0.05)
 
 
 def test_parsed_config_errors_name_their_section(tmp_path):

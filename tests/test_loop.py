@@ -23,7 +23,7 @@ from samlab.objectives import (SHARP_FLAT_CALIBRATION, init_params, make_mlp_cla
 from samlab.params import ParamVector
 from samlab.sampler import SamplerConfig, change_rate_series, init_sampler, record_sample
 
-from helpers import float_bits, per_call_should_sample
+from helpers import float_bits, per_call_should_sample, sam_gradient
 
 METHODS = ("sgd", "sam", "sam_k", "vsam")
 
@@ -114,7 +114,7 @@ def test_rows_log_the_norms_of_the_subset(method):
     w0 = init_params(spec, 0)
     train, _ = train_test_split(dataset)
     batch = make_batches(train, kwargs["batch_size"], 0, 0)[0]
-    triple = optim.sam_gradient(spec, w0, batch, 0.9)
+    triple = sam_gradient(spec, w0, batch, 0.9)
     first = _run(method, "moons", iterations=1).records[0]
     assert (first.l2_sgd, first.l2_psf) == (triple.l2_sgd, triple.l2_psf)
     assert (first.l2_sgd_subset, first.l2_psf_subset) == (triple.l2_sgd_subset,

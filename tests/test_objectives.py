@@ -14,12 +14,13 @@ from samlab.objectives import (SHARP_FLAT_CALIBRATION, ObjectiveSpec, Workspace,
                                make_quadratic, make_rosenbrock, make_sharp_flat, mlp_accuracy,
                                mlp_predict,
                                param_segments, prime_epoch, sharp_flat_centers,
-                               sharp_flat_designed_losses, sharp_flat_ridge)
+                               sharp_flat_ridge)
 from samlab.optim import OptimizerConfig, run_sgd
 from samlab.params import ParamVector
 
 from helpers import (oracle_mlp_eval, oracle_mlp_predict, oracle_sharp_flat,
-                     oracle_sharp_flat_ridge, scalar_mlp_loss, whole_dataset_batch)
+                     oracle_sharp_flat_ridge, scalar_mlp_loss, sharp_flat_designed_losses,
+                     whole_dataset_batch)
 
 # value computed by the scalar forward-pass oracle at the seed-0 init,
 # (2, 8, 2) tanh network on the 64-example blobs batch below
@@ -583,15 +584,47 @@ def test_alternating_specs_on_one_workspace_get_their_own_plans():
     quadratic_loss = 0.5 * float(x @ (a @ x)) - float(b @ x) + 0.05 * float(x.dot(x))
     quadratic_grad = a @ x - b + 2.0 * 0.05 * x
     workspace = Workspace()
+    plans = quadratic.plan, sharp_flat.plan
+    assert plans[0].kernel is not plans[1].kernel
     for _ in range(3):
         loss, grad = eval_grad(quadratic, x, None, workspace)
-        assert workspace.plan.spec is quadratic
+        assert quadratic.plan is plans[0]
         assert _bits(loss) == _bits(quadratic_loss)
         assert grad.tobytes() == quadratic_grad.tobytes()
         loss, grad = eval_grad(sharp_flat, x, None, workspace)
-        assert workspace.plan.spec is sharp_flat
+        assert sharp_flat.plan is plans[1]
         ref_loss, ref_grad = oracle_sharp_flat(sharp_flat, x, True)
         assert _bits(loss) == _bits(ref_loss) and grad.tobytes() == ref_grad.tobytes()
+
+
+def test_a_spec_builds_its_plan_once(monkeypatch):
+    built = []
+    original = objectives._plan
+
+    def counted(spec):
+        built.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(objectives, "_plan", counted)
+    mlp = make_mlp_classifier((2, 3, 2), weight_decay=1e-3)
+    batch = whole_dataset_batch(generate_dataset("moons", 20, 0.1, seed=0))
+    w = init_params(mlp, 0)
+    reference = None
+    # lone calls and calls on several workspaces share the spec's one plan,
+    # and give the same bits: the decay term goes to a buffer or a new array
+    for workspace in (None, Workspace(), Workspace(), None):
+        loss, grad = eval_grad(mlp, w, batch, workspace)
+        assert _bits(eval_loss(mlp, w, batch, workspace)) == _bits(loss)
+        if reference is None:
+            reference = _bits(loss), grad.tobytes()
+        assert (_bits(loss), grad.tobytes()) == reference
+    eval_heldout(mlp, w.values, batch)
+    fd_gradient(mlp, w, batch, 1e-5)
+    sharp_flat = make_sharp_flat(0.07, 0.6, 0.2, 1.8)
+    eval_grad(sharp_flat, np.array([-0.8, 0.1]))
+    eval_loss(sharp_flat, np.array([0.3, 0.1]), None, Workspace())
+    sharp_flat_ridge(sharp_flat)
+    assert built == [mlp, sharp_flat]
 
 
 def test_a_spec_cannot_change_under_its_plan():

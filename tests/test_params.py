@@ -44,14 +44,6 @@ def test_non_finite_values_rejected():
             ParamVector(np.array([np.inf, 0.0]))
 
 
-def test_serialization_round_trip_preserves_segments_and_values():
-    pv = ParamVector(np.array([0.1, -0.25, 1e-17, 3.5]),
-                     [("layer0.W", 0, 2), ("layer0.b", 2, 2)])
-    back = ParamVector.from_dict(pv.to_dict())
-    assert back.segments == pv.segments
-    assert np.array_equal(back.values, pv.values)
-
-
 def test_subset_norm_restricts_to_named_segments():
     pv = ParamVector(np.array([3.0, 4.0, 5.0, 12.0]),
                      [("a", 0, 2), ("b", 2, 2)])

@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "run_digests.py"
 COST_MODEL = ROOT / "tools" / "cost_model.py"
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def _digests(tmp_path, name, case):
@@ -71,6 +72,24 @@ def test_benchmark_tracer_targets_exist():
     for module_name, cls_name, method, _ in counts:
         cls = getattr(importlib.import_module(module_name), cls_name, None)
         assert callable(getattr(cls, method, None)), f"{module_name}.{cls_name}.{method}"
+
+
+def test_benchmark_workloads_read_existing_attributes():
+    # the workloads read these module attributes of samlab (the basin set-up clears
+    # objectives._RIDGE_CACHE, for one); a name that moves or disappears would make
+    # every pass of that workload fail. Read without executing the workloads.
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name: importlib.import_module(f"samlab.{alias.name}")
+               for node in tree.body if isinstance(node, ast.ImportFrom)
+               and node.module == "samlab" for alias in node.names}
+    assert sorted(modules) == ["data", "harness", "metrics", "objectives", "optim", "params",
+                               "sampler"]
+    reads = {(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules}
+    assert ("objectives", "_RIDGE_CACHE") in reads
+    for module_name, attr in sorted(reads):
+        assert hasattr(modules[module_name], attr), f"samlab.{module_name}.{attr}"
 
 
 def _ab_bench():
