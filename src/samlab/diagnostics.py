@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .metrics import _read_rows, _write_rows
+from .metrics import _read_columns, _write_rows
 from .objectives import Workspace, eval_grad
 from .optim import perturbation
 from .params import require_finite
@@ -166,4 +166,5 @@ def write_norm_trace(path, rows) -> None:
 
 
 def read_norm_trace(path) -> list[dict]:
-    return [dict(zip(NORM_TRACE_FIELDS, values)) for values in _read_rows(path, NORM_TRACE_FIELDS)]
+    return [dict(zip(NORM_TRACE_FIELDS, values))
+            for values in zip(*_read_columns(path, NORM_TRACE_FIELDS))]

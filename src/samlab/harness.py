@@ -18,16 +18,18 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
-from operator import attrgetter
+from itertools import accumulate
+from operator import ge
 from pathlib import Path
 
 import numpy as np
 
 from .data import batches_per_epoch, generate_dataset, train_test_split
-# norm_trace and write_norm_trace are imported for perfbench/tracer.py, which wraps them here
+# norm_trace, write_norm_trace and read_metrics_csv are imported for perfbench/tracer.py to wrap
 from .diagnostics import NORM_TRACE_FIELDS, norm_trace, write_norm_trace
 from .errors import ConfigurationError, NumericError, check_list, check_number
-from .metrics import MalformedRowError, _read_rows, read_metrics_csv, write_metrics_csv
+from .metrics import (FIELD_ORDER, MalformedRowError, _read_columns, read_metrics_csv,
+                      write_metrics_csv)
 from .objectives import (ObjectiveSpec, make_mlp_classifier, make_quadratic,
                          make_rosenbrock, make_sharp_flat, param_segments)
 from .optim import OptimizerConfig, run_sam, run_sam_k, run_sgd, run_vsam
@@ -35,7 +37,6 @@ from .params import ParamVector
 from .sampler import SamplerConfig
 
 OPTIMIZERS = ("sgd", "sam", "sam_k", "vsam")
-_NORM_TRACE_COLUMNS = attrgetter(*NORM_TRACE_FIELDS)
 OUTPUT_ROOT_ENV = "SAMLAB_OUTPUT_ROOT"
 # what a run writes into each seed directory
 SEED_FILES = ("metrics.csv", "norm_trace.csv", "summary.json", "error.json")
@@ -438,8 +439,11 @@ def verify_run(run_dir) -> tuple[bool, list[str]]:
 
     Returns (all_passed, per-check report lines). Checks the schema header,
     the gradient-evaluation accounting (increment 2 on sampled rows, 1
-    otherwise, total = iterations + sampling number), and that the stored
-    summary matches a recomputation.
+    otherwise, total = iterations + sampling number), the stored summary and
+    the norm trace, on columns: ``metrics.csv`` is read once, every cell
+    parsed, into the nine columns the checks use, and no record is built.
+    The trace matches when its parsed columns equal the metrics file's (so
+    ``0.5`` matches ``0.50``); the files are parsed apart, so a NaN never does.
     """
     run_dir = Path(run_dir)
     lines = []
@@ -451,7 +455,9 @@ def verify_run(run_dir) -> tuple[bool, list[str]]:
         lines.append(f"[{'PASS' if passed else 'FAIL'}] {name}" + (f": {detail}" if detail else ""))
 
     try:
-        records = read_metrics_csv(run_dir / "metrics.csv")
+        sampled, evals, train_loss, *trace = _read_columns(
+            run_dir / "metrics.csv", FIELD_ORDER,
+            ["sampled", "cumulative_grad_evals", "train_loss", *NORM_TRACE_FIELDS])
         check("metrics schema header", True)
     except MalformedRowError as err:
         check("metrics schema header", True)
@@ -461,28 +467,19 @@ def verify_run(run_dir) -> tuple[bool, list[str]]:
         check("metrics schema header", False, str(err))
         return ok, lines
 
-    if not records:
+    if not evals:
         check("non-empty trace", False)
         return ok, lines
 
-    expected = 0
-    increments_ok = True
-    for rec in records:
-        expected += 2 if rec.sampled else 1
-        if rec.cumulative_grad_evals != expected:
-            increments_ok = False
-            break
-    check("grad-eval increments (2 sampled / 1 reused)", increments_ok)
+    check("grad-eval increments (2 sampled / 1 reused)",
+          list(accumulate(2 if s else 1 for s in sampled)) == evals)
+    check("cumulative grad evals non-decreasing", all(map(ge, evals[1:], evals)))
 
-    nondecreasing = all(b.cumulative_grad_evals >= a.cumulative_grad_evals
-                        for a, b in zip(records, records[1:]))
-    check("cumulative grad evals non-decreasing", nondecreasing)
-
-    sampling_number = sum(1 for r in records if r.sampled)
-    total = records[-1].cumulative_grad_evals
+    sampling_number = sampled.count(True)
+    total = evals[-1]
     check("total = iterations + sampling number",
-          total == len(records) + sampling_number,
-          f"{total} vs {len(records)} + {sampling_number}")
+          total == len(evals) + sampling_number,
+          f"{total} vs {len(evals)} + {sampling_number}")
 
     try:
         with open(run_dir / "summary.json", "r", encoding="utf-8") as fh:
@@ -492,11 +489,10 @@ def verify_run(run_dir) -> tuple[bool, list[str]]:
     except (OSError, ValueError, ConfigurationError) as err:
         check("summary readable", False, str(err))
     else:
-        check("summary iterations", stored.iterations == len(records))
+        check("summary iterations", stored.iterations == len(evals))
         check("summary sampling number", stored.sampling_number == sampling_number)
         check("summary grad evals", stored.grad_evals == total)
-        check("summary final train loss",
-              stored.final_train_loss == records[-1].train_loss)
+        check("summary final train loss", stored.final_train_loss == train_loss[-1])
         try:
             recomputed_ais = compute_ais(stored.d_per_epoch, stored.epochs_completed,
                                          stored.wall_clock_seconds)
@@ -509,13 +505,11 @@ def verify_run(run_dir) -> tuple[bool, list[str]]:
     trace_path = run_dir / "norm_trace.csv"
     if trace_path.exists():
         try:
-            stored_rows = list(_read_rows(trace_path, NORM_TRACE_FIELDS))
+            stored_trace = _read_columns(trace_path, NORM_TRACE_FIELDS)
         except Exception as err:  # noqa: BLE001 - report any read failure as a check
             check("norm trace readable", False, str(err))
         else:
-            # tuples compare value by value, as the rows of norm_trace(records) would
-            check("norm trace matches metrics",
-                  stored_rows == list(map(_NORM_TRACE_COLUMNS, records)))
+            check("norm trace matches metrics", stored_trace == trace)
     else:
         check("norm trace present", False)
 

@@ -7,10 +7,12 @@ with ``repr`` so reading a file back reproduces every value bit-exactly;
 empty cells mean "not measured this iteration" and load as ``None``.
 
 The codec works a block of rows (``_BLOCK_ROWS``) at a time, one column at a
-time: each column of a block is formatted or parsed by one comprehension for
-its type, which keeps the per-cell cost down while holding only one block of
-raw text in memory. A float column formats a run of one object once (vSAM
-rows repeat their window's ``p``, ``s``, ``c_var`` and ``c_norm``).
+time, which keeps the per-cell cost down while holding only one block of raw
+text in memory. A float column formats a run of one object once (vSAM rows
+repeat their window's ``p``, ``s``, ``c_var`` and ``c_norm``). The one
+reader, ``_read_columns``, parses every cell into columns: a block's column
+with no empty cell by ``map(parse, cells)``, an all-empty one as
+``[None] * n``. The record and trace readers are row views of its columns.
 
 Formatting is one pass per block: a write may name column projections of
 its rows, and each projection's file is joined from the cells already
@@ -147,16 +149,14 @@ def _write_rows(path, header, rows, projections=()) -> None:
                 fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
 
 
-def _read_rows(path, header, names=None):
-    """Yield the rows of a file written by ``_write_rows`` with this exact header.
+def _read_columns(path, header, names=None):
+    """The ``names`` columns (default: all) of a file that ``_write_rows`` wrote with ``header``.
 
-    Each row is a tuple of parsed values for the columns in ``names`` (by
-    default every header column), in that order. A wrong header raises
-    ``ConfigurationError``; a row with the wrong number of cells, a cell that
-    cannot be parsed, or a byte outside ASCII raises ``MalformedRowError``
-    naming the line.
+    Each is a list of parsed values. Every cell is parsed, named or not, and a
+    malformed file raises the errors that the module docstring names.
     """
-    picks = [(header.index(name), _PARSE[_column_type(name)]) for name in names or header]
+    parsers = [_PARSE[_column_type(name)] for name in header]
+    columns = [[] for _ in header]
     try:
         with open(path, "r", newline="", encoding="ascii") as fh:
             reader = csv.reader(fh)
@@ -168,16 +168,21 @@ def _read_rows(path, header, names=None):
                     if len(row) != len(header):
                         raise MalformedRowError(f"{path}, line {line + offset}: expected "
                                                  f"{len(header)} cells, found {len(row)}")
-                cells = list(zip(*block))
                 try:
-                    columns = [[None if c == "" else parse(c) for c in cells[j]]
-                               for j, parse in picks]
+                    for column, parse, cells in zip(columns, parsers, zip(*block)):
+                        empty = cells.count("")
+                        if not empty:
+                            column += map(parse, cells)
+                        elif empty == len(cells):
+                            column += [None] * empty
+                        else:
+                            column += [None if c == "" else parse(c) for c in cells]
                 except (ValueError, KeyError):
                     raise _bad_cell(path, line, header, block) from None
-                yield from zip(*columns)
                 line += len(block)
     except UnicodeDecodeError:
         raise _non_ascii(path) from None
+    return [columns[header.index(name)] for name in names or header]
 
 
 def _non_ascii(path) -> ConfigurationError:
@@ -213,4 +218,5 @@ def write_metrics_csv(path, records, projections=()) -> None:
 
 
 def read_metrics_csv(path) -> list[MetricsRecord]:
-    return [MetricsRecord(*values) for values in _read_rows(path, FIELD_ORDER, _RECORD_FIELDS)]
+    return [MetricsRecord(*values)
+            for values in zip(*_read_columns(path, FIELD_ORDER, _RECORD_FIELDS))]

@@ -262,6 +262,13 @@ def eval_heldout(spec: ObjectiveSpec, values: np.ndarray, batch: Batch,
     return loss, float(np.mean(np.argmax(logits, axis=1) == batch.targets))
 
 
+def _scalar(value) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array, which numpy multiplies by faster than a float."""
+    scalar = np.array(float(value))
+    scalar.flags.writeable = False
+    return scalar
+
+
 class Plan(NamedTuple):
     """What every evaluation of one spec needs, worked out once and kept on the spec."""
 
@@ -269,6 +276,7 @@ class Plan(NamedTuple):
     kernel: Callable  # (weights, batch, with_grad, workspace or None) -> (loss, gradient or logits)
     weight_decay: float
     zeros: np.ndarray  # the finiteness screen's, cached and read-only
+    twice_wd: np.ndarray  # 2 * weight_decay, for the gradient's decay term (``_scalar``)
 
 
 def _plan(spec):
@@ -294,12 +302,12 @@ def _plan(spec):
     else:
         raise ConfigurationError(f"unknown objective kind {kind!r}")
     size = spec.param_count
-    return Plan(size, kernel, spec.weight_decay, _zeros(size))
+    return Plan(size, kernel, spec.weight_decay, _zeros(size), _scalar(2.0 * spec.weight_decay))
 
 
 def _evaluate(spec, w, batch, with_grad, workspace):
     """(loss, gradient); without the gradient, (loss, MLP logits or None)."""
-    size, kernel, wd, zeros = spec.plan
+    size, kernel, wd, zeros, twice_wd = spec.plan
     x = w.values if isinstance(w, ParamVector) else w
     if x.size != size:
         raise ConfigurationError(
@@ -311,7 +319,7 @@ def _evaluate(spec, w, batch, with_grad, workspace):
         loss = loss + wd * float(x.dot(x))
         if with_grad:
             decay = None if workspace is None else workspace.decay(size)
-            grad += np.multiply(2.0 * wd, x, out=decay)
+            grad += np.multiply(twice_wd, x, out=decay)
 
     if not math.isfinite(loss):
         raise NumericError(f"non-finite loss from {spec.kind} objective")
@@ -523,6 +531,7 @@ class _RowBuffers:
         self.sum_exp_col = self.sum_exp[:, None]
         self.log_sum = np.empty(rows)
         self.picked = np.empty(rows)
+        self.count, self.one = _scalar(rows), _scalar(1.0)  # the mean's divisor; tanh's 1.0
         # backprop: d loss / d (pre-activation) of each hidden layer, and the
         # activation's slope there (tanh: 1 - a * a; relu: a > 0 as 1.0 or 0.0)
         self.d_z = [np.empty((rows, width)) for width in widths]
@@ -623,7 +632,7 @@ def _mlp(layout, tanh, values, inputs, targets, with_grad, ws):
     d_z = exp  # turned into d loss / d logits in place
     d_z /= r.sum_exp_col
     d_z -= onehot  # x - 0.0 keeps the bits of x: only the target logits change
-    d_z /= n
+    d_z /= r.count
 
     # each layer's gradient is written straight into its slice of the vector
     grad = np.empty(values.size)
@@ -637,7 +646,7 @@ def _mlp(layout, tanh, values, inputs, targets, with_grad, ws):
         below = np.matmul(d_z, layers[layer][2], out=r.d_z[layer - 1])
         slope = r.slope[layer - 1]
         if tanh:
-            np.subtract(1.0, np.multiply(a, a, out=slope), out=slope)
+            np.subtract(r.one, np.multiply(a, a, out=slope), out=slope)
         else:
             # the bool a > 0 cast to float64, as multiplying by the bool array casts it
             np.greater(a, 0.0, out=slope)

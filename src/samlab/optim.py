@@ -110,8 +110,9 @@ def perturbation(g: np.ndarray, rho: float, norm: float | None = None) -> np.nda
 def _apply_step(values, direction, eta, momentum, m, eta_m=None, zeros=None):
     """m = momentum * m + direction, then values -= eta * m, both in place.
 
-    ``eta_m`` (for eta * m) and ``zeros`` (for the finiteness screen) are the
-    caller's buffers, if it keeps them. NumericError when a weight is not finite.
+    ``eta`` and ``momentum`` are floats or 0-d arrays. ``eta_m`` (for eta * m) and
+    ``zeros`` (the finiteness screen's) are the caller's buffers, if it keeps them.
+    NumericError when a weight is not finite.
     """
     np.multiply(momentum, m, out=m)
     m += direction
@@ -150,8 +151,8 @@ def reuse_coefficient(gamma: float, staleness: int) -> float:
     return coef if coef >= REUSE_UNDERFLOW else 0.0
 
 
-def _reuse_direction(g_sgd, cache: PSFCache, i: int, gamma, out=None):
-    """g + gamma**staleness * cached correction at iteration i, into ``out`` if given."""
+def _reuse_direction(g_sgd, cache: PSFCache, i: int, gamma, out=None, coef_out=None):
+    """g + gamma**staleness * cached correction at i, into ``out``; coefficient via ``coef_out``."""
     if cache.psf is None:
         raise ContractViolationError("reuse step before any correction was sampled")
     if i <= cache.sampled_at:
@@ -159,6 +160,9 @@ def _reuse_direction(g_sgd, cache: PSFCache, i: int, gamma, out=None):
     coef = reuse_coefficient(gamma, i - cache.sampled_at)
     if coef == 0.0:
         return g_sgd
+    if coef_out is not None:
+        coef_out[()] = coef
+        coef = coef_out
     return np.add(g_sgd, np.multiply(coef, cache.psf, out=out), out=out)
 
 
@@ -219,16 +223,16 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     as a 0-d array and the finiteness screen's cached zero vector. The run
     owns its float64 buffers, updated in place: the weights and the
     momentum, copies of ``w0`` and ``momentum0`` made at entry (so neither
-    is ever written to), the perturbed point w + e, eta * m and a reuse
-    row's decayed correction. A step is m = momentum * m + direction, then
-    weights -= eta * m. The run also owns the ``objectives.Workspace`` that
-    every gradient and held-out evaluation writes its intermediates into.
-    The loop checks each gradient, perturbed point and new weight vector for
-    finiteness once, with numpy's floating-point warnings off. The result's
-    ``w_final`` and ``momentum_final`` are the run's buffers, which no later
-    run touches. A NumericError leaves with its iteration and the records so
-    far (``partial_records``), so that the harness can flush a partial
-    trace.
+    is ever written to), the perturbed point w + e, eta * m, a reuse row's
+    decayed correction, and each iteration's eta and reuse coefficient (0-d).
+    A step is m = momentum * m + direction, then weights -= eta * m. The run
+    also owns the ``objectives.Workspace`` that every gradient and held-out
+    evaluation writes its intermediates into. The loop checks
+    each gradient, perturbed point and new weight vector for finiteness
+    once, with numpy's floating-point warnings off. The result's ``w_final``
+    and ``momentum_final`` are the run's buffers, which no later run
+    touches. A NumericError leaves with its iteration and the records so far
+    (``partial_records``), so that the harness can flush a partial trace.
 
     vSAM rows get their sliced variance ``v`` when the run stops: the loop
     notes each sample and keeps what ``settle`` returns before every rate
@@ -267,7 +271,7 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                           schedule_total or (start_iteration + iterations))
     rho, gamma, budget = opt.rho, opt.gamma, opt.grad_eval_budget
     # numpy multiplies by a 0-d array faster than by a float, to the same bits
-    momentum = np.array(float(opt.momentum))
+    momentum, eta_now, coef = np.array(float(opt.momentum)), np.zeros(()), np.zeros(())
     history = [] if collect_params else None
     records = []
     state = cache = p = s = c_var = c_norm = None
@@ -308,14 +312,15 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                     direction, psf_stale, dot_sgd_psf = g_sam, False, float(g_sgd.dot(psf))
                 elif cache is not None and (cache.psf is not None or not cut):
                     # an empty cache outside a budget cut is a broken contract: this raises
-                    direction = _reuse_direction(g_sgd, cache, t, gamma, decayed)
+                    direction = _reuse_direction(g_sgd, cache, t, gamma, decayed, coef)
                     # reuse rows log the undecayed cached correction
                     l2_psf, psf_stale, l2_psf_subset = cache.l2_psf, True, cache.l2_psf_subset
                     dot_sgd_psf = float(g_sgd.dot(cache.psf))
                 else:
                     direction = g_sgd
                     l2_psf = psf_stale = l2_psf_subset = dot_sgd_psf = None
-                _apply_step(values, direction, eta, momentum, m, eta_m, zeros)
+                eta_now[()] = eta
+                _apply_step(values, direction, eta_now, momentum, m, eta_m, zeros)
                 if cfg is not None:
                     if t == i_start:
                         begin_windowing(state)

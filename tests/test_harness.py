@@ -145,6 +145,24 @@ PARSEABLE = {
 }
 
 
+def test_verify_run_builds_no_metrics_record(tmp_path, monkeypatch):
+    # verify reads the columns its checks use; it builds no record per row
+    out = run_experiment(config_from_dict(_base_config(tmp_path, seeds=[0])))
+    built = []
+    init = MetricsRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MetricsRecord, "__init__", counted)
+    ok, lines = verify_run(out / "seed_0")
+    assert ok and lines[-1] == "[PASS] norm trace matches metrics"
+    assert built == []
+    # the counter sees records when they are built: one per row of the file
+    assert len(read_metrics_csv(out / "seed_0" / "metrics.csv")) == len(built) == 40
+
+
 @pytest.mark.parametrize("case", PARSEABLE)
 def test_verify_norm_trace_verdict_is_the_parsed_comparison(tmp_path, case):
     from samlab.diagnostics import norm_trace, read_norm_trace

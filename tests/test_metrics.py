@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from samlab.diagnostics import NORM_TRACE_FIELDS, read_norm_trace, write_norm_trace
 from samlab.errors import ConfigurationError
 from samlab.metrics import (FIELD_ORDER, MalformedRowError, MetricsRecord, _column_type,
-                            read_metrics_csv, write_metrics_csv)
+                            _read_columns, read_metrics_csv, write_metrics_csv)
 
 from helpers import oracle_read_rows, oracle_write_rows
 
@@ -18,11 +18,15 @@ _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS),
                     st.floats(allow_nan=False, allow_infinity=True))
 
 
-def _cell(kind):
+def _value(kind):
     value = {"bool": st.booleans(), "int": st.integers(-2**70, 2**70), "float": _FLOATS}[kind]
     if kind == "float":  # numpy scalars are written like the Python floats they hold
         value = st.one_of(value, value.map(np.float64))
-    return st.one_of(st.none(), value)
+    return value
+
+
+def _cell(kind):
+    return st.one_of(st.none(), _value(kind))
 
 
 _INDEPENDENT = st.lists(st.fixed_dictionaries({name: _cell(_column_type(name))
@@ -94,6 +98,65 @@ def test_one_formatting_pass_writes_both_files_as_two_writes(tmp_path_factory, r
     write_norm_trace(tmp / "norm_trace_alone.csv", rows)
     assert (tmp / "metrics.csv").read_bytes() == (tmp / "metrics_alone.csv").read_bytes()
     assert (tmp / "norm_trace.csv").read_bytes() == (tmp / "norm_trace_alone.csv").read_bytes()
+
+
+# float cells that are their own edge cases: NaN, both zeros and both infinities
+_SPECIAL_FLOATS = [float("nan"), 0.0, -0.0, float("inf"), float("-inf")]
+
+
+@st.composite
+def _columns(draw):
+    """1-130 rows, as columns: each column all empty, never empty, or mixed.
+
+    A column's cells are picked from a small pool of objects, so the same
+    object repeats, in runs and apart; float pools always hold NaN, both
+    zeros and both infinities.
+    """
+    count = draw(st.integers(1, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {}
+    for name in FIELD_ORDER:
+        kind = _column_type(name)
+        fill = draw(st.sampled_from(["empty", "full", "mixed"]))
+        if fill == "empty":
+            columns[name] = [None] * count
+            continue
+        pool = draw(st.lists(_value(kind), min_size=1, max_size=3))
+        if kind == "float":
+            pool += _SPECIAL_FLOATS
+        if fill == "mixed":
+            pool.append(None)
+        runs = rng.integers(1, 20, size=count)  # run lengths; only the first count cells are used
+        picks = np.repeat(rng.integers(0, len(pool), size=count), runs)[:count]
+        columns[name] = [pool[i] for i in picks.tolist()]
+    return columns
+
+
+def _expected_columns(columns, header):
+    """The ``header`` columns as they read back, by repr: NaN matches NaN, -0.0 differs from 0.0."""
+    cast = {"bool": bool, "int": int, "float": float}
+    return [[repr(None if v is None else cast[_column_type(name)](v)) for v in columns[name]]
+            for name in header]
+
+
+@settings(deadline=None)  # timing on a shared host is not what this checks
+@given(columns=_columns(), names=st.lists(st.sampled_from(FIELD_ORDER), min_size=1, unique=True))
+def test_read_columns_returns_the_written_columns(tmp_path_factory, columns, names):
+    tmp = tmp_path_factory.mktemp("columns")
+    count = len(columns["iteration"])
+    records = [MetricsRecord(**{name: columns[name][i] for name in FIELD_ORDER})
+               for i in range(count)]
+    write_metrics_csv(tmp / "metrics.csv", records, [(tmp / "trace.csv", NORM_TRACE_FIELDS)])
+
+    def read(path, header, names=None):
+        got = _read_columns(path, header, names)
+        assert all(type(column) is list and len(column) == count for column in got)
+        return [[repr(v) for v in column] for column in got]
+
+    assert read(tmp / "metrics.csv", FIELD_ORDER) == _expected_columns(columns, FIELD_ORDER)
+    assert read(tmp / "metrics.csv", FIELD_ORDER, names) == _expected_columns(columns, names)
+    assert read(tmp / "trace.csv", NORM_TRACE_FIELDS) == _expected_columns(columns,
+                                                                         NORM_TRACE_FIELDS)
 
 
 def _trace_rows(count):

@@ -33,6 +33,13 @@ def test_run_digests_one_small_case_is_repeatable(tmp_path):
     assert _digests(tmp_path, "b.json", "budget_vsam_51") == first
 
 
+def test_run_digests_damaged_case_names_no_temporary_path(tmp_path):
+    # verify's report on a damaged copy names the file it read; the digest
+    # replaces the copy's temporary directory, so two runs agree
+    first = _digests(tmp_path, "a.json", "damaged_metrics_non_ascii")
+    assert _digests(tmp_path, "b.json", "damaged_metrics_non_ascii") == first
+
+
 def test_cost_model_fits_both_tasks(tmp_path):
     out = tmp_path / "fit.json"
     done = subprocess.run([sys.executable, str(COST_MODEL), "--src", str(ROOT / "src"),
@@ -139,3 +146,26 @@ def test_ab_bench_alternates_sides_and_reads_a_run():
     assert result["metrics"]["wall_s"]["value"] == 0.3 and result["correct"]
     assert context["platform"] == {"cpu_features": "abc"}
     assert ab.parse_run_spec("basin_sweep:1:3") == ("basin_sweep", 1, 3)
+
+
+def test_ab_bench_runs_both_sides_from_source(tmp_path, monkeypatch):
+    # a compiled cache in one tree only would lower that side's setup_s, which
+    # includes `import samlab`: such a tree is refused, and no run writes one
+    ab = _ab_bench()
+    package = tmp_path / "src" / "samlab"
+    package.mkdir(parents=True)
+    assert ab.check_tree(tmp_path) == tmp_path
+    (package / "__pycache__").mkdir()
+    with pytest.raises(SystemExit, match="__pycache__"):
+        ab.check_tree(tmp_path)
+
+    seen = []
+
+    def fake_run(command, **kwargs):
+        seen.append(kwargs["env"])
+        return subprocess.CompletedProcess(
+            command, 0, '{"correct": true, "failed": 0, "metrics": {}}\n', "")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    assert ab.bench_once(tmp_path, "run_audit", 0) == ({}, True, 0, None, None)
+    assert seen[0]["PYTHONDONTWRITEBYTECODE"] == "1"

@@ -7,10 +7,17 @@
 this checkout's working tree. Each ``--run WORKLOAD:SEED:PAIRS`` runs
 ``perfbench/run.py --seconds 20 --trace 0`` once on each side per pair, one
 after the other, and swaps which side goes first from one pair to the next,
-so that a drift in the host's speed falls on both sides alike. Then this checkout's ``tools/run_digests.py`` runs on both
-trees' packages, and the two sets of digests are compared.
+so that a drift in the host's speed falls on both sides alike. Then this
+checkout's ``tools/run_digests.py`` runs on both trees' packages, and the
+two sets of digests are compared.
 
-``BENCH_<label>.json``, written at the root of the checkout, holds, per run and per end-to-end metric of ``BENCHMARK.json``:
+Both sides import samlab from source: every run has
+``PYTHONDONTWRITEBYTECODE=1``, and a tree whose ``src/samlab`` holds a
+``__pycache__`` is refused (remove it first), because a compiled cache on
+one side only lowers that side's ``setup_s``, which includes the import.
+
+``BENCH_<label>.json``, written at the root of the checkout, holds, per run
+and per end-to-end metric of ``BENCHMARK.json``:
 both sides' medians and quartiles, the pairs in which the change was better,
 the gap between the medians against the base's interquartile range, and the
 relative change against the metric's bound. It also holds each side's
@@ -32,6 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
 SECONDS = 20  # each benchmark run's --seconds
+NO_BYTECODE = {"PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def quartiles(values):
@@ -97,12 +105,22 @@ def unpack(rev, dest: Path) -> Path:
     return dest
 
 
+def check_tree(tree: Path) -> Path:
+    """``tree``, once its ``src/samlab`` is seen to hold no compiled ``__pycache__``."""
+    cache = tree / "src" / "samlab" / "__pycache__"
+    if cache.exists():
+        raise SystemExit(f"ab_bench: {cache} exists; remove it, so that both sides "
+                         f"import samlab from source")
+    return tree
+
+
 def bench_once(tree: Path, workload, seed):
     """(metric values, correct, failed, platform key, error) of one benchmark run."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, timeout=SECONDS * 20 + 300)
+        cwd=tree, capture_output=True, text=True, timeout=SECONDS * 20 + 300,
+        env={**os.environ, **NO_BYTECODE})
     try:
         result, context = parse_run(done.stdout)
     except (ValueError, IndexError):
@@ -149,7 +167,8 @@ def digests(trees, work: Path):
         path = work / f"digests-{side}.json"
         subprocess.run([sys.executable, str(ROOT / "tools" / "run_digests.py"),
                         "--src", str(trees[side] / "src"), "--out", str(path)],
-                       cwd=work, check=True, capture_output=True, timeout=1800)
+                       cwd=work, check=True, capture_output=True, timeout=1800,
+                       env={**os.environ, **NO_BYTECODE})
         out[side] = json.loads(path.read_text(encoding="utf-8"))
     differing = sorted(name for name in set(out["base"]) | set(out["change"])
                        if out["base"].get(name) != out["change"].get(name))
@@ -173,7 +192,8 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     work = args.work.resolve()
-    trees = {"base": unpack(args.base, work / "base"), "change": ROOT}
+    change = check_tree(ROOT)
+    trees = {"base": check_tree(unpack(args.base, work / "base")), "change": change}
     load_before = os.getloadavg()
     runs = [run_pairs(trees, workload, seed, pairs, spec)
             for workload, seed, pairs in args.run]

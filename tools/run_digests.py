@@ -39,7 +39,14 @@ The cases:
   of 8, inside the run's longer stretches between samples;
 - 20 sharp/flat seeds x 4 optimizers in memory with ``collect_params=True``:
   records, final weights and momentum, every parameter snapshot and the
-  sampler state.
+  sampler state;
+- damaged copies of one vSAM seed directory (80 rows: two blocks of the
+  CSV codec), each digesting what ``verify_run`` reports on it, with the
+  copy's path replaced by a placeholder: a norm-trace cell set to another
+  value; one value written as ``0.5`` in the metrics and ``0.50`` in the
+  trace; ``nan`` in the same cell of both files; a metrics cell that does
+  not parse; a short metrics row; a metrics byte outside ASCII; a trace one
+  row short; a wrong trace header; and no ``norm_trace.csv``.
 
 A run directory's digest covers every file in it: CSV files without their
 wall-clock columns, JSON files without wall-clock keys and the output path.
@@ -52,6 +59,7 @@ import argparse
 import csv
 import hashlib
 import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -186,6 +194,74 @@ def run_dir_digest(harness, run_dir: Path) -> str:
     return sha(*parts)
 
 
+def _edit_line(path: Path, line: int, edit) -> None:
+    """Apply ``edit`` to the cells (bytes) of 1-based ``line`` of a CSV file."""
+    lines = path.read_bytes().split(b"\r\n")
+    lines[line - 1] = b",".join(edit(lines[line - 1].split(b",")))
+    path.write_bytes(b"\r\n".join(lines))
+
+
+def _set_cell(name, line, column, text):
+    """A damage that writes ``text`` into one cell of the seed directory's file ``name``."""
+    def damage(seed_dir):
+        path = seed_dir / name
+        header = path.read_bytes().split(b"\r\n", 1)[0].split(b",")
+
+        def edit(cells):
+            cells[header.index(column)] = text
+            return cells
+        _edit_line(path, line, edit)
+    return damage
+
+
+def _both(*damages):
+    """A damage that does each of ``damages`` in turn."""
+    def damage(seed_dir):
+        for one in damages:
+            one(seed_dir)
+    return damage
+
+
+def _drop_last_trace_row(seed_dir):
+    path = seed_dir / "norm_trace.csv"
+    lines = path.read_bytes().split(b"\r\n")  # the last item is the empty one after the final CRLF
+    path.write_bytes(b"\r\n".join(lines[:-2] + lines[-1:]))
+
+
+# case name -> damage done to a copy of a vSAM seed directory; line 70 is in the second block
+DAMAGES = {
+    "damaged_trace_other_value": _set_cell("norm_trace.csv", 3, b"l2_sgd", b"1.5"),
+    "damaged_same_value_other_text": _both(_set_cell("metrics.csv", 3, b"l2_sgd", b"0.5"),
+                                           _set_cell("norm_trace.csv", 3, b"l2_sgd", b"0.50")),
+    "damaged_nan_in_both": _both(_set_cell("metrics.csv", 3, b"l2_psf", b"nan"),
+                                 _set_cell("norm_trace.csv", 3, b"l2_psf", b"nan")),
+    "damaged_metrics_bad_cell": _set_cell("metrics.csv", 70, b"train_loss", b"0.5.1"),
+    "damaged_metrics_short_row": lambda seed_dir: _edit_line(
+        seed_dir / "metrics.csv", 70, lambda cells: cells[:-1]),
+    "damaged_metrics_non_ascii": _set_cell("metrics.csv", 70, b"l2_sgd", b"1.5\xc3"),
+    "damaged_trace_row_short": _drop_last_trace_row,
+    "damaged_trace_header": lambda seed_dir: _edit_line(
+        seed_dir / "norm_trace.csv", 1, lambda cells: cells[::-1]),
+    "damaged_trace_missing": lambda seed_dir: (seed_dir / "norm_trace.csv").unlink(),
+}
+
+
+def damaged_digests(harness, tmp: Path, wanted):
+    """Case name -> digest of ``verify_run``'s (ok, lines) on a damaged seed directory."""
+    payload = dict(_payload("vsam", seeds=[0]), output_dir=str(tmp / "damaged_source"))
+    source = Path(harness.run_experiment(harness.config_from_dict(payload))) / "seed_0"
+    digests = {}
+    for name, damage in DAMAGES.items():
+        if name in wanted:
+            seed_dir = tmp / name
+            shutil.copytree(source, seed_dir)
+            damage(seed_dir)
+            ok, lines = harness.verify_run(seed_dir)
+            digests[name] = sha(ok, *[line.replace(str(seed_dir), "<seed_dir>")
+                                      for line in lines])
+    return digests
+
+
 def sharp_flat_digests():
     """Case name -> digest of in-memory sharp/flat runs, 20 seeds x 4 optimizers."""
     import numpy as np
@@ -253,7 +329,7 @@ def main(argv=None) -> int:
 
     configs = config_cases()
     sharp_flat_names = [f"sharp_flat_{s}_{m}" for s in range(20) for m in METHODS]
-    names = list(configs) + sharp_flat_names
+    names = list(configs) + list(DAMAGES) + sharp_flat_names
     unknown = sorted(set(args.case) - set(names))
     if unknown:
         parser.error(f"unknown cases: {unknown}")
@@ -267,6 +343,8 @@ def main(argv=None) -> int:
                 payload = dict(payload, output_dir=str(Path(tmp) / name))
                 run_dir = harness.run_experiment(harness.config_from_dict(payload))
                 digests[name] = run_dir_digest(harness, Path(run_dir))
+        if wanted & set(DAMAGES):
+            digests.update(damaged_digests(harness, Path(tmp), wanted))
     if wanted & set(sharp_flat_names):
         digests.update({name: digest for name, digest in sharp_flat_digests().items()
                         if name in wanted})
