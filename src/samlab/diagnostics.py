@@ -123,8 +123,8 @@ def decomposition_residual(spec, w, batch, rho: float) -> float:
         hv = spec.a @ direction + (2.0 * spec.weight_decay) * direction
     else:
         h = HVP_FD_STEP
-        _, g_up = eval_grad(spec, w.with_values(w.values + h * direction), batch, ws)
-        _, g_down = eval_grad(spec, w.with_values(w.values - h * direction), batch, ws)
+        _, g_up = eval_grad(spec, w.values + h * direction, batch, ws)
+        _, g_down = eval_grad(spec, w.values - h * direction, batch, ws)
         hv = (g_up - g_down) / (2.0 * h)
     w_pert = w.values + perturbation(g, rho, g_norm)
     require_finite(w_pert)

@@ -189,7 +189,8 @@ def _check_weight_decay(wd):
 # parameter vectors
 
 def param_segments(spec: ObjectiveSpec):
-    """Segment layout for a fresh parameter vector of this objective."""
+    """The parameter layout, ``(name, start, length)`` per segment in order, covering
+    every parameter: ``w`` for an analytic objective, ``layer{i}.W``/``.b`` per MLP layer."""
     if spec.kind != "mlp_classifier":
         return [("w", 0, spec.param_count)]
     segments = []
@@ -207,11 +208,11 @@ def init_params(spec: ObjectiveSpec, seed: int) -> ParamVector:
     """
     rng = np.random.default_rng(seed)
     if spec.kind != "mlp_classifier":
-        return ParamVector(rng.standard_normal(spec.param_count), param_segments(spec))
+        return ParamVector(rng.standard_normal(spec.param_count))
     values = np.zeros(spec.param_count)
     for fan_in, fan_out, lo, mid, _ in _mlp_layout(spec.layer_sizes):
         values[lo:mid] = (rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)).ravel()
-    return ParamVector(values, param_segments(spec))
+    return ParamVector(values)
 
 
 @functools.cache
@@ -680,9 +681,9 @@ def fd_gradient(spec: ObjectiveSpec, w: ParamVector, batch: Batch | None, h: flo
     for i in range(base.size):
         bumped = base.copy()
         bumped[i] = base[i] + h
-        up = eval_loss(spec, w.with_values(bumped), batch, ws)
+        up = eval_loss(spec, bumped, batch, ws)
         bumped[i] = base[i] - h
-        down = eval_loss(spec, w.with_values(bumped), batch, ws)
+        down = eval_loss(spec, bumped, batch, ws)
         grad[i] = (up - down) / (2.0 * h)
     if not np.isfinite(grad).all():
         raise NumericError("non-finite value while probing the loss")

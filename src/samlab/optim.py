@@ -24,7 +24,7 @@ from .errors import ConfigurationError, ContractViolationError, NumericError, ch
 from .metrics import MetricsRecord
 # eval_loss, mlp_accuracy and subset_norm are imported for perfbench/tracer.py to wrap here
 from .objectives import (Workspace, eval_grad, eval_heldout, eval_loss, init_params,
-                         mlp_accuracy, prime_epoch)
+                         mlp_accuracy, param_segments, prime_epoch)
 from .params import (ParamVector, _zeros, default_subset, l2_norm, require_finite, subset_norm,
                      subset_selector)
 # record_sample is imported for perfbench/tracer.py too; the loop calls note_sample and settle
@@ -127,7 +127,7 @@ def _step(w: ParamVector, direction, eta, momentum, momentum_state):
     if momentum_state is not None:
         m = np.array(momentum_state, dtype=np.float64)
     _apply_step(values, direction, eta, momentum, m)
-    return w.with_values(values), m
+    return ParamVector(values), m
 
 
 def step_sgd(w: ParamVector, g_sgd, eta, momentum=0.0, momentum_state=None):
@@ -220,9 +220,11 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
 
     Inputs are checked once, up front, and what is fixed for the run is
     worked out once: its learning rates (``learning_rates``), the momentum
-    as a 0-d array and the finiteness screen's cached zero vector. The run
-    owns its float64 buffers, updated in place: the weights and the
-    momentum, copies of ``w0`` and ``momentum0`` made at entry (so neither
+    as a 0-d array, the finiteness screen's cached zero vector and what
+    picks the subset norms' segments out of a vector. The subset comes from
+    the spec's layout (``param_segments``), so it is the same whatever built
+    ``w0``. The run owns its float64 buffers, updated in place: the weights
+    and the momentum, copies of ``w0`` and ``momentum0`` made at entry (so neither
     is ever written to), the perturbed point w + e, eta * m, a reuse row's
     decayed correction, and each iteration's eta and reuse coefficient (0-d).
     A step is m = momentum * m + direction, then weights -= eta * m. The run
@@ -253,11 +255,12 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     w_pert, eta_m, decayed = np.zeros((3, w0.size))
     zeros = _zeros(w0.size)
     workspace = Workspace()
+    segments = param_segments(spec)
     if subset_names is None:
-        subset_names = default_subset(w0)
+        subset_names = default_subset(segments)
     elif not subset_names:
         raise ConfigurationError("subset_segments must name at least one segment")
-    subset = subset_selector(w0, subset_names)
+    subset = subset_selector(segments, subset_names)
     bpe, test_batch, batches = 1, None, repeat((None, 0))
     if dataset is not None:
         if batch_size is None:
@@ -350,7 +353,7 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                 # a sample noted in an iteration that raised before its row was built comes last
                 for record, v in zip((row for row in records if row.r is not None), settled):
                     record.v = v
-    return RunResult(records, w0.with_values(values), m, history, state)
+    return RunResult(records, ParamVector(values), m, history, state)
 
 
 def run_sgd(spec, dataset, opt: OptimizerConfig, iterations: int, seed: int,

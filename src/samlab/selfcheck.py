@@ -13,6 +13,7 @@ from .diagnostics import bound_sweep, decomposition_residual
 from .objectives import (eval_grad, fd_gradient, init_params, make_mlp_classifier,
                          make_quadratic, make_rosenbrock, make_sharp_flat)
 from .optim import OptimizerConfig, perturbation, run_sam, run_sgd, run_vsam
+from .params import ParamVector
 from .sampler import (SamplerConfig, init_sampler, note_sample, record_sample, sliced_variance,
                       update_rate)
 
@@ -30,8 +31,7 @@ def _grad_agreement():
     for name, spec in specs.items():
         b = batch if name == "mlp_classifier" else None
         for _ in range(10):
-            w = init_params(spec, int(rng.integers(1 << 30)))
-            w = w.with_values(w.values * 0.5)
+            w = ParamVector(init_params(spec, int(rng.integers(1 << 30))).values * 0.5)
             _, g = eval_grad(spec, w, b)
             fd = fd_gradient(spec, w, b, 1e-5)
             err = np.max(np.abs(g - fd) / np.maximum(np.abs(fd), 1.0))
@@ -119,7 +119,7 @@ def _degenerate_equivalences():
     vn = run_vsam(spec, None, opt, never, iters, seed=1, collect_params=True)
     w_mid = vn.params_history[never.i_start - 1]
     sgd = run_sgd(spec, None, opt, iters - never.i_start, seed=1,
-                  w0=vn.w_final.with_values(w_mid), start_iteration=never.i_start,
+                  w0=ParamVector(w_mid), start_iteration=never.i_start,
                   schedule_total=iters, collect_params=True)
     return all(np.array_equal(a, b)
                for a, b in zip(vn.params_history[never.i_start:], sgd.params_history))

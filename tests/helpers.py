@@ -12,7 +12,9 @@ evaluations of one SAM step, as a ``GradientTriple``), the reference route
 that the training loop's rows and ``decomposition_residual`` must match bit
 for bit; ``convergence_metric``, the logged ||g + gamma * correction||^2;
 ``grad_eval_ratio`` of two run summaries; and
-``sharp_flat_designed_losses``.
+``sharp_flat_designed_losses``. ``hessian_oracle`` gives the full Hessian of
+an objective at a point, and its spectrum, from central differences of the
+gradient: the sharpness of a run's final weights.
 """
 
 import csv
@@ -24,7 +26,7 @@ import numpy as np
 
 from samlab.data import Batch
 from samlab.errors import ConfigurationError, NumericError
-from samlab.objectives import eval_grad
+from samlab.objectives import eval_grad, param_segments
 from samlab.optim import perturbation
 from samlab.params import default_subset, l2_norm, require_finite, subset_norm
 
@@ -501,8 +503,9 @@ class GradientTriple:
 
 def sam_gradient(spec, w, batch, rho, subset_names=None):
     """Both gradient evaluations of one SAM step (cost: exactly two)."""
+    segments = param_segments(spec)
     if subset_names is None:
-        subset_names = default_subset(w)
+        subset_names = default_subset(segments)
     _, g_sgd = eval_grad(spec, w, batch)
     w_pert = w.values + perturbation(g_sgd, rho)
     require_finite(w_pert)
@@ -514,8 +517,8 @@ def sam_gradient(spec, w, batch, rho, subset_names=None):
         psf=psf,
         l2_sgd=l2_norm(g_sgd),
         l2_psf=l2_norm(psf),
-        l2_sgd_subset=subset_norm(g_sgd, w, subset_names),
-        l2_psf_subset=subset_norm(psf, w, subset_names),
+        l2_sgd_subset=subset_norm(g_sgd, segments, subset_names),
+        l2_psf_subset=subset_norm(psf, segments, subset_names),
     )
 
 
@@ -546,3 +549,30 @@ def grad_eval_ratio(run_a, run_b):
 def sharp_flat_designed_losses(spec):
     """(loss at sharp bottom, loss at flat bottom) with weight_decay = 0."""
     return -spec.depth_gap, 0.0
+
+
+# ---------------------------------------------------------------------------
+# Hessian oracle: the sharpness of a point, from gradients alone
+
+HESSIAN_FD_STEP = 1e-4
+
+
+def hessian_oracle(spec, w, batch=None, h=HESSIAN_FD_STEP):
+    """(Hessian, its eigenvalues ascending) of the objective at ``w`` on ``batch``.
+
+    Column i is the central difference (g(w + h e_i) - g(w - h e_i)) / 2h of
+    ``eval_grad``, one coordinate at a time: 2n gradient evaluations. The
+    matrix is symmetrised, (H + H^T) / 2, before ``np.linalg.eigh``. Exact
+    to roundoff on a quadratic, where the gradient is linear in w.
+    """
+    x = np.array(getattr(w, "values", w), dtype=np.float64)
+    hess = np.empty((x.size, x.size))
+    for i in range(x.size):
+        bumped = x.copy()
+        bumped[i] = x[i] + h
+        _, g_up = eval_grad(spec, bumped, batch)
+        bumped[i] = x[i] - h
+        _, g_down = eval_grad(spec, bumped, batch)
+        hess[:, i] = (g_up - g_down) / (2.0 * h)
+    hess = 0.5 * (hess + hess.T)
+    return hess, np.linalg.eigh(hess)[0]

@@ -125,8 +125,7 @@ def test_criterion_2_sgd_degenerate_equivalence():
                       batch_size=batch_size, collect_params=True)
         assert all(r.sampled for r in vs.records[:warmup])
         assert not any(r.sampled for r in vs.records[warmup:])
-        w_mid = ParamVector(vs.params_history[warmup - 1],
-                            list(vs.w_final.segments))
+        w_mid = ParamVector(vs.params_history[warmup - 1])
         sgd = run_sgd(spec, dataset, opt, total - warmup, seed=2,
                       batch_size=batch_size, w0=w_mid, start_iteration=warmup,
                       schedule_total=total, collect_params=True)

@@ -93,6 +93,23 @@ def test_verify_fails_on_tampered_run(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "out" / "seed_0")]) == 1
 
 
+def test_verify_reports_an_empty_grad_evals_cell(tmp_path, capsys):
+    path = _write_config(tmp_path, _small_config(tmp_path))
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    metrics = tmp_path / "out" / "seed_0" / "metrics.csv"
+    lines = metrics.read_bytes().split(b"\r\n")
+    column = lines[0].split(b",").index(b"cumulative_grad_evals")
+    cells = lines[2].split(b",")
+    cells[column] = b""
+    lines[2] = b",".join(cells)
+    metrics.write_bytes(b"\r\n".join(lines))
+    assert main(["verify", str(tmp_path / "out" / "seed_0")]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] cumulative grad evals non-decreasing" in captured.out.splitlines()
+    assert captured.err == ""
+
+
 def test_verify_reports_unreadable_norm_trace(tmp_path, capsys):
     path = _write_config(tmp_path, _small_config(tmp_path))
     assert main(["run", str(path)]) == 0

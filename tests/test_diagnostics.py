@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from samlab import diagnostics, objectives
-from samlab.data import generate_dataset
+from samlab.data import generate_dataset, train_test_split
 from samlab.diagnostics import (bound_sweep, check_psf_bound, decomposition_residual,
                                 norm_trace, random_pd_matrix, read_norm_trace,
                                 write_norm_trace)
@@ -13,8 +13,8 @@ from samlab.objectives import (eval_grad, init_params, make_mlp_classifier, make
 from samlab.optim import OptimizerConfig, run_sam
 from samlab.params import ParamVector
 
-from helpers import (convergence_metric, float_bits, sam_gradient, symmetric_eigen,
-                     whole_dataset_batch)
+from helpers import (HESSIAN_FD_STEP, convergence_metric, float_bits, hessian_oracle,
+                     sam_gradient, symmetric_eigen, whole_dataset_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +71,48 @@ def test_eigen_descending_order_large():
     a = 0.5 * (a + a.T)
     eigs = symmetric_eigen(a).eigenvalues
     assert all(x >= y for x, y in zip(eigs, eigs[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Hessian oracle (helpers.py): the sharpness of a point
+
+def test_hessian_oracle_is_the_closed_form_on_a_quadratic_with_weight_decay():
+    rng = np.random.default_rng(13)
+    m = rng.standard_normal((6, 6))
+    a, wd = m + m.T, 0.05
+    spec = make_quadratic(a, rng.standard_normal(6), weight_decay=wd)
+    hess, eigenvalues = hessian_oracle(spec, rng.standard_normal(6))
+    expected = a + 2.0 * wd * np.eye(6)
+    assert np.max(np.abs(hess - expected)) <= 1e-9
+    assert np.max(np.abs(eigenvalues - np.linalg.eigvalsh(expected))) <= 1e-9
+
+
+def _power_iteration_top(spec, w, batch, steps=60, h=HESSIAN_FD_STEP):
+    """Rayleigh quotient after ``steps`` of power iteration on central-difference
+    Hessian-vector products."""
+    v = np.random.default_rng(0).standard_normal(w.size)
+    v /= np.linalg.norm(v)
+    top = None
+    for _ in range(steps):
+        _, g_up = eval_grad(spec, w + h * v, batch)
+        _, g_down = eval_grad(spec, w - h * v, batch)
+        hv = (g_up - g_down) / (2.0 * h)
+        top = float(v @ hv)
+        v = hv / np.linalg.norm(hv)
+    return top
+
+
+def test_hessian_oracle_top_eigenvalue_matches_power_iteration_on_sam_weights():
+    # perfbench's moons task: a [2, 16, 2] MLP, 50 epochs of 25 batches of 64
+    spec = make_mlp_classifier((2, 16, 2), activation="tanh", weight_decay=1e-4)
+    ds = generate_dataset("moons", 2000, 0.15, seed=0)
+    opt = OptimizerConfig(eta0=0.5, rho=0.05, gamma=0.9, lr_schedule="cosine")
+    w = run_sam(spec, ds, opt, 50 * 25, 0, batch_size=64).w_final.values
+    batch = whole_dataset_batch(train_test_split(ds)[0])
+    _, eigenvalues = hessian_oracle(spec, w, batch)
+    top = eigenvalues[-1]
+    assert top >= abs(eigenvalues[0])  # power iteration finds the largest magnitude
+    assert abs(_power_iteration_top(spec, w, batch) - top) <= 1e-6 * top
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +232,8 @@ def _residual_via_sam_gradient(spec, w, batch, rho):
         hv = spec.a @ direction + (2.0 * spec.weight_decay) * direction
     else:
         h = diagnostics.HVP_FD_STEP
-        _, g_up = eval_grad(spec, w.with_values(w.values + h * direction), batch)
-        _, g_down = eval_grad(spec, w.with_values(w.values - h * direction), batch)
+        _, g_up = eval_grad(spec, w.values + h * direction, batch)
+        _, g_down = eval_grad(spec, w.values - h * direction, batch)
         hv = (g_up - g_down) / (2.0 * h)
     return float(np.linalg.norm(sam_gradient(spec, w, batch, rho).psf - rho * hv))
 

@@ -163,6 +163,29 @@ def test_verify_run_builds_no_metrics_record(tmp_path, monkeypatch):
     assert len(read_metrics_csv(out / "seed_0" / "metrics.csv")) == len(built) == 40
 
 
+@pytest.mark.parametrize("line", [2, 3, 41])  # the first, second and last of 40 rows
+def test_verify_reports_an_empty_grad_evals_cell(tmp_path, line):
+    out = run_experiment(config_from_dict(_base_config(tmp_path, seeds=[0])))
+    seed_dir = out / "seed_0"
+    _set_cell(seed_dir / "metrics.csv", line, "cumulative_grad_evals", FIELD_ORDER, "")
+    ok, lines = verify_run(seed_dir)
+    assert not ok
+    assert "[FAIL] cumulative grad evals non-decreasing" in lines
+    assert "[FAIL] grad-eval increments (2 sampled / 1 reused)" in lines
+    assert lines[-1] == "[PASS] norm trace matches metrics"
+
+
+# the summary is checked against the last row's train loss
+@pytest.mark.parametrize("column, line", [("iteration", 3), ("sampled", 3), ("train_loss", 41)])
+def test_verify_reports_other_empty_cells(tmp_path, column, line):
+    out = run_experiment(config_from_dict(_base_config(tmp_path, seeds=[0])))
+    seed_dir = out / "seed_0"
+    _set_cell(seed_dir / "metrics.csv", line, column, FIELD_ORDER, "")
+    ok, lines = verify_run(seed_dir)
+    assert not ok
+    assert any(text.startswith("[FAIL] ") for text in lines)
+
+
 @pytest.mark.parametrize("case", PARSEABLE)
 def test_verify_norm_trace_verdict_is_the_parsed_comparison(tmp_path, case):
     from samlab.diagnostics import norm_trace, read_norm_trace

@@ -23,7 +23,7 @@ from samlab.objectives import (SHARP_FLAT_CALIBRATION, init_params, make_mlp_cla
 from samlab.params import ParamVector
 from samlab.sampler import SamplerConfig, change_rate_series, init_sampler, record_sample
 
-from helpers import float_bits, per_call_should_sample, sam_gradient
+from helpers import float_bits, per_call_should_sample, sam_gradient, sampler_state_bits
 
 METHODS = ("sgd", "sam", "sam_k", "vsam")
 
@@ -178,6 +178,44 @@ def test_a_split_run_equals_the_uninterrupted_run(method, task):
     assert rest.w_final.values.tobytes() == whole.w_final.values.tobytes()
     assert rest.momentum_final.tobytes() == whole.momentum_final.tobytes()
     assert (sum(r.sampled for r in whole.records) > 0) is (method != "sgd")
+
+
+def _run_bits(result):
+    """Everything a run returns but its wall clock, as comparable values."""
+    state = result.sampler_state
+    return (repr(_rows(result.records)), result.w_final.values.tobytes(),
+            result.momentum_final.tobytes(),
+            [snapshot.tobytes() for snapshot in result.params_history],
+            None if state is None else (sampler_state_bits(state),
+                                        state.rng_stream.bit_generator.state))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_run_depends_on_the_weights_not_on_how_w0_was_built(method):
+    # the subset norms come from the spec's layout, not from the start vector
+    spec = TASKS["moons"]()[0]
+    built = _run(method, "moons", momentum=0.5, w0=init_params(spec, 0), collect_params=True)
+    bare = _run(method, "moons", momentum=0.5, w0=ParamVector(init_params(spec, 0).values),
+                collect_params=True)
+    assert _run_bits(bare) == _run_bits(built)
+    assert all(r.l2_sgd_subset < r.l2_sgd for r in bare.records)
+
+
+def test_a_named_subset_runs_from_a_bare_parameter_vector():
+    spec, dataset, kwargs, iterations = _moons()
+    opt = optim.OptimizerConfig(eta0=0.05, rho=0.9, lr_schedule="constant")
+    scfg = SamplerConfig(n_window=10, m_slices=2, s1=4, i_start=10, subset_segments=["layer1.W"])
+    w0 = init_params(spec, 0)
+    runs = [optim.run_vsam(spec, dataset, opt, scfg, iterations, 0, w0=start,
+                           collect_params=True, **kwargs)
+            for start in (w0, ParamVector(w0.values.copy()))]
+    assert _run_bits(runs[1]) == _run_bits(runs[0])
+    train, _ = train_test_split(dataset)
+    batch = make_batches(train, kwargs["batch_size"], 0, 0)[0]
+    triple = sam_gradient(spec, w0, batch, 0.9, ["layer1.W"])
+    first = runs[1].records[0]
+    assert (first.l2_sgd_subset, first.l2_psf_subset) == (triple.l2_sgd_subset,
+                                                          triple.l2_psf_subset)
 
 
 def test_momentum_state_must_match_the_weights():

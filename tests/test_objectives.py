@@ -186,7 +186,7 @@ def test_mlp_kernel_matches_parent_oracle_bit_for_bit(hidden, input_dim, n_class
     rng = np.random.default_rng(seed)
     # perturbed weights, so relu units are both active and dead
     w = init_params(spec, seed)
-    w = w.with_values(w.values + 0.5 * rng.standard_normal(w.size))
+    w = ParamVector(w.values + 0.5 * rng.standard_normal(w.size))
     ds = Dataset("blobs", seed, 0.0, 2.0 * rng.standard_normal((n, input_dim)),
                  rng.integers(0, n_classes, size=n).astype(target_dtype))
     batch_size = data.draw(st.integers(1, n), label="batch_size")
@@ -665,4 +665,3 @@ def test_init_params_deterministic():
     a = init_params(spec, 5)
     b = init_params(spec, 5)
     assert np.array_equal(a.values, b.values)
-    assert a.segments == b.segments

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import warnings
@@ -8,30 +9,27 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from samlab.errors import ConfigurationError, NumericError
-from samlab.objectives import make_mlp_classifier, param_segments
+from samlab.objectives import make_mlp_classifier, make_rosenbrock, param_segments
 from samlab.params import (ParamVector, all_finite, default_subset, l2_norm, require_finite,
                            subset_index, subset_norm, subset_selector)
 
 
 def test_default_segment_covers_everything():
     pv = ParamVector(np.arange(5.0))
-    assert pv.segments == [("w", 0, 5)]
     assert pv.size == 5
+    # an analytic objective's layout is one segment over all its parameters
+    segments = param_segments(make_rosenbrock(5))
+    assert segments == [("w", 0, 5)]
+    assert default_subset(segments) == ["w"]
+    assert subset_selector(segments, ["w"]) is None
 
 
-def test_segments_must_be_contiguous():
+def test_param_vector_carries_only_weights():
+    assert [f.name for f in dataclasses.fields(ParamVector)] == ["values"]
+    with pytest.raises(TypeError):
+        ParamVector(np.zeros(3), [("a", 0, 1), ("b", 1, 2)])
     with pytest.raises(ConfigurationError):
-        ParamVector(np.zeros(4), [("a", 0, 2), ("b", 3, 1)])
-
-
-def test_segments_must_cover_exactly():
-    with pytest.raises(ConfigurationError):
-        ParamVector(np.zeros(4), [("a", 0, 2), ("b", 2, 1)])
-
-
-def test_duplicate_segment_names_rejected():
-    with pytest.raises(ConfigurationError):
-        ParamVector(np.zeros(4), [("a", 0, 2), ("a", 2, 2)])
+        ParamVector(np.zeros((2, 2)))
 
 
 def test_non_finite_values_rejected():
@@ -45,29 +43,23 @@ def test_non_finite_values_rejected():
 
 
 def test_subset_norm_restricts_to_named_segments():
-    pv = ParamVector(np.array([3.0, 4.0, 5.0, 12.0]),
-                     [("a", 0, 2), ("b", 2, 2)])
+    # a [1, 1, 1] MLP: one value in each of its four segments
+    segments = param_segments(make_mlp_classifier((1, 1, 1)))
     g = np.array([3.0, 4.0, 5.0, 12.0])
-    assert subset_norm(g, pv, ["a"]) == 5.0
-    assert subset_norm(g, pv, ["b"]) == 13.0
-    assert subset_norm(g, pv, ["a", "b"]) == np.linalg.norm(g)
-    with pytest.raises(ConfigurationError):
-        subset_norm(g, pv, ["missing"])
+    assert subset_norm(g, segments, ["layer0.W", "layer0.b"]) == 5.0
+    assert subset_norm(g, segments, ["layer1.W", "layer1.b"]) == 13.0
+    assert subset_norm(g, segments, default_subset(segments)) == 13.0
+    assert subset_norm(g, segments, [name for name, _, _ in segments]) == np.linalg.norm(g)
+    with pytest.raises(ConfigurationError, match="unknown segment 'missing'"):
+        subset_norm(g, segments, ["missing"])
 
 
 def test_default_subset_is_last_two_segments():
-    pv = ParamVector(np.zeros(6), [("a", 0, 2), ("b", 2, 2), ("c", 4, 2)])
-    assert default_subset(pv) == ["b", "c"]
-    single = ParamVector(np.zeros(3))
-    assert default_subset(single) == ["w"]
-
-
-def test_with_values_shares_layout():
-    pv = ParamVector(np.zeros(3), [("a", 0, 1), ("b", 1, 2)])
-    other = pv.with_values(np.ones(3))
-    assert other.segments == pv.segments
-    assert np.all(other.values == 1.0)
-    assert np.all(pv.values == 0.0)
+    assert default_subset(param_segments(make_mlp_classifier((2, 4, 3, 2)))) == [
+        "layer2.W", "layer2.b"]
+    assert default_subset(param_segments(make_mlp_classifier((2, 4, 2)))) == [
+        "layer1.W", "layer1.b"]
+    assert default_subset(param_segments(make_rosenbrock(3))) == ["w"]
 
 
 def _bits(x):
@@ -82,7 +74,8 @@ def test_l2_norm_matches_numpy_bit_for_bit(x):
         assert _bits(l2_norm(x)) == _bits(float(np.linalg.norm(x)))
 
 
-_LAYOUT = [("layer0.W", 0, 6), ("layer0.b", 6, 3), ("layer1.W", 9, 6), ("layer1.b", 15, 2)]
+# layer0.W [0, 6), layer0.b [6, 9), layer1.W [9, 15), layer1.b [15, 17)
+_LAYOUT = param_segments(make_mlp_classifier((2, 3, 2)))
 
 
 def _mask_norm(values, names):
@@ -99,21 +92,20 @@ def _mask_norm(values, names):
        names=st.lists(st.sampled_from([name for name, _, _ in _LAYOUT]), min_size=1,
                       max_size=6))
 def test_subset_index_is_order_and_duplicate_free(values, names):
-    pv = ParamVector(np.zeros(17), list(_LAYOUT))
-    index = subset_index(pv, names)
+    index = subset_index(_LAYOUT, names)
     assert list(index) == sorted(set(index))
     expected = _bits(_mask_norm(values, names))
     assert _bits(l2_norm(values[index])) == expected
-    assert _bits(subset_norm(values, pv, names)) == expected
+    assert _bits(subset_norm(values, _LAYOUT, names)) == expected
 
 
 def test_subset_index_out_of_order_and_duplicated_names():
-    pv = ParamVector(np.zeros(17), list(_LAYOUT))
     values = np.random.default_rng(4).standard_normal(17)
-    in_order = subset_index(pv, ["layer0.W", "layer1.W"])
+    in_order = subset_index(_LAYOUT, ["layer0.W", "layer1.W"])
     for names in (["layer1.W", "layer0.W"], ["layer1.W", "layer0.W", "layer1.W"]):
-        assert np.array_equal(subset_index(pv, names), in_order)
-        assert l2_norm(values[subset_index(pv, names)]) == subset_norm(values, pv, names)
+        assert np.array_equal(subset_index(_LAYOUT, names), in_order)
+        assert l2_norm(values[subset_index(_LAYOUT, names)]) == subset_norm(values, _LAYOUT,
+                                                                            names)
     assert l2_norm(values[in_order]) == _mask_norm(values, ["layer0.W", "layer1.W"])
 
 
@@ -122,22 +114,23 @@ def test_slice_view_subset_norms_equal_fancy_index_norms(sizes):
     """Every run of consecutive segments is selected by a slice, with the index's norm bits."""
     segments = param_segments(make_mlp_classifier(sizes))
     names = [name for name, _, _ in segments]
-    pv = ParamVector(np.zeros(sum(length for _, _, length in segments)), segments)
+    size = sum(length for _, _, length in segments)
     rng = np.random.default_rng(len(sizes))
     for lo in range(len(names)):
         for hi in range(lo + 1, len(names) + 1):
-            selector, index = subset_selector(pv, names[lo:hi]), subset_index(pv, names[lo:hi])
+            selector = subset_selector(segments, names[lo:hi])
+            index = subset_index(segments, names[lo:hi])
             if hi - lo == len(names):
                 assert selector is None
             else:
                 assert selector == slice(int(index[0]), int(index[-1]) + 1)
             for scale in (1e-200, 1e-3, 1.0, 1e150):
-                values = rng.standard_normal(pv.size) * scale
+                values = rng.standard_normal(size) * scale
                 picked = values if selector is None else values[selector]
                 assert _bits(l2_norm(picked)) == _bits(l2_norm(values[index]))
     # segments that are not one range keep the index
-    apart = subset_selector(pv, [names[0], names[-1]])
-    assert np.array_equal(apart, subset_index(pv, [names[0], names[-1]]))
+    apart = subset_selector(segments, [names[0], names[-1]])
+    assert np.array_equal(apart, subset_index(segments, [names[0], names[-1]]))
 
 
 @settings(deadline=None)  # timing on a shared host is not what these check
@@ -152,8 +145,7 @@ def test_slice_view_norm_equals_fancy_index_norm_on_random_vectors(values, data)
 
 
 def test_subset_of_an_empty_segment_selects_nothing():
-    pv = ParamVector(np.ones(3), [("a", 0, 3), ("empty", 3, 0)])
-    selector = subset_selector(pv, ["empty"])
+    selector = subset_selector([("a", 0, 3), ("empty", 3, 0)], ["empty"])
     assert l2_norm(np.ones(3)[selector]) == 0.0
 
 

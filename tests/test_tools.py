@@ -40,6 +40,12 @@ def test_run_digests_damaged_case_names_no_temporary_path(tmp_path):
     assert _digests(tmp_path, "b.json", "damaged_metrics_non_ascii") == first
 
 
+def test_run_digests_in_memory_moons_case_builds_only_itself(tmp_path):
+    digests = _digests(tmp_path, "a.json", "moons_vsam_in_memory_layer1W")
+    assert list(digests) == ["moons_vsam_in_memory_layer1W"]
+    assert re.fullmatch(r"[0-9a-f]{64}", digests["moons_vsam_in_memory_layer1W"])
+
+
 def test_cost_model_fits_both_tasks(tmp_path):
     out = tmp_path / "fit.json"
     done = subprocess.run([sys.executable, str(COST_MODEL), "--src", str(ROOT / "src"),

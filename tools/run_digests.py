@@ -40,6 +40,9 @@ The cases:
 - 20 sharp/flat seeds x 4 optimizers in memory with ``collect_params=True``:
   records, final weights and momentum, every parameter snapshot and the
   sampler state;
+- the same for two in-memory vSAM runs on the moons ``[2, 16, 2]`` task
+  started from ``init_params``: one with the default subset (the last
+  layer) and one with ``subset_segments=["layer1.W"]``;
 - damaged copies of one vSAM seed directory (80 rows: two blocks of the
   CSV codec), each digesting what ``verify_run`` reports on it, with the
   copy's path replaced by a placeholder: a norm-trace cell set to another
@@ -262,6 +265,20 @@ def damaged_digests(harness, tmp: Path, wanted):
     return digests
 
 
+def _result_digest(result):
+    """Records, final weights and momentum, every parameter snapshot and the sampler state."""
+    records = [{k: v for k, v in vars(r).items() if k not in WALL_FIELDS}
+               for r in result.records]
+    state = result.sampler_state
+    state_part = None
+    if state is not None:
+        state_part = {k: v for k, v in vars(state).items() if k != "rng_stream"}
+        state_part["rng"] = state.rng_stream.bit_generator.state
+    return sha(repr(records), result.w_final.values.tobytes(), result.momentum_final.tobytes(),
+               *[snapshot.tobytes() for snapshot in result.params_history or []],
+               repr(state_part))
+
+
 def sharp_flat_digests():
     """Case name -> digest of in-memory sharp/flat runs, 20 seeds x 4 optimizers."""
     import numpy as np
@@ -292,18 +309,32 @@ def sharp_flat_digests():
             else:
                 result = optim.run_vsam(spec, None, opt, scfg, cal["iterations"], seed,
                                         **common)
-            records = [{k: v for k, v in vars(r).items() if k not in WALL_FIELDS}
-                       for r in result.records]
-            state = result.sampler_state
-            state_part = None
-            if state is not None:
-                state_part = {k: v for k, v in vars(state).items() if k != "rng_stream"}
-                state_part["rng"] = state.rng_stream.bit_generator.state
-            digests[f"sharp_flat_{seed}_{method}"] = sha(
-                repr(records), result.w_final.values.tobytes(),
-                result.momentum_final.tobytes(),
-                *[snapshot.tobytes() for snapshot in result.params_history or []],
-                repr(state_part))
+            digests[f"sharp_flat_{seed}_{method}"] = _result_digest(result)
+    return digests
+
+
+# case name -> the vSAM run's subset_segments (None: the default subset)
+MLP_SUBSETS = {"moons_vsam_in_memory": None, "moons_vsam_in_memory_layer1W": ["layer1.W"]}
+
+
+def mlp_digests(wanted):
+    """Case name -> digest of an in-memory vSAM run on the moons task, from ``init_params``."""
+    from samlab import data, objectives, optim, sampler
+
+    objective, dataset = MOONS["objective"], MOONS["dataset"]
+    spec = objectives.make_mlp_classifier(objective["layer_sizes"], objective["activation"],
+                                          objective["weight_decay"])
+    ds = data.generate_dataset(dataset["kind"], dataset["n"], dataset["noise"], dataset["seed"])
+    opt = optim.OptimizerConfig(**MOONS["optimizer_config"])
+    iterations = MOONS["epochs"] * 10  # 480 training rows in batches of 50: 10 per epoch
+    digests = {}
+    for name, subset in MLP_SUBSETS.items():
+        if name in wanted:
+            scfg = sampler.SamplerConfig(**SAMPLER, subset_segments=subset)
+            result = optim.run_vsam(spec, ds, opt, scfg, iterations, 0,
+                                    batch_size=MOONS["batch_size"],
+                                    w0=objectives.init_params(spec, 0), collect_params=True)
+            digests[name] = _result_digest(result)
     return digests
 
 
@@ -329,7 +360,7 @@ def main(argv=None) -> int:
 
     configs = config_cases()
     sharp_flat_names = [f"sharp_flat_{s}_{m}" for s in range(20) for m in METHODS]
-    names = list(configs) + list(DAMAGES) + sharp_flat_names
+    names = list(configs) + list(DAMAGES) + sharp_flat_names + list(MLP_SUBSETS)
     unknown = sorted(set(args.case) - set(names))
     if unknown:
         parser.error(f"unknown cases: {unknown}")
@@ -345,6 +376,7 @@ def main(argv=None) -> int:
                 digests[name] = run_dir_digest(harness, Path(run_dir))
         if wanted & set(DAMAGES):
             digests.update(damaged_digests(harness, Path(tmp), wanted))
+    digests.update(mlp_digests(wanted))
     if wanted & set(sharp_flat_names):
         digests.update({name: digest for name, digest in sharp_flat_digests().items()
                         if name in wanted})
