@@ -14,12 +14,13 @@ deviations over seeds.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
 from itertools import accumulate
-from operator import ge
+from operator import ge, itemgetter
 from pathlib import Path
 
 from .data import batches_per_epoch, generate_dataset, train_test_split
@@ -38,6 +39,9 @@ OPTIMIZERS = ("sgd", "sam", "sam_k", "vsam")
 OUTPUT_ROOT_ENV = "SAMLAB_OUTPUT_ROOT"
 # what a run writes into each seed directory
 SEED_FILES = ("metrics.csv", "norm_trace.csv", "summary.json", "error.json")
+# the metrics columns that every row of a run fills (``optim._train``), in file order
+FILLED_FIELDS = ["iteration", "epoch", "train_loss", "l2_sgd", "l2_sgd_subset", "sampled",
+                 "cumulative_grad_evals", "wall_clock_seconds"]
 
 
 def _write_json(path: Path, payload) -> None:
@@ -260,10 +264,8 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         payload["sampler_config"] = asdict(config.sampler)
     if config.dataset is not None:
         payload["dataset"] = dict(config.dataset)
-    for key in ("iterations", "epochs", "batch_size", "k", "w0"):
-        value = getattr(config, key)
-        if value is not None:
-            payload[key] = value
+    extra = {key: getattr(config, key) for key in ("iterations", "epochs", "batch_size", "k", "w0")}
+    payload.update({key: value for key, value in extra.items() if value is not None})
     return payload
 
 
@@ -410,9 +412,8 @@ def _mean_std(values):
 
 
 def _write_aggregate(out: Path, summaries: dict) -> None:
-    payload = {"seeds": sorted(summaries), "per_seed": {}, "mean": {}, "std": {}}
-    for seed, summary in summaries.items():
-        payload["per_seed"][str(seed)] = summary.to_dict()
+    payload = {"seeds": sorted(summaries), "mean": {}, "std": {},
+               "per_seed": {str(seed): summary.to_dict() for seed, summary in summaries.items()}}
     if summaries:
         for field_name in ("sampling_number", "grad_evals", "ais", "final_train_loss"):
             mean, std = _mean_std([getattr(s, field_name) for s in summaries.values()])
@@ -434,12 +435,13 @@ def verify_run(run_dir) -> tuple[bool, list[str]]:
     """Recompute every summary quantity from the metrics stream and compare.
 
     Returns (all_passed, per-check report lines). Checks the schema header,
-    the gradient-evaluation accounting (increment 2 on sampled rows, 1
-    otherwise, total = iterations + sampling number), the stored summary and
-    the norm trace, on columns: ``metrics.csv`` is read once, every cell
-    parsed, into the nine columns the checks use, and no record is built.
-    The trace matches when its parsed columns equal the metrics file's (so
-    ``0.5`` matches ``0.50``); the files are parsed apart, so a NaN never does.
+    that every row fills ``FILLED_FIELDS``, the gradient-evaluation accounting
+    (increment 2 on sampled rows, 1 otherwise, total = iterations + sampling
+    number), the stored summary and the norm trace. ``metrics.csv`` is read
+    once, into columns and the text of its norm-trace projection; a trace with
+    exactly that text and no cell that may be NaN matches. Any other trace is
+    parsed, and matches when its columns equal the metrics file's (so ``0.5``
+    matches ``0.50``); the files are parsed apart, so a NaN never does.
     """
     run_dir = Path(run_dir)
     lines = []
@@ -451,9 +453,8 @@ def verify_run(run_dir) -> tuple[bool, list[str]]:
         lines.append(f"[{'PASS' if passed else 'FAIL'}] {name}" + (f": {detail}" if detail else ""))
 
     try:
-        sampled, evals, train_loss, *trace = _read_columns(
-            run_dir / "metrics.csv", FIELD_ORDER,
-            ["sampled", "cumulative_grad_evals", "train_loss", *NORM_TRACE_FIELDS])
+        columns, projection = _read_columns(run_dir / "metrics.csv", FIELD_ORDER,
+                                            projection=NORM_TRACE_FIELDS)
         check("metrics schema header", True)
     except MalformedRowError as err:
         check("metrics schema header", True)
@@ -463,9 +464,16 @@ def verify_run(run_dir) -> tuple[bool, list[str]]:
         check("metrics schema header", False, str(err))
         return ok, lines
 
+    column = dict(zip(FIELD_ORDER, columns))
+    sampled, evals = column["sampled"], column["cumulative_grad_evals"]
     if not evals:
         check("non-empty trace", False)
         return ok, lines
+
+    gaps = [(column[name].index(None) + 2, name) for name in FILLED_FIELDS if None in column[name]]
+    if gaps:  # printed only on failure: the first empty cell of the first line that has one
+        line, name = min(gaps, key=itemgetter(0))
+        check("every row fills its columns", False, f"line {line}: empty {name} cell")
 
     check("grad-eval increments (2 sampled / 1 reused)",
           list(accumulate(2 if s else 1 for s in sampled)) == evals)
@@ -490,7 +498,7 @@ def verify_run(run_dir) -> tuple[bool, list[str]]:
         check("summary iterations", stored.iterations == len(evals))
         check("summary sampling number", stored.sampling_number == sampling_number)
         check("summary grad evals", stored.grad_evals == total)
-        check("summary final train loss", stored.final_train_loss == train_loss[-1])
+        check("summary final train loss", stored.final_train_loss == column["train_loss"][-1])
         try:
             recomputed_ais = compute_ais(stored.d_per_epoch, stored.epochs_completed,
                                          stored.wall_clock_seconds)
@@ -501,16 +509,21 @@ def verify_run(run_dir) -> tuple[bool, list[str]]:
                   math.isclose(stored.ais, recomputed_ais, rel_tol=1e-12))
 
     trace_path = run_dir / "norm_trace.csv"
+    # text equal to the metrics' projection parses to their values, unless a cell is NaN: n is
+    # in every spelling of nan (and of inf) and in no other cell, so such a trace is parsed
+    body = projection.partition("\n")[2] if projection is not None else "n"
     if trace_path.exists():
         try:
-            stored_trace = _read_columns(trace_path, NORM_TRACE_FIELDS)
+            same = "n" not in body and "N" not in body \
+                and trace_path.read_bytes() == projection.encode()
+            trace = None if same else _read_columns(trace_path, NORM_TRACE_FIELDS)
         except Exception as err:  # noqa: BLE001 - report any read failure as a check
             check("norm trace readable", False, str(err))
         else:
-            check("norm trace matches metrics", stored_trace == trace)
+            check("norm trace matches metrics",
+                  same or trace == [column[name] for name in NORM_TRACE_FIELDS])
     else:
         check("norm trace present", False)
-
     return ok, lines
 
 
@@ -621,9 +634,6 @@ def _render_report(rows, warnings):
 
 
 def write_report_csv(path, rows) -> None:
-    import csv as _csv
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(REPORT_FIELDS)
-        for row in rows:
-            writer.writerow(["" if row[f] is None else row[f] for f in REPORT_FIELDS])
+        csv.writer(fh).writerows([REPORT_FIELDS] + [["" if row[f] is None else row[f]
+                                                     for f in REPORT_FIELDS] for row in rows])

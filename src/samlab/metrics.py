@@ -9,10 +9,12 @@ empty cells mean "not measured this iteration" and load as ``None``.
 The codec works a block of rows (``_BLOCK_ROWS``) at a time, one column at a
 time, which keeps the per-cell cost down while holding only one block of raw
 text in memory. A float column formats a run of one object once (vSAM rows
-repeat their window's ``p``, ``s``, ``c_var`` and ``c_norm``). The one
-reader, ``_read_columns``, parses every cell into columns: a block's column
-with no empty cell by ``map(parse, cells)``, an all-empty one as
-``[None] * n``. The record and trace readers are row views of its columns.
+repeat their window's ``p``, ``s``, ``c_var`` and ``c_norm``). The one reader,
+``_read_columns``, parses every cell into columns: a block's column with no
+empty cell by ``map(parse, cells)``, an all-empty one as ``[None] * n``. The
+record and trace readers are row views of its columns. Given a projection, it
+also joins that projection's text from the cells as tokenized, so a projection
+file can be compared with it byte for byte.
 
 Formatting is one pass per block: a write may name column projections of
 its rows, and each projection's file is joined from the cells already
@@ -149,14 +151,19 @@ def _write_rows(path, header, rows, projections=()) -> None:
                 fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
 
 
-def _read_columns(path, header, names=None):
+def _read_columns(path, header, names=None, projection=None):
     """The ``names`` columns (default: all) of a file that ``_write_rows`` wrote with ``header``.
 
     Each is a list of parsed values. Every cell is parsed, named or not, and a
     malformed file raises the errors that the module docstring names.
+    Given ``projection`` (names), it returns ``(columns, text)``, ``text`` being
+    what ``_write_rows`` writes for that projection of the cells as tokenized,
+    or None if a row spans lines (a quoted cell holds a line break).
     """
     parsers = [_PARSE[_column_type(name)] for name in header]
     columns = [[] for _ in header]
+    picks = [header.index(name) for name in projection or ()]
+    text = [",".join(projection)] if projection is not None else None
     try:
         with open(path, "r", newline="", encoding="ascii") as fh:
             reader = csv.reader(fh)
@@ -168,8 +175,11 @@ def _read_columns(path, header, names=None):
                     if len(row) != len(header):
                         raise MalformedRowError(f"{path}, line {line + offset}: expected "
                                                  f"{len(header)} cells, found {len(row)}")
+                block_cells = list(zip(*block))
+                if text is not None:
+                    text += map(",".join, zip(*[block_cells[j] for j in picks]))
                 try:
-                    for column, parse, cells in zip(columns, parsers, zip(*block)):
+                    for column, parse, cells in zip(columns, parsers, block_cells):
                         empty = cells.count("")
                         if not empty:
                             column += map(parse, cells)
@@ -182,7 +192,10 @@ def _read_columns(path, header, names=None):
                 line += len(block)
     except UnicodeDecodeError:
         raise _non_ascii(path) from None
-    return [columns[header.index(name)] for name in names or header]
+    columns = [columns[header.index(name)] for name in names or header]
+    if text is None:
+        return columns
+    return columns, "\r\n".join(text) + "\r\n" if reader.line_num == line - 1 else None
 
 
 def _non_ascii(path) -> ConfigurationError:
@@ -209,14 +222,11 @@ def _bad_cell(path, line, header, block) -> MalformedRowError:
     return MalformedRowError(f"{path}, lines {line}-{line + len(block) - 1}: bad cell")
 
 
-_RECORD_FIELDS = [f.name for f in fields(MetricsRecord)]
-
-
 def write_metrics_csv(path, records, projections=()) -> None:
     """Write ``records`` to ``path``, and each ``(path, names)`` projection from the same cells."""
     _write_rows(path, FIELD_ORDER, (vars(rec) for rec in records), projections)
 
 
 def read_metrics_csv(path) -> list[MetricsRecord]:
-    return [MetricsRecord(*values)
-            for values in zip(*_read_columns(path, FIELD_ORDER, _RECORD_FIELDS))]
+    names = [f.name for f in fields(MetricsRecord)]
+    return [MetricsRecord(*values) for values in zip(*_read_columns(path, FIELD_ORDER, names))]

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from samlab.data import DATASET_KINDS
 from samlab.diagnostics import NORM_TRACE_FIELDS
 from samlab.errors import ConfigurationError
-from samlab.harness import (OPTIMIZERS, ExperimentConfig, RunSummary, compare_report,
-                            compute_ais, config_from_dict, config_to_dict,
+from samlab.harness import (FILLED_FIELDS, OPTIMIZERS, ExperimentConfig, RunSummary,
+                            compare_report, compute_ais, config_from_dict, config_to_dict,
                             run_experiment, summarize, verify_run,
                             write_report_csv, REPORT_FIELDS)
 from samlab.metrics import FIELD_ORDER, MetricsRecord, read_metrics_csv, write_metrics_csv
@@ -130,19 +130,61 @@ def _set_cell(path, line, name, header, text):
     _tamper_line(path, line, edit)
 
 
-# norm-trace edits that still parse: (edit, does the parsed trace still match?)
+def _set_both(name, metrics_text, trace_text):
+    """An edit that writes one cell of line 3 in both files."""
+    def edit(seed_dir):
+        _set_cell(seed_dir / "metrics.csv", 3, name, FIELD_ORDER, metrics_text)
+        _set_cell(seed_dir / "norm_trace.csv", 3, name, NORM_TRACE_FIELDS, trace_text)
+    return edit
+
+
+def _edit_trace(edit):
+    """An edit of the norm trace's whole text."""
+    def apply(seed_dir):
+        path = seed_dir / "norm_trace.csv"
+        path.write_bytes(edit(path.read_bytes()))
+    return apply
+
+
+# edits after which metrics.csv still parses: (edit, verify's verdict on the norm trace)
 PARSEABLE = {
     "other value": (lambda seed_dir: _set_cell(seed_dir / "norm_trace.csv", 3, "l2_sgd",
-                                               NORM_TRACE_FIELDS, "1.5"), False),
+                                               NORM_TRACE_FIELDS, "1.5"),
+                    "[FAIL] norm trace matches metrics"),
     "same value, other text": (lambda seed_dir: _tamper_line(
         seed_dir / "norm_trace.csv", 3,
-        lambda cells: cells[:1] + ["+" + cells[1]] + cells[2:]), True),
+        lambda cells: cells[:1] + ["+" + cells[1]] + cells[2:]),
+        "[PASS] norm trace matches metrics"),
     # nan never equals itself, so a parsed nan never matches, even against a nan
-    "nan in both files": (lambda seed_dir: [
-        _set_cell(seed_dir / name, 3, "l2_psf", header, "nan")
-        for name, header in (("metrics.csv", FIELD_ORDER),
-                             ("norm_trace.csv", NORM_TRACE_FIELDS))], False),
+    "nan in both files": (_set_both("l2_psf", "nan", "nan"), "[FAIL] norm trace matches metrics"),
+    # a quoted metrics cell holding a line break parses (float strips it); the
+    # same text unquoted splits the trace's row, although the two texts agree
+    "cr in a quoted metrics cell": (_set_both("l2_sgd", '"0.5\r"', "0.5\r"),
+                                    "[FAIL] norm trace readable"),
+    "lf in a quoted metrics cell": (_set_both("l2_sgd", '"0.5\n"', "0.5\n"),
+                                    "[FAIL] norm trace readable"),
+    "crlf in a quoted metrics cell": (_set_both("l2_sgd", '"0.5\r\n"', "0.5\r\n"),
+                                      "[FAIL] norm trace readable"),
+    "negative zero in the trace": (_set_both("l2_sgd", "0.0", "-0.0"),
+                                   "[PASS] norm trace matches metrics"),
+    "inf in both files": (_set_both("l2_psf", "inf", "inf"), "[PASS] norm trace matches metrics"),
+    "lf line ends": (_edit_trace(lambda text: text.replace(b"\r\n", b"\n")),
+                     "[PASS] norm trace matches metrics"),
+    "no final crlf": (_edit_trace(lambda text: text[:-2]), "[PASS] norm trace matches metrics"),
+    "extra blank line": (_edit_trace(lambda text: text + b"\r\n"), "[FAIL] norm trace readable"),
 }
+
+
+def _parsed_trace_verdict(seed_dir):
+    """The norm-trace line of the parsed comparison: the parse error, or whether the values match."""
+    from samlab.diagnostics import norm_trace, read_norm_trace
+
+    try:
+        parsed = read_norm_trace(seed_dir / "norm_trace.csv")
+    except ConfigurationError as err:
+        return f"[FAIL] norm trace readable: {err}"
+    matches = parsed == norm_trace(read_metrics_csv(seed_dir / "metrics.csv"))
+    return f"[{'PASS' if matches else 'FAIL'}] norm trace matches metrics"
 
 
 def test_verify_run_builds_no_metrics_record(tmp_path, monkeypatch):
@@ -188,20 +230,75 @@ def test_verify_reports_other_empty_cells(tmp_path, column, line):
 
 @pytest.mark.parametrize("case", PARSEABLE)
 def test_verify_norm_trace_verdict_is_the_parsed_comparison(tmp_path, case):
-    from samlab.diagnostics import norm_trace, read_norm_trace
-
     out = run_experiment(config_from_dict(_base_config(tmp_path, seeds=[0])))
     seed_dir = out / "seed_0"
     _, clean = verify_run(seed_dir)
     assert clean[-1] == "[PASS] norm trace matches metrics"
-    edit, matches = PARSEABLE[case]
+    edit, verdict = PARSEABLE[case]
     edit(seed_dir)
-    parsed = read_norm_trace(seed_dir / "norm_trace.csv")
-    assert (parsed == norm_trace(read_metrics_csv(seed_dir / "metrics.csv"))) is matches
+    parsed = _parsed_trace_verdict(seed_dir)
+    assert parsed.startswith(verdict)
     ok, lines = verify_run(seed_dir)
-    assert ok is matches
-    assert lines[:-1] == clean[:-1]
-    assert lines[-1] == f"[{'PASS' if matches else 'FAIL'}] norm trace matches metrics"
+    assert ok is verdict.startswith("[PASS]")
+    assert lines == clean[:-1] + [parsed]
+
+
+def test_verify_parses_the_norm_trace_only_when_its_text_differs(tmp_path, monkeypatch):
+    from samlab import harness
+
+    out = run_experiment(config_from_dict(_base_config(tmp_path, seeds=[0])))
+    seed_dir = out / "seed_0"
+    read = []
+    real = harness._read_columns
+
+    def spy(path, *args, **kwargs):
+        read.append(path.name)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "_read_columns", spy)
+    ok, clean = verify_run(seed_dir)
+    assert ok and read == ["metrics.csv"]
+    # the same value as other text: the trace is parsed, and its values match
+    _set_both("l2_sgd", "0.5", "0.50")(seed_dir)
+    read.clear()
+    ok, lines = verify_run(seed_dir)
+    assert ok and lines == clean
+    assert read == ["metrics.csv", "norm_trace.csv"]
+
+
+def _first_unsampled_line(seed_dir, after):
+    rows = read_metrics_csv(seed_dir / "metrics.csv")
+    return next(i + 2 for i, row in enumerate(rows) if i + 2 > after and not row.sampled)
+
+
+@pytest.mark.parametrize("column", FILLED_FIELDS)
+def test_verify_reports_an_empty_cell_in_a_filled_column(tmp_path, column):
+    out = run_experiment(config_from_dict(_base_config(tmp_path, seeds=[0])))
+    seed_dir = out / "seed_0"
+    _, clean = verify_run(seed_dir)
+    # row 20; a row that did not sample for sampled, where an empty cell counts as 1 evaluation
+    line = _first_unsampled_line(seed_dir, 20) if column == "sampled" else 21
+    _set_cell(seed_dir / "metrics.csv", line, column, FIELD_ORDER, "")
+    if column in NORM_TRACE_FIELDS:  # the same empty cell in the trace, which then still matches
+        _set_cell(seed_dir / "norm_trace.csv", line, column, NORM_TRACE_FIELDS, "")
+    ok, lines = verify_run(seed_dir)
+    assert not ok
+    failure = f"[FAIL] every row fills its columns: line {line}: empty {column} cell"
+    if column == "cumulative_grad_evals":  # the accounting checks fail as well
+        assert lines[:2] == clean[:1] + [failure]
+    else:
+        assert lines == clean[:1] + [failure] + clean[1:]
+
+
+def test_verify_names_the_first_empty_filled_cell(tmp_path):
+    out = run_experiment(config_from_dict(_base_config(tmp_path, seeds=[0])))
+    seed_dir = out / "seed_0"
+    for line, column in ((30, "epoch"), (21, "wall_clock_seconds"), (21, "train_loss")):
+        _set_cell(seed_dir / "metrics.csv", line, column, FIELD_ORDER, "")
+    ok, lines = verify_run(seed_dir)
+    assert not ok
+    assert lines[1] == "[FAIL] every row fills its columns: line 21: empty train_loss cell"
+    assert sum(text.startswith("[FAIL]") for text in lines) == 1
 
 
 # ---------------------------------------------------------------------------

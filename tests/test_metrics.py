@@ -146,7 +146,8 @@ def test_read_columns_returns_the_written_columns(tmp_path_factory, columns, nam
     count = len(columns["iteration"])
     records = [MetricsRecord(**{name: columns[name][i] for name in FIELD_ORDER})
                for i in range(count)]
-    write_metrics_csv(tmp / "metrics.csv", records, [(tmp / "trace.csv", NORM_TRACE_FIELDS)])
+    write_metrics_csv(tmp / "metrics.csv", records, [(tmp / "trace.csv", NORM_TRACE_FIELDS),
+                                                     (tmp / "names.csv", names)])
 
     def read(path, header, names=None):
         got = _read_columns(path, header, names)
@@ -157,6 +158,29 @@ def test_read_columns_returns_the_written_columns(tmp_path_factory, columns, nam
     assert read(tmp / "metrics.csv", FIELD_ORDER, names) == _expected_columns(columns, names)
     assert read(tmp / "trace.csv", NORM_TRACE_FIELDS) == _expected_columns(columns,
                                                                          NORM_TRACE_FIELDS)
+    # the projection text read back is the projection file that the same write wrote
+    for projection, path in ((NORM_TRACE_FIELDS, "trace.csv"), (names, "names.csv")):
+        got, text = _read_columns(tmp / "metrics.csv", FIELD_ORDER, names, projection)
+        assert [[repr(v) for v in column] for column in got] == _expected_columns(columns, names)
+        assert text.encode("ascii") == (tmp / path).read_bytes()
+
+
+@pytest.mark.parametrize("cell, text", [
+    ('"0.5"', "0.5"),  # a quoted cell projects as the cell it tokenizes to
+    ('" 0.5"', " 0.5"),
+    ('"0.5\r"', None), ('"0.5\n"', None), ('"0.5\r\n"', None),  # a row over two lines
+])
+def test_projection_text_is_joined_from_the_tokenized_cells(tmp_path, cell, text):
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(path, [MetricsRecord(iteration=1, epoch=0, train_loss=0.25, l2_sgd=0.5,
+                                           sampled=False, cumulative_grad_evals=1,
+                                           wall_clock_seconds=0.1)])
+    data = path.read_text(encoding="ascii").replace(",0.5,", f",{cell},")
+    path.write_bytes(data.encode("ascii"))
+    (l2_sgd,), got = _read_columns(path, FIELD_ORDER, ["l2_sgd"], NORM_TRACE_FIELDS)
+    assert l2_sgd == [0.5]
+    head = ",".join(NORM_TRACE_FIELDS) + "\r\n"
+    assert got == (None if text is None else head + f"1,{text},,,,\r\n")
 
 
 def _trace_rows(count):

@@ -49,7 +49,11 @@ The cases:
   value; one value written as ``0.5`` in the metrics and ``0.50`` in the
   trace; ``nan`` in the same cell of both files; a metrics cell that does
   not parse; a short metrics row; a metrics byte outside ASCII; a trace one
-  row short; a wrong trace header; and no ``norm_trace.csv``.
+  row short; a wrong trace header; no ``norm_trace.csv``; a quoted metrics
+  cell holding a CR, an LF or a CRLF, with its text copied unquoted into the
+  trace; ``-0.0`` in the trace against ``0.0`` in the metrics; ``inf`` in the
+  same cell of both files; a trace with LF line ends; a trace without its
+  final CRLF; and a trace with one extra blank line.
 
 A run directory's digest covers every file in it: CSV files without their
 wall-clock columns, JSON files without wall-clock keys and the output path.
@@ -231,6 +235,20 @@ def _drop_last_trace_row(seed_dir):
     path.write_bytes(b"\r\n".join(lines[:-2] + lines[-1:]))
 
 
+def _edit_trace(edit):
+    """A damage that replaces the norm trace's bytes with ``edit`` of them."""
+    def damage(seed_dir):
+        path = seed_dir / "norm_trace.csv"
+        path.write_bytes(edit(path.read_bytes()))
+    return damage
+
+
+def _line_break_in_cell(brk):
+    """A quoted metrics cell holding ``brk`` (it parses), its text copied unquoted into the trace."""
+    return _both(_set_cell("metrics.csv", 3, b"l2_sgd", b'"0.5' + brk + b'"'),
+                 _set_cell("norm_trace.csv", 3, b"l2_sgd", b"0.5" + brk))
+
+
 # case name -> damage done to a copy of a vSAM seed directory; line 70 is in the second block
 DAMAGES = {
     "damaged_trace_other_value": _set_cell("norm_trace.csv", 3, b"l2_sgd", b"1.5"),
@@ -246,6 +264,16 @@ DAMAGES = {
     "damaged_trace_header": lambda seed_dir: _edit_line(
         seed_dir / "norm_trace.csv", 1, lambda cells: cells[::-1]),
     "damaged_trace_missing": lambda seed_dir: (seed_dir / "norm_trace.csv").unlink(),
+    "damaged_cr_in_quoted_cell": _line_break_in_cell(b"\r"),
+    "damaged_lf_in_quoted_cell": _line_break_in_cell(b"\n"),
+    "damaged_crlf_in_quoted_cell": _line_break_in_cell(b"\r\n"),
+    "damaged_trace_negative_zero": _both(_set_cell("metrics.csv", 3, b"l2_sgd", b"0.0"),
+                                         _set_cell("norm_trace.csv", 3, b"l2_sgd", b"-0.0")),
+    "damaged_inf_in_both": _both(_set_cell("metrics.csv", 3, b"l2_psf", b"inf"),
+                                 _set_cell("norm_trace.csv", 3, b"l2_psf", b"inf")),
+    "damaged_trace_lf_line_ends": _edit_trace(lambda text: text.replace(b"\r\n", b"\n")),
+    "damaged_trace_no_final_crlf": _edit_trace(lambda text: text[:-2]),
+    "damaged_trace_extra_blank_line": _edit_trace(lambda text: text + b"\r\n"),
 }
 
 
