@@ -6,7 +6,7 @@ Subcommands:
     verify <seed-dir>       recheck accounting and summary consistency
     gen-data <kind> ...     write a dataset file
     check-bounds ...        curvature-bound sweep over random PD matrices
-    selfcheck               quick end-to-end invariant suite
+    selfcheck               tiny real runs, each checked by verify
 
 Numbers that must survive a round-trip are printed with 17 significant
 digits.
@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bnd.add_argument("--seed", type=int, default=0)
     p_bnd.set_defaults(fn=_cmd_check_bounds)
 
-    p_self = sub.add_parser("selfcheck", help="run the invariant suite")
+    p_self = sub.add_parser("selfcheck", help="run tiny configs and verify each one")
     p_self.set_defaults(fn=_cmd_selfcheck)
 
     return parser

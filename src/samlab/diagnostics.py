@@ -1,12 +1,9 @@
-"""Numerical verification of the optimizer's structural claims.
+"""The curvature bound on the sharpness correction, and the norm trace.
 
-Covers two checks:
-
-* the bound ||correction|| <= rho * sum_i eigenvalue_i * |cos(angle_i)|
-  relating the sharpness correction to the Hessian spectrum (holds when the
-  Hessian is positive definite),
-* the first-order identity correction ~ rho * H g / ||g||, exact on
-  quadratics and O(rho^2) elsewhere.
+The bound is ||correction|| <= rho * sum_i eigenvalue_i * |cos(angle_i)|,
+relating the correction to the Hessian spectrum; it holds when the Hessian
+is positive definite. The first-order identity correction ~ rho * H g / ||g||
+is checked by the tests, with ``decomposition_residual`` in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -17,12 +14,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .metrics import _read_columns, _write_rows
-from .objectives import Workspace, eval_grad
-from .optim import perturbation
-from .params import require_finite
 
 BOUND_SLACK_TOL = 1e-12
-HVP_FD_STEP = 1e-4
 
 
 @dataclass
@@ -101,35 +94,6 @@ def bound_sweep(cases: int, dims, seed: int, rho: float = 0.1):
         g = rng.standard_normal(dim)
         results.append(check_psf_bound(a, g, rho))
     return results
-
-
-def decomposition_residual(spec, w, batch, rho: float) -> float:
-    """Distance between the measured correction and rho * H g / ||g||.
-
-    H g/||g|| is analytic for quadratics and a central finite difference of
-    the gradient along g/||g|| otherwise. Exact (to roundoff) on quadratics;
-    shrinks like rho^2 on smooth non-quadratic objectives. At a degenerate
-    gradient both sides vanish by contract and the residual is zero. The
-    correction is the one SAM step computes at w: the gradient at
-    w + perturbation(g, rho), minus g.
-    """
-    ws = Workspace()  # one set of buffers for every evaluation here
-    _, g = eval_grad(spec, w, batch, ws)
-    g_norm = float(np.linalg.norm(g))
-    if g_norm < 1e-12:
-        return 0.0
-    direction = g / g_norm
-    if spec.kind == "quadratic":
-        hv = spec.a @ direction + (2.0 * spec.weight_decay) * direction
-    else:
-        h = HVP_FD_STEP
-        _, g_up = eval_grad(spec, w.values + h * direction, batch, ws)
-        _, g_down = eval_grad(spec, w.values - h * direction, batch, ws)
-        hv = (g_up - g_down) / (2.0 * h)
-    w_pert = w.values + perturbation(g, rho, g_norm)
-    require_finite(w_pert)
-    _, g_sam = eval_grad(spec, w_pert, batch, ws)
-    return float(np.linalg.norm((g_sam - g) - rho * hv))
 
 
 # ---------------------------------------------------------------------------

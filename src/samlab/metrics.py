@@ -69,7 +69,9 @@ FIELD_ORDER = [
 
 _INT_FIELDS = {"iteration", "epoch", "cumulative_grad_evals"}
 _BOOL_FIELDS = {"psf_stale", "sampled", "v_fallback"}
-WALL_CLOCK_FIELDS = {"wall_clock_seconds"}
+# wall-clock-class fields: timings and what is computed from them (a summary's AIS,
+# a report's AIS mean and spread), outside the bit-identity contract of a run's output
+WALL_CLOCK_FIELDS = {"wall_clock_seconds", "ais", "ais_mean", "ais_std"}
 
 
 @dataclass

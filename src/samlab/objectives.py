@@ -39,15 +39,15 @@ same subtraction, and elsewhere it subtracts 0.0, and x - 0.0 has the bits
 of x for every double, -0.0 and NaN included.
 
 One kernel, ``_mlp``, serves ``eval_grad``, ``eval_loss``, ``eval_heldout``
-and ``mlp_predict``. It writes every intermediate into a ``Workspace``:
+and ``mlp_accuracy``. It writes every intermediate into a ``Workspace``:
 hidden activations, logits, softmax terms and backprop buffers, built once
 per (layer layout, row count), plus the per-layer weight views, built once
 per weight buffer. The workspace also holds the weight-decay term's buffer,
 one per parameter count. The caller owns it: the training loop builds one
-per run and passes it to every evaluation, ``fd_gradient`` keeps one across
-its probes, and an MLP call without one gets a fresh one. The module keeps
-no scratch memory of its own. The returned loss, gradient and accuracy
-never alias a workspace: the gradient is a new array on every call.
+per run and passes it to every evaluation, and an MLP call without one
+gets a fresh one. The module keeps no scratch memory of its own. The
+returned loss, gradient and accuracy never alias a workspace: the gradient
+is a new array on every call.
 """
 
 from __future__ import annotations
@@ -257,7 +257,7 @@ def eval_heldout(spec: ObjectiveSpec, values: np.ndarray, batch: Batch,
                  workspace: Workspace | None = None):
     """(loss, accuracy) of the MLP on ``batch`` from a single forward pass.
 
-    The bits of ``eval_loss`` and ``mlp_accuracy``, which run the pass once each.
+    The loss has the bits of ``eval_loss``'s.
     """
     loss, logits = _evaluate(spec, values, batch, False, workspace)
     return loss, float(np.mean(np.argmax(logits, axis=1) == batch.targets))
@@ -583,7 +583,7 @@ class Workspace:
 
 
 def _mlp(layout, tanh, values, inputs, targets, with_grad, ws):
-    """The MLP kernel: logits when ``targets`` is None, else (loss, gradient or logits).
+    """The MLP kernel: (loss, gradient or logits).
 
     ``targets`` is ``_target_index``'s (index, one-hot mask) of the rows.
     """
@@ -602,8 +602,6 @@ def _mlp(layout, tanh, values, inputs, targets, with_grad, ws):
     w, bias, _ = layers[-1]
     logits = np.matmul(a, w, out=r.logits)
     logits += bias
-    if targets is None:
-        return logits
     index, onehot = targets
 
     # max is exact, so a column-by-column maximum equals np.maximum.reduce
@@ -656,35 +654,7 @@ def _mlp(layout, tanh, values, inputs, targets, with_grad, ws):
     return loss, grad
 
 
-def mlp_predict(spec: ObjectiveSpec, w: ParamVector, inputs: np.ndarray) -> np.ndarray:
-    """Class predictions (argmax of the logits)."""
-    logits = _mlp(_mlp_layout(spec.layer_sizes), spec.activation == "tanh", w.values,
-                  np.asarray(inputs, dtype=np.float64), None, False, Workspace())
-    return np.argmax(logits, axis=1)
-
-
 def mlp_accuracy(spec: ObjectiveSpec, w: ParamVector, inputs, targets) -> float:
-    pred = mlp_predict(spec, w, inputs)
-    return float(np.mean(pred == np.asarray(targets)))
-
-
-# ---------------------------------------------------------------------------
-# finite differences
-
-def fd_gradient(spec: ObjectiveSpec, w: ParamVector, batch: Batch | None, h: float) -> np.ndarray:
-    """Central-difference gradient (L(w + h e_i) - L(w - h e_i)) / 2h."""
-    if h <= 0.0:
-        raise ConfigurationError("finite-difference step h must be positive")
-    base = w.values
-    grad = np.empty(base.size)
-    ws = Workspace()  # one set of buffers for every probe
-    for i in range(base.size):
-        bumped = base.copy()
-        bumped[i] = base[i] + h
-        up = eval_loss(spec, bumped, batch, ws)
-        bumped[i] = base[i] - h
-        down = eval_loss(spec, bumped, batch, ws)
-        grad[i] = (up - down) / (2.0 * h)
-    if not np.isfinite(grad).all():
-        raise NumericError("non-finite value while probing the loss")
-    return grad
+    """Share of rows whose largest logit is the target's: ``eval_heldout``'s accuracy."""
+    targets = np.asarray(targets)
+    return eval_heldout(spec, w.values, Batch(inputs, targets, np.arange(targets.shape[0])))[1]

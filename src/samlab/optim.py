@@ -88,11 +88,6 @@ def learning_rates(opt: OptimizerConfig, first: int, total: int):
     return (0.5 * eta0 * (1.0 + math.cos(math.pi * (t - 1) / total)) for t in count(first))
 
 
-def learning_rate(opt: OptimizerConfig, t: int, total: int) -> float:
-    """Learning rate at 1-based iteration t of a run planned for `total`."""
-    return next(learning_rates(opt, t, total))
-
-
 def perturbation(g: np.ndarray, rho: float, norm: float | None = None) -> np.ndarray:
     """rho * g / ||g||; the zero vector when the gradient is degenerate.
 

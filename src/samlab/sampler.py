@@ -29,12 +29,12 @@ windows are sorted as rows of one array and split into their M slices, and
 each slice's sum and sum of squared deviations are reduced along an axis on
 which numpy adds one value at a time, strictly left to right. A window that
 holds fewer values than slices, as a run's first M - 1 do, is one slice, so
-its statistic is the population variance of its values. ``sliced_variance``
-is the same routine on one window. Between settles the norm buffer holds the
-pending values past the window too, while the variance history grows only at
-a settle, so ``len(gnorm_buffer) - len(v_history)`` is the number of pending
-samples. A settled state holds the same fields and values as one that was
-settled after every sample.
+its statistic is the population variance of its values; ``sliced_variance``
+in ``tests/helpers.py`` runs the same routine on one window. Between settles
+the norm buffer holds the pending values past the window too, while the
+variance history grows only at a settle, so ``len(gnorm_buffer) -
+len(v_history)`` is the number of pending samples. A settled state holds the
+same fields and values as one that was settled after every sample.
 
 ``should_sample`` takes its Bernoulli uniforms from a block of
 ``DRAW_BLOCK`` drawn with one ``random(DRAW_BLOCK)`` call, which gives the
@@ -121,24 +121,6 @@ def init_sampler(config: SamplerConfig, seed: int) -> SamplerState:
         p=min(float(config.s1) / config.n_window, config.p_max),
         rng_stream=np.random.default_rng([seed, 0x5A]),
     )
-
-
-def sliced_variance(values, m_slices: int) -> float:
-    """Mean of per-slice population variances of the ascending-sorted values.
-
-    Sorting first makes the statistic robust to isolated extreme norms: an
-    outlier inflates only its own slice. With fewer values than slices the
-    population variance of everything is returned instead. This is
-    ``settle``'s block routine on one window.
-    """
-    if len(values) == 0:
-        raise ConfigurationError("sliced_variance needs at least one value")
-    # with one slice the block's one window is reduced along a contiguous axis,
-    # which numpy sums pairwise rather than left to right
-    if m_slices < 2:
-        raise ConfigurationError("need at least 2 variance slices")
-    values = list(map(float, values))
-    return _block_sliced_variance(values, len(values) - 1, len(values), m_slices)[0]
 
 
 def change_rate_series(history, eps: float) -> float:

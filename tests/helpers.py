@@ -7,13 +7,17 @@ against a separate code path rather than against themselves. The
 middle sections keep earlier versions of optimised code (the MLP kernel,
 per-batch gathering, the ``csv.writer`` codec, the sharp/flat landscape and
 its ridge scan) as references that the current code must match byte for byte.
-The last section holds what only tests use: ``sam_gradient`` (both
-evaluations of one SAM step, as a ``GradientTriple``), the reference route
-that the training loop's rows and ``decomposition_residual`` must match bit
-for bit; ``convergence_metric``, the logged ||g + gamma * correction||^2;
-``grad_eval_ratio`` of two run summaries; and
-``sharp_flat_designed_losses``. ``hessian_oracle`` gives the full Hessian of
-an objective at a point, and its spectrum, from central differences of the
+Then comes what only tests use: ``sam_gradient`` (both evaluations of one
+SAM step, as a ``GradientTriple``), the reference route that the training
+loop's rows and ``decomposition_residual`` must match bit for bit;
+``convergence_metric``, the logged ||g + gamma * correction||^2;
+``grad_eval_ratio`` of two run summaries; and ``sharp_flat_designed_losses``.
+Four checks follow that the package once exported and only the tests call:
+``fd_gradient`` (central differences of the loss), ``decomposition_residual``
+(the correction against rho * H g / ||g||), ``sliced_variance`` (the
+sampler's block routine on one window) and ``learning_rate`` (one value of
+the run's schedule). ``hessian_oracle`` gives the full Hessian of an
+objective at a point, and its spectrum, from central differences of the
 gradient: the sharpness of a run's final weights.
 """
 
@@ -26,9 +30,10 @@ import numpy as np
 
 from samlab.data import Batch
 from samlab.errors import ConfigurationError, NumericError
-from samlab.objectives import eval_grad, param_segments
-from samlab.optim import perturbation
+from samlab.objectives import Workspace, eval_grad, eval_loss, param_segments
+from samlab.optim import learning_rates, perturbation
 from samlab.params import default_subset, l2_norm, require_finite, subset_norm
+from samlab.sampler import _block_sliced_variance
 
 
 def scalar_mlp_loss(layer_sizes, activation, weight_decay, values, inputs, targets):
@@ -549,6 +554,84 @@ def grad_eval_ratio(run_a, run_b):
 def sharp_flat_designed_losses(spec):
     """(loss at sharp bottom, loss at flat bottom) with weight_decay = 0."""
     return -spec.depth_gap, 0.0
+
+
+# ---------------------------------------------------------------------------
+# checks that were library functions: the finite-difference gradient, the
+# decomposition residual, one window's sliced variance and one learning rate
+
+def fd_gradient(spec, w, batch, h):
+    """Central-difference gradient (L(w + h e_i) - L(w - h e_i)) / 2h."""
+    if h <= 0.0:
+        raise ConfigurationError("finite-difference step h must be positive")
+    base = w.values
+    grad = np.empty(base.size)
+    ws = Workspace()  # one set of buffers for every probe
+    for i in range(base.size):
+        bumped = base.copy()
+        bumped[i] = base[i] + h
+        up = eval_loss(spec, bumped, batch, ws)
+        bumped[i] = base[i] - h
+        down = eval_loss(spec, bumped, batch, ws)
+        grad[i] = (up - down) / (2.0 * h)
+    if not np.isfinite(grad).all():
+        raise NumericError("non-finite value while probing the loss")
+    return grad
+
+
+HVP_FD_STEP = 1e-4
+
+
+def decomposition_residual(spec, w, batch, rho):
+    """Distance between the measured correction and rho * H g / ||g||.
+
+    H g/||g|| is analytic for quadratics and a central finite difference of
+    the gradient along g/||g|| otherwise. Exact (to roundoff) on quadratics;
+    shrinks like rho^2 on smooth non-quadratic objectives. At a degenerate
+    gradient both sides vanish by contract and the residual is zero. The
+    correction is the one SAM step computes at w: the gradient at
+    w + perturbation(g, rho), minus g.
+    """
+    ws = Workspace()  # one set of buffers for every evaluation here
+    _, g = eval_grad(spec, w, batch, ws)
+    g_norm = float(np.linalg.norm(g))
+    if g_norm < 1e-12:
+        return 0.0
+    direction = g / g_norm
+    if spec.kind == "quadratic":
+        hv = spec.a @ direction + (2.0 * spec.weight_decay) * direction
+    else:
+        h = HVP_FD_STEP
+        _, g_up = eval_grad(spec, w.values + h * direction, batch, ws)
+        _, g_down = eval_grad(spec, w.values - h * direction, batch, ws)
+        hv = (g_up - g_down) / (2.0 * h)
+    w_pert = w.values + perturbation(g, rho, g_norm)
+    require_finite(w_pert)
+    _, g_sam = eval_grad(spec, w_pert, batch, ws)
+    return float(np.linalg.norm((g_sam - g) - rho * hv))
+
+
+def sliced_variance(values, m_slices):
+    """Mean of per-slice population variances of the ascending-sorted values.
+
+    Sorting first makes the statistic robust to isolated extreme norms: an
+    outlier inflates only its own slice. With fewer values than slices the
+    population variance of everything is returned instead. This is
+    ``settle``'s block routine on one window.
+    """
+    if len(values) == 0:
+        raise ConfigurationError("sliced_variance needs at least one value")
+    # with one slice the block's one window is reduced along a contiguous axis,
+    # which numpy sums pairwise rather than left to right
+    if m_slices < 2:
+        raise ConfigurationError("need at least 2 variance slices")
+    values = list(map(float, values))
+    return _block_sliced_variance(values, len(values) - 1, len(values), m_slices)[0]
+
+
+def learning_rate(opt, t, total):
+    """Learning rate at 1-based iteration t of a run planned for `total`."""
+    return next(learning_rates(opt, t, total))
 
 
 # ---------------------------------------------------------------------------

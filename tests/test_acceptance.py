@@ -13,18 +13,17 @@ from samlab.data import generate_dataset
 from samlab.diagnostics import (bound_sweep, check_psf_bound, norm_trace,
                                 random_pd_matrix, read_norm_trace)
 from samlab.harness import config_from_dict, run_experiment, RunSummary, verify_run
-from samlab.metrics import FIELD_ORDER, read_metrics_csv
+from samlab.metrics import FIELD_ORDER, WALL_CLOCK_FIELDS, read_metrics_csv
 from samlab.objectives import (SHARP_FLAT_CALIBRATION, classify_basin, eval_grad,
-                               fd_gradient, init_params, make_mlp_classifier,
-                               make_quadratic, make_rosenbrock, make_sharp_flat,
-                               sharp_flat_centers)
+                               init_params, make_mlp_classifier, make_quadratic,
+                               make_rosenbrock, make_sharp_flat, sharp_flat_centers)
 from samlab.optim import OptimizerConfig, run_sam, run_sgd, run_vsam
 from samlab.params import ParamVector
 from samlab.sampler import (SamplerConfig, begin_windowing, init_sampler, note_sample,
                             settle, should_sample, update_rate)
 
-from helpers import (grad_eval_ratio, replay_sampler, sam_gradient, symmetric_eigen,
-                     whole_dataset_batch)
+from helpers import (fd_gradient, grad_eval_ratio, replay_sampler, sam_gradient,
+                     symmetric_eigen, whole_dataset_batch)
 
 
 def _report(criterion, text):
@@ -397,7 +396,7 @@ def test_criterion_12_reproducibility(moons_runs, tmp_path):
     assert len(first) == len(second)
     for a, b in zip(first, second):
         for name in FIELD_ORDER:
-            if name == "wall_clock_seconds":
+            if name in WALL_CLOCK_FIELDS:
                 continue
             assert getattr(a, name) == getattr(b, name), name
     assert (rerun / "seed_0" / "norm_trace.csv").read_bytes() == \

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
+from samlab import harness
 from samlab.cli import main
+from samlab.harness import OUTPUT_ROOT_ENV
 from samlab.data import load_dataset
 
 
@@ -288,3 +291,53 @@ def test_selfcheck_command(capsys):
     assert main(["selfcheck"]) == 0
     out = capsys.readouterr().out
     assert "[FAIL]" not in out
+
+
+SELFCHECK_LINES = [
+    *(f"[PASS] {name} seed_{seed} verifies"
+      for name in ("sgd", "sam", "sam_k", "vsam") for seed in (0, 1)),
+    "[PASS] sharp_flat_vsam seed_0 verifies",
+    "[PASS] vsam reruns identically outside the wall-clock fields",
+]
+
+
+def test_selfcheck_prints_one_line_per_seed_directory(capsys):
+    assert main(["selfcheck"]) == 0
+    assert capsys.readouterr().out.splitlines() == SELFCHECK_LINES
+
+
+def test_selfcheck_fails_on_a_run_that_does_not_verify(capsys, monkeypatch):
+    original = harness.summarize
+
+    def miscounted(*args):
+        summary = original(*args)
+        return dataclasses.replace(summary, iterations=summary.iterations + 1)
+
+    monkeypatch.setattr(harness, "summarize", miscounted)
+    assert main(["selfcheck"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    at = out.index("[FAIL] sgd seed_0 verifies")
+    assert "    [FAIL] summary iterations" in out[at + 1:out.index("[FAIL] sgd seed_1 verifies")]
+    assert not any(line.startswith("[PASS]") and "seed_" in line for line in out)
+
+
+def test_selfcheck_fails_on_a_run_that_crashes(capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(harness, "run_sam", crash)
+    assert main(["selfcheck"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "[FAIL] sam (boom)" in out and "[PASS] sgd seed_0 verifies" in out
+    assert "    RuntimeError: boom" in out  # the traceback's last line
+
+
+def test_selfcheck_writes_only_to_a_temporary_directory(tmp_path, capsys, monkeypatch):
+    root, cwd = tmp_path / "root", tmp_path / "cwd"
+    root.mkdir()
+    cwd.mkdir()
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(root))
+    monkeypatch.chdir(cwd)
+    assert main(["selfcheck"]) == 0
+    assert capsys.readouterr().out.splitlines() == SELFCHECK_LINES
+    assert list(root.iterdir()) == [] and list(cwd.iterdir()) == []

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from samlab import diagnostics, objectives
+from samlab import objectives
 from samlab.data import generate_dataset, train_test_split
-from samlab.diagnostics import (bound_sweep, check_psf_bound, decomposition_residual,
-                                norm_trace, random_pd_matrix, read_norm_trace,
-                                write_norm_trace)
+from samlab.diagnostics import (bound_sweep, check_psf_bound, norm_trace, random_pd_matrix,
+                                read_norm_trace, write_norm_trace)
 from samlab.errors import ConfigurationError
 from samlab.metrics import MetricsRecord
 from samlab.objectives import (eval_grad, init_params, make_mlp_classifier, make_quadratic,
@@ -13,8 +12,9 @@ from samlab.objectives import (eval_grad, init_params, make_mlp_classifier, make
 from samlab.optim import OptimizerConfig, run_sam
 from samlab.params import ParamVector
 
-from helpers import (HESSIAN_FD_STEP, convergence_metric, float_bits, hessian_oracle,
-                     sam_gradient, symmetric_eigen, whole_dataset_batch)
+from helpers import (HESSIAN_FD_STEP, HVP_FD_STEP, convergence_metric,
+                     decomposition_residual, float_bits, hessian_oracle, sam_gradient,
+                     symmetric_eigen, whole_dataset_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +231,7 @@ def _residual_via_sam_gradient(spec, w, batch, rho):
     if spec.kind == "quadratic":
         hv = spec.a @ direction + (2.0 * spec.weight_decay) * direction
     else:
-        h = diagnostics.HVP_FD_STEP
+        h = HVP_FD_STEP
         _, g_up = eval_grad(spec, w.values + h * direction, batch)
         _, g_down = eval_grad(spec, w.values - h * direction, batch)
         hv = (g_up - g_down) / (2.0 * h)

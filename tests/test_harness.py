@@ -15,7 +15,8 @@ from samlab.harness import (FILLED_FIELDS, OPTIMIZERS, ExperimentConfig, RunSumm
                             compare_report, compute_ais, config_from_dict, config_to_dict,
                             run_experiment, summarize, verify_run,
                             write_report_csv, REPORT_FIELDS)
-from samlab.metrics import FIELD_ORDER, MetricsRecord, read_metrics_csv, write_metrics_csv
+from samlab.metrics import (FIELD_ORDER, WALL_CLOCK_FIELDS, MetricsRecord, read_metrics_csv,
+                            write_metrics_csv)
 from samlab.objectives import ACTIVATIONS, OBJECTIVE_KINDS, param_segments
 from samlab.optim import LR_SCHEDULES, OptimizerConfig
 from samlab.sampler import SamplerConfig
@@ -559,7 +560,7 @@ def test_run_experiment_deterministic_modulo_wall_clock(tmp_path):
     assert len(recs1) == len(recs2)
     for a, b in zip(recs1, recs2):
         for name in FIELD_ORDER:
-            if name == "wall_clock_seconds":
+            if name in WALL_CLOCK_FIELDS:
                 continue
             assert getattr(a, name) == getattr(b, name), name
     assert (out1 / "seed_4" / "norm_trace.csv").read_bytes() == \
@@ -641,7 +642,7 @@ def test_rerun_writes_config_and_aggregate_as_new_files(tmp_path):
 
     def without_wall_clock(text):
         return [line for line in text.splitlines()
-                if '"ais"' not in line and '"wall_clock_seconds"' not in line]
+                if not any(f'"{name}"' in line for name in WALL_CLOCK_FIELDS)]
 
     for name, text in rerun.items():
         new = (out / name).read_text(encoding="utf-8")

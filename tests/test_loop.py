@@ -18,6 +18,7 @@ import pytest
 from samlab import optim
 from samlab.data import generate_dataset, make_batches, train_test_split
 from samlab.errors import ConfigurationError, NumericError
+from samlab.metrics import WALL_CLOCK_FIELDS
 from samlab.objectives import (SHARP_FLAT_CALIBRATION, init_params, make_mlp_classifier,
                                make_quadratic, make_sharp_flat)
 from samlab.params import ParamVector
@@ -158,8 +159,8 @@ def test_a_later_run_leaves_an_earlier_result_and_its_inputs_alone(method, task)
 
 
 def _rows(records, evals_before=0):
-    return [dict(vars(r), wall_clock_seconds=None,
-                 cumulative_grad_evals=r.cumulative_grad_evals + evals_before)
+    return [{k: v for k, v in vars(r).items() if k not in WALL_CLOCK_FIELDS}
+            | {"cumulative_grad_evals": r.cumulative_grad_evals + evals_before}
             for r in records]
 
 
@@ -356,7 +357,7 @@ def test_block_draws_leave_the_generator_where_per_call_draws_do(monkeypatch, ru
         monkeypatch.setattr(optim, "init_sampler", init)
         monkeypatch.setattr(optim, "should_sample", decide)
         records, *_ = run()
-        rows = [{k: v for k, v in vars(r).items() if k != "wall_clock_seconds"} for r in records]
+        rows = [{k: v for k, v in vars(r).items() if k not in WALL_CLOCK_FIELDS} for r in records]
         (state, initial), = created
         final = state.rng_stream.bit_generator.state
         assert final != initial  # the run made Bernoulli draws

@@ -10,15 +10,14 @@ from samlab.errors import ConfigurationError
 from samlab import objectives
 from samlab.objectives import (SHARP_FLAT_CALIBRATION, ObjectiveSpec, Workspace, classify_basin,
                                eval_grad, eval_heldout,
-                               eval_loss, fd_gradient, init_params, make_mlp_classifier,
+                               eval_loss, init_params, make_mlp_classifier,
                                make_quadratic, make_rosenbrock, make_sharp_flat, mlp_accuracy,
-                               mlp_predict,
                                param_segments, prime_epoch, sharp_flat_centers,
                                sharp_flat_ridge)
 from samlab.optim import OptimizerConfig, run_sgd
 from samlab.params import ParamVector
 
-from helpers import (oracle_mlp_eval, oracle_mlp_predict, oracle_sharp_flat,
+from helpers import (fd_gradient, oracle_mlp_eval, oracle_mlp_predict, oracle_sharp_flat,
                      oracle_sharp_flat_ridge, scalar_mlp_loss, sharp_flat_designed_losses,
                      whole_dataset_batch)
 
@@ -179,8 +178,9 @@ def _bits(x: float) -> bytes:
 def test_mlp_kernel_matches_parent_oracle_bit_for_bit(hidden, input_dim, n_classes, activation,
                                                       weight_decay, n, data, seed,
                                                       target_dtype):
-    """eval_grad, eval_loss and mlp_predict equal the pre-trim kernel (tests/helpers.py)
-    byte for byte: the order of floating-point operations is part of the contract."""
+    """eval_grad, eval_loss, eval_heldout and mlp_accuracy equal the pre-trim kernel
+    (tests/helpers.py) byte for byte: the order of floating-point operations is part
+    of the contract."""
     sizes = (input_dim, *hidden, n_classes)
     spec = make_mlp_classifier(sizes, activation=activation, weight_decay=weight_decay)
     rng = np.random.default_rng(seed)
@@ -210,8 +210,8 @@ def test_mlp_kernel_matches_parent_oracle_bit_for_bit(hidden, input_dim, n_class
         heldout_loss, heldout_acc = eval_heldout(spec, w.values, batch)
         assert _bits(heldout_loss) == _bits(eval_loss(spec, w, batch))
         assert _bits(heldout_acc) == _bits(mlp_accuracy(spec, w, batch.inputs, batch.targets))
-    assert np.array_equal(mlp_predict(spec, w, ds.inputs),
-                          oracle_mlp_predict(spec, w.values, ds.inputs))
+    assert _bits(mlp_accuracy(spec, w, ds.inputs, ds.targets)) == _bits(float(np.mean(
+        oracle_mlp_predict(spec, w.values, ds.inputs) == ds.targets)))
 
 
 def _assert_matches_oracle(spec, values, batch):
@@ -275,8 +275,8 @@ def test_two_specs_and_row_counts_share_one_workspace():
                 assert _bits(acc) == _bits(float(np.mean(
                     oracle_mlp_predict(spec, values, batch.inputs) == batch.targets)))
                 assert _bits(eval_loss(spec, values, batch, workspace)) == _bits(loss)
-            assert np.array_equal(mlp_predict(spec, ParamVector(values), ds.inputs),
-                                  oracle_mlp_predict(spec, values, ds.inputs))
+            assert _bits(mlp_accuracy(spec, ParamVector(values), ds.inputs, ds.targets)) == \
+                _bits(float(np.mean(oracle_mlp_predict(spec, values, ds.inputs) == ds.targets)))
         values *= 1.5
 
 

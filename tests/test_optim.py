@@ -11,15 +11,14 @@ from samlab.errors import ConfigurationError, ContractViolationError
 from samlab.harness import config_from_dict, run_experiment, verify_run
 from samlab.metrics import FIELD_ORDER, WALL_CLOCK_FIELDS, read_metrics_csv
 from samlab.objectives import eval_grad, init_params, make_mlp_classifier, make_quadratic
-from samlab.optim import (LR_SCHEDULES, OptimizerConfig, PSFCache,
-                          learning_rate, learning_rates,
+from samlab.optim import (LR_SCHEDULES, OptimizerConfig, PSFCache, learning_rates,
                           perturbation, reuse_coefficient, run_sam, run_sam_k,
                           run_sgd, run_vsam, step_reuse,
                           step_sampling, step_sgd)
 from samlab.params import ParamVector
 from samlab.sampler import SamplerConfig
 
-from helpers import GradientTriple, float_bits, sam_gradient
+from helpers import GradientTriple, float_bits, learning_rate, sam_gradient
 
 # one SAM step on the diag(1,10) quadratic from (1,1), eta=0.01, rho=0.1,
 # computed by an independent closed-form script: w - eta*A*(w + rho*A w/||A w||)

@@ -7,11 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 from samlab.errors import ConfigurationError, NumericError
 from samlab.sampler import (SamplerConfig, SamplerState, begin_windowing,
                             change_rate_series, init_sampler, note_sample,
-                            record_sample, settle, should_sample, sliced_variance,
-                            sync_draws, update_rate)
+                            record_sample, settle, should_sample, sync_draws,
+                            update_rate)
 
 from helpers import (_oracle_sliced_variance, float_bits, per_call_should_sample,
-                     replay_sampler, sampler_state_bits)
+                     replay_sampler, sampler_state_bits, sliced_variance)
 
 
 def _cfg(**kwargs):

@@ -175,3 +175,26 @@ def test_ab_bench_runs_both_sides_from_source(tmp_path, monkeypatch):
     monkeypatch.setattr(ab.subprocess, "run", fake_run)
     assert ab.bench_once(tmp_path, "run_audit", 0) == ({}, True, 0, None, None)
     assert seen[0]["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
+def test_ab_bench_records_the_base_as_a_full_hash(tmp_path, monkeypatch):
+    # `--base HEAD` written as given would name the change itself once it is committed
+    ab = _ab_bench()
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "BENCHMARK.json").write_text('{"end_to_end": []}\n', encoding="utf-8")
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+           "-c", "commit.gpgsign=false"]
+    for command in (["init", "-q"], ["add", "BENCHMARK.json"], ["commit", "-q", "-m", "base"]):
+        subprocess.run(git + command, cwd=repo, check=True, capture_output=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    monkeypatch.setattr(ab, "ROOT", repo)
+    monkeypatch.setattr(ab, "run_pairs", lambda *args: {"metrics": {}})
+    monkeypatch.setattr(ab, "digests", lambda *args: {"cases": 0, "identical": True})
+    assert ab.main(["--base", "HEAD", "--label", "t", "--work", str(tmp_path / "work"),
+                    "--run", "run_audit:0:1"]) == 0
+    base = json.loads((repo / "BENCH_t.json").read_text(encoding="utf-8"))["base"]
+    assert re.fullmatch("[0-9a-f]{40}", base) and base == head
+    with pytest.raises(SystemExit, match="names no commit"):
+        ab.resolve("no-such-revision")

@@ -3,8 +3,9 @@
     python tools/ab_bench.py --base <rev> --label <label> --work <dir> \\
         --run basin_sweep:0:10 --run basin_sweep:1:3
 
-``--base`` is unpacked from ``git archive`` under ``--work``. The change is
-this checkout's working tree. Each ``--run WORKLOAD:SEED:PAIRS`` runs
+``--base`` is resolved to its commit's full hash, which the record keeps, and
+unpacked from ``git archive`` under ``--work``. The change is this
+checkout's working tree. Each ``--run WORKLOAD:SEED:PAIRS`` runs
 ``perfbench/run.py --seconds 20 --trace 0`` once on each side per pair, one
 after the other, and swaps which side goes first from one pair to the next,
 so that a drift in the host's speed falls on both sides alike. Then this
@@ -89,6 +90,15 @@ def parse_run(stdout):
     context = next((json.loads(line[len("# context "):]) for line in lines
                     if line.startswith("# context ")), {})
     return result, context
+
+
+def resolve(rev) -> str:
+    """The full hash of the commit that ``rev`` names in this checkout."""
+    done = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"ab_bench: {rev!r} names no commit: {done.stderr.strip()}")
+    return done.stdout.strip()
 
 
 def unpack(rev, dest: Path) -> Path:
@@ -192,14 +202,15 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     work = args.work.resolve()
+    base = resolve(args.base)  # a name such as HEAD would later name another commit
     change = check_tree(ROOT)
-    trees = {"base": check_tree(unpack(args.base, work / "base")), "change": change}
+    trees = {"base": check_tree(unpack(base, work / "base")), "change": change}
     load_before = os.getloadavg()
     runs = [run_pairs(trees, workload, seed, pairs, spec)
             for workload, seed, pairs in args.run]
     load_after = os.getloadavg()
     record = {
-        "label": args.label, "base": args.base, "change": "working tree",
+        "label": args.label, "base": base, "change": "working tree",
         "load_avg": {"before": load_before, "after": load_after},
         "nproc": os.cpu_count(),
         "runs": runs,

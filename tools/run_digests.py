@@ -57,12 +57,15 @@ The cases:
 
 A run directory's digest covers every file in it: CSV files without their
 wall-clock columns, JSON files without wall-clock keys and the output path.
+The wall-clock fields are ``samlab.metrics.WALL_CLOCK_FIELDS`` of this
+checkout, whichever tree ``--src`` names.
 ``--case NAME`` (repeatable) builds only the named cases.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import hashlib
 import json
@@ -71,8 +74,22 @@ import sys
 import tempfile
 from pathlib import Path
 
-# wall-clock-class fields, outside the bit-identity contract
-WALL_FIELDS = {"wall_clock_seconds", "ais"}
+
+def wall_clock_fields():
+    """This checkout's ``samlab.metrics.WALL_CLOCK_FIELDS``, read from its source.
+
+    Not from the package under ``--src``: the digests of every tree leave out
+    the same fields, those outside the bit-identity contract.
+    """
+    source = Path(__file__).resolve().parent.parent / "src" / "samlab" / "metrics.py"
+    for node in ast.parse(source.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and \
+                [getattr(t, "id", None) for t in node.targets] == ["WALL_CLOCK_FIELDS"]:
+            return ast.literal_eval(node.value)
+    raise SystemExit(f"run_digests: no WALL_CLOCK_FIELDS in {source}")
+
+
+WALL_CLOCK_FIELDS = wall_clock_fields()
 METHODS = ("sgd", "sam", "sam_k", "vsam")
 
 MOONS = {
@@ -170,7 +187,7 @@ def sha(*parts) -> str:
 def _strip(payload):
     if isinstance(payload, dict):
         return {k: _strip(v) for k, v in payload.items()
-                if k not in WALL_FIELDS and k != "output_dir"}
+                if k not in WALL_CLOCK_FIELDS and k != "output_dir"}
     if isinstance(payload, list):
         return [_strip(v) for v in payload]
     return payload
@@ -183,7 +200,7 @@ def file_digest(path: Path) -> str:
     if path.suffix == ".csv":
         with open(path, newline="", encoding="ascii") as fh:
             rows = list(csv.reader(fh))
-        keep = [j for j, name in enumerate(rows[0]) if name not in WALL_FIELDS]
+        keep = [j for j, name in enumerate(rows[0]) if name not in WALL_CLOCK_FIELDS]
         return sha(*[",".join(row[j] for j in keep) for row in rows])
     return sha(path.read_bytes())
 
@@ -295,7 +312,7 @@ def damaged_digests(harness, tmp: Path, wanted):
 
 def _result_digest(result):
     """Records, final weights and momentum, every parameter snapshot and the sampler state."""
-    records = [{k: v for k, v in vars(r).items() if k not in WALL_FIELDS}
+    records = [{k: v for k, v in vars(r).items() if k not in WALL_CLOCK_FIELDS}
                for r in result.records]
     state = result.sampler_state
     state_part = None
