@@ -27,8 +27,8 @@ from .data import batches_per_epoch, generate_dataset, train_test_split
 # norm_trace, write_norm_trace and read_metrics_csv are imported for perfbench/tracer.py to wrap
 from .diagnostics import NORM_TRACE_FIELDS, norm_trace, write_norm_trace
 from .errors import ConfigurationError, NumericError, check_list, check_number
-from .metrics import (FIELD_ORDER, MalformedRowError, _read_columns, read_metrics_csv,
-                      write_metrics_csv)
+from .metrics import (FIELD_ORDER, MalformedRowError, _read_columns, _row_line,
+                      read_metrics_csv, write_metrics_csv)
 from .objectives import (ObjectiveSpec, make_mlp_classifier, make_quadratic,
                          make_rosenbrock, make_sharp_flat, param_segments)
 from .optim import OptimizerConfig, run_sam, run_sam_k, run_sgd, run_vsam
@@ -470,9 +470,10 @@ def verify_run(run_dir) -> tuple[bool, list[str]]:
         check("non-empty trace", False)
         return ok, lines
 
-    gaps = [(column[name].index(None) + 2, name) for name in FILLED_FIELDS if None in column[name]]
-    if gaps:  # printed only on failure: the first empty cell of the first line that has one
-        line, name = min(gaps, key=itemgetter(0))
+    gaps = [(column[name].index(None), name) for name in FILLED_FIELDS if None in column[name]]
+    if gaps:  # printed only on failure: the first empty cell of the first row that has one
+        row, name = min(gaps, key=itemgetter(0))
+        line = _row_line(run_dir / "metrics.csv", row)
         check("every row fills its columns", False, f"line {line}: empty {name} cell")
 
     check("grad-eval increments (2 sampled / 1 reused)",

@@ -171,11 +171,12 @@ def _read_columns(path, header, names=None, projection=None):
             reader = csv.reader(fh)
             if next(reader, None) != header:
                 raise ConfigurationError(f"unexpected CSV header in {path}")
-            line = 2  # of the block's first row; no cell holds a line break
+            first = 0  # data rows before the block
             while block := list(islice(reader, _BLOCK_ROWS)):
                 for offset, row in enumerate(block):
                     if len(row) != len(header):
-                        raise MalformedRowError(f"{path}, line {line + offset}: expected "
+                        line = _row_line(path, first + offset)
+                        raise MalformedRowError(f"{path}, line {line}: expected "
                                                  f"{len(header)} cells, found {len(row)}")
                 block_cells = list(zip(*block))
                 if text is not None:
@@ -190,14 +191,28 @@ def _read_columns(path, header, names=None, projection=None):
                         else:
                             column += [None if c == "" else parse(c) for c in cells]
                 except (ValueError, KeyError):
-                    raise _bad_cell(path, line, header, block) from None
-                line += len(block)
+                    raise _bad_cell(path, first, header, block) from None
+                first += len(block)
     except UnicodeDecodeError:
         raise _non_ascii(path) from None
     columns = [columns[header.index(name)] for name in names or header]
     if text is None:
         return columns
-    return columns, "\r\n".join(text) + "\r\n" if reader.line_num == line - 1 else None
+    # one line per row, after the header's, unless a quoted cell holds a line break
+    return columns, "\r\n".join(text) + "\r\n" if reader.line_num == first + 1 else None
+
+
+def _row_line(path, index) -> int:
+    """The line on which data row ``index`` (from 0) starts; for error messages only.
+
+    A quoted cell may hold a line break, so the file is read again and rows
+    are counted with ``csv.reader``.
+    """
+    with open(path, "r", newline="", encoding="ascii") as fh:
+        reader = csv.reader(fh)
+        for _ in islice(reader, index + 1):  # the header and the rows before
+            pass
+        return reader.line_num + 1
 
 
 def _non_ascii(path) -> ConfigurationError:
@@ -211,17 +226,18 @@ def _non_ascii(path) -> ConfigurationError:
     return MalformedRowError(f"{path}, line {line}: byte {data[pos]:#x} is not ASCII")
 
 
-def _bad_cell(path, line, header, block) -> MalformedRowError:
-    """The error naming the first cell of ``block`` that does not parse."""
+def _bad_cell(path, first, header, block) -> MalformedRowError:
+    """The error naming the first cell of ``block``, data rows ``first`` on, that does not parse."""
     for offset, row in enumerate(block):
         for name, cell in zip(header, row):
             try:
                 if cell != "":
                     _PARSE[_column_type(name)](cell)
             except (ValueError, KeyError):
-                return MalformedRowError(
-                    f"{path}, line {line + offset}: cannot parse {name} cell {cell!r}")
-    return MalformedRowError(f"{path}, lines {line}-{line + len(block) - 1}: bad cell")
+                return MalformedRowError(f"{path}, line {_row_line(path, first + offset)}: "
+                                         f"cannot parse {name} cell {cell!r}")
+    lines = _row_line(path, first), _row_line(path, first + len(block) - 1)
+    return MalformedRowError(f"{path}, lines {lines[0]}-{lines[1]}: bad cell")
 
 
 def write_metrics_csv(path, records, projections=()) -> None:

@@ -27,10 +27,9 @@ from .objectives import (Workspace, eval_grad, eval_heldout, eval_loss, init_par
                          mlp_accuracy, param_segments, prime_epoch)
 from .params import (ParamVector, _zeros, default_subset, l2_norm, require_finite, subset_norm,
                      subset_selector)
-# record_sample is imported for perfbench/tracer.py too; the loop calls note_sample and settle
-from .sampler import (SamplerConfig, SamplerState, begin_windowing, init_sampler,
-                      note_sample, record_sample, settle, should_sample, sync_draws,
-                      update_rate)
+# record_sample is imported for perfbench/tracer.py too; the loop notes samples itself
+from .sampler import (Noted, SamplerConfig, SamplerState, begin_windowing, init_sampler,
+                      record_sample, settle, should_sample, sync_draws, update_rate)
 
 LR_SCHEDULES = ("constant", "cosine", "inverse_t")
 
@@ -72,10 +71,6 @@ class PSFCache:
     sampled_at: int = -1
     l2_psf: float | None = None         # norms of psf, stored when it is sampled
     l2_psf_subset: float | None = None
-
-    def store(self, psf, iteration, l2_psf, l2_psf_subset):
-        self.psf, self.sampled_at = psf, iteration
-        self.l2_psf, self.l2_psf_subset = l2_psf, l2_psf_subset
 
 
 def learning_rates(opt: OptimizerConfig, first: int, total: int):
@@ -136,7 +131,8 @@ def step_sampling(w: ParamVector, triple, eta, momentum=0.0,
     """Full SAM update from one SAM step's ``triple`` (``g_sam``, ``psf``, ``l2_psf``,
     ``l2_psf_subset``); caches the correction for reuse."""
     if cache is not None:
-        cache.store(triple.psf, iteration, triple.l2_psf, triple.l2_psf_subset)
+        cache.psf, cache.sampled_at = triple.psf, iteration
+        cache.l2_psf, cache.l2_psf_subset = triple.l2_psf, triple.l2_psf_subset
     return _step(w, triple.g_sam, eta, momentum, momentum_state)
 
 
@@ -146,25 +142,19 @@ def reuse_coefficient(gamma: float, staleness: int) -> float:
     return coef if coef >= REUSE_UNDERFLOW else 0.0
 
 
-def _reuse_direction(g_sgd, cache: PSFCache, i: int, gamma, out=None, coef_out=None):
-    """g + gamma**staleness * cached correction at i, into ``out``; coefficient via ``coef_out``."""
+def step_reuse(w: ParamVector, g_sgd, cache: PSFCache, i: int, eta, gamma,
+               momentum=0.0, momentum_state=None):
+    """Single-gradient update along g + gamma**staleness * the cached correction at i.
+
+    The training loop takes the same step inline, with the same checks.
+    """
     if cache.psf is None:
         raise ContractViolationError("reuse step before any correction was sampled")
     if i <= cache.sampled_at:
         raise ContractViolationError("reuse step must come after the cached sample")
     coef = reuse_coefficient(gamma, i - cache.sampled_at)
-    if coef == 0.0:
-        return g_sgd
-    if coef_out is not None:
-        coef_out[()] = coef
-        coef = coef_out
-    return np.add(g_sgd, np.multiply(coef, cache.psf, out=out), out=out)
-
-
-def step_reuse(w: ParamVector, g_sgd, cache: PSFCache, i: int, eta, gamma,
-               momentum=0.0, momentum_state=None):
-    """Single-gradient update reusing the cached correction, decayed by staleness."""
-    return _step(w, _reuse_direction(g_sgd, cache, i, gamma), eta, momentum, momentum_state)
+    direction = g_sgd if coef == 0.0 else g_sgd + coef * cache.psf
+    return _step(w, direction, eta, momentum, momentum_state)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +210,9 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     the spec's layout (``param_segments``), so it is the same whatever built
     ``w0``. The run owns its float64 buffers, updated in place: the weights
     and the momentum, copies of ``w0`` and ``momentum0`` made at entry (so neither
-    is ever written to), the perturbed point w + e, eta * m, a reuse row's
-    decayed correction, and each iteration's eta and reuse coefficient (0-d).
+    is ever written to), the perturbed point w + e, eta * m, and each
+    iteration's eta and reuse coefficient (0-d). A reuse row's direction,
+    ``g + coef * psf``, is a new array, which costs less than ``out=`` here.
     A step is m = momentum * m + direction, then weights -= eta * m. The run
     also owns the ``objectives.Workspace`` that every gradient and held-out
     evaluation writes its intermediates into. The loop checks
@@ -231,12 +222,20 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     touches. A NumericError leaves with its iteration and the records so far
     (``partial_records``), so that the harness can flush a partial trace.
 
-    vSAM rows get their sliced variance ``v`` when the run stops: the loop
-    notes each sample and keeps what ``settle`` returns before every rate
-    update and whenever N samples are pending. However the run ends, a
-    NumericError included, it then settles the rest, syncs the sampler's
-    generator to where one draw per Bernoulli decision leaves it
-    (``sync_draws``), and hands the variances to the sampled rows in order.
+    A vSAM row costs one ``should_sample`` call and little else. p and s are
+    loop values: a row logs the pair its decision saw, and they are refreshed
+    after the row whose step closes a window (that row logs its own rate
+    update's c_var and c_norm). The warmup and each window end where t
+    reaches the next boundary. A sample is noted without a call: its two
+    subset norms go to a ``sampler.Noted``, the window's sample count goes
+    up, and the correction becomes the cached one, which reuse rows decay
+    inline with ``step_reuse``'s checks. ``settle`` folds the noted norms in
+    under ``note_sample``'s rules and computes their sliced variances,
+    before every rate update and whenever N samples are pending. A sampled
+    row gets its ``r``, ``v_fallback`` and ``v`` when the run stops: however
+    it ends, a NumericError included, the loop settles the rest, syncs the
+    sampler's generator to where one draw per Bernoulli decision leaves it
+    (``sync_draws``) and hands each sample's values to its row.
     """
     if iterations < 1:
         raise ConfigurationError("need at least one iteration")
@@ -247,7 +246,7 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     # the run's own buffers, updated in place: w0 and momentum0 are left as they are
     values = w0.values.copy()
     m = np.zeros(w0.size) if momentum0 is None else np.array(momentum0, dtype=np.float64)
-    w_pert, eta_m, decayed = np.zeros((3, w0.size))
+    w_pert, eta_m = np.zeros((2, w0.size))
     zeros = _zeros(w0.size)
     workspace = Workspace()
     segments = param_segments(spec)
@@ -272,11 +271,17 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     momentum, eta_now, coef = np.array(float(opt.momentum)), np.zeros(()), np.zeros(())
     history = [] if collect_params else None
     records = []
-    state = cache = p = s = c_var = c_norm = None
+    state = p = s = c_var = c_norm = None
+    # the cached correction, the iteration it was sampled at and its norms
+    cached, sampled_at, cached_l2, cached_l2_subset = None, -1, None, None
+    boundary = 0  # the iteration that ends the warmup or a window; t never equals 0
     if cfg is not None:
-        state, cache = init_sampler(cfg, seed), PSFCache()
-        i_start, n_window = cfg.i_start, cfg.n_window
-    settled = []  # the sliced variances settled so far, one per sample, oldest first
+        state, noted = init_sampler(cfg, seed), Noted()
+        p, s, i_start, n_window = state.p, state.s, cfg.i_start, cfg.n_window
+        note_norm, note_sgd_norm = noted.norms.append, noted.sgd_norms.append
+        boundary = i_start or n_window
+        pending = 0  # samples noted since the last settle
+        noted_at = []  # the iterations that noted a sample, oldest first
     evals, t = 0, start_iteration
     with np.errstate(all="ignore"):
         try:
@@ -290,10 +295,8 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                     wants_sample = samples_at(t)
                 else:
                     wants_sample = should_sample(state, cfg, t)
-                    p, s = state.p, state.s
                 cut = wants_sample and budget is not None and evals >= budget
                 sampled = wants_sample and not cut
-                r = v_fallback = None
                 if sampled:
                     np.add(values, perturbation(g_sgd, rho, l2_sgd), out=w_pert)
                     require_finite(w_pert, zeros)
@@ -303,38 +306,58 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                     l2_psf = l2_norm(psf)
                     l2_psf_subset = l2_psf if subset is None else l2_norm(psf[subset])
                     if cfg is not None:
-                        r, v_fallback = note_sample(state, cfg, l2_psf_subset, l2_sgd_subset)
-                        cache.store(psf, t, l2_psf, l2_psf_subset)
-                        if len(state.gnorm_buffer) - len(state.v_history) == n_window:
-                            settled += settle(state, cfg)
+                        note_norm(l2_psf_subset)
+                        note_sgd_norm(l2_sgd_subset)
+                        state.window_samples += 1
+                        noted_at.append(t)
+                        cached, sampled_at = psf, t
+                        cached_l2, cached_l2_subset = l2_psf, l2_psf_subset
+                        pending += 1
+                        if pending == n_window:
+                            settle(state, cfg, noted)
+                            pending = 0
                     direction, psf_stale, dot_sgd_psf = g_sam, False, float(g_sgd.dot(psf))
-                elif cache is not None and (cache.psf is not None or not cut):
-                    # an empty cache outside a budget cut is a broken contract: this raises
-                    direction = _reuse_direction(g_sgd, cache, t, gamma, decayed, coef)
+                elif cfg is not None and (cached is not None or not cut):
+                    # step_reuse's checks and messages, and reuse_coefficient's cutoff
+                    if cached is None:
+                        raise ContractViolationError("reuse step before any correction was sampled")
+                    if t <= sampled_at:
+                        raise ContractViolationError("reuse step must come after the cached sample")
+                    coef_now = gamma**(t - sampled_at)
+                    direction = g_sgd
+                    if coef_now >= REUSE_UNDERFLOW:
+                        coef[()] = coef_now
+                        direction = g_sgd + coef * cached
                     # reuse rows log the undecayed cached correction
-                    l2_psf, psf_stale, l2_psf_subset = cache.l2_psf, True, cache.l2_psf_subset
-                    dot_sgd_psf = float(g_sgd.dot(cache.psf))
+                    l2_psf, psf_stale, l2_psf_subset = cached_l2, True, cached_l2_subset
+                    dot_sgd_psf = float(g_sgd.dot(cached))
                 else:
                     direction = g_sgd
                     l2_psf = psf_stale = l2_psf_subset = dot_sgd_psf = None
                 eta_now[()] = eta
                 _apply_step(values, direction, eta_now, momentum, m, eta_m, zeros)
-                if cfg is not None:
-                    if t == i_start:
-                        begin_windowing(state)
-                    elif t > i_start and state.window_iter == n_window:
-                        settled += settle(state, cfg)
-                        c_var, c_norm = update_rate(state, cfg)
                 eval_loss_v = eval_acc = None
                 if test_batch is not None and t % bpe == 0:
                     eval_loss_v, eval_acc = eval_heldout(spec, values, test_batch, workspace)
-                # positional, in MetricsRecord's field order; v is filled in when the run stops
+                # positional, in MetricsRecord's field order; a sample's v, r and v_fallback
+                # are filled in when the run stops
                 records.append(MetricsRecord(
                     t, epoch, loss, l2_sgd, sampled, evals, time.perf_counter() - t0,
                     eval_loss_v, eval_acc, l2_psf, psf_stale, l2_sgd_subset, l2_psf_subset,
-                    p, s, None, r, c_var, c_norm, v_fallback, dot_sgd_psf))
+                    p, s, None, None, c_var, c_norm, None, dot_sgd_psf))
                 if history is not None:
                     history.append(values.copy())
+                if t == boundary:
+                    if t == i_start:
+                        begin_windowing(state)
+                    else:
+                        settle(state, cfg, noted)
+                        pending = 0
+                        c_var, c_norm = update_rate(state, cfg)
+                        # this row logs its own update, and the p and s its decision used
+                        records[-1].c_var, records[-1].c_norm = c_var, c_norm
+                        p, s = state.p, state.s
+                    boundary += n_window
                 if budget is not None and evals >= budget:
                     break
         except NumericError as err:
@@ -343,11 +366,14 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
             raise located from err
         finally:
             if state is not None:
-                settled += settle(state, cfg)
+                settle(state, cfg, noted)
                 sync_draws(state)
                 # a sample noted in an iteration that raised before its row was built comes last
-                for record, v in zip((row for row in records if row.r is not None), settled):
-                    record.v = v
+                built = len(records) + start_iteration
+                rows = (records[i - start_iteration - 1] for i in noted_at if i <= built)
+                for row, v, r, v_fallback in zip(rows, noted.variances, noted.ratios,
+                                                 noted.fallbacks):
+                    row.v, row.r, row.v_fallback = v, r, v_fallback
     return RunResult(records, ParamVector(values), m, history, state)
 
 

@@ -12,17 +12,20 @@ elementwise operations, with strict left-to-right summation. That makes the
 incremental state bit-identical to a from-scratch replay of the recorded
 history, which the test suite checks exactly rather than within a tolerance.
 
-A sample is folded in in two steps. ``note_sample`` runs once per sample and
-does the cheap part: the norm joins the buffer, the norm ratio joins its
-history and the window's sample count goes up. ``settle`` computes the
-sliced variance of every sample noted since the last settle and trims the
-buffers back to the window; only ``update_rate`` reads the histories. The
-training loop settles before each rate update, whenever N samples are
-pending (which bounds the buffer), and once when it stops, however it stops;
-it keeps every variance ``settle`` returns and hands them to the sampled
-rows, in order, only then. ``record_sample`` is the two in a row. Each call
-returns what its caller logs (ratios, variances, change rates); the state
-keeps only what later calls need.
+A sample is folded in in two steps. Noting it applies the rules of one
+sample (``_fold``): its norms are checked, the norm joins the buffer, the
+norm ratio joins its history, and the window's sample count goes up.
+``note_sample`` notes one sample. The training loop makes no call per
+sample: it hands the two norms over in a ``Noted`` and counts the sample
+itself, and ``settle`` folds them in as a block. ``settle`` then computes
+the sliced variance of every sample noted since the last settle and trims
+the buffers back to the window; only ``update_rate`` reads the histories.
+The training loop settles before each rate update, whenever N samples are
+pending (which bounds the buffer), and once when it stops, however it
+stops; only then does it hand each sample's ratio, fallback flag and
+variance to its row. ``record_sample`` is ``note_sample`` and ``settle`` in
+a row. Each call returns what its caller logs (ratios, variances, change
+rates); the state keeps only what later calls need.
 
 ``settle`` evaluates the windows of all pending samples as one block: the
 windows are sorted as rows of one array and split into their M slices, and
@@ -31,10 +34,11 @@ which numpy adds one value at a time, strictly left to right. A window that
 holds fewer values than slices, as a run's first M - 1 do, is one slice, so
 its statistic is the population variance of its values; ``sliced_variance``
 in ``tests/helpers.py`` runs the same routine on one window. Between settles
-the norm buffer holds the pending values past the window too, while the
+the norm buffer holds the values noted past the window too, while the
 variance history grows only at a settle, so ``len(gnorm_buffer) -
-len(v_history)`` is the number of pending samples. A settled state holds the
-same fields and values as one that was settled after every sample.
+len(v_history)`` is the number of samples that ``note_sample`` noted and no
+settle has evaluated. A settled state holds the same fields and values as
+one that was settled after every sample.
 
 ``should_sample`` takes its Bernoulli uniforms from a block of
 ``DRAW_BLOCK`` drawn with one ``random(DRAW_BLOCK)`` call, which gives the
@@ -86,6 +90,8 @@ class SamplerConfig:
             raise ConfigurationError("s1 must lie in [1, p_max * N]")
         if self.i_start < 0:
             raise ConfigurationError("i_start must be nonnegative")
+        if self.eps <= 0.0:
+            raise ConfigurationError("eps must be positive")
         if self.force not in (None, "always", "never"):
             raise ConfigurationError("force must be None, 'always', or 'never'")
         if self.subset_segments is not None and not self.subset_segments:
@@ -113,6 +119,21 @@ class SamplerState:
     draws: list[float] = field(default_factory=list)  # block of Bernoulli uniforms
     cursor: int = 0                 # uniforms of the block used so far
     draws_from: dict | None = None  # rng_stream's state before the block was drawn
+
+
+@dataclass
+class Noted:
+    """Samples that the training loop notes without a call: it appends their two norms.
+
+    ``settle`` folds the norms in and appends each sample's ratio, fallback
+    flag and sliced variance to the last three lists, oldest first.
+    """
+
+    norms: list[float] = field(default_factory=list)
+    sgd_norms: list[float] = field(default_factory=list)
+    ratios: list[float] = field(default_factory=list)
+    fallbacks: list[bool] = field(default_factory=list)
+    variances: list[float] = field(default_factory=list)
 
 
 def init_sampler(config: SamplerConfig, seed: int) -> SamplerState:
@@ -158,7 +179,8 @@ def _window_layout(first, size, n_window, m_slices):
       empty.
     - ``widths`` holds each slice's width, as floats, (window, slice); an
       empty slice counts as 1 wide.
-    - ``pads`` marks the positions past a slice's width.
+    - ``pads`` marks the positions past a slice's width, or is None when
+      every slice is as wide as the widest (full windows only).
     - ``divisors`` holds each window's slice count, as floats.
     """
     ends = np.arange(first, size) + 1
@@ -173,10 +195,12 @@ def _window_layout(first, size, n_window, m_slices):
     position = np.arange(widths.max())[:, None, None]
     gather = (np.arange(ends.size)[:, None] * n_window
               + np.minimum(starts + position, n_window - 1))
-    layout = (rows, gather, np.maximum(widths, 1).astype(float), position >= widths,
+    pads = position >= widths
+    layout = (rows, gather, np.maximum(widths, 1).astype(float), pads if pads.any() else None,
               counts[:, 0].astype(float))
     for array in layout:
-        array.flags.writeable = False
+        if array is not None:
+            array.flags.writeable = False
     return layout
 
 
@@ -199,11 +223,13 @@ def _block_sliced_variance(values, first, n_window, m_slices):
     # pairwise only along the fastest axis.
     slices = ordered.ravel()[gather]
     with np.errstate(all="ignore"):  # inf - inf is NaN here, silently, as in Python
-        np.copyto(slices, 0.0, where=pads)
+        if pads is not None:
+            np.copyto(slices, 0.0, where=pads)
         mean = np.add.reduce(slices, axis=0)
         mean /= widths
         slices -= mean
-        np.copyto(slices, 0.0, where=pads)
+        if pads is not None:
+            np.copyto(slices, 0.0, where=pads)
         np.multiply(slices, slices, out=slices)
         per_slice = np.add.reduce(slices, axis=0)
         per_slice /= widths
@@ -213,35 +239,57 @@ def _block_sliced_variance(values, first, n_window, m_slices):
     return variances.tolist()
 
 
+def _fold(state: SamplerState, config: SamplerConfig, norms, sgd_norms):
+    """Fold samples' norms, oldest first, into the norm buffer and the ratio history.
+
+    A NaN correction norm raises NumericError and a negative norm
+    ConfigurationError, before anything is folded in. Returns each sample's
+    ratio, correction norm / max(plain norm, eps), and whether its window
+    holds fewer values than slices (its variance is then the population variance).
+    """
+    values, sgds = list(map(float, norms)), list(map(float, sgd_norms))
+    eps, ratios = config.eps, []
+    for value, sgd in zip(values, sgds):
+        if value != value:
+            # NaN has no place in a sorted window
+            raise NumericError("sampled correction norm is NaN")
+        if value < 0.0 or sgd < 0.0:
+            raise ConfigurationError("norms must be nonnegative")
+        ratios.append(value / (eps if eps > sgd else sgd))  # max(sgd, eps), without a call
+    buffer = state.gnorm_buffer
+    # pending values can make the buffer longer than the window, but since M <= N
+    # it is shorter than M exactly when the window is: for the block's first `short`
+    short = min(max(config.m_slices - 1 - len(buffer), 0), len(values))
+    buffer += values
+    state.r_history += ratios  # trimmed to the window at the next settle
+    return ratios, [True] * short + [False] * (len(values) - short)
+
+
 def note_sample(state: SamplerState, config: SamplerConfig,
                 l2_psf_subset: float, l2_sgd_subset: float) -> tuple[float, bool]:
     """Fold one sampled iteration's norms in; its sliced variance waits for ``settle``.
 
-    Returns the norm ratio and whether the sample's window holds fewer values
-    than slices (its variance is then the plain population variance).
+    Returns the norm ratio and the fallback flag (see ``_fold``).
     """
-    value, sgd = float(l2_psf_subset), float(l2_sgd_subset)
-    if value != value:
-        # NaN has no place in a sorted window
-        raise NumericError("sampled correction norm is NaN")
-    if value < 0.0 or sgd < 0.0:
-        raise ConfigurationError("norms must be nonnegative")
-    r = value / max(sgd, config.eps)
-    buffer = state.gnorm_buffer
-    buffer.append(value)
-    state.r_history.append(r)  # trimmed to the window at the next settle
+    (r,), (v_fallback,) = _fold(state, config, (l2_psf_subset,), (l2_sgd_subset,))
     state.window_samples += 1
-    # pending values can make the buffer longer than the window, but since M <= N
-    # it is shorter than M exactly when the window is
-    return r, len(buffer) < config.m_slices
+    return r, v_fallback
 
 
-def settle(state: SamplerState, config: SamplerConfig) -> list[float]:
+def settle(state: SamplerState, config: SamplerConfig, noted: Noted | None = None) -> list[float]:
     """Sliced variances of the samples noted since the last settle, oldest first.
 
-    Afterwards the norm buffer and the ratio history hold their last N values
-    again and the variances are in ``v_history``.
+    The norms in ``noted`` are folded in first, and taken out of it; their
+    ratios, fallback flags and variances go to its lists. Afterwards the
+    norm buffer and the ratio history hold their last N values again and
+    the variances are in ``v_history``.
     """
+    if noted is not None and noted.norms:
+        ratios, fallbacks = _fold(state, config, noted.norms, noted.sgd_norms)
+        noted.ratios += ratios
+        noted.fallbacks += fallbacks
+        noted.norms.clear()
+        noted.sgd_norms.clear()
     buffer, n = state.gnorm_buffer, config.n_window
     first = len(state.v_history)
     if first >= len(buffer):
@@ -252,6 +300,8 @@ def settle(state: SamplerState, config: SamplerConfig) -> list[float]:
     history = state.v_history
     history += vs
     del history[:-n]
+    if noted is not None:
+        noted.variances += vs
     return vs
 
 
@@ -298,10 +348,9 @@ def should_sample(state: SamplerState, config: SamplerConfig, i: int) -> bool:
     if i <= config.i_start:
         return True
     state.window_iter += 1
-    if config.force == "always":
-        return True
-    if config.force == "never":
-        return False
+    force = config.force
+    if force is not None:
+        return force == "always"
     if state.window_samples >= config.sample_cap:
         return False
     k = state.cursor

@@ -259,6 +259,10 @@ def test_invalid_config_is_reported(tmp_path, capsys):
     pytest.param(dict(_QUADRATIC, w0=[1.0]), id="w0_length"),
     pytest.param(dict(_QUADRATIC, w0=["a", 1.0]), id="w0_not_numeric"),
     pytest.param(_section("sampler_config", i_start=0), id="vsam_without_warmup"),
+    # at a zero gradient the norm ratio divided by max(0.0, eps): a ZeroDivisionError
+    # after config.json and seed_0/ had been written
+    pytest.param({**_QUADRATIC, "w0": [0.0, 0.0], **_section("sampler_config", eps=0.0)},
+                 id="eps_0"),
     # numbers: an integer takes an int, a real a finite int or float, and bool is neither
     *[pytest.param(_section(section, **{key: value}), id=f"{key}_{value}".replace(" ", ""))
       for section, key, value in [

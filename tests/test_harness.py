@@ -107,6 +107,28 @@ def test_verify_reports_malformed_metrics(tmp_path, case):
         assert f"metrics.csv, line {line}: " in lines[1] and len(lines) == 2
 
 
+@pytest.mark.parametrize("edit, failure", [
+    (lambda cells: cells[:2] + ["0.5.1"] + cells[3:],
+     "[FAIL] metrics rows: {path}, line 31: cannot parse train_loss cell '0.5.1'"),
+    (lambda cells: cells[:-1],
+     "[FAIL] metrics rows: {path}, line 31: expected 21 cells, found 20"),
+    (lambda cells: cells[:1] + [""] + cells[2:],
+     "[FAIL] every row fills its columns: line 31: empty epoch cell"),
+])
+def test_verify_names_the_physical_line_after_a_cell_with_a_line_break(tmp_path, edit, failure):
+    # line 3's train_loss cell is quoted with a CRLF inside, so the row it is on
+    # spans lines 3-4 and the row written as line 30 starts on line 31
+    config = _base_config(tmp_path, optimizer="sgd", seeds=[0])
+    del config["sampler_config"]
+    seed_dir = run_experiment(config_from_dict(config)) / "seed_0"
+    path = seed_dir / "metrics.csv"
+    _tamper_line(path, 30, edit)
+    _tamper_line(path, 3, lambda cells: cells[:2] + [f'"{cells[2]}\r\n"'] + cells[3:])
+    ok, lines = verify_run(seed_dir)
+    assert not ok
+    assert failure.format(path=path) in lines
+
+
 @pytest.mark.parametrize("case", MALFORMED)
 def test_verify_reports_malformed_norm_trace(tmp_path, case):
     out = run_experiment(config_from_dict(_base_config(tmp_path, seeds=[0])))

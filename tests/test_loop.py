@@ -342,6 +342,46 @@ def test_traced_sampler_names_count_iterations_and_windows(monkeypatch):
     assert len(counts["perturbation"]) == sampled
 
 
+def _warmup_only_vsam():
+    # every iteration is inside the warmup: no window closes
+    result = _run("vsam", "moons", iterations=8)
+    return result.records, SamplerConfig(n_window=10, m_slices=2, s1=4, i_start=10), \
+        result.sampler_state
+
+
+@pytest.mark.parametrize("run", [_basin_vsam, _budget_vsam, _warmup_only_vsam])
+def test_each_row_logs_what_its_own_decision_and_update_saw(monkeypatch, run):
+    # p and s as should_sample saw them at the row's decision, and c_var and c_norm
+    # from the latest rate update, the one at the row's own window end included
+    seen, updates = {}, []
+    decide, update = optim.should_sample, optim.update_rate
+
+    def recording_decide(state, cfg, t):
+        seen[t] = (state.p, state.s)
+        return decide(state, cfg, t)
+
+    def recording_update(state, cfg):
+        updates.append(update(state, cfg))
+        return updates[-1]
+
+    monkeypatch.setattr(optim, "should_sample", recording_decide)
+    monkeypatch.setattr(optim, "update_rate", recording_update)
+    records, cfg, _ = run()
+
+    def bits(pair):
+        return tuple(None if x is None else float_bits(x) for x in pair)
+
+    assert sorted(seen) == [row.iteration for row in records]
+    latest = (None, None)
+    for row in records:
+        assert bits((row.p, row.s)) == bits(seen[row.iteration])
+        t = row.iteration - cfg.i_start
+        if t > 0 and t % cfg.n_window == 0:
+            latest = updates[t // cfg.n_window - 1]
+        assert bits((row.c_var, row.c_norm)) == bits(latest)
+    assert len(updates) == max(records[-1].iteration - cfg.i_start, 0) // cfg.n_window
+
+
 @pytest.mark.parametrize("run", [_diverging_vsam, _basin_vsam, _budget_vsam])
 def test_block_draws_leave_the_generator_where_per_call_draws_do(monkeypatch, run):
     # a normal end, a NumericError and a budget stop

@@ -293,6 +293,13 @@ def test_config_validation():
         SamplerConfig(n_window=10, m_slices=2, subset_segments=[])
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-12])
+def test_config_requires_a_positive_eps(eps):
+    # eps guards the divisions of the norm ratio and the change rates
+    with pytest.raises(ConfigurationError, match="eps must be positive"):
+        SamplerConfig(n_window=10, m_slices=2, s1=4, eps=eps)
+
+
 def test_defaults_match_documented_values():
     cfg = SamplerConfig()
     assert (cfg.n_window, cfg.m_slices, cfg.alpha) == (50, 5, 0.13)

@@ -37,6 +37,11 @@ The cases:
   vector; vSAM with ``gamma`` 1.0 (reuse rows never decay); and vSAM with
   ``gamma`` 0.02, whose powers fall below the 1e-12 cutoff at a staleness
   of 8, inside the run's longer stretches between samples;
+- vSAM with ``force`` "always" and with ``force`` "never"; Rosenbrock vSAM
+  whose sample cap binds (``p_max`` 0.3 and ``s1`` 15 on a 50-sample
+  window), so that ``should_sample`` refuses without a draw; and a moons
+  vSAM run of 7 epochs, whose iteration count ends in the middle of a
+  window, with no budget;
 - 20 sharp/flat seeds x 4 optimizers in memory with ``collect_params=True``:
   records, final weights and momentum, every parameter snapshot and the
   sampler state;
@@ -173,6 +178,14 @@ def config_cases():
     cases["vsam_gamma_0.02"] = dict(cases["rosenbrock_vsam"],
                                     optimizer_config={"eta0": 1e-3, "gamma": 0.02,
                                                       "lr_schedule": "constant"})
+    for force in ("always", "never"):
+        cases[f"vsam_force_{force}"] = _payload("vsam", sampler_config={"force": force})
+    # at most floor(0.3 * 50) = 15 samples a window, and s1 = 15 starts p at that rate:
+    # the cap refuses 49 decisions of seed 0 and 56 of seed 1, each without a draw
+    cases["vsam_sample_cap"] = dict(cases["rosenbrock_vsam"], sampler_config=dict(
+        SAMPLER, n_window=50, m_slices=5, s1=15, p_max=0.3))
+    # 70 iterations: the windows end at 40 and 60, and the run in the middle of the next
+    cases["vsam_ends_mid_window"] = _payload("vsam", epochs=7)
     return cases
 
 
