@@ -102,6 +102,11 @@ class ExperimentConfig:
                     f"subset_segments {unknown} are not segments of the objective {known}")
 
 
+# a finished run took at least one iteration, one gradient evaluation each, over a
+# training split of at least one row; report divides by these counts
+SUMMARY_MINIMUMS = {"iterations": 1, "sampling_number": 0, "grad_evals": 1, "d_per_epoch": 1}
+
+
 @dataclass
 class RunSummary:
     iterations: int
@@ -121,7 +126,8 @@ class RunSummary:
 
     @classmethod
     def from_dict(cls, payload):
-        """The summary ``to_dict`` wrote; unknown or missing keys and non-numbers are errors."""
+        """The summary ``to_dict`` wrote; unknown or missing keys, non-numbers and counts
+        below ``SUMMARY_MINIMUMS`` are errors."""
         if not isinstance(payload, dict):
             raise ConfigurationError("run summary must be a JSON object")
         names = [f.name for f in fields(cls)]
@@ -135,6 +141,8 @@ class RunSummary:
                 raise ConfigurationError(f"run summary {f.name} must be "
                                          f"{'an integer' if integral else 'a number'}, "
                                          f"not {value!r}")
+            if f.name in SUMMARY_MINIMUMS:
+                check_number(f"run summary {f.name}", value, int, SUMMARY_MINIMUMS[f.name])
         return cls(**payload)
 
 

@@ -16,8 +16,9 @@ byte to earlier kernels kept in ``tests/helpers.py``.
 What is fixed for a spec is worked out once, into the ``Plan`` that the
 spec keeps (``ObjectiveSpec.plan``): the kernel of its kind (also run by
 ``sharp_flat_ridge``) with the MLP layout and activation or the landscape's
-constants bound in, the parameter count, the weight decay and the
-finiteness screen's cached zero vector. A spec is frozen, its arrays
+constants bound in, the parameter count, the weight decay, the
+finiteness screen's cached zero vector and the buffer that the gradient's
+weight-decay term is written to. A spec is frozen, its arrays
 included, so its plan cannot go stale.
 
 What depends only on the targets is done once: the dtype and range checks,
@@ -38,16 +39,14 @@ gives the bits of subtracting 1 at the flat index: at a target it is the
 same subtraction, and elsewhere it subtracts 0.0, and x - 0.0 has the bits
 of x for every double, -0.0 and NaN included.
 
-One kernel, ``_mlp``, serves ``eval_grad``, ``eval_loss``, ``eval_heldout``
-and ``mlp_accuracy``. It writes every intermediate into a ``Workspace``:
-hidden activations, logits, softmax terms and backprop buffers, built once
-per (layer layout, row count), plus the per-layer weight views, built once
-per weight buffer. The workspace also holds the weight-decay term's buffer,
-one per parameter count. The caller owns it: the training loop builds one
-per run and passes it to every evaluation, and an MLP call without one
-gets a fresh one. The module keeps no scratch memory of its own. The
-returned loss, gradient and accuracy never alias a workspace: the gradient
-is a new array on every call.
+One kernel, ``_mlp_kernel``'s, serves ``eval_grad``, ``eval_loss``,
+``eval_heldout`` and ``mlp_accuracy``. It writes every intermediate into
+scratch memory that it keeps: hidden activations, logits, softmax terms and
+backprop buffers, built once per row count, and the per-layer weight views
+of the last ``KEPT_WEIGHTS`` weight buffers. Evaluations of one spec share
+its plan's buffers, so one spec must not be evaluated from two threads at
+once; no code here does. The returned loss, gradient and accuracy never
+alias a buffer: the gradient is a new array on every call.
 """
 
 from __future__ import annotations
@@ -231,13 +230,12 @@ def _mlp_layout(layer_sizes):
 # loss / gradient evaluation
 
 def eval_loss(spec: ObjectiveSpec, w: ParamVector | np.ndarray,
-              batch: Batch | None = None, workspace: Workspace | None = None) -> float:
-    loss, _ = _evaluate(spec, w, batch, False, workspace)
+              batch: Batch | None = None) -> float:
+    loss, _ = _evaluate(spec, w, batch, False)
     return loss
 
 
-def eval_grad(spec: ObjectiveSpec, w: ParamVector | np.ndarray, batch: Batch | None = None,
-              workspace: Workspace | None = None):
+def eval_grad(spec: ObjectiveSpec, w: ParamVector | np.ndarray, batch: Batch | None = None):
     """Returns (loss, gradient); the gradient includes the 2*wd*w term.
 
     ``w`` is a ParamVector or a 1-D float64 array of finite weights. Overflow
@@ -247,19 +245,18 @@ def eval_grad(spec: ObjectiveSpec, w: ParamVector | np.ndarray, batch: Batch | N
     an "invalid value" warning only for a gradient that is not finite, just
     before that NumericError, and never warns on a finite one.
 
-    ``workspace`` is the caller's (a training run passes its own); without
-    one an MLP call uses a fresh one. The gradient is a new array either way.
+    The intermediates go to the spec's plan's buffers (see the module
+    docstring); the gradient is a new array on every call.
     """
-    return _evaluate(spec, w, batch, True, workspace)
+    return _evaluate(spec, w, batch, True)
 
 
-def eval_heldout(spec: ObjectiveSpec, values: np.ndarray, batch: Batch,
-                 workspace: Workspace | None = None):
+def eval_heldout(spec: ObjectiveSpec, values: np.ndarray, batch: Batch):
     """(loss, accuracy) of the MLP on ``batch`` from a single forward pass.
 
     The loss has the bits of ``eval_loss``'s.
     """
-    loss, logits = _evaluate(spec, values, batch, False, workspace)
+    loss, logits = _evaluate(spec, values, batch, False)
     return loss, float(np.mean(np.argmax(logits, axis=1) == batch.targets))
 
 
@@ -274,10 +271,11 @@ class Plan(NamedTuple):
     """What every evaluation of one spec needs, worked out once and kept on the spec."""
 
     size: int  # parameter count
-    kernel: Callable  # (weights, batch, with_grad, workspace or None) -> (loss, gradient or logits)
+    kernel: Callable  # (weights, batch, with_grad) -> (loss, gradient or logits)
     weight_decay: float
     zeros: np.ndarray  # the finiteness screen's, cached and read-only
     twice_wd: np.ndarray  # 2 * weight_decay, for the gradient's decay term (``_scalar``)
+    decay: np.ndarray  # the decay term 2 * weight_decay * w, written before it is added
 
 
 def _plan(spec):
@@ -285,7 +283,7 @@ def _plan(spec):
     if kind == "quadratic":
         a, b = spec.a, spec.b
 
-        def kernel(x, batch, with_grad, ws):
+        def kernel(x, batch, with_grad):
             ax = a @ x
             return 0.5 * float(x @ ax) - float(b @ x), (ax - b if with_grad else None)
     elif kind == "rosenbrock":
@@ -293,33 +291,27 @@ def _plan(spec):
     elif kind == "sharp_flat":
         kernel = _sharp_flat_kernel(spec)
     elif kind == "mlp_classifier":
-        layout = _mlp_layout(spec.layer_sizes)
-        tanh, input_dim, n_classes = spec.activation == "tanh", spec.input_dim, layout[-1][1]
-
-        def kernel(x, batch, with_grad, ws):
-            targets = _target_index(batch, input_dim, n_classes)
-            return _mlp(layout, tanh, x, batch.inputs, targets, with_grad,
-                        Workspace() if ws is None else ws)
+        kernel = _mlp_kernel(spec)
     else:
         raise ConfigurationError(f"unknown objective kind {kind!r}")
     size = spec.param_count
-    return Plan(size, kernel, spec.weight_decay, _zeros(size), _scalar(2.0 * spec.weight_decay))
+    return Plan(size, kernel, spec.weight_decay, _zeros(size), _scalar(2.0 * spec.weight_decay),
+                np.empty(size))
 
 
-def _evaluate(spec, w, batch, with_grad, workspace):
-    """(loss, gradient); without the gradient, (loss, MLP logits or None)."""
-    size, kernel, wd, zeros, twice_wd = spec.plan
+def _evaluate(spec, w, batch, with_grad):
+    """(loss, gradient); without the gradient, (loss, MLP logits in the plan's buffer or None)."""
+    size, kernel, wd, zeros, twice_wd, decay = spec.plan
     x = w.values if isinstance(w, ParamVector) else w
     if x.size != size:
         raise ConfigurationError(
             f"parameter vector has {x.size} values, objective expects {size}"
         )
-    loss, grad = kernel(x, batch, with_grad, workspace)
+    loss, grad = kernel(x, batch, with_grad)
     if wd != 0.0:
         # x.dot(x) gives the bits of x @ x on a 1-D float64 array, without matmul's dispatch
         loss = loss + wd * float(x.dot(x))
         if with_grad:
-            decay = None if workspace is None else workspace.decay(size)
             grad += np.multiply(twice_wd, x, out=decay)
 
     if not math.isfinite(loss):
@@ -329,7 +321,7 @@ def _evaluate(spec, w, batch, with_grad, workspace):
     return float(loss), grad
 
 
-def _rosenbrock(x, batch, with_grad, ws):
+def _rosenbrock(x, batch, with_grad):
     d = x.size
     a = x[1:] - x[:-1] ** 2
     b = 1.0 - x[:-1]
@@ -368,7 +360,7 @@ def _sharp_flat_kernel(spec):
     du = -1.0 / sep
     half_ratio = 0.5 * Y_CURVATURE_RATIO
 
-    def kernel(x, batch, with_grad, ws):
+    def kernel(x, batch, with_grad):
         px, py = x.tolist()
         u = (m_f - px) / sep  # 0 at the flat bottom, 1 at the sharp bottom
         # sig is a C-infinity step in u: 0 for u <= 0, 1 for u >= 1, monotone
@@ -415,7 +407,7 @@ def sharp_flat_ridge(spec: ObjectiveSpec) -> float:
         xs = np.linspace(m_s[0], m_f[0], 20001)
         kernel = spec.plan.kernel
         # the kernel reads its point from an array: each grid point is a row (x, 0.0)
-        vals = [kernel(point, None, False, None)[0]
+        vals = [kernel(point, None, False)[0]
                 for point in np.column_stack((xs, np.zeros_like(xs)))]
         _RIDGE_CACHE[key] = float(xs[int(np.argmax(vals))])
     return _RIDGE_CACHE[key]
@@ -515,6 +507,10 @@ def prime_epoch(spec: ObjectiveSpec, batches) -> None:
                                   onehot[stop - size:stop])
 
 
+# weight buffers whose per-layer views an MLP plan keeps; a run evaluates at two (w and w + e)
+KEPT_WEIGHTS = 4
+
+
 class _RowBuffers:
     """Every intermediate of one MLP evaluation on ``rows`` rows of one layout."""
 
@@ -539,119 +535,106 @@ class _RowBuffers:
         self.slope = [np.empty((rows, width)) for width in widths]
 
 
-class Workspace:
-    """Preallocated memory for the kernels, passed in by its owner (a training run).
+def _layers(layout, values, kept):
+    """Per layer (W, b, W.T), views of ``values``.
 
-    Row buffers are built once per (layout, rows), the per-layer weight views
-    once per weight buffer and the weight-decay term's buffer once per
-    parameter count. Nothing returned to a caller lives here.
+    ``kept`` holds (weight buffer, its layers) for the last ``KEPT_WEIGHTS``
+    buffers, most recent last; a buffer that is not among them joins it.
     """
-
-    # weight buffers whose views are kept; a run evaluates at two (w and w + e)
-    KEPT_WEIGHTS = 4
-
-    def __init__(self):
-        self._rows = {}
-        self._weights = []  # (weight buffer, layout, its layers), most recent last
-        self._decay = {}  # parameter count -> the 2 * wd * w term's buffer
-
-    def rows(self, layout, rows) -> _RowBuffers:
-        buffers = self._rows.get((layout, rows))
-        if buffers is None:
-            buffers = self._rows[(layout, rows)] = _RowBuffers(layout, rows)
-        return buffers
-
-    def decay(self, size) -> np.ndarray:
-        buffer = self._decay.get(size)
-        if buffer is None:
-            buffer = self._decay[size] = np.empty(size)
-        return buffer
-
-    def layers(self, layout, values):
-        """Per layer (W, b, W.T), views of ``values``."""
-        for kept, kept_layout, layers in self._weights:
-            if kept is values and kept_layout is layout:
-                return layers
-        layers = []
-        for fan_in, fan_out, lo, mid, hi in layout:
-            w = values[lo:mid].reshape(fan_in, fan_out)
-            layers.append((w, values[mid:hi], w.T))
-        # slices of a 1-D array reshape to views, so later writes to it show through them
-        self._weights = self._weights[1 - self.KEPT_WEIGHTS:] + [(values, layout, layers)]
-        return layers
+    for buffer, layers in kept:
+        if buffer is values:
+            return layers
+    layers = []
+    for fan_in, fan_out, lo, mid, hi in layout:
+        w = values[lo:mid].reshape(fan_in, fan_out)
+        layers.append((w, values[mid:hi], w.T))
+    # slices of a 1-D array reshape to views, so later writes to it show through them
+    del kept[:1 - KEPT_WEIGHTS]
+    kept.append((values, layers))
+    return layers
 
 
+def _mlp_kernel(spec):
+    """The MLP kernel, (loss, gradient or logits), with the spec's layout bound in.
 
-def _mlp(layout, tanh, values, inputs, targets, with_grad, ws):
-    """The MLP kernel: (loss, gradient or logits).
-
-    ``targets`` is ``_target_index``'s (index, one-hot mask) of the rows.
+    It keeps its scratch memory: one ``_RowBuffers`` per row count and the
+    views of the weight buffers it saw last (``_layers``).
     """
-    layers = ws.layers(layout, values)
-    n = inputs.shape[0]
-    r = ws.rows(layout, n)
-    a = inputs
-    for (w, bias, _), hidden in zip(layers, r.hidden):
-        np.matmul(a, w, out=hidden)
-        hidden += bias
-        if tanh:
-            np.tanh(hidden, out=hidden)
+    layout = _mlp_layout(spec.layer_sizes)
+    tanh, input_dim, n_classes = spec.activation == "tanh", spec.input_dim, layout[-1][1]
+    row_buffers, kept = {}, []
+
+    def kernel(values, batch, with_grad):
+        index, onehot = _target_index(batch, input_dim, n_classes)
+        layers = _layers(layout, values, kept)
+        inputs = batch.inputs
+        n = inputs.shape[0]
+        r = row_buffers.get(n)
+        if r is None:
+            r = row_buffers[n] = _RowBuffers(layout, n)
+        a = inputs
+        for (w, bias, _), hidden in zip(layers, r.hidden):
+            np.matmul(a, w, out=hidden)
+            hidden += bias
+            if tanh:
+                np.tanh(hidden, out=hidden)
+            else:
+                np.maximum(hidden, 0.0, out=hidden)
+            a = hidden
+        w, bias, _ = layers[-1]
+        logits = np.matmul(a, w, out=r.logits)
+        logits += bias
+
+        # max is exact, so a column-by-column maximum equals np.maximum.reduce
+        cols, row_max = r.logit_cols, r.row_max
+        if len(cols) == 1:
+            np.copyto(row_max, cols[0])
         else:
-            np.maximum(hidden, 0.0, out=hidden)
-        a = hidden
-    w, bias, _ = layers[-1]
-    logits = np.matmul(a, w, out=r.logits)
-    logits += bias
-    index, onehot = targets
-
-    # max is exact, so a column-by-column maximum equals np.maximum.reduce
-    cols, row_max = r.logit_cols, r.row_max
-    if len(cols) == 1:
-        np.copyto(row_max, cols[0])
-    else:
-        np.maximum(cols[0], cols[1], out=row_max)
-    for col in cols[2:]:
-        np.maximum(row_max, col, out=row_max)
-    shifted = np.subtract(logits, r.row_max_col, out=r.shifted)
-    # only the target column of the log-softmax enters the loss; the index is
-    # in range (checked targets, one per row), so "clip" never moves it
-    picked = shifted.take(index, out=r.picked, mode="clip")
-    exp = np.exp(shifted, out=shifted)
-    sum_exp = r.sum_exp
-    if len(cols) == 2:
-        # over two columns np.add.reduce is this one add
-        np.add(r.shifted_cols[0], r.shifted_cols[1], out=sum_exp)
-    else:
-        np.add.reduce(exp, axis=1, out=sum_exp)
-    picked -= np.log(sum_exp, out=r.log_sum)
-    loss = -(float(np.add.reduce(picked)) / n)
-    if not with_grad:
-        return loss, logits
-
-    d_z = exp  # turned into d loss / d logits in place
-    d_z /= r.sum_exp_col
-    d_z -= onehot  # x - 0.0 keeps the bits of x: only the target logits change
-    d_z /= r.count
-
-    # each layer's gradient is written straight into its slice of the vector
-    grad = np.empty(values.size)
-    for layer in range(len(layout) - 1, -1, -1):
-        fan_in, fan_out, lo, mid, hi = layout[layer]
-        np.add.reduce(d_z, axis=0, out=grad[mid:hi])
-        a = r.hidden[layer - 1] if layer else inputs
-        np.matmul(a.T, d_z, out=grad[lo:mid].reshape(fan_in, fan_out))
-        if layer == 0:
-            break
-        below = np.matmul(d_z, layers[layer][2], out=r.d_z[layer - 1])
-        slope = r.slope[layer - 1]
-        if tanh:
-            np.subtract(r.one, np.multiply(a, a, out=slope), out=slope)
+            np.maximum(cols[0], cols[1], out=row_max)
+        for col in cols[2:]:
+            np.maximum(row_max, col, out=row_max)
+        shifted = np.subtract(logits, r.row_max_col, out=r.shifted)
+        # only the target column of the log-softmax enters the loss; the index is
+        # in range (checked targets, one per row), so "clip" never moves it
+        picked = shifted.take(index, out=r.picked, mode="clip")
+        exp = np.exp(shifted, out=shifted)
+        sum_exp = r.sum_exp
+        if len(cols) == 2:
+            # over two columns np.add.reduce is this one add
+            np.add(r.shifted_cols[0], r.shifted_cols[1], out=sum_exp)
         else:
-            # the bool a > 0 cast to float64, as multiplying by the bool array casts it
-            np.greater(a, 0.0, out=slope)
-        below *= slope
-        d_z = below
-    return loss, grad
+            np.add.reduce(exp, axis=1, out=sum_exp)
+        picked -= np.log(sum_exp, out=r.log_sum)
+        loss = -(float(np.add.reduce(picked)) / n)
+        if not with_grad:
+            return loss, logits
+
+        d_z = exp  # turned into d loss / d logits in place
+        d_z /= r.sum_exp_col
+        d_z -= onehot  # x - 0.0 keeps the bits of x: only the target logits change
+        d_z /= r.count
+
+        # each layer's gradient is written straight into its slice of the vector
+        grad = np.empty(values.size)
+        for layer in range(len(layout) - 1, -1, -1):
+            fan_in, fan_out, lo, mid, hi = layout[layer]
+            np.add.reduce(d_z, axis=0, out=grad[mid:hi])
+            a = r.hidden[layer - 1] if layer else inputs
+            np.matmul(a.T, d_z, out=grad[lo:mid].reshape(fan_in, fan_out))
+            if layer == 0:
+                break
+            below = np.matmul(d_z, layers[layer][2], out=r.d_z[layer - 1])
+            slope = r.slope[layer - 1]
+            if tanh:
+                np.subtract(r.one, np.multiply(a, a, out=slope), out=slope)
+            else:
+                # the bool a > 0 cast to float64, as multiplying by the bool array casts it
+                np.greater(a, 0.0, out=slope)
+            below *= slope
+            d_z = below
+        return loss, grad
+
+    return kernel
 
 
 def mlp_accuracy(spec: ObjectiveSpec, w: ParamVector, inputs, targets) -> float:

@@ -23,8 +23,8 @@ from .data import Batch, Dataset, batches_per_epoch, make_batches, train_test_sp
 from .errors import ConfigurationError, ContractViolationError, NumericError, check_number
 from .metrics import MetricsRecord
 # eval_loss, mlp_accuracy and subset_norm are imported for perfbench/tracer.py to wrap here
-from .objectives import (Workspace, eval_grad, eval_heldout, eval_loss, init_params,
-                         mlp_accuracy, param_segments, prime_epoch)
+from .objectives import (eval_grad, eval_heldout, eval_loss, init_params, mlp_accuracy,
+                         param_segments, prime_epoch)
 from .params import (ParamVector, _zeros, default_subset, l2_norm, require_finite, subset_norm,
                      subset_selector)
 # record_sample is imported for perfbench/tracer.py too; the loop notes samples itself
@@ -213,9 +213,9 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     is ever written to), the perturbed point w + e, eta * m, and each
     iteration's eta and reuse coefficient (0-d). A reuse row's direction,
     ``g + coef * psf``, is a new array, which costs less than ``out=`` here.
-    A step is m = momentum * m + direction, then weights -= eta * m. The run
-    also owns the ``objectives.Workspace`` that every gradient and held-out
-    evaluation writes its intermediates into. The loop checks
+    A step is m = momentum * m + direction, then weights -= eta * m. Every
+    gradient and held-out evaluation writes its intermediates into the
+    buffers of the spec's plan, which all runs on the spec share. The loop checks
     each gradient, perturbed point and new weight vector for finiteness
     once, with numpy's floating-point warnings off. The result's ``w_final``
     and ``momentum_final`` are the run's buffers, which no later run
@@ -248,7 +248,6 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     m = np.zeros(w0.size) if momentum0 is None else np.array(momentum0, dtype=np.float64)
     w_pert, eta_m = np.zeros((2, w0.size))
     zeros = _zeros(w0.size)
-    workspace = Workspace()
     segments = param_segments(spec)
     if subset_names is None:
         subset_names = default_subset(segments)
@@ -287,7 +286,7 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
         try:
             for (t, (batch, epoch)), eta in zip(
                     enumerate(islice(batches, iterations), start_iteration + 1), etas):
-                loss, g_sgd = eval_grad(spec, values, batch, workspace)
+                loss, g_sgd = eval_grad(spec, values, batch)
                 evals += 1
                 l2_sgd = l2_norm(g_sgd)
                 l2_sgd_subset = l2_sgd if subset is None else l2_norm(g_sgd[subset])
@@ -300,7 +299,7 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                 if sampled:
                     np.add(values, perturbation(g_sgd, rho, l2_sgd), out=w_pert)
                     require_finite(w_pert, zeros)
-                    _, g_sam = eval_grad(spec, w_pert, batch, workspace)
+                    _, g_sam = eval_grad(spec, w_pert, batch)
                     evals += 1
                     psf = g_sam - g_sgd
                     l2_psf = l2_norm(psf)
@@ -338,7 +337,7 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                 _apply_step(values, direction, eta_now, momentum, m, eta_m, zeros)
                 eval_loss_v = eval_acc = None
                 if test_batch is not None and t % bpe == 0:
-                    eval_loss_v, eval_acc = eval_heldout(spec, values, test_batch, workspace)
+                    eval_loss_v, eval_acc = eval_heldout(spec, values, test_batch)
                 # positional, in MetricsRecord's field order; a sample's v, r and v_fallback
                 # are filled in when the run stops
                 records.append(MetricsRecord(

@@ -113,7 +113,6 @@ class SamplerState:
     r_history: list[float] = field(default_factory=list)     # norm ratios
     s: float = 0.0
     p: float = 0.0
-    window_iter: int = 0
     window_samples: int = 0
     rng_stream: np.random.Generator | None = None
     draws: list[float] = field(default_factory=list)  # block of Bernoulli uniforms
@@ -331,7 +330,6 @@ def update_rate(state: SamplerState, config: SamplerConfig) -> tuple[float, floa
     state.s = s
     # the extra min guards the one-ulp case where s/N rounds above p_max
     state.p = min(s / config.n_window, config.p_max)
-    state.window_iter = 0
     state.window_samples = 0
     return c_var, c_norm
 
@@ -339,15 +337,13 @@ def update_rate(state: SamplerState, config: SamplerConfig) -> tuple[float, floa
 def should_sample(state: SamplerState, config: SamplerConfig, i: int) -> bool:
     """Sampling decision for iteration i, 1-based over the whole run.
 
-    Warmup iterations always sample and leave the window clock untouched;
-    the clock starts once the adaptive phase begins. After warmup the window
-    sample cap blocks further sampling without consuming randomness, and a
-    'force' override short-circuits the Bernoulli draw entirely. The draw is
-    the next uniform of the state's block (see ``sync_draws``).
+    Warmup iterations always sample. After warmup the window sample cap
+    blocks further sampling without consuming randomness, and a 'force'
+    override short-circuits the Bernoulli draw entirely. The draw is the
+    next uniform of the state's block (see ``sync_draws``).
     """
     if i <= config.i_start:
         return True
-    state.window_iter += 1
     force = config.force
     if force is not None:
         return force == "always"
@@ -377,6 +373,5 @@ def sync_draws(state: SamplerState) -> None:
 
 
 def begin_windowing(state: SamplerState) -> None:
-    """Reset window counters when warmup ends and adaptive sampling starts."""
-    state.window_iter = 0
+    """Reset the window's sample count when warmup ends and adaptive sampling starts."""
     state.window_samples = 0

@@ -30,7 +30,7 @@ import numpy as np
 
 from samlab.data import Batch
 from samlab.errors import ConfigurationError, NumericError
-from samlab.objectives import Workspace, eval_grad, eval_loss, param_segments
+from samlab.objectives import eval_grad, eval_loss, param_segments
 from samlab.optim import learning_rates, perturbation
 from samlab.params import default_subset, l2_norm, require_finite, subset_norm
 from samlab.sampler import _block_sliced_variance
@@ -132,7 +132,6 @@ def replay_sampler(events, n_window, m_slices, alpha, s1, p_max, eps):
     s = float(s1)
     p = s / n_window
     last_c_var = last_c_norm = None
-    window_iter = 0
     window_samples = 0
     for event in events:
         if event[0] == "record":
@@ -155,7 +154,6 @@ def replay_sampler(events, n_window, m_slices, alpha, s1, p_max, eps):
             if p > p_max:
                 p = p_max
             last_c_var, last_c_norm = c_var, c_norm
-            window_iter = 0
             window_samples = 0
     return {
         "gnorm_buffer": [pair[0] for pair in records[-n_window:]],
@@ -163,7 +161,6 @@ def replay_sampler(events, n_window, m_slices, alpha, s1, p_max, eps):
         "r_history": r_all[-n_window:],
         "s": s,
         "p": p,
-        "window_iter": window_iter,
         "window_samples": window_samples,
         "last_c_var": last_c_var,
         "last_c_norm": last_c_norm,
@@ -178,7 +175,6 @@ def per_call_should_sample(state, config, i):
     """
     if i <= config.i_start:
         return True
-    state.window_iter += 1
     if config.force == "always":
         return True
     if config.force == "never":
@@ -566,13 +562,12 @@ def fd_gradient(spec, w, batch, h):
         raise ConfigurationError("finite-difference step h must be positive")
     base = w.values
     grad = np.empty(base.size)
-    ws = Workspace()  # one set of buffers for every probe
     for i in range(base.size):
         bumped = base.copy()
         bumped[i] = base[i] + h
-        up = eval_loss(spec, bumped, batch, ws)
+        up = eval_loss(spec, bumped, batch)
         bumped[i] = base[i] - h
-        down = eval_loss(spec, bumped, batch, ws)
+        down = eval_loss(spec, bumped, batch)
         grad[i] = (up - down) / (2.0 * h)
     if not np.isfinite(grad).all():
         raise NumericError("non-finite value while probing the loss")
@@ -592,8 +587,7 @@ def decomposition_residual(spec, w, batch, rho):
     correction is the one SAM step computes at w: the gradient at
     w + perturbation(g, rho), minus g.
     """
-    ws = Workspace()  # one set of buffers for every evaluation here
-    _, g = eval_grad(spec, w, batch, ws)
+    _, g = eval_grad(spec, w, batch)
     g_norm = float(np.linalg.norm(g))
     if g_norm < 1e-12:
         return 0.0
@@ -602,12 +596,12 @@ def decomposition_residual(spec, w, batch, rho):
         hv = spec.a @ direction + (2.0 * spec.weight_decay) * direction
     else:
         h = HVP_FD_STEP
-        _, g_up = eval_grad(spec, w.values + h * direction, batch, ws)
-        _, g_down = eval_grad(spec, w.values - h * direction, batch, ws)
+        _, g_up = eval_grad(spec, w.values + h * direction, batch)
+        _, g_down = eval_grad(spec, w.values - h * direction, batch)
         hv = (g_up - g_down) / (2.0 * h)
     w_pert = w.values + perturbation(g, rho, g_norm)
     require_finite(w_pert)
-    _, g_sam = eval_grad(spec, w_pert, batch, ws)
+    _, g_sam = eval_grad(spec, w_pert, batch)
     return float(np.linalg.norm((g_sam - g) - rho * hv))
 
 

@@ -163,6 +163,23 @@ def test_report_excludes_run_with_unreadable_summary(tmp_path, capsys):
     assert "vsam" not in out and "sam" in out
 
 
+def test_report_excludes_a_sam_run_whose_summary_counts_no_evaluations(tmp_path, capsys):
+    # the evals/sam column divides by the sam run's mean gradient evaluations, here 0
+    config = _small_config(tmp_path)
+    assert main(["run", str(_write_config(tmp_path, config))]) == 0
+    config_sam = dict(config, optimizer="sam", output_dir=str(tmp_path / "out_sam"))
+    del config_sam["sampler_config"]
+    assert main(["run", str(_write_config(tmp_path, config_sam))]) == 0
+    for summary in (tmp_path / "out_sam").glob("seed_*/summary.json"):
+        summary.write_text(json.dumps(dict(json.loads(summary.read_text()), grad_evals=0)))
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "out"), str(tmp_path / "out_sam")]) == 0
+    out = capsys.readouterr().out
+    assert (f"WARNING: excluded incomplete run {tmp_path / 'out_sam'}: run summary grad_evals "
+            "must be an integer >= 1, not 0") in out
+    assert "vsam" in out and "\nsam\t" not in out
+
+
 @pytest.mark.parametrize("key, value, failure", [
     ("wall_clock_seconds", 0, "[FAIL] summary AIS consistent with D*E/T: "
                               "AIS inputs must all be positive"),
@@ -170,6 +187,14 @@ def test_report_excludes_run_with_unreadable_summary(tmp_path, capsys):
                           "run summary d_per_epoch must be an integer, not '36'"),
     ("final_train_loss", True, "[FAIL] summary readable: "
                                "run summary final_train_loss must be a number, not True"),
+    ("grad_evals", 0, "[FAIL] summary readable: "
+                      "run summary grad_evals must be an integer >= 1, not 0"),
+    ("iterations", 0, "[FAIL] summary readable: "
+                      "run summary iterations must be an integer >= 1, not 0"),
+    ("d_per_epoch", 0, "[FAIL] summary readable: "
+                       "run summary d_per_epoch must be an integer >= 1, not 0"),
+    ("sampling_number", -1, "[FAIL] summary readable: "
+                            "run summary sampling_number must be an integer >= 0, not -1"),
 ])
 def test_verify_reports_bad_summary_values(tmp_path, capsys, key, value, failure):
     path = _write_config(tmp_path, _small_config(tmp_path))

@@ -15,12 +15,12 @@ import warnings
 import numpy as np
 import pytest
 
-from samlab import optim
+from samlab import objectives, optim
 from samlab.data import generate_dataset, make_batches, train_test_split
 from samlab.errors import ConfigurationError, NumericError
 from samlab.metrics import WALL_CLOCK_FIELDS
 from samlab.objectives import (SHARP_FLAT_CALIBRATION, init_params, make_mlp_classifier,
-                               make_quadratic, make_sharp_flat)
+                               make_quadratic, make_sharp_flat, mlp_accuracy)
 from samlab.params import ParamVector
 from samlab.sampler import SamplerConfig, change_rate_series, init_sampler, record_sample
 
@@ -217,6 +217,48 @@ def test_a_named_subset_runs_from_a_bare_parameter_vector():
     first = runs[1].records[0]
     assert (first.l2_sgd_subset, first.l2_psf_subset) == (triple.l2_sgd_subset,
                                                           triple.l2_psf_subset)
+
+
+def _shared_spec_runs(spec_for):
+    """SGD, SAM and vSAM at batch sizes 50 and 64, each followed by a lone ``mlp_accuracy``.
+
+    ``spec_for()`` gives each run its spec. 480 training rows: epochs end on
+    short batches of 30 and 32 rows, and the held-out split has 120.
+    """
+    dataset = generate_dataset("moons", 600, 0.15, seed=3)
+    probe = generate_dataset("moons", 37, 0.15, seed=5)
+    opt = optim.OptimizerConfig(eta0=0.5, rho=0.05, lr_schedule="cosine")
+    scfg = SamplerConfig(n_window=20, m_slices=4, alpha=0.13, s1=5, i_start=20)
+    outcomes = []
+    for batch_size in (50, 64):
+        for method in ("sgd", "sam", "vsam"):
+            spec = spec_for()
+            common = dict(batch_size=batch_size, w0=init_params(spec, 0), collect_params=True)
+            if method == "vsam":
+                result = optim.run_vsam(spec, dataset, opt, scfg, 80, 0, **common)
+            else:
+                result = getattr(optim, f"run_{method}")(spec, dataset, opt, 80, 0, **common)
+            accuracy = mlp_accuracy(spec, result.w_final, probe.inputs, probe.targets)
+            outcomes.append((_run_bits(result), float_bits(accuracy)))
+    return outcomes
+
+
+def test_runs_sharing_one_spec_equal_runs_on_fresh_specs(monkeypatch):
+    """The spec's plan keeps the MLP's scratch memory; no run leaks into the next through it."""
+    built = []
+    original = objectives._RowBuffers
+
+    def counted(layout, rows):
+        built.append(rows)
+        return original(layout, rows)
+
+    monkeypatch.setattr(objectives, "_RowBuffers", counted)
+    shared = make_mlp_classifier((2, 16, 2), weight_decay=1e-4)
+    on_one_spec = _shared_spec_runs(lambda: shared)
+    # one set of row buffers per row count over all six runs and the lone calls
+    assert sorted(built) == [30, 32, 37, 50, 64, 120]
+    fresh = _shared_spec_runs(lambda: make_mlp_classifier((2, 16, 2), weight_decay=1e-4))
+    assert on_one_spec == fresh
 
 
 def test_momentum_state_must_match_the_weights():

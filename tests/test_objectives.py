@@ -8,9 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from samlab.data import Batch, Dataset, generate_dataset, make_batches
 from samlab.errors import ConfigurationError
 from samlab import objectives
-from samlab.objectives import (SHARP_FLAT_CALIBRATION, ObjectiveSpec, Workspace, classify_basin,
-                               eval_grad, eval_heldout,
-                               eval_loss, init_params, make_mlp_classifier,
+from samlab.objectives import (SHARP_FLAT_CALIBRATION, ObjectiveSpec, classify_basin,
+                               eval_grad, eval_heldout, eval_loss, init_params, make_mlp_classifier,
                                make_quadratic, make_rosenbrock, make_sharp_flat, mlp_accuracy,
                                param_segments, prime_epoch, sharp_flat_centers,
                                sharp_flat_ridge)
@@ -190,7 +189,8 @@ def test_mlp_kernel_matches_parent_oracle_bit_for_bit(hidden, input_dim, n_class
     ds = Dataset("blobs", seed, 0.0, 2.0 * rng.standard_normal((n, input_dim)),
                  rng.integers(0, n_classes, size=n).astype(target_dtype))
     batch_size = data.draw(st.integers(1, n), label="batch_size")
-    shared = objectives.Workspace()
+    # every call below shares the spec's plan's buffers, over every batch of
+    # the epoch, the short last one included
     for batch in make_batches(ds, batch_size, seed, 0):  # the last batch may be short
         ref_loss, ref_grad = oracle_mlp_eval(spec, w.values, batch, with_grad=True)
         # the first call checks and indexes the targets, the second reuses that
@@ -200,10 +200,6 @@ def test_mlp_kernel_matches_parent_oracle_bit_for_bit(hidden, input_dim, n_class
             assert grad.dtype == ref_grad.dtype and grad.tobytes() == ref_grad.tobytes()
         assert _bits(eval_loss(spec, w, batch)) == _bits(
             oracle_mlp_eval(spec, w.values, batch, with_grad=False)[0])
-        # one workspace for every batch of the epoch, the short last one included
-        shared_loss, shared_grad = eval_grad(spec, w.values, batch, shared)
-        assert _bits(shared_loss) == _bits(ref_loss)
-        assert shared_grad.tobytes() == ref_grad.tobytes()
         # the training loop passes the bare array, and evaluates held-out rows in one pass
         array_loss, array_grad = eval_grad(spec, w.values, batch)
         assert _bits(array_loss) == _bits(loss) and array_grad.tobytes() == grad.tobytes()
@@ -225,9 +221,9 @@ def _assert_matches_oracle(spec, values, batch):
         oracle_mlp_predict(spec, values, batch.inputs) == batch.targets)))
 
 
-def _assert_grad_matches_oracle(spec, values, batch, workspace):
-    """eval_grad through ``workspace`` equals the oracle kernel; returns the gradient."""
-    loss, grad = eval_grad(spec, values, batch, workspace)
+def _assert_grad_matches_oracle(spec, values, batch):
+    """eval_grad equals the oracle kernel; returns the gradient."""
+    loss, grad = eval_grad(spec, values, batch)
     ref_loss, ref_grad = oracle_mlp_eval(spec, values, batch, with_grad=True)
     assert _bits(loss) == _bits(ref_loss) and grad.tobytes() == ref_grad.tobytes()
     return grad
@@ -235,46 +231,48 @@ def _assert_grad_matches_oracle(spec, values, batch, workspace):
 
 @pytest.mark.parametrize("sizes, activation", [((2, 16, 2), "tanh"), ((2, 8, 8, 3), "relu")])
 def test_one_workspace_serves_interleaved_weight_buffers(sizes, activation):
-    """Two weight arrays written in place between calls, as the loop's w and w + e are."""
+    """Two weight arrays written in place between calls, as the loop's w and w + e are.
+
+    Every call shares the spec's plan's buffers and kept weight views.
+    """
     spec = make_mlp_classifier(sizes, activation=activation, weight_decay=1e-3)
     rng = np.random.default_rng(4)
     a = init_params(spec, 1).values.copy()
     b = a + 0.3 * rng.standard_normal(a.size)
-    workspace = objectives.Workspace()
     batches = _epoch()  # the last of them is short
     prime_epoch(spec, batches)
     for batch in batches:
-        _assert_grad_matches_oracle(spec, a, batch, workspace)
-        _assert_grad_matches_oracle(spec, b, batch, workspace)
+        _assert_grad_matches_oracle(spec, a, batch)
+        _assert_grad_matches_oracle(spec, b, batch)
         a -= 0.05 * rng.standard_normal(a.size)  # the kept views must see writes in place
         np.add(a, 0.01, out=b)
-    # more weight buffers than the workspace keeps views of, and a strided one
-    many = [a + 0.01 * k for k in range(objectives.Workspace.KEPT_WEIGHTS + 2)]
+    # more weight buffers than the plan keeps views of, and a strided one
+    many = [a + 0.01 * k for k in range(objectives.KEPT_WEIGHTS + 2)]
     strided = np.repeat(a, 2)[::2]
     for _ in range(2):
         for values in [*many, strided]:
-            _assert_grad_matches_oracle(spec, values, batches[0], workspace)
+            _assert_grad_matches_oracle(spec, values, batches[0])
         strided += 0.02
 
 
 def test_two_specs_and_row_counts_share_one_workspace():
-    """Layouts of equal parameter count, several row counts, one weight array, one workspace."""
+    """Layouts of equal parameter count, several row counts, one weight array: each spec's
+    plan serves every row count, interleaved with the other spec's calls."""
     specs = [make_mlp_classifier((2, 4, 3), activation="relu", weight_decay=1e-4),
              make_mlp_classifier((2, 5, 2), activation="tanh")]
     assert specs[0].param_count == specs[1].param_count
     values = init_params(specs[1], 6).values.copy()
     ds = generate_dataset("moons", 61, 0.2, seed=3)
     batches = [whole_dataset_batch(ds), *make_batches(ds, 16, 0, 0)]  # 61, 16, 16, 16, 13 rows
-    workspace = objectives.Workspace()
     for _ in range(2):
         for spec in specs:
             for batch in batches:
-                _assert_grad_matches_oracle(spec, values, batch, workspace)
-                loss, acc = eval_heldout(spec, values, batch, workspace)
+                _assert_grad_matches_oracle(spec, values, batch)
+                loss, acc = eval_heldout(spec, values, batch)
                 assert _bits(loss) == _bits(oracle_mlp_eval(spec, values, batch, False)[0])
                 assert _bits(acc) == _bits(float(np.mean(
                     oracle_mlp_predict(spec, values, batch.inputs) == batch.targets)))
-                assert _bits(eval_loss(spec, values, batch, workspace)) == _bits(loss)
+                assert _bits(eval_loss(spec, values, batch)) == _bits(loss)
             assert _bits(mlp_accuracy(spec, ParamVector(values), ds.inputs, ds.targets)) == \
                 _bits(float(np.mean(oracle_mlp_predict(spec, values, ds.inputs) == ds.targets)))
         values *= 1.5
@@ -284,13 +282,37 @@ def test_a_returned_gradient_is_not_workspace_memory():
     spec = make_mlp_classifier((2, 8, 8, 2), weight_decay=1e-3)
     values = init_params(spec, 2).values
     batch = _epoch()[0]
-    workspace = objectives.Workspace()
-    first = _assert_grad_matches_oracle(spec, values, batch, workspace)
+    first = _assert_grad_matches_oracle(spec, values, batch)
     kept = first.tobytes()
-    second = _assert_grad_matches_oracle(spec, 2.0 * values, batch, workspace)
-    eval_heldout(spec, 3.0 * values, batch, workspace)
+    second = _assert_grad_matches_oracle(spec, 2.0 * values, batch)
+    eval_heldout(spec, 3.0 * values, batch)
     assert first.tobytes() == kept and second.tobytes() != kept
     assert not np.shares_memory(first, second)
+    # nor the weight-decay term's buffer, the one plan buffer of the gradient's size
+    assert not np.shares_memory(first, spec.plan.decay)
+    assert not np.shares_memory(second, spec.plan.decay)
+
+
+def test_lone_mlp_calls_build_row_buffers_once_per_row_count(monkeypatch):
+    built = []
+    original = objectives._RowBuffers
+
+    def counted(layout, rows):
+        built.append(rows)
+        return original(layout, rows)
+
+    monkeypatch.setattr(objectives, "_RowBuffers", counted)
+    spec = make_mlp_classifier((2, 16, 2), weight_decay=1e-4)
+    w = init_params(spec, 0)
+    ds = generate_dataset("moons", 64, 0.15, seed=3)
+    batches = [whole_dataset_batch(ds), *make_batches(ds, 20, 0, 0)]  # 64, 20, 20, 20, 4 rows
+    for _ in range(3):
+        for batch in batches:
+            eval_grad(spec, w, batch)
+            eval_loss(spec, w, batch)
+            eval_heldout(spec, w.values, batch)
+        mlp_accuracy(spec, w, ds.inputs[:7], ds.targets[:7])
+    assert sorted(built) == [4, 7, 20, 64]
 
 
 def test_batch_targets_are_read_only():
@@ -568,11 +590,10 @@ def test_sharp_flat_matches_the_parent_oracle_bit_for_bit(width_sharp, flat_over
     spec = make_sharp_flat(width_sharp, width_sharp * flat_over_sharp, depth_gap, separation)
     x = np.array([separation / 2.0 - u * separation, y])
     ref_loss, ref_grad = oracle_sharp_flat(spec, x, True)
-    workspace = Workspace()
     for _ in range(2):  # the second call runs on the plan the first one kept
-        loss, grad = eval_grad(spec, x, None, workspace)
+        loss, grad = eval_grad(spec, x)
         assert _bits(loss) == _bits(ref_loss) and grad.tobytes() == ref_grad.tobytes()
-        assert _bits(eval_loss(spec, x, None, workspace)) == _bits(ref_loss)
+        assert _bits(eval_loss(spec, x)) == _bits(ref_loss)
     assert _bits(eval_loss(spec, x)) == _bits(oracle_sharp_flat(spec, x, False)[0])
 
 
@@ -583,15 +604,14 @@ def test_alternating_specs_on_one_workspace_get_their_own_plans():
     a, b = quadratic.a, quadratic.b
     quadratic_loss = 0.5 * float(x @ (a @ x)) - float(b @ x) + 0.05 * float(x.dot(x))
     quadratic_grad = a @ x - b + 2.0 * 0.05 * x
-    workspace = Workspace()
     plans = quadratic.plan, sharp_flat.plan
     assert plans[0].kernel is not plans[1].kernel
     for _ in range(3):
-        loss, grad = eval_grad(quadratic, x, None, workspace)
+        loss, grad = eval_grad(quadratic, x)
         assert quadratic.plan is plans[0]
         assert _bits(loss) == _bits(quadratic_loss)
         assert grad.tobytes() == quadratic_grad.tobytes()
-        loss, grad = eval_grad(sharp_flat, x, None, workspace)
+        loss, grad = eval_grad(sharp_flat, x)
         assert sharp_flat.plan is plans[1]
         ref_loss, ref_grad = oracle_sharp_flat(sharp_flat, x, True)
         assert _bits(loss) == _bits(ref_loss) and grad.tobytes() == ref_grad.tobytes()
@@ -610,11 +630,10 @@ def test_a_spec_builds_its_plan_once(monkeypatch):
     batch = whole_dataset_batch(generate_dataset("moons", 20, 0.1, seed=0))
     w = init_params(mlp, 0)
     reference = None
-    # lone calls and calls on several workspaces share the spec's one plan,
-    # and give the same bits: the decay term goes to a buffer or a new array
-    for workspace in (None, Workspace(), Workspace(), None):
-        loss, grad = eval_grad(mlp, w, batch, workspace)
-        assert _bits(eval_loss(mlp, w, batch, workspace)) == _bits(loss)
+    # repeated lone calls share the spec's one plan and its buffers, and give the same bits
+    for _ in range(4):
+        loss, grad = eval_grad(mlp, w, batch)
+        assert _bits(eval_loss(mlp, w, batch)) == _bits(loss)
         if reference is None:
             reference = _bits(loss), grad.tobytes()
         assert (_bits(loss), grad.tobytes()) == reference
@@ -622,7 +641,7 @@ def test_a_spec_builds_its_plan_once(monkeypatch):
     fd_gradient(mlp, w, batch, 1e-5)
     sharp_flat = make_sharp_flat(0.07, 0.6, 0.2, 1.8)
     eval_grad(sharp_flat, np.array([-0.8, 0.1]))
-    eval_loss(sharp_flat, np.array([0.3, 0.1]), None, Workspace())
+    eval_loss(sharp_flat, np.array([0.3, 0.1]))
     sharp_flat_ridge(sharp_flat)
     assert built == [mlp, sharp_flat]
 
@@ -630,12 +649,11 @@ def test_a_spec_builds_its_plan_once(monkeypatch):
 def test_a_spec_cannot_change_under_its_plan():
     spec = make_sharp_flat(0.08, 0.5, 0.3, 2.0)
     x = np.array([-0.9, 0.2])
-    workspace = Workspace()
-    first = eval_grad(spec, x, None, workspace)
+    first = eval_grad(spec, x)
     for name, value in [("separation", 3.0), ("kind", "quadratic"), ("weight_decay", 0.1)]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(spec, name, value)
-    second = eval_grad(spec, x, None, workspace)
+    second = eval_grad(spec, x)
     assert _bits(first[0]) == _bits(second[0]) and first[1].tobytes() == second[1].tobytes()
     # the arrays are the spec's own read-only copies, and the layer sizes a tuple
     a = np.array([[2.0, 0.0], [0.0, 1.0]])

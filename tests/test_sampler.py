@@ -159,9 +159,8 @@ def test_update_rate_resets_window_counters():
     cfg = _cfg()
     state = init_sampler(cfg, 0)
     record_sample(state, cfg, 1.0, 1.0)
-    state.window_iter = cfg.n_window
+    assert state.window_samples == 1
     update_rate(state, cfg)
-    assert state.window_iter == 0
     assert state.window_samples == 0
 
 
@@ -187,7 +186,9 @@ def test_warmup_always_samples():
     state = init_sampler(cfg, 0)
     state.p = 0.0
     assert all(should_sample(state, cfg, i) for i in range(1, cfg.i_start + 1))
-    assert state.window_iter == 0  # warmup leaves the window clock alone
+    # warmup leaves the window's count alone and draws nothing
+    assert state.window_samples == 0
+    assert (state.draws, state.cursor, state.draws_from) == ([], 0, None)
 
 
 def test_zero_probability_never_fires_after_warmup():
@@ -258,10 +259,10 @@ def test_block_draws_match_per_call_draws(n_window, p_max, force, i_start, seed,
         if i == i_start:
             for state in states:
                 begin_windowing(state)
-        elif i > i_start and block.window_iter == n_window:
+        elif i > i_start and (i - i_start) % n_window == 0:
             windows += 1
             for state in states:
-                state.window_iter = state.window_samples = 0
+                state.window_samples = 0
                 state.p = rates[windows % len(rates)]
         if i in syncs:
             sync_draws(block)

@@ -48,6 +48,11 @@ The cases:
 - the same for two in-memory vSAM runs on the moons ``[2, 16, 2]`` task
   started from ``init_params``: one with the default subset (the last
   layer) and one with ``subset_segments=["layer1.W"]``;
+- ``mlp_shared_spec``: SGD, SAM and vSAM in memory on that task at batch
+  sizes 50 and 64, all six on one spec object, each followed by a lone
+  ``mlp_accuracy`` on 37 other rows; the spec's plan keeps the MLP's scratch
+  memory, so this digest shows that runs sharing it leak nothing into each
+  other;
 - damaged copies of one vSAM seed directory (80 rows: two blocks of the
   CSV codec), each digesting what ``verify_run`` reports on it, with the
   copy's path replaced by a placeholder: a norm-trace cell set to another
@@ -62,6 +67,8 @@ The cases:
 
 A run directory's digest covers every file in it: CSV files without their
 wall-clock columns, JSON files without wall-clock keys and the output path.
+An in-memory run's sampler state is digested without ``window_iter``, a
+counter that earlier versions of samlab kept and nothing read.
 The wall-clock fields are ``samlab.metrics.WALL_CLOCK_FIELDS`` of this
 checkout, whichever tree ``--src`` names.
 ``--case NAME`` (repeatable) builds only the named cases.
@@ -139,7 +146,7 @@ def config_cases():
     # 10-19 values split into slices of unequal width
     cases["vsam_slices_10"] = _payload("vsam", sampler_config={"m_slices": 10})
     # 120 rows per batch, as many as the held-out split: training and held-out
-    # evaluation share one workspace row count
+    # evaluation share one set of row buffers
     cases["vsam_batch_120"] = _payload("vsam", batch_size=120)
     for m in METHODS:
         for budget in (50, 51):
@@ -330,7 +337,8 @@ def _result_digest(result):
     state = result.sampler_state
     state_part = None
     if state is not None:
-        state_part = {k: v for k, v in vars(state).items() if k != "rng_stream"}
+        state_part = {k: v for k, v in vars(state).items()
+                      if k not in ("rng_stream", "window_iter")}
         state_part["rng"] = state.rng_stream.bit_generator.state
     return sha(repr(records), result.w_final.values.tobytes(), result.momentum_final.tobytes(),
                *[snapshot.tobytes() for snapshot in result.params_history or []],
@@ -376,7 +384,7 @@ MLP_SUBSETS = {"moons_vsam_in_memory": None, "moons_vsam_in_memory_layer1W": ["l
 
 
 def mlp_digests(wanted):
-    """Case name -> digest of an in-memory vSAM run on the moons task, from ``init_params``."""
+    """Case name -> digest of in-memory runs on the moons task, from ``init_params``."""
     from samlab import data, objectives, optim, sampler
 
     objective, dataset = MOONS["objective"], MOONS["dataset"]
@@ -393,6 +401,23 @@ def mlp_digests(wanted):
                                     batch_size=MOONS["batch_size"],
                                     w0=objectives.init_params(spec, 0), collect_params=True)
             digests[name] = _result_digest(result)
+    if "mlp_shared_spec" in wanted:
+        probe = data.generate_dataset(dataset["kind"], 37, dataset["noise"], 5)
+        parts = []
+        for batch_size in (50, 64):  # the last batch of an epoch has 30 and 32 rows
+            for method in ("sgd", "sam", "vsam"):
+                common = dict(batch_size=batch_size, w0=objectives.init_params(spec, 0),
+                              collect_params=True)
+                if method == "vsam":
+                    result = optim.run_vsam(spec, ds, opt, sampler.SamplerConfig(**SAMPLER),
+                                            iterations, 0, **common)
+                else:
+                    result = getattr(optim, f"run_{method}")(spec, ds, opt, iterations, 0,
+                                                             **common)
+                accuracy = objectives.mlp_accuracy(spec, result.w_final, probe.inputs,
+                                                   probe.targets)
+                parts += [_result_digest(result), accuracy.hex()]
+        digests["mlp_shared_spec"] = sha(*parts)
     return digests
 
 
@@ -418,7 +443,7 @@ def main(argv=None) -> int:
 
     configs = config_cases()
     sharp_flat_names = [f"sharp_flat_{s}_{m}" for s in range(20) for m in METHODS]
-    names = list(configs) + list(DAMAGES) + sharp_flat_names + list(MLP_SUBSETS)
+    names = [*configs, *DAMAGES, *sharp_flat_names, *MLP_SUBSETS, "mlp_shared_spec"]
     unknown = sorted(set(args.case) - set(names))
     if unknown:
         parser.error(f"unknown cases: {unknown}")
