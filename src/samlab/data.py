@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_number
 
 MAGIC = "SHRPDS1"
 HEADER_KEYS = {"kind", "seed", "noise", "n", "dim", "classes"}
@@ -104,8 +104,8 @@ def generate_dataset(kind: str, n: int, noise: float, seed: int) -> Dataset:
         raise ConfigurationError(f"unknown dataset kind {kind!r}; expected one of {DATASET_KINDS}")
     if n < 2:
         raise ConfigurationError("need at least one example per class (n >= 2)")
-    if noise < 0:
-        raise ConfigurationError("noise must be nonnegative")
+    check_number("noise", noise, float, 0)
+    check_number("seed", seed, int, 0)
 
     rng = np.random.default_rng(seed)
     # alternate classes so every prefix is as balanced as possible

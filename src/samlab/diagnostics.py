@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_number
 from .metrics import _read_columns, _write_rows
 
 BOUND_SLACK_TOL = 1e-12
@@ -85,6 +85,7 @@ def bound_sweep(cases: int, dims, seed: int, rho: float = 0.1):
         raise ConfigurationError(f"cases must be at least 1, got {cases}")
     if not 1 <= low <= high:
         raise ConfigurationError(f"dimensions must satisfy 1 <= min <= max, got {low}, {high}")
+    check_number("seed", seed, int, 0)
     rng = np.random.default_rng(seed)
     results = []
     for _ in range(cases):

@@ -48,9 +48,7 @@ def _write_json(path: Path, payload) -> None:
     """Write ``payload`` as indented, key-sorted JSON to a new file at ``path``.
 
     A file already there is removed first, as ``SEED_FILES`` are, so a rerun
-    writes a new file rather than truncating the old one in place: on ext4,
-    truncating and rewriting a file whose blocks are already on disk can
-    block for tens of milliseconds, where removing it and writing anew does not.
+    writes a new file rather than truncating the old one in place.
     """
     path.unlink(missing_ok=True)
     with open(path, "w", encoding="utf-8") as fh:

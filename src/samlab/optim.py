@@ -229,12 +229,11 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     reaches the next boundary. A sample is noted without a call: its two
     subset norms go to a ``sampler.Noted``, the window's sample count goes
     up, and the correction becomes the cached one, which reuse rows decay
-    inline with ``step_reuse``'s checks. ``settle`` folds the noted norms in
-    under ``note_sample``'s rules and computes their sliced variances,
-    before every rate update and whenever N samples are pending. A sampled
-    row gets its ``r``, ``v_fallback`` and ``v`` when the run stops: however
-    it ends, a NumericError included, the loop settles the rest, syncs the
-    sampler's generator to where one draw per Bernoulli decision leaves it
+    inline with ``step_reuse``'s checks. Each rate update settles the noted
+    norms (``settle`` computes their sliced variances). A sampled row gets
+    its ``r``, ``v_fallback`` and ``v`` when the run stops: however it ends,
+    a NumericError included, the loop settles the rest, syncs the sampler's
+    generator to where one draw per Bernoulli decision leaves it
     (``sync_draws``) and hands each sample's values to its row.
     """
     if iterations < 1:
@@ -279,8 +278,6 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
         p, s, i_start, n_window = state.p, state.s, cfg.i_start, cfg.n_window
         note_norm, note_sgd_norm = noted.norms.append, noted.sgd_norms.append
         boundary = i_start or n_window
-        pending = 0  # samples noted since the last settle
-        noted_at = []  # the iterations that noted a sample, oldest first
     evals, t = 0, start_iteration
     with np.errstate(all="ignore"):
         try:
@@ -308,13 +305,8 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                         note_norm(l2_psf_subset)
                         note_sgd_norm(l2_sgd_subset)
                         state.window_samples += 1
-                        noted_at.append(t)
                         cached, sampled_at = psf, t
                         cached_l2, cached_l2_subset = l2_psf, l2_psf_subset
-                        pending += 1
-                        if pending == n_window:
-                            settle(state, cfg, noted)
-                            pending = 0
                     direction, psf_stale, dot_sgd_psf = g_sam, False, float(g_sgd.dot(psf))
                 elif cfg is not None and (cached is not None or not cut):
                     # step_reuse's checks and messages, and reuse_coefficient's cutoff
@@ -350,9 +342,7 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                     if t == i_start:
                         begin_windowing(state)
                     else:
-                        settle(state, cfg, noted)
-                        pending = 0
-                        c_var, c_norm = update_rate(state, cfg)
+                        c_var, c_norm = update_rate(state, cfg, noted)
                         # this row logs its own update, and the p and s its decision used
                         records[-1].c_var, records[-1].c_norm = c_var, c_norm
                         p, s = state.p, state.s
@@ -367,9 +357,9 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
             if state is not None:
                 settle(state, cfg, noted)
                 sync_draws(state)
-                # a sample noted in an iteration that raised before its row was built comes last
-                built = len(records) + start_iteration
-                rows = (records[i - start_iteration - 1] for i in noted_at if i <= built)
+                # every sampled row noted a sample; one noted in an iteration that raised
+                # before its row was built comes last, and zip drops it
+                rows = (row for row in records if row.sampled)
                 for row, v, r, v_fallback in zip(rows, noted.variances, noted.ratios,
                                                  noted.fallbacks):
                     row.v, row.r, row.v_fallback = v, r, v_fallback

@@ -12,33 +12,30 @@ elementwise operations, with strict left-to-right summation. That makes the
 incremental state bit-identical to a from-scratch replay of the recorded
 history, which the test suite checks exactly rather than within a tolerance.
 
-A sample is folded in in two steps. Noting it applies the rules of one
-sample (``_fold``): its norms are checked, the norm joins the buffer, the
-norm ratio joins its history, and the window's sample count goes up.
-``note_sample`` notes one sample. The training loop makes no call per
-sample: it hands the two norms over in a ``Noted`` and counts the sample
-itself, and ``settle`` folds them in as a block. ``settle`` then computes
-the sliced variance of every sample noted since the last settle and trims
-the buffers back to the window; only ``update_rate`` reads the histories.
-The training loop settles before each rate update, whenever N samples are
-pending (which bounds the buffer), and once when it stops, however it
-stops; only then does it hand each sample's ratio, fallback flag and
-variance to its row. ``record_sample`` is ``note_sample`` and ``settle`` in
-a row. Each call returns what its caller logs (ratios, variances, change
-rates); the state keeps only what later calls need.
+A sample reaches the controller one way: its two norms are appended to a
+``Noted``, and ``settle`` folds them in as a block. Settling checks each
+sample's norms, appends the norm to the buffer and the norm ratio to its
+history, computes the sliced variance of every sample it folds in and trims
+the buffers back to the window; each sample's ratio, fallback flag and
+variance go back to the ``Noted``. ``update_rate`` settles the ``Noted`` it
+is handed before it reads the histories. The training loop appends a
+sample's norms and counts it in the window itself, making no call per
+sample, hands its ``Noted`` to each rate update and settles the rest once
+when it stops, however it stops; only then does it hand each sample's ratio,
+fallback flag and variance to its row. ``record_sample`` settles a
+one-sample ``Noted`` at once. Each call returns or hands back what its
+caller logs (ratios, variances, change rates); the state keeps only what
+later calls need.
 
-``settle`` evaluates the windows of all pending samples as one block: the
-windows are sorted as rows of one array and split into their M slices, and
-each slice's sum and sum of squared deviations are reduced along an axis on
-which numpy adds one value at a time, strictly left to right. A window that
-holds fewer values than slices, as a run's first M - 1 do, is one slice, so
-its statistic is the population variance of its values; ``sliced_variance``
-in ``tests/helpers.py`` runs the same routine on one window. Between settles
-the norm buffer holds the values noted past the window too, while the
-variance history grows only at a settle, so ``len(gnorm_buffer) -
-len(v_history)`` is the number of samples that ``note_sample`` noted and no
-settle has evaluated. A settled state holds the same fields and values as
-one that was settled after every sample.
+``settle`` evaluates the windows of the samples it folds in as blocks of up
+to N: a block's windows are sorted as rows of one array and split into their M
+slices, and each slice's sum and sum of squared deviations are reduced along
+an axis on which numpy adds one value at a time, strictly left to right. A
+window that holds fewer values than slices, as a run's first M - 1 do, is
+one slice, so its statistic is the population variance of its values;
+``sliced_variance`` in ``tests/helpers.py`` runs the same routine on one
+window. So the state holds the same values whether its samples were settled
+one at a time or in blocks of any size.
 
 ``should_sample`` takes its Bernoulli uniforms from a block of
 ``DRAW_BLOCK`` drawn with one ``random(DRAW_BLOCK)`` call, which gives the
@@ -122,10 +119,11 @@ class SamplerState:
 
 @dataclass
 class Noted:
-    """Samples that the training loop notes without a call: it appends their two norms.
+    """Samples on their way to the controller: the caller appends their two norms.
 
-    ``settle`` folds the norms in and appends each sample's ratio, fallback
-    flag and sliced variance to the last three lists, oldest first.
+    ``settle`` folds the norms in, takes them out and appends each sample's
+    ratio, fallback flag and sliced variance to the last three lists, oldest
+    first.
     """
 
     norms: list[float] = field(default_factory=list)
@@ -238,15 +236,19 @@ def _block_sliced_variance(values, first, n_window, m_slices):
     return variances.tolist()
 
 
-def _fold(state: SamplerState, config: SamplerConfig, norms, sgd_norms):
-    """Fold samples' norms, oldest first, into the norm buffer and the ratio history.
+def settle(state: SamplerState, config: SamplerConfig, noted: Noted) -> None:
+    """Fold the samples ``noted`` holds into the state, oldest first, and take them out of it.
 
     A NaN correction norm raises NumericError and a negative norm
-    ConfigurationError, before anything is folded in. Returns each sample's
-    ratio, correction norm / max(plain norm, eps), and whether its window
-    holds fewer values than slices (its variance is then the population variance).
+    ConfigurationError, before anything is folded in. Each sample's ratio,
+    correction norm / max(plain norm, eps), whether its window holds fewer
+    values than slices (its variance is then the population variance) and
+    its sliced variance go to the lists of ``noted``. Afterwards the norm
+    buffer and both histories hold their last N values.
     """
-    values, sgds = list(map(float, norms)), list(map(float, sgd_norms))
+    if not noted.norms:
+        return
+    values, sgds = list(map(float, noted.norms)), list(map(float, noted.sgd_norms))
     eps, ratios = config.eps, []
     for value, sgd in zip(values, sgds):
         if value != value:
@@ -255,74 +257,48 @@ def _fold(state: SamplerState, config: SamplerConfig, norms, sgd_norms):
         if value < 0.0 or sgd < 0.0:
             raise ConfigurationError("norms must be nonnegative")
         ratios.append(value / (eps if eps > sgd else sgd))  # max(sgd, eps), without a call
-    buffer = state.gnorm_buffer
-    # pending values can make the buffer longer than the window, but since M <= N
-    # it is shorter than M exactly when the window is: for the block's first `short`
-    short = min(max(config.m_slices - 1 - len(buffer), 0), len(values))
+    buffer, n, m = state.gnorm_buffer, config.n_window, config.m_slices
+    # the first `short` windows hold fewer than M values: a settled buffer holds
+    # min(samples so far, N) values, and M <= N
+    short = min(max(m - 1 - len(buffer), 0), len(values))
+    first, vs = len(buffer), []
     buffer += values
-    state.r_history += ratios  # trimmed to the window at the next settle
-    return ratios, [True] * short + [False] * (len(values) - short)
-
-
-def note_sample(state: SamplerState, config: SamplerConfig,
-                l2_psf_subset: float, l2_sgd_subset: float) -> tuple[float, bool]:
-    """Fold one sampled iteration's norms in; its sliced variance waits for ``settle``.
-
-    Returns the norm ratio and the fallback flag (see ``_fold``).
-    """
-    (r,), (v_fallback,) = _fold(state, config, (l2_psf_subset,), (l2_sgd_subset,))
-    state.window_samples += 1
-    return r, v_fallback
-
-
-def settle(state: SamplerState, config: SamplerConfig, noted: Noted | None = None) -> list[float]:
-    """Sliced variances of the samples noted since the last settle, oldest first.
-
-    The norms in ``noted`` are folded in first, and taken out of it; their
-    ratios, fallback flags and variances go to its lists. Afterwards the
-    norm buffer and the ratio history hold their last N values again and
-    the variances are in ``v_history``.
-    """
-    if noted is not None and noted.norms:
-        ratios, fallbacks = _fold(state, config, noted.norms, noted.sgd_norms)
-        noted.ratios += ratios
-        noted.fallbacks += fallbacks
-        noted.norms.clear()
-        noted.sgd_norms.clear()
-    buffer, n = state.gnorm_buffer, config.n_window
-    first = len(state.v_history)
-    if first >= len(buffer):
-        return []
-    vs = _block_sliced_variance(buffer, first, n, config.m_slices)
+    # N windows at a time, so that a long warmup's block needs (and caches) no larger arrays
+    for start in range(first, len(buffer), n):
+        low = max(start + 1 - n, 0)
+        vs += _block_sliced_variance(buffer[low:start + n], start - low, n, m)
     del buffer[:-n]
-    del state.r_history[:-n]
-    history = state.v_history
-    history += vs
-    del history[:-n]
-    if noted is not None:
-        noted.variances += vs
-    return vs
+    for history, added in ((state.r_history, ratios), (state.v_history, vs)):
+        history += added
+        del history[:-n]
+    noted.ratios += ratios
+    noted.fallbacks += [True] * short + [False] * (len(values) - short)
+    noted.variances += vs
+    noted.norms.clear()
+    noted.sgd_norms.clear()
 
 
 def record_sample(state: SamplerState, config: SamplerConfig,
                   l2_psf_subset: float, l2_sgd_subset: float) -> tuple[float, float, bool]:
-    """Fold one sampled iteration's norms into the rolling statistics.
+    """Settle one sampled iteration's norms at once and count it in the window.
 
     Returns the sample's sliced variance, norm ratio and fallback flag.
     """
-    r, v_fallback = note_sample(state, config, l2_psf_subset, l2_sgd_subset)
-    return settle(state, config)[-1], r, v_fallback
+    noted = Noted([l2_psf_subset], [l2_sgd_subset])
+    settle(state, config, noted)
+    state.window_samples += 1
+    return noted.variances[0], noted.ratios[0], noted.fallbacks[0]
 
 
-def update_rate(state: SamplerState, config: SamplerConfig) -> tuple[float, float]:
+def update_rate(state: SamplerState, config: SamplerConfig, noted: Noted) -> tuple[float, float]:
     """End-of-window budget update: s *= 1 + alpha*(c_var + c_norm), clamped.
 
     The budget is kept inside [1, p_max * N] so the controller can neither
-    die out nor exceed the sampling-rate ceiling; p follows as s / N. Samples
-    noted since the last settle are settled first, since both change rates
-    read the settled histories. Returns (c_var, c_norm).
+    die out nor exceed the sampling-rate ceiling; p follows as s / N. The
+    samples in ``noted`` are settled first, since both change rates read
+    the settled histories. Returns (c_var, c_norm).
     """
-    settle(state, config)
+    settle(state, config, noted)
     c_var = change_rate_series(state.v_history, config.eps)
     c_norm = change_rate_series(state.r_history, config.eps)
     s = state.s * (1.0 + config.alpha * c_var + config.alpha * c_norm)

@@ -19,8 +19,8 @@ from samlab.objectives import (SHARP_FLAT_CALIBRATION, classify_basin, eval_grad
                                make_rosenbrock, make_sharp_flat, sharp_flat_centers)
 from samlab.optim import OptimizerConfig, run_sam, run_sgd, run_vsam
 from samlab.params import ParamVector
-from samlab.sampler import (SamplerConfig, begin_windowing, init_sampler, note_sample,
-                            settle, should_sample, update_rate)
+from samlab.sampler import (Noted, SamplerConfig, begin_windowing, init_sampler, settle,
+                            should_sample, update_rate)
 
 from helpers import (fd_gradient, grad_eval_ratio, replay_sampler, sam_gradient,
                      symmetric_eigen, whole_dataset_batch)
@@ -220,20 +220,22 @@ def _random_trace(rng):
     alpha = float(rng.choice([0.0, 0.13, 2.0]))
     cfg = SamplerConfig(n_window=n, m_slices=m, alpha=alpha, s1=s1, i_start=n,
                         p_max=p_max)
-    state = init_sampler(cfg, 0)
+    state, noted = init_sampler(cfg, 0), Noted()
     events = []
     rates = (None, None)  # (c_var, c_norm) of the last rate update
     for _ in range(int(rng.integers(3, 40))):
         if rng.random() < 0.75:
             psf = 0.0 if rng.random() < 0.15 else float(rng.random() * 10.0)
             sgd = 0.0 if rng.random() < 0.15 else float(rng.random() * 5.0)
-            # folded in as the training loop does: update_rate settles
-            note_sample(state, cfg, psf, sgd)
+            # noted as the training loop notes it: update_rate settles
+            noted.norms.append(psf)
+            noted.sgd_norms.append(sgd)
+            state.window_samples += 1
             events.append(("record", psf, sgd))
         else:
-            rates = update_rate(state, cfg)
+            rates = update_rate(state, cfg, noted)
             events.append(("update",))
-    settle(state, cfg)
+    settle(state, cfg, noted)
     return cfg, state, events, rates
 
 
@@ -269,16 +271,18 @@ def test_criterion_7_cap_and_bounds():
     begin_windowing(state)
     i = cfg.i_start
     for _ in range(10_000):  # windows
-        fired = 0
+        fired, noted = 0, Noted()
         for _ in range(cfg.n_window):
             i += 1
             if should_sample(state, cfg, i):
                 fired += 1
                 # the run loop notes a sample on every fired iteration; update_rate settles
-                note_sample(state, cfg, float(rng.random()), float(rng.random()) + 0.1)
+                noted.norms.append(float(rng.random()))
+                noted.sgd_norms.append(float(rng.random()) + 0.1)
+                state.window_samples += 1
         assert fired <= cap
         assert state.window_samples == fired
-        update_rate(state, cfg)
+        update_rate(state, cfg, noted)
         assert 1.0 / cfg.n_window <= state.p <= cfg.p_max
         # keep the controller hot so the cap is actually exercised
         state.s = max(state.s, 45.0 if rng.random() < 0.5 else state.s)

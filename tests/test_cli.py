@@ -55,6 +55,20 @@ def test_gen_data_writes_loadable_file(tmp_path, capsys):
     assert "sha256" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--noise", "nan"], "noise must be a finite number >= 0, not nan"),
+    (["--noise", "inf"], "noise must be a finite number >= 0, not inf"),
+    (["--noise", "-0.1"], "noise must be a finite number >= 0, not -0.1"),
+    (["--seed", "-1"], "seed must be an integer >= 0, not -1"),
+])
+def test_gen_data_rejects_what_a_config_rejects(tmp_path, capsys, args, message):
+    # the config path's number rule: exit 2, and no file
+    out = tmp_path / "ds.shrpds"
+    assert main(["gen-data", "moons", "--n", "6", *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_verify_report_cycle(tmp_path, capsys):
     config = _small_config(tmp_path)
     path = _write_config(tmp_path, config)
@@ -252,6 +266,7 @@ def test_check_bounds_has_no_dimension_cap(capsys):
     ["--rho", "-0.1"],
     ["--rho", "0"],
     ["--rho", "nan"],
+    ["--seed", "-1"],
 ])
 def test_check_bounds_rejects_bad_input(capsys, args):
     assert main(["check-bounds", *args]) == 2

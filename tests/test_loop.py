@@ -308,6 +308,24 @@ def test_overflowing_step_fails_the_weight_check_without_a_warning():
     assert err.partial_records == []
 
 
+def test_overflowing_vsam_step_leaves_its_noted_sample_without_a_row():
+    # iteration 2 notes a sample, then its step overflows before its row is built
+    spec = make_quadratic([[1.0]])
+    opt = optim.OptimizerConfig(eta0=1e155, lr_schedule="constant")
+    cfg = SamplerConfig(n_window=20, m_slices=4, alpha=0.13, s1=5, i_start=20)
+    with pytest.raises(NumericError) as info:
+        optim.run_vsam(spec, None, opt, cfg, 10, 0, w0=ParamVector(np.array([1e-10])))
+    err = info.value
+    assert str(err) == "parameter vector contains non-finite values (iteration 2)"
+    assert err.iteration == 2
+    (row,) = err.partial_records
+    assert row.sampled
+    v, r, v_fallback = record_sample(init_sampler(cfg, 0), cfg, row.l2_psf_subset,
+                                     row.l2_sgd_subset)
+    assert (float_bits(row.v), float_bits(row.r), row.v_fallback) == \
+        (float_bits(v), float_bits(r), v_fallback)
+
+
 def _diverging_vsam():
     # 24 reuse rows, then a non-finite loss at iteration 92, in the window that began at 81
     spec = make_quadratic([[50.0, 0.0], [0.0, 1.0]])
@@ -319,7 +337,8 @@ def _diverging_vsam():
 
 
 def _basin_vsam():
-    # the warmup is longer than the window, so samples are also settled N at a time
+    # the warmup is five windows long: its 250 samples settle in one block with the
+    # first window's
     cal = SHARP_FLAT_CALIBRATION
     spec, _, kwargs, _ = _sharp_flat()
     opt = optim.OptimizerConfig(eta0=cal["eta0"], rho=cal["rho"], gamma=0.9,
@@ -337,8 +356,8 @@ def _budget_vsam():
 
 
 def _warmup_budget_vsam():
-    # samples settle N at a time inside a warmup that ends off a window boundary,
-    # and the budget ends the run in the middle of a later window
+    # a warmup that ends off a window boundary, and the budget ends the run in the
+    # middle of a later window
     spec, dataset, kwargs, iterations = _moons()
     opt = optim.OptimizerConfig(eta0=0.05, rho=0.9, lr_schedule="constant",
                                 grad_eval_budget=55)
@@ -402,8 +421,8 @@ def test_each_row_logs_what_its_own_decision_and_update_saw(monkeypatch, run):
         seen[t] = (state.p, state.s)
         return decide(state, cfg, t)
 
-    def recording_update(state, cfg):
-        updates.append(update(state, cfg))
+    def recording_update(state, cfg, noted):
+        updates.append(update(state, cfg, noted))
         return updates[-1]
 
     monkeypatch.setattr(optim, "should_sample", recording_decide)

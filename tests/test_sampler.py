@@ -5,10 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from samlab.errors import ConfigurationError, NumericError
-from samlab.sampler import (SamplerConfig, SamplerState, begin_windowing,
-                            change_rate_series, init_sampler, note_sample,
-                            record_sample, settle, should_sample, sync_draws,
-                            update_rate)
+from samlab.sampler import (Noted, SamplerConfig, SamplerState, begin_windowing,
+                            change_rate_series, init_sampler, record_sample, settle,
+                            should_sample, sync_draws, update_rate)
 
 from helpers import (_oracle_sliced_variance, float_bits, per_call_should_sample,
                      replay_sampler, sampler_state_bits, sliced_variance)
@@ -79,13 +78,32 @@ def test_change_rate_short_history_is_zero():
 
 
 def test_norm_ratio_examples():
-    # the ratio note_sample returns
+    # the ratios settle hands back, one block of three samples
     cfg = _cfg()
-    assert note_sample(init_sampler(cfg, 0), cfg, 2.0, 4.0)[0] == 0.5
-    assert note_sample(init_sampler(cfg, 0), cfg, 1.0, 0.0)[0] == 1e12
-    assert note_sample(init_sampler(cfg, 0), cfg, 0.0, 5.0)[0] == 0.0
-    with pytest.raises(ConfigurationError):
-        note_sample(init_sampler(cfg, 0), cfg, -1.0, 1.0)
+    state, noted = init_sampler(cfg, 0), Noted([2.0, 1.0, 0.0], [4.0, 0.0, 5.0])
+    settle(state, cfg, noted)
+    assert noted.ratios == state.r_history == [0.5, 1e12, 0.0]
+    assert (noted.norms, noted.sgd_norms) == ([], [])
+
+
+@pytest.mark.parametrize("norms, sgd_norms, error", [
+    ([2.0, -1.0], [4.0, 1.0], ConfigurationError),
+    ([2.0, 1.0], [4.0, -1.0], ConfigurationError),
+    ([2.0, math.nan], [4.0, 1.0], NumericError),
+])
+def test_bad_norms_are_rejected_before_anything_is_folded(norms, sgd_norms, error):
+    # a valid sample ahead of the bad one in the block is not folded in either
+    cfg = _cfg()
+    state = init_sampler(cfg, 0)
+    record_sample(state, cfg, 3.0, 6.0)
+    before = sampler_state_bits(state)
+    noted = Noted(list(norms), list(sgd_norms))
+    with pytest.raises(error):
+        settle(state, cfg, noted)
+    assert sampler_state_bits(state) == before
+    assert [float_bits(x) for x in noted.norms] == [float_bits(x) for x in norms]
+    assert (noted.sgd_norms, noted.ratios, noted.fallbacks, noted.variances) == \
+        (sgd_norms, [], [], [])
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +137,7 @@ def test_identical_samples_give_zero_rates():
         record_sample(state, cfg, 2.5, 5.0)
     assert all(v == 0.0 for v in state.v_history)
     s_before, p_before = state.s, state.p
-    assert update_rate(state, cfg) == (0.0, 0.0)
+    assert update_rate(state, cfg, Noted()) == (0.0, 0.0)
     assert (state.s, state.p) == (s_before, p_before)
 
 
@@ -129,7 +147,7 @@ def test_update_rate_worked_example():
     # histories engineered to give c_var = 0.1 and c_norm = -0.05 exactly
     state.v_history = [1.0, 1.1]
     state.r_history = [1.0, 0.95]
-    update_rate(state, cfg)
+    update_rate(state, cfg, Noted())
     assert state.s == pytest.approx(10.065, abs=1e-12)
     assert state.p == pytest.approx(0.2013, abs=1e-12)
 
@@ -140,7 +158,7 @@ def test_update_rate_clamps_to_ceiling():
     state = init_sampler(cfg, 0)
     state.v_history = [1.0, 1000.0]
     state.r_history = [1.0, 1000.0]
-    update_rate(state, cfg)
+    update_rate(state, cfg, Noted())
     assert state.s == 40.0
     assert state.p == 0.8
 
@@ -150,7 +168,7 @@ def test_update_rate_clamps_to_floor():
     state = init_sampler(cfg, 0)
     state.v_history = [1.0, 0.0]  # c_var = -1
     state.r_history = [1.0, 0.0]  # c_norm = -1
-    update_rate(state, cfg)  # raw update would go negative; the floor holds it
+    update_rate(state, cfg, Noted())  # raw update would go negative; the floor holds it
     assert state.s == 1.0
     assert state.p == 1.0 / cfg.n_window
 
@@ -160,7 +178,7 @@ def test_update_rate_resets_window_counters():
     state = init_sampler(cfg, 0)
     record_sample(state, cfg, 1.0, 1.0)
     assert state.window_samples == 1
-    update_rate(state, cfg)
+    update_rate(state, cfg, Noted())
     assert state.window_samples == 0
 
 
@@ -172,7 +190,7 @@ def test_monotone_response_in_variance_change():
         state = init_sampler(cfg, 0)
         state.v_history = [1.0, 1.0 + c_var]
         state.r_history = [1.0, 1.0]
-        update_rate(state, cfg)
+        update_rate(state, cfg, Noted())
         if previous is not None:
             assert state.s > previous
         previous = state.s
@@ -219,7 +237,7 @@ def test_window_cap_blocks_sampling():
     for k in range(cfg.n_window):
         if should_sample(state, cfg, cfg.i_start + 1 + k):
             fired += 1
-            state.window_samples += 1  # the run loop does this via note_sample
+            state.window_samples += 1  # the run loop counts each sample itself
     assert fired == cfg.sample_cap == 8
 
 
@@ -255,7 +273,7 @@ def test_block_draws_match_per_call_draws(n_window, p_max, force, i_start, seed,
         decision = should_sample(block, cfg, i)
         assert per_call_should_sample(per_call, cfg, i) == decision
         for state in states:
-            state.window_samples += decision  # the run loop does this via note_sample
+            state.window_samples += decision  # the run loop counts each sample itself
         if i == i_start:
             for state in states:
                 begin_windowing(state)
@@ -332,7 +350,7 @@ def test_incremental_equals_replay_small():
                 record_sample(state, cfg, psf, sgd)
                 events.append(("record", psf, sgd))
             else:
-                c_var, c_norm = update_rate(state, cfg)
+                c_var, c_norm = update_rate(state, cfg, Noted())
                 events.append(("update",))
         expected = replay_sampler(events, n, m, alpha, s1, p_max, cfg.eps)
         assert state.gnorm_buffer == expected["gnorm_buffer"]
@@ -382,21 +400,27 @@ def test_settled_blocks_equal_per_sample_evaluation(shape, norms, settle_after):
     # sample's window on its own
     n, m = shape
     cfg = SamplerConfig(n_window=n, m_slices=m, s1=1, i_start=n)
-    lazy, eager = init_sampler(cfg, 0), init_sampler(cfg, 0)
-    got, expected = [], []
+    lazy, eager, noted = init_sampler(cfg, 0), init_sampler(cfg, 0), Noted()
+    expected = []
     for k, value in enumerate(norms):
-        assert note_sample(lazy, cfg, value, 1.0) == (value, k + 1 < m)
+        noted.norms.append(value)
+        noted.sgd_norms.append(1.0)
+        lazy.window_samples += 1  # the run loop counts each sample itself
         v, *_ = record_sample(eager, cfg, value, 1.0)
         expected.append(_oracle_sliced_variance(norms[max(0, k + 1 - n):k + 1], m))
         assert float_bits(v) == float_bits(expected[-1])
         assert len(eager.gnorm_buffer) == len(eager.v_history)
         if k in settle_after:
-            got += settle(lazy, cfg)
+            settle(lazy, cfg, noted)
             assert len(lazy.gnorm_buffer) == len(lazy.v_history)
-    got += settle(lazy, cfg)
+            assert len(noted.variances) == k + 1
+    settle(lazy, cfg, noted)
     assert len(lazy.gnorm_buffer) == len(lazy.v_history) == min(len(norms), n)
-    assert settle(lazy, cfg) == []
-    assert [float_bits(v) for v in got] == [float_bits(v) for v in expected]
+    settle(lazy, cfg, noted)  # nothing left to settle
+    assert len(noted.variances) == len(norms)
+    assert noted.ratios == norms
+    assert noted.fallbacks == [k + 1 < m for k in range(len(norms))]
+    assert [float_bits(v) for v in noted.variances] == [float_bits(v) for v in expected]
     assert sampler_state_bits(lazy) == sampler_state_bits(eager)
 
 
@@ -418,13 +442,14 @@ def test_block_routine_equals_scalar_oracle(m, slice_width, data):
                                min_size=1, max_size=3 * n))
     settle_after = data.draw(st.sets(st.integers(0, len(norms) - 1), max_size=10))
     cfg = SamplerConfig(n_window=n, m_slices=m, s1=1, i_start=n)
-    state = init_sampler(cfg, 0)
-    got = []
+    state, noted = init_sampler(cfg, 0), Noted()
     for k, value in enumerate(norms):
-        note_sample(state, cfg, value, 1.0)
+        noted.norms.append(value)
+        noted.sgd_norms.append(1.0)
         if k in settle_after:
-            got += settle(state, cfg)
-    got += settle(state, cfg)
+            settle(state, cfg, noted)
+    settle(state, cfg, noted)
+    got = noted.variances
     windows = [norms[max(0, k + 1 - n):k + 1] for k in range(len(norms))]
     expected = [float_bits(_oracle_sliced_variance(window, m)) for window in windows]
     assert [float_bits(v) for v in got] == expected
@@ -433,10 +458,12 @@ def test_block_routine_equals_scalar_oracle(m, slice_width, data):
 
 def test_update_rate_settles_pending_samples_first():
     cfg = _cfg()
-    lazy, eager = init_sampler(cfg, 0), init_sampler(cfg, 0)
+    lazy, eager, noted = init_sampler(cfg, 0), init_sampler(cfg, 0), Noted()
     for value in [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0, 5.0, 8.0, 9.0, 7.0]:
-        note_sample(lazy, cfg, value, 2.0 + value)
+        noted.norms.append(value)
+        noted.sgd_norms.append(2.0 + value)
+        lazy.window_samples += 1
         record_sample(eager, cfg, value, 2.0 + value)
-    update_rate(lazy, cfg)
-    update_rate(eager, cfg)
+    assert update_rate(lazy, cfg, noted) == update_rate(eager, cfg, Noted())
+    assert noted.norms == [] and len(noted.variances) == 14
     assert sampler_state_bits(lazy) == sampler_state_bits(eager)

@@ -27,9 +27,12 @@ The cases:
   settle inside a warmup that ends off a window boundary, and the budget
   stops the run in the middle of a window;
 - runs that fail with a NumericError and write ``error.json``: a diverging
-  quadratic under SAM (non-finite loss at iteration 92) and under vSAM (the
-  same, after reuse rows), and an SGD step that overflows the weights at
-  iteration 1;
+  quadratic under SAM (non-finite loss at iteration 92), under vSAM (the
+  same, after reuse rows) and under vSAM with a 150-iteration warmup (its 91
+  samples settle in one block when it raises); an SGD step that overflows
+  the weights at iteration 1; and a vSAM step that overflows them at
+  iteration 2, after that iteration's sample was noted, so that the sample
+  has no row;
 - Rosenbrock vSAM;
 - the ``inverse_t`` learning-rate schedule under vSAM; a quadratic with
   ``weight_decay`` 0.05 under SAM; SAM and vSAM started at a quadratic's
@@ -161,10 +164,18 @@ def config_cases():
         "iterations": 400, "seeds": [0], "w0": [1.0, 1.0]}
     cases["diverging_quadratic_vsam"] = dict(
         cases["diverging_quadratic_sam"], optimizer="vsam", sampler_config=dict(SAMPLER))
+    # the warmup outlasts the run: all 91 samples are settled in one block when it raises
+    cases["diverging_quadratic_vsam_long_warmup"] = dict(
+        cases["diverging_quadratic_vsam"], sampler_config=dict(SAMPLER, i_start=150))
     cases["overflowing_step_sgd"] = {
         "objective": {"kind": "quadratic", "a": [[1.0, 0.0], [0.0, 1.0]]},
         "optimizer": "sgd", "optimizer_config": {"eta0": 1e306},
         "iterations": 10, "seeds": [0], "w0": [1e3, 1.0]}
+    # the step of iteration 2 overflows after its sample was noted: that sample has no row
+    cases["overflowing_step_vsam"] = {
+        "objective": {"kind": "quadratic", "a": [[1.0]]},
+        "optimizer": "vsam", "optimizer_config": {"eta0": 1e155, "lr_schedule": "constant"},
+        "sampler_config": dict(SAMPLER), "iterations": 10, "seeds": [0], "w0": [1e-10]}
     cases["rosenbrock_vsam"] = {
         "objective": {"kind": "rosenbrock", "dim": 3},
         "optimizer": "vsam", "optimizer_config": {"eta0": 1e-3, "lr_schedule": "constant"},
