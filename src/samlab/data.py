@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, check_number
+from .metrics import remove_regular_file
 
 MAGIC = "SHRPDS1"
 HEADER_KEYS = {"kind", "seed", "noise", "n", "dim", "classes"}
@@ -153,6 +154,8 @@ def serialize_dataset(ds: Dataset) -> str:
 
 
 def save_dataset(ds: Dataset, path) -> None:
+    """Write ``ds`` to ``path``, as ``metrics.remove_regular_file`` says."""
+    remove_regular_file(path)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(serialize_dataset(ds))
 

@@ -40,6 +40,7 @@ import re
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from itertools import islice
+from pathlib import Path
 
 from .errors import ConfigurationError
 
@@ -129,19 +130,32 @@ def _format_column(kind, values):
     return ["" if v is None else "1" if v else "0" for v in values]
 
 
+def remove_regular_file(path) -> None:
+    """Remove a regular file at ``path``, so that a writer that opens ``path`` next makes a
+    new file rather than truncating the old one in place: a hard link to the old file
+    keeps its bytes. A symlink, FIFO or device at ``path`` stays and is written through,
+    so that ``/dev/stdout`` or a shell's ``>(cmd)`` takes a file's bytes.
+    """
+    path = Path(path)
+    if path.is_file() and not path.is_symlink():
+        path.unlink()
+
+
 def _write_rows(path, header, rows, projections=()) -> None:
     """Write ``header``, then each row (a mapping holding every header column).
 
     Each ``(path, names)`` of ``projections`` gets a file of the ``names``
     columns of the same rows, joined from the same formatted cells. Bytes
     equal ``csv.writer``'s: no cell needs quoting (see the module docstring),
-    so a line is its cells joined by commas, ended by CRLF.
+    so a line is its cells joined by commas, ended by CRLF. Each output is
+    written as ``remove_regular_file`` says.
     """
     kinds = [_column_type(name) for name in header]
     rows = iter(rows)
     with ExitStack() as stack:
         outputs = []
         for out, names in [(path, header), *projections]:
+            remove_regular_file(out)
             fh = stack.enter_context(open(out, "w", newline="", encoding="ascii"))
             fh.write(",".join(names) + "\r\n")
             outputs.append((fh, [header.index(name) for name in names]))

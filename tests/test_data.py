@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -67,6 +68,17 @@ def test_serialization_round_trip_exact(tmp_path):
     assert back.kind == ds.kind and back.seed == ds.seed and back.noise == ds.noise
     assert np.array_equal(back.inputs, ds.inputs)
     assert np.array_equal(back.targets, ds.targets)
+
+
+def test_save_dataset_writes_a_new_file(tmp_path):
+    # a second name keeps the earlier file, so a rewrite in place would show through it
+    path = tmp_path / "ds.shrpds"
+    path.write_bytes(b"earlier")
+    os.link(path, tmp_path / "earlier")
+    ds = generate_dataset("moons", 12, 0.1, seed=4)
+    save_dataset(ds, path)
+    assert (tmp_path / "earlier").read_bytes() == b"earlier"
+    assert path.read_text(encoding="ascii") == serialize_dataset(ds)
 
 
 def test_magic_string_checked():

@@ -3,14 +3,21 @@ import json
 import math
 import os
 import shutil
+import stat
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from samlab.data import DATASET_KINDS
+from samlab.data import DATASET_KINDS, generate_dataset, save_dataset
 from samlab.diagnostics import NORM_TRACE_FIELDS
-from samlab.errors import ConfigurationError
+from samlab import harness
+from samlab.errors import ConfigurationError, NumericError
 from samlab.harness import (FILLED_FIELDS, OPTIMIZERS, ExperimentConfig, RunSummary,
                             compare_report, compute_ais, config_from_dict, config_to_dict,
                             run_experiment, summarize, verify_run,
@@ -680,6 +687,196 @@ def test_output_root_env_override(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# seeds in parallel
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, whatever the host and its BLAS threads: a run of two or more seeds
+    forks once."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+
+
+def _in_process(monkeypatch, fn):
+    """``fn()`` with one usable CPU, so that every seed runs in this process."""
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_usable_cpus", lambda: 1)
+        return fn()
+
+
+def _threads():
+    return len(os.listdir("/proc/self/task"))
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _strip_wall_clock(payload):
+    if isinstance(payload, dict):
+        return {k: _strip_wall_clock(v) for k, v in payload.items()
+                if k not in WALL_CLOCK_FIELDS and k != "output_dir"}
+    return payload
+
+
+def _run_tree(out):
+    """Every file of a run directory, JSON parsed and CSV split, without wall-clock values."""
+    tree = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        if path.suffix == ".json":
+            content = _strip_wall_clock(json.loads(path.read_text(encoding="utf-8")))
+        else:
+            rows = [line.split(",") for line in path.read_text(encoding="ascii").splitlines()]
+            keep = [j for j, name in enumerate(rows[0]) if name not in WALL_CLOCK_FIELDS]
+            content = [[row[j] for j in keep] for row in rows]
+        tree[path.relative_to(out).as_posix()] = content
+    return tree
+
+
+def _record_dispatch(monkeypatch, tmp_path, broken=()):
+    """Wrap ``_dispatch`` to leave a file naming each seed's process, and to raise
+    ``RuntimeError`` for the seeds in ``broken``."""
+    real = harness._dispatch
+    (tmp_path / "pids").mkdir()
+
+    def dispatch(config, dataset, iterations, seed):
+        (tmp_path / "pids" / str(seed)).write_text(str(os.getpid()), encoding="ascii")
+        if seed in broken:
+            raise RuntimeError(f"seed {seed} broke")
+        return real(config, dataset, iterations, seed)
+
+    monkeypatch.setattr(harness, "_dispatch", dispatch)
+    return tmp_path / "pids"
+
+
+def test_parallel_seeds_write_the_bytes_of_an_in_process_run(tmp_path, monkeypatch, two_cpus):
+    pids = _record_dispatch(monkeypatch, tmp_path)
+    threads = _threads()
+    forked = run_experiment(config_from_dict(_base_config(
+        tmp_path, seeds=[2, 0, 1], output_dir=str(tmp_path / "forked"))))
+    _assert_no_children()
+    assert _threads() <= threads  # the pool's threads are gone, so the next run may fork
+    assert len({path.read_text() for path in pids.iterdir()}) == 2
+    alone = _in_process(monkeypatch, lambda: run_experiment(config_from_dict(_base_config(
+        tmp_path, seeds=[2, 0, 1], output_dir=str(tmp_path / "alone")))))
+    tree = _run_tree(forked)
+    assert tree == _run_tree(alone)
+    assert "aggregate.json" in tree and len(tree) == 2 + 3 * 3
+    assert tree["aggregate.json"]["seeds"] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("broken", [(1, 2), (2,), (0, 1)])
+def test_parallel_seeds_raise_the_first_error_of_the_serial_loop(tmp_path, monkeypatch,
+                                                                 two_cpus, broken):
+    # seeds [0, 2] run in this process and seed 1 in the child: (1, 2) raises the
+    # child's error although this process's came too, (2,) this process's alone
+    _record_dispatch(monkeypatch, tmp_path, broken)
+    errors = []
+    for name, run in (("forked", run_experiment),
+                      ("alone", lambda config: _in_process(monkeypatch,
+                                                           lambda: run_experiment(config)))):
+        config = config_from_dict(_base_config(tmp_path, output_dir=str(tmp_path / name)))
+        with pytest.raises(RuntimeError) as raised:
+            run(config)
+        _assert_no_children()
+        assert not (tmp_path / name / "aggregate.json").exists()
+        errors.append((type(raised.value), str(raised.value)))
+        if name == "forked" and broken[0] == 1:  # the child's traceback comes back as a note
+            assert 'raise RuntimeError(f"seed {seed} broke")' in raised.value.__notes__[0]
+    assert errors[0] == errors[1] == (RuntimeError, f"seed {broken[0]} broke")
+
+
+def test_parallel_seeds_keep_a_numeric_failure_to_its_seed(tmp_path, monkeypatch, two_cpus):
+    real = harness._dispatch
+
+    def dispatch(config, dataset, iterations, seed):
+        if seed == 1:
+            err = NumericError("injected", iteration=5)
+            err.partial_records = real(config, dataset, 5, seed).records
+            raise err
+        return real(config, dataset, iterations, seed)
+
+    monkeypatch.setattr(harness, "_dispatch", dispatch)
+    forked = run_experiment(config_from_dict(_base_config(
+        tmp_path, output_dir=str(tmp_path / "forked"))))
+    _assert_no_children()
+    assert sorted(p.name for p in (forked / "seed_1").iterdir()) == ["error.json", "metrics.csv"]
+    assert len(read_metrics_csv(forked / "seed_1" / "metrics.csv")) == 5
+    for seed in (0, 2):
+        assert verify_run(forked / f"seed_{seed}")[0]
+    alone = _in_process(monkeypatch, lambda: run_experiment(config_from_dict(_base_config(
+        tmp_path, output_dir=str(tmp_path / "alone")))))
+    tree = _run_tree(forked)
+    assert tree == _run_tree(alone)
+    assert tree["aggregate.json"]["seeds"] == [0, 2]
+    assert tree["seed_1/error.json"] == {"error": "injected (iteration 5)", "iteration": 5}
+
+
+def test_a_child_that_dies_without_its_outcomes_is_named(tmp_path, monkeypatch, two_cpus):
+    real, parent = harness._dispatch, os.getpid()
+
+    def dispatch(config, dataset, iterations, seed):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(config, dataset, iterations, seed)
+
+    monkeypatch.setattr(harness, "_dispatch", dispatch)
+    with pytest.raises(RuntimeError, match=r"seeds \[1\] ended without sending their outcomes"):
+        run_experiment(config_from_dict(_base_config(tmp_path)))
+    _assert_no_children()
+    assert not (tmp_path / "run" / "aggregate.json").exists()
+
+
+def test_an_interrupt_kills_and_reaps_the_children(tmp_path, monkeypatch, two_cpus):
+    parent = os.getpid()
+
+    def dispatch(config, dataset, iterations, seed):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "_dispatch", dispatch)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(config_from_dict(_base_config(tmp_path)))
+    _assert_no_children()
+    assert time.perf_counter() - start < 30
+
+
+def test_any_second_thread_keeps_the_seeds_in_process():
+    if _threads() > 1:  # this process's BLAS runs a thread pool, on a host of several CPUs
+        assert harness._usable_cpus() == 1
+    # with BLAS pinned to one thread before numpy loads, a Python thread is the only other
+    code = ("import os, threading; from samlab import harness; "
+            "alone = harness._usable_cpus(); stop = threading.Event(); "
+            "threading.Thread(target=stop.wait).start(); "
+            "print(alone, harness._usable_cpus(), len(os.sched_getaffinity(0))); stop.set()")
+    pinned = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, **pinned, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr
+    alone, beside_a_thread, usable = map(int, done.stdout.split())
+    assert (alone, beside_a_thread) == (usable, 1)
+
+
+def test_parallel_seeds_flush_no_buffer_of_the_caller(tmp_path):
+    # a child that flushed its copy of a block-buffered stdout would print "x" twice
+    code = ("import json, sys; from samlab import harness; harness._usable_cpus = lambda: 2; "
+            "print('x', end=''); "
+            "harness.run_experiment(harness.config_from_dict(json.loads(sys.argv[1])))")
+    payload = _base_config(tmp_path, seeds=[0, 1])
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(payload)],
+                          capture_output=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == b"x"
+    assert json.loads((tmp_path / "run" / "aggregate.json").read_text())["seeds"] == [0, 1]
+
+
+# ---------------------------------------------------------------------------
 # summaries and verify
 
 def test_summarize_matches_stream(tmp_path):
@@ -745,6 +942,43 @@ def test_compare_report_stats_and_columns(tmp_path):
     csv_path = tmp_path / "report.csv"
     write_report_csv(csv_path, rows)
     assert csv_path.read_text().splitlines()[0] == ",".join(REPORT_FIELDS)
+
+
+def test_write_report_csv_writes_a_new_file(tmp_path):
+    # a second name keeps the earlier file, so a rewrite in place would show through it
+    path = tmp_path / "report.csv"
+    path.write_bytes(b"earlier")
+    os.link(path, tmp_path / "earlier")
+    write_report_csv(path, [dict(dict.fromkeys(REPORT_FIELDS), method="sgd", n_seeds=1)])
+    assert (tmp_path / "earlier").read_bytes() == b"earlier"
+    assert path.read_text().splitlines() == [",".join(REPORT_FIELDS), "sgd,1" + "," * 9]
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_report_csv(path, [dict(dict.fromkeys(REPORT_FIELDS), method="sgd",
+                                              n_seeds=1)]),
+    lambda path: save_dataset(generate_dataset("moons", 12, 0.1, seed=4), path),
+    lambda path: write_metrics_csv(path, [MetricsRecord(
+        iteration=1, epoch=0, train_loss=0.5, l2_sgd=1.0, sampled=False,
+        cumulative_grad_evals=1, wall_clock_seconds=0.1)]),
+], ids=["report", "dataset", "metrics"])
+def test_writers_write_through_a_fifo_and_a_symlink(tmp_path, write):
+    # as /dev/stdout, /dev/null and a shell's >(cmd) are: removing them would break the caller
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write(fifo)
+        through_fifo = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    link, target = tmp_path / "link", tmp_path / "target"
+    target.write_bytes(b"earlier")
+    link.symlink_to(target)
+    write(link)
+    assert link.is_symlink()
+    assert target.read_bytes() == through_fifo != b""
 
 
 def test_compare_report_zero_std_for_identical_runs(tmp_path):

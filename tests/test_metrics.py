@@ -1,6 +1,8 @@
 """The metrics CSV codec: bytes equal to csv.writer's, exact round-trips, and
 malformed files rejected with the file and line named."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -294,3 +296,18 @@ def test_wrong_header_is_configuration_error(tmp_path, file, bad_name):
     with pytest.raises(ConfigurationError, match="unexpected CSV header") as err:
         read(path)
     assert not isinstance(err.value, MalformedRowError)
+
+
+def test_write_metrics_csv_writes_new_files(tmp_path):
+    # a second name keeps each earlier file, so a rewrite in place would show through it
+    metrics, trace = tmp_path / "metrics.csv", tmp_path / "norm_trace.csv"
+    for path in (metrics, trace):
+        path.write_bytes(b"earlier")
+        os.link(path, tmp_path / f"earlier_{path.name}")
+    records = [MetricsRecord(iteration=1, epoch=0, train_loss=0.5, l2_sgd=1.0, sampled=False,
+                             cumulative_grad_evals=1, wall_clock_seconds=0.1)]
+    write_metrics_csv(metrics, records, [(trace, NORM_TRACE_FIELDS)])
+    for path in (metrics, trace):
+        assert (tmp_path / f"earlier_{path.name}").read_bytes() == b"earlier"
+    assert read_metrics_csv(metrics) == records
+    assert trace.read_bytes().startswith(",".join(NORM_TRACE_FIELDS).encode() + b"\r\n")

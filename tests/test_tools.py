@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
@@ -194,7 +195,9 @@ def test_ab_bench_records_the_base_as_a_full_hash(tmp_path, monkeypatch):
     monkeypatch.setattr(ab, "digests", lambda *args: {"cases": 0, "identical": True})
     assert ab.main(["--base", "HEAD", "--label", "t", "--work", str(tmp_path / "work"),
                     "--run", "run_audit:0:1"]) == 0
-    base = json.loads((repo / "BENCH_t.json").read_text(encoding="utf-8"))["base"]
+    record = json.loads((repo / "BENCH_t.json").read_text(encoding="utf-8"))
+    base = record["base"]
     assert re.fullmatch("[0-9a-f]{40}", base) and base == head
+    assert record["affinity"] == len(os.sched_getaffinity(0))
     with pytest.raises(SystemExit, match="names no commit"):
         ab.resolve("no-such-revision")

@@ -22,8 +22,9 @@ and per end-to-end metric of ``BENCHMARK.json``:
 both sides' medians and quartiles, the pairs in which the change was better,
 the gap between the medians against the base's interquartile range, and the
 relative change against the metric's bound. It also holds each side's
-platform key, the load average before and after, every run's correctness,
-and the digest comparison.
+platform key, the load average before and after, the host's CPU count and
+the CPUs this process may use, every run's correctness, and the digest
+comparison.
 """
 
 from __future__ import annotations
@@ -213,6 +214,8 @@ def main(argv=None) -> int:
         "label": args.label, "base": base, "change": "working tree",
         "load_avg": {"before": load_before, "after": load_after},
         "nproc": os.cpu_count(),
+        # the CPUs this process may run on: a multi-seed run forks up to this many processes
+        "affinity": len(os.sched_getaffinity(0)),
         "runs": runs,
         "digests": digests(trees, work),
     }

@@ -45,6 +45,9 @@ The cases:
   window), so that ``should_sample`` refuses without a draw; and a moons
   vSAM run of 7 epochs, whose iteration count ends in the middle of a
   window, with no budget;
+- runs of more than one seed, which run in parallel where they can: moons
+  vSAM with seeds ``[2, 0, 1]``, and a Rosenbrock vSAM run of four seeds of
+  which two fail with a NumericError and two finish;
 - 20 sharp/flat seeds x 4 optimizers in memory with ``collect_params=True``:
   records, final weights and momentum, every parameter snapshot and the
   sampler state;
@@ -75,6 +78,9 @@ counter that earlier versions of samlab kept and nothing read.
 The wall-clock fields are ``samlab.metrics.WALL_CLOCK_FIELDS`` of this
 checkout, whichever tree ``--src`` names.
 ``--case NAME`` (repeatable) builds only the named cases.
+BLAS is pinned to one thread before numpy loads, so that the runs of more
+than one seed run in parallel on a host of several CPUs: samlab forks only
+a process that runs one thread.
 """
 
 from __future__ import annotations
@@ -84,10 +90,13 @@ import ast
 import csv
 import hashlib
 import json
+import os
 import shutil
 import sys
 import tempfile
 from pathlib import Path
+
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
 
 def wall_clock_fields():
@@ -204,6 +213,13 @@ def config_cases():
         SAMPLER, n_window=50, m_slices=5, s1=15, p_max=0.3))
     # 70 iterations: the windows end at 40 and 60, and the run in the middle of the next
     cases["vsam_ends_mid_window"] = _payload("vsam", epochs=7)
+    # three seeds, not in order: the aggregate sums in the order of the config's seeds
+    cases["moons_vsam_3_seeds"] = _payload("vsam", seeds=[2, 0, 1])
+    # seeds 1 and 3 start where the step diverges (iterations 13 and 6); 0 and 2 finish
+    cases["rosenbrock_vsam_some_seeds_fail"] = dict(
+        cases["rosenbrock_vsam"], objective={"kind": "rosenbrock", "dim": 2},
+        optimizer_config={"eta0": 5e-3, "lr_schedule": "constant"}, iterations=300,
+        seeds=[0, 1, 2, 3])
     return cases
 
 
