@@ -15,7 +15,6 @@ ConfigurationError naming the first bad line.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -207,6 +206,8 @@ def load_dataset(path) -> Dataset:
 
 def dataset_checksum(ds: Dataset) -> str:
     """SHA-256 of the serialized form; pinned in tests as a regression value."""
+    import hashlib  # here, not at the top: only ``gen-data`` needs it, and it loads OpenSSL
+
     return hashlib.sha256(serialize_dataset(ds).encode("ascii")).hexdigest()
 
 

@@ -39,6 +39,28 @@ gives the bits of subtracting 1 at the flat index: at a target it is the
 same subtraction, and elsewhere it subtracts 0.0, and x - 0.0 has the bits
 of x for every double, -0.0 and NaN included.
 
+Every matrix and vector product of a kernel is an ``np.dot`` call where it
+can be, not ``@``. ``np.dot`` reaches the BLAS routine that ``np.matmul``
+reaches (``gemm`` with the same transpose flags, ``gemv`` or ``ddot``) and
+gives its bits, without the ufunc dispatch that costs ``np.matmul`` about
+0.3 us a call: on the moons MLP's 82 weights a product is mostly dispatch.
+That holds while every operand is C- or F-contiguous and the product sums
+over more than one term. Otherwise the two can take different routes and
+differ in the last bit or in the sign of a zero:
+
+- an operand that is neither C- nor F-contiguous, such as a hand-built
+  batch's inputs with reversed columns or a weight vector with a stride of
+  2: ``np.dot`` copies it and calls BLAS on the copy, where ``np.matmul``
+  takes another path (its own loop, or ``gemv`` for one row or column);
+- a product over one term (a one-row batch's weight gradient, a one-unit
+  layer or one-feature input, a one-weight quadratic) is a plain multiply
+  or an outer-product update under ``np.dot``, which can give -0.0 where
+  ``np.matmul`` gives 0.0.
+
+So a kernel uses ``np.matmul`` for every product of a call that meets
+either case: a ``forc`` flag per caller's array decides the first, and the
+shapes, fixed per spec and row count, the second.
+
 One kernel, ``_mlp_kernel``'s, serves ``eval_grad``, ``eval_loss``,
 ``eval_heldout`` and ``mlp_accuracy``. It writes every intermediate into
 scratch memory that it keeps: hidden activations, logits, softmax terms and
@@ -282,10 +304,12 @@ def _plan(spec):
     kind = spec.kind
     if kind == "quadratic":
         a, b = spec.a, spec.b
+        product = np.dot if b.size > 1 else np.matmul  # np.dot or np.matmul: module docstring
 
         def kernel(x, batch, with_grad):
-            ax = a @ x
-            return 0.5 * float(x @ ax) - float(b @ x), (ax - b if with_grad else None)
+            dot = product if x.flags.forc else np.matmul
+            ax = dot(a, x)
+            return 0.5 * float(dot(x, ax)) - float(dot(b, x)), (ax - b if with_grad else None)
     elif kind == "rosenbrock":
         kernel = _rosenbrock
     elif kind == "sharp_flat":
@@ -309,7 +333,8 @@ def _evaluate(spec, w, batch, with_grad):
         )
     loss, grad = kernel(x, batch, with_grad)
     if wd != 0.0:
-        # x.dot(x) gives the bits of x @ x on a 1-D float64 array, without matmul's dispatch
+        # x.dot(x) gives the bits of x @ x, without matmul's dispatch, on a 1-D float64
+        # array of positive stride; with a negative stride the two may differ in the last bit
         loss = loss + wd * float(x.dot(x))
         if with_grad:
             grad += np.multiply(twice_wd, x, out=decay)
@@ -533,6 +558,9 @@ class _RowBuffers:
         # activation's slope there (tanh: 1 - a * a; relu: a > 0 as 1.0 or 0.0)
         self.d_z = [np.empty((rows, width)) for width in widths]
         self.slope = [np.empty((rows, width)) for width in widths]
+        # np.dot where every product sums over more than one term (module docstring): a
+        # product sums over the rows, the input's width or a layer's
+        self.product = np.dot if min(rows, layout[0][0], *widths, n_classes) > 1 else np.matmul
 
 
 def _layers(layout, values, kept):
@@ -572,9 +600,12 @@ def _mlp_kernel(spec):
         r = row_buffers.get(n)
         if r is None:
             r = row_buffers[n] = _RowBuffers(layout, n)
+        # np.dot or np.matmul (module docstring): inputs and weights are views of
+        # the caller's arrays, every other operand is a buffer of the plan's
+        dot = r.product if inputs.flags.forc and values.flags.forc else np.matmul
         a = inputs
         for (w, bias, _), hidden in zip(layers, r.hidden):
-            np.matmul(a, w, out=hidden)
+            dot(a, w, out=hidden)
             hidden += bias
             if tanh:
                 np.tanh(hidden, out=hidden)
@@ -582,7 +613,7 @@ def _mlp_kernel(spec):
                 np.maximum(hidden, 0.0, out=hidden)
             a = hidden
         w, bias, _ = layers[-1]
-        logits = np.matmul(a, w, out=r.logits)
+        logits = dot(a, w, out=r.logits)
         logits += bias
 
         # max is exact, so a column-by-column maximum equals np.maximum.reduce
@@ -620,10 +651,10 @@ def _mlp_kernel(spec):
             fan_in, fan_out, lo, mid, hi = layout[layer]
             np.add.reduce(d_z, axis=0, out=grad[mid:hi])
             a = r.hidden[layer - 1] if layer else inputs
-            np.matmul(a.T, d_z, out=grad[lo:mid].reshape(fan_in, fan_out))
+            dot(a.T, d_z, out=grad[lo:mid].reshape(fan_in, fan_out))
             if layer == 0:
                 break
-            below = np.matmul(d_z, layers[layer][2], out=r.d_z[layer - 1])
+            below = dot(d_z, layers[layer][2], out=r.d_z[layer - 1])
             slope = r.slope[layer - 1]
             if tanh:
                 np.subtract(r.one, np.multiply(a, a, out=slope), out=slope)

@@ -1,4 +1,33 @@
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+SHM = "/dev/shm"
+SHM_BASETEMP = pytest.StashKey[str]()  # the directory this conftest made, if it made one
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_configure(config):
+    """Without ``--basetemp``, put the session's temporary directories on a writable tmpfs.
+
+    A session writes about 1,800 files under its base temp directory. On a disk
+    file system mounted with ``discard``, deleting an earlier session's files
+    (pytest keeps the last three) can cost more than the tests themselves; on a
+    tmpfs it costs nothing. ``_pytest.tmpdir``'s own ``pytest_configure`` reads
+    ``--basetemp`` to build the session's ``TempPathFactory``; this hook runs
+    before it, and this directory is removed at unconfigure.
+    """
+    if config.option.basetemp is None and os.path.isdir(SHM) and os.access(SHM, os.W_OK):
+        config.option.basetemp = config.stash[SHM_BASETEMP] = tempfile.mkdtemp(
+            prefix="pytest-samlab-", dir=SHM)
+
+
+def pytest_unconfigure(config):
+    if SHM_BASETEMP in config.stash:
+        shutil.rmtree(config.stash[SHM_BASETEMP], ignore_errors=True)

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from samlab.data import generate_dataset
+from samlab.data import generate_dataset, make_batches, train_test_split
 from samlab.diagnostics import (bound_sweep, check_psf_bound, norm_trace,
                                 random_pd_matrix, read_norm_trace)
 from samlab.harness import config_from_dict, run_experiment, RunSummary, verify_run
@@ -22,8 +22,8 @@ from samlab.params import ParamVector
 from samlab.sampler import (Noted, SamplerConfig, begin_windowing, init_sampler, settle,
                             should_sample, update_rate)
 
-from helpers import (fd_gradient, grad_eval_ratio, replay_sampler, sam_gradient,
-                     symmetric_eigen, whole_dataset_batch)
+from helpers import (fd_gradient, grad_eval_ratio, hessian_oracle, replay_sampler,
+                     sam_gradient, symmetric_eigen, whole_dataset_batch)
 
 
 def _report(criterion, text):
@@ -406,3 +406,59 @@ def test_criterion_12_reproducibility(moons_runs, tmp_path):
     assert (rerun / "seed_0" / "norm_trace.csv").read_bytes() == \
         (moons_runs["vsam"] / "seed_0" / "norm_trace.csv").read_bytes()
     _report(12, "re-run metrics identical modulo wall-clock columns")
+
+
+# ---------------------------------------------------------------------------
+# criterion 14: the PSF is the Hessian's projection on the gradient, to first order in rho
+
+PSF_RHO = 0.05
+# the error at rho over the error at rho / 10: 10 when it is linear in rho, as first order
+# leaves it; about 1 if psf were not rho * H * g/||g|| at all, 100 if it were to second order
+PSF_ERROR_RATIO = (5.0, 25.0)
+PSF_MIN_COSINE = 0.99  # between psf and rho * H * g/||g|| at rho = PSF_RHO
+
+
+def _psf_against_hessian(spec, w, batch):
+    """(relative error at PSF_RHO, its ratio to the error at PSF_RHO / 10, cosine at PSF_RHO)."""
+    hess, _ = hessian_oracle(spec, w, batch)
+    errors = []
+    for rho in (PSF_RHO, PSF_RHO / 10):
+        triple = sam_gradient(spec, w, batch, rho)
+        predicted = rho * (hess @ triple.g_sgd) / triple.l2_sgd
+        errors.append(float(np.linalg.norm(triple.psf - predicted)) / triple.l2_psf)
+        if rho == PSF_RHO:
+            cosine = float(triple.psf @ predicted) / (triple.l2_psf * np.linalg.norm(predicted))
+    return errors[0], errors[0] / errors[1], cosine
+
+
+def test_criterion_14_psf_is_the_hessian_projection_to_first_order():
+    ds = generate_dataset("moons", 2000, 0.15, seed=42)  # MOONS_TASK's dataset
+    train, _ = train_test_split(ds)
+    whole = whole_dataset_batch(train)
+    opt = OptimizerConfig(**MOONS_TASK["optimizer_config"])
+    points = {"mlp": [], "sharp_flat": []}
+    for seed in (0, 1):
+        batch = make_batches(train, 64, seed, 0)[0]
+        after_sgd = run_sgd(MLP_SPEC, ds, opt, 300, seed, batch_size=64).w_final
+        for w in (init_params(MLP_SPEC, seed), after_sgd):
+            points["mlp"] += [(MLP_SPEC, w, whole), (MLP_SPEC, w, batch)]
+    cal = SHARP_FLAT_CALIBRATION
+    spec = make_sharp_flat(cal["width_sharp"], cal["width_flat"], cal["depth_gap"],
+                           cal["separation"])
+    (x_sharp, _), (x_flat, _) = sharp_flat_centers(spec)
+    rng = np.random.default_rng(14)
+    for center, half in ((x_sharp, 0.25), (x_flat, 0.5)):  # in each well, off its bottom
+        for _ in range(4):
+            w = ParamVector(np.array([center + rng.uniform(-half, half),
+                                      rng.uniform(-half, half)]))
+            points["sharp_flat"].append((spec, w, None))
+
+    summary = []
+    for task, task_points in points.items():
+        errors, ratios, cosines = zip(*[_psf_against_hessian(*point) for point in task_points])
+        assert all(PSF_ERROR_RATIO[0] <= r <= PSF_ERROR_RATIO[1] for r in ratios), (task, ratios)
+        assert min(cosines) >= PSF_MIN_COSINE, (task, cosines)
+        summary.append(f"{task} ({len(errors)} points) relative error at rho {PSF_RHO} "
+                       f"{min(errors):.3f}-{max(errors):.3f}, error ratio to rho/10 "
+                       f"{min(ratios):.1f}-{max(ratios):.1f}, cosine >= {min(cosines):.5f}")
+    _report(14, "psf = rho*H*g/||g|| to first order in rho; " + "; ".join(summary))

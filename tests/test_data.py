@@ -1,6 +1,9 @@
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from samlab.data import (Batch, Dataset, batches_per_epoch, dataset_checksum,
 from samlab.errors import ConfigurationError
 
 from helpers import oracle_make_batches
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # regression value captured from the first verified run of the generator
 MOONS_200_N01_S7_SHA256 = "c78099c421a196d4ba6fd544c689b676a5b6c878fa84733e3bdf2f42869db963"
@@ -228,3 +233,14 @@ def test_train_test_split_is_deterministic_partition():
     assert np.array_equal(test_a.inputs, test_b.inputs)
     assert train_a.n + test_a.n == ds.n
     assert test_a.n == 10
+
+
+def test_importing_samlab_loads_no_hashlib():
+    """hashlib loads OpenSSL, and only ``dataset_checksum`` needs it: it imports it when called."""
+    code = ("import sys, numpy, samlab, samlab.cli; print('hashlib' in sys.modules); "
+            "samlab.dataset_checksum(samlab.generate_dataset('moons', 4, 0.1, 0)); "
+            "print('hashlib' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]

@@ -229,6 +229,97 @@ def _assert_grad_matches_oracle(spec, values, batch):
     return grad
 
 
+def _moons_batch(rows, inputs_of=np.ascontiguousarray):
+    ds = generate_dataset("moons", max(rows, 2), 0.15, seed=3)
+    return Batch(inputs_of(ds.inputs[:rows]), ds.targets[:rows], np.arange(rows))
+
+
+def _perturbed_init(spec, seed):
+    rng = np.random.default_rng(seed)
+    return init_params(spec, 0).values + 0.1 * rng.standard_normal(spec.param_count)
+
+
+@pytest.mark.parametrize("sizes, rows, inputs_of", [
+    ((2, 16, 2), 64, np.ascontiguousarray),  # the benchmark's net and training batch
+    ((2, 16, 2), 400, np.ascontiguousarray),  # its held-out split
+    ((2, 64, 64, 2), 64, np.ascontiguousarray),
+    ((2, 1, 2), 64, np.ascontiguousarray),  # one-column products
+    ((2, 16, 2), 1, np.ascontiguousarray),  # one-row products
+    ((2, 16, 2), 64, np.asfortranarray),
+])
+def test_mlp_kernel_matches_the_oracle_at_the_benchmark_shapes(sizes, rows, inputs_of):
+    """The products that np.dot computes have the bits of the oracle's ``@`` at shapes the
+    property test does not draw: wider layers, more rows, F-ordered inputs."""
+    spec = make_mlp_classifier(sizes, activation="tanh", weight_decay=1e-4)
+    _assert_matches_oracle(spec, _perturbed_init(spec, rows), _moons_batch(rows, inputs_of))
+
+
+def _reversed_columns(inputs):
+    return np.ascontiguousarray(inputs[:, ::-1])[:, ::-1]
+
+
+def _every_other(values):
+    spaced = np.zeros(2 * values.size)
+    spaced[::2] = values
+    return spaced[::2]
+
+
+@pytest.mark.parametrize("sizes, rows, inputs_of, values_of", [
+    ((2, 2), 30, _reversed_columns, np.ascontiguousarray),
+    ((2, 2), 64, _reversed_columns, np.ascontiguousarray),
+    ((2, 64, 64, 2), 3, np.ascontiguousarray, _every_other),
+])
+def test_non_contiguous_inputs_or_weights_keep_the_oracle_bits(sizes, rows, inputs_of,
+                                                               values_of):
+    """np.dot and np.matmul take different routes for an operand that is neither C- nor
+    F-contiguous, and on these they differ in the last bit: the kernel keeps np.matmul."""
+    spec = make_mlp_classifier(sizes, activation="tanh", weight_decay=1e-4)
+    values = values_of(_perturbed_init(spec, rows))
+    batch = _moons_batch(rows, inputs_of)
+    assert not (batch.inputs.flags.forc and values.flags.forc)
+    _assert_matches_oracle(spec, values, batch)
+
+
+def test_products_of_one_term_keep_the_oracle_bits():
+    """One row through one-unit layers: every product has one term, which np.dot computes
+    as a plain multiply that gives -0.0 at relu's dead units where np.matmul gives 0.0."""
+    spec = make_mlp_classifier((1, 1, 1, 2), activation="relu")
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        batch = Batch(rng.standard_normal((1, 1)), rng.integers(0, 2, 1), np.arange(1))
+        _assert_matches_oracle(spec, rng.standard_normal(spec.param_count), batch)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (2, 16, 2)])
+def test_a_one_row_weight_gradient_that_underflows_keeps_the_oracle_bits(sizes):
+    """One row's weight gradient is an outer product of one term: each product of the
+    smallest subnormal inputs with d_z rounds to a zero that np.dot signs and np.matmul
+    does not."""
+    spec = make_mlp_classifier(sizes)
+    batch = Batch(np.array([[5e-324, -5e-324]]), np.array([1]), np.arange(1))
+    _assert_matches_oracle(spec, init_params(spec, 0).values, batch)
+
+
+@pytest.mark.parametrize("values_of", [np.ascontiguousarray, _every_other,
+                                       lambda values: np.ascontiguousarray(values[::-1])[::-1]])
+def test_quadratic_products_have_the_bits_of_matmul(values_of):
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((9, 9))
+    a, b = m + m.T, rng.standard_normal(9)
+    x = values_of(rng.standard_normal(9))
+    ax = a @ x
+    loss, grad = eval_grad(make_quadratic(a, b), x)
+    assert _bits(loss) == _bits(0.5 * float(x @ ax) - float(b @ x))
+    assert grad.tobytes() == (ax - b).tobytes()
+
+
+def test_a_one_weight_quadratic_signs_its_zero_loss_as_matmul_does():
+    # np.dot multiplies one term plainly, 0.0 * (-1.5 * 0.0) = -0.0; np.matmul's sum gives 0.0
+    spec = make_quadratic([[-1.5]], [1.0])
+    x = np.array([0.0])
+    assert _bits(eval_loss(spec, x)) == _bits(0.5 * float(x @ (spec.a @ x)) - float(spec.b @ x))
+
+
 @pytest.mark.parametrize("sizes, activation", [((2, 16, 2), "tanh"), ((2, 8, 8, 3), "relu")])
 def test_one_workspace_serves_interleaved_weight_buffers(sizes, activation):
     """Two weight arrays written in place between calls, as the loop's w and w + e are.

@@ -201,3 +201,13 @@ def test_ab_bench_records_the_base_as_a_full_hash(tmp_path, monkeypatch):
     assert record["affinity"] == len(os.sched_getaffinity(0))
     with pytest.raises(SystemExit, match="names no commit"):
         ab.resolve("no-such-revision")
+
+
+def test_the_session_temp_directory_is_the_one_chosen_at_configure(request, tmp_path):
+    # tests/conftest.py sets --basetemp before _pytest.tmpdir builds its factory from it;
+    # set after, it would be ignored and tmp_path would lie in pytest's default directory
+    basetemp = request.config.option.basetemp
+    if basetemp is None:  # the conftest found no writable /dev/shm, and none was given
+        assert not os.access("/dev/shm", os.W_OK)
+    else:
+        assert tmp_path.resolve().is_relative_to(Path(basetemp).resolve())

@@ -19,9 +19,10 @@ The cases:
   range), vSAM with ``subset_segments=["layer0.W", "layer0.b"]`` (one range
   that is not the tail), vSAM on a ReLU ``[2, 8, 8, 2]`` MLP (a gradient over
   three layers, with dead units), vSAM on a ``[2, 8, 3]`` MLP (a softmax over
-  three columns), vSAM with 10 slices of its 20-sample window (short and
-  ragged windows), and vSAM with ``batch_size`` 120, the held-out split's
-  row count (training and held-out batches of one size);
+  three columns), a short vSAM run on a ``[2, 64, 64, 2]`` MLP (layers wider
+  than the moons task's 16 units), vSAM with 10 slices of its 20-sample
+  window (short and ragged windows), and vSAM with ``batch_size`` 120, the
+  held-out split's row count (training and held-out batches of one size);
 - each optimizer with ``grad_eval_budget`` 50 and 51;
 - vSAM with a 25-iteration warmup and ``grad_eval_budget`` 57: samples
   settle inside a warmup that ends off a window boundary, and the budget
@@ -154,6 +155,9 @@ def config_cases():
     cases["vsam_relu_2_8_8_2"] = _payload(
         "vsam", objective={"layer_sizes": [2, 8, 8, 2], "activation": "relu"})
     cases["vsam_mlp_2_8_3"] = _payload("vsam", objective={"layer_sizes": [2, 8, 3]})
+    # two layers of 64 units, four times the moons task's: 40 iterations, 20 after warmup
+    cases["vsam_mlp_2_64_64_2"] = _payload(
+        "vsam", objective={"layer_sizes": [2, 64, 64, 2]}, epochs=4, seeds=[0])
     # the first nine windows hold fewer values than slices, and windows of
     # 10-19 values split into slices of unequal width
     cases["vsam_slices_10"] = _payload("vsam", sampler_config={"m_slices": 10})
