@@ -39,8 +39,8 @@ gives the bits of subtracting 1 at the flat index: at a target it is the
 same subtraction, and elsewhere it subtracts 0.0, and x - 0.0 has the bits
 of x for every double, -0.0 and NaN included.
 
-Every matrix and vector product of a kernel is an ``np.dot`` call where it
-can be, not ``@``. ``np.dot`` reaches the BLAS routine that ``np.matmul``
+Every matrix product of the MLP kernel is an ``np.dot`` call where it can
+be, not ``np.matmul``. ``np.dot`` reaches the BLAS routine that ``np.matmul``
 reaches (``gemm`` with the same transpose flags, ``gemv`` or ``ddot``) and
 gives its bits, without the ufunc dispatch that costs ``np.matmul`` about
 0.3 us a call: on the moons MLP's 82 weights a product is mostly dispatch.
@@ -53,13 +53,14 @@ differ in the last bit or in the sign of a zero:
   2: ``np.dot`` copies it and calls BLAS on the copy, where ``np.matmul``
   takes another path (its own loop, or ``gemv`` for one row or column);
 - a product over one term (a one-row batch's weight gradient, a one-unit
-  layer or one-feature input, a one-weight quadratic) is a plain multiply
-  or an outer-product update under ``np.dot``, which can give -0.0 where
-  ``np.matmul`` gives 0.0.
+  layer or one-feature input) is a plain multiply or an outer-product
+  update under ``np.dot``, which can give -0.0 where ``np.matmul`` gives
+  0.0.
 
-So a kernel uses ``np.matmul`` for every product of a call that meets
+So the kernel uses ``np.matmul`` for every product of a call that meets
 either case: a ``forc`` flag per caller's array decides the first, and the
-shapes, fixed per spec and row count, the second.
+shapes, fixed per spec and row count, the second. The analytic landscapes'
+products stay ``@``: no benchmark workload runs them.
 
 One kernel, ``_mlp_kernel``'s, serves ``eval_grad``, ``eval_loss``,
 ``eval_heldout`` and ``mlp_accuracy``. It writes every intermediate into
@@ -304,12 +305,10 @@ def _plan(spec):
     kind = spec.kind
     if kind == "quadratic":
         a, b = spec.a, spec.b
-        product = np.dot if b.size > 1 else np.matmul  # np.dot or np.matmul: module docstring
 
         def kernel(x, batch, with_grad):
-            dot = product if x.flags.forc else np.matmul
-            ax = dot(a, x)
-            return 0.5 * float(dot(x, ax)) - float(dot(b, x)), (ax - b if with_grad else None)
+            ax = a @ x
+            return 0.5 * float(x @ ax) - float(b @ x), (ax - b if with_grad else None)
     elif kind == "rosenbrock":
         kernel = _rosenbrock
     elif kind == "sharp_flat":

@@ -300,26 +300,6 @@ def test_a_one_row_weight_gradient_that_underflows_keeps_the_oracle_bits(sizes):
     _assert_matches_oracle(spec, init_params(spec, 0).values, batch)
 
 
-@pytest.mark.parametrize("values_of", [np.ascontiguousarray, _every_other,
-                                       lambda values: np.ascontiguousarray(values[::-1])[::-1]])
-def test_quadratic_products_have_the_bits_of_matmul(values_of):
-    rng = np.random.default_rng(11)
-    m = rng.standard_normal((9, 9))
-    a, b = m + m.T, rng.standard_normal(9)
-    x = values_of(rng.standard_normal(9))
-    ax = a @ x
-    loss, grad = eval_grad(make_quadratic(a, b), x)
-    assert _bits(loss) == _bits(0.5 * float(x @ ax) - float(b @ x))
-    assert grad.tobytes() == (ax - b).tobytes()
-
-
-def test_a_one_weight_quadratic_signs_its_zero_loss_as_matmul_does():
-    # np.dot multiplies one term plainly, 0.0 * (-1.5 * 0.0) = -0.0; np.matmul's sum gives 0.0
-    spec = make_quadratic([[-1.5]], [1.0])
-    x = np.array([0.0])
-    assert _bits(eval_loss(spec, x)) == _bits(0.5 * float(x @ (spec.a @ x)) - float(spec.b @ x))
-
-
 @pytest.mark.parametrize("sizes, activation", [((2, 16, 2), "tanh"), ((2, 8, 8, 3), "relu")])
 def test_one_workspace_serves_interleaved_weight_buffers(sizes, activation):
     """Two weight arrays written in place between calls, as the loop's w and w + e are.

@@ -211,3 +211,16 @@ def test_the_session_temp_directory_is_the_one_chosen_at_configure(request, tmp_
         assert not os.access("/dev/shm", os.W_OK)
     else:
         assert tmp_path.resolve().is_relative_to(Path(basetemp).resolve())
+
+
+def test_a_killed_sessions_temp_directory_is_removed_by_the_next(tmp_path):
+    import conftest
+
+    ended = subprocess.Popen([sys.executable, "-c", "pass"])
+    ended.wait()
+    root = tmp_path / "root"
+    for name in (f"{ended.pid}-abc", f"{os.getppid()}-def", f"{os.getpid()}-ghi", "notes"):
+        (root / name / "sub").mkdir(parents=True)
+    conftest.remove_stale(root)
+    assert sorted(p.name for p in root.iterdir()) == sorted(
+        [f"{os.getppid()}-def", f"{os.getpid()}-ghi", "notes"])
