@@ -79,6 +79,8 @@ class Batch:
 
 @dataclass
 class Dataset:
+    """A generated dataset: inputs as rows, integer class targets, and how it was drawn."""
+
     kind: str
     seed: int
     noise: float

@@ -9,6 +9,7 @@ is checked by the tests, with ``decomposition_residual`` in ``tests/helpers.py``
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -20,6 +21,8 @@ BOUND_SLACK_TOL = 1e-12
 
 @dataclass
 class BoundCheckResult:
+    """One curvature-bound check: both sides, whether it held, and the cosines."""
+
     lhs: float
     rhs: float
     satisfied: bool
@@ -127,7 +130,8 @@ def norm_trace(records) -> list[dict]:
 
 
 def write_norm_trace(path, rows) -> None:
-    _write_rows(path, NORM_TRACE_FIELDS, rows)
+    """Write ``rows``, mappings such as ``norm_trace`` returns, as the norm-trace CSV."""
+    _write_rows(path, NORM_TRACE_FIELDS, map(itemgetter(*NORM_TRACE_FIELDS), rows))
 
 
 def read_norm_trace(path) -> list[dict]:

@@ -65,6 +65,8 @@ def _write_json(path: Path, payload) -> None:
 
 @dataclass
 class ExperimentConfig:
+    """A validated experiment: objective, optimizer, seeds, budget and output directory."""
+
     objective: ObjectiveSpec
     optimizer: str
     opt: OptimizerConfig
@@ -115,6 +117,8 @@ SUMMARY_MINIMUMS = {"iterations": 1, "sampling_number": 0, "grad_evals": 1, "d_p
 
 @dataclass
 class RunSummary:
+    """One seed's ``summary.json``: its cost, final losses and AIS."""
+
     iterations: int
     sampling_number: int
     grad_evals: int

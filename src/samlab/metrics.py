@@ -6,10 +6,14 @@ projections of it, written and read by the same codec. Floats are written
 with ``repr`` so reading a file back reproduces every value bit-exactly;
 empty cells mean "not measured this iteration" and load as ``None``.
 
-The codec works a block of rows (``_BLOCK_ROWS``) at a time, one column at a
-time, which keeps the per-cell cost down while holding only one block of raw
-text in memory. A float column formats a run of one object once (vSAM rows
-repeat their window's ``p``, ``s``, ``c_var`` and ``c_norm``). The one reader,
+Records are slotted (no ``__dict__``, so ``vars(record)`` raises
+``TypeError``; ``dataclasses.asdict`` works), and the codec takes rows as
+sequences of values in header order: ``write_metrics_csv`` reads a record's
+fields with one ``attrgetter``. It works a block of rows (``_BLOCK_ROWS``) at a
+time, one column at a time (``zip(*block)``), which keeps the per-cell cost
+down while holding only one block of raw text in memory. A float column
+formats a run of one object once (vSAM rows repeat their window's ``p``,
+``s``, ``c_var`` and ``c_norm``). The one reader,
 ``_read_columns``, parses every cell into columns: a block's column with no
 empty cell by ``map(parse, cells)``, an all-empty one as ``[None] * n``. The
 record and trace readers are row views of its columns. Given a projection, it
@@ -40,6 +44,7 @@ import re
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -75,8 +80,10 @@ _BOOL_FIELDS = {"psf_stale", "sampled", "v_fallback"}
 WALL_CLOCK_FIELDS = {"wall_clock_seconds", "ais", "ais_mean", "ais_std"}
 
 
-@dataclass
+@dataclass(slots=True)
 class MetricsRecord:
+    """One iteration's row of ``metrics.csv``, slotted: it has no ``__dict__``."""
+
     iteration: int
     epoch: int
     train_loss: float
@@ -142,7 +149,7 @@ def remove_regular_file(path) -> None:
 
 
 def _write_rows(path, header, rows, projections=()) -> None:
-    """Write ``header``, then each row (a mapping holding every header column).
+    """Write ``header``, then each row (a sequence of its values in header order).
 
     Each ``(path, names)`` of ``projections`` gets a file of the ``names``
     columns of the same rows, joined from the same formatted cells. Bytes
@@ -160,8 +167,7 @@ def _write_rows(path, header, rows, projections=()) -> None:
             fh.write(",".join(names) + "\r\n")
             outputs.append((fh, [header.index(name) for name in names]))
         while block := list(islice(rows, _BLOCK_ROWS)):
-            columns = [_format_column(kind, [row[name] for row in block])
-                       for name, kind in zip(header, kinds)]
+            columns = [_format_column(kind, values) for kind, values in zip(kinds, zip(*block))]
             for fh, picks in outputs:
                 lines = zip(*[columns[j] for j in picks])
                 fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
@@ -256,7 +262,7 @@ def _bad_cell(path, first, header, block) -> MalformedRowError:
 
 def write_metrics_csv(path, records, projections=()) -> None:
     """Write ``records`` to ``path``, and each ``(path, names)`` projection from the same cells."""
-    _write_rows(path, FIELD_ORDER, (vars(rec) for rec in records), projections)
+    _write_rows(path, FIELD_ORDER, map(attrgetter(*FIELD_ORDER), records), projections)
 
 
 def read_metrics_csv(path) -> list[MetricsRecord]:

@@ -39,6 +39,8 @@ REUSE_UNDERFLOW = 1e-12
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Step size, SAM radius, reuse decay, momentum, schedule and evaluation budget."""
+
     eta0: float = 0.1
     rho: float = 0.05
     gamma: float = 0.9
@@ -67,6 +69,8 @@ class OptimizerConfig:
 
 @dataclass
 class PSFCache:
+    """The last sampled correction, the iteration it was sampled at and its norms."""
+
     psf: np.ndarray | None = None       # None until a correction is sampled
     sampled_at: int = -1
     l2_psf: float | None = None         # norms of psf, stored when it is sampled
@@ -162,6 +166,8 @@ def step_reuse(w: ParamVector, g_sgd, cache: PSFCache, i: int, eta, gamma,
 
 @dataclass
 class RunResult:
+    """A training run's records, final weights and momentum, and what it collected."""
+
     records: list[MetricsRecord]
     w_final: ParamVector
     momentum_final: np.ndarray

@@ -60,6 +60,8 @@ from .errors import ConfigurationError, NumericError, check_list, check_number
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """vSAM's controller settings: window, slices, gain, budget, warmup and cap."""
+
     n_window: int = 50          # window length N: buffer capacity and rate-update cadence
     m_slices: int = 5           # number of variance slices M
     alpha: float = 0.13         # gain on the averaged change rates
@@ -105,6 +107,8 @@ DRAW_BLOCK = 64  # Bernoulli uniforms drawn at a time
 
 @dataclass
 class SamplerState:
+    """vSAM's controller state: its histories, rate, budget and Bernoulli draws."""
+
     gnorm_buffer: list[float] = field(default_factory=list)  # sampled correction norms
     v_history: list[float] = field(default_factory=list)     # sliced variances
     r_history: list[float] = field(default_factory=list)     # norm ratios

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import tempfile
 import traceback
+from dataclasses import fields
 from pathlib import Path
 
 from .harness import config_from_dict, run_experiment, verify_run
@@ -59,7 +60,8 @@ def _values(config, out):
     values = []
     for seed in config.seeds:
         seed_dir = out / f"seed_{seed}"
-        rows = [vars(record) for record in read_metrics_csv(seed_dir / "metrics.csv")]
+        rows = [{f.name: getattr(rec, f.name) for f in fields(rec)}
+                for rec in read_metrics_csv(seed_dir / "metrics.csv")]
         rows.append(json.loads((seed_dir / "summary.json").read_text(encoding="utf-8")))
         values += [{k: v for k, v in row.items() if k not in WALL_CLOCK_FIELDS} for row in rows]
     return repr(values)

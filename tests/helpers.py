@@ -24,7 +24,7 @@ gradient: the sharpness of a run's final weights.
 import csv
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -187,6 +187,11 @@ def per_call_should_sample(state, config, i):
 def float_bits(x):
     """The IEEE-754 bits of a float, so that equal NaNs compare equal and 0.0 != -0.0."""
     return struct.pack("<d", x)
+
+
+def record_dict(record):
+    """A metrics record's fields as a dict: the keys, in order, that ``vars`` gave before slots."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def sampler_state_bits(state):

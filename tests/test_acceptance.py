@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from samlab.data import generate_dataset, make_batches, train_test_split
+from samlab.data import batches_per_epoch, generate_dataset, make_batches, train_test_split
 from samlab.diagnostics import (bound_sweep, check_psf_bound, norm_trace,
                                 random_pd_matrix, read_norm_trace)
 from samlab.harness import config_from_dict, run_experiment, RunSummary, verify_run
@@ -17,7 +17,7 @@ from samlab.metrics import FIELD_ORDER, WALL_CLOCK_FIELDS, read_metrics_csv
 from samlab.objectives import (SHARP_FLAT_CALIBRATION, classify_basin, eval_grad,
                                init_params, make_mlp_classifier, make_quadratic,
                                make_rosenbrock, make_sharp_flat, sharp_flat_centers)
-from samlab.optim import OptimizerConfig, run_sam, run_sgd, run_vsam
+from samlab.optim import OptimizerConfig, run_sam, run_sam_k, run_sgd, run_vsam
 from samlab.params import ParamVector
 from samlab.sampler import (Noted, SamplerConfig, begin_windowing, init_sampler, settle,
                             should_sample, update_rate)
@@ -406,6 +406,48 @@ def test_criterion_12_reproducibility(moons_runs, tmp_path):
     assert (rerun / "seed_0" / "norm_trace.csv").read_bytes() == \
         (moons_runs["vsam"] / "seed_0" / "norm_trace.csv").read_bytes()
     _report(12, "re-run metrics identical modulo wall-clock columns")
+
+
+# ---------------------------------------------------------------------------
+# criterion 13: vSAM gets most of SAM's sharpness reduction, and more than the
+# other ways to spend its evaluations
+
+SHARPNESS_SEEDS = range(5)  # the first run seeds, in order, none picked
+# vSAM's share of SAM's reduction, (sgd - vsam) / (sgd - sam) on the means: over
+# run seeds 0-39, every 5-seed subset read at least 0.848 (1st percentile 0.867)
+MIN_SHARPNESS_SHARE = 0.80
+
+
+def test_criterion_13_vsam_gets_most_of_sams_sharpness_reduction():
+    data = MOONS_TASK["dataset"]
+    ds = generate_dataset(data["kind"], data["n"], data["noise"], seed=data["seed"])
+    train, _ = train_test_split(ds)
+    whole = whole_dataset_batch(train)
+    opt = OptimizerConfig(**MOONS_TASK["optimizer_config"])
+    scfg = SamplerConfig(**MOONS_SAMPLER)
+    batch_size = MOONS_TASK["batch_size"]
+    iters = MOONS_TASK["epochs"] * batches_per_epoch(train.n, batch_size)
+    sharpness = {}
+    for seed in SHARPNESS_SEEDS:
+        vsam = run_vsam(MLP_SPEC, ds, opt, scfg, iters, seed, batch_size=batch_size)
+        # SAM at vSAM's own evaluation count, on its own schedule
+        stopped = vsam.records[-1].cumulative_grad_evals // 2
+        finals = {"sgd": run_sgd(MLP_SPEC, ds, opt, iters, seed, batch_size=batch_size),
+                  "sam": run_sam(MLP_SPEC, ds, opt, iters, seed, batch_size=batch_size),
+                  "vsam": vsam,
+                  "sam_k": run_sam_k(MLP_SPEC, ds, opt, 2, iters, seed, batch_size=batch_size),
+                  "sam_stopped": run_sam(MLP_SPEC, ds, opt, stopped, seed, batch_size=batch_size)}
+        for arm, result in finals.items():
+            top = float(hessian_oracle(MLP_SPEC, result.w_final, whole)[1][-1])
+            sharpness.setdefault(arm, []).append(top)
+    mean = {arm: float(np.mean(values)) for arm, values in sharpness.items()}
+    share = (mean["sgd"] - mean["vsam"]) / (mean["sgd"] - mean["sam"])
+    assert share >= MIN_SHARPNESS_SHARE, (share, mean)
+    assert mean["vsam"] < mean["sam_k"], mean
+    assert mean["vsam"] < mean["sam_stopped"], mean
+    _report(13, f"vSAM got {share:.3f} of SAM's sharpness reduction (bound "
+                f"{MIN_SHARPNESS_SHARE}) over seeds 0-{SHARPNESS_SEEDS[-1]}; mean top "
+                "Hessian eigenvalue " + ", ".join(f"{arm} {v:.4f}" for arm, v in mean.items()))
 
 
 # ---------------------------------------------------------------------------

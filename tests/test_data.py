@@ -1,5 +1,10 @@
+import ast
+import dataclasses
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -9,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import samlab
 from samlab.data import (Batch, Dataset, batches_per_epoch, dataset_checksum,
                          deserialize_dataset, generate_dataset, load_dataset,
                          make_batches, save_dataset, serialize_dataset,
@@ -244,3 +250,20 @@ def test_importing_samlab_loads_no_hashlib():
                           timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "True"]
+
+
+def test_every_samlab_dataclass_has_its_own_docstring():
+    """``dataclass`` writes a missing docstring from ``inspect.signature``, at import."""
+    seen, missing = [], []
+    for info in pkgutil.iter_modules(samlab.__path__):
+        module = importlib.import_module(f"samlab.{info.name}")
+        docs = {node.name: ast.get_docstring(node)
+                for node in ast.walk(ast.parse(inspect.getsource(module)))
+                if isinstance(node, ast.ClassDef)}
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                seen.append(obj.__qualname__)
+                if not docs[obj.__name__]:
+                    missing.append(f"{module.__name__}.{obj.__qualname__}")
+    assert len(seen) >= 10 and not missing, missing

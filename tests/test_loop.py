@@ -24,7 +24,8 @@ from samlab.objectives import (SHARP_FLAT_CALIBRATION, init_params, make_mlp_cla
 from samlab.params import ParamVector
 from samlab.sampler import SamplerConfig, change_rate_series, init_sampler, record_sample
 
-from helpers import float_bits, per_call_should_sample, sam_gradient, sampler_state_bits
+from helpers import (float_bits, per_call_should_sample, record_dict, sam_gradient,
+                     sampler_state_bits)
 
 METHODS = ("sgd", "sam", "sam_k", "vsam")
 
@@ -159,7 +160,7 @@ def test_a_later_run_leaves_an_earlier_result_and_its_inputs_alone(method, task)
 
 
 def _rows(records, evals_before=0):
-    return [{k: v for k, v in vars(r).items() if k not in WALL_CLOCK_FIELDS}
+    return [{k: v for k, v in record_dict(r).items() if k not in WALL_CLOCK_FIELDS}
             | {"cumulative_grad_evals": r.cumulative_grad_evals + evals_before}
             for r in records]
 
@@ -458,7 +459,8 @@ def test_block_draws_leave_the_generator_where_per_call_draws_do(monkeypatch, ru
         monkeypatch.setattr(optim, "init_sampler", init)
         monkeypatch.setattr(optim, "should_sample", decide)
         records, *_ = run()
-        rows = [{k: v for k, v in vars(r).items() if k not in WALL_CLOCK_FIELDS} for r in records]
+        rows = [{k: v for k, v in record_dict(r).items() if k not in WALL_CLOCK_FIELDS}
+                for r in records]
         (state, initial), = created
         final = state.rng_stream.bit_generator.state
         assert final != initial  # the run made Bernoulli draws

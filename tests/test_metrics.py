@@ -1,6 +1,7 @@
 """The metrics CSV codec: bytes equal to csv.writer's, exact round-trips, and
 malformed files rejected with the file and line named."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -12,7 +13,7 @@ from samlab.errors import ConfigurationError
 from samlab.metrics import (FIELD_ORDER, MalformedRowError, MetricsRecord, _column_type,
                             _read_columns, read_metrics_csv, write_metrics_csv)
 
-from helpers import oracle_read_rows, oracle_write_rows
+from helpers import oracle_read_rows, oracle_write_rows, record_dict
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, float("inf"), float("-inf"),
                 0.1, 1.0 / 3.0, 2.0**53 + 1.0]
@@ -80,7 +81,7 @@ def test_metrics_codec_matches_csv_writer_and_round_trips(tmp_path_factory, rows
     write_metrics_csv(tmp / "new.csv", records)
     oracle_write_rows(tmp / "old.csv", FIELD_ORDER, rows, _column_type)
     assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
-    back = [vars(rec) for rec in read_metrics_csv(tmp / "new.csv")]
+    back = [record_dict(rec) for rec in read_metrics_csv(tmp / "new.csv")]
     assert _key(back) == _key([_normalise(row) for row in rows])
     assert _key(back) == _key(oracle_read_rows(tmp / "old.csv", FIELD_ORDER, _column_type))
 
@@ -214,15 +215,25 @@ def _records(count):
 BLOCK_EDGES = [0, 1, 255, 256, 257, 513]
 
 
+def test_metrics_records_have_no_instance_dict():
+    """A record is one slotted object: no ``__dict__``, so ``vars`` raises and ``asdict`` works."""
+    record = _records(1)[0]
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(TypeError):
+        vars(record)
+    assert list(dataclasses.asdict(record)) == [f.name for f in dataclasses.fields(record)]
+    assert dataclasses.asdict(record) == record_dict(record)
+
+
 @pytest.mark.parametrize("count", BLOCK_EDGES)
 def test_metrics_file_block_edges(tmp_path, count):
     records = _records(count)
     write_metrics_csv(tmp_path / "new.csv", records)
-    oracle_write_rows(tmp_path / "old.csv", FIELD_ORDER, [vars(r) for r in records],
+    oracle_write_rows(tmp_path / "old.csv", FIELD_ORDER, [record_dict(r) for r in records],
                       _column_type)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    assert _key([vars(r) for r in read_metrics_csv(tmp_path / "new.csv")]) == _key(
-        [vars(r) for r in records])
+    assert _key([record_dict(r) for r in read_metrics_csv(tmp_path / "new.csv")]) == _key(
+        [record_dict(r) for r in records])
 
 
 @pytest.mark.parametrize("count", BLOCK_EDGES)

@@ -95,6 +95,7 @@ import os
 import shutil
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
@@ -363,7 +364,7 @@ def damaged_digests(harness, tmp: Path, wanted):
 
 def _result_digest(result):
     """Records, final weights and momentum, every parameter snapshot and the sampler state."""
-    records = [{k: v for k, v in vars(r).items() if k not in WALL_CLOCK_FIELDS}
+    records = [{f.name: getattr(r, f.name) for f in fields(r) if f.name not in WALL_CLOCK_FIELDS}
                for r in result.records]
     state = result.sampler_state
     state_part = None
