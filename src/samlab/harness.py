@@ -83,6 +83,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigurationError(f"output_dir must be a non-empty string, "
+                                     f"not {self.output_dir!r}")
         if not isinstance(self.seeds, list) or not self.seeds:
             raise ConfigurationError(f"seeds must be a non-empty list, not {self.seeds!r}")
         for seed in self.seeds:
@@ -185,6 +188,8 @@ def _objective_from_dict(payload: dict) -> ObjectiveSpec:
         check_list("objective a", payload["a"], list)
         for row in payload["a"]:
             check_list("objective a", row, float)
+            if len(row) != len(payload["a"]):  # numpy would raise ValueError on a ragged matrix
+                raise ConfigurationError("quadratic matrix must be square")
         if payload.get("b") is not None:
             check_list("objective b", payload["b"], float)
         return make_quadratic(payload["a"], payload.get("b"), wd)
@@ -238,18 +243,27 @@ def _settings(cls, payload, context):
         raise ConfigurationError(f"{context} {err}") from None
 
 
+def _object(value, context) -> dict:
+    """A copy of ``value``, which must be a dict (a JSON object); ``context`` names it."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{context} must be a JSON object, not {value!r}")
+    return dict(value)
+
+
 def config_from_dict(payload: dict) -> ExperimentConfig:
-    _take(payload, _TOP_KEYS, {"objective", "optimizer", "output_dir"}, "config")
-    objective = _objective_from_dict(dict(payload["objective"]))
-    opt = _settings(OptimizerConfig, dict(payload.get("optimizer_config", {})),
-                    "optimizer_config")
+    _take(_object(payload, "config"), _TOP_KEYS, {"objective", "optimizer", "output_dir"},
+          "config")
+    objective = _objective_from_dict(_object(payload["objective"], "objective"))
+    opt = _settings(OptimizerConfig, _object(payload.get("optimizer_config", {}),
+                                             "optimizer_config"), "optimizer_config")
     sampler = None
     if "sampler_config" in payload:
-        sampler = _settings(SamplerConfig, dict(payload["sampler_config"]), "sampler_config")
+        sampler = _settings(SamplerConfig, _object(payload["sampler_config"], "sampler_config"),
+                            "sampler_config")
     dataset = None
     if "dataset" in payload:
-        dataset = dict(_take(dict(payload["dataset"]), _DATASET_KEYS,
-                             {"kind", "n", "seed"}, "dataset"))
+        dataset = _take(_object(payload["dataset"], "dataset"), _DATASET_KEYS,
+                        {"kind", "n", "seed"}, "dataset")
         dataset.setdefault("noise", 0.0)
         check_number("dataset n", dataset["n"], int)
         check_number("dataset noise", dataset["noise"], float)
@@ -308,7 +322,10 @@ def _plan_iterations(config, dataset):
 
     That is a repeated seed, which would share a seed directory, a ``w0``
     that is not one finite number per parameter, vSAM with nothing to fill
-    the correction cache before its first reuse step, and a batch size the
+    the correction cache before its first reuse step, an MLP without a
+    dataset, or whose input layer is not as wide as the dataset's features or
+    whose output layer has fewer units than the dataset has classes (the
+    kernel's checks, made before anything is written), and a batch size the
     training split cannot fill.
     """
     if len(set(config.seeds)) < len(config.seeds):
@@ -322,6 +339,15 @@ def _plan_iterations(config, dataset):
             and config.sampler.force != "always":
         raise ConfigurationError("vsam needs i_start >= 1 or force 'always' "
                                  "to fill the correction cache")
+    spec = config.objective
+    if spec.kind == "mlp_classifier":
+        if dataset is None:
+            raise ConfigurationError("an mlp_classifier objective requires a dataset")
+        if spec.input_dim != dataset.dim:
+            raise ConfigurationError(f"batch has {dataset.dim} features, "
+                                     f"mlp expects {spec.input_dim}")
+        if spec.layer_sizes[-1] < dataset.n_classes:
+            raise ConfigurationError("batch targets out of range for the mlp output layer")
     if dataset is None:
         return config.iterations
     train, _ = train_test_split(dataset)

@@ -13,12 +13,15 @@ fields with one ``attrgetter``. It works a block of rows (``_BLOCK_ROWS``) at a
 time, one column at a time (``zip(*block)``), which keeps the per-cell cost
 down while holding only one block of raw text in memory. A float column
 formats a run of one object once (vSAM rows repeat their window's ``p``,
-``s``, ``c_var`` and ``c_norm``). The one reader,
-``_read_columns``, parses every cell into columns: a block's column with no
-empty cell by ``map(parse, cells)``, an all-empty one as ``[None] * n``. The
-record and trace readers are row views of its columns. Given a projection, it
-also joins that projection's text from the cells as tokenized, so a projection
-file can be compared with it byte for byte.
+``s``, ``c_var`` and ``c_norm``). The one reader, ``_read_columns``, parses
+every cell into columns: a block's column with no empty cell by
+``map(parse, cells)``, an all-empty one as ``[None] * n``, and a window column
+(``_WINDOW_FIELDS``) one run of equal adjacent cells at a time, parsing the
+run's text once, so a run's values are one float object. Equal text, not equal
+value, makes a run: ``0.0`` and ``-0.0`` are two. The record and trace readers
+are row views of its columns. Given a projection, it also joins that
+projection's text from the cells as tokenized, so a projection file can be
+compared with it byte for byte.
 
 Formatting is one pass per block: a write may name column projections of
 its rows, and each projection's file is joined from the cells already
@@ -43,7 +46,7 @@ import csv
 import re
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import groupby, islice, repeat
 from operator import attrgetter
 from pathlib import Path
 
@@ -75,6 +78,8 @@ FIELD_ORDER = [
 
 _INT_FIELDS = {"iteration", "epoch", "cumulative_grad_evals"}
 _BOOL_FIELDS = {"psf_stale", "sampled", "v_fallback"}
+# one value per sampler window: vSAM rows repeat these in runs, which the reader parses once
+_WINDOW_FIELDS = {"p", "s", "c_var", "c_norm"}
 # wall-clock-class fields: timings and what is computed from them (a summary's AIS,
 # a report's AIS mean and spread), outside the bit-identity contract of a run's output
 WALL_CLOCK_FIELDS = {"wall_clock_seconds", "ais", "ais_mean", "ais_std"}
@@ -183,6 +188,7 @@ def _read_columns(path, header, names=None, projection=None):
     or None if a row spans lines (a quoted cell holds a line break).
     """
     parsers = [_PARSE[_column_type(name)] for name in header]
+    by_run = [name in _WINDOW_FIELDS for name in header]
     columns = [[] for _ in header]
     picks = [header.index(name) for name in projection or ()]
     text = [",".join(projection)] if projection is not None else None
@@ -202,12 +208,16 @@ def _read_columns(path, header, names=None, projection=None):
                 if text is not None:
                     text += map(",".join, zip(*[block_cells[j] for j in picks]))
                 try:
-                    for column, parse, cells in zip(columns, parsers, block_cells):
+                    for column, parse, runs, cells in zip(columns, parsers, by_run, block_cells):
                         empty = cells.count("")
-                        if not empty:
-                            column += map(parse, cells)
-                        elif empty == len(cells):
+                        if empty == len(cells):
                             column += [None] * empty
+                        elif runs:
+                            for cell, run in groupby(cells):
+                                value = None if cell == "" else parse(cell)
+                                column += repeat(value, len(list(run)))
+                        elif not empty:
+                            column += map(parse, cells)
                         else:
                             column += [None if c == "" else parse(c) for c in cells]
                 except (ValueError, KeyError):

@@ -320,15 +320,50 @@ def test_invalid_config_is_reported(tmp_path, capsys):
     pytest.param({**_QUADRATIC, "objective": {"kind": "rosenbrock", "dim": 2.5}},
                  id="dim_2.5"),
     pytest.param({**_QUADRATIC, "objective": {"kind": "quadratic", "a": "x"}}, id="a_x"),
+    # a ragged matrix raised numpy's ValueError
+    pytest.param({**_QUADRATIC, "objective": {"kind": "quadratic", "a": [[1.0, 0.0], [0.0]]}},
+                 id="a_ragged"),
+    # 5 raised TypeError in resolve_output_dir; "" wrote the run into the working directory
+    pytest.param({"output_dir": 5}, id="output_dir_5"),
+    pytest.param({"output_dir": ""}, id="output_dir_empty"),
+    # MLPs that do not fit the 2-feature, 2-class dataset, or have none: the kernel raised
+    # at the first evaluation, after config.json and seed_0/ had been written
+    pytest.param(_section("objective", layer_sizes=[3, 4, 2]), id="mlp_input_width"),
+    pytest.param(_section("objective", layer_sizes=[2, 4, 1]), id="mlp_output_width"),
+    pytest.param({"dataset": None, "batch_size": None}, id="mlp_without_dataset"),
 ])
-def test_run_rejects_unrunnable_config_before_writing(tmp_path, capsys, change):
+def test_run_rejects_unrunnable_config_before_writing(tmp_path, capsys, monkeypatch, change):
     # exit 2 is a SamlabError
     config = {key: value for key, value in dict(_small_config(tmp_path), **change).items()
               if value is not None}
     path = _write_config(tmp_path, config)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
     assert main(["run", str(path)]) == 2
     assert "error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    assert not any(cwd.iterdir())
+
+
+@pytest.mark.parametrize("section", ["objective", "optimizer_config", "sampler_config",
+                                     "dataset"])
+@pytest.mark.parametrize("value", [5, "ab", "pairs"])
+def test_run_rejects_config_sections_that_are_not_objects(tmp_path, capsys, section, value):
+    # dict() took a list of key-value pairs, and raised TypeError on 5 and ValueError on "ab"
+    if value == "pairs":
+        value = [list(item) for item in SMALL_SECTIONS[section].items()]
+    path = _write_config(tmp_path, dict(_small_config(tmp_path), **{section: value}))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {section} must be a JSON object, not {value!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("payload", [5, "ab", [["optimizer", "sgd"]]])
+def test_run_rejects_a_config_that_is_not_an_object(tmp_path, capsys, payload):
+    path = _write_config(tmp_path, payload)
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: config must be a JSON object, not {payload!r}\n"
 
 
 def test_selfcheck_command(capsys):

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from samlab.diagnostics import NORM_TRACE_FIELDS, read_norm_trace, write_norm_trace
 from samlab.errors import ConfigurationError
-from samlab.metrics import (FIELD_ORDER, MalformedRowError, MetricsRecord, _column_type,
-                            _read_columns, read_metrics_csv, write_metrics_csv)
+from samlab.metrics import (_BLOCK_ROWS, _WINDOW_FIELDS, FIELD_ORDER, MalformedRowError,
+                            MetricsRecord, _column_type, _read_columns, read_metrics_csv,
+                            write_metrics_csv)
 
 from helpers import oracle_read_rows, oracle_write_rows, record_dict
 
@@ -166,6 +167,72 @@ def test_read_columns_returns_the_written_columns(tmp_path_factory, columns, nam
         got, text = _read_columns(tmp / "metrics.csv", FIELD_ORDER, names, projection)
         assert [[repr(v) for v in column] for column in got] == _expected_columns(columns, names)
         assert text.encode("ascii") == (tmp / path).read_bytes()
+
+
+# every window column starts with neighbouring zeros of both signs, a run broken by an empty
+# cell, NaN and infinity, then a run across the first block boundary
+_WINDOW_LEAD = ["0.0", "-0.0", "-0.0", "0.0", "0.25", "", "0.25", "0.25", "nan", "nan", "inf",
+                "-inf", "", ""]
+_BAD_CELLS = ["x", "0.5.1", "1e", "--1", "nan0"]
+
+
+@st.composite
+def _window_file(draw):
+    """(window column -> cells as text, a bad cell's (column, row, text) or None).
+
+    Past the lead, each column is runs of a few texts, the empty one among
+    them; a bad cell, when drawn, breaks one of its column's runs.
+    """
+    columns = {}
+    for name in sorted(_WINDOW_FIELDS):
+        pool = draw(st.lists(st.floats().map(repr), min_size=1, max_size=2)) + ["", "-0.0"]
+        crossing = draw(st.sampled_from(pool))
+        cells = _WINDOW_LEAD + [crossing] * (_BLOCK_ROWS - len(_WINDOW_LEAD)
+                                             + draw(st.integers(1, 20)))
+        for text, length in draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 40)),
+                                          max_size=6)):
+            cells += [text] * length
+        columns[name] = cells
+    count = min(len(cells) for cells in columns.values())
+    columns = {name: cells[:count] for name, cells in columns.items()}
+    bad = None
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(_WINDOW_FIELDS)))
+        # rows from len(_WINDOW_LEAD) + 1 to _BLOCK_ROWS - 1 are inside the crossing run
+        row = draw(st.integers(len(_WINDOW_LEAD) + 1, count - 2))
+        bad = name, row, draw(st.sampled_from(_BAD_CELLS))
+    return columns, bad
+
+
+@settings(deadline=None)  # timing on a shared host is not what this checks
+@given(drawn=_window_file())
+def test_window_columns_read_as_each_cell_parses(tmp_path_factory, drawn):
+    """The reader parses a window column's run once, with the values, reprs and errors of a
+    parse of every cell."""
+    columns, bad = drawn
+    count = len(columns["p"])
+    if bad is not None:
+        name, row, text = bad
+        columns[name][row] = text
+    path = tmp_path_factory.mktemp("window") / "metrics.csv"
+    filled = {"epoch": "0", "train_loss": "0.5", "l2_sgd": "0.5", "sampled": "0",
+              "wall_clock_seconds": "0.1"}
+    lines = [",".join(FIELD_ORDER)]
+    for i in range(count):
+        row = dict(filled, iteration=str(i + 1), cumulative_grad_evals=str(i + 1),
+                   **{name: column[i] for name, column in columns.items()})
+        lines.append(",".join(row.get(name, "") for name in FIELD_ORDER))
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode("ascii"))
+    if bad is not None:
+        name, row, text = bad
+        with pytest.raises(MalformedRowError) as err:
+            _read_columns(path, FIELD_ORDER)
+        assert str(err.value) == f"{path}, line {row + 2}: cannot parse {name} cell {text!r}"
+        return
+    got = dict(zip(FIELD_ORDER, _read_columns(path, FIELD_ORDER)))
+    expected = oracle_read_rows(path, FIELD_ORDER, _column_type)
+    for name in FIELD_ORDER:
+        assert [repr(v) for v in got[name]] == [repr(row[name]) for row in expected]
 
 
 @pytest.mark.parametrize("cell, text", [

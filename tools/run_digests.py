@@ -70,7 +70,10 @@ The cases:
   cell holding a CR, an LF or a CRLF, with its text copied unquoted into the
   trace; ``-0.0`` in the trace against ``0.0`` in the metrics; ``inf`` in the
   same cell of both files; a trace with LF line ends; a trace without its
-  final CRLF; and a trace with one extra blank line.
+  final CRLF; a trace with one extra blank line; and, in the middle of a
+  sampler window, whose rows repeat one ``p``, ``s``, ``c_var`` and
+  ``c_norm``, a ``p`` cell that is not a number and an emptied ``c_var``
+  cell.
 
 A run directory's digest covers every file in it: CSV files without their
 wall-clock columns, JSON files without wall-clock keys and the output path.
@@ -343,6 +346,10 @@ DAMAGES = {
     "damaged_trace_lf_line_ends": _edit_trace(lambda text: text.replace(b"\r\n", b"\n")),
     "damaged_trace_no_final_crlf": _edit_trace(lambda text: text[:-2]),
     "damaged_trace_extra_blank_line": _edit_trace(lambda text: text + b"\r\n"),
+    # cells in the middle of a sampler window, whose rows repeat one p, s, c_var and c_norm:
+    # p's windows are lines 42-61 and 62-81 (c_var's start a line earlier)
+    "damaged_window_p_not_a_number": _set_cell("metrics.csv", 51, b"p", b"0.27x"),
+    "damaged_window_c_var_empty": _set_cell("metrics.csv", 70, b"c_var", b""),
 }
 
 
