@@ -40,8 +40,8 @@ class Batch:
     inputs: np.ndarray
     targets: np.ndarray
     indices: np.ndarray
-    # (targets, n_classes, flat index of each row's target logit, one-hot
-    # target mask), kept by samlab.objectives on a batch's first MLP evaluation
+    # (targets, n_classes, flat index of each row's target logit, one-hot target
+    # mask), kept by make_batches or by samlab.objectives (its module docstring)
     target_index: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -224,17 +224,55 @@ def train_test_split(ds: Dataset, test_fraction: float = 0.2):
     return train, test
 
 
-def make_batches(ds: Dataset, batch_size: int, seed: int, epoch: int) -> list[Batch]:
-    """Seeded permutation of the dataset, cut into batches; the last may be short."""
+def make_batches(ds: Dataset, batch_size: int, seed: int, epoch: int,
+                 n_classes: int | None = None) -> list[Batch]:
+    """Seeded permutation of the dataset, cut into batches; the last may be short.
+
+    The epoch is gathered and checked once; each batch is a row slice of it.
+    Given ``n_classes``, as the training loop gives an MLP's, the same pass
+    checks the epoch's targets and keeps each batch's slices of their index
+    and mask on the batch (``target_index``), so nothing outlives the batches.
+    """
     if batch_size < 1 or batch_size > ds.n:
         raise ConfigurationError(f"batch_size must be in [1, {ds.n}], got {batch_size}")
     perm = np.random.default_rng([seed, epoch]).permutation(ds.n)
-    # gather and check once per epoch; each batch is a row slice of the checked epoch
     # take along rows copies what fancy indexing does, without its per-call setup
     targets = ds.targets.take(perm)
     targets.flags.writeable = False  # so the epoch's targets need no copy
     whole = Batch(ds.inputs.take(perm, axis=0), targets, perm)
-    return [whole.rows(start, start + batch_size) for start in range(0, ds.n, batch_size)]
+    starts = range(0, ds.n, batch_size)
+    if n_classes is None:
+        return [whole.rows(start, start + batch_size) for start in starts]
+    index, onehot = _index_targets(whole.targets, n_classes, batch_size)
+    batches = []
+    for start in starts:
+        batch = whole.rows(start, stop := start + batch_size)
+        batch.target_index = (batch.targets, n_classes, index[start:stop], onehot[start:stop])
+        batches.append(batch)
+    return batches
+
+
+def _index_targets(targets: np.ndarray, n_classes: int, batch_size: int):
+    """Checked targets' (flat index of each target logit in its batch, one-hot mask).
+
+    Row i is row i % batch_size of its batch. The mask is a read-only (rows,
+    n_classes) float64 array of 0.0 with 1.0 at each target.
+    """
+    if targets.dtype.kind not in "iu":
+        raise ConfigurationError(f"batch targets must be integers, got dtype {targets.dtype}")
+    as_int = targets.astype(np.int64, copy=False)
+    # one unsigned maximum: a negative target reads as at least 2**63
+    if np.maximum.reduce(as_int.view(np.uint64)) >= n_classes:
+        raise ConfigurationError("batch targets out of range for the mlp output layer")
+    onehot = np.zeros((as_int.size, n_classes))
+    onehot.reshape(-1)[np.arange(0, onehot.size, n_classes) + as_int] = 1.0
+    onehot.flags.writeable = False
+    offsets = np.arange(0, batch_size * n_classes, n_classes)
+    index = np.empty_like(as_int)
+    full = as_int.size - as_int.size % batch_size
+    np.add(as_int[:full].reshape(-1, batch_size), offsets, out=index[:full].reshape(-1, batch_size))
+    np.add(as_int[full:], offsets[:as_int.size - full], out=index[full:])
+    return index, onehot
 
 
 def batches_per_epoch(n: int, batch_size: int) -> int:

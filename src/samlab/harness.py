@@ -325,8 +325,8 @@ def _plan_iterations(config, dataset):
     the correction cache before its first reuse step, an MLP without a
     dataset, or whose input layer is not as wide as the dataset's features or
     whose output layer has fewer units than the dataset has classes (the
-    kernel's checks, made before anything is written), and a batch size the
-    training split cannot fill.
+    kernel's checks, made before anything is written) or whose held-out split
+    is empty, and a batch size the training split cannot fill.
     """
     if len(set(config.seeds)) < len(config.seeds):
         raise ConfigurationError(f"seeds must not repeat, got {config.seeds}")
@@ -350,7 +350,10 @@ def _plan_iterations(config, dataset):
             raise ConfigurationError("batch targets out of range for the mlp output layer")
     if dataset is None:
         return config.iterations
-    train, _ = train_test_split(dataset)
+    train, test = train_test_split(dataset)
+    if spec.kind == "mlp_classifier" and test.n == 0:
+        raise ConfigurationError(f"the held-out split of a dataset of n {dataset.n} has 0 rows; "
+                                 f"an mlp_classifier needs at least one")
     if not 1 <= config.batch_size <= train.n:
         raise ConfigurationError(
             f"batch_size must be in [1, {train.n}] (the training split), got {config.batch_size}")

@@ -17,19 +17,21 @@ What is fixed for a spec is worked out once, into the ``Plan`` that the
 spec keeps (``ObjectiveSpec.plan``): the kernel of its kind (also run by
 ``sharp_flat_ridge``) with the MLP layout and activation or the landscape's
 constants bound in, the parameter count, the weight decay, the
-finiteness screen's cached zero vector and the buffer that the gradient's
-weight-decay term is written to. A spec is frozen, its arrays
-included, so its plan cannot go stale.
+finiteness screen's cached zero vector and the buffers that the MLP's
+gradient and the gradient's weight-decay term are written to. A spec is
+frozen, its arrays included, so its plan cannot go stale.
 
 What depends only on the targets is done once: the dtype and range checks,
 the flat index (row * classes + target) through which the loss picks each
-target logit, and a one-hot mask of the targets. The training loop does it
-once per epoch: ``prime_epoch`` checks the epoch's gathered targets as one
-array and keeps each batch's slice of the index and the mask on the batch.
-Any other batch is checked and indexed on its first MLP evaluation. Both are
-kept with their targets array and class count, and only for a read-only
-array (``Batch`` freezes its targets), so a later write to the targets
-cannot leave them stale and new targets are a new array that misses them.
+target logit, and a one-hot mask of the targets (``data._index_targets``).
+The training loop does it once per epoch, in the pass that cuts the epoch:
+``data.make_batches``, given the class count, keeps each batch's slices of
+the epoch's index and mask on the batch. Any other batch is checked and
+indexed on its first MLP evaluation. Both live on the batch, so nothing
+outlives it, with their targets array and class count, and only for a
+read-only array (``Batch`` freezes its targets), so a later write to the
+targets cannot leave them stale and new targets are a new array that
+misses them.
 Every call still checks the parameter count, that the batch is there, its
 input width and that its inputs and targets agree on row count, and the loss
 and gradient for finiteness.
@@ -64,12 +66,14 @@ products stay ``@``: no benchmark workload runs them.
 
 One kernel, ``_mlp_kernel``'s, serves ``eval_grad``, ``eval_loss``,
 ``eval_heldout`` and ``mlp_accuracy``. It writes every intermediate into
-scratch memory that it keeps: hidden activations, logits, softmax terms and
-backprop buffers, built once per row count, and the per-layer weight views
-of the last ``KEPT_WEIGHTS`` weight buffers. Evaluations of one spec share
-its plan's buffers, so one spec must not be evaluated from two threads at
-once; no code here does. The returned loss, gradient and accuracy never
-alias a buffer: the gradient is a new array on every call.
+scratch memory that it keeps: hidden activations and their transposes,
+logits, softmax terms and backprop buffers, built once per row count, the
+per-layer weight views of the last ``KEPT_WEIGHTS`` weight buffers, and
+per-layer views, made once, of the plan's gradient buffer. Evaluations of
+one spec share its plan's buffers, so one spec must not be evaluated from
+two threads at once; no code here does. The returned loss, gradient and
+accuracy never alias a buffer: the gradient is a new array on every call,
+made by adding the weight-decay term (``np.add``) or, with none, a copy.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import Batch
+from .data import Batch, _index_targets
 from .errors import ConfigurationError, NumericError
 from .params import ParamVector, _zeros, all_finite
 
@@ -299,10 +303,12 @@ class Plan(NamedTuple):
     zeros: np.ndarray  # the finiteness screen's, cached and read-only
     twice_wd: np.ndarray  # 2 * weight_decay, for the gradient's decay term (``_scalar``)
     decay: np.ndarray  # the decay term 2 * weight_decay * w, written before it is added
+    grad: np.ndarray | None  # the MLP kernel's gradient, written in place; None for the others
 
 
 def _plan(spec):
     kind = spec.kind
+    grad = None
     if kind == "quadratic":
         a, b = spec.a, spec.b
 
@@ -314,17 +320,18 @@ def _plan(spec):
     elif kind == "sharp_flat":
         kernel = _sharp_flat_kernel(spec)
     elif kind == "mlp_classifier":
-        kernel = _mlp_kernel(spec)
+        grad = np.empty(spec.param_count)
+        kernel = _mlp_kernel(spec, grad)
     else:
         raise ConfigurationError(f"unknown objective kind {kind!r}")
     size = spec.param_count
     return Plan(size, kernel, spec.weight_decay, _zeros(size), _scalar(2.0 * spec.weight_decay),
-                np.empty(size))
+                np.empty(size), grad)
 
 
 def _evaluate(spec, w, batch, with_grad):
     """(loss, gradient); without the gradient, (loss, MLP logits in the plan's buffer or None)."""
-    size, kernel, wd, zeros, twice_wd, decay = spec.plan
+    size, kernel, wd, zeros, twice_wd, decay, scratch = spec.plan
     x = w.values if isinstance(w, ParamVector) else w
     if x.size != size:
         raise ConfigurationError(
@@ -336,7 +343,9 @@ def _evaluate(spec, w, batch, with_grad):
         # array of positive stride; with a negative stride the two may differ in the last bit
         loss = loss + wd * float(x.dot(x))
         if with_grad:
-            grad += np.multiply(twice_wd, x, out=decay)
+            grad = np.add(grad, np.multiply(twice_wd, x, out=decay))  # a new array
+    elif with_grad and grad is scratch:
+        grad = grad.copy()
 
     if not math.isfinite(loss):
         raise NumericError(f"non-finite loss from {spec.kind} objective")
@@ -463,17 +472,6 @@ SHARP_FLAT_CALIBRATION = {
 # ---------------------------------------------------------------------------
 # MLP internals
 
-def _checked_targets(targets, n_classes):
-    """``targets`` as int64, once they pass the dtype and range checks."""
-    if targets.dtype.kind not in "iu":
-        raise ConfigurationError(f"batch targets must be integers, got dtype {targets.dtype}")
-    as_int = targets.astype(np.int64, copy=False)
-    # one unsigned maximum: a negative target reads as at least 2**63
-    if np.maximum.reduce(as_int.view(np.uint64)) >= n_classes:
-        raise ConfigurationError("batch targets out of range for the mlp output layer")
-    return as_int
-
-
 def _target_index(batch, input_dim, n_classes):
     """(flat index of each row's target logit, one-hot target mask) of ``batch``.
 
@@ -494,41 +492,10 @@ def _target_index(batch, input_dim, n_classes):
     kept = batch.target_index
     if kept is not None and kept[0] is targets and kept[1] == n_classes:
         return kept[2], kept[3]
-    index, onehot = _index_and_mask(_checked_targets(targets, n_classes), n_classes)
+    index, onehot = _index_targets(targets, n_classes, targets.shape[0])
     if not targets.flags.writeable:
         batch.target_index = (targets, n_classes, index, onehot)
     return index, onehot
-
-
-def _index_and_mask(as_int, n_classes):
-    """Each row's flat target index and a read-only one-hot mask of the rows."""
-    index = np.arange(0, as_int.size * n_classes, n_classes) + as_int
-    onehot = np.zeros((as_int.size, n_classes))
-    onehot.reshape(-1)[index] = 1.0
-    onehot.flags.writeable = False
-    return index, onehot
-
-
-def prime_epoch(spec: ObjectiveSpec, batches) -> None:
-    """Check one epoch's targets once and keep each batch's index and mask on it.
-
-    ``batches`` are an epoch's, in order, as ``data.make_batches`` cuts them.
-    Their targets are checked as one array, with ``_target_index``'s checks
-    and messages; each batch with read-only targets then keeps the index and
-    mask that ``_target_index`` would have kept for it, keyed the same way.
-    """
-    n_classes = spec.layer_sizes[-1]
-    as_int = _checked_targets(np.concatenate([batch.targets for batch in batches]), n_classes)
-    _, onehot = _index_and_mask(as_int, n_classes)
-    sizes = [batch.size for batch in batches]
-    stops = np.cumsum(sizes)
-    # each row's place in its own batch; a batch's index is then a slice view
-    rows = np.arange(as_int.size) - np.repeat(stops - sizes, sizes)
-    index = rows * n_classes + as_int
-    for batch, stop, size in zip(batches, stops.tolist(), sizes):
-        if not batch.targets.flags.writeable:
-            batch.target_index = (batch.targets, n_classes, index[stop - size:stop],
-                                  onehot[stop - size:stop])
 
 
 # weight buffers whose per-layer views an MLP plan keeps; a run evaluates at two (w and w + e)
@@ -557,6 +524,7 @@ class _RowBuffers:
         # activation's slope there (tanh: 1 - a * a; relu: a > 0 as 1.0 or 0.0)
         self.d_z = [np.empty((rows, width)) for width in widths]
         self.slope = [np.empty((rows, width)) for width in widths]
+        self.hidden_t = [h.T for h in self.hidden]  # operands of the weight gradients
         # np.dot where every product sums over more than one term (module docstring): a
         # product sums over the rows, the input's width or a layer's
         self.product = np.dot if min(rows, layout[0][0], *widths, n_classes) > 1 else np.matmul
@@ -581,15 +549,19 @@ def _layers(layout, values, kept):
     return layers
 
 
-def _mlp_kernel(spec):
+def _mlp_kernel(spec, grad):
     """The MLP kernel, (loss, gradient or logits), with the spec's layout bound in.
 
-    It keeps its scratch memory: one ``_RowBuffers`` per row count and the
-    views of the weight buffers it saw last (``_layers``).
+    It keeps its scratch memory: one ``_RowBuffers`` per row count, the
+    views of the weight buffers it saw last (``_layers``) and per layer the
+    weight and bias views of ``grad``, the plan's buffer that it writes the
+    gradient into.
     """
     layout = _mlp_layout(spec.layer_sizes)
     tanh, input_dim, n_classes = spec.activation == "tanh", spec.input_dim, layout[-1][1]
     row_buffers, kept = {}, []
+    grads = [(grad[lo:mid].reshape(fan_in, fan_out), grad[mid:hi])
+             for fan_in, fan_out, lo, mid, hi in layout]
 
     def kernel(values, batch, with_grad):
         index, onehot = _target_index(batch, input_dim, n_classes)
@@ -644,17 +616,15 @@ def _mlp_kernel(spec):
         d_z -= onehot  # x - 0.0 keeps the bits of x: only the target logits change
         d_z /= r.count
 
-        # each layer's gradient is written straight into its slice of the vector
-        grad = np.empty(values.size)
+        # each layer's gradient is written straight into its views of the vector
         for layer in range(len(layout) - 1, -1, -1):
-            fan_in, fan_out, lo, mid, hi = layout[layer]
-            np.add.reduce(d_z, axis=0, out=grad[mid:hi])
-            a = r.hidden[layer - 1] if layer else inputs
-            dot(a.T, d_z, out=grad[lo:mid].reshape(fan_in, fan_out))
+            w_grad, b_grad = grads[layer]
+            np.add.reduce(d_z, axis=0, out=b_grad)
+            dot(r.hidden_t[layer - 1] if layer else inputs.T, d_z, out=w_grad)
             if layer == 0:
                 break
             below = dot(d_z, layers[layer][2], out=r.d_z[layer - 1])
-            slope = r.slope[layer - 1]
+            a, slope = r.hidden[layer - 1], r.slope[layer - 1]
             if tanh:
                 np.subtract(r.one, np.multiply(a, a, out=slope), out=slope)
             else:

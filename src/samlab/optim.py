@@ -24,7 +24,7 @@ from .errors import ConfigurationError, ContractViolationError, NumericError, ch
 from .metrics import MetricsRecord
 # eval_loss, mlp_accuracy and subset_norm are imported for perfbench/tracer.py to wrap here
 from .objectives import (eval_grad, eval_heldout, eval_loss, init_params, mlp_accuracy,
-                         param_segments, prime_epoch)
+                         param_segments)
 from .params import (ParamVector, _zeros, default_subset, l2_norm, require_finite, subset_norm,
                      subset_selector)
 # record_sample is imported for perfbench/tracer.py too; the loop notes samples itself
@@ -178,15 +178,15 @@ class RunResult:
 def _batch_stream(spec, train: Dataset, batch_size, seed, bpe, first_t):
     """(batch, epoch) of each iteration from ``first_t`` on, one epoch's batches at a time.
 
-    An MLP's targets are checked and indexed once per epoch (``prime_epoch``).
+    An MLP's epoch is cut with its class count, so ``make_batches`` checks and
+    indexes its targets in the same pass; the index and mask live on the
+    epoch's batches and go with them.
     """
+    n_classes = spec.layer_sizes[-1] if spec.kind == "mlp_classifier" else None
     t = first_t
     while True:
         epoch = (t - 1) // bpe
-        batches = make_batches(train, batch_size, seed, epoch)
-        if spec.kind == "mlp_classifier":
-            prime_epoch(spec, batches)
-        for batch in batches[(t - 1) % bpe:]:
+        for batch in make_batches(train, batch_size, seed, epoch, n_classes)[(t - 1) % bpe:]:
             yield batch, epoch
             t += 1
 

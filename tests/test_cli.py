@@ -346,6 +346,23 @@ def test_run_rejects_unrunnable_config_before_writing(tmp_path, capsys, monkeypa
     assert not any(cwd.iterdir())
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_an_mlp_run_needs_a_held_out_row(tmp_path, capsys, n):
+    # the 20% held-out split of 2 rows rounds to none: the first held-out evaluation
+    # raised "batch is empty" after config.json and seed_0/ had been written
+    config = dict(_small_config(tmp_path), batch_size=2,
+                  dataset={"kind": "moons", "n": n, "noise": 0.1, "seed": 0})
+    path = _write_config(tmp_path, config)
+    if n == 2:
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == ("error: the held-out split of a dataset of n 2 has "
+                                           "0 rows; an mlp_classifier needs at least one\n")
+        assert not (tmp_path / "out").exists()
+    else:
+        assert main(["run", str(path)]) == 0
+        assert main(["verify", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("section", ["objective", "optimizer_config", "sampler_config",
                                      "dataset"])
 @pytest.mark.parametrize("value", [5, "ab", "pairs"])

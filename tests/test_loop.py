@@ -182,6 +182,25 @@ def test_a_split_run_equals_the_uninterrupted_run(method, task):
     assert (sum(r.sampled for r in whole.records) > 0) is (method != "sgd")
 
 
+@pytest.mark.parametrize("method", ["sgd", "sam"])
+def test_a_run_resumed_at_a_one_row_batch_equals_the_uninterrupted_run(method):
+    # 1601 training rows in batches of 64: each epoch's 26th batch holds one row, and the
+    # second call starts there, cutting its first epoch and skipping 25 of its batches
+    spec = make_mlp_classifier((2, 6, 2), weight_decay=1e-4)
+    dataset = generate_dataset("moons", 2001, 0.15, seed=3)
+    opt = optim.OptimizerConfig(eta0=0.05, rho=0.9, momentum=0.9, lr_schedule="cosine")
+    run = optim.run_sgd if method == "sgd" else optim.run_sam
+    common = dict(batch_size=64, schedule_total=60)
+    whole = run(spec, dataset, opt, 60, 0, **common)
+    first = run(spec, dataset, opt, 25, 0, **common)
+    rest = run(spec, dataset, opt, 35, 0, w0=first.w_final, momentum0=first.momentum_final,
+               start_iteration=25, **common)
+    split = _rows(first.records) + _rows(rest.records, first.records[-1].cumulative_grad_evals)
+    assert repr(split) == repr(_rows(whole.records))
+    assert rest.w_final.values.tobytes() == whole.w_final.values.tobytes()
+    assert rest.momentum_final.tobytes() == whole.momentum_final.tobytes()
+
+
 def _run_bits(result):
     """Everything a run returns but its wall clock, as comparable values."""
     state = result.sampler_state

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from samlab.data import Batch, Dataset, generate_dataset, make_batches
+from samlab.data import Batch, Dataset, generate_dataset, make_batches, train_test_split
 from samlab.errors import ConfigurationError
 from samlab import objectives
 from samlab.objectives import (SHARP_FLAT_CALIBRATION, ObjectiveSpec, classify_basin,
                                eval_grad, eval_heldout, eval_loss, init_params, make_mlp_classifier,
                                make_quadratic, make_rosenbrock, make_sharp_flat, mlp_accuracy,
-                               param_segments, prime_epoch, sharp_flat_centers,
+                               param_segments, sharp_flat_centers,
                                sharp_flat_ridge)
 from samlab.optim import OptimizerConfig, run_sgd
 from samlab.params import ParamVector
@@ -310,8 +310,7 @@ def test_one_workspace_serves_interleaved_weight_buffers(sizes, activation):
     rng = np.random.default_rng(4)
     a = init_params(spec, 1).values.copy()
     b = a + 0.3 * rng.standard_normal(a.size)
-    batches = _epoch()  # the last of them is short
-    prime_epoch(spec, batches)
+    batches = _epoch(n_classes=sizes[-1])  # the last of them is short
     for batch in batches:
         _assert_grad_matches_oracle(spec, a, batch)
         _assert_grad_matches_oracle(spec, b, batch)
@@ -350,18 +349,26 @@ def test_two_specs_and_row_counts_share_one_workspace():
 
 
 def test_a_returned_gradient_is_not_workspace_memory():
-    spec = make_mlp_classifier((2, 8, 8, 2), weight_decay=1e-3)
-    values = init_params(spec, 2).values
-    batch = _epoch()[0]
-    first = _assert_grad_matches_oracle(spec, values, batch)
-    kept = first.tobytes()
-    second = _assert_grad_matches_oracle(spec, 2.0 * values, batch)
-    eval_heldout(spec, 3.0 * values, batch)
-    assert first.tobytes() == kept and second.tobytes() != kept
-    assert not np.shares_memory(first, second)
-    # nor the weight-decay term's buffer, the one plan buffer of the gradient's size
-    assert not np.shares_memory(first, spec.plan.decay)
-    assert not np.shares_memory(second, spec.plan.decay)
+    """With and without the weight-decay term, which the returned array is made by adding."""
+    for weight_decay in (0.0, 1e-3):
+        spec = make_mlp_classifier((2, 8, 8, 2), weight_decay=weight_decay)
+        values = init_params(spec, 2).values
+        batch = _epoch()[0]
+        first = _assert_grad_matches_oracle(spec, values, batch)
+        second = _assert_grad_matches_oracle(spec, 2.0 * values, batch)
+        kept = first.tobytes(), second.tobytes()
+        third = _assert_grad_matches_oracle(spec, 3.0 * values, batch)
+        eval_heldout(spec, 4.0 * values, batch)
+        assert (first.tobytes(), second.tobytes()) == kept and kept[0] != kept[1]
+        returned = [first, second, third]
+        assert not any(np.shares_memory(a, b) for a in returned for b in returned if a is not b)
+        # nor any plan buffer of the gradient's size: the gradient the kernel writes,
+        # the weight-decay term's and the finiteness screen's zeros
+        buffers = [field for field in spec.plan
+                   if isinstance(field, np.ndarray) and field.size == spec.param_count]
+        assert any(b is spec.plan.grad for b in buffers)
+        assert any(b is spec.plan.decay for b in buffers)
+        assert not any(np.shares_memory(a, b) for a in returned for b in buffers)
 
 
 def test_lone_mlp_calls_build_row_buffers_once_per_row_count(monkeypatch):
@@ -454,9 +461,12 @@ def test_out_of_range_targets_raise_on_every_call():
         eval_grad(spec, values, batch)
 
 
-def _epoch(n=110, batch_size=16):
-    """One epoch's batches of a moons set; 110 rows leave a short last batch of 14."""
-    return make_batches(generate_dataset("moons", n, 0.2, seed=2), batch_size, 0, 1)
+def _epoch(n=110, batch_size=16, n_classes=None):
+    """One epoch's batches of a moons set; 110 rows leave a short last batch of 14.
+
+    Given ``n_classes``, they are cut as the training loop cuts an MLP's epoch.
+    """
+    return make_batches(generate_dataset("moons", n, 0.2, seed=2), batch_size, 0, 1, n_classes)
 
 
 @pytest.mark.parametrize("sizes, activation", [((2, 16, 2), "tanh"), ((2, 8, 3), "relu"),
@@ -464,12 +474,14 @@ def _epoch(n=110, batch_size=16):
 def test_batches_primed_from_their_epoch_match_the_oracle(sizes, activation):
     spec = make_mlp_classifier(sizes, activation=activation, weight_decay=1e-3)
     values = init_params(spec, 5).values
-    batches = _epoch()
-    prime_epoch(spec, batches)
     n_classes = sizes[-1]
+    batches = _epoch(n_classes=n_classes)
     for batch in batches:
         kept_targets, kept_classes, index, onehot = batch.target_index
         assert kept_targets is batch.targets and kept_classes == n_classes
+        rows = np.arange(batch.size)
+        assert index.tolist() == (rows * n_classes + batch.targets).tolist()
+        assert onehot.tolist() == np.eye(n_classes)[batch.targets].tolist()
         # the index and mask a first evaluation of an unprimed batch would have kept
         fresh = Batch(batch.inputs, batch.targets, batch.indices)
         eval_loss(spec, values, fresh)
@@ -482,11 +494,41 @@ def test_batches_primed_from_their_epoch_match_the_oracle(sizes, activation):
         _assert_matches_oracle(spec, values, batch)
 
 
+@pytest.mark.parametrize("n, last", [(110, 8), (2001, 1)])
+def test_an_epoch_cut_with_its_class_count_matches_fresh_batches(n, last):
+    """The training split of n rows in batches of 16 or 64: 88 rows end in a batch of 8,
+    1601 in one of a single row, whose products the kernel takes through np.matmul."""
+    spec = make_mlp_classifier((2, 16, 2), weight_decay=1e-4)
+    values = init_params(spec, 1).values
+    train, _ = train_test_split(generate_dataset("moons", n, 0.2, seed=2))
+    batch_size = 16 if n == 110 else 64
+    batches = make_batches(train, batch_size, 0, 3, n_classes=2)
+    plain = make_batches(train, batch_size, 0, 3)
+    assert [b.size for b in batches] == [b.size for b in plain]
+    assert batches[-1].size == last and {b.size for b in batches[:-1]} == {batch_size}
+    for batch, cut in zip(batches, plain):
+        for x, y in ((batch.inputs, cut.inputs), (batch.targets, cut.targets),
+                     (batch.indices, cut.indices)):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        kept_targets, kept_classes, index, onehot = batch.target_index
+        assert kept_targets is batch.targets and kept_classes == 2
+        fresh = Batch(batch.inputs.copy(), batch.targets.copy(), batch.indices.copy())
+        want_index, want_onehot = objectives._target_index(fresh, 2, 2)
+        assert index.dtype == want_index.dtype and index.tobytes() == want_index.tobytes()
+        assert onehot.dtype == want_onehot.dtype == np.float64
+        assert onehot.shape == want_onehot.shape and onehot.tobytes() == want_onehot.tobytes()
+        assert not onehot.flags.writeable
+        for w in (values, 3.0 * values):
+            loss, grad = eval_grad(spec, w, batch)
+            want_loss, want_grad = eval_grad(spec, w, fresh)
+            assert _bits(loss) == _bits(want_loss) and grad.tobytes() == want_grad.tobytes()
+        _assert_grad_matches_oracle(spec, values, batch)
+
+
 def test_targets_reassigned_after_priming_are_checked_again():
     spec = make_mlp_classifier((2, 5, 2))
     values = init_params(spec, 3).values
-    batches = _epoch()
-    prime_epoch(spec, batches)
+    batches = _epoch(n_classes=2)
     batch = batches[0]
     for _ in range(2):
         batch.targets = batch.targets + 1  # writable, and holds a 2
@@ -508,10 +550,10 @@ def test_an_epoch_with_bad_targets_is_rejected():
     ds = generate_dataset("moons", 40, 0.2, seed=2)
     shifted = Dataset(ds.kind, ds.seed, ds.noise, ds.inputs, ds.targets + 1)
     with pytest.raises(ConfigurationError, match="out of range"):
-        prime_epoch(spec, make_batches(shifted, 8, 0, 0))
+        make_batches(shifted, 8, 0, 0, n_classes=2)
     as_float = Dataset(ds.kind, ds.seed, ds.noise, ds.inputs, ds.targets.astype(float))
     with pytest.raises(ConfigurationError, match="must be integers"):
-        prime_epoch(spec, make_batches(as_float, 8, 0, 0))
+        make_batches(as_float, 8, 0, 0, n_classes=2)
     with pytest.raises(ConfigurationError, match="out of range"):
         run_sgd(spec, shifted, OptimizerConfig(), 3, 0, batch_size=8)
 

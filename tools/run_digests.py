@@ -49,6 +49,10 @@ The cases:
 - runs of more than one seed, which run in parallel where they can: moons
   vSAM with seeds ``[2, 0, 1]``, and a Rosenbrock vSAM run of four seeds of
   which two fail with a NumericError and two finish;
+- ``moons_2001_batch_64_sam`` and ``moons_2001_batch_64_vsam``: SAM and
+  vSAM on a moons set of 2001 rows in batches of 64: the 1601 training rows
+  end every epoch in a one-row batch, whose products the MLP kernel takes
+  through ``np.matmul``;
 - 20 sharp/flat seeds x 4 optimizers in memory with ``collect_params=True``:
   records, final weights and momentum, every parameter snapshot and the
   sampler state;
@@ -228,6 +232,8 @@ def config_cases():
         cases["rosenbrock_vsam"], objective={"kind": "rosenbrock", "dim": 2},
         optimizer_config={"eta0": 5e-3, "lr_schedule": "constant"}, iterations=300,
         seeds=[0, 1, 2, 3])
+    for m in ("sam", "vsam"):  # 1601 training rows: 25 batches of 64, then one of a single row
+        cases[f"moons_2001_batch_64_{m}"] = _payload(m, dataset={"n": 2001}, batch_size=64)
     return cases
 
 
