@@ -1,7 +1,7 @@
 """Desk-scale laboratory for sharpness-aware optimizers with adaptive sampling."""
 
-from .data import (Batch, Dataset, dataset_checksum, generate_dataset, load_dataset,
-                   make_batches, save_dataset, train_test_split)
+from .data import (Batch, Dataset, DatasetConfig, dataset_checksum, generate_dataset,
+                   load_dataset, make_batches, save_dataset, split_sizes, train_test_split)
 from .diagnostics import BoundCheckResult, bound_sweep, check_psf_bound, norm_trace
 from .errors import (ConfigurationError, ContractViolationError, NumericError,
                      SamlabError)

@@ -77,6 +77,23 @@ class Batch:
         return batch
 
 
+@dataclass(frozen=True)
+class DatasetConfig:
+    """A dataset's definition, checked here for a config file, Python and ``generate_dataset``."""
+
+    kind: str
+    n: int
+    seed: int
+    noise: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in DATASET_KINDS:
+            raise ConfigurationError(f"kind must be one of {DATASET_KINDS}, not {self.kind!r}")
+        check_number("n", self.n, int, 2)  # one example per class
+        check_number("noise", self.noise, float, 0)
+        check_number("seed", self.seed, int, 0)
+
+
 @dataclass
 class Dataset:
     """A generated dataset: inputs as rows, integer class targets, and how it was drawn."""
@@ -102,12 +119,7 @@ class Dataset:
 
 def generate_dataset(kind: str, n: int, noise: float, seed: int) -> Dataset:
     """Deterministic 2-class point cloud, classes as balanced as n allows."""
-    if kind not in DATASET_KINDS:
-        raise ConfigurationError(f"unknown dataset kind {kind!r}; expected one of {DATASET_KINDS}")
-    if n < 2:
-        raise ConfigurationError("need at least one example per class (n >= 2)")
-    check_number("noise", noise, float, 0)
-    check_number("seed", seed, int, 0)
+    DatasetConfig(kind, n, seed, noise)  # checks the arguments
 
     rng = np.random.default_rng(seed)
     # alternate classes so every prefix is as balanced as possible
@@ -213,10 +225,16 @@ def dataset_checksum(ds: Dataset) -> str:
     return hashlib.sha256(serialize_dataset(ds).encode("ascii")).hexdigest()
 
 
-def train_test_split(ds: Dataset, test_fraction: float = 0.2):
-    """Seeded 80/20 split derived from the dataset's own seed."""
+def split_sizes(n: int) -> tuple[int, int]:
+    """(training rows, held-out rows) of ``train_test_split`` on ``n`` rows: 20% held out."""
+    n_test = int(round(n * 0.2))
+    return n - n_test, n_test
+
+
+def train_test_split(ds: Dataset):
+    """Seeded 80/20 split (``split_sizes``) derived from the dataset's own seed."""
     perm = np.random.default_rng([ds.seed, 17]).permutation(ds.n)
-    n_test = int(round(ds.n * test_fraction))
+    n_test = split_sizes(ds.n)[1]
     test_idx = np.sort(perm[:n_test])
     train_idx = np.sort(perm[n_test:])
     train = Dataset(ds.kind, ds.seed, ds.noise, ds.inputs[train_idx], ds.targets[train_idx])

@@ -16,6 +16,8 @@ deviations over seeds.
 from __future__ import annotations
 
 import csv
+import functools
+import inspect
 import json
 import math
 import os
@@ -25,14 +27,15 @@ from itertools import accumulate
 from operator import ge, itemgetter
 from pathlib import Path
 
-from .data import batches_per_epoch, generate_dataset, train_test_split
+import numpy as np
+
+from .data import DatasetConfig, batches_per_epoch, generate_dataset, split_sizes
 # norm_trace, write_norm_trace and read_metrics_csv are imported for perfbench/tracer.py to wrap
 from .diagnostics import NORM_TRACE_FIELDS, norm_trace, write_norm_trace
 from .errors import ConfigurationError, NumericError, check_list, check_number
 from .metrics import (FIELD_ORDER, MalformedRowError, _read_columns, _row_line,
                       read_metrics_csv, remove_regular_file, write_metrics_csv)
-from .objectives import (ObjectiveSpec, make_mlp_classifier, make_quadratic,
-                         make_rosenbrock, make_sharp_flat, param_segments)
+from .objectives import BUILDERS, ObjectiveSpec, param_segments
 from .optim import OptimizerConfig, run_sam, run_sam_k, run_sgd, run_vsam
 from .params import ParamVector
 from .sampler import SamplerConfig
@@ -72,7 +75,7 @@ class ExperimentConfig:
     opt: OptimizerConfig
     seeds: list[int]
     output_dir: str
-    dataset: dict | None = None          # {"kind", "n", "noise", "seed"}
+    dataset: DatasetConfig | None = None
     sampler: SamplerConfig | None = None  # vsam only
     iterations: int | None = None
     epochs: int | None = None
@@ -95,6 +98,13 @@ class ExperimentConfig:
                 check_number(name, getattr(self, name), int, 1)
         if (self.iterations is None) == (self.epochs is None):
             raise ConfigurationError("give exactly one of iterations or epochs")
+        # each section is of the type that checked its values; dataset and sampler may be None
+        for name, checked in [("objective", ObjectiveSpec), ("opt", OptimizerConfig),
+                              ("dataset", DatasetConfig), ("sampler", SamplerConfig)]:
+            value = getattr(self, name)
+            if not (isinstance(value, checked) or value is None and name in ("dataset", "sampler")):
+                raise ConfigurationError(
+                    f"{name} must be of type {checked.__name__}, not {value!r}")
         if self.epochs is not None and self.dataset is None:
             raise ConfigurationError("epochs require a dataset")
         if self.dataset is not None and self.batch_size is None:
@@ -179,66 +189,22 @@ def _take(payload: dict, allowed, required, context: str) -> dict:
     return payload
 
 
-def _objective_from_dict(payload: dict) -> ObjectiveSpec:
-    kind = payload.get("kind")
-    wd = payload.get("weight_decay", 0.0)
-    check_number("objective weight_decay", wd, float)
-    if kind == "quadratic":
-        _take(payload, {"kind", "a", "b", "weight_decay"}, {"kind", "a"}, "objective")
-        check_list("objective a", payload["a"], list)
-        for row in payload["a"]:
-            check_list("objective a", row, float)
-            if len(row) != len(payload["a"]):  # numpy would raise ValueError on a ragged matrix
-                raise ConfigurationError("quadratic matrix must be square")
-        if payload.get("b") is not None:
-            check_list("objective b", payload["b"], float)
-        return make_quadratic(payload["a"], payload.get("b"), wd)
-    if kind == "rosenbrock":
-        _take(payload, {"kind", "dim", "weight_decay"}, {"kind"}, "objective")
-        check_number("objective dim", payload.get("dim", 2), int)
-        return make_rosenbrock(payload.get("dim", 2), wd)
-    if kind == "sharp_flat":
-        names = ("width_sharp", "width_flat", "depth_gap", "separation")
-        _take(payload, {"kind", *names}, {"kind", *names}, "objective")
-        for name in names:
-            check_number(f"objective {name}", payload[name], float)
-        return make_sharp_flat(*(payload[name] for name in names))
-    if kind == "mlp_classifier":
-        _take(payload, {"kind", "layer_sizes", "activation", "weight_decay"},
-              {"kind", "layer_sizes"}, "objective")
-        check_list("objective layer_sizes", payload["layer_sizes"], int)
-        return make_mlp_classifier(payload["layer_sizes"],
-                                   payload.get("activation", "tanh"), wd)
-    raise ConfigurationError(f"unknown objective kind {kind!r}")
+@functools.cache
+def _keys(builder):
+    """(every parameter of ``builder``, a function or a dataclass; those without a default)."""
+    params = inspect.signature(builder).parameters.values()
+    return tuple(p.name for p in params), tuple(p.name for p in params if p.default is p.empty)
 
 
-def _objective_to_dict(spec: ObjectiveSpec) -> dict:
-    if spec.kind == "quadratic":
-        return {"kind": spec.kind, "a": spec.a.tolist(), "b": spec.b.tolist(),
-                "weight_decay": spec.weight_decay}
-    if spec.kind == "rosenbrock":
-        return {"kind": spec.kind, "dim": spec.dim, "weight_decay": spec.weight_decay}
-    if spec.kind == "sharp_flat":
-        return {"kind": spec.kind, "width_sharp": spec.width_sharp,
-                "width_flat": spec.width_flat, "depth_gap": spec.depth_gap,
-                "separation": spec.separation}
-    return {"kind": spec.kind, "layer_sizes": list(spec.layer_sizes),
-            "activation": spec.activation, "weight_decay": spec.weight_decay}
-
-
-_TOP_KEYS = {"objective", "dataset", "optimizer", "optimizer_config", "sampler_config",
-             "iterations", "epochs", "batch_size", "seeds", "output_dir", "k", "w0"}
-_DATASET_KEYS = {"kind", "n", "noise", "seed"}
-
-
-def _settings(cls, payload, context):
-    """``cls`` built from ``payload`` once its keys are checked; ``cls`` checks the values.
+def _settings(builder, value, context):
+    """``builder(**value)`` once ``value`` is checked to be a JSON object with ``builder``'s
+    keys (``_keys``); ``builder`` checks the values.
 
     An error names the section: "optimizer_config eta0 must be ...".
     """
-    _take(payload, {f.name for f in fields(cls)}, set(), context)
+    payload = _take(_object(value, context), *_keys(builder), context)
     try:
-        return cls(**payload)
+        return builder(**payload)
     except ConfigurationError as err:
         raise ConfigurationError(f"{context} {err}") from None
 
@@ -250,38 +216,41 @@ def _object(value, context) -> dict:
     return dict(value)
 
 
+def _objective_from_dict(value) -> ObjectiveSpec:
+    """The spec that the builder of the section's kind (``BUILDERS``) makes of the rest of it."""
+    payload = _object(value, "objective")
+    kind = payload.pop("kind", None)
+    if not isinstance(kind, str) or kind not in BUILDERS:
+        raise ConfigurationError(f"unknown objective kind {kind!r}")
+    return _settings(BUILDERS[kind], payload, "objective")
+
+
+def _objective_to_dict(spec: ObjectiveSpec) -> dict:
+    """The spec's kind and its builder's parameters, as JSON values (arrays and tuples as lists)."""
+    names = _keys(BUILDERS[spec.kind])[0]
+    return {"kind": spec.kind, **{name: np.asarray(getattr(spec, name)).tolist() for name in names}}
+
+
+# the top-level keys that map to the ExperimentConfig field of their name, absent when None
+_PLAIN_KEYS = ("iterations", "epochs", "batch_size", "k", "w0")
+_TOP_KEYS = {"objective", "dataset", "optimizer", "optimizer_config", "sampler_config",
+             "seeds", "output_dir", *_PLAIN_KEYS}
+
+
 def config_from_dict(payload: dict) -> ExperimentConfig:
     _take(_object(payload, "config"), _TOP_KEYS, {"objective", "optimizer", "output_dir"},
           "config")
-    objective = _objective_from_dict(_object(payload["objective"], "objective"))
-    opt = _settings(OptimizerConfig, _object(payload.get("optimizer_config", {}),
-                                             "optimizer_config"), "optimizer_config")
-    sampler = None
+    objective = _objective_from_dict(payload["objective"])
+    opt = _settings(OptimizerConfig, payload.get("optimizer_config", {}), "optimizer_config")
+    sampler = dataset = None
     if "sampler_config" in payload:
-        sampler = _settings(SamplerConfig, _object(payload["sampler_config"], "sampler_config"),
-                            "sampler_config")
-    dataset = None
+        sampler = _settings(SamplerConfig, payload["sampler_config"], "sampler_config")
     if "dataset" in payload:
-        dataset = _take(_object(payload["dataset"], "dataset"), _DATASET_KEYS,
-                        {"kind", "n", "seed"}, "dataset")
-        dataset.setdefault("noise", 0.0)
-        check_number("dataset n", dataset["n"], int)
-        check_number("dataset noise", dataset["noise"], float)
-        check_number("dataset seed", dataset["seed"], int, 0)
+        dataset = _settings(DatasetConfig, payload["dataset"], "dataset")
     return ExperimentConfig(
-        objective=objective,
-        optimizer=payload["optimizer"],
-        opt=opt,
-        sampler=sampler,
-        dataset=dataset,
-        iterations=payload.get("iterations"),
-        epochs=payload.get("epochs"),
-        batch_size=payload.get("batch_size"),
-        seeds=payload.get("seeds", [0, 1, 2]),  # three-seed fan-out default
-        output_dir=payload["output_dir"],
-        k=payload.get("k"),
-        w0=payload.get("w0"),
-    )
+        objective=objective, optimizer=payload["optimizer"], opt=opt, sampler=sampler,
+        dataset=dataset, seeds=payload.get("seeds", [0, 1, 2]),  # three-seed fan-out default
+        output_dir=payload["output_dir"], **{key: payload.get(key) for key in _PLAIN_KEYS})
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -295,8 +264,8 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     if config.sampler is not None:
         payload["sampler_config"] = asdict(config.sampler)
     if config.dataset is not None:
-        payload["dataset"] = dict(config.dataset)
-    extra = {key: getattr(config, key) for key in ("iterations", "epochs", "batch_size", "k", "w0")}
+        payload["dataset"] = asdict(config.dataset)
+    extra = {key: getattr(config, key) for key in _PLAIN_KEYS}
     payload.update({key: value for key, value in extra.items() if value is not None})
     return payload
 
@@ -350,16 +319,16 @@ def _plan_iterations(config, dataset):
             raise ConfigurationError("batch targets out of range for the mlp output layer")
     if dataset is None:
         return config.iterations
-    train, test = train_test_split(dataset)
-    if spec.kind == "mlp_classifier" and test.n == 0:
+    n_train, n_test = split_sizes(dataset.n)
+    if spec.kind == "mlp_classifier" and n_test == 0:
         raise ConfigurationError(f"the held-out split of a dataset of n {dataset.n} has 0 rows; "
                                  f"an mlp_classifier needs at least one")
-    if not 1 <= config.batch_size <= train.n:
+    if not 1 <= config.batch_size <= n_train:
         raise ConfigurationError(
-            f"batch_size must be in [1, {train.n}] (the training split), got {config.batch_size}")
+            f"batch_size must be in [1, {n_train}] (the training split), got {config.batch_size}")
     if config.iterations is not None:
         return config.iterations
-    return config.epochs * batches_per_epoch(train.n, config.batch_size)
+    return config.epochs * batches_per_epoch(n_train, config.batch_size)
 
 
 def run_experiment(config: ExperimentConfig) -> Path:
@@ -384,7 +353,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     dataset = None
     if config.dataset is not None:
         ds = config.dataset
-        dataset = generate_dataset(ds["kind"], ds["n"], ds["noise"], ds["seed"])
+        dataset = generate_dataset(ds.kind, ds.n, ds.noise, ds.seed)
     iterations = _plan_iterations(config, dataset)
 
     out = resolve_output_dir(config.output_dir)
@@ -543,9 +512,8 @@ def summarize(records, dataset, batch_size) -> RunSummary:
     last = records[-1]
     sampling_number = sum(1 for r in records if r.sampled)
     if dataset is not None:
-        train, _ = train_test_split(dataset)
-        d_per_epoch = train.n
-        epochs_completed = len(records) / batches_per_epoch(train.n, batch_size)
+        d_per_epoch = split_sizes(dataset.n)[0]
+        epochs_completed = len(records) / batches_per_epoch(d_per_epoch, batch_size)
     else:
         d_per_epoch = 1
         epochs_completed = float(len(records))

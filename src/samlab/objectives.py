@@ -86,10 +86,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data import Batch, _index_targets
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, check_number
 from .params import ParamVector, _zeros, all_finite
 
-OBJECTIVE_KINDS = ("quadratic", "rosenbrock", "sharp_flat", "mlp_classifier")
 ACTIVATIONS = ("tanh", "relu")
 
 
@@ -144,24 +143,22 @@ class ObjectiveSpec:
 
 def make_quadratic(a, b=None, weight_decay: float = 0.0) -> ObjectiveSpec:
     """L(w) = 0.5 w'Aw - b'w + weight_decay ||w||^2 with symmetric A."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _numbers("a", a, float, depth=2)
+    if not a or any(len(row) != len(a) for row in a):
         raise ConfigurationError("quadratic matrix must be square")
+    a = np.array(a, dtype=np.float64)
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
         raise ConfigurationError("quadratic matrix must be symmetric")
-    if b is None:
-        b = np.zeros(a.shape[0])
-    b = np.asarray(b, dtype=np.float64)
+    b = np.zeros(a.shape[0]) if b is None else np.array(_numbers("b", b, float))
     if b.shape != (a.shape[0],):
         raise ConfigurationError("quadratic offset b must match the matrix dimension")
-    _check_weight_decay(weight_decay)
+    check_number("weight_decay", weight_decay, float, 0)
     return ObjectiveSpec(kind="quadratic", a=a, b=b, weight_decay=weight_decay)
 
 
 def make_rosenbrock(dim: int = 2, weight_decay: float = 0.0) -> ObjectiveSpec:
-    if dim < 2:
-        raise ConfigurationError("rosenbrock needs dim >= 2")
-    _check_weight_decay(weight_decay)
+    check_number("dim", dim, int, 2)
+    check_number("weight_decay", weight_decay, float, 0)
     return ObjectiveSpec(kind="rosenbrock", dim=dim, weight_decay=weight_decay)
 
 
@@ -175,6 +172,9 @@ def make_sharp_flat(width_sharp: float, width_flat: float, depth_gap: float,
     -depth_gap, and the gradient vanishes exactly at both designed minima.
     A quartic envelope keeps the landscape confining far from the wells.
     """
+    for name, value in [("width_sharp", width_sharp), ("width_flat", width_flat),
+                        ("depth_gap", depth_gap), ("separation", separation)]:
+        check_number(name, value, float)
     if not (0.0 < width_sharp < width_flat):
         raise ConfigurationError("need 0 < width_sharp < width_flat")
     if separation <= 0.0:
@@ -192,23 +192,38 @@ def make_sharp_flat(width_sharp: float, width_flat: float, depth_gap: float,
 
 def make_mlp_classifier(layer_sizes, activation: str = "tanh",
                         weight_decay: float = 0.0) -> ObjectiveSpec:
-    sizes = tuple(int(s) for s in layer_sizes)
+    sizes = tuple(_numbers("layer_sizes", layer_sizes, int, minimum=1))
     if len(sizes) < 2:
         raise ConfigurationError("mlp needs at least input and output layers")
-    if any(s < 1 for s in sizes):
-        raise ConfigurationError("all layer widths must be >= 1")
     if activation not in ACTIVATIONS:
         raise ConfigurationError(f"unknown activation {activation!r}")
-    _check_weight_decay(weight_decay)
+    check_number("weight_decay", weight_decay, float, 0)
     return ObjectiveSpec(
         kind="mlp_classifier", layer_sizes=sizes, activation=activation,
         weight_decay=weight_decay,
     )
 
 
-def _check_weight_decay(wd):
-    if wd < 0.0:
-        raise ConfigurationError("weight_decay must be nonnegative")
+# kind -> builder; a config's objective section is its builder's parameters, plus the kind
+BUILDERS = {"quadratic": make_quadratic, "rosenbrock": make_rosenbrock,
+            "sharp_flat": make_sharp_flat, "mlp_classifier": make_mlp_classifier}
+OBJECTIVE_KINDS = tuple(BUILDERS)
+
+
+def _numbers(name, values, kind, depth=1, minimum=None):
+    """``values`` as lists nested ``depth`` deep of numbers that pass ``check_number``.
+
+    A numpy array or a tuple stands for a list.
+    """
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if not isinstance(values, (list, tuple)):
+        raise ConfigurationError(f"{name} must be a list, not {values!r}")
+    if depth > 1:
+        return [_numbers(name, row, kind, depth - 1, minimum) for row in values]
+    for value in values:
+        check_number(name, value, kind, minimum)
+    return list(values)
 
 
 # ---------------------------------------------------------------------------

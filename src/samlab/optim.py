@@ -192,8 +192,8 @@ def _batch_stream(spec, train: Dataset, batch_size, seed, bpe, first_t):
 
 
 def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed, batch_size,
-           w0, momentum0, start_iteration, schedule_total, collect_params, subset_names,
-           samples_at, cfg: SamplerConfig | None = None) -> RunResult:
+           w0, momentum0, start_iteration, schedule_total, collect_params, samples_at,
+           cfg: SamplerConfig | None = None) -> RunResult:
     """The one training loop; the runners differ only in its sampling policy.
 
     Every iteration evaluates the plain gradient. ``samples_at(t)`` says
@@ -212,8 +212,9 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     Inputs are checked once, up front, and what is fixed for the run is
     worked out once: its learning rates (``learning_rates``), the momentum
     as a 0-d array, the finiteness screen's cached zero vector and what
-    picks the subset norms' segments out of a vector. The subset comes from
-    the spec's layout (``param_segments``), so it is the same whatever built
+    picks the subset norms' segments out of a vector. The subset is the
+    sampler config's ``subset_segments``, or else ``default_subset``, in the
+    spec's layout (``param_segments``), so it is the same whatever built
     ``w0``. The run owns its float64 buffers, updated in place: the weights
     and the momentum, copies of ``w0`` and ``momentum0`` made at entry (so neither
     is ever written to), the perturbed point w + e, eta * m, and each
@@ -254,11 +255,8 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     w_pert, eta_m = np.zeros((2, w0.size))
     zeros = _zeros(w0.size)
     segments = param_segments(spec)
-    if subset_names is None:
-        subset_names = default_subset(segments)
-    elif not subset_names:
-        raise ConfigurationError("subset_segments must name at least one segment")
-    subset = subset_selector(segments, subset_names)
+    subset_names = None if cfg is None else cfg.subset_segments
+    subset = subset_selector(segments, subset_names or default_subset(segments))
     bpe, test_batch, batches = 1, None, repeat((None, 0))
     if dataset is not None:
         if batch_size is None:
@@ -376,26 +374,24 @@ def run_sgd(spec, dataset, opt: OptimizerConfig, iterations: int, seed: int,
             batch_size=None, w0=None, momentum0=None, start_iteration=0,
             schedule_total=None, collect_params=False):
     return _train(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
-                  start_iteration, schedule_total, collect_params, None, lambda t: False)
+                  start_iteration, schedule_total, collect_params, lambda t: False)
 
 
 def run_sam(spec, dataset, opt: OptimizerConfig, iterations: int, seed: int,
             batch_size=None, w0=None, momentum0=None, start_iteration=0,
-            schedule_total=None, collect_params=False, subset_names=None):
+            schedule_total=None, collect_params=False):
     return _train(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
-                  start_iteration, schedule_total, collect_params, subset_names, lambda t: True)
+                  start_iteration, schedule_total, collect_params, lambda t: True)
 
 
 def run_sam_k(spec, dataset, opt: OptimizerConfig, k: int, iterations: int,
               seed: int, batch_size=None, w0=None, momentum0=None,
-              start_iteration=0, schedule_total=None, collect_params=False,
-              subset_names=None):
+              start_iteration=0, schedule_total=None, collect_params=False):
     """SAM where t % k == 0 (t 1-based over the whole run), plain SGD otherwise; k=1 is SAM."""
     if k < 1:
         raise ConfigurationError("k must be at least 1")
     return _train(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
-                  start_iteration, schedule_total, collect_params, subset_names,
-                  lambda t: t % k == 0)
+                  start_iteration, schedule_total, collect_params, lambda t: t % k == 0)
 
 
 def run_vsam(spec, dataset, opt: OptimizerConfig, sampler_config: SamplerConfig,
@@ -414,5 +410,4 @@ def run_vsam(spec, dataset, opt: OptimizerConfig, sampler_config: SamplerConfig,
         # the sampler state and the cached correction are not carried across calls yet
         raise ConfigurationError("a vSAM run cannot be resumed: start_iteration must be 0")
     return _train(spec, dataset, opt, iterations, seed, batch_size, w0, momentum0,
-                  start_iteration, schedule_total, collect_params,
-                  sampler_config.subset_segments, None, sampler_config)
+                  start_iteration, schedule_total, collect_params, None, sampler_config)

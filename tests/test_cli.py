@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from samlab import harness
 from samlab.cli import main
@@ -344,6 +346,51 @@ def test_run_rejects_unrunnable_config_before_writing(tmp_path, capsys, monkeypa
     assert "error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert not any(cwd.iterdir())
+
+
+# the small config's leaves by the key that holds them: these are reals, these strings, the
+# rest integers
+_REAL_KEYS = {"noise", "eta0", "rho", "gamma", "s1"}
+_STR_KEYS = {"kind", "optimizer", "output_dir"}
+_NOT_A_NUMBER = [st.booleans(), st.none(), st.lists(st.integers(0, 3), max_size=2)]
+_WRONG_VALUES = {
+    int: st.one_of(st.text(max_size=3), *_NOT_A_NUMBER,
+                   st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer())),
+    float: st.one_of(st.text(max_size=3), *_NOT_A_NUMBER,
+                     st.sampled_from([math.nan, math.inf, -math.inf])),
+    str: st.one_of(*_NOT_A_NUMBER, st.integers(), st.floats()),
+}
+
+
+def _leaves(value, path=()):
+    """(path, type) of every number or string inside ``value``'s dicts and lists."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [leaf for key, item in items for leaf in _leaves(item, path + (key,))]
+    key = [part for part in path if isinstance(part, str)][-1]
+    return [(path, float if key in _REAL_KEYS else str if key in _STR_KEYS else int)]
+
+
+@st.composite
+def _mutated_small_configs(draw, config):
+    """``config`` with one leaf replaced by a value of a wrong type."""
+    path, kind = draw(st.sampled_from(_leaves(config)))
+    mutated = json.loads(json.dumps(config))
+    holder = mutated
+    for part in path[:-1]:
+        holder = holder[part]
+    holder[path[-1]] = draw(_WRONG_VALUES[kind])
+    return mutated
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_run_rejects_a_config_with_one_leaf_of_a_wrong_type(tmp_path, data):
+    # every example writes the same config path and may not make tmp_path / "out"
+    config = data.draw(_mutated_small_configs(_small_config(tmp_path)))
+    assert main(["run", str(_write_config(tmp_path, config))]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import samlab
 from samlab.data import (Batch, Dataset, batches_per_epoch, dataset_checksum,
                          deserialize_dataset, generate_dataset, load_dataset,
-                         make_batches, save_dataset, serialize_dataset,
+                         make_batches, save_dataset, serialize_dataset, split_sizes,
                          train_test_split)
 from samlab.errors import ConfigurationError
 
@@ -229,6 +229,12 @@ def test_batch_size_bounds():
         make_batches(ds, 0, seed=0, epoch=0)
     with pytest.raises(ConfigurationError):
         make_batches(ds, 9, seed=0, epoch=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 48, 600, 2001])
+def test_split_sizes_are_the_split_row_counts(n):
+    train, test = train_test_split(generate_dataset("moons", n, 0.1, seed=1))
+    assert split_sizes(n) == (train.n, test.n)
 
 
 def test_train_test_split_is_deterministic_partition():

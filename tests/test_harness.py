@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from samlab.data import DATASET_KINDS, generate_dataset, save_dataset
+from samlab.data import DATASET_KINDS, DatasetConfig, generate_dataset, save_dataset
 from samlab.diagnostics import NORM_TRACE_FIELDS
 from samlab import harness
 from samlab.errors import ConfigurationError, NumericError
@@ -24,7 +24,8 @@ from samlab.harness import (FILLED_FIELDS, OPTIMIZERS, ExperimentConfig, RunSumm
                             write_report_csv, REPORT_FIELDS)
 from samlab.metrics import (FIELD_ORDER, WALL_CLOCK_FIELDS, MetricsRecord, read_metrics_csv,
                             write_metrics_csv)
-from samlab.objectives import ACTIVATIONS, OBJECTIVE_KINDS, param_segments
+from samlab.objectives import (ACTIVATIONS, OBJECTIVE_KINDS, make_mlp_classifier,
+                               make_quadratic, make_rosenbrock, make_sharp_flat, param_segments)
 from samlab.optim import LR_SCHEDULES, OptimizerConfig
 from samlab.sampler import SamplerConfig
 
@@ -489,6 +490,20 @@ def test_unknown_keys_rejected(tmp_path):
         config_from_dict(payload)
 
 
+def test_sections_take_their_defaults_from_their_builders(tmp_path):
+    payload = _base_config(tmp_path)
+    payload["objective"] = {"kind": "mlp_classifier", "layer_sizes": [2, 6, 2]}
+    del payload["dataset"]["noise"]
+    canonical = config_to_dict(config_from_dict(payload))
+    assert canonical["objective"] == {"kind": "mlp_classifier", "layer_sizes": [2, 6, 2],
+                                      "activation": "tanh", "weight_decay": 0.0}
+    assert canonical["dataset"] == {"kind": "moons", "n": 80, "noise": 0.0, "seed": 3}
+    payload = {"objective": {"kind": "rosenbrock"}, "optimizer": "sgd", "iterations": 1,
+               "output_dir": "x"}
+    assert config_to_dict(config_from_dict(payload))["objective"] == {
+        "kind": "rosenbrock", "dim": 2, "weight_decay": 0.0}
+
+
 def test_seeds_default_to_three_seed_fanout(tmp_path):
     payload = _base_config(tmp_path)
     del payload["seeds"]
@@ -520,10 +535,53 @@ def test_config_validation_rules(tmp_path):
     lambda: OptimizerConfig(gamma=True),
     lambda: SamplerConfig(n_window=10.0, m_slices=5, s1=5),
     lambda: SamplerConfig(i_start=2.5),
-], ids=["eta0_str", "rho_nan", "gamma_bool", "n_window_float", "i_start_float"])
+    # the dataset and objective sections, checked by what builds them
+    lambda: generate_dataset("moons", "100", 0.1, 3),
+    lambda: make_mlp_classifier([2, 16.7, 2]),
+    lambda: make_mlp_classifier([2, True, 2]),
+    lambda: make_rosenbrock(2.5),
+    lambda: make_sharp_flat(0.08, 0.5, float("nan"), 2.0),
+    lambda: make_mlp_classifier([2, 16, 2], weight_decay=float("nan")),
+    lambda: make_quadratic([[float("inf")]]),
+    lambda: make_quadratic([[True]]),
+    lambda: make_quadratic(np.array([["1.0"]])),
+    lambda: make_quadratic([[1.0]], b=[float("nan")]),
+    lambda: make_mlp_classifier(np.array([2.0, 16.0, 2.0])),
+    lambda: make_rosenbrock(True),
+    lambda: make_sharp_flat(0.08, float("inf"), 0.3, 2.0),
+    lambda: make_sharp_flat(0.08, 0.5, 0.3, "2"),
+], ids=["eta0_str", "rho_nan", "gamma_bool", "n_window_float", "i_start_float",
+        "dataset_n_str", "layer_sizes_float", "layer_sizes_bool", "rosenbrock_dim_float",
+        "depth_gap_nan", "weight_decay_nan", "quadratic_inf", "quadratic_bool",
+        "quadratic_str_array", "quadratic_b_nan", "layer_sizes_float_array",
+        "rosenbrock_dim_bool", "width_flat_inf", "separation_str"])
 def test_configs_built_in_python_are_type_checked(build):
     with pytest.raises(ConfigurationError, match="must be an integer|must be a finite number"):
         build()
+
+
+@pytest.mark.parametrize("section, value, message", [
+    # no noise: run_experiment raised KeyError
+    ("dataset", {"kind": "moons", "n": 100, "seed": 3},
+     "dataset must be of type DatasetConfig"),
+    # an unknown key went into config.json
+    ("dataset", {"kind": "moons", "n": 100, "noise": 0.1, "seed": 3, "colour": "red"},
+     "dataset must be of type DatasetConfig"),
+    ("dataset", {"kind": "moons", "n": 100, "noise": 0.1, "seed": 3},
+     "dataset must be of type DatasetConfig"),
+    # run_experiment made the output directory, then config_to_dict raised TypeError
+    ("opt", {"eta0": 0.1}, "opt must be of type OptimizerConfig"),
+    ("sampler", {"n_window": 10}, "sampler must be of type SamplerConfig"),
+    ("objective", None, "objective must be of type ObjectiveSpec"),
+], ids=["dataset_no_noise", "dataset_unknown_key", "dataset_complete", "opt", "sampler",
+        "objective"])
+def test_an_experiment_config_takes_checked_sections(tmp_path, section, value, message):
+    sections = dict(objective=make_mlp_classifier([2, 5, 2]), opt=OptimizerConfig(),
+                    dataset=DatasetConfig("moons", 100, 3), sampler=None)
+    with pytest.raises(ConfigurationError, match=f"^{message}, not "):
+        ExperimentConfig(**dict(sections, **{section: value}), optimizer="sgd", seeds=[0],
+                         output_dir=str(tmp_path / "out"), iterations=5, batch_size=8)
+    assert not (tmp_path / "out").exists()
 
 
 def test_configs_cannot_change_after_they_are_checked():

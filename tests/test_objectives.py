@@ -782,6 +782,28 @@ def test_a_spec_cannot_change_under_its_plan():
     assert mlp.layer_sizes == (2, 3, 2) and mlp.param_count == 17
 
 
+def test_builders_take_tuples_and_numeric_arrays_as_lists():
+    for sizes in [(2, 16, 2), np.array([2, 16, 2]), np.array([2, 16, 2], dtype=np.int32)]:
+        assert make_mlp_classifier(sizes).layer_sizes == (2, 16, 2)
+    reference = make_quadratic([[2.0, 0.5], [0.5, 1.0]], [1.0, -1.0])
+    for a, b in [(((2.0, 0.5), (0.5, 1.0)), (1.0, -1.0)),
+                 (np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1, -1]))]:
+        spec = make_quadratic(a, b)
+        assert spec.a.tobytes() == reference.a.tobytes()
+        assert spec.b.tobytes() == reference.b.tobytes()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_quadratic([]), "quadratic matrix must be square"),
+    # numpy raised ValueError on a ragged matrix and on a string
+    (lambda: make_quadratic([[1.0, 0.0], [0.0]]), "quadratic matrix must be square"),
+    (lambda: make_mlp_classifier("ab"), "layer_sizes must be a list, not 'ab'"),
+], ids=["empty", "ragged", "str"])
+def test_builders_reject_a_list_of_the_wrong_shape(build, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        build()
+
+
 def test_sharp_flat_preconditions():
     with pytest.raises(ConfigurationError):
         make_sharp_flat(0.5, 0.1, 0.1, 1.0)   # sharp wider than flat

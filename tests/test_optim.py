@@ -279,13 +279,6 @@ def test_run_sam_k_counts():
     assert result.records[-1].cumulative_grad_evals == 120
 
 
-def test_runners_reject_an_empty_subset():
-    # an empty list names no segment; it is not a request for the default subset
-    spec, ds = _mlp_setup()
-    with pytest.raises(ConfigurationError):
-        run_sam(spec, ds, OptimizerConfig(), 5, seed=0, batch_size=16, subset_names=[])
-
-
 def test_grad_eval_budget_stops_run():
     spec, ds = _mlp_setup()
     opt = OptimizerConfig(eta0=0.05, rho=0.05, grad_eval_budget=50)

@@ -53,6 +53,10 @@ The cases:
   vSAM on a moons set of 2001 rows in batches of 64: the 1601 training rows
   end every epoch in a one-row batch, whose products the MLP kernel takes
   through ``np.matmul``;
+- sections that leave their defaults out: ``moons_sgd_section_defaults``
+  (a dataset without ``noise``, an MLP objective without ``activation`` or
+  ``weight_decay``) and ``rosenbrock_sam_default_dim`` (a Rosenbrock
+  objective without ``dim``), so that ``config.json`` shows the defaults;
 - 20 sharp/flat seeds x 4 optimizers in memory with ``collect_params=True``:
   records, final weights and momentum, every parameter snapshot and the
   sampler state;
@@ -234,6 +238,14 @@ def config_cases():
         seeds=[0, 1, 2, 3])
     for m in ("sam", "vsam"):  # 1601 training rows: 25 batches of 64, then one of a single row
         cases[f"moons_2001_batch_64_{m}"] = _payload(m, dataset={"n": 2001}, batch_size=64)
+    # sections that leave their defaults out: noise 0.0, a tanh MLP without weight decay
+    cases["moons_sgd_section_defaults"] = dict(
+        _payload("sgd", seeds=[0]), dataset={"kind": "moons", "n": 600, "seed": 3},
+        objective={"kind": "mlp_classifier", "layer_sizes": [2, 16, 2]})
+    cases["rosenbrock_sam_default_dim"] = {  # dim 2, no weight decay
+        "objective": {"kind": "rosenbrock"}, "optimizer": "sam",
+        "optimizer_config": {"eta0": 1e-3, "lr_schedule": "constant"},
+        "iterations": 600, "seeds": [0]}
     return cases
 
 
