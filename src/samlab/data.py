@@ -8,8 +8,10 @@ Datasets serialize to a small self-describing text container:
     then one CSV row per example; floats are written with ``repr`` so a
     round-trip reproduces every value bit-exactly.
 
-The reader accepts exactly that layout: the six header keys, the column
-row, and ``n`` rows of ``dim + 1`` parseable cells. Anything else raises a
+The reader accepts exactly that layout: the six header keys, with a kind,
+``n``, seed and noise that ``DatasetConfig`` accepts (so ``n`` >= 2, as
+``generate_dataset`` makes) and an integer ``dim`` >= 0, the column row,
+and ``n`` rows of ``dim + 1`` parseable cells. Anything else raises a
 ConfigurationError naming the first bad line.
 """
 
@@ -161,8 +163,10 @@ def serialize_dataset(ds: Dataset) -> str:
     }
     lines = [MAGIC, json.dumps(header, sort_keys=True)]
     lines.append(",".join([f"x{j}" for j in range(ds.dim)] + ["y"]))
-    for row, y in zip(ds.inputs, ds.targets):
-        lines.append(",".join([repr(float(v)) for v in row] + [str(int(y))]))
+    # Python floats and ints format as numpy's scalars do through float() and int()
+    inputs = np.asarray(ds.inputs, dtype=np.float64).tolist()
+    targets = ds.targets.astype(np.int64, copy=False).tolist()
+    lines += [",".join([*map(repr, row), str(y)]) for row, y in zip(inputs, targets)]
     return "\n".join(lines) + "\n"
 
 
@@ -187,10 +191,12 @@ def deserialize_dataset(text: str) -> Dataset:
         raise bad(2, f"unreadable header ({err})") from None
     if not isinstance(header, dict) or set(header) != HEADER_KEYS:
         raise bad(2, f"the header must hold exactly the keys {sorted(HEADER_KEYS)}")
+    try:
+        DatasetConfig(header["kind"], header["n"], header["seed"], header["noise"])
+        check_number("dim", header["dim"], int, 0)
+    except ConfigurationError as err:
+        raise bad(2, str(err)) from None
     n, dim = header["n"], header["dim"]
-    # bool is an int subclass, so compare types exactly
-    if type(n) is not int or type(dim) is not int or n < 0 or dim < 0:
-        raise bad(2, "n and dim must be nonnegative integers")
     columns = ",".join([f"x{j}" for j in range(dim)] + ["y"])
     if lines[2:3] != [columns]:
         raise bad(3, f"expected the column row {columns!r}")

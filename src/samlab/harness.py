@@ -38,7 +38,7 @@ from .metrics import (FIELD_ORDER, MalformedRowError, _read_columns, _row_line,
 from .objectives import BUILDERS, ObjectiveSpec, param_segments
 from .optim import OptimizerConfig, run_sam, run_sam_k, run_sgd, run_vsam
 from .params import ParamVector
-from .sampler import SamplerConfig
+from .sampler import SamplerConfig, check_vsam_warmup
 
 OPTIMIZERS = ("sgd", "sam", "sam_k", "vsam")
 OUTPUT_ROOT_ENV = "SAMLAB_OUTPUT_ROOT"
@@ -304,10 +304,8 @@ def _plan_iterations(config, dataset):
         if len(config.w0) != config.objective.param_count:
             raise ConfigurationError(f"w0 must hold {config.objective.param_count} values, "
                                      f"one per parameter, not {len(config.w0)}")
-    if config.optimizer == "vsam" and config.sampler.i_start < 1 \
-            and config.sampler.force != "always":
-        raise ConfigurationError("vsam needs i_start >= 1 or force 'always' "
-                                 "to fill the correction cache")
+    if config.optimizer == "vsam":
+        check_vsam_warmup(config.sampler)
     spec = config.objective
     if spec.kind == "mlp_classifier":
         if dataset is None:

@@ -28,8 +28,9 @@ from .objectives import (eval_grad, eval_heldout, eval_loss, init_params, mlp_ac
 from .params import (ParamVector, _zeros, default_subset, l2_norm, require_finite, subset_norm,
                      subset_selector)
 # record_sample is imported for perfbench/tracer.py too; the loop notes samples itself
-from .sampler import (Noted, SamplerConfig, SamplerState, begin_windowing, init_sampler,
-                      record_sample, settle, should_sample, sync_draws, update_rate)
+from .sampler import (Noted, SamplerConfig, SamplerState, begin_windowing, check_vsam_warmup,
+                      init_sampler, record_sample, settle, should_sample, sync_draws,
+                      update_rate)
 
 LR_SCHEDULES = ("constant", "cosine", "inverse_t")
 
@@ -404,8 +405,7 @@ def run_vsam(spec, dataset, opt: OptimizerConfig, sampler_config: SamplerConfig,
     ends, the sampling rate is re-estimated at the end of every N-iteration
     window.
     """
-    if sampler_config.i_start < 1 and sampler_config.force != "always":
-        raise ConfigurationError("need at least one warmup iteration to fill the cache")
+    check_vsam_warmup(sampler_config)
     if start_iteration > 0:
         # the sampler state and the cached correction are not carried across calls yet
         raise ConfigurationError("a vSAM run cannot be resumed: start_iteration must be 0")

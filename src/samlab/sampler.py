@@ -102,6 +102,17 @@ class SamplerConfig:
         return math.floor(self.p_max * self.n_window)
 
 
+def check_vsam_warmup(config: SamplerConfig) -> None:
+    """vSAM's rule: a warmup, or force 'always', fills the correction cache before a reuse step.
+
+    The rule is vSAM's, not the config's: a sampler section on another run
+    may have i_start 0.
+    """
+    if config.i_start < 1 and config.force != "always":
+        raise ConfigurationError("vsam needs i_start >= 1 or force 'always' "
+                                 "to fill the correction cache")
+
+
 DRAW_BLOCK = 64  # Bernoulli uniforms drawn at a time
 
 

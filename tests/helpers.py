@@ -167,6 +167,38 @@ def replay_sampler(events, n_window, m_slices, alpha, s1, p_max, eps):
     }
 
 
+def replay_budget(records, config, ratios=None):
+    """Each row's logged (p, s, c_var, c_norm), replayed from the sampled rows' logged v and r.
+
+    A row logs the p and s its decision saw and the change rates of the
+    last rate update, its own if it ends a window. ``ratios``, if given,
+    stands for the sampled rows' r, in row order (a shuffled copy, say); the
+    sampled rows stay where the run put them. Returns (the rows' values,
+    the budget s after the last update).
+    """
+    n_window, alpha, eps = config.n_window, config.alpha, config.eps
+    ratios = iter([row.r for row in records if row.sampled] if ratios is None else ratios)
+    s = float(config.s1)
+    p = min(s / n_window, config.p_max)
+    c_var = c_norm = None
+    v_all, r_all, replayed = [], [], []
+    boundary = config.i_start + n_window  # the first window end
+    for row in records:
+        logged_p, logged_s = p, s
+        if row.sampled:
+            v_all.append(row.v)
+            r_all.append(next(ratios))
+        if row.iteration == boundary:
+            c_var = _oracle_change_rate(v_all[-n_window:], eps)
+            c_norm = _oracle_change_rate(r_all[-n_window:], eps)
+            s = s * (1.0 + alpha * c_var + alpha * c_norm)
+            s = min(max(s, 1.0), config.p_max * n_window)
+            p = min(s / n_window, config.p_max)
+            boundary += n_window
+        replayed.append((logged_p, logged_s, c_var, c_norm))
+    return replayed, s
+
+
 def per_call_should_sample(state, config, i):
     """The sampling decision with one ``random()`` per Bernoulli draw and no block.
 
@@ -483,12 +515,19 @@ def oracle_sharp_flat(spec, x, with_grad):
 
 
 def oracle_sharp_flat_ridge(spec):
-    """The ridge's x coordinate from one 2-element array per grid point, uncached."""
+    """The ridge's x coordinate by the full scalar scan, uncached.
+
+    The scan ``sharp_flat_ridge`` ran before it screened the grid with one
+    array pass: the spec's kernel at every one of the 20,001 grid points and
+    ``np.argmax`` of the losses, the first largest or the first NaN.
+    """
     from samlab.objectives import sharp_flat_centers
 
     m_s, m_f = sharp_flat_centers(spec)
     xs = np.linspace(m_s[0], m_f[0], 20001)
-    vals = [oracle_sharp_flat(spec, np.array([vx, 0.0]), False)[0] for vx in xs]
+    kernel = spec.plan.kernel
+    # the kernel reads its point from an array: each grid point is a row (x, 0.0)
+    vals = [kernel(point, None, False)[0] for point in np.column_stack((xs, np.zeros_like(xs)))]
     return float(xs[int(np.argmax(vals))])
 
 

@@ -5,6 +5,7 @@ Each test prints a ``[PASS] criterion N`` line once its assertions hold, so
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from samlab.params import ParamVector
 from samlab.sampler import (Noted, SamplerConfig, begin_windowing, init_sampler, settle,
                             should_sample, update_rate)
 
-from helpers import (fd_gradient, grad_eval_ratio, hessian_oracle, replay_sampler,
-                     sam_gradient, symmetric_eigen, whole_dataset_batch)
+from helpers import (fd_gradient, grad_eval_ratio, hessian_oracle, replay_budget,
+                     replay_sampler, sam_gradient, symmetric_eigen, whole_dataset_batch)
 
 
 def _report(criterion, text):
@@ -418,18 +419,33 @@ SHARPNESS_SEEDS = range(5)  # the first run seeds, in order, none picked
 MIN_SHARPNESS_SHARE = 0.80
 
 
-def test_criterion_13_vsam_gets_most_of_sams_sharpness_reduction():
+def _moons_task():
+    """MOONS_TASK's dataset, optimizer config and iteration count."""
     data = MOONS_TASK["dataset"]
     ds = generate_dataset(data["kind"], data["n"], data["noise"], seed=data["seed"])
     train, _ = train_test_split(ds)
-    whole = whole_dataset_batch(train)
-    opt = OptimizerConfig(**MOONS_TASK["optimizer_config"])
+    iters = MOONS_TASK["epochs"] * batches_per_epoch(train.n, MOONS_TASK["batch_size"])
+    return ds, OptimizerConfig(**MOONS_TASK["optimizer_config"]), iters
+
+
+@pytest.fixture(scope="module")
+def moons_vsam_runs():
+    """vSAM on MOONS_TASK with MOONS_SAMPLER, by run seed (SHARPNESS_SEEDS): criteria 13 and 15."""
+    ds, opt, iters = _moons_task()
     scfg = SamplerConfig(**MOONS_SAMPLER)
+    return {seed: run_vsam(MLP_SPEC, ds, opt, scfg, iters, seed,
+                           batch_size=MOONS_TASK["batch_size"])
+            for seed in SHARPNESS_SEEDS}
+
+
+def test_criterion_13_vsam_gets_most_of_sams_sharpness_reduction(moons_vsam_runs):
+    ds, opt, iters = _moons_task()
+    train, _ = train_test_split(ds)
+    whole = whole_dataset_batch(train)
     batch_size = MOONS_TASK["batch_size"]
-    iters = MOONS_TASK["epochs"] * batches_per_epoch(train.n, batch_size)
     sharpness = {}
     for seed in SHARPNESS_SEEDS:
-        vsam = run_vsam(MLP_SPEC, ds, opt, scfg, iters, seed, batch_size=batch_size)
+        vsam = moons_vsam_runs[seed]
         # SAM at vSAM's own evaluation count, on its own schedule
         stopped = vsam.records[-1].cumulative_grad_evals // 2
         finals = {"sgd": run_sgd(MLP_SPEC, ds, opt, iters, seed, batch_size=batch_size),
@@ -504,3 +520,60 @@ def test_criterion_14_psf_is_the_hessian_projection_to_first_order():
                        f"{min(errors):.3f}-{max(errors):.3f}, error ratio to rho/10 "
                        f"{min(ratios):.1f}-{max(ratios):.1f}, cosine >= {min(cosines):.5f}")
     _report(14, "psf = rho*H*g/||g|| to first order in rho; " + "; ".join(summary))
+
+
+# ---------------------------------------------------------------------------
+# criterion 15: vSAM samples more often late in a run, as the paper reports of the PSF's
+# rate of change; and the controller's budget replays from the logged r and v
+
+# the last fifth's mean post-warmup sample share minus the first fifth's, over the run
+# seeds of criterion 13 (0.194 on seeds 0-4). Fixed from seeds 0-39: each seed's share rose
+# (by 0.074-0.335 on MOONS_TASK's dataset, 0.039-0.270 on dataset seed 0), and the means
+# of the eight 5-seed blocks read 0.161-0.235 and 0.134-0.223
+MIN_SAMPLE_SHARE_RISE = 0.10
+NULL_SHUFFLE_SEED = 15  # the shuffled-r null's generator
+
+
+def _first_and_last_fifth_shares(records, i_start):
+    """The share of sampled rows among the first and the last fifth of the post-warmup rows."""
+    post = [row.sampled for row in records if row.iteration > i_start]
+    fifth = len(post) // 5
+    return sum(post[:fifth]) / fifth, sum(post[-fifth:]) / fifth
+
+
+def test_criterion_15_the_sample_rate_rises(moons_vsam_runs):
+    scfg = SamplerConfig(**MOONS_SAMPLER)
+    rng = np.random.default_rng(NULL_SHUFFLE_SEED)
+    shares, budget_ratios, log_changes = [], [], []
+    c_norms = {"logged": [], "shuffled": []}
+    for seed, run in moons_vsam_runs.items():
+        records = run.records
+        shares.append(_first_and_last_fifth_shares(records, scfg.i_start))
+        replayed, budget = replay_budget(records, scfg)
+        assert [(row.p, row.s, row.c_var, row.c_norm) for row in records] == replayed, seed
+        assert budget == run.sampler_state.s, seed
+
+        # the null: the post-warmup r series shuffled, the samples where the run put them
+        ratios = [row.r for row in records if row.sampled]
+        warmup = sum(row.sampled for row in records if row.iteration <= scfg.i_start)
+        post = ratios[warmup:]
+        shuffled_rows, shuffled_budget = replay_budget(
+            records, scfg, ratios[:warmup] + [post[i] for i in rng.permutation(len(post))])
+        budget_ratios.append(shuffled_budget / budget)
+        for name, rows in (("logged", replayed), ("shuffled", shuffled_rows)):
+            ends = [values for row, values in zip(records, rows)
+                    if row.iteration > scfg.i_start
+                    and (row.iteration - scfg.i_start) % scfg.n_window == 0]
+            c_norms[name] += [c_norm for _, _, _, c_norm in ends]
+        log_changes += [math.log(b / a) for a, b in zip(post, post[1:])]
+
+    first, last = (float(np.mean(side)) for side in zip(*shares))
+    assert last - first >= MIN_SAMPLE_SHARE_RISE, shares
+    _report(15, f"the post-warmup sample share rose {first:.3f} -> {last:.3f} from the first "
+                f"fifth of the run to the last (bound {MIN_SAMPLE_SHARE_RISE}), seeds "
+                f"0-{SHARPNESS_SEEDS[-1]}; the budget replays from the logged r and v exactly")
+    print(f"  null, post-warmup r shuffled (seed {NULL_SHUFFLE_SEED}), not asserted: final "
+          f"budget {np.mean(budget_ratios):.3f} x the run's (min {min(budget_ratios):.3f}, "
+          f"max {max(budget_ratios):.3f}); mean c_norm per window {np.mean(c_norms['logged']):.4f}"
+          f", shuffled {np.mean(c_norms['shuffled']):.4f}; mean log change of r per sample "
+          f"{np.mean(log_changes):.5f}")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -9,6 +10,10 @@ from samlab import harness
 from samlab.cli import main
 from samlab.harness import OUTPUT_ROOT_ENV
 from samlab.data import load_dataset
+from samlab.errors import ConfigurationError
+from samlab.objectives import make_quadratic
+from samlab.optim import OptimizerConfig, run_vsam
+from samlab.sampler import SamplerConfig
 
 
 def _write_config(tmp_path, payload):
@@ -344,6 +349,24 @@ def test_run_rejects_unrunnable_config_before_writing(tmp_path, capsys, monkeypa
     monkeypatch.chdir(cwd)
     assert main(["run", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not any(cwd.iterdir())
+
+
+VSAM_WARMUP_MESSAGE = "vsam needs i_start >= 1 or force 'always' to fill the correction cache"
+
+
+def test_the_vsam_warmup_rule_has_one_message(tmp_path, capsys, monkeypatch):
+    sampler = dict(SMALL_SECTIONS["sampler_config"], i_start=0)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(VSAM_WARMUP_MESSAGE)}$"):
+        run_vsam(make_quadratic([[1.0]]), None, OptimizerConfig(), SamplerConfig(**sampler),
+                 10, 0)
+    path = _write_config(tmp_path, dict(_small_config(tmp_path), sampler_config=sampler))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {VSAM_WARMUP_MESSAGE}\n"
     assert not (tmp_path / "out").exists()
     assert not any(cwd.iterdir())
 

@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import inspect
 import json
+import math
 import os
 import pkgutil
 import re
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import samlab
-from samlab.data import (Batch, Dataset, batches_per_epoch, dataset_checksum,
+from samlab.data import (DATASET_KINDS, Batch, Dataset, batches_per_epoch, dataset_checksum,
                          deserialize_dataset, generate_dataset, load_dataset,
                          make_batches, save_dataset, serialize_dataset, split_sizes,
                          train_test_split)
@@ -136,11 +137,51 @@ def _edit_header(lines, edit):
     (lambda lines: lines.__setitem__(5, lines[5].rsplit(",", 1)[0]), 6, "expected 3 cells"),
     (lambda lines: lines.__setitem__(4, "0.5,zero,1"), 5, "could not convert string"),
     (lambda lines: lines.__setitem__(4, "0.5,0.5,1.0"), 5, "invalid literal for int()"),
+    # the header's kind, n, seed and noise are DatasetConfig's, its dim an integer >= 0
+    (lambda lines: _edit_header(lines, lambda h: h.update(kind="rings")), 2,
+     "kind must be one of ('blobs', 'moons', 'xor'), not 'rings'"),
+    (lambda lines: _edit_header(lines, lambda h: h.update(seed="x")), 2,
+     "seed must be an integer >= 0, not 'x'"),
+    (lambda lines: _edit_header(lines, lambda h: h.update(noise=-5)), 2,
+     "noise must be a finite number >= 0, not -5"),
+    (lambda lines: _edit_header(lines, lambda h: h.update(n=1)), 2,
+     "n must be an integer >= 2, not 1"),
+    (lambda lines: _edit_header(lines, lambda h: h.update(dim=-1)), 2,
+     "dim must be an integer >= 0, not -1"),
 ], ids=["truncated_at_row_end", "truncated_in_row", "extra_row", "missing_header_key",
-        "unknown_header_key", "truncated_header", "wrong_columns", "short_row", "bad_float", "bad_target"])
+        "unknown_header_key", "truncated_header", "wrong_columns", "short_row", "bad_float",
+        "bad_target", "unknown_kind", "string_seed", "negative_noise", "one_row", "negative_dim"])
 def test_malformed_dataset_names_the_line(edit, line, message):
     with pytest.raises(ConfigurationError, match=f"^dataset line {line}: {re.escape(message)}"):
         deserialize_dataset(_damaged(edit))
+
+
+_NOT_A_NUMBER = st.one_of(st.text(max_size=5), st.booleans(), st.none(),
+                          st.lists(st.integers(), max_size=2))
+# per header key, values of the wrong type or out of range: what the header's checks reject
+_BAD_HEADER_VALUES = {
+    "kind": st.one_of(st.text(max_size=8).filter(lambda kind: kind not in DATASET_KINDS),
+                      st.integers(), st.floats(), st.booleans(), st.none()),
+    "n": st.one_of(st.integers(max_value=1), st.floats(), _NOT_A_NUMBER),
+    "seed": st.one_of(st.integers(max_value=-1), st.floats(), _NOT_A_NUMBER),
+    "noise": st.one_of(st.integers(max_value=-1), st.floats(max_value=-1e-300),
+                       st.sampled_from([math.nan, math.inf, -math.inf]), _NOT_A_NUMBER),
+    "dim": st.one_of(st.integers(max_value=-1), st.floats(), _NOT_A_NUMBER),
+}
+
+
+@settings(deadline=None, max_examples=100)  # timing on a shared host is not what this checks
+@given(kind=st.sampled_from(DATASET_KINDS), n=st.integers(2, 12), data=st.data())
+def test_a_header_value_of_the_wrong_type_or_range_is_rejected(tmp_path_factory, kind, n, data):
+    path = tmp_path_factory.mktemp("ds") / "ds.shrpds"
+    save_dataset(generate_dataset(kind, n, 0.1, seed=3), path)
+    lines = path.read_text(encoding="ascii").splitlines()
+    key = data.draw(st.sampled_from(sorted(_BAD_HEADER_VALUES)), label="key")
+    value = data.draw(_BAD_HEADER_VALUES[key], label="value")
+    _edit_header(lines, lambda header: header.update({key: value}))
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with pytest.raises(ConfigurationError, match="^dataset line 2: "):
+        load_dataset(path)
 
 
 def test_batch_shape_validation():

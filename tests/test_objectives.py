@@ -683,6 +683,40 @@ def test_ridge_scan_over_floats_matches_the_array_scan(geometry):
     assert _bits(sharp_flat_ridge(spec)) == _bits(oracle_sharp_flat_ridge(spec))
 
 
+@settings(deadline=None, max_examples=25)  # each example runs the 20,001-point scalar scan
+@given(width_sharp=st.floats(1e-3, 1.0), flat_over_sharp=st.floats(1.01, 1e3),
+       depth_gap=st.floats(0.0, 10.0), separation=st.floats(0.05, 20.0))
+def test_ridge_has_the_bits_of_the_scalar_scan(width_sharp, flat_over_sharp, depth_gap,
+                                               separation):
+    geometry = (width_sharp, width_sharp * flat_over_sharp, depth_gap, separation)
+    spec = make_sharp_flat(*geometry)
+    objectives._RIDGE_CACHE.pop(geometry, None)
+    assert _bits(sharp_flat_ridge(spec)) == _bits(oracle_sharp_flat_ridge(spec))
+
+
+@pytest.mark.parametrize("geometry", [
+    (0.08, 0.5, 0.3, 1e80),  # the quartic overflows to inf between the wells
+    (1e-160, 0.5, 0.3, 2.0),  # 1 / width_sharp**2 is inf: NaN at both ends, inf between
+], ids=["inf", "nan"])
+def test_ridge_of_a_landscape_that_is_not_finite_scans_every_point(geometry):
+    spec = make_sharp_flat(*geometry)
+    kernel = spec.plan.kernel
+    points = []
+
+    def counted(x, batch, with_grad):
+        points.append(float(x[0]))
+        return kernel(x, batch, with_grad)
+
+    spec.__dict__["plan"] = spec.plan._replace(kernel=counted)  # the cached property's slot
+    objectives._RIDGE_CACHE.pop(geometry, None)
+    ridge = sharp_flat_ridge(spec)
+    (x_sharp, _), (x_flat, _) = sharp_flat_centers(spec)
+    assert points == np.linspace(x_sharp, x_flat, 20001).tolist()
+    assert _bits(ridge) == _bits(oracle_sharp_flat_ridge(spec))
+    if geometry[0] == 1e-160:
+        assert ridge == x_sharp  # np.argmax's first NaN: the first point
+
+
 # u = (flat bottom - x) / separation: the landscape blends its wells by a
 # smooth step in u, flat for u <= 0 and sharp for u >= 1, whose exp calls
 # underflow (through subnormals) within about 1/708 of either end

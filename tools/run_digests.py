@@ -59,7 +59,12 @@ The cases:
   objective without ``dim``), so that ``config.json`` shows the defaults;
 - 20 sharp/flat seeds x 4 optimizers in memory with ``collect_params=True``:
   records, final weights and momentum, every parameter snapshot and the
-  sampler state;
+  sampler state; and ``sharp_flat_basin_labels``, the ``classify_basin``
+  label of each of those 80 runs' final weights;
+- ``sharp_flat_ridges``: the bits of ``sharp_flat_ridge`` on the
+  calibration, two other test geometries, two whose grid is not finite (a
+  quartic that overflows, NaN at the ends) and 20 geometries drawn from a
+  fixed seed, each computed with the ridge cache cleared;
 - the same for two in-memory vSAM runs on the moons ``[2, 16, 2]`` task
   started from ``init_params``: one with the default subset (the last
   layer) and one with ``subset_segments=["layer1.W"]``;
@@ -402,8 +407,12 @@ def _result_digest(result):
                repr(state_part))
 
 
-def sharp_flat_digests():
-    """Case name -> digest of in-memory sharp/flat runs, 20 seeds x 4 optimizers."""
+def sharp_flat_digests(wanted):
+    """Case name -> digest of in-memory sharp/flat runs, 20 seeds x 4 optimizers.
+
+    ``sharp_flat_basin_labels`` digests the ``classify_basin`` label of
+    every run's final weights.
+    """
     import numpy as np
     from samlab import objectives, optim, sampler
     from samlab.params import ParamVector
@@ -417,7 +426,7 @@ def sharp_flat_digests():
     x_sharp = -cal["separation"] / 2.0
     half = cal["init_halfwidth"]
     rng = np.random.default_rng(2024)
-    digests = {}
+    digests, labels = {}, []
     for seed in range(20):
         start = np.array([x_sharp + rng.uniform(-half, half), rng.uniform(-half, half)])
         for method in METHODS:
@@ -432,8 +441,40 @@ def sharp_flat_digests():
             else:
                 result = optim.run_vsam(spec, None, opt, scfg, cal["iterations"], seed,
                                         **common)
-            digests[f"sharp_flat_{seed}_{method}"] = _result_digest(result)
+            if f"sharp_flat_{seed}_{method}" in wanted:
+                digests[f"sharp_flat_{seed}_{method}"] = _result_digest(result)
+            labels.append(objectives.classify_basin(spec, result.w_final))
+    if "sharp_flat_basin_labels" in wanted:
+        digests["sharp_flat_basin_labels"] = sha(*labels)
     return digests
+
+
+# (width_sharp, width_flat, depth_gap, separation) of the ridge case, besides 20 random ones
+RIDGE_GEOMETRIES = [
+    (0.08, 0.5, 0.3, 2.0),  # the calibration
+    (0.1, 0.7, 0.1, 1.5),
+    (0.05, 0.3, 0.5, 3.0),
+    (0.08, 0.5, 0.3, 1e80),  # a quartic that overflows between the wells
+    (1e-160, 0.5, 0.3, 2.0),  # NaN at both ends of the grid
+]
+
+
+def ridge_digest():
+    """Digest of ``sharp_flat_ridge`` on RIDGE_GEOMETRIES and 20 seeded random geometries."""
+    import numpy as np
+    from samlab import objectives
+
+    rng = np.random.default_rng(31)
+    geometries = list(RIDGE_GEOMETRIES)
+    for _ in range(20):
+        width = 10.0 ** rng.uniform(-3.0, 0.0)
+        geometries.append((width, width * 10.0 ** rng.uniform(0.005, 3.0),
+                           rng.uniform(0.0, 10.0), 10.0 ** rng.uniform(-1.3, 1.3)))
+    parts = []
+    for geometry in geometries:
+        objectives._RIDGE_CACHE.clear()  # each ridge from its grid, not from the cache
+        parts.append(objectives.sharp_flat_ridge(objectives.make_sharp_flat(*geometry)).hex())
+    return sha(*parts)
 
 
 # case name -> the vSAM run's subset_segments (None: the default subset)
@@ -500,7 +541,9 @@ def main(argv=None) -> int:
 
     configs = config_cases()
     sharp_flat_names = [f"sharp_flat_{s}_{m}" for s in range(20) for m in METHODS]
-    names = [*configs, *DAMAGES, *sharp_flat_names, *MLP_SUBSETS, "mlp_shared_spec"]
+    sharp_flat_names.append("sharp_flat_basin_labels")
+    names = [*configs, *DAMAGES, *sharp_flat_names, *MLP_SUBSETS, "mlp_shared_spec",
+             "sharp_flat_ridges"]
     unknown = sorted(set(args.case) - set(names))
     if unknown:
         parser.error(f"unknown cases: {unknown}")
@@ -518,8 +561,9 @@ def main(argv=None) -> int:
             digests.update(damaged_digests(harness, Path(tmp), wanted))
     digests.update(mlp_digests(wanted))
     if wanted & set(sharp_flat_names):
-        digests.update({name: digest for name, digest in sharp_flat_digests().items()
-                        if name in wanted})
+        digests.update(sharp_flat_digests(wanted))
+    if "sharp_flat_ridges" in wanted:
+        digests["sharp_flat_ridges"] = ridge_digest()
     args.out.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{len(digests)} digests written to {args.out}")
     return 0
