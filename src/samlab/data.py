@@ -194,6 +194,7 @@ def deserialize_dataset(text: str) -> Dataset:
     try:
         DatasetConfig(header["kind"], header["n"], header["seed"], header["noise"])
         check_number("dim", header["dim"], int, 0)
+        check_number("classes", header["classes"], int, 1)
     except ConfigurationError as err:
         raise bad(2, str(err)) from None
     n, dim = header["n"], header["dim"]
@@ -213,10 +214,12 @@ def deserialize_dataset(text: str) -> Dataset:
             targets[i] = int(parts[dim])
         except (ValueError, OverflowError) as err:
             raise bad(i + 4, str(err)) from None
-    return Dataset(
-        kind=header["kind"], seed=header["seed"], noise=header["noise"],
-        inputs=inputs, targets=targets,
-    )
+    ds = Dataset(kind=header["kind"], seed=header["seed"], noise=header["noise"],
+                 inputs=inputs, targets=targets)
+    if header["classes"] != ds.n_classes:
+        raise bad(2, f"classes must equal the rows' class count {ds.n_classes}, "
+                     f"not {header['classes']!r}")
+    return ds
 
 
 def load_dataset(path) -> Dataset:

@@ -23,7 +23,7 @@ import math
 import os
 import pickle
 from dataclasses import asdict, dataclass, fields
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import ge, itemgetter
 from pathlib import Path
 
@@ -130,7 +130,12 @@ SUMMARY_MINIMUMS = {"iterations": 1, "sampling_number": 0, "grad_evals": 1, "d_p
 
 @dataclass
 class RunSummary:
-    """One seed's ``summary.json``: its cost, final losses and AIS."""
+    """One seed's ``summary.json``: its cost, final losses and AIS.
+
+    It checks its fields (``check_number``): an integer is at least its
+    ``SUMMARY_MINIMUMS`` entry, a float is finite, and only the fields that
+    default to None may be None.
+    """
 
     iterations: int
     sampling_number: int
@@ -144,29 +149,23 @@ class RunSummary:
     final_eval_accuracy: float | None = None
     speedup_vs_ref: float | None = None
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                check_number(f"run summary {f.name}", value, int if f.type == "int" else float,
+                             SUMMARY_MINIMUMS.get(f.name))
+
     def to_dict(self):
         return asdict(self)
 
     @classmethod
     def from_dict(cls, payload):
-        """The summary ``to_dict`` wrote; unknown or missing keys, non-numbers and counts
-        below ``SUMMARY_MINIMUMS`` are errors."""
+        """The summary ``to_dict`` wrote: a JSON object with every field's key and no other."""
         if not isinstance(payload, dict):
             raise ConfigurationError("run summary must be a JSON object")
         names = [f.name for f in fields(cls)]
-        _take(payload, names, names, "run summary")
-        for f in fields(cls):
-            value = payload[f.name]
-            if value is None and f.default is None:
-                continue
-            integral = f.type == "int"
-            if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
-                raise ConfigurationError(f"run summary {f.name} must be "
-                                         f"{'an integer' if integral else 'a number'}, "
-                                         f"not {value!r}")
-            if f.name in SUMMARY_MINIMUMS:
-                check_number(f"run summary {f.name}", value, int, SUMMARY_MINIMUMS[f.name])
-        return cls(**payload)
+        return cls(**_take(payload, names, names, "run summary"))
 
 
 def compute_ais(d: float, e: float, t: float) -> float:
@@ -541,21 +540,26 @@ def _mean_std(values):
     return mean, math.sqrt(var)
 
 
+def _spread(summaries) -> dict:
+    """Field -> (mean, population std) over ``summaries``, in their order, of each field that
+    the aggregate and the report give; None values are skipped, and a field that is None in
+    every summary has no entry."""
+    spread = {}
+    for name in ("sampling_number", "grad_evals", "ais", "final_train_loss",
+                 "final_eval_accuracy"):
+        values = [value for s in summaries if (value := getattr(s, name)) is not None]
+        if values:
+            spread[name] = _mean_std(values)
+    return spread
+
+
 def _write_aggregate(out: Path, summaries: dict) -> None:
-    payload = {"seeds": sorted(summaries), "mean": {}, "std": {},
-               "per_seed": {str(seed): summary.to_dict() for seed, summary in summaries.items()}}
-    if summaries:
-        for field_name in ("sampling_number", "grad_evals", "ais", "final_train_loss"):
-            mean, std = _mean_std([getattr(s, field_name) for s in summaries.values()])
-            payload["mean"][field_name] = mean
-            payload["std"][field_name] = std
-        accs = [s.final_eval_accuracy for s in summaries.values()
-                if s.final_eval_accuracy is not None]
-        if accs:
-            mean, std = _mean_std(accs)
-            payload["mean"]["final_eval_accuracy"] = mean
-            payload["std"]["final_eval_accuracy"] = std
-    _write_json(out / "aggregate.json", payload)
+    spread = _spread(summaries.values())
+    _write_json(out / "aggregate.json", {
+        "seeds": sorted(summaries),
+        "mean": {name: mean for name, (mean, _) in spread.items()},
+        "std": {name: std for name, (_, std) in spread.items()},
+        "per_seed": {str(seed): summary.to_dict() for seed, summary in summaries.items()}})
 
 
 # ---------------------------------------------------------------------------
@@ -668,27 +672,15 @@ REPORT_FIELDS = [
 ]
 
 
-def _report_config(payload):
-    """(method label, seeds) of a run's ``config.json``; a missing key is a ConfigurationError."""
-    if not isinstance(payload, dict):
-        raise ConfigurationError("run config must be a JSON object")
-    required = ["optimizer", "seeds"] + (["k"] if payload.get("optimizer") == "sam_k" else [])
-    missing = [key for key in required if key not in payload]
-    if missing:
-        raise ConfigurationError(f"missing keys in run config: {missing}")
-    if not isinstance(payload["seeds"], list) or not payload["seeds"]:
-        raise ConfigurationError("run config seeds must be a non-empty list")
-    name = payload["optimizer"]
-    return (f"sam_{payload['k']}" if name == "sam_k" else name), payload["seeds"]
-
-
 def compare_report(run_dirs) -> tuple[str, list[dict]]:
     """Cross-method table over completed runs: mean ± population std per seed.
 
-    Runs whose config lacks the optimizer or the seeds, or whose summaries
-    are missing or unreadable, are excluded and reported as warning rows. The
-    cost ratio column is each method's mean gradient evaluations over the
-    'sam' run's mean (when a sam run is present).
+    Each run's ``config.json`` is read by ``load_config``, as ``samlab run``
+    reads it, so a config without seeds means seeds [0, 1, 2]. A run whose
+    config ``run`` would refuse, or whose summaries are missing or
+    unreadable, is excluded and reported as a warning row. The cost ratio
+    column is each method's mean gradient evaluations over the 'sam' run's
+    mean (when a sam run is present).
     """
     if len(run_dirs) < 2:
         raise ConfigurationError("comparison needs at least two run directories")
@@ -697,29 +689,20 @@ def compare_report(run_dirs) -> tuple[str, list[dict]]:
     for run_dir in run_dirs:
         run_dir = Path(run_dir)
         try:
-            with open(run_dir / "config.json", "r", encoding="utf-8") as fh:
-                method, seeds = _report_config(json.load(fh))
+            config = load_config(run_dir / "config.json")
             summaries = []
-            for seed in seeds:
+            for seed in config.seeds:
                 with open(run_dir / f"seed_{seed}" / "summary.json", encoding="utf-8") as fh:
                     summaries.append(RunSummary.from_dict(json.load(fh)))
         except (OSError, ValueError, ConfigurationError) as err:
             warnings.append(f"WARNING: excluded incomplete run {run_dir}: {err}")
             continue
-        accs = [s.final_eval_accuracy for s in summaries if s.final_eval_accuracy is not None]
-        acc_mean, acc_std = _mean_std(accs) if accs else (None, None)
-        samp_mean, samp_std = _mean_std([s.sampling_number for s in summaries])
-        evals_mean, evals_std = _mean_std([s.grad_evals for s in summaries])
-        ais_mean, ais_std = _mean_std([s.ais for s in summaries])
-        rows.append({
-            "method": method,
-            "n_seeds": len(summaries),
-            "accuracy_mean": acc_mean, "accuracy_std": acc_std,
-            "sampling_mean": samp_mean, "sampling_std": samp_std,
-            "grad_evals_mean": evals_mean, "grad_evals_std": evals_std,
-            "ais_mean": ais_mean, "ais_std": ais_std,
-            "grad_evals_vs_ref": None,
-        })
+        spread = _spread(summaries)
+        method = f"sam_{config.k}" if config.optimizer == "sam_k" else config.optimizer
+        # REPORT_FIELDS: the method, the seed count, (mean, std) of four fields, the cost ratio
+        stats = [spread.get(name, (None, None))
+                 for name in ("final_eval_accuracy", "sampling_number", "grad_evals", "ais")]
+        rows.append(dict(zip(REPORT_FIELDS, [method, len(summaries), *chain(*stats), None])))
     ref = next((r for r in rows if r["method"] == "sam"), None)
     if ref is not None:
         for row in rows:

@@ -1,10 +1,11 @@
 """Per-iteration metrics records and the package's one CSV codec.
 
-The column order below is the stable on-disk schema; every metrics file
-starts with exactly this header. Other CSV files (the norm trace) are column
-projections of it, written and read by the same codec. Floats are written
-with ``repr`` so reading a file back reproduces every value bit-exactly;
-empty cells mean "not measured this iteration" and load as ``None``.
+``MetricsRecord`` is the stable on-disk schema: its fields, in order, are
+``FIELD_ORDER``, the header that every metrics file starts with. Other CSV
+files (the norm trace) are column projections of it, written and read by the
+same codec. Floats are written with ``repr`` so reading a file back
+reproduces every value bit-exactly; empty cells mean "not measured this
+iteration" and load as ``None``.
 
 Records are slotted (no ``__dict__``, so ``vars(record)`` raises
 ``TypeError``; ``dataclasses.asdict`` works), and the codec takes rows as
@@ -52,32 +53,6 @@ from pathlib import Path
 
 from .errors import ConfigurationError
 
-FIELD_ORDER = [
-    "iteration",
-    "epoch",
-    "train_loss",
-    "eval_loss",
-    "eval_accuracy",
-    "l2_sgd",
-    "l2_psf",
-    "psf_stale",
-    "l2_sgd_subset",
-    "l2_psf_subset",
-    "sampled",
-    "p",
-    "s",
-    "v",
-    "r",
-    "c_var",
-    "c_norm",
-    "v_fallback",
-    "dot_sgd_psf",
-    "cumulative_grad_evals",
-    "wall_clock_seconds",
-]
-
-_INT_FIELDS = {"iteration", "epoch", "cumulative_grad_evals"}
-_BOOL_FIELDS = {"psf_stale", "sampled", "v_fallback"}
 # one value per sampler window: vSAM rows repeat these in runs, which the reader parses once
 _WINDOW_FIELDS = {"p", "s", "c_var", "c_norm"}
 # wall-clock-class fields: timings and what is computed from them (a summary's AIS,
@@ -87,21 +62,22 @@ WALL_CLOCK_FIELDS = {"wall_clock_seconds", "ais", "ais_mean", "ais_std"}
 
 @dataclass(slots=True)
 class MetricsRecord:
-    """One iteration's row of ``metrics.csv``, slotted: it has no ``__dict__``."""
+    """One iteration's row of ``metrics.csv``, its fields in the file's column order.
 
-    iteration: int
-    epoch: int
-    train_loss: float
-    l2_sgd: float
-    sampled: bool
-    cumulative_grad_evals: int
-    wall_clock_seconds: float
+    Slotted: it has no ``__dict__``. A field left None is an empty cell.
+    """
+
+    iteration: int | None = None
+    epoch: int | None = None
+    train_loss: float | None = None
     eval_loss: float | None = None
     eval_accuracy: float | None = None
+    l2_sgd: float | None = None
     l2_psf: float | None = None
     psf_stale: bool | None = None
     l2_sgd_subset: float | None = None
     l2_psf_subset: float | None = None
+    sampled: bool | None = None
     p: float | None = None
     s: float | None = None
     v: float | None = None
@@ -110,9 +86,14 @@ class MetricsRecord:
     c_norm: float | None = None
     v_fallback: bool | None = None
     dot_sgd_psf: float | None = None
+    cumulative_grad_evals: int | None = None
+    wall_clock_seconds: float | None = None
 
 
-assert set(FIELD_ORDER) == {f.name for f in fields(MetricsRecord)}
+# the header of every metrics file
+FIELD_ORDER = [f.name for f in fields(MetricsRecord)]
+# column -> "int", "bool" or "float": the type of its MetricsRecord field, less its "| None"
+_column_type = {f.name: f.type.partition(" ")[0] for f in fields(MetricsRecord)}.__getitem__
 
 
 class MalformedRowError(ConfigurationError):
@@ -124,10 +105,6 @@ class MalformedRowError(ConfigurationError):
 _BLOCK_ROWS = 64
 # per column type: cell -> value (never given ""); a bad cell raises ValueError or KeyError
 _PARSE = {"bool": {"1": True, "0": False}.__getitem__, "int": int, "float": float}
-
-
-def _column_type(name):
-    return "bool" if name in _BOOL_FIELDS else "int" if name in _INT_FIELDS else "float"
 
 
 def _format_column(kind, values):
@@ -178,11 +155,11 @@ def _write_rows(path, header, rows, projections=()) -> None:
                 fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
 
 
-def _read_columns(path, header, names=None, projection=None):
-    """The ``names`` columns (default: all) of a file that ``_write_rows`` wrote with ``header``.
+def _read_columns(path, header, projection=None):
+    """The columns of a file that ``_write_rows`` wrote with ``header``, in ``header`` order.
 
-    Each is a list of parsed values. Every cell is parsed, named or not, and a
-    malformed file raises the errors that the module docstring names.
+    Each is a list of parsed values. A malformed file raises the errors that
+    the module docstring names.
     Given ``projection`` (names), it returns ``(columns, text)``, ``text`` being
     what ``_write_rows`` writes for that projection of the cells as tokenized,
     or None if a row spans lines (a quoted cell holds a line break).
@@ -225,7 +202,6 @@ def _read_columns(path, header, names=None, projection=None):
                 first += len(block)
     except UnicodeDecodeError:
         raise _non_ascii(path) from None
-    columns = [columns[header.index(name)] for name in names or header]
     if text is None:
         return columns
     # one line per row, after the header's, unless a quoted cell holds a line break
@@ -276,5 +252,4 @@ def write_metrics_csv(path, records, projections=()) -> None:
 
 
 def read_metrics_csv(path) -> list[MetricsRecord]:
-    names = [f.name for f in fields(MetricsRecord)]
-    return [MetricsRecord(*values) for values in zip(*_read_columns(path, FIELD_ORDER, names))]
+    return [MetricsRecord(*values) for values in zip(*_read_columns(path, FIELD_ORDER))]

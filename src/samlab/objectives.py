@@ -397,14 +397,17 @@ def sharp_flat_centers(spec: ObjectiveSpec):
 Y_CURVATURE_RATIO = 0.25
 
 
-def _sharp_flat_kernel(spec):
-    """The landscape's kernel, its geometry's constants worked out once."""
-    sep, gap = spec.separation, spec.depth_gap
-    m_s, m_f = -sep / 2.0, sep / 2.0
+def _sharp_flat_constants(spec):
+    """(sep, gap, m_s, m_f, h_f, h_gap, scale) of the geometry, for the kernel and the screen."""
+    sep = spec.separation
     h_s = 1.0 / spec.width_sharp**2
     h_f = 1.0 / spec.width_flat**2
-    h_gap = h_s - h_f
-    scale = 1.0 / (2.0 * sep * sep)
+    return sep, spec.depth_gap, -sep / 2.0, sep / 2.0, h_f, h_s - h_f, 1.0 / (2.0 * sep * sep)
+
+
+def _sharp_flat_kernel(spec):
+    """The landscape's kernel, its geometry's constants worked out once."""
+    sep, gap, m_s, m_f, h_f, h_gap, scale = _sharp_flat_constants(spec)
     du = -1.0 / sep
     half_ratio = 0.5 * Y_CURVATURE_RATIO
 
@@ -449,12 +452,7 @@ def _sharp_flat_screen(spec, xs):
     only screens with it. It works in place in four arrays of ``xs``'s size:
     a fresh 160 KB array costs more in page faults than an operation on it.
     """
-    sep, gap = spec.separation, spec.depth_gap
-    m_s, m_f = -sep / 2.0, sep / 2.0
-    h_s = 1.0 / spec.width_sharp**2
-    h_f = 1.0 / spec.width_flat**2
-    h_gap = h_s - h_f
-    scale = 1.0 / (2.0 * sep * sep)
+    sep, gap, m_s, m_f, h_f, h_gap, scale = _sharp_flat_constants(spec)
     with np.errstate(all="ignore"):  # overflow gives what the kernel's floats give
         u = np.subtract(m_f, xs)
         u /= sep

@@ -335,12 +335,12 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                 eval_loss_v = eval_acc = None
                 if test_batch is not None and t % bpe == 0:
                     eval_loss_v, eval_acc = eval_heldout(spec, values, test_batch)
-                # positional, in MetricsRecord's field order; a sample's v, r and v_fallback
+                # positional, in the file's column order; a sample's v, r and v_fallback
                 # are filled in when the run stops
                 records.append(MetricsRecord(
-                    t, epoch, loss, l2_sgd, sampled, evals, time.perf_counter() - t0,
-                    eval_loss_v, eval_acc, l2_psf, psf_stale, l2_sgd_subset, l2_psf_subset,
-                    p, s, None, None, c_var, c_norm, None, dot_sgd_psf))
+                    t, epoch, loss, eval_loss_v, eval_acc, l2_sgd, l2_psf, psf_stale,
+                    l2_sgd_subset, l2_psf_subset, sampled, p, s, None, None, c_var, c_norm,
+                    None, dot_sgd_psf, evals, time.perf_counter() - t0))
                 if history is not None:
                     history.append(values.copy())
                 if t == boundary:

@@ -73,10 +73,11 @@ class SamplerConfig:
     force: str | None = None    # None | "always" | "never" (post-warmup override)
 
     def __post_init__(self):
-        for name in ("n_window", "m_slices", "i_start"):
-            check_number(name, getattr(self, name), int)
-        for name in ("alpha", "s1", "p_max", "eps"):
-            check_number(name, getattr(self, name), float)
+        for name, minimum in (("n_window", 1), ("m_slices", None), ("i_start", None)):
+            check_number(name, getattr(self, name), int, minimum)
+        # alpha 0 holds the rate fixed; a negative gain would invert the controller
+        for name, minimum in (("alpha", 0), ("s1", None), ("p_max", None), ("eps", None)):
+            check_number(name, getattr(self, name), float, minimum)
         if self.subset_segments is not None:
             check_list("subset_segments", self.subset_segments, str)
         if self.m_slices < 2:

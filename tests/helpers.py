@@ -222,7 +222,7 @@ def float_bits(x):
 
 
 def record_dict(record):
-    """A metrics record's fields as a dict: the keys, in order, that ``vars`` gave before slots."""
+    """A metrics record's fields as a dict, keyed in the file's column order (``FIELD_ORDER``)."""
     return {f.name: getattr(record, f.name) for f in fields(record)}
 
 

@@ -205,9 +205,9 @@ def test_report_excludes_a_sam_run_whose_summary_counts_no_evaluations(tmp_path,
     ("wall_clock_seconds", 0, "[FAIL] summary AIS consistent with D*E/T: "
                               "AIS inputs must all be positive"),
     ("d_per_epoch", "36", "[FAIL] summary readable: "
-                          "run summary d_per_epoch must be an integer, not '36'"),
+                          "run summary d_per_epoch must be an integer >= 1, not '36'"),
     ("final_train_loss", True, "[FAIL] summary readable: "
-                               "run summary final_train_loss must be a number, not True"),
+                               "run summary final_train_loss must be a finite number, not True"),
     ("grad_evals", 0, "[FAIL] summary readable: "
                       "run summary grad_evals must be an integer >= 1, not 0"),
     ("iterations", 0, "[FAIL] summary readable: "
@@ -230,10 +230,11 @@ def test_verify_reports_bad_summary_values(tmp_path, capsys, key, value, failure
 
 
 @pytest.mark.parametrize("key, value, reason", [
-    pytest.param("seeds", None, "missing keys in run config: ['seeds']", id="seeds"),
-    pytest.param("optimizer", None, "missing keys in run config: ['optimizer']",
-                 id="optimizer"),
-    pytest.param("seeds", [], "run config seeds must be a non-empty list", id="no_seeds"),
+    # the config is read as `samlab run` reads it: without seeds, it means seeds [0, 1, 2]
+    pytest.param("seeds", None, "[Errno 2] No such file or directory: "
+                                "'{out}/seed_2/summary.json'", id="seeds"),
+    pytest.param("optimizer", None, "missing keys in config: ['optimizer']", id="optimizer"),
+    pytest.param("seeds", [], "seeds must be a non-empty list, not []", id="no_seeds"),
 ])
 def test_report_excludes_run_with_incomplete_config(tmp_path, capsys, key, value, reason):
     config = _small_config(tmp_path)
@@ -251,6 +252,7 @@ def test_report_excludes_run_with_incomplete_config(tmp_path, capsys, key, value
     capsys.readouterr()
     assert main(["report", str(tmp_path / "out"), str(tmp_path / "out_sam")]) == 0
     out = capsys.readouterr().out
+    reason = reason.format(out=tmp_path / "out")
     assert f"WARNING: excluded incomplete run {tmp_path / 'out'}: {reason}" in out
     assert "vsam" not in out and "sam" in out
 
@@ -413,6 +415,59 @@ def test_run_rejects_a_config_with_one_leaf_of_a_wrong_type(tmp_path, data):
     # every example writes the same config path and may not make tmp_path / "out"
     config = data.draw(_mutated_small_configs(_small_config(tmp_path)))
     assert main(["run", str(_write_config(tmp_path, config))]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def _out_of_range(section, key, value, message):
+    return pytest.param(section, key, value, message, id=f"{section or 'top'}-{key}-{value}")
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    _out_of_range("dataset", "n", 1, "dataset n must be an integer >= 2, not 1"),
+    _out_of_range("dataset", "noise", -1, "dataset noise must be a finite number >= 0, not -1"),
+    _out_of_range("dataset", "seed", -1, "dataset seed must be an integer >= 0, not -1"),
+    _out_of_range("sampler_config", "p_max", 1.5, "sampler_config p_max must be in (0, 1]"),
+    _out_of_range("sampler_config", "m_slices", 16,
+                  "sampler_config window length must be divisible by the slice count"),
+    _out_of_range("sampler_config", "eps", 0, "sampler_config eps must be positive"),
+    _out_of_range("sampler_config", "i_start", -1, "sampler_config i_start must be nonnegative"),
+    _out_of_range("sampler_config", "s1", 0, "sampler_config s1 must lie in [1, p_max * N]"),
+    _out_of_range("sampler_config", "i_start", 0,
+                  "vsam needs i_start >= 1 or force 'always' to fill the correction cache"),
+    _out_of_range("sampler_config", "n_window", 0,
+                  "sampler_config n_window must be an integer >= 1, not 0"),
+    _out_of_range("sampler_config", "n_window", -10,
+                  "sampler_config n_window must be an integer >= 1, not -10"),
+    _out_of_range("sampler_config", "alpha", -5,
+                  "sampler_config alpha must be a finite number >= 0, not -5"),
+    _out_of_range("optimizer_config", "gamma", 0, "optimizer_config gamma must be in (0, 1]"),
+    _out_of_range("optimizer_config", "gamma", 1.5, "optimizer_config gamma must be in (0, 1]"),
+    _out_of_range("optimizer_config", "momentum", 1,
+                  "optimizer_config momentum must be in [0, 1)"),
+    _out_of_range("optimizer_config", "rho", 0, "optimizer_config rho must be positive"),
+    _out_of_range("optimizer_config", "eta0", 0, "optimizer_config eta0 must be positive"),
+    _out_of_range("optimizer_config", "grad_eval_budget", 0,
+                  "optimizer_config grad_eval_budget must be at least 1"),
+    _out_of_range(None, "batch_size", 0, "batch_size must be an integer >= 1, not 0"),
+    _out_of_range(None, "batch_size", 39,  # 48 rows: 38 train, 10 held out
+                  "batch_size must be in [1, 38] (the training split), got 39"),
+    _out_of_range(None, "iterations", 0, "iterations must be an integer >= 1, not 0"),
+    _out_of_range(None, "seeds", [-1], "each seed must be an integer >= 0, not -1"),
+    _out_of_range(None, "seeds", [0, 0], "seeds must not repeat, got [0, 0]"),
+    _out_of_range("objective", "layer_sizes", [2, 0, 2],
+                  "objective layer_sizes must be an integer >= 1, not 0"),
+    _out_of_range("objective", "layer_sizes", [3, 4, 2], "batch has 2 features, mlp expects 3"),
+    _out_of_range("objective", "layer_sizes", [2, 4, 1],
+                  "batch targets out of range for the mlp output layer"),
+    _out_of_range("objective", "weight_decay", -1,
+                  "objective weight_decay must be a finite number >= 0, not -1"),
+])
+def test_run_rejects_an_out_of_range_value_before_writing(tmp_path, capsys, section, key, value,
+                                                          message):
+    config = _small_config(tmp_path)
+    (config if section is None else config[section])[key] = value
+    assert main(["run", str(_write_config(tmp_path, config))]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

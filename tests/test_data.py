@@ -148,9 +148,17 @@ def _edit_header(lines, edit):
      "n must be an integer >= 2, not 1"),
     (lambda lines: _edit_header(lines, lambda h: h.update(dim=-1)), 2,
      "dim must be an integer >= 0, not -1"),
+    # the header's classes is the rows' class count
+    (lambda lines: _edit_header(lines, lambda h: h.update(classes="x")), 2,
+     "classes must be an integer >= 1, not 'x'"),
+    (lambda lines: _edit_header(lines, lambda h: h.update(classes=5)), 2,
+     "classes must equal the rows' class count 2, not 5"),
+    (lambda lines: _edit_header(lines, lambda h: h.update(classes=-1)), 2,
+     "classes must be an integer >= 1, not -1"),
 ], ids=["truncated_at_row_end", "truncated_in_row", "extra_row", "missing_header_key",
         "unknown_header_key", "truncated_header", "wrong_columns", "short_row", "bad_float",
-        "bad_target", "unknown_kind", "string_seed", "negative_noise", "one_row", "negative_dim"])
+        "bad_target", "unknown_kind", "string_seed", "negative_noise", "one_row", "negative_dim",
+        "string_classes", "other_classes", "negative_classes"])
 def test_malformed_dataset_names_the_line(edit, line, message):
     with pytest.raises(ConfigurationError, match=f"^dataset line {line}: {re.escape(message)}"):
         deserialize_dataset(_damaged(edit))

@@ -411,7 +411,7 @@ def _sampler_payloads(draw, segment_names):
     p_max = draw(st.floats(min_value=1.0 / n_window, max_value=1.0))
     payload = {"n_window": n_window, "m_slices": m_slices, "p_max": p_max,
                "s1": draw(st.floats(min_value=1.0, max_value=p_max * n_window))}
-    _optional(draw, payload, "alpha", _finite)
+    _optional(draw, payload, "alpha", st.floats(min_value=0.0, allow_infinity=False))
     _optional(draw, payload, "i_start", st.integers(0, 10_000))
     _optional(draw, payload, "eps", _positive)
     _optional(draw, payload, "force", st.sampled_from([None, "always", "never"]))
@@ -976,8 +976,10 @@ def test_compare_report_stats_and_columns(tmp_path):
     for method, accs in (("sam", [96.5, 96.7, 96.6]), ("sgd", [96.5, 96.7, 96.6])):
         run_dir = tmp_path / method
         run_dir.mkdir()
+        config = config_from_dict(_base_config(tmp_path, optimizer=method,
+                                               output_dir=str(run_dir)))
         with open(run_dir / "config.json", "w") as fh:
-            json.dump({"optimizer": method, "seeds": [0, 1, 2]}, fh)
+            json.dump(config_to_dict(config), fh)
         for seed, acc in enumerate(accs):
             seed_dir = run_dir / f"seed_{seed}"
             seed_dir.mkdir()

@@ -153,19 +153,20 @@ def test_read_columns_returns_the_written_columns(tmp_path_factory, columns, nam
     write_metrics_csv(tmp / "metrics.csv", records, [(tmp / "trace.csv", NORM_TRACE_FIELDS),
                                                      (tmp / "names.csv", names)])
 
-    def read(path, header, names=None):
-        got = _read_columns(path, header, names)
+    def read(path, header):
+        got = _read_columns(path, header)
         assert all(type(column) is list and len(column) == count for column in got)
         return [[repr(v) for v in column] for column in got]
 
-    assert read(tmp / "metrics.csv", FIELD_ORDER) == _expected_columns(columns, FIELD_ORDER)
-    assert read(tmp / "metrics.csv", FIELD_ORDER, names) == _expected_columns(columns, names)
+    full = read(tmp / "metrics.csv", FIELD_ORDER)
+    assert full == _expected_columns(columns, FIELD_ORDER)
+    assert [full[FIELD_ORDER.index(name)] for name in names] == _expected_columns(columns, names)
     assert read(tmp / "trace.csv", NORM_TRACE_FIELDS) == _expected_columns(columns,
                                                                          NORM_TRACE_FIELDS)
     # the projection text read back is the projection file that the same write wrote
     for projection, path in ((NORM_TRACE_FIELDS, "trace.csv"), (names, "names.csv")):
-        got, text = _read_columns(tmp / "metrics.csv", FIELD_ORDER, names, projection)
-        assert [[repr(v) for v in column] for column in got] == _expected_columns(columns, names)
+        got, text = _read_columns(tmp / "metrics.csv", FIELD_ORDER, projection)
+        assert [[repr(v) for v in column] for column in got] == full
         assert text.encode("ascii") == (tmp / path).read_bytes()
 
 
@@ -247,8 +248,8 @@ def test_projection_text_is_joined_from_the_tokenized_cells(tmp_path, cell, text
                                            wall_clock_seconds=0.1)])
     data = path.read_text(encoding="ascii").replace(",0.5,", f",{cell},")
     path.write_bytes(data.encode("ascii"))
-    (l2_sgd,), got = _read_columns(path, FIELD_ORDER, ["l2_sgd"], NORM_TRACE_FIELDS)
-    assert l2_sgd == [0.5]
+    columns, got = _read_columns(path, FIELD_ORDER, NORM_TRACE_FIELDS)
+    assert columns[FIELD_ORDER.index("l2_sgd")] == [0.5]
     head = ",".join(NORM_TRACE_FIELDS) + "\r\n"
     assert got == (None if text is None else head + f"1,{text},,,,\r\n")
 

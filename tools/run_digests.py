@@ -86,7 +86,11 @@ The cases:
   final CRLF; a trace with one extra blank line; and, in the middle of a
   sampler window, whose rows repeat one ``p``, ``s``, ``c_var`` and
   ``c_norm``, a ``p`` cell that is not a number and an emptied ``c_var``
-  cell.
+  cell;
+- ``report``: ``compare_report`` over the four ``moons_<optimizer>`` runs
+  and a copy of the vSAM one without seed 1's ``summary.json``, which the
+  report excludes: its rows without wall-clock keys, and its warning lines
+  with the copy's path replaced by a placeholder.
 
 A run directory's digest covers every file in it: CSV files without their
 wall-clock columns, JSON files without wall-clock keys and the output path.
@@ -111,7 +115,6 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import fields
 from pathlib import Path
 
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
@@ -393,9 +396,15 @@ def damaged_digests(harness, tmp: Path, wanted):
 
 
 def _result_digest(result):
-    """Records, final weights and momentum, every parameter snapshot and the sampler state."""
-    records = [{f.name: getattr(r, f.name) for f in fields(r) if f.name not in WALL_CLOCK_FIELDS}
-               for r in result.records]
+    """Records, final weights and momentum, every parameter snapshot and the sampler state.
+
+    A record's values are listed by name in ``FIELD_ORDER``, the file's column
+    order, whatever order the record's class declares its fields in.
+    """
+    from samlab.metrics import FIELD_ORDER
+
+    names = [name for name in FIELD_ORDER if name not in WALL_CLOCK_FIELDS]
+    records = [{name: getattr(r, name) for name in names} for r in result.records]
     state = result.sampler_state
     state_part = None
     if state is not None:
@@ -447,6 +456,19 @@ def sharp_flat_digests(wanted):
     if "sharp_flat_basin_labels" in wanted:
         digests["sharp_flat_basin_labels"] = sha(*labels)
     return digests
+
+
+def report_digest(harness, run_dirs, tmp: Path) -> str:
+    """Digest of ``compare_report`` over ``run_dirs`` and a copy of the last without seed 1's
+    summary: the rows without wall-clock keys, and the warnings without the copy's path."""
+    broken = tmp / "report_missing_summary"
+    shutil.copytree(run_dirs[-1], broken)
+    (broken / "seed_1" / "summary.json").unlink()
+    text, rows = harness.compare_report([*run_dirs, broken])
+    warnings = [line.replace(str(broken), "<run_dir>") for line in text.splitlines()
+                if line.startswith("WARNING")]
+    return sha(repr([{k: v for k, v in row.items() if k not in WALL_CLOCK_FIELDS}
+                     for row in rows]), *warnings)
 
 
 # (width_sharp, width_flat, depth_gap, separation) of the ridge case, besides 20 random ones
@@ -543,20 +565,27 @@ def main(argv=None) -> int:
     sharp_flat_names = [f"sharp_flat_{s}_{m}" for s in range(20) for m in METHODS]
     sharp_flat_names.append("sharp_flat_basin_labels")
     names = [*configs, *DAMAGES, *sharp_flat_names, *MLP_SUBSETS, "mlp_shared_spec",
-             "sharp_flat_ridges"]
+             "sharp_flat_ridges", "report"]
     unknown = sorted(set(args.case) - set(names))
     if unknown:
         parser.error(f"unknown cases: {unknown}")
     wanted = set(args.case or names)
+    # the runs that the report case compares
+    report_runs = [f"moons_{m}" for m in METHODS] if "report" in wanted else []
 
     harness = import_samlab(args.src.resolve())
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
+        run_dirs = {}
         for name, payload in configs.items():
-            if name in wanted:
+            if name in wanted or name in report_runs:
                 payload = dict(payload, output_dir=str(Path(tmp) / name))
-                run_dir = harness.run_experiment(harness.config_from_dict(payload))
-                digests[name] = run_dir_digest(harness, Path(run_dir))
+                run_dirs[name] = Path(harness.run_experiment(harness.config_from_dict(payload)))
+            if name in wanted:
+                digests[name] = run_dir_digest(harness, run_dirs[name])
+        if report_runs:
+            digests["report"] = report_digest(harness, [run_dirs[n] for n in report_runs],
+                                              Path(tmp))
         if wanted & set(DAMAGES):
             digests.update(damaged_digests(harness, Path(tmp), wanted))
     digests.update(mlp_digests(wanted))
