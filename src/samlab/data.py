@@ -214,6 +214,8 @@ def deserialize_dataset(text: str) -> Dataset:
             targets[i] = int(parts[dim])
         except (ValueError, OverflowError) as err:
             raise bad(i + 4, str(err)) from None
+        if targets[i] < 0:
+            raise bad(i + 4, f"target must be an integer >= 0, not {targets[i]}")
     ds = Dataset(kind=header["kind"], seed=header["seed"], noise=header["noise"],
                  inputs=inputs, targets=targets)
     if header["classes"] != ds.n_classes:

@@ -277,20 +277,24 @@ def eval_loss(spec: ObjectiveSpec, w: ParamVector | np.ndarray,
     return loss
 
 
-def eval_grad(spec: ObjectiveSpec, w: ParamVector | np.ndarray, batch: Batch | None = None):
+def eval_grad(spec: ObjectiveSpec, w: ParamVector | np.ndarray, batch: Batch | None = None,
+              *, screen: bool = True):
     """Returns (loss, gradient); the gradient includes the 2*wd*w term.
 
     ``w`` is a ParamVector or a 1-D float64 array of finite weights. Overflow
     raises NumericError; numpy warns of it first unless the caller turned its
-    floating-point warnings off, as the training loop does. The gradient is
-    checked with ``params.all_finite``, one dot product with zeros: it adds
-    an "invalid value" warning only for a gradient that is not finite, just
-    before that NumericError, and never warns on a finite one.
+    floating-point warnings off, as the training loop does. The loss is
+    always checked. The gradient is checked with ``screen_gradient``, one
+    dot product of the gradient with zeros: it adds an "invalid value"
+    warning only for a gradient that is not finite, just before that
+    NumericError, and never warns on a finite one. ``screen=False`` returns
+    the gradient unchecked, for a caller that screens it itself, as the
+    training loop does with the squared norms it logs.
 
     The intermediates go to the spec's plan's buffers (see the module
     docstring); the gradient is a new array on every call.
     """
-    return _evaluate(spec, w, batch, True)
+    return _evaluate(spec, w, batch, True, screen)
 
 
 def eval_heldout(spec: ObjectiveSpec, values: np.ndarray, batch: Batch):
@@ -344,7 +348,13 @@ def _plan(spec):
                 np.empty(size), grad)
 
 
-def _evaluate(spec, w, batch, with_grad):
+def screen_gradient(spec: ObjectiveSpec, grad: np.ndarray, zeros: np.ndarray | None = None):
+    """Raise NumericError unless every entry of ``grad`` is finite (``params.all_finite``)."""
+    if not all_finite(grad, zeros):
+        raise NumericError(f"non-finite gradient from {spec.kind} objective")
+
+
+def _evaluate(spec, w, batch, with_grad, screen=True):
     """(loss, gradient); without the gradient, (loss, MLP logits in the plan's buffer or None)."""
     size, kernel, wd, zeros, twice_wd, decay, scratch = spec.plan
     x = w.values if isinstance(w, ParamVector) else w
@@ -364,8 +374,8 @@ def _evaluate(spec, w, batch, with_grad):
 
     if not math.isfinite(loss):
         raise NumericError(f"non-finite loss from {spec.kind} objective")
-    if with_grad and not all_finite(grad, zeros):
-        raise NumericError(f"non-finite gradient from {spec.kind} objective")
+    if with_grad and screen:
+        screen_gradient(spec, grad, zeros)
     return float(loss), grad
 
 

@@ -24,7 +24,7 @@ from .errors import ConfigurationError, ContractViolationError, NumericError, ch
 from .metrics import MetricsRecord
 # eval_loss, mlp_accuracy and subset_norm are imported for perfbench/tracer.py to wrap here
 from .objectives import (eval_grad, eval_heldout, eval_loss, init_params, mlp_accuracy,
-                         param_segments)
+                         param_segments, screen_gradient)
 from .params import (ParamVector, _zeros, default_subset, l2_norm, require_finite, subset_norm,
                      subset_selector)
 # record_sample is imported for perfbench/tracer.py too; the loop notes samples itself
@@ -225,7 +225,13 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
     gradient and held-out evaluation writes its intermediates into the
     buffers of the spec's plan, which all runs on the spec share. The loop checks
     each gradient, perturbed point and new weight vector for finiteness
-    once, with numpy's floating-point warnings off. The result's ``w_final``
+    once, with numpy's floating-point warnings off: w + e and the new weights
+    with ``require_finite``, and g and g_sam (from ``eval_grad(...,
+    screen=False)``) with the squared norms the row logs. A finite
+    ``g.dot(g)`` proves g finite, and then a finite ``psf.dot(psf)`` proves
+    g_sam finite; only a sum that is not finite has ``screen_gradient`` read
+    g or g_sam again, and one that passes logs its norm as inf. A failing
+    g_sam raises before its sample is noted. The result's ``w_final``
     and ``momentum_final`` are the run's buffers, which no later run
     touches. A NumericError leaves with its iteration and the records so far
     (``partial_records``), so that the harness can flush a partial trace.
@@ -288,9 +294,13 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
         try:
             for (t, (batch, epoch)), eta in zip(
                     enumerate(islice(batches, iterations), start_iteration + 1), etas):
-                loss, g_sgd = eval_grad(spec, values, batch)
+                loss, g_sgd = eval_grad(spec, values, batch, screen=False)
                 evals += 1
-                l2_sgd = l2_norm(g_sgd)
+                # l2_norm's bits; a finite square sum proves every entry finite
+                sq = float(g_sgd.dot(g_sgd))
+                if not math.isfinite(sq):
+                    screen_gradient(spec, g_sgd, zeros)
+                l2_sgd = math.sqrt(sq)
                 l2_sgd_subset = l2_sgd if subset is None else l2_norm(g_sgd[subset])
                 if cfg is None:
                     wants_sample = samples_at(t)
@@ -301,10 +311,14 @@ def _train(spec, dataset: Dataset | None, opt: OptimizerConfig, iterations, seed
                 if sampled:
                     np.add(values, perturbation(g_sgd, rho, l2_sgd), out=w_pert)
                     require_finite(w_pert, zeros)
-                    _, g_sam = eval_grad(spec, w_pert, batch)
+                    _, g_sam = eval_grad(spec, w_pert, batch, screen=False)
                     evals += 1
                     psf = g_sam - g_sgd
-                    l2_psf = l2_norm(psf)
+                    # g_sgd is finite, so a finite square sum of psf proves g_sam finite
+                    sq = float(psf.dot(psf))
+                    if not math.isfinite(sq):
+                        screen_gradient(spec, g_sam, zeros)
+                    l2_psf = math.sqrt(sq)
                     l2_psf_subset = l2_psf if subset is None else l2_norm(psf[subset])
                     if cfg is not None:
                         note_norm(l2_psf_subset)

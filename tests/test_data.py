@@ -137,6 +137,9 @@ def _edit_header(lines, edit):
     (lambda lines: lines.__setitem__(5, lines[5].rsplit(",", 1)[0]), 6, "expected 3 cells"),
     (lambda lines: lines.__setitem__(4, "0.5,zero,1"), 5, "could not convert string"),
     (lambda lines: lines.__setitem__(4, "0.5,0.5,1.0"), 5, "invalid literal for int()"),
+    # n_classes (the largest target + 1) cannot see a negative target, so the row is refused
+    (lambda lines: lines.__setitem__(4, "0.5,0.5,-1"), 5,
+     "target must be an integer >= 0, not -1"),
     # the header's kind, n, seed and noise are DatasetConfig's, its dim an integer >= 0
     (lambda lines: _edit_header(lines, lambda h: h.update(kind="rings")), 2,
      "kind must be one of ('blobs', 'moons', 'xor'), not 'rings'"),
@@ -157,8 +160,8 @@ def _edit_header(lines, edit):
      "classes must be an integer >= 1, not -1"),
 ], ids=["truncated_at_row_end", "truncated_in_row", "extra_row", "missing_header_key",
         "unknown_header_key", "truncated_header", "wrong_columns", "short_row", "bad_float",
-        "bad_target", "unknown_kind", "string_seed", "negative_noise", "one_row", "negative_dim",
-        "string_classes", "other_classes", "negative_classes"])
+        "bad_target", "negative_target", "unknown_kind", "string_seed", "negative_noise",
+        "one_row", "negative_dim", "string_classes", "other_classes", "negative_classes"])
 def test_malformed_dataset_names_the_line(edit, line, message):
     with pytest.raises(ConfigurationError, match=f"^dataset line {line}: {re.escape(message)}"):
         deserialize_dataset(_damaged(edit))

@@ -5,12 +5,16 @@ The traced benchmark (``perfbench/run.py --trace 1``) wraps
 whose call counts are not iterations + sampling number and sampling number.
 These tests pin that, the loop's fixed number of ``ParamVector``
 constructions, that a run leaves its inputs alone, the iteration and
-partial records a ``NumericError`` leaves the loop with, the sliced
+partial records a ``NumericError`` leaves the loop with (a non-finite
+gradient at w or at w + e among its causes, screened through the squared
+norms the rows log), the sliced
 variances the loop settles in blocks, the traced sampler calls, and the
 generator state the block draws leave behind.
 """
 
+import math
 import warnings
+from itertools import count
 
 import numpy as np
 import pytest
@@ -22,7 +26,8 @@ from samlab.metrics import WALL_CLOCK_FIELDS
 from samlab.objectives import (SHARP_FLAT_CALIBRATION, init_params, make_mlp_classifier,
                                make_quadratic, make_sharp_flat, mlp_accuracy)
 from samlab.params import ParamVector
-from samlab.sampler import SamplerConfig, change_rate_series, init_sampler, record_sample
+from samlab.sampler import (Noted, SamplerConfig, change_rate_series, init_sampler,
+                            record_sample)
 
 from helpers import (float_bits, per_call_should_sample, record_dict, sam_gradient,
                      sampler_state_bits)
@@ -344,6 +349,105 @@ def test_overflowing_vsam_step_leaves_its_noted_sample_without_a_row():
                                      row.l2_sgd_subset)
     assert (float_bits(row.v), float_bits(row.r), row.v_fallback) == \
         (float_bits(v), float_bits(r), v_fallback)
+
+
+def _poison(monkeypatch, at, value):
+    """The sharp/flat task, whose ``at``-th gradient (1-based over the run) has ``value``
+    in place of its last entry; the loss stays finite."""
+    spec, dataset, kwargs, iterations = _sharp_flat()
+    kernel = spec.plan.kernel
+    evals = count(1)
+
+    def poisoned(x, batch, with_grad):
+        loss, grad = kernel(x, batch, with_grad)
+        if with_grad and next(evals) == at:
+            grad = np.array([grad[0], value])
+        return loss, grad
+
+    spec.__dict__["plan"] = spec.plan._replace(kernel=poisoned)  # the cached property's slot
+    monkeypatch.setitem(TASKS, "sharp_flat", lambda: (spec, dataset, kwargs, iterations))
+
+
+def _captured(monkeypatch):
+    """The sampler state and the Noted that the next vSAM run makes, once it has made them."""
+    made = {}
+
+    def init_sampler_kept(cfg, seed):
+        made["state"] = init_sampler(cfg, seed)
+        return made["state"]
+
+    def noted_kept():
+        made["noted"] = Noted()
+        return made["noted"]
+
+    monkeypatch.setattr(optim, "init_sampler", init_sampler_kept)
+    monkeypatch.setattr(optim, "Noted", noted_kept)
+    return made
+
+
+# (method, poisoned evaluation, iteration it belongs to); vSAM's warmup is 10 iterations
+SCREENED = {
+    "sgd_at_w": ("sgd", 5, 5),
+    "sam_at_w_plus_e": ("sam", 6, 3),
+    "vsam_warmup_at_w_plus_e": ("vsam", 6, 3),
+}
+
+
+@pytest.mark.filterwarnings("error")  # numpy's floating-point warnings are off inside the loop
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case", SCREENED)
+def test_a_non_finite_gradient_stops_the_run_before_its_row_and_its_sample(monkeypatch, case,
+                                                                           value):
+    method, at, iteration = SCREENED[case]
+    clean = _run(method, "sharp_flat", iterations=iteration - 1)
+    _poison(monkeypatch, at, value)
+    made = _captured(monkeypatch)
+    with pytest.raises(NumericError) as info:
+        _run(method, "sharp_flat")
+    err = info.value
+    assert str(err) == f"non-finite gradient from sharp_flat objective (iteration {iteration})"
+    assert err.iteration == iteration
+    # the rows before the failing iteration are the clean run's, bit for bit
+    assert _rows(err.partial_records) == _rows(clean.records)
+    if method == "vsam":
+        # the failing iteration's sample was never noted: every noted sample has its row,
+        # and the controller and its generator are where the clean run left them
+        noted, state = made["noted"], made["state"]
+        assert len(noted.variances) == len(noted.ratios) == iteration - 1
+        assert all(r.sampled and r.v is not None for r in err.partial_records)
+        assert sampler_state_bits(state) == sampler_state_bits(clean.sampler_state)
+        assert state.rng_stream.bit_generator.state == \
+            clean.sampler_state.rng_stream.bit_generator.state
+
+
+# (method, the quadratic's A and b, rho, eta0, iterations, every row's (l2_sgd, l2_psf)), from w = 0
+SQUARE_OVERFLOWS = {
+    # g = -b at w = 0: |g|**2 is 1e400; each step moves w by 1e-50, so g stays -b
+    "sgd_norm": ("sgd", [[0.0]], [1e200], 0.1, 1e-250, 3, (math.inf, None)),
+    "sam_norm": ("sam", [[0.0]], [1e200], 0.1, 1e-250, 3, (math.inf, 0.0)),
+    "vsam_norm": ("vsam", [[0.0]], [1e200], 0.1, 1e-250, 3, (math.inf, 0.0)),
+    # g = -1 at w = 0 and -1e300 at w + e = -1: the PSF is -1e300 + 1
+    "sam_psf_norm": ("sam", [[1e300]], [1.0], 1.0, 1e-300, 1, (1.0, math.inf)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", SQUARE_OVERFLOWS)
+def test_a_finite_gradient_whose_square_overflows_logs_an_infinite_norm(case):
+    method, a, b, rho, eta0, iterations, norms = SQUARE_OVERFLOWS[case]
+    opt = optim.OptimizerConfig(eta0=eta0, rho=rho, lr_schedule="constant")
+    spec, w0 = make_quadratic(a, b), ParamVector(np.zeros(1))
+    if method == "sgd":
+        result = optim.run_sgd(spec, None, opt, iterations, 0, w0=w0)
+    elif method == "sam":
+        result = optim.run_sam(spec, None, opt, iterations, 0, w0=w0)
+    else:
+        cfg = SamplerConfig(n_window=10, m_slices=2, s1=4, i_start=10)
+        result = optim.run_vsam(spec, None, opt, cfg, iterations, 0, w0=w0)
+    assert len(result.records) == iterations
+    assert all((r.l2_sgd, r.l2_psf) == norms for r in result.records)
+    assert all(r.l2_sgd_subset == r.l2_sgd for r in result.records)
+    assert np.isfinite(result.w_final.values).all()
 
 
 def _diverging_vsam():

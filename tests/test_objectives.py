@@ -1,12 +1,13 @@
 import dataclasses
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from samlab.data import Batch, Dataset, generate_dataset, make_batches, train_test_split
-from samlab.errors import ConfigurationError
+from samlab.errors import ConfigurationError, NumericError
 from samlab import objectives
 from samlab.objectives import (SHARP_FLAT_CALIBRATION, ObjectiveSpec, classify_basin,
                                eval_grad, eval_heldout, eval_loss, init_params, make_mlp_classifier,
@@ -162,6 +163,37 @@ def test_eval_grad_takes_a_bare_array(spec):
     assert _bits(eval_loss(spec, w.values)) == _bits(loss)
     with pytest.raises(ConfigurationError):
         eval_grad(spec, np.zeros(spec.param_count + 1))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_eval_grad_screens_its_gradient_unless_told_not_to(value):
+    spec = make_quadratic(np.eye(2))
+    kernel = spec.plan.kernel
+
+    def poisoned(x, batch, with_grad):
+        loss, grad = kernel(x, batch, with_grad)
+        return loss, np.array([grad[0], value])
+
+    spec.__dict__["plan"] = spec.plan._replace(kernel=poisoned)  # the cached property's slot
+    w = np.array([1.0, 2.0])
+    # inf * 0 in the screen's dot product warns of an invalid value unless told not to
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericError, match="^non-finite gradient from quadratic objective$"):
+        eval_grad(spec, w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, grad = eval_grad(spec, w, screen=False)
+    assert loss == 2.5
+    assert np.array_equal(grad, [1.0, value], equal_nan=True)
+
+
+def test_eval_grad_never_warns_on_a_finite_gradient_whose_square_overflows():
+    # g = -b at w = 0, whose squared norm is 1e400
+    spec = make_quadratic([[0.0]], [1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, grad = eval_grad(spec, np.zeros(1))
+    assert _bits(loss) == _bits(0.0) and grad.tolist() == [-1e200]
 
 
 def _bits(x: float) -> bytes:
