@@ -35,9 +35,14 @@ The bytes are exactly what ``csv.writer`` (the default dialect) writes for
 the same rows: no cell can hold a comma, a quote or a line break, because a
 header name is an identifier and a cell is empty, ``0``/``1``, an ``int`` or
 a float ``repr``; such rows need no quoting, so joining the cells with
-commas and ending each line with CRLF is all the writer does. Reading still
-tokenizes with ``csv.reader``. A wrong header raises ``ConfigurationError``;
-a row with the wrong number of cells, a cell that does not parse, or a byte
+commas and ending each line with CRLF is all the writer does. So a file
+that has that shape (ASCII, no quote, one row per CRLF-ended line, each with
+the header's number of cells) is tokenized by splitting its lines at commas,
+which gives ``csv.reader``'s cells; every other file, and a file with a cell
+that does not parse, is read with ``csv.reader``, so the values and errors
+never depend on which tokenizer ran. A wrong header raises
+``ConfigurationError``; a row with the wrong number of cells, a cell that
+does not parse or is longer than ``csv.field_size_limit()``, or a byte
 outside ASCII raises ``MalformedRowError`` naming the file and line.
 """
 
@@ -163,49 +168,127 @@ def _read_columns(path, header, projection=None):
     Given ``projection`` (names), it returns ``(columns, text)``, ``text`` being
     what ``_write_rows`` writes for that projection of the cells as tokenized,
     or None if a row spans lines (a quoted cell holds a line break).
+
+    The file's bytes are read once. If they have the writer's shape, each
+    block of ``_BLOCK_ROWS`` lines is tokenized by joining its lines and
+    splitting the text at commas, which gives the cells ``csv.reader`` would.
+    The shape: ASCII without a quote, every CR and LF in a CRLF, a CRLF at
+    the end, the first line ``header`` joined by commas, no blank line
+    (``_writer_lines``), every other line holding ``len(header)`` cells, and
+    no block of lines longer than ``csv.field_size_limit()``, so no cell is.
+    Any other file, and a file with a cell that does not parse, is read by
+    ``_read_columns_csv``, whose columns, text and errors this function
+    returns or raises for every file.
     """
-    parsers = [_PARSE[_column_type(name)] for name in header]
-    by_run = [name in _WINDOW_FIELDS for name in header]
-    columns = [[] for _ in header]
-    picks = [header.index(name) for name in projection or ()]
-    text = [",".join(projection)] if projection is not None else None
+    with open(path, "rb") as fh:
+        lines = _writer_lines(fh.read(), header)
+    if lines is None:
+        return _read_columns_csv(path, header, projection)
+    state = _ColumnState(header, projection)
+    width, limit = len(header), csv.field_size_limit()
+    try:
+        for first in range(0, len(lines), _BLOCK_ROWS):
+            block = lines[first:first + _BLOCK_ROWS]
+            # a "\r" cell between lines, which no line holds: every line holds width cells
+            # exactly when the cells every (width + 1)th are those "\r"s and no other cell is
+            text = ",\r,".join(block)
+            cells = text.split(",")
+            if len(text) > limit or len(cells) != len(block) * (width + 1) - 1 \
+                    or cells[width::width + 1].count("\r") != len(block) - 1:
+                return _read_columns_csv(path, header, projection)
+            state.add([cells[j::width + 1] for j in range(width)])
+    except (ValueError, KeyError):
+        return _read_columns_csv(path, header, projection)  # which names the cell
+    return state.result(True)
+
+
+def _writer_lines(data, header):
+    """The data lines of ``data``, a file's bytes, or None unless it is ASCII without a
+    quote, every CR and LF is in a CRLF, it ends with one, its first line is ``header``
+    joined by commas, and no line is blank."""
+    if not data.isascii() or b'"' in data or not data.endswith(b"\r\n"):
+        return None
+    lines = data.decode("ascii").split("\r\n")
+    rest = "".join(lines)  # the file less its CRLFs
+    if "\r" in rest or "\n" in rest or lines[0] != ",".join(header):
+        return None
+    del lines[0], lines[-1]  # the header, and the empty text after the final CRLF
+    return None if "" in lines else lines
+
+
+class _ColumnState:
+    """The columns, and the projection's text, of the data rows read so far."""
+
+    def __init__(self, header, projection):
+        self.parsers = [_PARSE[_column_type(name)] for name in header]
+        self.by_run = [name in _WINDOW_FIELDS for name in header]
+        self.columns = [[] for _ in header]
+        self.picks = [header.index(name) for name in projection or ()]
+        self.text = [",".join(projection)] if projection is not None else None
+
+    def add(self, block_cells):
+        """Parse a block given as its columns of cells; a bad cell raises ValueError or KeyError."""
+        if self.text is not None:
+            self.text += map(",".join, zip(*[block_cells[j] for j in self.picks]))
+        for column, parse, runs, cells in zip(self.columns, self.parsers, self.by_run,
+                                              block_cells):
+            empty = cells.count("")
+            if empty == len(cells):
+                column += [None] * empty
+            elif runs:
+                for cell, run in groupby(cells):
+                    value = None if cell == "" else parse(cell)
+                    column += repeat(value, len(list(run)))
+            elif not empty:
+                column += map(parse, cells)
+            else:
+                column += [None if c == "" else parse(c) for c in cells]
+
+    def result(self, one_line_rows):
+        """The columns, or ``(columns, text)`` given a projection; text None unless
+        ``one_line_rows`` (each row was one line)."""
+        if self.text is None:
+            return self.columns
+        return self.columns, "\r\n".join(self.text) + "\r\n" if one_line_rows else None
+
+
+def _read_columns_csv(path, header, projection=None):
+    """``_read_columns`` for any file, tokenized by ``csv.reader``.
+
+    A ``csv.Error`` on a data row (a cell longer than
+    ``csv.field_size_limit()``) raises ``MalformedRowError`` naming the line
+    on which the reader stopped.
+    """
+    state = _ColumnState(header, projection)
     try:
         with open(path, "r", newline="", encoding="ascii") as fh:
             reader = csv.reader(fh)
             if next(reader, None) != header:
                 raise ConfigurationError(f"unexpected CSV header in {path}")
             first = 0  # data rows before the block
-            while block := list(islice(reader, _BLOCK_ROWS)):
+            while block := _next_block(reader, path):
                 for offset, row in enumerate(block):
                     if len(row) != len(header):
                         line = _row_line(path, first + offset)
                         raise MalformedRowError(f"{path}, line {line}: expected "
                                                  f"{len(header)} cells, found {len(row)}")
-                block_cells = list(zip(*block))
-                if text is not None:
-                    text += map(",".join, zip(*[block_cells[j] for j in picks]))
                 try:
-                    for column, parse, runs, cells in zip(columns, parsers, by_run, block_cells):
-                        empty = cells.count("")
-                        if empty == len(cells):
-                            column += [None] * empty
-                        elif runs:
-                            for cell, run in groupby(cells):
-                                value = None if cell == "" else parse(cell)
-                                column += repeat(value, len(list(run)))
-                        elif not empty:
-                            column += map(parse, cells)
-                        else:
-                            column += [None if c == "" else parse(c) for c in cells]
+                    state.add(list(zip(*block)))
                 except (ValueError, KeyError):
                     raise _bad_cell(path, first, header, block) from None
                 first += len(block)
     except UnicodeDecodeError:
         raise _non_ascii(path) from None
-    if text is None:
-        return columns
     # one line per row, after the header's, unless a quoted cell holds a line break
-    return columns, "\r\n".join(text) + "\r\n" if reader.line_num == first + 1 else None
+    return state.result(reader.line_num == first + 1)
+
+
+def _next_block(reader, path) -> list:
+    """The next ``_BLOCK_ROWS`` data rows of ``reader``, of ``path``."""
+    try:
+        return list(islice(reader, _BLOCK_ROWS))
+    except csv.Error as err:
+        raise MalformedRowError(f"{path}, line {reader.line_num}: {err}") from None
 
 
 def _row_line(path, index) -> int:

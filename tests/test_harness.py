@@ -83,18 +83,21 @@ def _tamper_line(path, line, edit):
     path.write_bytes("\r\n".join(lines).encode("ascii"))
 
 
-def _bad_l2_sgd(header):
-    def edit(cells):
-        cells[header.index("l2_sgd")] = "nope"
-        return cells
-    return edit
+def _set_l2_sgd(text):
+    def edit_for(header):
+        def edit(cells):
+            cells[header.index("l2_sgd")] = text
+            return cells
+        return edit
+    return edit_for
 
 
 # (line, header -> cell edit) for each way a file can be malformed
 MALFORMED = {
     "extra cell": (3, lambda header: lambda cells: cells + ["1"]),
     "short row": (3, lambda header: lambda cells: cells[:-1]),
-    "bad cell": (3, _bad_l2_sgd),
+    "bad cell": (3, _set_l2_sgd("nope")),
+    "over-long cell": (3, _set_l2_sgd("5" * 200_000)),  # past csv.field_size_limit()
     "header": (1, lambda header: lambda cells: cells[::-1]),
 }
 

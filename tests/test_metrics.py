@@ -1,18 +1,19 @@
 """The metrics CSV codec: bytes equal to csv.writer's, exact round-trips, and
 malformed files rejected with the file and line named."""
 
+import csv
 import dataclasses
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from samlab.diagnostics import NORM_TRACE_FIELDS, read_norm_trace, write_norm_trace
 from samlab.errors import ConfigurationError
 from samlab.metrics import (_BLOCK_ROWS, _WINDOW_FIELDS, FIELD_ORDER, MalformedRowError,
-                            MetricsRecord, _column_type, _read_columns, read_metrics_csv,
-                            write_metrics_csv)
+                            MetricsRecord, _column_type, _read_columns, _read_columns_csv,
+                            read_metrics_csv, write_metrics_csv)
 
 from helpers import oracle_read_rows, oracle_write_rows, record_dict
 
@@ -254,6 +255,120 @@ def test_projection_text_is_joined_from_the_tokenized_cells(tmp_path, cell, text
     assert got == (None if text is None else head + f"1,{text},,,,\r\n")
 
 
+# ---------------------------------------------------------------------------
+# the reader's two tokenizers: a file the writer could have written is split at
+# commas, any other goes through csv.reader, and the caller cannot tell which ran
+
+_HEADERS = [FIELD_ORDER, NORM_TRACE_FIELDS, ["p", "sampled", "cumulative_grad_evals"],
+            ["iteration"]]
+_LIMIT = csv.field_size_limit()
+# cells the writer never writes: junk, padding, quoted text with and without a line
+# break, NUL and a byte outside ASCII
+_ODD_CELLS = [b"x", b"1.0x", b"0.5.1", b" 0.5", b"2.5", b"yes", b'"0.5"', b'"0.5\r"',
+              b'"0.5\n"', b'"0.5\r\n"', b'"0', b"0.5\r", b"\x00", b"1.5\xc3"]
+
+
+def _text_cell(kind):
+    """A cell as the writer writes a value of column type ``kind``, or empty."""
+    value = {"bool": st.sampled_from([b"0", b"1"]),
+             "int": st.integers(-2**70, 2**70).map(lambda i: str(i).encode()),
+             "float": st.floats().map(lambda x: repr(x).encode())}[kind]
+    return st.one_of(st.just(b""), value)
+
+
+def _csv_file(header, rows, ends=b"\r\n"):
+    """The bytes of a file whose first line is ``header`` and whose other lines are ``rows``."""
+    lines = [",".join(header).encode(), *[b",".join(row) for row in rows]]
+    return b"".join(line + ends for line in lines)
+
+
+@st.composite
+def _tokenizer_cases(draw):
+    """(header, file bytes or None for no file, projection): rows the writer could
+    write, repeated past a block, then up to three damages: an odd cell, a row a cell
+    long or short, a line end of LF, CR or none, a blank line, a wrong header."""
+    header = draw(st.sampled_from(_HEADERS))
+    rows = draw(st.lists(st.tuples(*[_text_cell(_column_type(name)) for name in header]),
+                         max_size=4))
+    rows *= draw(st.sampled_from([1, 1, 2, _BLOCK_ROWS]))
+    rows = [list(row) for row in rows]
+    lines = [",".join(header).encode(), *rows]
+    ends = [b"\r\n"] * len(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        damage = draw(st.sampled_from(["cell", "length", "end", "blank", "header"]))
+        at = draw(st.integers(0, len(lines) - 1))
+        if damage == "header":
+            lines[0] = ",".join(draw(st.sampled_from(
+                [header[::-1], header[:-1], [*header, "p"], ["x", *header[1:]]]))).encode()
+        elif damage == "end":
+            ends[at] = draw(st.sampled_from([b"\n", b"\r", b""]))
+        elif damage == "blank":
+            lines.insert(at + 1, [])
+            ends.insert(at + 1, b"\r\n")
+        elif at and lines[at]:  # a data row that is not blank
+            if damage == "cell":
+                lines[at][draw(st.integers(0, len(lines[at]) - 1))] = draw(
+                    st.sampled_from(_ODD_CELLS))
+            else:
+                lines[at] = lines[at][:-1] if draw(st.booleans()) else [*lines[at], b"0"]
+    data = b"".join((line if at == 0 else b",".join(line)) + end
+                    for at, (line, end) in enumerate(zip(lines, ends)))
+    projection = draw(st.lists(st.sampled_from(header), min_size=1, unique=True))
+    return header, data, projection
+
+
+def _outcome(read, path, header, projection=None):
+    """What ``read`` returns, by repr, or the type and message of what it raises."""
+    try:
+        return repr(read(path, header) if projection is None else read(path, header, projection))
+    except Exception as err:  # noqa: BLE001 - the error is the outcome compared
+        return type(err), str(err)
+
+
+_TRACE_ROW = [b"3", b"0.5", b"0.5", b"0.5", b"0.5", b"1"]  # a norm-trace row that parses
+
+
+# a budget of 1 s: 50 examples and the examples below took 0.41-0.50 s on a 2-core host
+@settings(deadline=None, max_examples=50)
+@given(case=_tokenizer_cases())
+@example(case=(NORM_TRACE_FIELDS, _csv_file(NORM_TRACE_FIELDS, [_TRACE_ROW] * 2, b"\n"), None))
+@example(case=(NORM_TRACE_FIELDS,  # a lone CR in a cell, which float() would strip
+               _csv_file(NORM_TRACE_FIELDS, [[b"3", b"0.5\r", *_TRACE_ROW[2:]]]), None))
+@example(case=(NORM_TRACE_FIELDS,  # a row a cell long, then one a cell short
+               _csv_file(NORM_TRACE_FIELDS, [[*_TRACE_ROW, b"1"], _TRACE_ROW[:-1]]), None))
+@example(case=(NORM_TRACE_FIELDS,  # a blank line, and a one-column file's blank line
+               _csv_file(NORM_TRACE_FIELDS, [_TRACE_ROW, [], _TRACE_ROW]), None))
+@example(case=(["iteration"], _csv_file(["iteration"], [[b"1"], [], [b"2"]]), None))
+@example(case=(NORM_TRACE_FIELDS, _csv_file(NORM_TRACE_FIELDS, [_TRACE_ROW])[:-2], None))
+@example(case=(NORM_TRACE_FIELDS,  # a quoted cell
+               _csv_file(NORM_TRACE_FIELDS, [[b"3", b'"0.5"', *_TRACE_ROW[2:]]]), None))
+@example(case=(NORM_TRACE_FIELDS,  # an over-long line, and one just inside the limit
+               _csv_file(NORM_TRACE_FIELDS, [[b"3", b"5" * (_LIMIT + 1), *_TRACE_ROW[2:]]]),
+               None))
+@example(case=(NORM_TRACE_FIELDS,
+               _csv_file(NORM_TRACE_FIELDS, [[b"3", b"5" * (_LIMIT - 20), *_TRACE_ROW[2:]]]),
+               None))
+@example(case=(NORM_TRACE_FIELDS,  # a byte outside ASCII, and a cell that does not parse
+               _csv_file(NORM_TRACE_FIELDS, [[b"3", b"1.5\xc3", *_TRACE_ROW[2:]]]), None))
+@example(case=(NORM_TRACE_FIELDS,
+               _csv_file(NORM_TRACE_FIELDS, [_TRACE_ROW, [b"3", b"0.5.1", *_TRACE_ROW[2:]]]),
+               ["l2_sgd"]))
+@example(case=(NORM_TRACE_FIELDS, _csv_file(NORM_TRACE_FIELDS[::-1], [_TRACE_ROW]), None))
+@example(case=(NORM_TRACE_FIELDS, _csv_file(NORM_TRACE_FIELDS, []), ["l2_sgd", "iteration"]))
+@example(case=(NORM_TRACE_FIELDS, b"", None))
+@example(case=(NORM_TRACE_FIELDS, None, None))  # no file
+def test_read_columns_equals_the_csv_reader_path(tmp_path_factory, case):
+    """Whichever tokenizer reads a file, the columns and projection text, or the error's
+    type and message, are those of ``_read_columns_csv``, with and without a projection."""
+    header, data, projection = case
+    path = tmp_path_factory.mktemp("tokens") / "file.csv"
+    if data is not None:
+        path.write_bytes(data)
+    for names in (None, projection):
+        assert _outcome(_read_columns, path, header, names) == \
+            _outcome(_read_columns_csv, path, header, names)
+
+
 def _trace_rows(count):
     """Deterministic norm-trace rows with every column type and empty cells."""
     rng = np.random.default_rng(count)
@@ -347,6 +462,8 @@ TAMPERS = {
                  "cannot parse psf_stale"),
     "non-ascii byte": (lambda header: _set_column(header, "l2_sgd", "1.5\udcc3"),
                        "byte 0xc3 is not ASCII"),
+    "over-long cell": (lambda header: _set_column(header, "l2_sgd", "5" * 200_000),
+                       "field larger than field limit"),
 }
 
 

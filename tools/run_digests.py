@@ -83,10 +83,12 @@ The cases:
   cell holding a CR, an LF or a CRLF, with its text copied unquoted into the
   trace; ``-0.0`` in the trace against ``0.0`` in the metrics; ``inf`` in the
   same cell of both files; a trace with LF line ends; a trace without its
-  final CRLF; a trace with one extra blank line; and, in the middle of a
-  sampler window, whose rows repeat one ``p``, ``s``, ``c_var`` and
-  ``c_norm``, a ``p`` cell that is not a number and an emptied ``c_var``
-  cell;
+  final CRLF; a trace with one extra blank line; a metrics file with LF line
+  ends, without its final CRLF, with a blank line after line 40, with a NUL
+  in a cell, and with a cell longer than ``csv.field_size_limit()``; and, in
+  the middle of a sampler window, whose rows repeat one ``p``, ``s``,
+  ``c_var`` and ``c_norm``, a ``p`` cell that is not a number and an emptied
+  ``c_var`` cell;
 - ``report``: ``compare_report`` over the four ``moons_<optimizer>`` runs
   and a copy of the vSAM one without seed 1's ``summary.json``, which the
   report excludes: its rows without wall-clock keys, and its warning lines
@@ -333,12 +335,21 @@ def _drop_last_trace_row(seed_dir):
     path.write_bytes(b"\r\n".join(lines[:-2] + lines[-1:]))
 
 
-def _edit_trace(edit):
-    """A damage that replaces the norm trace's bytes with ``edit`` of them."""
+def _edit_file(name, edit):
+    """A damage that replaces the bytes of the seed directory's file ``name`` with ``edit``
+    of them."""
     def damage(seed_dir):
-        path = seed_dir / "norm_trace.csv"
+        path = seed_dir / name
         path.write_bytes(edit(path.read_bytes()))
     return damage
+
+
+def _blank_line_after(line):
+    """An edit that puts a blank line after 1-based ``line`` of a CSV file's bytes."""
+    def edit(text):
+        lines = text.split(b"\r\n")
+        return b"\r\n".join([*lines[:line], b"", *lines[line:]])
+    return edit
 
 
 def _line_break_in_cell(brk):
@@ -369,9 +380,16 @@ DAMAGES = {
                                          _set_cell("norm_trace.csv", 3, b"l2_sgd", b"-0.0")),
     "damaged_inf_in_both": _both(_set_cell("metrics.csv", 3, b"l2_psf", b"inf"),
                                  _set_cell("norm_trace.csv", 3, b"l2_psf", b"inf")),
-    "damaged_trace_lf_line_ends": _edit_trace(lambda text: text.replace(b"\r\n", b"\n")),
-    "damaged_trace_no_final_crlf": _edit_trace(lambda text: text[:-2]),
-    "damaged_trace_extra_blank_line": _edit_trace(lambda text: text + b"\r\n"),
+    "damaged_trace_lf_line_ends": _edit_file("norm_trace.csv",
+                                             lambda text: text.replace(b"\r\n", b"\n")),
+    "damaged_trace_no_final_crlf": _edit_file("norm_trace.csv", lambda text: text[:-2]),
+    "damaged_trace_extra_blank_line": _edit_file("norm_trace.csv", lambda text: text + b"\r\n"),
+    "damaged_metrics_lf_line_ends": _edit_file("metrics.csv",
+                                               lambda text: text.replace(b"\r\n", b"\n")),
+    "damaged_metrics_no_final_crlf": _edit_file("metrics.csv", lambda text: text[:-2]),
+    "damaged_metrics_blank_line": _edit_file("metrics.csv", _blank_line_after(40)),
+    "damaged_metrics_nul_in_cell": _set_cell("metrics.csv", 70, b"l2_sgd", b"1.5\x00"),
+    "damaged_metrics_over_long_cell": _set_cell("metrics.csv", 70, b"l2_sgd", b"5" * 200_000),
     # cells in the middle of a sampler window, whose rows repeat one p, s, c_var and c_norm:
     # p's windows are lines 42-61 and 62-81 (c_var's start a line earlier)
     "damaged_window_p_not_a_number": _set_cell("metrics.csv", 51, b"p", b"0.27x"),
