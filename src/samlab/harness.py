@@ -33,8 +33,8 @@ from .data import DatasetConfig, batches_per_epoch, generate_dataset, split_size
 # norm_trace, write_norm_trace and read_metrics_csv are imported for perfbench/tracer.py to wrap
 from .diagnostics import NORM_TRACE_FIELDS, norm_trace, write_norm_trace
 from .errors import ConfigurationError, NumericError, check_list, check_number
-from .metrics import (FIELD_ORDER, MalformedRowError, _read_columns, _row_line,
-                      read_metrics_csv, remove_regular_file, write_metrics_csv)
+from .metrics import (FIELD_ORDER, MalformedRowError, _read_columns, read_metrics_csv,
+                      remove_regular_file, write_metrics_csv)
 from .objectives import BUILDERS, ObjectiveSpec, param_segments
 from .optim import OptimizerConfig, run_sam, run_sam_k, run_sgd, run_vsam
 from .params import ParamVector
@@ -572,10 +572,14 @@ def verify_run(run_dir) -> tuple[bool, list[str]]:
     that every row fills ``FILLED_FIELDS``, the gradient-evaluation accounting
     (increment 2 on sampled rows, 1 otherwise, total = iterations + sampling
     number), the stored summary and the norm trace. ``metrics.csv`` is read
-    once, into columns and the text of its norm-trace projection; a trace with
-    exactly that text and no cell that may be NaN matches. Any other trace is
-    parsed, and matches when its columns equal the metrics file's (so ``0.5``
-    matches ``0.50``); the files are parsed apart, so a NaN never does.
+    once, by the codec's one tokenizer, which refuses a file that is not in
+    the writer's shape: a wrong first line fails "metrics schema header", and
+    a later damaged line fails "metrics rows", naming the line (a data row's
+    line is its index + 2). The read gives columns and the text of the
+    norm-trace projection; a trace with exactly that text and no cell that
+    may be NaN matches. Any other trace is parsed, and matches when its
+    columns equal the metrics file's (so ``0.5`` matches ``0.50``); the files
+    are parsed apart, so a NaN never does.
     """
     run_dir = Path(run_dir)
     lines = []
@@ -607,8 +611,7 @@ def verify_run(run_dir) -> tuple[bool, list[str]]:
     gaps = [(column[name].index(None), name) for name in FILLED_FIELDS if None in column[name]]
     if gaps:  # printed only on failure: the first empty cell of the first row that has one
         row, name = min(gaps, key=itemgetter(0))
-        line = _row_line(run_dir / "metrics.csv", row)
-        check("every row fills its columns", False, f"line {line}: empty {name} cell")
+        check("every row fills its columns", False, f"line {row + 2}: empty {name} cell")
 
     check("grad-eval increments (2 sampled / 1 reused)",
           list(accumulate(2 if s else 1 for s in sampled)) == evals)
@@ -646,7 +649,7 @@ def verify_run(run_dir) -> tuple[bool, list[str]]:
     trace_path = run_dir / "norm_trace.csv"
     # text equal to the metrics' projection parses to their values, unless a cell is NaN: n is
     # in every spelling of nan (and of inf) and in no other cell, so such a trace is parsed
-    body = projection.partition("\n")[2] if projection is not None else "n"
+    body = projection.partition("\n")[2]
     if trace_path.exists():
         try:
             same = "n" not in body and "N" not in body \

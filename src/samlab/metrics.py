@@ -35,21 +35,23 @@ The bytes are exactly what ``csv.writer`` (the default dialect) writes for
 the same rows: no cell can hold a comma, a quote or a line break, because a
 header name is an identifier and a cell is empty, ``0``/``1``, an ``int`` or
 a float ``repr``; such rows need no quoting, so joining the cells with
-commas and ending each line with CRLF is all the writer does. So a file
-that has that shape (ASCII, no quote, one row per CRLF-ended line, each with
-the header's number of cells) is tokenized by splitting its lines at commas,
-which gives ``csv.reader``'s cells; every other file, and a file with a cell
-that does not parse, is read with ``csv.reader``, so the values and errors
-never depend on which tokenizer ran. A wrong header raises
-``ConfigurationError``; a row with the wrong number of cells, a cell that
-does not parse or is longer than ``csv.field_size_limit()``, or a byte
-outside ASCII raises ``MalformedRowError`` naming the file and line.
+commas and ending each line with CRLF is all the writer does.
+
+There is one tokenizer: the reader splits the file at CRLF and each line at
+commas, and refuses a file that is not in the writer's shape. (A cell is
+read by its column's parser, so other text of the same value, ``0.50`` for
+``0.5``, reads as that value.) A first line other than the header (a wrong
+name, a byte outside ASCII, LF line ends, an over-long line) raises
+``ConfigurationError``. A later line raises
+``MalformedRowError`` naming the file and line when it holds a byte outside
+ASCII, a CR or LF outside a CRLF (``float()`` would strip it), not the
+header's number of cells (a blank line holds none), a cell longer than
+``_CELL_LIMIT`` or a cell that does not parse (a quoted cell is one), or
+when no CRLF ends the file.
 """
 
 from __future__ import annotations
 
-import csv
-import re
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from itertools import groupby, islice, repeat
@@ -108,6 +110,9 @@ class MalformedRowError(ConfigurationError):
 # rows per block: 256-row blocks were no faster and raised the peak RSS of a
 # four-run moons experiment by 0.2-0.3 MB of transient cell strings
 _BLOCK_ROWS = 64
+# the longest cell read, as csv's default field_size_limit(): float() reads a longer run
+# of digits as inf, so a longer cell is refused
+_CELL_LIMIT = 131_072
 # per column type: cell -> value (never given ""); a bad cell raises ValueError or KeyError
 _PARSE = {"bool": {"1": True, "0": False}.__getitem__, "int": int, "float": float}
 
@@ -163,57 +168,48 @@ def _write_rows(path, header, rows, projections=()) -> None:
 def _read_columns(path, header, projection=None):
     """The columns of a file that ``_write_rows`` wrote with ``header``, in ``header`` order.
 
-    Each is a list of parsed values. A malformed file raises the errors that
-    the module docstring names.
-    Given ``projection`` (names), it returns ``(columns, text)``, ``text`` being
-    what ``_write_rows`` writes for that projection of the cells as tokenized,
-    or None if a row spans lines (a quoted cell holds a line break).
+    Each is a list of parsed values. Given ``projection`` (names), it returns
+    ``(columns, text)``, ``text`` being what ``_write_rows`` writes for that
+    projection of the cells read. A file the writer cannot have written raises
+    the errors that the module docstring names.
 
-    The file's bytes are read once. If they have the writer's shape, each
-    block of ``_BLOCK_ROWS`` lines is tokenized by joining its lines and
-    splitting the text at commas, which gives the cells ``csv.reader`` would.
-    The shape: ASCII without a quote, every CR and LF in a CRLF, a CRLF at
-    the end, the first line ``header`` joined by commas, no blank line
-    (``_writer_lines``), every other line holding ``len(header)`` cells, and
-    no block of lines longer than ``csv.field_size_limit()``, so no cell is.
-    Any other file, and a file with a cell that does not parse, is read by
-    ``_read_columns_csv``, whose columns, text and errors this function
-    returns or raises for every file.
+    The file's bytes are read once and split at CRLF. Each block of
+    ``_BLOCK_ROWS`` lines is tokenized by joining its lines and splitting the
+    text at commas. The checks here look at the whole file or a whole block;
+    only a refusal looks for the line at fault (``_refusal``), from the first
+    line of the block that failed.
     """
     with open(path, "rb") as fh:
-        lines = _writer_lines(fh.read(), header)
-    if lines is None:
-        return _read_columns_csv(path, header, projection)
+        data = fh.read()
+    # latin-1 keeps each byte one character, so a refusal can name a byte outside ASCII
+    lines = data.decode("latin-1").split("\r\n")
+    if len(lines) < 2 or lines[0] != ",".join(header):
+        raise ConfigurationError(f"unexpected CSV header in {path}")
+    end = len(lines) - 1  # lines[end] is the text after the final CRLF, empty in a whole file
+    rest = "".join(lines)  # the file less its CRLFs: ``in`` finds a CR or LF in it by memchr
+    # ASCII, every CR and LF in a CRLF, a CRLF at the end and no blank line
+    shaped = data.isascii() and "\r" not in rest and "\n" not in rest and not lines[end] \
+        and lines.count("") == 1
+    del data, rest  # two copies of the file, which the parse below would hold at its peak
+    if not shaped:
+        raise _refusal(path, header, lines, 1)
     state = _ColumnState(header, projection)
-    width, limit = len(header), csv.field_size_limit()
-    try:
-        for first in range(0, len(lines), _BLOCK_ROWS):
-            block = lines[first:first + _BLOCK_ROWS]
-            # a "\r" cell between lines, which no line holds: every line holds width cells
-            # exactly when the cells every (width + 1)th are those "\r"s and no other cell is
-            text = ",\r,".join(block)
-            cells = text.split(",")
-            if len(text) > limit or len(cells) != len(block) * (width + 1) - 1 \
-                    or cells[width::width + 1].count("\r") != len(block) - 1:
-                return _read_columns_csv(path, header, projection)
-            state.add([cells[j::width + 1] for j in range(width)])
-    except (ValueError, KeyError):
-        return _read_columns_csv(path, header, projection)  # which names the cell
-    return state.result(True)
-
-
-def _writer_lines(data, header):
-    """The data lines of ``data``, a file's bytes, or None unless it is ASCII without a
-    quote, every CR and LF is in a CRLF, it ends with one, its first line is ``header``
-    joined by commas, and no line is blank."""
-    if not data.isascii() or b'"' in data or not data.endswith(b"\r\n"):
-        return None
-    lines = data.decode("ascii").split("\r\n")
-    rest = "".join(lines)  # the file less its CRLFs
-    if "\r" in rest or "\n" in rest or lines[0] != ",".join(header):
-        return None
-    del lines[0], lines[-1]  # the header, and the empty text after the final CRLF
-    return None if "" in lines else lines
+    width = len(header)
+    for first in range(1, end, _BLOCK_ROWS):
+        block = lines[first:min(first + _BLOCK_ROWS, end)]
+        # a "\r" cell between lines, which no line holds: with the right number of cells,
+        # a line too long and one too short put a "\r" in a column, and no parser takes it
+        text = ",\r,".join(block)
+        cells = text.split(",")
+        if len(cells) == len(block) * (width + 1) - 1 \
+                and (len(text) <= _CELL_LIMIT or max(map(len, cells)) <= _CELL_LIMIT):
+            try:
+                state.add([cells[j::width + 1] for j in range(width)])
+                continue
+            except (ValueError, KeyError):
+                pass
+        raise _refusal(path, header, lines, first)
+    return state.result()
 
 
 class _ColumnState:
@@ -244,89 +240,44 @@ class _ColumnState:
             else:
                 column += [None if c == "" else parse(c) for c in cells]
 
-    def result(self, one_line_rows):
-        """The columns, or ``(columns, text)`` given a projection; text None unless
-        ``one_line_rows`` (each row was one line)."""
+    def result(self):
+        """The columns, or ``(columns, text)`` given a projection."""
         if self.text is None:
             return self.columns
-        return self.columns, "\r\n".join(self.text) + "\r\n" if one_line_rows else None
+        return self.columns, "\r\n".join(self.text) + "\r\n"
 
 
-def _read_columns_csv(path, header, projection=None):
-    """``_read_columns`` for any file, tokenized by ``csv.reader``.
-
-    A ``csv.Error`` on a data row (a cell longer than
-    ``csv.field_size_limit()``) raises ``MalformedRowError`` naming the line
-    on which the reader stopped.
-    """
-    state = _ColumnState(header, projection)
-    try:
-        with open(path, "r", newline="", encoding="ascii") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != header:
-                raise ConfigurationError(f"unexpected CSV header in {path}")
-            first = 0  # data rows before the block
-            while block := _next_block(reader, path):
-                for offset, row in enumerate(block):
-                    if len(row) != len(header):
-                        line = _row_line(path, first + offset)
-                        raise MalformedRowError(f"{path}, line {line}: expected "
-                                                 f"{len(header)} cells, found {len(row)}")
-                try:
-                    state.add(list(zip(*block)))
-                except (ValueError, KeyError):
-                    raise _bad_cell(path, first, header, block) from None
-                first += len(block)
-    except UnicodeDecodeError:
-        raise _non_ascii(path) from None
-    # one line per row, after the header's, unless a quoted cell holds a line break
-    return state.result(reader.line_num == first + 1)
+def _refusal(path, header, lines, first) -> MalformedRowError:
+    """The error naming the first of ``lines`` (a file split at CRLF), from index ``first``
+    on, that the writer cannot have written."""
+    end = len(lines) - 1
+    for index in range(first, end + 1):
+        if problem := _line_problem(lines[index], header, index == end):
+            return MalformedRowError(f"{path}, line {index + 1}: {problem}")
+    raise AssertionError(f"{path} was refused, but no line of it is at fault")
 
 
-def _next_block(reader, path) -> list:
-    """The next ``_BLOCK_ROWS`` data rows of ``reader``, of ``path``."""
-    try:
-        return list(islice(reader, _BLOCK_ROWS))
-    except csv.Error as err:
-        raise MalformedRowError(f"{path}, line {reader.line_num}: {err}") from None
-
-
-def _row_line(path, index) -> int:
-    """The line on which data row ``index`` (from 0) starts; for error messages only.
-
-    A quoted cell may hold a line break, so the file is read again and rows
-    are counted with ``csv.reader``.
-    """
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        for _ in islice(reader, index + 1):  # the header and the rows before
-            pass
-        return reader.line_num + 1
-
-
-def _non_ascii(path) -> ConfigurationError:
-    """The error naming the line of the first byte of ``path`` outside ASCII."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    pos = re.search(rb"[\x80-\xff]", data).start()
-    line = data.count(b"\n", 0, pos) + 1
-    if line == 1:
-        return ConfigurationError(f"unexpected CSV header in {path}")
-    return MalformedRowError(f"{path}, line {line}: byte {data[pos]:#x} is not ASCII")
-
-
-def _bad_cell(path, first, header, block) -> MalformedRowError:
-    """The error naming the first cell of ``block``, data rows ``first`` on, that does not parse."""
-    for offset, row in enumerate(block):
-        for name, cell in zip(header, row):
-            try:
-                if cell != "":
-                    _PARSE[_column_type(name)](cell)
-            except (ValueError, KeyError):
-                return MalformedRowError(f"{path}, line {_row_line(path, first + offset)}: "
-                                         f"cannot parse {name} cell {cell!r}")
-    lines = _row_line(path, first), _row_line(path, first + len(block) - 1)
-    return MalformedRowError(f"{path}, lines {lines[0]}-{lines[1]}: bad cell")
+def _line_problem(line, header, last):
+    """Why the writer cannot write ``line`` as a data row, or None; ``last`` is true for the
+    text after the file's final CRLF, which is empty in a whole file."""
+    if not line.isascii():
+        return f"byte {next(ord(c) for c in line if not c.isascii()):#x} is not ASCII"
+    if "\r" in line or "\n" in line:
+        return "a CR or LF outside a CRLF"
+    if last:
+        return "no CRLF at the end of the file" if line else None
+    cells = line.split(",") if line else []  # a blank line holds no cell
+    if max(map(len, cells), default=0) > _CELL_LIMIT:
+        return f"field larger than field limit ({_CELL_LIMIT})"
+    if len(cells) != len(header):
+        return f"expected {len(header)} cells, found {len(cells)}"
+    for name, cell in zip(header, cells):
+        try:
+            if cell:
+                _PARSE[_column_type(name)](cell)
+        except (ValueError, KeyError):
+            return f"cannot parse {name} cell {cell!r}"
+    return None
 
 
 def write_metrics_csv(path, records, projections=()) -> None:

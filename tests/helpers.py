@@ -450,6 +450,19 @@ def oracle_write_rows(path, header, rows, column_type):
                              for name, fmt in columns])
 
 
+def oracle_writes_cell(kind, cell):
+    """Whether ``oracle_write_rows`` writes the text ``cell`` for some value, or None, in a
+    column of type ``kind``."""
+    if cell == "":
+        return True
+    try:
+        parse = {"bool": {"0": False, "1": True}.__getitem__, "int": int, "float": float}[kind]
+        value = parse(cell)
+    except (KeyError, ValueError):
+        return False
+    return _ORACLE_FORMAT[kind](value) == cell
+
+
 def oracle_read_rows(path, header, column_type):
     """``csv.reader``, one dict per row."""
     parsers = [_ORACLE_PARSE[column_type(name)] for name in header]

@@ -22,8 +22,8 @@ from samlab.harness import (FILLED_FIELDS, OPTIMIZERS, ExperimentConfig, RunSumm
                             compare_report, compute_ais, config_from_dict, config_to_dict,
                             run_experiment, summarize, verify_run,
                             write_report_csv, REPORT_FIELDS)
-from samlab.metrics import (FIELD_ORDER, WALL_CLOCK_FIELDS, MetricsRecord, read_metrics_csv,
-                            write_metrics_csv)
+from samlab.metrics import (FIELD_ORDER, WALL_CLOCK_FIELDS, MalformedRowError, MetricsRecord,
+                            read_metrics_csv, write_metrics_csv)
 from samlab.objectives import (ACTIVATIONS, OBJECTIVE_KINDS, make_mlp_classifier,
                                make_quadratic, make_rosenbrock, make_sharp_flat, param_segments)
 from samlab.optim import LR_SCHEDULES, OptimizerConfig
@@ -118,17 +118,14 @@ def test_verify_reports_malformed_metrics(tmp_path, case):
         assert f"metrics.csv, line {line}: " in lines[1] and len(lines) == 2
 
 
-@pytest.mark.parametrize("edit, failure", [
-    (lambda cells: cells[:2] + ["0.5.1"] + cells[3:],
-     "[FAIL] metrics rows: {path}, line 31: cannot parse train_loss cell '0.5.1'"),
-    (lambda cells: cells[:-1],
-     "[FAIL] metrics rows: {path}, line 31: expected 21 cells, found 20"),
-    (lambda cells: cells[:1] + [""] + cells[2:],
-     "[FAIL] every row fills its columns: line 31: empty epoch cell"),
+@pytest.mark.parametrize("edit", [
+    lambda cells: cells[:2] + ["0.5.1"] + cells[3:],
+    lambda cells: cells[:-1],
+    lambda cells: cells[:1] + [""] + cells[2:],
 ])
-def test_verify_names_the_physical_line_after_a_cell_with_a_line_break(tmp_path, edit, failure):
-    # line 3's train_loss cell is quoted with a CRLF inside, so the row it is on
-    # spans lines 3-4 and the row written as line 30 starts on line 31
+def test_verify_refuses_a_quoted_cell_with_a_line_break_at_its_line(tmp_path, edit):
+    # line 3's train_loss cell is quoted with a CRLF inside: the CRLF ends line 3 after
+    # three cells, which is the first damage, so line 30's is not the one reported
     config = _base_config(tmp_path, optimizer="sgd", seeds=[0])
     del config["sampler_config"]
     seed_dir = run_experiment(config_from_dict(config)) / "seed_0"
@@ -137,7 +134,8 @@ def test_verify_names_the_physical_line_after_a_cell_with_a_line_break(tmp_path,
     _tamper_line(path, 3, lambda cells: cells[:2] + [f'"{cells[2]}\r\n"'] + cells[3:])
     ok, lines = verify_run(seed_dir)
     assert not ok
-    assert failure.format(path=path) in lines
+    assert lines == ["[PASS] metrics schema header",
+                     f"[FAIL] metrics rows: {path}, line 3: expected 21 cells, found 3"]
 
 
 @pytest.mark.parametrize("case", MALFORMED)
@@ -180,7 +178,7 @@ def _edit_trace(edit):
     return apply
 
 
-# edits after which metrics.csv still parses: (edit, verify's verdict on the norm trace)
+# edits of a run's two CSV files: (edit, verify's verdict, which is that of parsing the files)
 PARSEABLE = {
     "other value": (lambda seed_dir: _set_cell(seed_dir / "norm_trace.csv", 3, "l2_sgd",
                                                NORM_TRACE_FIELDS, "1.5"),
@@ -191,34 +189,40 @@ PARSEABLE = {
         "[PASS] norm trace matches metrics"),
     # nan never equals itself, so a parsed nan never matches, even against a nan
     "nan in both files": (_set_both("l2_psf", "nan", "nan"), "[FAIL] norm trace matches metrics"),
-    # a quoted metrics cell holding a line break parses (float strips it); the
-    # same text unquoted splits the trace's row, although the two texts agree
+    # a quoted metrics cell does not parse; one holding a CR or LF is refused for that
+    # first, and a CRLF ends its line early
     "cr in a quoted metrics cell": (_set_both("l2_sgd", '"0.5\r"', "0.5\r"),
-                                    "[FAIL] norm trace readable"),
+                                    "[FAIL] metrics rows"),
     "lf in a quoted metrics cell": (_set_both("l2_sgd", '"0.5\n"', "0.5\n"),
-                                    "[FAIL] norm trace readable"),
+                                    "[FAIL] metrics rows"),
     "crlf in a quoted metrics cell": (_set_both("l2_sgd", '"0.5\r\n"', "0.5\r\n"),
-                                      "[FAIL] norm trace readable"),
+                                      "[FAIL] metrics rows"),
     "negative zero in the trace": (_set_both("l2_sgd", "0.0", "-0.0"),
                                    "[PASS] norm trace matches metrics"),
     "inf in both files": (_set_both("l2_psf", "inf", "inf"), "[PASS] norm trace matches metrics"),
+    # the writer ends every line with CRLF
     "lf line ends": (_edit_trace(lambda text: text.replace(b"\r\n", b"\n")),
-                     "[PASS] norm trace matches metrics"),
-    "no final crlf": (_edit_trace(lambda text: text[:-2]), "[PASS] norm trace matches metrics"),
+                     "[FAIL] norm trace readable"),
+    "no final crlf": (_edit_trace(lambda text: text[:-2]), "[FAIL] norm trace readable"),
     "extra blank line": (_edit_trace(lambda text: text + b"\r\n"), "[FAIL] norm trace readable"),
 }
 
 
-def _parsed_trace_verdict(seed_dir):
-    """The norm-trace line of the parsed comparison: the parse error, or whether the values match."""
+def _parsed_verdict(seed_dir, clean):
+    """The lines of the parsed comparison, after ``clean``'s other lines: a metrics parse
+    error, or the norm trace's parse error, or whether its values match."""
     from samlab.diagnostics import norm_trace, read_norm_trace
 
     try:
+        records = read_metrics_csv(seed_dir / "metrics.csv")
+    except MalformedRowError as err:
+        return ["[PASS] metrics schema header", f"[FAIL] metrics rows: {err}"]
+    try:
         parsed = read_norm_trace(seed_dir / "norm_trace.csv")
     except ConfigurationError as err:
-        return f"[FAIL] norm trace readable: {err}"
-    matches = parsed == norm_trace(read_metrics_csv(seed_dir / "metrics.csv"))
-    return f"[{'PASS' if matches else 'FAIL'}] norm trace matches metrics"
+        return clean[:-1] + [f"[FAIL] norm trace readable: {err}"]
+    matches = parsed == norm_trace(records)
+    return clean[:-1] + [f"[{'PASS' if matches else 'FAIL'}] norm trace matches metrics"]
 
 
 def test_verify_run_builds_no_metrics_record(tmp_path, monkeypatch):
@@ -270,11 +274,11 @@ def test_verify_norm_trace_verdict_is_the_parsed_comparison(tmp_path, case):
     assert clean[-1] == "[PASS] norm trace matches metrics"
     edit, verdict = PARSEABLE[case]
     edit(seed_dir)
-    parsed = _parsed_trace_verdict(seed_dir)
-    assert parsed.startswith(verdict)
+    parsed = _parsed_verdict(seed_dir, clean)
+    assert parsed[-1].startswith(verdict)
     ok, lines = verify_run(seed_dir)
     assert ok is verdict.startswith("[PASS]")
-    assert lines == clean[:-1] + [parsed]
+    assert lines == parsed
 
 
 def test_verify_parses_the_norm_trace_only_when_its_text_differs(tmp_path, monkeypatch):

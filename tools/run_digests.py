@@ -85,7 +85,9 @@ The cases:
   same cell of both files; a trace with LF line ends; a trace without its
   final CRLF; a trace with one extra blank line; a metrics file with LF line
   ends, without its final CRLF, with a blank line after line 40, with a NUL
-  in a cell, and with a cell longer than ``csv.field_size_limit()``; and, in
+  in a cell, with a cell longer than 131,072 characters (the codec's limit),
+  with a first line of 200,000 characters, with a quoted ``"0.5"`` cell (the
+  trace holding ``0.5``) and with a cell ending in a lone CR; and, in
   the middle of a sampler window, whose rows repeat one ``p``, ``s``,
   ``c_var`` and ``c_norm``, a ``p`` cell that is not a number and an emptied
   ``c_var`` cell;
@@ -390,6 +392,11 @@ DAMAGES = {
     "damaged_metrics_blank_line": _edit_file("metrics.csv", _blank_line_after(40)),
     "damaged_metrics_nul_in_cell": _set_cell("metrics.csv", 70, b"l2_sgd", b"1.5\x00"),
     "damaged_metrics_over_long_cell": _set_cell("metrics.csv", 70, b"l2_sgd", b"5" * 200_000),
+    "damaged_metrics_over_long_header": lambda seed_dir: _edit_line(
+        seed_dir / "metrics.csv", 1, lambda cells: [b"5" * 200_000, *cells[1:]]),
+    "damaged_metrics_quoted_cell": _both(_set_cell("metrics.csv", 3, b"l2_sgd", b'"0.5"'),
+                                         _set_cell("norm_trace.csv", 3, b"l2_sgd", b"0.5")),
+    "damaged_metrics_lone_cr_in_cell": _set_cell("metrics.csv", 70, b"l2_sgd", b"0.5\r"),
     # cells in the middle of a sampler window, whose rows repeat one p, s, c_var and c_norm:
     # p's windows are lines 42-61 and 62-81 (c_var's start a line earlier)
     "damaged_window_p_not_a_number": _set_cell("metrics.csv", 51, b"p", b"0.27x"),
