@@ -128,7 +128,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SamlabError as err:
+    except (SamlabError, OSError) as err:  # an OSError's text names its path
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -270,8 +270,16 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    """Read and check the config file at ``path``; a file that cannot be read as UTF-8
+    JSON raises ``ConfigurationError`` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as err:
+        raise ConfigurationError(f"cannot read config {path}: {err.strerror}") from err
+    except ValueError as err:  # not UTF-8, or not JSON
+        raise ConfigurationError(f"config {path} is not UTF-8 JSON: {err}") from err
+    return config_from_dict(payload)
 
 
 # ---------------------------------------------------------------------------

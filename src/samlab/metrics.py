@@ -31,11 +31,14 @@ formatted for the full file, so a run's ``metrics.csv`` and
 depends only on its column's type and value, so a projection's bytes are
 those of a separate write of the same rows.
 
-The bytes are exactly what ``csv.writer`` (the default dialect) writes for
-the same rows: no cell can hold a comma, a quote or a line break, because a
-header name is an identifier and a cell is empty, ``0``/``1``, an ``int`` or
-a float ``repr``; such rows need no quoting, so joining the cells with
-commas and ending each line with CRLF is all the writer does.
+For rows of two or more columns, the bytes are exactly what ``csv.writer``
+(the default dialect) writes for the same rows: no cell can hold a comma, a
+quote or a line break, because a header name is an identifier and a cell is
+empty, ``0``/``1``, an ``int`` or a float ``repr``; such rows need no quoting,
+so joining the cells with commas and ending each line with CRLF is all the
+writer does. A one-column row whose cell is empty is the exception: it is
+written as a blank line, which ``csv.writer`` writes as ``""`` and the reader
+refuses. No file the package writes has one column.
 
 There is one tokenizer: the reader splits the file at CRLF and each line at
 commas, and refuses a file that is not in the writer's shape. (A cell is
@@ -144,9 +147,9 @@ def _write_rows(path, header, rows, projections=()) -> None:
     """Write ``header``, then each row (a sequence of its values in header order).
 
     Each ``(path, names)`` of ``projections`` gets a file of the ``names``
-    columns of the same rows, joined from the same formatted cells. Bytes
-    equal ``csv.writer``'s: no cell needs quoting (see the module docstring),
-    so a line is its cells joined by commas, ended by CRLF. Each output is
+    columns of the same rows, joined from the same formatted cells. A line is
+    its cells joined by commas, ended by CRLF: ``csv.writer``'s bytes for two
+    or more columns (see the module docstring). Each output is
     written as ``remove_regular_file`` says.
     """
     kinds = [_column_type(name) for name in header]

@@ -508,6 +508,42 @@ def test_run_rejects_a_config_that_is_not_an_object(tmp_path, capsys, payload):
     assert capsys.readouterr().err == f"error: config must be a JSON object, not {payload!r}\n"
 
 
+@pytest.mark.parametrize("content, reason", [
+    pytest.param(None, "cannot read config {path}: No such file or directory", id="missing"),
+    pytest.param("dir", "cannot read config {path}: Is a directory", id="directory"),
+    pytest.param(b"{bad", "config {path} is not UTF-8 JSON: Expecting property name enclosed "
+                          "in double quotes: line 1 column 2 (char 1)", id="not_json"),
+    pytest.param(b"\xff\xfe", "config {path} is not UTF-8 JSON: 'utf-8' codec can't decode "
+                             "byte 0xff in position 0: invalid start byte", id="not_utf8"),
+])
+def test_run_rejects_a_config_file_it_cannot_read(tmp_path, capsys, monkeypatch, content,
+                                                  reason):
+    # each raised FileNotFoundError, IsADirectoryError, JSONDecodeError or UnicodeDecodeError
+    path = tmp_path / "config.json"
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {reason.format(path=path)}\n"
+    assert not any(cwd.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["gen-data", "moons", "--n", "10", "--out"], id="gen-data"),
+    # the report over two directories without runs is a table of warnings, and still written
+    pytest.param(["report", "{tmp}/a", "{tmp}/b", "--csv"], id="report"),
+])
+def test_an_output_path_that_cannot_be_written_exits_2(tmp_path, capsys, args):
+    # each raised FileNotFoundError
+    out = tmp_path / "missing" / "out"
+    assert main([arg.format(tmp=tmp_path) for arg in args] + [str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
 def test_selfcheck_command(capsys):
     assert main(["selfcheck"]) == 0
     out = capsys.readouterr().out
