@@ -26,6 +26,13 @@ from .harness import (compare_report, load_config, run_experiment, verify_run,
                       write_report_csv)
 
 
+def _check_directories(paths):
+    """Raise ``SamlabError`` (exit 2) for the first of ``paths`` that is not a directory."""
+    for path in paths:
+        if not Path(path).is_dir():
+            raise SamlabError(f"{path} is not a directory")
+
+
 def _cmd_run(args):
     config = load_config(args.config)
     out = run_experiment(config)
@@ -34,6 +41,7 @@ def _cmd_run(args):
 
 
 def _cmd_report(args):
+    _check_directories(args.dirs)
     text, rows = compare_report(args.dirs)
     print(text)
     if args.csv:
@@ -43,6 +51,7 @@ def _cmd_report(args):
 
 
 def _cmd_verify(args):
+    _check_directories([args.dir])
     target = Path(args.dir)
     seed_dirs = [target]
     if not (target / "metrics.csv").exists():

@@ -5,7 +5,8 @@ stream (``metrics.csv``), the norm trace (``norm_trace.csv``), and a
 ``summary.json``; the parsed config snapshot and the cross-seed aggregate
 live at the top. Everything except wall-clock columns is reproducible
 bit-for-bit from the config. A run of several seeds runs them in parallel,
-in up to one process per usable CPU (``run_experiment``), with the same bytes.
+in up to one process per usable CPU, through the one fork map ``fan_out``,
+with the same bytes.
 
 Report columns, in order: method, n_seeds, accuracy_mean, accuracy_std,
 sampling_mean, sampling_std, grad_evals_mean, grad_evals_std, ais_mean,
@@ -345,15 +346,9 @@ def run_experiment(config: ExperimentConfig) -> Path:
     run beside its own, and ``config.json`` and ``aggregate.json`` are removed
     just before they are written (``_write_json``).
 
-    The seeds run in parallel when they can (``_usable_cpus``): one share in
-    this process and each other share in a forked process (``_run_shares``).
-    Seeds are independent and deterministic, so every byte outside the
-    wall-clock fields is the same as in a run of one seed after another. The
-    forked processes' memory is not this process's: ``RUSAGE_CHILDREN`` holds
-    it, not ``RUSAGE_SELF``. The aggregate is taken in ``config.seeds`` order,
-    and an exception that a seed raises, other than a ``NumericError``, is the
-    one that the serial loop would raise first: that of the earliest such
-    seed in ``config.seeds``. Then ``aggregate.json`` is not written.
+    The seeds run through ``fan_out``, and the aggregate is taken in
+    ``config.seeds`` order. A seed's exception other than a ``NumericError``
+    raises as ``fan_out`` says, and then ``aggregate.json`` is not written.
     """
     dataset = None
     if config.dataset is not None:
@@ -365,16 +360,16 @@ def run_experiment(config: ExperimentConfig) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", config_to_dict(config))
 
-    outcomes = _run_shares(config, dataset, iterations, out, _shares(config.seeds))
-    summaries = {}
-    for seed in config.seeds:
-        # a seed after an exception in its share has no outcome, but comes after that exception
-        outcome = outcomes.get(seed)
-        if isinstance(outcome, Exception):
-            raise outcome
-        if outcome is not None:
-            summaries[seed] = outcome
-    _write_aggregate(out, summaries)
+    outcomes = fan_out(functools.partial(_run_seed, config, dataset, iterations, out),
+                       config.seeds)
+    summaries = {seed: summary for seed, summary in zip(config.seeds, outcomes)
+                 if summary is not None}
+    spread = _spread(summaries.values())
+    _write_json(out / "aggregate.json", {
+        "seeds": sorted(summaries),
+        "mean": {name: mean for name, (mean, _) in spread.items()},
+        "std": {name: std for name, (_, std) in spread.items()},
+        "per_seed": {str(seed): summary.to_dict() for seed, summary in summaries.items()}})
     return out
 
 
@@ -418,39 +413,42 @@ def _usable_cpus():
     return 1
 
 
-def _shares(seeds):
-    """``seeds`` dealt round-robin into min(seeds, ``_usable_cpus()``) shares."""
-    workers = min(len(seeds), _usable_cpus())
-    return [seeds[i::workers] for i in range(workers)]
+def fan_out(fn, items):
+    """``[fn(item) for item in items]``, run in up to ``_usable_cpus()`` processes.
 
-
-def _run_share(config, dataset, iterations, out, seeds, forked=False):
-    """Seed -> outcome of ``seeds`` run in order: a summary or None (``_run_seed``), or the
-    exception that ended the share, which runs none of its seeds after that one."""
-    outcomes = {}
-    for seed in seeds:
-        try:
-            outcomes[seed] = _run_seed(config, dataset, iterations, out, seed)
-        except Exception as err:  # noqa: BLE001 - run_experiment raises it in seed order
-            if forked and hasattr(err, "add_note"):  # pickle drops the traceback; a note keeps it
-                import traceback
-                err.add_note("".join(traceback.format_exception(err)))
-            outcomes[seed] = err
-            break
-    return outcomes
-
-
-def _run_shares(config, dataset, iterations, out, shares):
-    """Seed -> outcome over all ``shares``: the first runs here, each other in a forked process
-    (``_child``).
-
-    A process that ends without sending outcomes that unpickle raises a
-    ``RuntimeError`` that names its seeds. Every process is reaped before this
-    returns or raises; one still running when this raises is killed first.
+    The items are dealt round-robin into shares. The first share runs here
+    and each other in a forked process, which inherits ``fn`` and its
+    closure, so only outcomes are pickled. A share runs its items in order and
+    stops at its first exception; the one raised is that of the earliest item
+    in ``items`` that raised, with a forked process's traceback as a note.
+    Outcomes are kept by index, so equal or unhashable items each get their
+    own. A forked process's memory is in ``RUSAGE_CHILDREN``, not
+    ``RUSAGE_SELF``, and it ends with ``os._exit``, so it flushes no stdio
+    buffer and runs no exit handler of the caller's. One that ends without
+    sending outcomes that unpickle raises a ``RuntimeError`` naming its items'
+    indices. Every process is reaped before this returns or raises; one still
+    running when this raises is killed first.
     """
-    children = []  # (pid, reader of its pipe, its seeds) not yet reaped
+    items = list(items)
+    workers = max(1, min(len(items), _usable_cpus()))
+
+    def run_share(first, forked=False):
+        """(share ``first``'s outcomes up to its first exception, that exception or None)."""
+        outcomes = []
+        for item in items[first::workers]:
+            try:
+                outcomes.append(fn(item))
+            except Exception as err:  # noqa: BLE001 - fan_out raises it in item order
+                if forked and hasattr(err, "add_note"):  # pickle drops the traceback
+                    import traceback
+                    err.add_note("".join(traceback.format_exception(err)))
+                return outcomes, err
+        return outcomes, None
+
+    shares = {}  # first index of a share -> run_share's pair
+    children = []  # (pid, reader of its pipe, first index of its share) not yet reaped
     try:
-        for share in shares[1:]:
+        for first in range(1, workers):
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -459,41 +457,40 @@ def _run_shares(config, dataset, iterations, out, shares):
                 os.close(write)
                 raise
             if pid == 0:
-                os.close(read)
-                _child(write, config, dataset, iterations, out, share)
+                try:
+                    os.close(read)
+                    with open(write, "wb") as fh:
+                        fh.write(pickle.dumps(run_share(first, forked=True)))
+                finally:
+                    os._exit(0)
             os.close(write)
-            children.append((pid, open(read, "rb"), share))
-        outcomes = _run_share(config, dataset, iterations, out, shares[0])
+            children.append((pid, open(read, "rb"), first))
+        shares[0] = run_share(0)
         while children:
-            pid, reader, share = children[0]
+            pid, reader, first = children[0]
             with reader:
                 payload = reader.read()
             os.waitpid(pid, 0)
             children.pop(0)
             try:
-                outcomes.update(pickle.loads(payload))
+                shares[first] = pickle.loads(payload)
             except Exception:  # noqa: BLE001 - no pickle, or one cut off
-                raise RuntimeError(f"the process that ran seeds {share} ended without "
-                                   f"sending their outcomes") from None
+                raise RuntimeError(
+                    f"the process that ran items {list(range(first, len(items), workers))} "
+                    f"ended without sending their outcomes") from None
     finally:
         for pid, reader, _ in children:
             import signal
             reader.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    outcomes = []
+    for index in range(len(items)):
+        done, error = shares[index % workers]
+        if index // workers == len(done):  # the item whose exception ended its share
+            raise error
+        outcomes.append(done[index // workers])
     return outcomes
-
-
-def _child(write, config, dataset, iterations, out, seeds):
-    """A forked process's whole life: run ``seeds``, send their outcomes down ``write`` as one
-    pickle, and end with ``os._exit``, so that it flushes no stdio buffer and runs no exit
-    handler of the caller's."""
-    try:
-        payload = pickle.dumps(_run_share(config, dataset, iterations, out, seeds, forked=True))
-        with open(write, "wb") as fh:
-            fh.write(payload)
-    finally:
-        os._exit(0)
 
 
 def _dispatch(config, dataset, iterations, seed):
@@ -559,15 +556,6 @@ def _spread(summaries) -> dict:
         if values:
             spread[name] = _mean_std(values)
     return spread
-
-
-def _write_aggregate(out: Path, summaries: dict) -> None:
-    spread = _spread(summaries.values())
-    _write_json(out / "aggregate.json", {
-        "seeds": sorted(summaries),
-        "mean": {name: mean for name, (mean, _) in spread.items()},
-        "std": {name: std for name, (_, std) in spread.items()},
-        "per_seed": {str(seed): summary.to_dict() for seed, summary in summaries.items()}})
 
 
 # ---------------------------------------------------------------------------

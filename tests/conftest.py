@@ -6,6 +6,11 @@ from pathlib import Path
 
 import pytest
 
+# BLAS on one thread, set before numpy loads: a process that runs a BLAS thread pool
+# does not fork (``harness._usable_cpus``), so the sweeps would run one item at a time
+os.environ.update(dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"],
+                                "1"))
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 SHM = "/dev/shm"

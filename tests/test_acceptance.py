@@ -13,7 +13,7 @@ import pytest
 from samlab.data import batches_per_epoch, generate_dataset, make_batches, train_test_split
 from samlab.diagnostics import (bound_sweep, check_psf_bound, norm_trace,
                                 random_pd_matrix, read_norm_trace)
-from samlab.harness import config_from_dict, run_experiment, RunSummary, verify_run
+from samlab.harness import config_from_dict, fan_out, run_experiment, RunSummary, verify_run
 from samlab.metrics import FIELD_ORDER, WALL_CLOCK_FIELDS, read_metrics_csv
 from samlab.objectives import (SHARP_FLAT_CALIBRATION, classify_basin, eval_grad,
                                init_params, make_mlp_classifier, make_quadratic,
@@ -321,26 +321,31 @@ def test_criterion_9_flat_minimum_selection():
     iters = cal["iterations"]
     half = cal["init_halfwidth"]
 
-    rng = np.random.default_rng(1234)
-    qualifying = sam_flat = agree = tried = 0
-    while qualifying < 100:
-        tried += 1
-        assert tried < 500, "initialization sampling should not struggle"
-        w0 = ParamVector(np.array([x_sharp + rng.uniform(-half, half),
-                                   rng.uniform(-half, half)]))
+    def basins(candidate):
+        """(SAM's basin, vSAM's) from a start where SGD ends sharp; None from any other."""
+        tried, w0 = candidate
         sgd_basin = classify_basin(
             spec, run_sgd(spec, None, opt, iters, seed=tried, w0=w0).w_final)
         if sgd_basin != "sharp":
-            continue
-        qualifying += 1
-        sam_basin = classify_basin(
-            spec, run_sam(spec, None, opt, iters, seed=tried, w0=w0).w_final)
-        vsam_basin = classify_basin(
-            spec, run_vsam(spec, None, opt, scfg, iters, seed=tried, w0=w0).w_final)
-        if sam_basin == "flat":
-            sam_flat += 1
-        if vsam_basin == sam_basin:
-            agree += 1
+            return None
+        return (classify_basin(spec, run_sam(spec, None, opt, iters, seed=tried, w0=w0).w_final),
+                classify_basin(
+                    spec, run_vsam(spec, None, opt, scfg, iters, seed=tried, w0=w0).w_final))
+
+    # the candidates are drawn here in order, a block of as many as are still needed at a
+    # time, so the first 100 qualifiers are the serial loop's and tried is the 100th's index
+    rng = np.random.default_rng(1234)
+    qualifying, tried = [], 0
+    while len(qualifying) < 100:
+        block = []
+        for _ in range(100 - len(qualifying)):
+            tried += 1
+            assert tried < 500, "initialization sampling should not struggle"
+            block.append((tried, ParamVector(np.array([x_sharp + rng.uniform(-half, half),
+                                                       rng.uniform(-half, half)]))))
+        qualifying += [pair for pair in fan_out(basins, block) if pair is not None]
+    sam_flat = sum(sam_basin == "flat" for sam_basin, _ in qualifying)
+    agree = sum(vsam_basin == sam_basin for sam_basin, vsam_basin in qualifying)
     assert sam_flat >= 90, f"SAM reached the flat basin only {sam_flat}/100 times"
     assert agree >= 90, f"vSAM agreed with SAM only {agree}/100 times"
     _report(9, f"SAM escaped to the flat basin {sam_flat}/100; vSAM agreed "
@@ -443,8 +448,9 @@ def test_criterion_13_vsam_gets_most_of_sams_sharpness_reduction(moons_vsam_runs
     train, _ = train_test_split(ds)
     whole = whole_dataset_batch(train)
     batch_size = MOONS_TASK["batch_size"]
-    sharpness = {}
-    for seed in SHARPNESS_SEEDS:
+
+    def top_eigenvalues(seed):
+        """Arm -> the top Hessian eigenvalue at its final weights, on run seed ``seed``."""
         vsam = moons_vsam_runs[seed]
         # SAM at vSAM's own evaluation count, on its own schedule
         stopped = vsam.records[-1].cumulative_grad_evals // 2
@@ -453,10 +459,11 @@ def test_criterion_13_vsam_gets_most_of_sams_sharpness_reduction(moons_vsam_runs
                   "vsam": vsam,
                   "sam_k": run_sam_k(MLP_SPEC, ds, opt, 2, iters, seed, batch_size=batch_size),
                   "sam_stopped": run_sam(MLP_SPEC, ds, opt, stopped, seed, batch_size=batch_size)}
-        for arm, result in finals.items():
-            top = float(hessian_oracle(MLP_SPEC, result.w_final, whole)[1][-1])
-            sharpness.setdefault(arm, []).append(top)
-    mean = {arm: float(np.mean(values)) for arm, values in sharpness.items()}
+        return {arm: float(hessian_oracle(MLP_SPEC, result.w_final, whole)[1][-1])
+                for arm, result in finals.items()}
+
+    tops = fan_out(top_eigenvalues, SHARPNESS_SEEDS)
+    mean = {arm: float(np.mean([by_arm[arm] for by_arm in tops])) for arm in tops[0]}
     share = (mean["sgd"] - mean["vsam"]) / (mean["sgd"] - mean["sam"])
     assert share >= MIN_SHARPNESS_SHARE, (share, mean)
     assert mean["vsam"] < mean["sam_k"], mean

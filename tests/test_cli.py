@@ -539,9 +539,32 @@ def test_run_rejects_a_config_file_it_cannot_read(tmp_path, capsys, monkeypatch,
 ])
 def test_an_output_path_that_cannot_be_written_exits_2(tmp_path, capsys, args):
     # each raised FileNotFoundError
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
     out = tmp_path / "missing" / "out"
     assert main([arg.format(tmp=tmp_path) for arg in args] + [str(out)]) == 2
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+def test_verify_of_a_path_that_is_not_a_directory_exits_2(tmp_path, capsys):
+    (tmp_path / "file").write_text("x", encoding="ascii")
+    for path in (tmp_path / "missing", tmp_path / "file"):
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path} is not a directory\n")
+    # a directory without metrics.csv is a seed directory that fails its first check
+    (tmp_path / "empty").mkdir()
+    assert main(["verify", str(tmp_path / "empty")]) == 1
+    assert capsys.readouterr().out.startswith("[FAIL] metrics schema header: ")
+
+
+def test_report_of_a_path_that_is_not_a_directory_exits_2(tmp_path, capsys):
+    run, missing = tmp_path / "run", tmp_path / "missing"
+    run.mkdir()
+    assert main(["report", str(run), str(missing)]) == 2
+    assert capsys.readouterr() == ("", f"error: {missing} is not a directory\n")
+    # a directory without a finished run is a warning row
+    assert main(["report", str(run), str(run)]) == 0
+    assert f"WARNING: excluded incomplete run {run}: " in capsys.readouterr().out
 
 
 def test_selfcheck_command(capsys):

@@ -780,6 +780,50 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_fan_out_returns_the_serial_map_in_item_order(two_cpus):
+    outcomes = harness.fan_out(lambda item: (item * item, os.getpid()), [3, 1, 4, 1, 5])
+    _assert_no_children()
+    assert [value for value, _ in outcomes] == [item * item for item in [3, 1, 4, 1, 5]]
+    # dealt round-robin: items 0, 2 and 4 here, 1 and 3 in the forked process
+    assert [pid == os.getpid() for _, pid in outcomes] == [True, False, True, False, True]
+
+
+def test_fan_out_raises_the_earliest_items_exception(two_cpus):
+    def fn(item):
+        if item in (1, 2):
+            raise ValueError(f"item {item} broke")
+        return item
+
+    with pytest.raises(ValueError, match="item 1 broke") as raised:
+        harness.fan_out(fn, range(4))
+    _assert_no_children()
+    # item 1 ran in the forked process, whose traceback comes back as a note
+    assert 'raise ValueError(f"item {item} broke")' in raised.value.__notes__[0]
+
+
+def test_fan_out_of_no_item_or_one_forks_nothing(monkeypatch, two_cpus):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert harness.fan_out(lambda item: item, []) == []
+    assert harness.fan_out(lambda item: os.getpid(), ["only"]) == [os.getpid()]
+
+
+def test_fan_out_gives_equal_and_unhashable_items_their_own_outcomes(two_cpus):
+    items = [[1], [1], [2]]
+    assert harness.fan_out(lambda item: item * 2, items) == [[1, 1], [1, 1], [2, 2]]
+    _assert_no_children()
+
+
+def test_the_test_process_may_fork():
+    # conftest pins BLAS to one thread before numpy loads; a plugin that loads numpy first,
+    # or a thread left running, would make every fan_out in the suite run in process
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task: the threads cannot be counted")
+    assert harness._usable_cpus() == len(os.sched_getaffinity(0))
+
+
 def _strip_wall_clock(payload):
     if isinstance(payload, dict):
         return {k: _strip_wall_clock(v) for k, v in payload.items()
@@ -889,7 +933,7 @@ def test_a_child_that_dies_without_its_outcomes_is_named(tmp_path, monkeypatch, 
         return real(config, dataset, iterations, seed)
 
     monkeypatch.setattr(harness, "_dispatch", dispatch)
-    with pytest.raises(RuntimeError, match=r"seeds \[1\] ended without sending their outcomes"):
+    with pytest.raises(RuntimeError, match=r"items \[1\] ended without sending their outcomes"):
         run_experiment(config_from_dict(_base_config(tmp_path)))
     _assert_no_children()
     assert not (tmp_path / "run" / "aggregate.json").exists()
@@ -912,19 +956,29 @@ def test_an_interrupt_kills_and_reaps_the_children(tmp_path, monkeypatch, two_cp
 
 
 def test_any_second_thread_keeps_the_seeds_in_process():
-    if _threads() > 1:  # this process's BLAS runs a thread pool, on a host of several CPUs
-        assert harness._usable_cpus() == 1
+    blas = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+
+    def run(code, env):
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**env, "PYTHONPATH": str(SRC)})
+        assert done.returncode == 0, done.stderr
+        return map(int, done.stdout.split())
+
     # with BLAS pinned to one thread before numpy loads, a Python thread is the only other
-    code = ("import os, threading; from samlab import harness; "
-            "alone = harness._usable_cpus(); stop = threading.Event(); "
-            "threading.Thread(target=stop.wait).start(); "
-            "print(alone, harness._usable_cpus(), len(os.sched_getaffinity(0))); stop.set()")
-    pinned = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, **pinned, "PYTHONPATH": str(SRC)})
-    assert done.returncode == 0, done.stderr
-    alone, beside_a_thread, usable = map(int, done.stdout.split())
+    alone, beside_a_thread, usable = run(
+        "import os, threading; from samlab import harness; "
+        "alone = harness._usable_cpus(); stop = threading.Event(); "
+        "threading.Thread(target=stop.wait).start(); "
+        "print(alone, harness._usable_cpus(), len(os.sched_getaffinity(0))); stop.set()",
+        {**os.environ, **dict.fromkeys(blas, "1")})
     assert (alone, beside_a_thread) == (usable, 1)
+    # unpinned on a host of several CPUs, BLAS runs a pool of threads that Python did not start
+    threads, usable = run(
+        "import os, numpy as np; from samlab import harness; a = np.ones((64, 64)); a @ a; "
+        "print(len(os.listdir('/proc/self/task')), harness._usable_cpus())",
+        {name: value for name, value in os.environ.items() if name not in blas})
+    if threads > 1:
+        assert usable == 1
 
 
 def test_parallel_seeds_flush_no_buffer_of_the_caller(tmp_path):
